@@ -240,7 +240,7 @@ def certify(
                 claim=f"dimension n={n}: parameter set admissible with certified angle window",
                 method="exact",
                 verdict="falsified",
-                payload={"reason": str(exc), **jsonable_payload(exc.payload)},
+                payload={"reason": str(exc), **exc.payload},
                 provenance={"overrides": _override_echo(alpha, delta, q, p2)},
             )
         )
@@ -248,10 +248,6 @@ def certify(
 
     envelope.add(cones.certify_dimension(n, params, tol_deg))
     return _finish(envelope, started)
-
-
-def jsonable_payload(payload: dict) -> dict:
-    return dict(payload)
 
 
 def _override_echo(alpha, delta, q, p2) -> dict:

@@ -12,9 +12,15 @@ theta.  With q = grad u, the horizontal part of the unit normal is
 
 whose derivative at q = 0 is diag(sin^3(theta), sin(theta), ...).  The
 remainder G - L after subtracting the affine linearization L is second
-order: sampled halving ratios r(t)/r(t/2) sit near 4, and the same fact is
-certified rigorously on seeded rational directions with interval
-arithmetic (``remainder_ratio_certified``).
+order.  ``remainder_order_check`` is sampled corroboration: float halving
+ratios r(t)/r(t/2) on seeded directions sit near 4.
+``remainder_ratio_certified`` is the interval proof of the same fact on
+seeded directions frozen as exact rationals.
+
+Float evaluation.  The float formulas live in private kernels that take
+sin(theta) and cos(theta) as floats.  These are the midpoints of the
+192-bit sin/cos enclosures of ``AngleDeg``, computed once per public call,
+so a campaign over many directions pays for the trig only once.
 
 The induced quadratic form sin^3(theta) x_1 y_1 + sin(theta) <x', y'> is
 sandwiched between sin^3(theta) |x|^2 and sin(theta) |x|^2 with explicitly
@@ -39,7 +45,6 @@ __all__ = [
     "CertifiedRatioReport",
     "NormEquivalenceReport",
     "LaplaceReport",
-    "slanted_graph_value",
     "gauss_map_exact",
     "gauss_map_linearized",
     "gauss_unit_deficiency",
@@ -57,10 +62,12 @@ __all__ = [
 AngleLike = Union[AngleDeg, RationalLike]
 
 
-def _coerce_angle(theta: AngleLike) -> AngleDeg:
-    if isinstance(theta, AngleDeg):
-        return theta
-    return AngleDeg.from_degrees(theta)
+def _interior_angle(theta: AngleLike) -> AngleDeg:
+    if not isinstance(theta, AngleDeg):
+        theta = AngleDeg.from_degrees(theta)
+    if theta.value.lo <= 0 or theta.value.hi >= 180:
+        raise ValueError("theta must lie strictly between 0 and 180 degrees")
+    return theta
 
 
 def _check_orientation(orientation: str) -> int:
@@ -72,16 +79,21 @@ def _check_orientation(orientation: str) -> int:
 
 
 def _sin_cos(theta: AngleDeg) -> tuple[float, float]:
-    s = float(theta.sin().mid)
-    c = float(theta.cos().mid)
-    return s, c
+    """Float midpoints of the 192-bit sin/cos enclosures; call once per public call."""
+    return float(theta.sin().mid), float(theta.cos().mid)
 
 
-def _interior_angle(theta: AngleDeg) -> AngleDeg:
-    lo, hi = theta.value.lo, theta.value.hi
-    if lo <= 0 or hi >= 180:
-        raise ValueError("theta must lie strictly between 0 and 180 degrees")
-    return theta
+def _gauss_inputs(
+    q: Sequence[float], theta: AngleLike, orientation: str
+) -> tuple[list[float], float, float, int]:
+    """Validated float gradient, sin, cos and orientation sign for the Gauss-map kernels."""
+    theta = _interior_angle(theta)
+    sign = _check_orientation(orientation)
+    p = [float(v) for v in q]
+    if not p:
+        raise ValueError("gradient must have at least one component")
+    s, c = _sin_cos(theta)
+    return p, s, c, sign
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +101,24 @@ def _interior_angle(theta: AngleDeg) -> AngleDeg:
 # ---------------------------------------------------------------------------
 
 
-def slanted_graph_value(u_value: float, x1: float, theta: AngleLike, orientation: str = "up") -> float:
-    """Slanted height w = u - sign * cot(theta) * x_1."""
-    theta = _interior_angle(_coerce_angle(theta))
-    sign = _check_orientation(orientation)
-    s, c = _sin_cos(theta)
-    return float(u_value) - sign * (c / s) * float(x1)
+def _gauss_exact(p: list[float], s: float, c: float, sign: int) -> tuple[list[float], float]:
+    """G(q) for the float gradient p, and w^2 = 1 + |p - sign cot(theta) e_1|^2."""
+    slanted = [p[0] - sign * (c / s)] + p[1:]
+    w_sq = 1.0 + math.fsum(v * v for v in slanted)
+    w = math.sqrt(w_sq)
+    return [v / w for v in slanted], w_sq
+
+
+def _gauss_linear(p: list[float], s: float, c: float, sign: int) -> list[float]:
+    """L(q) = (-sign cos + sin^3 q_1, sin q_2, ...) for the float gradient p."""
+    out = [-sign * c + s ** 3 * p[0]]
+    out.extend(s * v for v in p[1:])
+    return out
 
 
 def gauss_map_exact(q: Sequence[float], theta: AngleLike, orientation: str = "up") -> tuple[float, ...]:
     """Horizontal part of the unit normal of the slanted graph with gradient q."""
-    theta = _interior_angle(_coerce_angle(theta))
-    sign = _check_orientation(orientation)
-    s, c = _sin_cos(theta)
-    p = [float(v) for v in q]
-    if len(p) == 0:
-        raise ValueError("gradient must have at least one component")
-    p[0] = p[0] - sign * (c / s)
-    w = math.sqrt(1.0 + math.fsum(v * v for v in p))
-    return tuple(v / w for v in p)
+    return tuple(_gauss_exact(*_gauss_inputs(q, theta, orientation))[0])
 
 
 def gauss_map_linearized(q: Sequence[float], theta: AngleLike, orientation: str = "up") -> tuple[float, ...]:
@@ -116,27 +127,13 @@ def gauss_map_linearized(q: Sequence[float], theta: AngleLike, orientation: str 
     First component -sign*cos(theta) + sin^3(theta) q_1, remaining
     components sin(theta) q_i.
     """
-    theta = _interior_angle(_coerce_angle(theta))
-    sign = _check_orientation(orientation)
-    s, c = _sin_cos(theta)
-    p = [float(v) for v in q]
-    if len(p) == 0:
-        raise ValueError("gradient must have at least one component")
-    out = [-sign * c + s ** 3 * p[0]]
-    out.extend(s * v for v in p[1:])
-    return tuple(out)
+    return tuple(_gauss_linear(*_gauss_inputs(q, theta, orientation)))
 
 
 def gauss_unit_deficiency(q: Sequence[float], theta: AngleLike, orientation: str = "up") -> float:
     """|G(q)|^2 + 1/(1 + |p|^2) - 1; identically zero for a unit normal."""
-    theta = _interior_angle(_coerce_angle(theta))
-    sign = _check_orientation(orientation)
-    s, c = _sin_cos(theta)
-    p = [float(v) for v in q]
-    p[0] = p[0] - sign * (c / s)
-    wsq = 1.0 + math.fsum(v * v for v in p)
-    g = [v / math.sqrt(wsq) for v in p]
-    return math.fsum(v * v for v in g) + 1.0 / wsq - 1.0
+    g, w_sq = _gauss_exact(*_gauss_inputs(q, theta, orientation))
+    return math.fsum(v * v for v in g) + 1.0 / w_sq - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +176,13 @@ def remainder_order_check(
     |r(scale d)| / |r(scale d / 2)| must approach 4 (second order), and
     each remainder must obey |r| <= bound_constant |q|^2.
     """
-    theta = _interior_angle(_coerce_angle(theta))
+    theta = _interior_angle(theta)
     if scale <= 0:
         raise ValueError("scale must be positive")
     if directions < 1:
         raise ValueError("need at least one direction")
+    sign = _check_orientation(orientation)
+    s, c = _sin_cos(theta)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((directions, ndim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -192,8 +191,8 @@ def remainder_order_check(
     max_rem = 0.0
     bound_ok = True
     for d in dirs:
-        r_full = _remainder_norm(d * scale, theta, orientation)
-        r_half = _remainder_norm(d * (scale / 2.0), theta, orientation)
+        r_full = _remainder_norm((d * scale).tolist(), s, c, sign)
+        r_half = _remainder_norm((d * (scale / 2.0)).tolist(), s, c, sign)
         if r_half == 0.0:
             continue
         ratios.append(r_full / r_half)
@@ -218,9 +217,10 @@ def remainder_order_check(
     )
 
 
-def _remainder_norm(q: np.ndarray, theta: AngleDeg, orientation: str) -> float:
-    exact = gauss_map_exact(q, theta, orientation)
-    lin = gauss_map_linearized(q, theta, orientation)
+def _remainder_norm(p: list[float], s: float, c: float, sign: int) -> float:
+    """|G(q) - L(q)| for the float gradient p."""
+    exact = _gauss_exact(p, s, c, sign)[0]
+    lin = _gauss_linear(p, s, c, sign)
     return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(exact, lin)))
 
 
@@ -259,12 +259,14 @@ def remainder_ratio_certified(
     exact rationals, so the certified statement quantifies over an explicit
     finite set of exact gradients.
     """
-    theta = _interior_angle(_coerce_angle(theta))
+    theta = _interior_angle(theta)
     sign = _check_orientation(orientation)
     scale = to_fraction(scale)
     bound_constant = to_fraction(bound_constant)
     if scale <= 0:
         raise ValueError("scale must be positive")
+    if directions < 1:
+        raise ValueError("need at least one direction")
     band_lo, band_hi = to_fraction(band[0]), to_fraction(band[1])
 
     rng = np.random.default_rng(seed)
@@ -344,15 +346,19 @@ def _remainder_norm_interval(
 # ---------------------------------------------------------------------------
 
 
-def theta_inner(x: Sequence[float], y: Sequence[float], theta: AngleLike) -> float:
-    """Weighted inner product sin^3(theta) x_1 y_1 + sin(theta) <x', y'>."""
-    theta = _interior_angle(_coerce_angle(theta))
-    if len(x) != len(y) or len(x) == 0:
-        raise ValueError("x and y must be non-empty and of equal length")
-    s, _ = _sin_cos(theta)
+def _theta_inner(x: Sequence[float], y: Sequence[float], s: float) -> float:
     head = s ** 3 * float(x[0]) * float(y[0])
     tail = s * math.fsum(float(a) * float(b) for a, b in zip(x[1:], y[1:]))
     return head + tail
+
+
+def theta_inner(x: Sequence[float], y: Sequence[float], theta: AngleLike) -> float:
+    """Weighted inner product sin^3(theta) x_1 y_1 + sin(theta) <x', y'>."""
+    theta = _interior_angle(theta)
+    if len(x) != len(y) or len(x) == 0:
+        raise ValueError("x and y must be non-empty and of equal length")
+    s, _ = _sin_cos(theta)
+    return _theta_inner(x, y, s)
 
 
 def theta_norm_squared(x: Sequence[float], theta: AngleLike) -> float:
@@ -385,7 +391,7 @@ def norm_equivalence_check(x: Sequence[float], theta: AngleLike) -> NormEquivale
     upper slack = sin(theta) |x|^2 - |x|_theta^2 = (sin - sin^3) x_1^2,
     lower slack = |x|_theta^2 - sin^3(theta) |x|^2 = (sin - sin^3) |x'|^2.
     """
-    theta = _interior_angle(_coerce_angle(theta))
+    theta = _interior_angle(theta)
     if len(x) == 0:
         raise ValueError("x must be non-empty")
     s, _ = _sin_cos(theta)
@@ -396,7 +402,7 @@ def norm_equivalence_check(x: Sequence[float], theta: AngleLike) -> NormEquivale
     return NormEquivalenceReport(
         theta_deg=float(theta.value.mid),
         norm_sq=head_sq + tail_sq,
-        theta_norm_sq=theta_norm_squared(xf, theta),
+        theta_norm_sq=_theta_inner(xf, xf, s),
         slack_vs_upper=factor * head_sq,
         slack_vs_lower=factor * tail_sq,
     )
@@ -408,7 +414,7 @@ def norm_equivalence_certified(theta: AngleLike) -> tuple[Interval, bool]:
     Nonnegativity of this factor implies the norm sandwich for every
     vector, since both slacks are this factor times a sum of squares.
     """
-    theta = _interior_angle(_coerce_angle(theta))
+    theta = _interior_angle(theta)
     s = theta.sin()
     one = Interval.point(Fraction(1))
     factor = s * (one - s) * (one + s)
@@ -423,22 +429,30 @@ def z_coordinates(x: Sequence[float], theta: AngleLike) -> tuple[float, ...]:
     of the rescaling is pinned by v = x_1^2, where both Laplacians must
     equal 2 sin^3(theta).
     """
-    theta = _interior_angle(_coerce_angle(theta))
+    theta = _interior_angle(theta)
     if len(x) == 0:
         raise ValueError("x must be non-empty")
     s, _ = _sin_cos(theta)
+    return _z_of_x(x, s)
+
+
+def x_from_z(z: Sequence[float], theta: AngleLike) -> tuple[float, ...]:
+    """Inverse of :func:`z_coordinates`."""
+    theta = _interior_angle(theta)
+    if len(z) == 0:
+        raise ValueError("z must be non-empty")
+    s, _ = _sin_cos(theta)
+    return _x_of_z(z, s)
+
+
+def _z_of_x(x: Sequence[float], s: float) -> tuple[float, ...]:
     root = math.sqrt(s)
     out = [float(x[0]) / (s * root)]
     out.extend(float(v) / root for v in x[1:])
     return tuple(out)
 
 
-def x_from_z(z: Sequence[float], theta: AngleLike) -> tuple[float, ...]:
-    """Inverse of :func:`z_coordinates`."""
-    theta = _interior_angle(_coerce_angle(theta))
-    if len(z) == 0:
-        raise ValueError("z must be non-empty")
-    s, _ = _sin_cos(theta)
+def _x_of_z(z: Sequence[float], s: float) -> tuple[float, ...]:
     root = math.sqrt(s)
     out = [float(z[0]) * s * root]
     out.extend(float(v) * root for v in z[1:])
@@ -527,7 +541,7 @@ def laplace_equivalence_check(
     differentiated weighted Laplacian in x.  The tolerance scales with the
     coefficient mass of each polynomial.
     """
-    theta = _interior_angle(_coerce_angle(theta))
+    theta = _interior_angle(theta)
     if degree < 0 or degree > 4:
         raise ValueError("degree must lie in [0, 4]")
     s, _ = _sin_cos(theta)
@@ -543,10 +557,10 @@ def laplace_equivalence_check(
         max_tol = max(max_tol, tol)
         for _ in range(points_per_poly):
             x0 = rng.uniform(-1.0, 1.0, ndim)
-            z0 = np.asarray(z_coordinates(x0, theta))
+            z0 = np.asarray(_z_of_x(x0, s))
 
             def v_of_z(z: np.ndarray) -> float:
-                return _poly_eval(coeffs, x_from_z(z, theta))
+                return _poly_eval(coeffs, _x_of_z(z, s))
 
             flat = 0.0
             for i in range(ndim):

@@ -3,11 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert import linearization as lin
+from conecert.exact import AngleDeg
 
 ANGLES = [Fraction(91), Fraction(120), Fraction(150), Fraction(179)]
 
@@ -60,6 +62,8 @@ def test_gauss_map_rejects_empty_gradient():
         lin.gauss_map_exact((), 120)
     with pytest.raises(ValueError):
         lin.gauss_map_linearized((), 120)
+    with pytest.raises(ValueError):
+        lin.gauss_unit_deficiency((), 120)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +98,76 @@ def test_remainder_ratio_certified_in_band(theta):
     assert rep.all_in_band
     assert rep.bound_certified
     assert 3.6 <= rep.ratio_enclosure_lo <= rep.ratio_enclosure_hi <= 4.4
+
+
+def test_remainder_ratio_certified_rejects_zero_directions():
+    # An empty direction set must not certify anything vacuously.
+    with pytest.raises(ValueError, match="at least one direction"):
+        lin.remainder_ratio_certified(120, directions=0)
+
+
+def _reference_remainder_check(theta, orientation, scale, directions, seed, bound=10.0):
+    """remainder_order_check rebuilt from the public Gauss maps, one call per map."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((directions, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+
+    def remainder(q):
+        g = lin.gauss_map_exact(q, theta, orientation)
+        l = lin.gauss_map_linearized(q, theta, orientation)
+        return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(g, l)))
+
+    ratios, max_rem, bound_ok = [], 0.0, True
+    for d in dirs:
+        r_full = remainder(d * scale)
+        r_half = remainder(d * (scale / 2.0))
+        if r_half == 0.0:
+            continue
+        ratios.append(r_full / r_half)
+        max_rem = max(max_rem, r_full)
+        bound_ok = bound_ok and r_full <= bound * scale * scale
+        bound_ok = bound_ok and r_half <= bound * (scale / 2.0) ** 2
+    arr = np.asarray(ratios)
+    return float(arr.min()), float(arr.max()), float(arr.mean()), max_rem, bound_ok
+
+
+@pytest.mark.parametrize("orientation", ["up", "down"])
+@pytest.mark.parametrize("theta", [Fraction(91), Fraction(120)])
+def test_remainder_check_bit_identical_to_public_gauss_maps(theta, orientation):
+    # 91 degrees takes the 192-bit trig path, 120 the exact special cosine.
+    rep = lin.remainder_order_check(theta, scale=1e-3, directions=200, seed=7, orientation=orientation)
+    got = (rep.ratio_min, rep.ratio_max, rep.ratio_mean, rep.max_remainder, rep.bound_satisfied)
+    assert got == _reference_remainder_check(theta, orientation, 1e-3, 200, 7)
+
+
+@pytest.fixture
+def trig_calls(monkeypatch):
+    calls = {"sin": 0, "cos": 0}
+    for name in calls:
+        original = getattr(AngleDeg, name)
+
+        def counted(self, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(AngleDeg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: lin.remainder_order_check(91, directions=1000),
+        lambda: lin.norm_equivalence_check((0.3, -0.2, 0.5), 91),
+        lambda: lin.laplace_equivalence_check(91, n_polys=2, points_per_poly=2),
+    ],
+    ids=["remainder_order_check", "norm_equivalence_check", "laplace_equivalence_check"],
+)
+def test_trig_evaluated_once_per_call(trig_calls, run):
+    # Per-direction or per-point trig would multiply these counts.
+    run()
+    assert trig_calls["sin"] <= 1
+    assert trig_calls["cos"] <= 1
 
 
 def test_certified_and_sampled_ratios_agree():
