@@ -10,7 +10,7 @@ certify.
 from .exact import (
     AngleDeg,
     Interval,
-    SurdValue,
+    QuadraticSurd,
     angle_range_from_threshold,
     threshold_to_cos_squared,
     to_fraction,
@@ -31,7 +31,7 @@ __version__ = VERSION
 __all__ = [
     "AngleDeg",
     "Interval",
-    "SurdValue",
+    "QuadraticSurd",
     "angle_range_from_threshold",
     "threshold_to_cos_squared",
     "to_fraction",

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import click
 
 from . import cones, linearization, tilt
-from .exact import AngleDeg, Interval, angle_range_from_threshold
+from .exact import AngleDeg, Interval, QuadraticSurd, angle_range_from_threshold, compare
 from .report import (
     EXIT_CERTIFIED,
     EXIT_OPERATIONAL_ERROR,
@@ -261,6 +261,8 @@ def _override_echo(alpha, delta, q, p2) -> dict:
 
 _ORACLE_AGREEMENT = 1e-8
 _MIN_ORACLE_SAMPLES = 10_000
+# The oracle's Sobol generator supports at most this many dimensions.
+_MAX_ORACLE_DIM = 21201
 
 
 @cli.command()
@@ -284,6 +286,8 @@ def pnbound(
     started = time.perf_counter()
     if m < 2:
         raise click.UsageError("--m must be at least 2")
+    if m > _MAX_ORACLE_DIM:
+        raise click.UsageError(f"--m must be at most {_MAX_ORACLE_DIM} (the sampling oracle's limit)")
     if q <= 0:
         raise click.UsageError("--q must be positive")
     config = RunConfig(
@@ -332,7 +336,7 @@ def pnbound(
     )
 
     if p2 is not None:
-        comparison = cones._compare_exact(enum.f_squared, p2)
+        comparison = compare(enum.f_squared, p2)
         symbol = {-1: "<", 0: "=", 1: ">"}[comparison]
         envelope.add(
             CertificationReport(
@@ -607,7 +611,7 @@ def optimize(
     )
     envelope = ReportEnvelope(config=config)
 
-    result = cones.optimize_params(n, p_squared=p2, budget=budget, seed=seed)
+    result = cones.optimize_params(n, p_squared=p2, budget=budget)
     if result.best is None:
         envelope.add(
             CertificationReport(
@@ -769,10 +773,8 @@ def _selftest_reports(samples: int, seed: int, depth: int, tol_deg: Fraction) ->
         enum = cones.sup_abs_f_two_value(m, q)
         value = enum.value
         exact_match = (
-            hasattr(value, "coeff")
-            and value.coeff == coeff
-            and value.radicand == radicand
-            and isinstance(enum.f_squared, Fraction)
+            isinstance(enum.f_squared, Fraction)
+            and value == QuadraticSurd(0, coeff, radicand)
             and value.square() == enum.f_squared
         )
         oracle = cones.brute_force_sup(
@@ -802,7 +804,7 @@ def _selftest_reports(samples: int, seed: int, depth: int, tol_deg: Fraction) ->
     for n in (5, 6):
         p = cones.calibrated_defaults(n)
         sup = cones.sup_abs_f_two_value(n - 1, p.q)
-        cmp_sign = cones._compare_exact(sup.f_squared, p.p_squared)
+        cmp_sign = compare(sup.f_squared, p.p_squared)
         symbol = {-1: "<", 0: "=", 1: ">"}[cmp_sign]
         ambiguity_payload[f"n={n} m={n-1}"] = {
             "comparison": f"sup^2 {symbol} p^2",

@@ -12,7 +12,10 @@ two ways:
 * exactly, by enumerating critical points — every critical point takes at
   most two distinct coordinate values, so candidates are the diagonal plus
   the real roots of an explicit quadratic for each split a + b = m
-  (``sup_abs_f_two_value``), carried out in the field Q(sqrt(disc));
+  (``sup_abs_f_two_value``).  Roots and f^2 values are exact
+  :class:`~conecert.exact.QuadraticSurd` numbers of Q(sqrt(disc)), and the
+  champion is chosen by the exact order :func:`~conecert.exact.compare`,
+  which also decides sup^2 against p^2 across fields;
 * approximately from below, by quasi-random sphere sampling plus projected
   gradient ascent (``brute_force_sup``), an independent oracle that must
   agree with the enumeration to 1e-8.
@@ -37,12 +40,11 @@ from scipy.stats import qmc
 
 from .exact import (
     Interval,
-    QuadraticRoot,
+    QuadraticSurd,
     RationalLike,
-    SurdValue,
     angle_range_from_threshold,
+    compare,
     quadratic_real_roots,
-    sqrt_fraction_enclosure,
     to_fraction,
 )
 from .report import CertificationReport
@@ -52,7 +54,6 @@ __all__ = [
     "TwoValuePoint",
     "ConeParams",
     "ConeParamsError",
-    "QuadraticSurd",
     "SupResult",
     "BruteForceResult",
     "ConstraintReport",
@@ -77,7 +78,7 @@ __all__ = [
     "n3_coefficients",
 ]
 
-ExactScalar = Union[Fraction, "QuadraticSurd"]
+ExactScalar = Union[Fraction, QuadraticSurd]
 
 
 # ---------------------------------------------------------------------------
@@ -179,210 +180,6 @@ def zero_homogeneity_check(x: Sequence, q: RationalLike, scale: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact arithmetic in Q(sqrt(d)).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticSurd:
-    """Exact number rational + coeff * sqrt(radicand).
-
-    Arithmetic stays inside a single quadratic field: operands must share
-    the radicand (or be rational).  Perfect-square radicands collapse to
-    rationals at construction, so a nonzero ``coeff`` always multiplies a
-    genuine irrationality, making signs and comparisons exactly decidable.
-    """
-
-    rational: Fraction
-    coeff: Fraction = Fraction(0)
-    radicand: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rational", to_fraction(self.rational))
-        object.__setattr__(self, "coeff", to_fraction(self.coeff))
-        if self.radicand < 0:
-            raise ValueError("radicand must be non-negative")
-        if self.coeff != 0 and self.radicand > 1:
-            root = math.isqrt(self.radicand)
-            if root * root == self.radicand:
-                object.__setattr__(self, "rational", self.rational + self.coeff * root)
-                object.__setattr__(self, "coeff", Fraction(0))
-                object.__setattr__(self, "radicand", 0)
-        if self.coeff == 0 or self.radicand in (0, 1):
-            if self.radicand == 1:
-                object.__setattr__(self, "rational", self.rational + self.coeff)
-            object.__setattr__(self, "coeff", Fraction(0))
-            object.__setattr__(self, "radicand", 0)
-
-    # -- helpers -------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, x: RationalLike) -> "QuadraticSurd":
-        return cls(to_fraction(x))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.coeff == 0
-
-    def _common_radicand(self, other: "QuadraticSurd") -> int:
-        if self.is_rational:
-            return other.radicand
-        if other.is_rational:
-            return self.radicand
-        if self.radicand != other.radicand:
-            raise ValueError(
-                f"mixed radicands {self.radicand} and {other.radicand}; "
-                "use interval comparison instead"
-            )
-        return self.radicand
-
-    @staticmethod
-    def _coerce(value) -> "QuadraticSurd":
-        if isinstance(value, QuadraticSurd):
-            return value
-        return QuadraticSurd(to_fraction(value))
-
-    # -- field operations ------------------------------------------------
-
-    def __add__(self, other) -> "QuadraticSurd":
-        o = self._coerce(other)
-        d = self._common_radicand(o)
-        return QuadraticSurd(self.rational + o.rational, self.coeff + o.coeff, d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadraticSurd":
-        return QuadraticSurd(-self.rational, -self.coeff, self.radicand)
-
-    def __sub__(self, other) -> "QuadraticSurd":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "QuadraticSurd":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "QuadraticSurd":
-        o = self._coerce(other)
-        d = self._common_radicand(o)
-        rational = self.rational * o.rational + self.coeff * o.coeff * d
-        coeff = self.rational * o.coeff + self.coeff * o.rational
-        return QuadraticSurd(rational, coeff, d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QuadraticSurd":
-        o = self._coerce(other)
-        d = self._common_radicand(o)
-        norm = o.rational * o.rational - o.coeff * o.coeff * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero surd")
-        conj = QuadraticSurd(o.rational, -o.coeff, d)
-        product = self * conj
-        return QuadraticSurd(product.rational / norm, product.coeff / norm, d)
-
-    def __rtruediv__(self, other) -> "QuadraticSurd":
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent: int) -> "QuadraticSurd":
-        if exponent < 0:
-            return QuadraticSurd.from_rational(1) / self ** (-exponent)
-        result = QuadraticSurd.from_rational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    # -- exact sign and order ---------------------------------------------
-
-    def sign(self) -> int:
-        a, b, d = self.rational, self.coeff, self.radicand
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 against b^2 d exactly.
-        lhs, rhs = a * a, b * b * d
-        if lhs == rhs:
-            return 0
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        try:
-            return (self - o).sign() == 0
-        except ValueError:
-            return False
-
-    def __hash__(self):
-        return hash((self.rational, self.coeff, self.radicand))
-
-    def __lt__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() >= 0
-
-    def to_interval(self) -> Interval:
-        iv = Interval.point(self.rational)
-        if self.coeff != 0:
-            iv = iv + sqrt_fraction_enclosure(Fraction(self.radicand)) * self.coeff
-        return iv
-
-    def __float__(self) -> float:
-        return float(self.rational) + float(self.coeff) * math.sqrt(self.radicand)
-
-    def __str__(self) -> str:
-        if self.is_rational:
-            return str(self.rational)
-        return f"{self.rational} + {self.coeff}*sqrt({self.radicand})"
-
-
-def _compare_exact(u: ExactScalar, v: ExactScalar) -> int:
-    """Total order on exact scalars; -1/0/+1 for u <,=,> v.
-
-    Same-field and rational comparisons are exact; comparisons across
-    distinct quadratic fields fall back to certified intervals, refined
-    once, and treat a persistent overlap as a tie.
-    """
-    us = u if isinstance(u, QuadraticSurd) else QuadraticSurd.from_rational(u)
-    vs = v if isinstance(v, QuadraticSurd) else QuadraticSurd.from_rational(v)
-    try:
-        return (us - vs).sign()
-    except ValueError:
-        pass
-    for scale in (10 ** 40, 10 ** 80):
-        iu = _surd_interval(us, scale)
-        iv = _surd_interval(vs, scale)
-        if iu.hi < iv.lo:
-            return -1
-        if iv.hi < iu.lo:
-            return 1
-    return 0
-
-
-def _surd_interval(s: QuadraticSurd, scale: int) -> Interval:
-    iv = Interval.point(s.rational)
-    if s.coeff != 0:
-        iv = iv + sqrt_fraction_enclosure(Fraction(s.radicand), scale) * s.coeff
-    return iv
-
-
-# ---------------------------------------------------------------------------
 # Two-value enumeration.
 # ---------------------------------------------------------------------------
 
@@ -411,50 +208,16 @@ def critical_quadratic_coeffs(a: int, b: int, q: RationalLike) -> tuple[Fraction
     return A, B, C
 
 
-def two_value_critical_x(
-    a: int,
-    b: int,
-    q: RationalLike,
-    tol: RationalLike = Fraction(1, 10 ** 12),
-) -> list[QuadraticRoot]:
-    """Real critical values x (with y = 1) for the split (a, b); 0-2 roots."""
-    A, B, C = critical_quadratic_coeffs(a, b, q)
-    return quadratic_real_roots(A, B, C, tol)
-
-
-def _critical_roots_exact(a: int, b: int, q: Fraction) -> list[QuadraticSurd]:
-    """The real roots of the critical quadratic as exact field elements."""
-    A, B, C = critical_quadratic_coeffs(a, b, q)
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return []
-    if disc == 0:
-        return [QuadraticSurd.from_rational(-B / (2 * A))]
-    root_n = math.isqrt(disc.numerator)
-    root_d = math.isqrt(disc.denominator)
-    if root_n * root_n == disc.numerator and root_d * root_d == disc.denominator:
-        sqrt_disc = Fraction(root_n, root_d)
-        return [
-            QuadraticSurd.from_rational((-B - sqrt_disc) / (2 * A)),
-            QuadraticSurd.from_rational((-B + sqrt_disc) / (2 * A)),
-        ]
-    # sqrt(p/q) = sqrt(p q) / q keeps the radicand integral.
-    d = disc.numerator * disc.denominator
-    half = Fraction(1, 2) / A
-    base = -B * half
-    spread = half / disc.denominator
-    return [
-        QuadraticSurd(base, -spread, d),
-        QuadraticSurd(base, spread, d),
-    ]
+def two_value_critical_x(a: int, b: int, q: RationalLike) -> list[QuadraticSurd]:
+    """Exact real critical values x (with y = 1) for the split (a, b); 0-2 roots, ascending."""
+    return quadratic_real_roots(*critical_quadratic_coeffs(a, b, q))
 
 
 def _f_squared_exact(a: int, b: int, q: Fraction, x: QuadraticSurd) -> QuadraticSurd:
     """Exact f^2 at the point with a copies of x and b copies of 1."""
-    one = QuadraticSurd.from_rational(1)
-    P1 = x * a + one * b
-    P2 = x * x * a + one * b
-    P3 = x ** 3 * a + one * b
+    P1 = x * a + b
+    P2 = x * x * a + b
+    P3 = x ** 3 * a + b
     N = P3 + P1 * P2 * (1 - q) - P1 ** 3 * q
     base = P2 + P1 * P1
     return (N * N) / base ** 3
@@ -464,13 +227,15 @@ def _f_squared_exact(a: int, b: int, q: Fraction, x: QuadraticSurd) -> Quadratic
 class SupResult:
     """Result of the exhaustive two-value sup computation.
 
-    ``value`` is the sup of |f|: a :class:`SurdValue` (exact) when the
-    maximizing f^2 is rational, otherwise a thin certified interval.
-    ``f_squared`` is always exact.  ``witness`` is normalised: scaled so
-    the largest-magnitude coordinate is 1 and sorted descending.
+    ``f_squared`` is the exact maximal f^2: a Fraction when it is rational,
+    otherwise a :class:`QuadraticSurd` with squarefree radicand.  ``value``
+    is the sup of |f|: the exact :class:`QuadraticSurd` ``coeff*sqrt(d)``
+    when f^2 is rational, otherwise the square root of the enclosure
+    ``f_squared.to_interval()``.  ``witness`` is normalised: scaled so the
+    largest-magnitude coordinate is 1 and sorted descending.
     """
 
-    value: Union[SurdValue, Interval]
+    value: Union[QuadraticSurd, Interval]
     f_squared: ExactScalar
     witness: TwoValuePoint
     witness_source: str
@@ -481,19 +246,16 @@ class SupResult:
         return float(self.value)
 
 
-def _normalize_witness(a: int, b: int, x: ExactScalar) -> TwoValuePoint:
+def _normalize_witness(a: int, b: int, x: QuadraticSurd) -> TwoValuePoint:
     """Canonical form of (x,...,x, 1,...,1): largest coordinate 1, sorted."""
-    if isinstance(x, QuadraticSurd) and x.is_rational:
-        x = x.rational
-    if isinstance(x, Fraction):
-        if abs(x) > 1:
-            return TwoValuePoint(a=a, b=b, x=Fraction(1), y=1 / x)
-        return TwoValuePoint(a=b, b=a, x=Fraction(1), y=x)
-    xf = float(x)
-    if abs(xf) > 1:
-        inv = float(QuadraticSurd.from_rational(1) / x) if isinstance(x, QuadraticSurd) else 1 / xf
-        return TwoValuePoint(a=a, b=b, x=1.0, y=inv)
-    return TwoValuePoint(a=b, b=a, x=1.0, y=xf)
+    if x.is_rational:
+        r = x.rational
+        if abs(r) > 1:
+            return TwoValuePoint(a=a, b=b, x=Fraction(1), y=1 / r)
+        return TwoValuePoint(a=b, b=a, x=Fraction(1), y=r)
+    if abs(float(x)) > 1:
+        return TwoValuePoint(a=a, b=b, x=1.0, y=float(1 / x))
+    return TwoValuePoint(a=b, b=a, x=1.0, y=float(x))
 
 
 def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
@@ -518,7 +280,7 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
 
     for a in range(1, m):
         b = m - a
-        for root in _critical_roots_exact(a, b, q):
+        for root in two_value_critical_x(a, b, q):
             f2 = _f_squared_exact(a, b, q, root)
             f2_simple: ExactScalar = f2.rational if f2.is_rational else f2
             record = {
@@ -530,9 +292,9 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
                 "f_abs": math.sqrt(max(float(f2_simple), 0.0)),
             }
             candidates.append(record)
-            if best_f2 is None or _compare_exact(f2_simple, best_f2) > 0:
+            if best_f2 is None or compare(f2_simple, best_f2) > 0:
                 best_f2 = f2_simple
-                best_witness = _normalize_witness(a, b, root if not root.is_rational else root.rational)
+                best_witness = _normalize_witness(a, b, root)
                 best_source = "critical_root"
 
     # Diagonal (single-value) candidate: x = (1, ..., 1).
@@ -548,16 +310,17 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
             "f_abs": math.sqrt(float(diag_f2)),
         }
     )
-    if best_f2 is None or _compare_exact(diag_f2, best_f2) > 0:
+    if best_f2 is None or compare(diag_f2, best_f2) > 0:
         best_f2 = diag_f2
         best_witness = TwoValuePoint(a=1, b=m - 1, x=Fraction(1), y=Fraction(1))
         best_source = "diagonal"
 
     assert best_f2 is not None and best_witness is not None
     if isinstance(best_f2, Fraction):
-        value: Union[SurdValue, Interval] = SurdValue.from_square(best_f2)
+        value: Union[QuadraticSurd, Interval] = QuadraticSurd.from_square(best_f2)
     else:
-        value = best_f2.to_interval().clamp(Fraction(0), best_f2.to_interval().hi).sqrt()
+        enclosure = best_f2.to_interval()
+        value = enclosure.clamp(Fraction(0), enclosure.hi).sqrt()
     return SupResult(
         value=value,
         f_squared=best_f2,
@@ -710,33 +473,18 @@ class ConeParams:
         return 2 * self.alpha - 1 + Fraction(2, self.n - 1) - self.alpha ** 2 * (self.q + 1)
 
 
-CALIBRATED_PARAMS: dict[int, ConeParams] = {}
-
-
-def _calibrated_params() -> dict[int, ConeParams]:
-    if not CALIBRATED_PARAMS:
-        CALIBRATED_PARAMS.update(
-            {
-                4: ConeParams(4, Fraction(14, 33), Fraction(1, 15), Fraction(1), Fraction(1, 6)),
-                5: ConeParams(5, Fraction(7, 12), Fraction(4, 19), Fraction(6, 11), Fraction(4225, 7986)),
-                6: ConeParams(
-                    6,
-                    Fraction(6, 11),
-                    Fraction(16, 25),
-                    Fraction(43, 391),
-                    Fraction(646328929, 717317652),
-                ),
-            }
-        )
-    return CALIBRATED_PARAMS
+CALIBRATED_PARAMS: dict[int, ConeParams] = {
+    4: ConeParams(4, Fraction(14, 33), Fraction(1, 15), Fraction(1), Fraction(1, 6)),
+    5: ConeParams(5, Fraction(7, 12), Fraction(4, 19), Fraction(6, 11), Fraction(4225, 7986)),
+    6: ConeParams(6, Fraction(6, 11), Fraction(16, 25), Fraction(43, 391), Fraction(646328929, 717317652)),
+}
 
 
 def calibrated_defaults(n: int) -> ConeParams:
     """The calibrated parameter set for n in {4, 5, 6}."""
-    params = _calibrated_params()
-    if n not in params:
+    if n not in CALIBRATED_PARAMS:
         raise ValueError(f"no default parameters for n = {n}; supply them explicitly")
-    return params[n]
+    return CALIBRATED_PARAMS[n]
 
 
 def m_functional(p: ConeParams) -> Fraction:
@@ -795,7 +543,7 @@ def certify_dimension(
     """
     if n not in (4, 5, 6):
         raise ValueError("certify_dimension handles n in {4, 5, 6}")
-    p = params if params is not None else _calibrated_params()[n]
+    p = params if params is not None else CALIBRATED_PARAMS[n]
     if p.n != n:
         raise ValueError(f"params.n = {p.n} does not match n = {n}")
     tol_deg = to_fraction(tol_deg)
@@ -823,8 +571,8 @@ def certify_dimension(
     sup_ok = True
     for m in (n - 2, n - 1):
         sup = sup_abs_f_two_value(m, p.q)
-        exceeds = _compare_exact(sup.f_squared, p.p_squared) > 0
-        matches = _compare_exact(sup.f_squared, p.p_squared) == 0
+        sign = compare(sup.f_squared, p.p_squared)
+        exceeds, matches = sign > 0, sign == 0
         if m == n - 2 and exceeds:
             sup_ok = False
         sup_entries[f"m={m}"] = {
@@ -940,7 +688,7 @@ def n_theta_table(tol_deg: RationalLike = Fraction(1, 1000)) -> NThetaTable:
     tol_deg = to_fraction(tol_deg)
     breaks: dict[int, tuple[Fraction, Interval]] = {}
     for n in (4, 5, 6):
-        threshold = m_functional(_calibrated_params()[n])
+        threshold = m_functional(CALIBRATED_PARAMS[n])
         _, theta_max = angle_range_from_threshold(threshold, tol_deg)
         breaks[n] = (theta_max.value.lo, theta_max.value)
 
@@ -998,7 +746,6 @@ def optimize_params(
     n: int,
     p_squared: Optional[RationalLike] = None,
     budget: int = 0,
-    seed: int = 42,
 ) -> OptimizeResult:
     """Search (alpha, delta, q) maximising the threshold functional.
 
@@ -1008,13 +755,11 @@ def optimize_params(
     scored by the exact functional.  The known-good parameter set for n in
     {4, 5, 6} is always included as a candidate, so the result never falls
     below it.  ``budget`` caps the number of exact evaluations; zero budget
-    performs no search and simply echoes the defaults.  ``seed`` is
-    accepted for interface uniformity; the search is grid-based and
-    deterministic regardless.
+    performs no search and simply echoes the defaults.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    calibrated = _calibrated_params().get(n)
+    calibrated = CALIBRATED_PARAMS.get(n)
     if p_squared is None:
         if calibrated is None:
             raise ValueError("p_squared is required for dimensions without defaults")

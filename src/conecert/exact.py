@@ -1,12 +1,21 @@
-"""Exact rational arithmetic and rigorous interval enclosures.
+"""Exact rational arithmetic, quadratic surds and rigorous interval enclosures.
 
 This module is the numerical foundation of the package.  Every quantity that
 feeds a certification verdict is represented either as an exact
-:class:`fractions.Fraction` or as an :class:`Interval` with exact rational
-endpoints that provably contains the true real value.  Transcendental
-functions (cos, arccos, pi) are evaluated through mpmath's interval context
-with directed rounding, then converted back to rational endpoints, so no
-step of the pipeline silently rounds toward the wrong side.
+:class:`fractions.Fraction`, as an exact :class:`QuadraticSurd`
+``a + b*sqrt(d)``, or as an :class:`Interval` with exact rational endpoints
+that provably contains the true real value.  Transcendental functions (cos,
+arccos, pi) are evaluated through mpmath's interval context with directed
+rounding, then converted back to rational endpoints, so no step of the
+pipeline silently rounds toward the wrong side.
+
+:class:`QuadraticSurd` is the one exact type for numbers in a quadratic
+field Q(sqrt d): its radicand is always squarefree, so equal numbers have
+equal representations.  :func:`compare` orders any two of them (and
+rationals) exactly, also when their fields differ, by isolating the radicals
+and squaring; no comparison falls back to intervals.  Roots of rational
+quadratics (:func:`quadratic_real_roots`) are returned as such surds, and
+enclosures come from :meth:`QuadraticSurd.to_interval`.
 
 Angles are carried in degrees through :class:`AngleDeg`.  Cosines of the
 handful of angles with rational cosine (0, 60, 90, 120, 180 degrees) are
@@ -28,9 +37,8 @@ __all__ = [
     "Rational",
     "RationalLike",
     "Interval",
-    "SurdValue",
+    "QuadraticSurd",
     "AngleDeg",
-    "QuadraticRoot",
     "DegenerateQuadraticError",
     "SingularAngleError",
     "to_fraction",
@@ -38,6 +46,7 @@ __all__ = [
     "pi_interval",
     "acos_interval",
     "cos_interval",
+    "compare",
     "quadratic_real_roots",
     "threshold_to_cos_squared",
     "angle_range_from_threshold",
@@ -285,68 +294,233 @@ class Interval:
         return Interval(min(max(self.lo, lo), hi), min(max(self.hi, lo), hi))
 
 
-@dataclass(frozen=True)
-class SurdValue:
-    """Exact value of the form ``coeff * sqrt(radicand)``.
+# ---------------------------------------------------------------------------
+# Exact numbers in quadratic fields, and their order.
+# ---------------------------------------------------------------------------
 
-    ``radicand`` is a non-negative integer; ``coeff`` a rational.  This is
-    the exact carrier for square roots of rationals, e.g. certified stability
-    constants p_n where p_n^2 is rational but p_n is not.
+
+def _square_split(n: int) -> tuple[int, int]:
+    """(s, f) with n == s * s * f and f squarefree."""
+    import sympy
+
+    s = f = 1
+    for prime, mult in sympy.factorint(n).items():
+        # factorint may return gmpy2 integers; coerce so downstream
+        # Fraction arithmetic stays in stdlib types.
+        prime, mult = int(prime), int(mult)
+        s *= prime ** (mult // 2)
+        f *= prime ** (mult % 2)
+    return s, f
+
+
+@dataclass(frozen=True)
+class QuadraticSurd:
+    """Exact real number ``rational + coeff * sqrt(radicand)``.
+
+    Normal form: either ``coeff != 0`` and ``radicand`` is a squarefree
+    integer > 1, or the number is rational and ``coeff == radicand == 0``.
+    Construction moves square factors of the radicand into ``coeff``
+    (``QuadraticSurd(0, 1, 8)`` is ``2*sqrt(2)``).  Square roots of
+    distinct squarefree integers are linearly independent over Q, so each
+    number has exactly one normal form and ``==``/``hash`` compare fields.
+
+    Field arithmetic (+, -, *, /, **) takes operands over one radicand or
+    rationals; the order (<, <=, >, >=, :func:`compare`) is exact across
+    fields.
     """
 
-    coeff: Fraction
-    radicand: int
+    rational: Fraction
+    coeff: Fraction = Fraction(0)
+    radicand: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", to_fraction(self.coeff))
-        if self.radicand < 0:
-            raise ValueError("radicand must be non-negative")
+        rational, coeff, radicand = to_fraction(self.rational), to_fraction(self.coeff), self.radicand
+        if not isinstance(radicand, int) or radicand < 0:
+            raise ValueError(f"radicand must be a non-negative integer, got {radicand!r}")
+        if coeff != 0 and radicand > 1:
+            square, radicand = _square_split(radicand)
+            coeff *= square
+        if coeff == 0 or radicand <= 1:  # sqrt(0) = 0, sqrt(1) = 1
+            rational, coeff, radicand = rational + coeff * radicand, Fraction(0), 0
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "radicand", radicand)
 
     @classmethod
-    def from_square(cls, square: Fraction) -> "SurdValue":
-        """The non-negative value v with v^2 == square, in reduced surd form.
+    def _in_field(cls, rational: Fraction, coeff: Fraction, radicand: int) -> "QuadraticSurd":
+        """Field arithmetic result; ``radicand`` is already squarefree, so skip factoring."""
+        if coeff == 0:
+            return cls(rational)
+        value = object.__new__(cls)
+        object.__setattr__(value, "rational", rational)
+        object.__setattr__(value, "coeff", coeff)
+        object.__setattr__(value, "radicand", radicand)
+        return value
 
-        The square part of numerator and denominator is pulled into the
-        rational coefficient, so the radicand is squarefree.
-        """
+    @classmethod
+    def from_square(cls, square: RationalLike) -> "QuadraticSurd":
+        """The non-negative v with v^2 == square, in normal form."""
         square = to_fraction(square)
         if square < 0:
             raise ValueError("cannot take a real square root of a negative rational")
-        if square == 0:
-            return cls(Fraction(0), 0)
-        import sympy
+        # sqrt(p/q) = sqrt(p q) / q; normalisation makes the radicand squarefree.
+        return cls(0, Fraction(1, square.denominator), square.numerator * square.denominator)
 
-        def split(n: int) -> tuple[int, int]:
-            # factorint may return gmpy2 integers; coerce so downstream
-            # Fraction arithmetic stays in stdlib types.
-            s, f = 1, 1
-            for prime, mult in sympy.factorint(n).items():
-                prime, mult = int(prime), int(mult)
-                s *= prime ** (mult // 2)
-                f *= prime ** (mult % 2)
-            return s, f
+    @staticmethod
+    def _coerce(value) -> "QuadraticSurd":
+        return value if isinstance(value, QuadraticSurd) else QuadraticSurd(to_fraction(value))
 
-        s, p_free = split(square.numerator)
-        t, q_free = split(square.denominator)
-        coeff = Fraction(s, t * q_free)
-        radicand = p_free * q_free
-        return cls(coeff, radicand)
+    @property
+    def is_rational(self) -> bool:
+        return self.coeff == 0
 
-    def square(self) -> Fraction:
-        return self.coeff * self.coeff * self.radicand
+    def _common_radicand(self, other: "QuadraticSurd") -> int:
+        if self.is_rational or other.is_rational or self.radicand == other.radicand:
+            return max(self.radicand, other.radicand)  # a rational has radicand 0
+        raise ValueError(
+            f"mixed radicands {self.radicand} and {other.radicand}: "
+            "field arithmetic needs one quadratic field"
+        )
+
+    # -- field operations ------------------------------------------------
+
+    def __add__(self, other) -> "QuadraticSurd":
+        o = self._coerce(other)
+        d = self._common_radicand(o)
+        return self._in_field(self.rational + o.rational, self.coeff + o.coeff, d)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "QuadraticSurd":
+        return self._in_field(-self.rational, -self.coeff, self.radicand)
+
+    def __sub__(self, other) -> "QuadraticSurd":
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> "QuadraticSurd":
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other) -> "QuadraticSurd":
+        o = self._coerce(other)
+        d = self._common_radicand(o)
+        rational = self.rational * o.rational + self.coeff * o.coeff * d
+        coeff = self.rational * o.coeff + self.coeff * o.rational
+        return self._in_field(rational, coeff, d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "QuadraticSurd":
+        o = self._coerce(other)
+        d = self._common_radicand(o)
+        norm = o.rational * o.rational - o.coeff * o.coeff * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero surd")
+        product = self * self._in_field(o.rational, -o.coeff, d)
+        return self._in_field(product.rational / norm, product.coeff / norm, d)
+
+    def __rtruediv__(self, other) -> "QuadraticSurd":
+        return self._coerce(other) / self
+
+    def __pow__(self, exponent: int) -> "QuadraticSurd":
+        if exponent < 0:
+            return 1 / self ** (-exponent)
+        result, base = QuadraticSurd(1), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+    def square(self) -> Union[Fraction, "QuadraticSurd"]:
+        """self^2; a Fraction whenever it is rational (always for coeff*sqrt(d))."""
+        sq = self * self
+        return sq.rational if sq.is_rational else sq
+
+    # -- exact sign and order ---------------------------------------------
+
+    def sign(self) -> int:
+        a, b, d = self.rational, self.coeff, self.radicand
+        if b == 0:
+            return 0 if a == 0 else (1 if a > 0 else -1)
+        if a == 0:
+            return 1 if b > 0 else -1
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        # Opposite signs: compare a^2 against b^2 d exactly.
+        lhs, rhs = a * a, b * b * d
+        if lhs == rhs:
+            return 0
+        if a > 0:  # b < 0
+            return 1 if lhs > rhs else -1
+        return 1 if rhs > lhs else -1
+
+    def __lt__(self, other) -> bool:
+        return compare(self, other) < 0
+
+    def __le__(self, other) -> bool:
+        return compare(self, other) <= 0
+
+    def __gt__(self, other) -> bool:
+        return compare(self, other) > 0
+
+    def __ge__(self, other) -> bool:
+        return compare(self, other) >= 0
+
+    # -- enclosures and rendering ---------------------------------------------
 
     def to_interval(self) -> Interval:
-        return sqrt_fraction_enclosure(Fraction(self.radicand)) * self.coeff
+        """Certified enclosure with exact rational endpoints."""
+        return self.rational + sqrt_fraction_enclosure(Fraction(self.radicand)) * self.coeff
 
     def __float__(self) -> float:
-        return float(self.coeff) * math.sqrt(self.radicand)
+        return float(self.rational) + float(self.coeff) * math.sqrt(self.radicand)
 
     def __str__(self) -> str:
-        if self.radicand in (0, 1):
-            return str(self.coeff * (self.radicand and 1))
-        return f"{self.coeff}*sqrt({self.radicand})"
+        if self.is_rational:
+            return str(self.rational)
+        return f"{self.rational} + {self.coeff}*sqrt({self.radicand})"
 
+
+def compare(u: Union[RationalLike, QuadraticSurd], v: Union[RationalLike, QuadraticSurd]) -> int:
+    """Exact sign of u - v (-1, 0 or +1) for rationals and quadratic surds.
+
+    Within one field this is the field sign.  Across fields, u - v =
+    A - t sqrt(f) with A = r + s sqrt(d) in Q(sqrt d) and t != 0: if A and
+    t differ in sign, that decides it; otherwise the sign is sign(A) times
+    the sign of A^2 - t^2 f, an element of Q(sqrt d).  Nothing is rounded
+    and no case is declared a tie.
+    """
+    u, v = QuadraticSurd._coerce(u), QuadraticSurd._coerce(v)
+    if u.is_rational or v.is_rational or u.radicand == v.radicand:
+        return (u - v).sign()
+    a = u - v.rational
+    a_sign, t_sign = a.sign(), (1 if v.coeff > 0 else -1)
+    if a_sign != t_sign:
+        return 1 if a_sign > t_sign else -1
+    return a_sign * (a * a - v.coeff * v.coeff * v.radicand).sign()
+
+
+def quadratic_real_roots(a: RationalLike, b: RationalLike, c: RationalLike) -> list[QuadraticSurd]:
+    """Real roots of a x^2 + b x + c with exact rational coefficients.
+
+    Returns 0, 1, or 2 exact roots in ascending order; they are rational
+    exactly when the discriminant is the square of a rational.  A zero
+    leading coefficient raises :class:`DegenerateQuadraticError`.
+    """
+    a, b, c = to_fraction(a), to_fraction(b), to_fraction(c)
+    if a == 0:
+        raise DegenerateQuadraticError("leading coefficient is zero")
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    if disc == 0:
+        return [QuadraticSurd(-b / (2 * a))]
+    root = QuadraticSurd.from_square(disc)
+    roots = [(-b - root) / (2 * a), (-b + root) / (2 * a)]
+    return roots if a > 0 else roots[::-1]
 
 # ---------------------------------------------------------------------------
 # Transcendental kernel: pi, cos, arccos with certified directed rounding.
@@ -468,84 +642,6 @@ class AngleDeg:
         if self.is_point:
             return f"{float(self)}°"
         return f"[{float(self.value.lo):.6f}°, {float(self.value.hi):.6f}°]"
-
-
-# ---------------------------------------------------------------------------
-# Quadratics with exact coefficients.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticRoot:
-    """A real root of a quadratic: a certified enclosure plus exactness flag.
-
-    ``exact`` is True when the discriminant is a perfect square, in which
-    case the enclosure is a rational point interval.
-    """
-
-    interval: Interval
-    exact: bool
-
-    def __float__(self) -> float:
-        return float(self.interval)
-
-
-def _rational_perfect_square_root(x: Fraction) -> Fraction | None:
-    """sqrt(x) if x is the square of a rational, else None."""
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def quadratic_real_roots(
-    a: RationalLike,
-    b: RationalLike,
-    c: RationalLike,
-    tol: RationalLike = Fraction(1, 10 ** 12),
-) -> list[QuadraticRoot]:
-    """Real roots of a x^2 + b x + c with exact rational coefficients.
-
-    Returns 0, 1, or 2 roots in ascending order.  Each root carries a
-    certified enclosure of width at most ``tol``; when the discriminant is a
-    perfect square the root is an exact rational point flagged ``exact``.
-    A zero leading coefficient raises :class:`DegenerateQuadraticError`.
-    """
-    a, b, c = to_fraction(a), to_fraction(b), to_fraction(c)
-    tol = to_fraction(tol)
-    if a == 0:
-        raise DegenerateQuadraticError("leading coefficient is zero")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-
-    if disc == 0:
-        root = -b / (2 * a)
-        return [QuadraticRoot(Interval.point(root), True)]
-
-    sqrt_disc = _rational_perfect_square_root(disc)
-    if sqrt_disc is not None:
-        r1 = (-b - sqrt_disc) / (2 * a)
-        r2 = (-b + sqrt_disc) / (2 * a)
-        roots = sorted((r1, r2))
-        return [QuadraticRoot(Interval.point(r), True) for r in roots]
-
-    scale = _SQRT_SCALE
-    spread = abs(Fraction(1, 2 * a))
-    enc = sqrt_fraction_enclosure(disc, scale)
-    while enc.width * spread * 2 > tol:
-        scale *= 10 ** 10
-        enc = sqrt_fraction_enclosure(disc, scale)
-    r1 = (Interval.point(-b) - enc) / (2 * a)
-    r2 = (Interval.point(-b) + enc) / (2 * a)
-    roots = sorted((r1, r2), key=lambda iv: iv.lo)
-    return [QuadraticRoot(r, False) for r in roots]
 
 
 # ---------------------------------------------------------------------------

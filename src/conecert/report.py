@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from .exact import AngleDeg, Interval, SurdValue, to_fraction
+from .exact import AngleDeg, Interval, QuadraticSurd, to_fraction
 
 __all__ = [
     "VERSION",
@@ -53,19 +53,21 @@ def jsonable(value: Any) -> Any:
 
     Exact rationals become ``{"num": ..., "den": ...}`` with string digits
     so arbitrary precision survives the round trip; intervals and surds
-    carry their exact parts; floats are emitted via repr round-tripping
-    (i.e. as JSON numbers with full precision).
+    carry their exact parts (a surd ``coeff*sqrt(radicand)`` omits its zero
+    ``rational`` part); floats are emitted via repr round-tripping (i.e. as
+    JSON numbers with full precision).
     """
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
     if isinstance(value, Interval):
         return {"lo": jsonable(value.lo), "hi": jsonable(value.hi), "float": float(value)}
-    if isinstance(value, SurdValue):
-        return {
+    if isinstance(value, QuadraticSurd):
+        surd = {
             "coeff": jsonable(value.coeff),
             "radicand": str(value.radicand),
             "float": float(value),
         }
+        return surd if value.rational == 0 else {"rational": jsonable(value.rational), **surd}
     if isinstance(value, AngleDeg):
         return {"degrees": jsonable(value.value)}
     if isinstance(value, dict):

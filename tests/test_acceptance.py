@@ -14,7 +14,7 @@ import pytest
 
 from conecert import cones, linearization, tilt
 from conecert.cli import main
-from conecert.exact import AngleDeg, SurdValue, angle_range_from_threshold
+from conecert.exact import AngleDeg, QuadraticSurd, angle_range_from_threshold
 
 EXPECTED_M = {
     4: Fraction(18928, 18605),
@@ -104,9 +104,9 @@ def test_criterion_04_constraint_checks_strict_and_tight():
 def test_criterion_05_two_value_enumeration_with_oracle():
     start = time.perf_counter()
     expected = {
-        (2, Fraction(1)): SurdValue(Fraction(1, 6), 6),          # 1/sqrt(6)
-        (3, Fraction(6, 11)): SurdValue(Fraction(65, 726), 66),  # 65/(11 sqrt(66))
-        (4, Fraction(43, 391)): SurdValue(Fraction(25423, 917286), 1173),  # 25423/(782 sqrt(1173))
+        (2, Fraction(1)): QuadraticSurd(0, Fraction(1, 6), 6),          # 1/sqrt(6)
+        (3, Fraction(6, 11)): QuadraticSurd(0, Fraction(65, 726), 66),  # 65/(11 sqrt(66))
+        (4, Fraction(43, 391)): QuadraticSurd(0, Fraction(25423, 917286), 1173),  # 25423/(782 sqrt(1173))
     }
     for (m, q), surd in expected.items():
         enum = cones.sup_abs_f_two_value(m, q)

@@ -192,6 +192,15 @@ def test_pnbound_input_validation(capsys):
     assert code == EXIT_OPERATIONAL_ERROR
 
 
+def test_pnbound_rejects_m_beyond_the_oracle_limit(capsys):
+    # Sobol sampling supports at most 21201 dimensions; larger --m must be
+    # refused up front, not after a long enumeration and a scipy traceback.
+    code, out, err = run(capsys, "pnbound", "--m", "25000", "--q", "1", "--samples", "10000")
+    assert code == EXIT_OPERATIONAL_ERROR
+    assert out == ""
+    assert err.startswith("error:") and "21201" in err
+
+
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
@@ -254,7 +263,10 @@ def test_selftest_runs_certified_quick(capsys):
     assert doc["verdict"] == "certified"
     assert len(doc["reports"]) == 13
     digest_rep = doc["reports"][-1]
-    assert "content_digest_sha256" in digest_rep["payload"]
+    # Pinned: any change to the report bytes of this configuration shows here.
+    assert digest_rep["payload"]["content_digest_sha256"] == (
+        "f804ab7727e27ad97986b966a1c20e42553cfabf758fdf9f63a50c81be17ec17"
+    )
 
 
 def test_selftest_reports_are_a_pure_function_of_config(capsys):

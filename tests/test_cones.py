@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert import cones
-from conecert.exact import Interval, SurdValue
+from conecert.exact import Interval, QuadraticSurd, compare
 
 small_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 positive_q = st.fractions(min_value=Fraction(1, 64), max_value=4, max_denominator=512)
@@ -61,14 +61,14 @@ def test_f_squared_sign_matches_float_value(xs, q):
 
 
 def test_quadratic_surd_folds_perfect_squares():
-    v = cones.QuadraticSurd(Fraction(1), Fraction(1, 3), 9)  # 1 + (1/3)*3
+    v = QuadraticSurd(Fraction(1), Fraction(1, 3), 9)  # 1 + (1/3)*3
     assert v.coeff == 0 and v.rational == 2
 
 
 @given(small_rationals, small_rationals, st.sampled_from([2, 3, 5, 6, 7, 10, 11]))
 @settings(max_examples=80, deadline=None)
 def test_quadratic_surd_sign_matches_float(r, c, d):
-    v = cones.QuadraticSurd(r, c, d)
+    v = QuadraticSurd(r, c, d)
     approx = float(r) + float(c) * math.sqrt(d)
     if abs(approx) > 1e-12:
         assert v.sign() == (1 if approx > 0 else -1)
@@ -80,8 +80,8 @@ def test_quadratic_surd_sign_matches_float(r, c, d):
 @settings(max_examples=60, deadline=None)
 def test_quadratic_surd_field_arithmetic(r1, c1, r2, c2):
     d = 7
-    a = cones.QuadraticSurd(r1, c1, d)
-    b = cones.QuadraticSurd(r2, c2, d)
+    a = QuadraticSurd(r1, c1, d)
+    b = QuadraticSurd(r2, c2, d)
     fa, fb = float(a), float(b)
     assert math.isclose(float(a + b), fa + fb, rel_tol=1e-12, abs_tol=1e-12)
     assert math.isclose(float(a * b), fa * fb, rel_tol=1e-12, abs_tol=1e-12)
@@ -90,11 +90,11 @@ def test_quadratic_surd_field_arithmetic(r1, c1, r2, c2):
 
 
 def test_compare_exact_across_fields():
-    sqrt2 = cones.QuadraticSurd(Fraction(0), Fraction(1), 2)
-    sqrt3 = cones.QuadraticSurd(Fraction(0), Fraction(1), 3)
-    assert cones._compare_exact(sqrt2, sqrt3) == -1
-    assert cones._compare_exact(sqrt3, Fraction(2)) == -1
-    assert cones._compare_exact(sqrt2.square_as_fraction() if hasattr(sqrt2, "square_as_fraction") else Fraction(2), Fraction(2)) == 0
+    sqrt2 = QuadraticSurd(Fraction(0), Fraction(1), 2)
+    sqrt3 = QuadraticSurd(Fraction(0), Fraction(1), 3)
+    assert compare(sqrt2, sqrt3) == -1
+    assert compare(sqrt3, Fraction(2)) == -1
+    assert compare(sqrt2 * sqrt2, Fraction(2)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +139,9 @@ def test_known_rational_critical_point():
 
 GRID_QS = [Fraction(1), Fraction(6, 11), Fraction(43, 391)]
 EXPECTED_SUPS = {
-    (2, Fraction(1)): SurdValue(Fraction(1, 6), 6),
-    (3, Fraction(6, 11)): SurdValue(Fraction(65, 726), 66),
-    (4, Fraction(43, 391)): SurdValue(Fraction(25423, 917286), 1173),
+    (2, Fraction(1)): QuadraticSurd(0, Fraction(1, 6), 6),
+    (3, Fraction(6, 11)): QuadraticSurd(0, Fraction(65, 726), 66),
+    (4, Fraction(43, 391)): QuadraticSurd(0, Fraction(25423, 917286), 1173),
 }
 
 
@@ -318,15 +318,15 @@ def test_optimize_budget_zero_echoes_defaults():
 
 
 def test_optimize_deterministic_and_never_worse_than_defaults():
-    a = cones.optimize_params(4, budget=200, seed=42)
-    b = cones.optimize_params(4, budget=200, seed=42)
+    a = cones.optimize_params(4, budget=200)
+    b = cones.optimize_params(4, budget=200)
     assert a.best == b.best and a.best_m == b.best_m
     assert a.evaluated <= 200 + 1  # defaults triple rides along for free
     assert a.best_m >= EXPECTED_M[4]
 
 
 def test_optimize_respects_budget():
-    res = cones.optimize_params(5, budget=27, seed=1)
+    res = cones.optimize_params(5, budget=27)
     assert res.evaluated <= 28
     assert res.feasible_count <= res.evaluated
 

@@ -4,16 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecert.exact import (
     AngleDeg,
     DegenerateQuadraticError,
     Interval,
+    QuadraticSurd,
     SingularAngleError,
-    SurdValue,
     angle_range_from_threshold,
+    compare,
     cos2_over_sin4,
     pi_interval,
     quadratic_real_roots,
@@ -127,14 +128,14 @@ def test_pi_enclosure_is_tight_and_correct():
 
 
 # ---------------------------------------------------------------------------
-# SurdValue
+# QuadraticSurd
 # ---------------------------------------------------------------------------
 
 
 @given(nonneg_rationals)
 @settings(max_examples=50, deadline=None)
 def test_surd_from_square_roundtrip(x):
-    v = SurdValue.from_square(x)
+    v = QuadraticSurd.from_square(x)
     assert v.square() == x
     assert isinstance(v.radicand, int)  # stays a plain int even with gmpy2 installed
     # The certified enclosure must bracket the true root exactly:
@@ -144,18 +145,74 @@ def test_surd_from_square_roundtrip(x):
 
 
 def test_surd_known_forms():
-    assert SurdValue.from_square(Fraction(1, 6)) == SurdValue(Fraction(1, 6), 6)
-    assert SurdValue.from_square(Fraction(4225, 7986)) == SurdValue(Fraction(65, 726), 66)
-    assert SurdValue.from_square(Fraction(646328929, 717317652)) == SurdValue(
-        Fraction(25423, 917286), 1173
+    assert QuadraticSurd.from_square(Fraction(1, 6)) == QuadraticSurd(0, Fraction(1, 6), 6)
+    assert QuadraticSurd.from_square(Fraction(4225, 7986)) == QuadraticSurd(0, Fraction(65, 726), 66)
+    assert QuadraticSurd.from_square(Fraction(646328929, 717317652)) == QuadraticSurd(
+        0, Fraction(25423, 917286), 1173
     )
-    assert SurdValue.from_square(Fraction(0)) == SurdValue(Fraction(0), 0)
-    assert SurdValue.from_square(Fraction(49, 25)) == SurdValue(Fraction(7, 5), 1)
+    assert QuadraticSurd.from_square(Fraction(0)) == QuadraticSurd(0, Fraction(0), 0)
+    assert QuadraticSurd.from_square(Fraction(49, 25)) == QuadraticSurd(Fraction(7, 5))
 
 
 def test_surd_rejects_negative_square():
     with pytest.raises(ValueError):
-        SurdValue.from_square(Fraction(-1, 2))
+        QuadraticSurd.from_square(Fraction(-1, 2))
+
+
+def test_surd_normal_form_makes_equal_numbers_equal():
+    # 2 sqrt(2) and sqrt(8) are one number, so one value and one hash.
+    assert QuadraticSurd(0, 2, 2) == QuadraticSurd(0, 1, 8)
+    assert hash(QuadraticSurd(0, 2, 2)) == hash(QuadraticSurd(0, 1, 8))
+    assert QuadraticSurd(0, 1, 8).radicand == 2
+    # Perfect squares, radicand 1 and a zero coefficient fold into the rational part.
+    assert QuadraticSurd(1, 3, 4) == QuadraticSurd(7)
+    assert QuadraticSurd(1, 3, 1) == QuadraticSurd(4)
+    assert QuadraticSurd(1, 0, 5) == QuadraticSurd(1)
+
+
+def test_surd_order_across_fields_is_exact():
+    sqrt2, sqrt3 = QuadraticSurd(0, 1, 2), QuadraticSurd(0, 1, 3)
+    assert sqrt2 < sqrt3 and sqrt2 <= sqrt3 and sqrt3 > sqrt2 and sqrt3 >= sqrt2
+    assert not sqrt2 > sqrt3
+    assert Fraction(1) < sqrt2 < 2
+    # c = sqrt(2/3) - 10^-100 to 110 digits: sqrt(2) - c sqrt(3) is about
+    # 1.7e-100, far inside any 10^-80 enclosure of the two sides.
+    scale = 10 ** 110
+    c = Fraction(math.isqrt(2 * scale * scale // 3) - 10 ** 10, scale)
+    c_sqrt3 = QuadraticSurd(0, c, 3)
+    assert compare(sqrt2, c_sqrt3) == 1
+    assert compare(c_sqrt3, sqrt2) == -1
+    assert compare(c_sqrt3, c_sqrt3) == 0
+
+
+small_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
+surds = st.tuples(
+    small_rationals, small_rationals, st.sampled_from([0, 1, 2, 3, 4, 5, 6, 8, 12, 18, 20, 27, 50])
+)
+
+
+@given(surds, surds, st.booleans())
+@example((Fraction(0), Fraction(-1), 2), (Fraction(0), Fraction(-1), 3), False)
+@example((Fraction(-3), Fraction(1), 2), (Fraction(-1), Fraction(1), 3), False)
+@example((Fraction(1), Fraction(1), 2), (Fraction(3), Fraction(-1), 3), False)
+@settings(max_examples=300, deadline=None)
+def test_compare_matches_sympy_sign(u, v, equal):
+    import sympy
+
+    if equal:
+        # The same number as u, written over a non-squarefree radicand.
+        r, c, d = u
+        v = (r, c / 3, 9 * d)
+
+    def symbolic(r, c, d):
+        return sympy.Rational(r.numerator, r.denominator) + sympy.Rational(
+            c.numerator, c.denominator
+        ) * sympy.sqrt(d)
+
+    expected = int(sympy.sign(symbolic(*u) - symbolic(*v)))
+    assert compare(QuadraticSurd(*u), QuadraticSurd(*v)) == expected
+    if equal:
+        assert QuadraticSurd(*u) == QuadraticSurd(*v)
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +277,31 @@ def test_quadratic_roots_from_constructed_factors(r1, r2, lead):
     expected = sorted({r1, r2})
     assert len(roots) == len(expected)
     for root, want in zip(roots, expected):
-        assert root.exact
-        assert root.interval.lo == root.interval.hi == want
+        assert root.is_rational
+        assert root.to_interval().lo == root.to_interval().hi == want
 
 
 def test_quadratic_irrational_roots_enclosed():
     roots = quadratic_real_roots(1, 0, -2)  # x^2 = 2
     assert len(roots) == 2
     lo, hi = roots
-    assert not lo.exact and not hi.exact
-    assert hi.interval.contains_float(math.sqrt(2))
-    assert lo.interval.contains_float(-math.sqrt(2))
-    assert hi.interval.width <= Fraction(1, 10**12)
-    assert lo.interval.hi < hi.interval.lo  # returned in ascending order
+    assert not lo.is_rational and not hi.is_rational
+    assert hi.to_interval().contains_float(math.sqrt(2))
+    assert lo.to_interval().contains_float(-math.sqrt(2))
+    assert hi.to_interval().width <= Fraction(1, 10**12)
+    assert lo.to_interval().hi < hi.to_interval().lo  # returned in ascending order
+
+
+def test_quadratic_roots_ascending_for_negative_leading_coefficient():
+    lo, hi = quadratic_real_roots(-1, 0, 2)  # -x^2 + 2 = 0
+    assert lo == QuadraticSurd(0, -1, 2) and hi == QuadraticSurd(0, 1, 2)
+    assert lo < hi
 
 
 def test_quadratic_no_real_roots_and_degenerate():
     assert quadratic_real_roots(1, 0, 1) == []
     double = quadratic_real_roots(1, -2, 1)
-    assert len(double) == 1 and double[0].exact and double[0].interval.lo == 1
+    assert len(double) == 1 and double[0].is_rational and double[0].to_interval().lo == 1
     with pytest.raises(DegenerateQuadraticError):
         quadratic_real_roots(0, 1, 1)
 
