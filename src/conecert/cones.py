@@ -577,7 +577,7 @@ def certify_dimension(
             sup_ok = False
         sup_entries[f"m={m}"] = {
             "sup_f_squared": sup.f_squared if isinstance(sup.f_squared, Fraction) else str(sup.f_squared),
-            "sup_f_squared_float": float(sup.f_squared) if isinstance(sup.f_squared, Fraction) else float(sup.value),
+            "sup_f_squared_float": float(sup.f_squared),
             "equals_p_squared": matches,
             "exceeds_p_squared": exceeds,
             "witness": _witness_payload(sup.witness),

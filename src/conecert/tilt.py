@@ -25,19 +25,22 @@ This module checks, numerically at scale and exactly where it matters:
   |nu - nu_theta|, and g, together with their applicability threshold
   (``appendix_bounds_check``).
 
-Scalar checks take plain sequences; the ``*_campaign`` functions run
-vectorised sweeps over seeded random samples and report worst-case
-residuals.  Samples that land very close to the zero locus of g are
-re-evaluated in 50-digit arithmetic so that division noise does not
-masquerade as an identity violation.
+Each formula is written once, as a private kernel made only of arithmetic
+operators and integer literals, so one body runs on floats, numpy arrays,
+mpmath numbers and sympy symbols.  The ``*_campaign`` functions evaluate the
+kernels on seeded random samples and report worst-case residuals; samples
+very close to the zero locus of g are re-evaluated in 50-digit arithmetic so
+that division noise does not masquerade as an identity violation; and
+``symbolic_identity_certificates`` expands the same kernels on symbols.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -105,15 +108,6 @@ class UnitNormal:
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")
         return cls(tuple(c / norm for c in arr))
-
-    @classmethod
-    def from_graph(cls, Du: Sequence[float], orientation: str) -> "UnitNormal":
-        """Upward/downward unit normal of the graph of u with gradient Du."""
-        _check_orientation(orientation)
-        W = math.sqrt(1.0 + sum(d * d for d in Du))
-        if orientation == "up":
-            return cls(tuple([-d / W for d in Du] + [1.0 / W]))
-        return cls(tuple([d / W for d in Du] + [-1.0 / W]))
 
     @classmethod
     def reference(cls, n: int, theta: AngleDeg, orientation: str) -> "UnitNormal":
@@ -192,11 +186,55 @@ class TiltParams:
 # ---------------------------------------------------------------------------
 
 
-def _abc(nu1: float, nu_last: float, cos_t: float, k: float):
+class _TiltTerms(NamedTuple):
+    """The tilt terms; floats, numpy arrays, mpmath numbers or sympy expressions."""
+
+    afrak: object
+    bfrak: object
+    cfrak: object
+    g2: object
+
+
+def _tilt_terms(nu1, nu_last, cos_t, k) -> _TiltTerms:
+    """afrak, bfrak, cfrak and g^2 at normals with first/last components nu1, nu_last."""
     afrak = cos_t - nu1
     bfrak = nu1 + k * afrak
-    cfrak = 1.0 - nu1 * nu1 - nu_last * nu_last
-    return afrak, bfrak, cfrak
+    cfrak = 1 - nu1 ** 2 - nu_last ** 2
+    g2 = cfrak + k * afrak ** 2
+    return _TiltTerms(afrak, bfrak, cfrak, g2)
+
+
+def _gradient_defect(nu1, nu_last, k, t: _TiltTerms):
+    """jfrak and the defect of the gradient-bound identity (zero when it holds).
+
+    jfrak = bfrak^2 + nu_last^2 - (bfrak nu1 + nu_last^2)^2, and the defect is
+    g^2 - jfrak - [(cfrak - k nu1 afrak)^2 + k (1 - k) afrak^2].
+    """
+    jfrak = t.bfrak ** 2 + nu_last ** 2 - (t.bfrak * nu1 + nu_last ** 2) ** 2
+    sum_of_squares = (t.cfrak - k * nu1 * t.afrak) ** 2 + k * (1 - k) * t.afrak ** 2
+    return jfrak, t.g2 - jfrak - sum_of_squares
+
+
+def _frame_defects(nu1, nu_last, cos_t, k, t: _TiltTerms):
+    """g^2 times the defects of the two frame-sum identities, from Gram forms.
+
+    For a unit normal, |a1|^2 = (1-k)(1-nu1^2), |a2|^2 = 1-nu_last^2 and
+    g^2 |a3|^2 = bfrak^2 (1-nu1^2) - 2 bfrak nu1 nu_last^2 + nu_last^2 (1-nu_last^2).
+    Cleared of the division by g^2, the forms stay accurate near the zero
+    locus of g and are polynomials that sympy can expand.
+    """
+    factor = 1 - k * (1 - cos_t ** 2)  # 1 - k sin^2
+    a1sq = (1 - k) * (1 - nu1 ** 2)
+    a2sq = 1 - nu_last ** 2
+    a3sq_times_g2 = t.bfrak ** 2 * (1 - nu1 ** 2) - 2 * t.bfrak * nu1 * nu_last ** 2 + nu_last ** 2 * a2sq
+    sum_defect = (a1sq + a2sq) * t.g2 + a3sq_times_g2 - (t.g2 + factor * t.cfrak)
+    wedge_times_g2 = (1 - k) * t.cfrak * t.g2 + (1 - k) * nu_last ** 2 * t.cfrak + t.bfrak ** 2 * t.cfrak
+    return sum_defect, wedge_times_g2 - factor * t.cfrak
+
+
+def _signed_gap(inner_product, g2):
+    """2 (1 - <nu, nu_ref>) - g^2; with |<nu, nu_ref>| it is the tilt-vs-gap slack."""
+    return 2 * (1 - inner_product) - g2
 
 
 def g_theta_k(nu: UnitNormal | Sequence[float], params: TiltParams) -> float:
@@ -204,11 +242,10 @@ def g_theta_k(nu: UnitNormal | Sequence[float], params: TiltParams) -> float:
     nu = nu if isinstance(nu, UnitNormal) else UnitNormal.from_components(nu)
     if len(nu.components) != params.n + 1:
         raise ValueError(f"normal has dimension {len(nu.components)}, expected {params.n + 1}")
-    afrak, _, cfrak = _abc(nu.first, nu.last, params.cos_theta, params.k_float)
-    g2 = cfrak + params.k_float * afrak * afrak
-    if g2 < -1e-12:
-        raise ValueError(f"negative squared tilt {g2}; input is not a unit normal")
-    return math.sqrt(max(g2, 0.0))
+    g_sq = _tilt_terms(nu.first, nu.last, params.cos_theta, params.k_float).g2
+    if g_sq < -1e-12:
+        raise ValueError(f"negative squared tilt {g_sq}; input is not a unit normal")
+    return math.sqrt(max(g_sq, 0.0))
 
 
 def gradient_identity_residual(nu: UnitNormal | Sequence[float], params: TiltParams) -> float:
@@ -224,11 +261,8 @@ def gradient_identity_residual(nu: UnitNormal | Sequence[float], params: TiltPar
     """
     nu = nu if isinstance(nu, UnitNormal) else UnitNormal.from_components(nu)
     k = params.k_float
-    afrak, bfrak, cfrak = _abc(nu.first, nu.last, params.cos_theta, k)
-    g2 = cfrak + k * afrak * afrak
-    jfrak = bfrak ** 2 + nu.last ** 2 - (bfrak * nu.first + nu.last ** 2) ** 2
-    rhs = (cfrak - k * nu.first * afrak) ** 2 + k * (1.0 - k) * afrak ** 2
-    return abs(g2 - jfrak - rhs)
+    t = _tilt_terms(nu.first, nu.last, params.cos_theta, k)
+    return abs(_gradient_defect(nu.first, nu.last, k, t)[1])
 
 
 @dataclass(frozen=True)
@@ -276,24 +310,23 @@ def _frame_terms(nu: np.ndarray, k: float, cos_t: float, sin_sq: float) -> dict:
     """Vectorised frame quantities for an (N, n+1) array of unit normals.
 
     Builds the projections as explicit ambient vectors: for a fixed vector
-    v, the tangential projection is v - <v, nu> nu.
+    v, the tangential projection is v - <v, nu> nu.  This is the float
+    reference for the Gram forms of ``_frame_defects`` (which the symbolic
+    certificate and the 50-digit fallback use), so it keeps its own
+    independent construction instead of reusing them.
     """
-    n_plus_1 = nu.shape[1]
     nu1 = nu[:, 0]
     nup = nu[:, -1]
-    afrak = cos_t - nu1
-    bfrak = nu1 + k * afrak
-    cfrak = 1.0 - nu1 ** 2 - nup ** 2
-    g2 = cfrak + k * afrak ** 2
+    t = _tilt_terms(nu1, nup, cos_t, k)
 
     e1_t = -nu1[:, None] * nu
     e1_t[:, 0] += 1.0
     ep_t = -nup[:, None] * nu
     ep_t[:, -1] += 1.0
 
-    g = np.sqrt(np.maximum(g2, 0.0))
+    g = np.sqrt(np.maximum(t.g2, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        a3 = (bfrak[:, None] * e1_t + nup[:, None] * ep_t) / g[:, None]
+        a3 = (t.bfrak[:, None] * e1_t + nup[:, None] * ep_t) / g[:, None]
 
     a1 = math.sqrt(1.0 - k) * e1_t
     a2 = ep_t
@@ -307,12 +340,12 @@ def _frame_terms(nu: np.ndarray, k: float, cos_t: float, sin_sq: float) -> dict:
     w23 = a2sq * a3sq - dot(a2, a3) ** 2
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = cfrak / g2
+        w = t.cfrak / t.g2
     sum_sq = a1sq + a2sq + a3sq
     sum_wedge = w12 + w13 + w23
     factor = 1.0 - k * sin_sq
     return {
-        "g2": g2,
+        "g2": t.g2,
         "w": w,
         "sum_sq": sum_sq,
         "sum_wedge": sum_wedge,
@@ -571,6 +604,80 @@ class AppendixBoundsReport:
         }
 
 
+def _appendix_inputs(n: int, theta: AngleDeg, orientation: str, k: Optional[RationalLike]):
+    """Validate the comparison-bound inputs; return k, cos(theta) and sin(theta).
+
+    Kept apart from ``_appendix_slacks`` because a campaign needs the
+    validated angle to centre its ball before it has a sample to pass there.
+    """
+    _check_orientation(orientation)
+    if n < 2:
+        raise ValueError("graph dimension must be at least 2")
+    k = default_k(n) if k is None else to_fraction(k)
+    if not 0 < k <= 1:
+        raise ValueError(f"k must lie in (0, 1], got {k}")
+    if theta.value.lo <= 0 or theta.value.hi >= 180:
+        raise ValueError("theta must lie strictly between 0 and 180 degrees")
+    return k, float(theta.cos()), float(theta.sin())
+
+
+def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orientation: str) -> dict:
+    """The comparison-bound slacks at an (N, n) array of graph gradients.
+
+    Returns per-row arrays (``g2``, ``ip``, ``applicable``, the ``slacks``
+    and the ``violated`` masks, both keyed by bound name, conditional bounds
+    first) and the scalars ``c_small`` and ``c_big``.
+    """
+    n = grads.shape[1]
+    kf = float(k)
+    s2 = s * s
+    cot = c / s
+    sign = 1.0 if orientation == "up" else -1.0
+    du_sq = np.einsum("ij,ij->i", grads, grads)
+    W = np.sqrt(1.0 + du_sq)
+    nu = np.empty((grads.shape[0], n + 1))
+    nu[:, :n] = -sign * grads / W[:, None]
+    nu[:, n] = sign / W
+    ref = np.zeros(n + 1)
+    ref[0] = c
+    ref[n] = sign * s
+    # A BLAS product, as when the campaign reports were pinned; BLAS sends a
+    # single row to ddot and a batch to dgemv, which may round 1 ulp apart.
+    ip = nu @ ref
+    gap_sq = np.einsum("ij,ij->i", nu - ref[None, :], nu - ref[None, :])
+    g_sq = _tilt_terms(nu[:, 0], nu[:, -1], c, kf).g2
+
+    c_small = min(kf * s2 / 64.0, math.sqrt(kf / (kf + 1.0 + 16.0 / s2)))
+    c_big = 4.0 / s2 - 1.0
+    big_c_theta = (4.0 / s2) * (3.0 + 2.0 * (cot * cot))
+    gap_coeff = 1.0 / kf + 1.0 + 16.0 / (kf * s2)
+    # The reference gradient is -cot(theta) e1 for "up", +cot(theta) e1 for
+    # "down"; the first bound controls the distance of Du to it.
+    shift = cot if orientation == "up" else -cot
+    du_shift_sq = (grads[:, 0] + shift) ** 2 + np.einsum("ij,ij->i", grads[:, 1:], grads[:, 1:])
+
+    slacks = {
+        "gradient_shift": big_c_theta * gap_sq - du_shift_sq,
+        "normal_gap": gap_coeff * g_sq - gap_sq,
+        "gradient_size": c_big - du_sq,
+        "tilt_vs_gap": _signed_gap(np.abs(ip), g_sq),
+        "signed_gap": _signed_gap(ip, g_sq),
+    }
+    applicable = g_sq <= c_small
+    conditional = ("gradient_shift", "normal_gap", "gradient_size", "tilt_vs_gap")
+    violated = {name: applicable & (slacks[name] < -1e-12) for name in conditional}
+    violated["signed_gap"] = slacks["signed_gap"] < -1e-12
+    return {
+        "g2": g_sq,
+        "ip": ip,
+        "applicable": applicable,
+        "slacks": slacks,
+        "violated": violated,
+        "c_small": c_small,
+        "c_big": c_big,
+    }
+
+
 def appendix_bounds_check(
     Du: Sequence[float],
     theta: AngleDeg,
@@ -582,76 +689,27 @@ def appendix_bounds_check(
     ``k`` defaults to the canonical choice for n = len(Du).  When
     g^2 exceeds the threshold c_small, the four conditional bounds are
     reported as not applicable (their slacks are still computed for
-    inspection, but they do not count as violations).
+    inspection, but they do not count as violations).  The evaluation is
+    ``appendix_campaign``'s on a batch of one gradient.
     """
-    _check_orientation(orientation)
-    n = len(Du)
-    if n < 2:
-        raise ValueError("graph dimension must be at least 2")
-    k = default_k(n) if k is None else to_fraction(k)
-    if not 0 < k <= 1:
-        raise ValueError(f"k must lie in (0, 1], got {k}")
-    if theta.value.lo <= 0 or theta.value.hi >= 180:
-        raise ValueError("theta must lie strictly between 0 and 180 degrees")
-
-    kf = float(k)
-    c = float(theta.cos())
-    s2 = float(theta.sin_squared())
-    s = math.sqrt(s2)
-    cot = c / s
-
-    nu = UnitNormal.from_graph(Du, orientation)
-    nu_ref = UnitNormal.reference(n, theta, orientation)
-    ip = sum(a * b for a, b in zip(nu, nu_ref))
-    gap_sq = sum((a - b) ** 2 for a, b in zip(nu, nu_ref))
-    afrak = c - nu.first
-    g2 = (1.0 - nu.first ** 2 - nu.last ** 2) + kf * afrak * afrak
-
-    c_small = min(kf * s2 / 64.0, math.sqrt(kf / (kf + 1.0 + 16.0 / s2)))
-    c_big = 4.0 / s2 - 1.0
-    big_c_theta = (4.0 / s2) * (3.0 + 2.0 * cot * cot)
-    gap_coeff = 1.0 / kf + 1.0 + 16.0 / (kf * s2)
-
-    # The reference gradient is -cot(theta) e1 for "up", +cot(theta) e1 for
-    # "down"; the first bound controls the distance of Du to it.
-    shift = cot if orientation == "up" else -cot
-    du_shift_sq = (Du[0] + shift) ** 2 + sum(d * d for d in Du[1:])
-    du_sq = sum(d * d for d in Du)
-
-    slack1 = big_c_theta * gap_sq - du_shift_sq
-    slack2 = gap_coeff * g2 - gap_sq
-    slack3 = c_big - du_sq
-    slack4 = 2.0 * (1.0 - abs(ip)) - g2
-    signed = 2.0 * (1.0 - ip) - g2
-
-    applicable = g2 <= c_small
-    violations = []
-    if applicable:
-        for name, slack in (
-            ("gradient_shift", slack1),
-            ("normal_gap", slack2),
-            ("gradient_size", slack3),
-            ("tilt_vs_gap", slack4),
-        ):
-            if slack < -1e-12:
-                violations.append(name)
-    if signed < -1e-12:
-        violations.append("signed_gap")
-
+    grads = np.asarray(Du, dtype=float).reshape(1, -1)
+    k, c, s = _appendix_inputs(grads.shape[1], theta, orientation, k)
+    out = _appendix_slacks(grads, k, c, s, orientation)
+    slacks = {name: float(values[0]) for name, values in out["slacks"].items()}
     return AppendixBoundsReport(
-        g_squared=g2,
-        c_small=c_small,
-        c_big=c_big,
-        applicable=applicable,
-        inner_product=ip,
-        slack_gradient_shift=slack1,
-        slack_normal_gap=slack2,
-        slack_gradient_size=slack3,
-        slack_tilt_vs_gap=slack4,
-        signed_gap_slack=signed,
+        g_squared=float(out["g2"][0]),
+        c_small=out["c_small"],
+        c_big=out["c_big"],
+        applicable=bool(out["applicable"][0]),
+        inner_product=float(out["ip"][0]),
+        slack_gradient_shift=slacks["gradient_shift"],
+        slack_normal_gap=slacks["normal_gap"],
+        slack_gradient_size=slacks["gradient_size"],
+        slack_tilt_vs_gap=slacks["tilt_vs_gap"],
+        signed_gap_slack=slacks["signed_gap"],
         orientation=orientation,
         k=k,
-        violations=tuple(violations),
+        violations=tuple(name for name, hit in out["violated"].items() if hit[0]),
     )
 
 
@@ -660,17 +718,15 @@ def appendix_bounds_check(
 # ---------------------------------------------------------------------------
 
 
-_CERTIFICATE_CACHE: dict[str, bool] = {}
-
-
 def symbolic_identity_certificates() -> dict[str, bool]:
     """Prove the module's algebraic identities by symbolic expansion.
 
     The campaigns sample these identities numerically; this function
-    certifies each one exactly by expanding the difference of the two
-    sides as a polynomial in (nu1, nu_last, cos theta, k) — using only the
-    unit-normal relation (through the Gram forms of the frame projections)
-    and cos^2 + sin^2 = 1 — and checking that it is identically zero:
+    certifies each one exactly by evaluating the very kernels the campaigns
+    run on sympy symbols (nu1, nu_last, cos theta, k) and checking that the
+    resulting defect expands to zero.  Only the unit-normal relation
+    (through the Gram forms of the frame projections) and
+    cos^2 + sin^2 = 1 are used:
 
     * ``gradient_bound_identity``: g^2 - jfrak equals an explicit sum of
       squares, hence jfrak <= g^2;
@@ -680,39 +736,25 @@ def symbolic_identity_certificates() -> dict[str, bool]:
       (1-k)(nu1 - cos)^2 + (nu_last -/+ sin)^2, hence is non-negative for
       k <= 1, for either orientation of the reference normal.
 
-    The result is computed once and cached.
+    The expansion runs once per process; each call returns a fresh dict.
     """
-    if _CERTIFICATE_CACHE:
-        return dict(_CERTIFICATE_CACHE)
+    return dict(_symbolic_certificates())
+
+
+@functools.cache
+def _symbolic_certificates() -> dict[str, bool]:
     k, c, S, n1, npp = sympy.symbols("k c S nu1 nulast", real=True)
-    afrak = c - n1
-    bfrak = n1 + k * afrak
-    cfrak = 1 - n1 ** 2 - npp ** 2
-    g2 = cfrak + k * afrak ** 2
-    jfrak = bfrak ** 2 + npp ** 2 - (bfrak * n1 + npp ** 2) ** 2
-
-    out: dict[str, bool] = {}
-    out["gradient_bound_identity"] = (
-        sympy.expand(g2 - jfrak - ((cfrak - k * n1 * afrak) ** 2 + k * (1 - k) * afrak ** 2)) == 0
-    )
-
-    # Gram closed forms of |a_i|^2 for a unit normal.
-    a1sq = (1 - k) * (1 - n1 ** 2)
-    a2sq = 1 - npp ** 2
-    a3sq_times_g2 = bfrak ** 2 * (1 - n1 ** 2) - 2 * bfrak * n1 * npp ** 2 + npp ** 2 * (1 - npp ** 2)
-    factor = 1 - k * (1 - c ** 2)  # 1 - k sin^2
-    out["frame_sum_identity"] = (
-        sympy.expand((a1sq + a2sq) * g2 + a3sq_times_g2 - (g2 + factor * cfrak)) == 0
-    )
-    wedge_times_g2 = (1 - k) * cfrak * g2 + (1 - k) * npp ** 2 * cfrak + bfrak ** 2 * cfrak
-    out["wedge_sum_identity"] = sympy.expand(wedge_times_g2 - factor * cfrak) == 0
-
+    t = _tilt_terms(n1, npp, c, k)
+    _, gradient_defect = _gradient_defect(n1, npp, k, t)
+    sum_defect, wedge_defect = _frame_defects(n1, npp, c, k, t)
     # S stands for +sin (up) or -sin (down); only S^2 = 1 - c^2 is used.
-    signed = 2 * (1 - (n1 * c + npp * S)) - g2 - ((1 - k) * (n1 - c) ** 2 + (npp - S) ** 2)
-    out["signed_gap_identity"] = sympy.expand(sympy.expand(signed).subs(S ** 2, 1 - c ** 2)) == 0
-
-    _CERTIFICATE_CACHE.update(out)
-    return dict(out)
+    signed = _signed_gap(n1 * c + npp * S, t.g2) - ((1 - k) * (n1 - c) ** 2 + (npp - S) ** 2)
+    return {
+        "gradient_bound_identity": sympy.expand(gradient_defect) == 0,
+        "frame_sum_identity": sympy.expand(sum_defect) == 0,
+        "wedge_sum_identity": sympy.expand(wedge_defect) == 0,
+        "signed_gap_identity": sympy.expand(sympy.expand(signed).subs(S ** 2, 1 - c ** 2)) == 0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -763,18 +805,15 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
     cos_t = params.cos_theta
     sin_sq = params.sin_squared
     nu1, nup = nu[:, 0], nu[:, -1]
-    afrak = cos_t - nu1
-    bfrak = nu1 + k * afrak
-    cfrak = 1.0 - nu1 ** 2 - nup ** 2
-    g2 = cfrak + k * afrak ** 2
-    jfrak = bfrak ** 2 + nup ** 2 - (bfrak * nu1 + nup ** 2) ** 2
-    grad_res = np.abs(g2 - jfrak - ((cfrak - k * nu1 * afrak) ** 2 + k * (1.0 - k) * afrak ** 2))
+    t = _tilt_terms(nu1, nup, cos_t, k)
+    jfrak, defect = _gradient_defect(nu1, nup, k, t)
+    grad_res = np.abs(defect)
 
     frame = _frame_terms(nu, k, cos_t, sin_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
-        j_ratio = jfrak / g2
+        j_ratio = jfrak / t.g2
 
-    small = np.flatnonzero(g2 < _SMALL_G2)
+    small = np.flatnonzero(t.g2 < _SMALL_G2)
     for idx in small:
         res = _identity_row_mp(nu[idx], params)
         grad_res[idx] = res["grad"]
@@ -789,7 +828,7 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
         max_frame_sum_residual=float(np.max(frame["res_sum"])),
         max_wedge_sum_residual=float(np.max(frame["res_wedge"])),
         max_j_over_g2=float(np.max(j_ratio)),
-        min_g_squared=float(np.min(g2)),
+        min_g_squared=float(np.min(t.g2)),
         fallback_count=int(small.size),
     )
 
@@ -799,34 +838,18 @@ def _identity_row_mp(row: np.ndarray, params: TiltParams) -> dict:
     with mp.workdps(_MP_DPS):
         comp = [mp.mpf(float(c)) for c in row]
         norm = mp.sqrt(mp.fsum(c * c for c in comp))
-        comp = [c / norm for c in comp]
+        nu1, nup = comp[0] / norm, comp[-1] / norm
         k = mp.mpf(params.k.numerator) / params.k.denominator
         theta_mid = params.theta.value.mid
-        rad = mp.mpf(theta_mid.numerator) / theta_mid.denominator * mp.pi / 180
-        cos_t = mp.cos(rad)
-        sin_sq = 1 - cos_t ** 2
-        nu1, nup = comp[0], comp[-1]
-        afrak = cos_t - nu1
-        bfrak = nu1 + k * afrak
-        cfrak = 1 - nu1 ** 2 - nup ** 2
-        g2 = cfrak + k * afrak ** 2
-        jfrak = bfrak ** 2 + nup ** 2 - (bfrak * nu1 + nup ** 2) ** 2
-        grad = abs(g2 - jfrak - ((cfrak - k * nu1 * afrak) ** 2 + k * (1 - k) * afrak ** 2))
-        # Frame sums via the closed per-term forms (equivalent to the
-        # explicit projections, stable near the zero locus of g).
-        a1sq = (1 - k) * (1 - nu1 ** 2)
-        a2sq = 1 - nup ** 2
-        a3sq = (bfrak ** 2 * (1 - nu1 ** 2) - 2 * bfrak * nup * nu1 * nup + nup ** 2 * (1 - nup ** 2)) / g2
-        w = cfrak / g2
-        factor = 1 - k * sin_sq
-        res_sum = abs(a1sq + a2sq + a3sq - (1 + factor * w))
-        wsum = (1 - k) * cfrak + (1 - k) * nup ** 2 * cfrak / g2 + bfrak ** 2 * cfrak / g2
-        res_wedge = abs(wsum - factor * w)
+        cos_t = mp.cos(mp.mpf(theta_mid.numerator) / theta_mid.denominator * mp.pi / 180)
+        t = _tilt_terms(nu1, nup, cos_t, k)
+        jfrak, defect = _gradient_defect(nu1, nup, k, t)
+        sum_defect, wedge_defect = _frame_defects(nu1, nup, cos_t, k, t)
         return {
-            "grad": float(grad),
-            "res_sum": float(res_sum),
-            "res_wedge": float(res_wedge),
-            "j_ratio": float(jfrak / g2),
+            "grad": float(abs(defect)),
+            "res_sum": float(abs(sum_defect / t.g2)),
+            "res_wedge": float(abs(wedge_defect / t.g2)),
+            "j_ratio": float(jfrak / t.g2),
         }
 
 
@@ -879,14 +902,9 @@ def appendix_campaign(
     normal equals the reference normal), so for small radii every sample
     lies in the applicable regime and all slacks must be non-negative.
     """
-    _check_orientation(orientation)
-    if n < 2:
-        raise ValueError("graph dimension must be at least 2")
+    k, c, s = _appendix_inputs(n, theta, orientation, k)
     if samples < 1:
         raise ValueError("samples must be positive")
-    k = default_k(n) if k is None else to_fraction(k)
-    c = float(theta.cos())
-    s = float(theta.sin())
     cot = c / s
     center = np.zeros(n)
     center[0] = -cot if orientation == "up" else cot
@@ -896,54 +914,20 @@ def appendix_campaign(
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     radii = radius * rng.random(samples) ** (1.0 / n)
     grads = center[None, :] + radii[:, None] * dirs
-
-    # Vectorised transcription of appendix_bounds_check.
-    kf = float(k)
-    s2 = s * s
-    sign = 1.0 if orientation == "up" else -1.0
-    W = np.sqrt(1.0 + np.einsum("ij,ij->i", grads, grads))
-    nu = np.empty((samples, n + 1))
-    nu[:, :n] = -sign * grads / W[:, None]
-    nu[:, n] = sign / W
-    ref = np.zeros(n + 1)
-    ref[0] = c
-    ref[n] = sign * s
-    ip = nu @ ref
-    gap_sq = np.einsum("ij,ij->i", nu - ref[None, :], nu - ref[None, :])
-    nu1, nup = nu[:, 0], nu[:, -1]
-    afrak = c - nu1
-    g2 = (1.0 - nu1 ** 2 - nup ** 2) + kf * afrak ** 2
-
-    c_small = min(kf * s2 / 64.0, math.sqrt(kf / (kf + 1.0 + 16.0 / s2)))
-    big_c_theta = (4.0 / s2) * (3.0 + 2.0 * (cot * cot))
-    gap_coeff = 1.0 / kf + 1.0 + 16.0 / (kf * s2)
-    shift = cot if orientation == "up" else -cot
-    du_shift_sq = (grads[:, 0] + shift) ** 2 + np.einsum("ij,ij->i", grads[:, 1:], grads[:, 1:])
-    du_sq = np.einsum("ij,ij->i", grads, grads)
-
-    slack1 = big_c_theta * gap_sq - du_shift_sq
-    slack2 = gap_coeff * g2 - gap_sq
-    slack3 = (4.0 / s2 - 1.0) - du_sq
-    slack4 = 2.0 * (1.0 - np.abs(ip)) - g2
-    signed = 2.0 * (1.0 - ip) - g2
-
-    applicable = g2 <= c_small
-    violations = 0
-    for slack in (slack1, slack2, slack3, slack4):
-        violations += int(np.count_nonzero(applicable & (slack < -1e-12)))
-    violations += int(np.count_nonzero(signed < -1e-12))
+    out = _appendix_slacks(grads, k, c, s, orientation)
+    slacks = out["slacks"]
 
     return AppendixCampaignResult(
         samples=samples,
         seed=seed,
         radius=radius,
-        max_g_squared=float(np.max(g2)),
-        c_small=c_small,
-        all_applicable=bool(np.all(applicable)),
-        min_slack_gradient_shift=float(np.min(slack1)),
-        min_slack_normal_gap=float(np.min(slack2)),
-        min_slack_gradient_size=float(np.min(slack3)),
-        min_slack_tilt_vs_gap=float(np.min(slack4)),
-        min_signed_gap_slack=float(np.min(signed)),
-        violation_count=violations,
+        max_g_squared=float(np.max(out["g2"])),
+        c_small=out["c_small"],
+        all_applicable=bool(np.all(out["applicable"])),
+        min_slack_gradient_shift=float(np.min(slacks["gradient_shift"])),
+        min_slack_normal_gap=float(np.min(slacks["normal_gap"])),
+        min_slack_gradient_size=float(np.min(slacks["gradient_size"])),
+        min_slack_tilt_vs_gap=float(np.min(slacks["tilt_vs_gap"])),
+        min_signed_gap_slack=float(np.min(slacks["signed_gap"])),
+        violation_count=sum(int(np.count_nonzero(hit)) for hit in out["violated"].values()),
     )

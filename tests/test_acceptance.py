@@ -196,13 +196,21 @@ def test_criterion_10_n3_coefficients_exact():
 
 
 def test_criterion_11_selftest_determinism(capsys):
-    def run_once() -> list[str]:
+    def run_once() -> str:
         code = main(["selftest", "--seed", "42", "--format", "json"])
         assert code == 0
-        out = capsys.readouterr().out
+        return capsys.readouterr().out
+
+    def without_wall_time(out: str) -> list[str]:
         return [line for line in out.splitlines() if '"elapsed_ms"' not in line]
 
     first = run_once()
     second = run_once()
-    assert first == second, "selftest output must be byte-identical except wall-time"
-    _announce(11, "two selftest --seed 42 runs byte-identical except wall-time")
+    assert without_wall_time(first) == without_wall_time(second), (
+        "selftest output must be byte-identical except wall-time"
+    )
+    # Pinned: any change to the report bytes of the default configuration shows here.
+    assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == (
+        "38e0e04d7893f6d46940943be16571ea25c74639c84ce3fc1356c82abe4b0ab0"
+    )
+    _announce(11, "two selftest --seed 42 runs byte-identical except wall-time, digest pinned")

@@ -272,19 +272,80 @@ def test_appendix_campaign_clean(theta_deg, orientation):
 
 
 def test_appendix_campaign_vectorized_matches_pointwise():
-    theta = AngleDeg.from_degrees(120)
-    res = tilt.appendix_campaign(3, theta, orientation="up", samples=200, seed=11)
-    # Recompute the worst slacks with the scalar evaluator on the same ball.
-    rng = np.random.default_rng(11)
-    cot = float(theta.cos()) / float(theta.sin())
-    center = np.array([-cot, 0.0, 0.0])
-    raw = rng.standard_normal((200, 3))
-    raw /= np.linalg.norm(raw, axis=1)[:, None]
-    radii = res.radius * rng.random(200) ** (1 / 3)
-    pts = center + radii[:, None] * raw
-    worst = min(
-        tilt.appendix_bounds_check(tuple(p), theta, orientation="up").signed_gap_slack
-        for p in pts
-    )
-    # Same seed, same sampling scheme: the campaign must reproduce it.
-    assert math.isclose(worst, res.min_signed_gap_slack, rel_tol=0, abs_tol=1e-12)
+    # The scalar check is the campaign's kernel on a batch of one, so the
+    # worst values over the same ball agree bit for bit -- except the two
+    # slacks read through <nu, nu_ref>: that product goes through BLAS,
+    # which sends a single row to ddot and a batch to dgemv, and the two
+    # kernels may round differently.  Those two are held
+    # to a few units in the last place of an O(1) quantity.
+    ulps = 4 * np.finfo(float).eps
+    for n in (2, 3, 4, 6):
+        for theta_deg in (91, 120, 150):
+            for orientation in ("up", "down"):
+                theta = AngleDeg.from_degrees(theta_deg)
+                res = tilt.appendix_campaign(n, theta, orientation=orientation, samples=100, seed=11)
+                rng = np.random.default_rng(11)
+                cot = float(theta.cos()) / float(theta.sin())
+                center = np.zeros(n)
+                center[0] = -cot if orientation == "up" else cot
+                raw = rng.standard_normal((100, n))
+                raw /= np.linalg.norm(raw, axis=1)[:, None]
+                radii = res.radius * rng.random(100) ** (1 / n)
+                reps = [
+                    tilt.appendix_bounds_check(tuple(p), theta, orientation=orientation)
+                    for p in center + radii[:, None] * raw
+                ]
+                config = (n, theta_deg, orientation)
+                assert max(r.g_squared for r in reps) == res.max_g_squared, config
+                assert min(r.slack_gradient_shift for r in reps) == res.min_slack_gradient_shift, config
+                assert min(r.slack_normal_gap for r in reps) == res.min_slack_normal_gap, config
+                assert min(r.slack_gradient_size for r in reps) == res.min_slack_gradient_size, config
+                worst_tilt = min(r.slack_tilt_vs_gap for r in reps)
+                assert abs(worst_tilt - res.min_slack_tilt_vs_gap) <= ulps, config
+                worst_signed = min(r.signed_gap_slack for r in reps)
+                assert abs(worst_signed - res.min_signed_gap_slack) <= ulps, config
+
+
+@pytest.mark.parametrize(
+    "theta_deg,k,orientation",
+    [(120, 2, "up"), (120, 0, "up"), (120, -1, "down"), (0, None, "up"), (180, None, "down"),
+     (120, None, "sideways")],
+)
+def test_appendix_campaign_validates_like_the_scalar_check(theta_deg, k, orientation):
+    theta = AngleDeg.from_degrees(theta_deg)
+    with pytest.raises(ValueError) as scalar:
+        tilt.appendix_bounds_check((-0.5, 0.0, 0.0), theta, orientation=orientation, k=k)
+    with pytest.raises(ValueError) as campaign:
+        tilt.appendix_campaign(3, theta, orientation=orientation, samples=100, k=k)
+    assert str(campaign.value) == str(scalar.value)
+
+
+def _drop_k_one_minus_k_term(nu1, nu_last, k, t):
+    jfrak = t.bfrak ** 2 + nu_last ** 2 - (t.bfrak * nu1 + nu_last ** 2) ** 2
+    return jfrak, t.g2 - jfrak - (t.cfrak - k * nu1 * t.afrak) ** 2
+
+
+ORIGINAL_TILT_TERMS = tilt._tilt_terms
+
+
+def _drop_k_afrak_squared_from_g2(nu1, nu_last, cos_t, k):
+    t = ORIGINAL_TILT_TERMS(nu1, nu_last, cos_t, k)
+    return t._replace(g2=t.cfrak)
+
+
+@pytest.mark.parametrize(
+    "kernel,mutant",
+    [("_gradient_defect", _drop_k_one_minus_k_term), ("_tilt_terms", _drop_k_afrak_squared_from_g2)],
+)
+def test_proof_and_campaign_read_the_same_kernels(monkeypatch, kernel, mutant):
+    # Break one kernel: the symbolic proof and the sampled campaign must both
+    # notice, which shows that they evaluate the same code.
+    params = params_for(120, Fraction(1, 2), 3)
+    assert tilt.identity_campaign(params, samples=2_000, seed=3).max_gradient_residual <= 1e-12
+    monkeypatch.setattr(tilt, kernel, mutant)
+    tilt._symbolic_certificates.cache_clear()
+    try:
+        assert tilt.symbolic_identity_certificates()["gradient_bound_identity"] is False
+        assert tilt.identity_campaign(params, samples=2_000, seed=3).max_gradient_residual > 1e-3
+    finally:
+        tilt._symbolic_certificates.cache_clear()
