@@ -265,6 +265,14 @@ _MIN_ORACLE_SAMPLES = 10_000
 _MAX_ORACLE_DIM = 21201
 
 
+def _check_oracle_size(m: int, samples: int) -> None:
+    """Refuse, before any work, an oracle draw that would exceed its memory cap."""
+    try:
+        cones.check_oracle_size(m, samples)
+    except ValueError as exc:
+        raise click.UsageError(f"--samples {samples} with m = {m}: {exc}") from None
+
+
 @cli.command()
 @click.option("--m", type=int, required=True, help="Number of variables (>= 2).")
 @click.option("--q", type=RATIONAL, required=True, help="The parameter q > 0.")
@@ -290,13 +298,14 @@ def pnbound(
         raise click.UsageError(f"--m must be at most {_MAX_ORACLE_DIM} (the sampling oracle's limit)")
     if q <= 0:
         raise click.UsageError("--q must be positive")
+    samples_used = max(samples, _MIN_ORACLE_SAMPLES)
+    _check_oracle_size(m, samples_used)
     config = RunConfig(
         command="pnbound", m=m, q=q, p_squared=p2, samples=samples, seed=seed, format=fmt, out=out
     )
     envelope = ReportEnvelope(config=config)
 
     enum = cones.sup_abs_f_two_value(m, q)
-    samples_used = max(samples, _MIN_ORACLE_SAMPLES)
     oracle = cones.brute_force_sup(m, q, samples=samples_used, ascent_steps=200, seed=seed)
     enum_float = float(enum)
     gap = enum_float - oracle.value
@@ -868,6 +877,7 @@ def selftest(
 ) -> int:
     """Run the full deterministic check suite."""
     started = time.perf_counter()
+    _check_oracle_size(max(_EXPECTED_SURDS), max(samples, _MIN_ORACLE_SAMPLES))
     config = RunConfig(
         command="selftest",
         samples=samples,

@@ -18,7 +18,8 @@ two ways:
   which also decides sup^2 against p^2 across fields;
 * approximately from below, by quasi-random sphere sampling plus projected
   gradient ascent (``brute_force_sup``), an independent oracle that must
-  agree with the enumeration to 1e-8.
+  agree with the enumeration to 1e-8.  It is the package's only user of
+  scipy and imports ``scipy.stats`` on its first call.
 
 On top sit the exact threshold functional ``m_functional``, the parameter
 constraint ``constraint_holds``, per-dimension certification combining both
@@ -35,8 +36,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats
-from scipy.stats import qmc
 
 from .exact import (
     Interval,
@@ -70,6 +69,7 @@ __all__ = [
     "two_value_critical_x",
     "sup_abs_f_two_value",
     "brute_force_sup",
+    "check_oracle_size",
     "m_functional",
     "constraint_holds",
     "certify_dimension",
@@ -361,6 +361,26 @@ def _f_and_gradient(x: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     return f, grad
 
 
+# The oracle holds its whole Sobol draw of 2^bits points in R^m, and the
+# Gaussian image of that draw, at once: at most this many doubles per array.
+ORACLE_MAX_DOUBLES = 2 ** 25  # 256 MiB
+
+
+def _sobol_bits(samples: int) -> int:
+    """log2 of the Sobol draw that covers ``samples`` points (at least 2 points)."""
+    return max(1, (samples - 1).bit_length())
+
+
+def check_oracle_size(m: int, samples: int) -> None:
+    """Raise ValueError if ``brute_force_sup(m, q, samples)`` would exceed ORACLE_MAX_DOUBLES."""
+    points = 2 ** _sobol_bits(samples)
+    if points * m > ORACLE_MAX_DOUBLES:
+        raise ValueError(
+            f"the oracle would draw {points} points in R^{m}, {points * m} doubles per array; "
+            f"the limit is {ORACLE_MAX_DOUBLES} doubles (256 MiB), so lower the samples or m"
+        )
+
+
 def brute_force_sup(
     m: int,
     q: RationalLike,
@@ -373,17 +393,22 @@ def brute_force_sup(
     Scrambled Sobol points are pushed through the Gaussian inverse CDF and
     normalised to the sphere; the best 512 starts are refined by projected
     gradient ascent on |f| with per-sample adaptive step sizes.  Fully
-    deterministic for a fixed seed.
+    deterministic for a fixed seed.  scipy.stats is imported on the first
+    call; draws above ORACLE_MAX_DOUBLES are refused before anything is
+    allocated.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples for a meaningful oracle")
+    check_oracle_size(m, samples)
     q = float(to_fraction(q))
 
+    from scipy import stats
+    from scipy.stats import qmc
+
     sobol = qmc.Sobol(d=m, scramble=True, seed=seed)
-    bits = max(1, math.ceil(math.log2(samples)))
-    u = sobol.random_base2(bits)[:samples]
+    u = sobol.random_base2(_sobol_bits(samples))[:samples]
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     g = stats.norm.ppf(u)
     norms = np.linalg.norm(g, axis=1)

@@ -32,6 +32,10 @@ kernels on seeded random samples and report worst-case residuals; samples
 very close to the zero locus of g are re-evaluated in 50-digit arithmetic so
 that division noise does not masquerade as an identity violation; and
 ``symbolic_identity_certificates`` expands the same kernels on symbols.
+
+sympy is imported on first use, by ``certify_margin_positive`` (its Sturm
+root count) and by the symbolic certificates, so importing this module
+costs no more than numpy and mpmath.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
-import sympy
 
 from .exact import (
     AngleDeg,
@@ -295,7 +298,9 @@ def frame_sums(nu: UnitNormal | Sequence[float], params: TiltParams) -> FrameRep
     """Evaluate the frame projections and their two sum identities."""
     nu = nu if isinstance(nu, UnitNormal) else UnitNormal.from_components(nu)
     arr = np.asarray(nu.components, dtype=float)[None, :]
-    out = _frame_terms(arr, params.k_float, params.cos_theta, params.sin_squared)
+    k = params.k_float
+    t = _tilt_terms(arr[:, 0], arr[:, -1], params.cos_theta, k)
+    out = _frame_terms(arr, k, params.sin_squared, t)
     return FrameReport(
         sum_squares=float(out["sum_sq"][0]),
         sum_wedge_squares=float(out["sum_wedge"][0]),
@@ -306,18 +311,18 @@ def frame_sums(nu: UnitNormal | Sequence[float], params: TiltParams) -> FrameRep
     )
 
 
-def _frame_terms(nu: np.ndarray, k: float, cos_t: float, sin_sq: float) -> dict:
+def _frame_terms(nu: np.ndarray, k: float, sin_sq: float, t: _TiltTerms) -> dict:
     """Vectorised frame quantities for an (N, n+1) array of unit normals.
 
-    Builds the projections as explicit ambient vectors: for a fixed vector
-    v, the tangential projection is v - <v, nu> nu.  This is the float
+    ``t`` holds the caller's ``_tilt_terms`` of the same rows.  Builds the
+    projections as explicit ambient vectors: for a fixed vector v, the
+    tangential projection is v - <v, nu> nu.  This is the float
     reference for the Gram forms of ``_frame_defects`` (which the symbolic
     certificate and the 50-digit fallback use), so it keeps its own
     independent construction instead of reusing them.
     """
     nu1 = nu[:, 0]
     nup = nu[:, -1]
-    t = _tilt_terms(nu1, nup, cos_t, k)
 
     e1_t = -nu1[:, None] * nu
     e1_t[:, 0] += 1.0
@@ -470,6 +475,8 @@ def certify_margin_positive(
         raise ValueError("need 0 <= theta_lo < theta_hi <= 180")
     if max_depth < 0:
         raise ValueError("max_depth must be non-negative")
+
+    import sympy
 
     v_sym = sympy.Symbol("v")
     coeffs = margin_polynomial_coeffs(n, k)
@@ -743,6 +750,8 @@ def symbolic_identity_certificates() -> dict[str, bool]:
 
 @functools.cache
 def _symbolic_certificates() -> dict[str, bool]:
+    import sympy
+
     k, c, S, n1, npp = sympy.symbols("k c S nu1 nulast", real=True)
     t = _tilt_terms(n1, npp, c, k)
     _, gradient_defect = _gradient_defect(n1, npp, k, t)
@@ -809,7 +818,7 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
     jfrak, defect = _gradient_defect(nu1, nup, k, t)
     grad_res = np.abs(defect)
 
-    frame = _frame_terms(nu, k, cos_t, sin_sq)
+    frame = _frame_terms(nu, k, sin_sq, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         j_ratio = jfrak / t.g2
 

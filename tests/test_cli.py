@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface and report envelope."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import conecert
+from conecert import cones
 from conecert.cli import main
 from conecert.report import (
     EXIT_CERTIFIED,
@@ -201,6 +207,26 @@ def test_pnbound_rejects_m_beyond_the_oracle_limit(capsys):
     assert err.startswith("error:") and "21201" in err
 
 
+def test_oracle_draw_beyond_the_memory_cap_is_refused_up_front(capsys, monkeypatch):
+    # At --m 21201 the default 10^5 samples would need 2^17 x 21201 doubles
+    # (22 GB) per array: refused before the enumeration or any allocation.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("started work on an oversized oracle draw")
+
+    monkeypatch.setattr(cones, "sup_abs_f_two_value", must_not_run)
+    monkeypatch.setattr(cones, "brute_force_sup", must_not_run)
+    monkeypatch.setattr(cones, "m_functional", must_not_run)
+    for argv in (
+        ("pnbound", "--m", "21201", "--q", "1"),
+        ("pnbound", "--m", "2", "--q", "1", "--samples", "100000000"),
+        ("selftest", "--samples", "100000000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OPERATIONAL_ERROR
+        assert out == ""
+        assert err.startswith("error:") and str(cones.ORACLE_MAX_DOUBLES) in err
+
+
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
@@ -293,3 +319,49 @@ def test_version_and_help_exit_zero(capsys):
 
 def test_unknown_command_is_operational_error(capsys):
     assert main(["frobnicate"]) == EXIT_OPERATIONAL_ERROR
+
+
+# ---------------------------------------------------------------------------
+# Startup: scipy and sympy are imported only by the commands that use them
+# ---------------------------------------------------------------------------
+
+
+_SRC = str(Path(conecert.__file__).resolve().parents[1])
+# Runs the CLI in a fresh interpreter, then writes its exit code and the
+# heavy modules it loaded as the last line of stderr.
+_PROBE = """
+import json, sys
+from conecert.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+heavy = [name for name in ("scipy.stats", "sympy") if name in sys.modules]
+sys.stderr.write("\\n" + json.dumps([code, heavy]) + "\\n")
+"""
+
+
+def fresh_run(*argv):
+    path = [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    code, heavy = json.loads(proc.stderr.splitlines()[-1])
+    return code, heavy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(), ("--version",), ("certify", "--n", "3"), ("table",), ("optimize", "--n", "5", "--budget", "200")],
+    ids=["import", "version", "certify-n3", "table", "optimize"],
+)
+def test_exact_commands_load_neither_scipy_nor_sympy(argv):
+    code, heavy = fresh_run(*argv)
+    assert code == EXIT_CERTIFIED
+    assert heavy == []
+
+
+def test_pnbound_still_loads_the_scipy_oracle():
+    code, heavy = fresh_run(
+        "pnbound", "--m", "5", "--q", "43/391", "--p2", "646328929/717317652", "--samples", "10000"
+    )
+    assert code == EXIT_FALSIFIED
+    assert "scipy.stats" in heavy

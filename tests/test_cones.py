@@ -180,6 +180,17 @@ def test_brute_force_requires_enough_samples():
         cones.brute_force_sup(2, Fraction(1), samples=100)
 
 
+def test_brute_force_refuses_draws_beyond_the_memory_cap():
+    # 10^5 samples draw 2^17 points: m = 256 fills the 2^25-double cap, 257 exceeds it.
+    cones.check_oracle_size(256, 100_000)
+    cones.check_oracle_size(2, 2 ** 24)
+    for m, samples in ((257, 100_000), (21201, 100_000), (2, 2 ** 24 + 1)):
+        with pytest.raises(ValueError, match=str(cones.ORACLE_MAX_DOUBLES)):
+            cones.check_oracle_size(m, samples)
+    with pytest.raises(ValueError, match="limit"):
+        cones.brute_force_sup(21201, Fraction(1))
+
+
 def test_brute_force_deterministic():
     a = cones.brute_force_sup(3, Fraction(6, 11), samples=10_000, ascent_steps=50, seed=5)
     b = cones.brute_force_sup(3, Fraction(6, 11), samples=10_000, ascent_steps=50, seed=5)
