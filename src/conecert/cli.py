@@ -89,13 +89,6 @@ _SAMPLES = click.option(
     help="Sample count for randomized campaigns.",
 )
 _SEED = click.option("--seed", type=int, default=42, show_default=True, help="RNG seed.")
-_DEPTH = click.option(
-    "--depth",
-    type=click.IntRange(min=0),
-    default=40,
-    show_default=True,
-    help="Maximal bisection depth for box certification.",
-)
 
 
 @click.group()
@@ -305,7 +298,10 @@ def pnbound(
     )
     envelope = ReportEnvelope(config=config)
 
-    enum = cones.sup_abs_f_two_value(m, q)
+    try:
+        enum = cones.sup_abs_f_two_value(m, q)
+    except ValueError as exc:  # a radicand whose squarefree part cannot be proven
+        raise click.ClickException(str(exc)) from None
     oracle = cones.brute_force_sup(m, q, samples=samples_used, ascent_steps=200, seed=seed)
     enum_float = float(enum)
     gap = enum_float - oracle.value
@@ -422,7 +418,7 @@ def _campaign_suite(samples: int, seed: int) -> tuple[dict, dict]:
     return worst, per_config
 
 
-def _identity_reports(samples: int, seed: int, depth: int) -> list[CertificationReport]:
+def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
     """The five identity-suite reports shared by `identities` and `selftest`."""
     reports: list[CertificationReport] = []
     certs = tilt.symbolic_identity_certificates()
@@ -512,7 +508,7 @@ def _identity_reports(samples: int, seed: int, depth: int) -> list[Certification
     margin_payload = {}
     margin_verdicts = []
     for n, k in _MARGIN_PAIRS:
-        rep = tilt.certify_margin_positive(n, k, 1, 179, max_depth=depth)
+        rep = tilt.certify_margin_positive(n, k, 1, 179)
         margin_verdicts.append(rep.verdict)
         margin_payload[f"n={n} k={k}"] = {
             "verdict": rep.verdict,
@@ -530,7 +526,6 @@ def _identity_reports(samples: int, seed: int, depth: int) -> list[Certification
             method="exact",
             verdict=margin_overall,
             payload=margin_payload,
-            provenance={"max_depth": depth},
         )
     )
 
@@ -566,17 +561,14 @@ def _identity_reports(samples: int, seed: int, depth: int) -> list[Certification
 @cli.command()
 @_SAMPLES
 @_SEED
-@_DEPTH
 @_FORMAT
 @_OUT
-def identities(samples: int, seed: int, depth: int, fmt: str, out: Optional[str]) -> int:
+def identities(samples: int, seed: int, fmt: str, out: Optional[str]) -> int:
     """Run every identity campaign, anchored by exact certificates."""
     started = time.perf_counter()
-    config = RunConfig(
-        command="identities", samples=samples, seed=seed, depth=depth, format=fmt, out=out
-    )
+    config = RunConfig(command="identities", samples=samples, seed=seed, format=fmt, out=out)
     envelope = ReportEnvelope(config=config)
-    for rep in _identity_reports(samples, seed, depth):
+    for rep in _identity_reports(samples, seed):
         envelope.add(rep)
     return _finish(envelope, started)
 
@@ -691,7 +683,7 @@ _EXPECTED_SURDS = {
 }
 
 
-def _selftest_reports(samples: int, seed: int, depth: int, tol_deg: Fraction) -> list[CertificationReport]:
+def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[CertificationReport]:
     reports: list[CertificationReport] = []
 
     # 1. Exact threshold values.
@@ -831,7 +823,7 @@ def _selftest_reports(samples: int, seed: int, depth: int, tol_deg: Fraction) ->
     )
 
     # 7-9 + margin: reuse the identity suite (symbolically anchored).
-    reports.extend(_identity_reports(samples, seed, depth))
+    reports.extend(_identity_reports(samples, seed))
 
     # 10. n=3 coefficients at eps = 0.
     n3 = cones.n3_coefficients(0)
@@ -868,13 +860,10 @@ def _selftest_reports(samples: int, seed: int, depth: int, tol_deg: Fraction) ->
 @cli.command()
 @_SAMPLES
 @_SEED
-@_DEPTH
 @_TOL
 @_FORMAT
 @_OUT
-def selftest(
-    samples: int, seed: int, depth: int, tol_deg: Fraction, fmt: str, out: Optional[str]
-) -> int:
+def selftest(samples: int, seed: int, tol_deg: Fraction, fmt: str, out: Optional[str]) -> int:
     """Run the full deterministic check suite."""
     started = time.perf_counter()
     _check_oracle_size(max(_EXPECTED_SURDS), max(samples, _MIN_ORACLE_SAMPLES))
@@ -882,13 +871,12 @@ def selftest(
         command="selftest",
         samples=samples,
         seed=seed,
-        depth=depth,
         tol_deg=tol_deg,
         format=fmt,
         out=out,
     )
     envelope = ReportEnvelope(config=config)
-    for rep in _selftest_reports(samples, seed, depth, tol_deg):
+    for rep in _selftest_reports(samples, seed, tol_deg):
         envelope.add(rep)
     return _finish(envelope, started)
 

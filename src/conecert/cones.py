@@ -349,15 +349,20 @@ class BruteForceResult:
 
 def _f_and_gradient(x: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised f values and Euclidean gradients for rows of x."""
+    # Only + - * / and sqrt, which IEEE 754 rounds correctly: numpy sends
+    # float powers to SIMD kernels picked per CPU, which round differently.
+    x2 = x * x
     p1 = x.sum(axis=1)
-    p2 = (x ** 2).sum(axis=1)
-    p3 = (x ** 3).sum(axis=1)
-    N = p3 + (1.0 - q) * p1 * p2 - q * p1 ** 3
-    base = p2 + p1 ** 2
-    f = N / base ** 1.5
-    dN = 3.0 * x ** 2 + (1.0 - q) * (p2[:, None] + 2.0 * p1[:, None] * x) - 3.0 * q * p1[:, None] ** 2
+    p2 = x2.sum(axis=1)
+    p3 = (x2 * x).sum(axis=1)
+    N = p3 + (1.0 - q) * p1 * p2 - q * (p1 * p1 * p1)
+    base = p2 + p1 * p1
+    b15 = base * np.sqrt(base)
+    b25 = base * b15
+    f = N / b15
+    dN = 3.0 * x2 + (1.0 - q) * (p2[:, None] + 2.0 * p1[:, None] * x) - 3.0 * q * (p1 * p1)[:, None]
     dbase = 2.0 * x + 2.0 * p1[:, None]
-    grad = dN / base[:, None] ** 1.5 - 1.5 * N[:, None] * dbase / base[:, None] ** 2.5
+    grad = dN / b15[:, None] - 1.5 * N[:, None] * dbase / b25[:, None]
     return f, grad
 
 

@@ -15,7 +15,15 @@ equal representations.  :func:`compare` orders any two of them (and
 rationals) exactly, also when their fields differ, by isolating the radicals
 and squaring; no comparison falls back to intervals.  Roots of rational
 quadratics (:func:`quadratic_real_roots`) are returned as such surds, and
-enclosures come from :meth:`QuadraticSurd.to_interval`.
+enclosures come from :meth:`QuadraticSurd.to_interval`; ``float`` of a surd
+is correctly rounded.  The squarefree normal form factors radicands with
+deterministic Miller-Rabin and Pollard rho, and refuses (ValueError) a
+factor whose primality is not proven by that test.
+
+:class:`Polynomial` is the one exact polynomial type: a sparse map from
+exponent tuples to rational coefficients.  Identities are proved by
+expanding both sides to the same polynomial, and :func:`sturm_count` counts
+the real roots of a univariate one in a rational interval exactly.
 
 Angles are carried in degrees through :class:`AngleDeg`.  Cosines of the
 handful of angles with rational cosine (0, 60, 90, 120, 180 degrees) are
@@ -48,6 +56,8 @@ __all__ = [
     "cos_interval",
     "compare",
     "quadratic_real_roots",
+    "Polynomial",
+    "sturm_count",
     "threshold_to_cos_squared",
     "angle_range_from_threshold",
     "cos2_over_sin4",
@@ -299,15 +309,101 @@ class Interval:
 # ---------------------------------------------------------------------------
 
 
-def _square_split(n: int) -> tuple[int, int]:
-    """(s, f) with n == s * s * f and f squarefree."""
-    import sympy
+# Miller-Rabin with the first 13 prime bases decides primality for every
+# n below this bound (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+# Pollard rho gives up on a cofactor after about this many steps, which
+# find a prime factor below about 10^12 (about sqrt(p) steps are needed).
+_RHO_MAX_STEPS = 1 << 21
 
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality of an odd n > 41 with no prime factor <= 41.
+
+    A base that witnesses compositeness proves it at any size; declaring
+    n prime is proven only below ``_MR_PROVEN_BOUND``, so above it a
+    ValueError is raised instead.
+    """
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_PROVEN_BOUND:
+        raise ValueError(
+            f"cannot decide whether the {n.bit_length()}-bit factor {n} of a radicand is prime: "
+            f"Miller-Rabin on bases 2..41 is proven only below {_MR_PROVEN_BOUND}"
+        )
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n.
+
+    Pollard rho with Brent's cycle search, one gcd per batch of 128 steps;
+    a batch that hides the factor behind n is replayed step by step.
+    """
+    steps = 0
+    for c in range(1, n):
+        y, length, factor = 2, 1, 1
+        while factor == 1:
+            if steps > _RHO_MAX_STEPS:
+                raise ValueError(
+                    f"no factor of the {n.bit_length()}-bit radicand part {n} found "
+                    f"in {_RHO_MAX_STEPS} Pollard rho steps"
+                )
+            x = y
+            for start in range(0, length, 128):
+                saved, product = y, 1
+                for _ in range(min(128, length - start)):
+                    y = (y * y + c) % n
+                    product = product * (x - y) % n
+                factor = math.gcd(product, n)
+                if factor != 1:
+                    break
+            steps += length
+            length *= 2
+        if factor == n:
+            y, factor = saved, 1
+            while factor == 1:
+                y = (y * y + c) % n
+                factor = math.gcd(x - y, n)
+        if factor != n:
+            return factor
+    raise AssertionError("unreachable: Pollard rho splits every composite")
+
+
+def _square_split(n: int) -> tuple[int, int]:
+    """(s, f) with n == s * s * f and f squarefree, for an integer n >= 1.
+
+    Trial division by the Miller-Rabin bases, then deterministic
+    Miller-Rabin and Pollard rho on what is left.  Raises ValueError when
+    a cofactor's primality cannot be proven (see :func:`_is_prime`).
+    """
+    primes: dict[int, int] = {}
+    for p in _MR_BASES:
+        while n % p == 0:
+            n //= p
+            primes[p] = primes.get(p, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < 43 * 43 or _is_prime(m):  # no factor <= 41 is left
+            primes[m] = primes.get(m, 0) + 1
+        else:
+            factor = _rho_factor(m)
+            pending += [factor, m // factor]
     s = f = 1
-    for prime, mult in sympy.factorint(n).items():
-        # factorint may return gmpy2 integers; coerce so downstream
-        # Fraction arithmetic stays in stdlib types.
-        prime, mult = int(prime), int(mult)
+    for prime, mult in primes.items():
         s *= prime ** (mult // 2)
         f *= prime ** (mult % 2)
     return s, f
@@ -476,7 +572,27 @@ class QuadraticSurd:
         return self.rational + sqrt_fraction_enclosure(Fraction(self.radicand)) * self.coeff
 
     def __float__(self) -> float:
-        return float(self.rational) + float(self.coeff) * math.sqrt(self.radicand)
+        """The nearest double, correctly rounded.
+
+        Both ends of a rational enclosure round to the same double once it
+        is thin enough; that double is the rounded value, since rounding is
+        monotone and an irrational number is never a double or a tie.  The
+        enclosure of sqrt(radicand) has width 2^-bits, doubled until then;
+        its ends are integer ratios, which ``/`` rounds correctly.
+        """
+        if self.is_rational:
+            return float(self.rational)
+        a, b = self.rational, self.coeff
+        step = b.numerator * a.denominator
+        bits = 128
+        while True:
+            root = math.isqrt(self.radicand << (2 * bits))  # floor(sqrt(d) 2^bits)
+            den = (a.denominator * b.denominator) << bits
+            num = ((a.numerator * b.denominator) << bits) + step * root
+            lo, hi = sorted((num / den, (num + step) / den))
+            if lo == hi:
+                return lo
+            bits *= 2
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -521,6 +637,180 @@ def quadratic_real_roots(a: RationalLike, b: RationalLike, c: RationalLike) -> l
     root = QuadraticSurd.from_square(disc)
     roots = [(-b - root) / (2 * a), (-b + root) / (2 * a)]
     return roots if a > 0 else roots[::-1]
+
+
+# ---------------------------------------------------------------------------
+# Exact polynomials with rational coefficients, and Sturm root counts.
+# ---------------------------------------------------------------------------
+
+
+class Polynomial:
+    """Exact polynomial over Q in a fixed number of variables.
+
+    ``terms`` maps exponent tuples to non-zero coefficients (ints or
+    Fractions), so the zero polynomial has no terms and ``==`` compares
+    term dicts.  The operators + - * and non-negative integer powers mix
+    polynomials with ints and Fractions, so code written with arithmetic
+    operators only expands on it unchanged; ``p(x1, ..., xk)`` evaluates at
+    rationals.  Univariate polynomials also have a derivative and division
+    with remainder, which :func:`sturm_count` uses.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: dict) -> None:
+        self.nvars = nvars
+        self.terms = {exps: c for exps, c in terms.items() if c != 0}
+
+    @classmethod
+    def variables(cls, nvars: int) -> tuple["Polynomial", ...]:
+        """The generators x1, ..., x_nvars."""
+        return tuple(
+            cls(nvars, {tuple(int(i == j) for j in range(nvars)): 1}) for i in range(nvars)
+        )
+
+    @classmethod
+    def from_coeffs(cls, coeffs: Sequence[RationalLike]) -> "Polynomial":
+        """The univariate polynomial with these coefficients, highest degree first."""
+        top = len(coeffs) - 1
+        return cls(1, {(top - i,): to_fraction(c) for i, c in enumerate(coeffs)})
+
+    def _coerce(self, other) -> "Polynomial":
+        if isinstance(other, Polynomial):
+            if other.nvars != self.nvars:
+                raise ValueError(f"polynomials in {self.nvars} and {other.nvars} variables")
+            return other
+        if not isinstance(other, (int, Fraction)):
+            raise TypeError(f"polynomial coefficients are exact rationals, got {other!r}")
+        return Polynomial(self.nvars, {(0,) * self.nvars: other})
+
+    def __add__(self, other) -> "Polynomial":
+        terms = dict(self.terms)
+        for exps, c in self._coerce(other).terms.items():
+            terms[exps] = terms.get(exps, 0) + c
+        return Polynomial(self.nvars, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(self.nvars, {exps: -c for exps, c in self.terms.items()})
+
+    def __sub__(self, other) -> "Polynomial":
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> "Polynomial":
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other) -> "Polynomial":
+        terms: dict = {}
+        other = self._coerce(other)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                terms[exps] = terms.get(exps, 0) + c1 * c2
+        return Polynomial(self.nvars, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "Polynomial":
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"polynomial powers need a non-negative integer, got {exponent!r}")
+        result, base = self._coerce(1), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Polynomial, int, Fraction)):
+            return NotImplemented
+        return self.terms == self._coerce(other).terms
+
+    __hash__ = None
+
+    def __call__(self, *values: RationalLike) -> Fraction:
+        if len(values) != self.nvars:
+            raise ValueError(f"expected {self.nvars} values, got {len(values)}")
+        values = [to_fraction(v) for v in values]
+        total = Fraction(0)
+        for exps, c in self.terms.items():
+            for v, e in zip(values, exps):
+                c *= v ** e
+            total += c
+        return total
+
+    def reduce_square(self, index: int, square: "Polynomial") -> "Polynomial":
+        """This polynomial with every x_index^2 replaced by ``square``."""
+        result = self._coerce(0)
+        for exps, c in self.terms.items():
+            half, odd = divmod(exps[index], 2)
+            reduced = exps[:index] + (odd,) + exps[index + 1:]
+            result = result + Polynomial(self.nvars, {reduced: c}) * square ** half
+        return result
+
+    # -- univariate operations --------------------------------------------
+
+    @property
+    def degree(self) -> int:
+        """Degree of a univariate polynomial; -1 for zero."""
+        return max((exps[0] for exps in self.terms), default=-1)
+
+    def derivative(self) -> "Polynomial":
+        return Polynomial(1, {(e - 1,): c * e for (e,), c in self.terms.items() if e})
+
+    def __divmod__(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        top = divisor.degree
+        if top < 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        lead = divisor.terms[(top,)]
+        quotient, remainder = Polynomial(1, {}), self
+        while remainder.degree >= top:
+            shift = remainder.degree - top
+            step = Polynomial(1, {(shift,): remainder.terms[(remainder.degree,)] / lead})
+            quotient, remainder = quotient + step, remainder - step * divisor
+        return quotient, remainder
+
+    def __repr__(self) -> str:
+        return f"Polynomial({self.nvars}, {self.terms!r})"
+
+
+def _sign_changes(values: Iterable[Fraction]) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sturm_count(poly: Polynomial, lo: RationalLike, hi: RationalLike) -> int:
+    """Number of distinct real roots of a univariate polynomial in [lo, hi].
+
+    The Sturm sequence (Basu, Pollack & Roy, *Algorithms in Real Algebraic
+    Geometry*, ch. 2) of the squarefree part P of ``poly`` is p0 = P,
+    p1 = P', p_(i+1) = -rem(p_(i-1), p_i).  With V(x) the number of sign
+    changes of p_i(x), zeros dropped, P has V(lo) - V(hi) roots in
+    (lo, hi]; a root at lo is added.  Every step is exact.
+    """
+    lo, hi = to_fraction(lo), to_fraction(hi)
+    if lo > hi:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    if poly.degree <= 0:
+        if poly.degree < 0:
+            raise ValueError("the zero polynomial has a root everywhere")
+        return 0
+
+    def sequence(p: Polynomial) -> list[Polynomial]:
+        seq = [p, p.derivative()]
+        while seq[-1].degree > 0:
+            remainder = divmod(seq[-2], seq[-1])[1]
+            if remainder.degree < 0:
+                break
+            seq.append(-remainder)
+        return seq
+
+    seq = sequence(poly)
+    if seq[-1].degree > 0:  # gcd(P, P') is not constant: P has multiple roots
+        seq = sequence(divmod(poly, seq[-1])[0])
+    return _sign_changes(p(lo) for p in seq) - _sign_changes(p(hi) for p in seq) + (seq[0](lo) == 0)
 
 # ---------------------------------------------------------------------------
 # Transcendental kernel: pi, cos, arccos with certified directed rounding.

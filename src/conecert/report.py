@@ -135,7 +135,6 @@ class RunConfig:
     tol_deg: Fraction = Fraction(1, 1000)
     samples: int = 100_000
     seed: int = 42
-    depth: int = 40
     budget: int = 0
     format: str = "text"
     out: Optional[str] = None
@@ -153,7 +152,6 @@ class RunConfig:
             "tol_deg": jsonable(self.tol_deg),
             "samples": self.samples,
             "seed": self.seed,
-            "depth": self.depth,
             "budget": self.budget,
             "format": self.format,
             "out": self.out,

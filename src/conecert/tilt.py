@@ -19,23 +19,21 @@ This module checks, numerically at scale and exactly where it matters:
   (``frame_sums``),
 * positivity of the spectral stability margin
   1 + k cos^2(theta) - k |cos(theta)| - s(k, n, theta)
-  over whole angle ranges, via an exact quartic-sign criterion with
-  Sturm-sequence root counting (``certify_margin_positive``),
+  over whole angle ranges, decided by the sign of an exact quartic and one
+  Sturm root count over rationals (``certify_margin_positive``),
 * the closed-ball comparison bounds between |Du|, the normal gap
   |nu - nu_theta|, and g, together with their applicability threshold
   (``appendix_bounds_check``).
 
 Each formula is written once, as a private kernel made only of arithmetic
 operators and integer literals, so one body runs on floats, numpy arrays,
-mpmath numbers and sympy symbols.  The ``*_campaign`` functions evaluate the
-kernels on seeded random samples and report worst-case residuals; samples
-very close to the zero locus of g are re-evaluated in 50-digit arithmetic so
-that division noise does not masquerade as an identity violation; and
-``symbolic_identity_certificates`` expands the same kernels on symbols.
-
-sympy is imported on first use, by ``certify_margin_positive`` (its Sturm
-root count) and by the symbolic certificates, so importing this module
-costs no more than numpy and mpmath.
+mpmath numbers and exact polynomials (:class:`conecert.exact.Polynomial`).
+The ``*_campaign`` functions evaluate the kernels on seeded random samples
+and report worst-case residuals; samples very close to the zero locus of g
+are re-evaluated in 50-digit arithmetic so that division noise does not
+masquerade as an identity violation; and ``symbolic_identity_certificates``
+expands the same kernels as polynomials and checks that each defect is the
+zero polynomial.
 """
 
 from __future__ import annotations
@@ -52,7 +50,9 @@ import numpy as np
 from .exact import (
     AngleDeg,
     Interval,
+    Polynomial,
     RationalLike,
+    sturm_count,
     to_fraction,
 )
 from .report import CertificationReport
@@ -190,7 +190,7 @@ class TiltParams:
 
 
 class _TiltTerms(NamedTuple):
-    """The tilt terms; floats, numpy arrays, mpmath numbers or sympy expressions."""
+    """The tilt terms; floats, numpy arrays, mpmath numbers or exact polynomials."""
 
     afrak: object
     bfrak: object
@@ -224,7 +224,7 @@ def _frame_defects(nu1, nu_last, cos_t, k, t: _TiltTerms):
     For a unit normal, |a1|^2 = (1-k)(1-nu1^2), |a2|^2 = 1-nu_last^2 and
     g^2 |a3|^2 = bfrak^2 (1-nu1^2) - 2 bfrak nu1 nu_last^2 + nu_last^2 (1-nu_last^2).
     Cleared of the division by g^2, the forms stay accurate near the zero
-    locus of g and are polynomials that sympy can expand.
+    locus of g and are polynomials that expand exactly.
     """
     factor = 1 - k * (1 - cos_t ** 2)  # 1 - k sin^2
     a1sq = (1 - k) * (1 - nu1 ** 2)
@@ -431,11 +431,7 @@ def margin_polynomial_coeffs(n: int, k: RationalLike) -> list[Fraction]:
 
 def margin_polynomial_value(n: int, k: RationalLike, v: RationalLike) -> Fraction:
     """Exact value of the margin quartic at a rational v."""
-    v = to_fraction(v)
-    acc = Fraction(0)
-    for coeff in margin_polynomial_coeffs(n, k):
-        acc = acc * v + coeff
-    return acc
+    return Polynomial.from_coeffs(margin_polynomial_coeffs(n, k))(v)
 
 
 def default_k(n: int) -> Fraction:
@@ -450,107 +446,98 @@ def _abs_cos_enclosure(theta_lo: Fraction, theta_hi: Fraction) -> Interval:
     return box.cos().abs().clamp(Fraction(0), Fraction(1))
 
 
+def _negative_margin_witness(n: int, k: Fraction, coeffs: list[Fraction], v_iv: Interval,
+                             theta_lo: Fraction, theta_hi: Fraction):
+    """(theta, margin enclosure) with the margin certifiably negative, or None.
+
+    The float roots of P in the v-enclosure propose the midpoints between
+    them; a midpoint v* with exactly P(v*) < 0 maps back through a float
+    acos to an angle in the range, rounded to 10^-6 degrees.  Only the
+    rigorous enclosure of the margin at that angle decides.
+    """
+    poly = Polynomial.from_coeffs(coeffs)
+    lo, hi = float(v_iv.lo), float(v_iv.hi)
+    roots = np.roots([float(c) for c in coeffs])
+    cuts = sorted(r.real for r in roots if abs(r.imag) <= 1e-9 and lo < r.real < hi)
+    points = [lo, *cuts, hi]
+    for a, b in zip(points, points[1:]):
+        v_star = Fraction((a + b) / 2)
+        if poly(v_star) >= 0:
+            continue
+        acos_deg = math.degrees(math.acos(v_star))
+        for theta in (acos_deg, 180.0 - acos_deg):
+            theta_star = min(max(Fraction(round(theta * 10 ** 6), 10 ** 6), theta_lo), theta_hi)
+            margin = stability_margin(n, k, AngleDeg.from_degrees(theta_star))
+            if margin.strictly_negative():
+                return theta_star, margin
+    return None
+
+
 def certify_margin_positive(
     n: int,
     k: RationalLike,
     theta_lo: RationalLike,
     theta_hi: RationalLike,
-    max_depth: int = 40,
 ) -> CertificationReport:
-    """Certify margin > 0 for every theta in [theta_lo, theta_hi] degrees.
+    """Decide margin > 0 for every theta in [theta_lo, theta_hi] degrees.
 
-    Strategy: on a box of angles, enclose v = |cos theta| in a rational
-    interval [v1, v2], evaluate the exact margin quartic P at the endpoints,
-    and count its real roots in [v1, v2] by Sturm sequences.  P(v1) > 0,
-    P(v2) > 0 and zero interior roots certify positivity on the whole box.
-    Failing boxes are bisected up to ``max_depth``; the first box that
-    cannot be resolved is reported and the verdict becomes inconclusive.
-    Since the margin tends to 0 as theta approaches 0 or 180 degrees,
-    ranges touching those poles are genuinely not certifiable.
+    The margin has the sign of the quartic P at v = |cos theta|
+    (``margin_polynomial_coeffs``).  On a rational enclosure [v1, v2] of
+    |cos| over the whole range, P(v1) > 0 and no root of P in [v1, v2]
+    (one exact Sturm count) certify the claim.  Otherwise a point with
+    P < 0 proposes an angle, and the verdict is falsified only if the
+    rigorous margin enclosure there is strictly negative; every other case
+    is inconclusive.  The margin vanishes at 0 and 180 degrees (P(1) = 0),
+    so ranges touching them are inconclusive.
     """
     k = to_fraction(k)
     theta_lo = to_fraction(theta_lo)
     theta_hi = to_fraction(theta_hi)
     if not 0 <= theta_lo < theta_hi <= 180:
         raise ValueError("need 0 <= theta_lo < theta_hi <= 180")
-    if max_depth < 0:
-        raise ValueError("max_depth must be non-negative")
 
-    import sympy
-
-    v_sym = sympy.Symbol("v")
     coeffs = margin_polynomial_coeffs(n, k)
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in coeffs], v_sym, domain="QQ"
-    )
-
-    def box_certified(lo: Fraction, hi: Fraction) -> bool:
-        v_iv = _abs_cos_enclosure(lo, hi)
-        if margin_polynomial_value(n, k, v_iv.lo) <= 0:
-            return False
-        if margin_polynomial_value(n, k, v_iv.hi) <= 0:
-            return False
-        nroots = poly.count_roots(
-            sympy.Rational(v_iv.lo.numerator, v_iv.lo.denominator),
-            sympy.Rational(v_iv.hi.numerator, v_iv.hi.denominator),
-        )
-        return nroots == 0
-
+    poly = Polynomial.from_coeffs(coeffs)
+    v_iv = _abs_cos_enclosure(theta_lo, theta_hi)
+    roots = sturm_count(poly, v_iv.lo, v_iv.hi)
     claim = (
         f"stability margin 1 + k cos^2 - k|cos| - s(k,n,theta) > 0 "
         f"for n={n}, k={k}, theta in [{theta_lo}, {theta_hi}] degrees"
     )
-    boxes_checked = 0
-    stack = [(theta_lo, theta_hi, 0)]
-    first_undecided: Optional[tuple[Fraction, Fraction]] = None
-    while stack:
-        lo, hi, depth = stack.pop()
-        boxes_checked += 1
-        if box_certified(lo, hi):
-            continue
-        # Check for outright falsification at the box midpoint.
-        mid_margin = stability_margin(n, k, AngleDeg.from_degrees((lo + hi) / 2))
-        if mid_margin.hi < 0:
-            return CertificationReport(
-                claim=claim,
-                method="exact",
-                verdict="falsified",
-                payload={
-                    "counterexample_theta_deg": (lo + hi) / 2,
-                    "margin_enclosure": mid_margin,
-                },
-                provenance={"boxes_checked": boxes_checked, "max_depth": max_depth},
-            )
-        if depth >= max_depth:
-            first_undecided = (lo, hi)
-            break
-        mid = (lo + hi) / 2
-        stack.append((mid, hi, depth + 1))
-        stack.append((lo, mid, depth + 1))
-
-    if first_undecided is not None:
+    provenance = {"boxes_checked": 1, "roots_in_v_enclosure": roots}
+    if roots == 0 and poly(v_iv.lo) > 0:
         return CertificationReport(
             claim=claim,
             method="exact",
-            verdict="inconclusive",
+            verdict="certified",
             payload={
-                "first_undecided_box_deg": [first_undecided[0], first_undecided[1]],
-                "note": "box could not be certified at maximal depth; "
-                "the margin degenerates near 0 and 180 degrees",
+                "quartic_coeffs_desc": coeffs,
+                "margin_at_midpoint": stability_margin(
+                    n, k, AngleDeg.from_degrees((theta_lo + theta_hi) / 2)
+                ),
             },
-            provenance={"boxes_checked": boxes_checked, "max_depth": max_depth},
+            provenance=provenance,
+        )
+    witness = _negative_margin_witness(n, k, coeffs, v_iv, theta_lo, theta_hi)
+    if witness is not None:
+        return CertificationReport(
+            claim=claim,
+            method="exact",
+            verdict="falsified",
+            payload={"counterexample_theta_deg": witness[0], "margin_enclosure": witness[1]},
+            provenance=provenance,
         )
     return CertificationReport(
         claim=claim,
         method="exact",
-        verdict="certified",
+        verdict="inconclusive",
         payload={
-            "quartic_coeffs_desc": coeffs,
-            "margin_at_midpoint": stability_margin(
-                n, k, AngleDeg.from_degrees((theta_lo + theta_hi) / 2)
-            ),
+            "v_enclosure": v_iv,
+            "note": "the margin quartic is not positive on the whole |cos theta| enclosure, and "
+            "no angle with a certifiably negative margin was found; the margin vanishes at "
+            "0 and 180 degrees",
         },
-        provenance={"boxes_checked": boxes_checked, "max_depth": max_depth},
+        provenance=provenance,
     )
 
 
@@ -648,9 +635,7 @@ def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orienta
     ref = np.zeros(n + 1)
     ref[0] = c
     ref[n] = sign * s
-    # A BLAS product, as when the campaign reports were pinned; BLAS sends a
-    # single row to ddot and a batch to dgemv, which may round 1 ulp apart.
-    ip = nu @ ref
+    ip = nu[:, 0] * c + nu[:, n] * (sign * s)
     gap_sq = np.einsum("ij,ij->i", nu - ref[None, :], nu - ref[None, :])
     g_sq = _tilt_terms(nu[:, 0], nu[:, -1], c, kf).g2
 
@@ -730,8 +715,8 @@ def symbolic_identity_certificates() -> dict[str, bool]:
 
     The campaigns sample these identities numerically; this function
     certifies each one exactly by evaluating the very kernels the campaigns
-    run on sympy symbols (nu1, nu_last, cos theta, k) and checking that the
-    resulting defect expands to zero.  Only the unit-normal relation
+    run on polynomial variables (nu1, nu_last, cos theta, k) and checking
+    that the resulting defect is the zero polynomial.  Only the unit-normal relation
     (through the Gram forms of the frame projections) and
     cos^2 + sin^2 = 1 are used:
 
@@ -750,19 +735,17 @@ def symbolic_identity_certificates() -> dict[str, bool]:
 
 @functools.cache
 def _symbolic_certificates() -> dict[str, bool]:
-    import sympy
-
-    k, c, S, n1, npp = sympy.symbols("k c S nu1 nulast", real=True)
+    k, c, S, n1, npp = Polynomial.variables(5)
     t = _tilt_terms(n1, npp, c, k)
     _, gradient_defect = _gradient_defect(n1, npp, k, t)
     sum_defect, wedge_defect = _frame_defects(n1, npp, c, k, t)
     # S stands for +sin (up) or -sin (down); only S^2 = 1 - c^2 is used.
     signed = _signed_gap(n1 * c + npp * S, t.g2) - ((1 - k) * (n1 - c) ** 2 + (npp - S) ** 2)
     return {
-        "gradient_bound_identity": sympy.expand(gradient_defect) == 0,
-        "frame_sum_identity": sympy.expand(sum_defect) == 0,
-        "wedge_sum_identity": sympy.expand(wedge_defect) == 0,
-        "signed_gap_identity": sympy.expand(sympy.expand(signed).subs(S ** 2, 1 - c ** 2)) == 0,
+        "gradient_bound_identity": gradient_defect == 0,
+        "frame_sum_identity": sum_defect == 0,
+        "wedge_sum_identity": wedge_defect == 0,
+        "signed_gap_identity": signed.reduce_square(2, 1 - c ** 2) == 0,
     }
 
 

@@ -165,7 +165,7 @@ def test_criterion_07_identity_suites_at_full_sample_size():
 def test_criterion_08_margin_certification():
     for n, k in [(2, Fraction(1)), (3, Fraction(1)), (4, Fraction(1, 2)),
                  (5, Fraction(1, 3)), (6, Fraction(1, 4)), (7, Fraction(1, 5))]:
-        rep = tilt.certify_margin_positive(n, k, 1, 179, max_depth=40)
+        rep = tilt.certify_margin_positive(n, k, 1, 179)
         assert rep.verdict == "certified", f"(n,k)=({n},{k}): {rep.verdict}"
     _announce(8, "margin certified positive on [1°,179°] for all six (n,k) pairs")
 
@@ -211,6 +211,6 @@ def test_criterion_11_selftest_determinism(capsys):
     )
     # Pinned: any change to the report bytes of the default configuration shows here.
     assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == (
-        "38e0e04d7893f6d46940943be16571ea25c74639c84ce3fc1356c82abe4b0ab0"
+        "01bd755f7e8bc599b7cb0f945e16341ddb38f1a8664a99ce19d860e4ab166add"
     )
     _announce(11, "two selftest --seed 42 runs byte-identical except wall-time, digest pinned")

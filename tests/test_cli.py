@@ -207,6 +207,21 @@ def test_pnbound_rejects_m_beyond_the_oracle_limit(capsys):
     assert err.startswith("error:") and "21201" in err
 
 
+def test_pnbound_refuses_a_radicand_with_an_unproven_prime_factor(capsys, monkeypatch):
+    # For m = 2 and q = N/D with D = 7^33, N = (5D - 1)/2, the discriminant's
+    # radicand has the 82-bit factor 3799169689032693160639057; Miller-Rabin
+    # on bases 2..41 is proven only below 3.3e24, so the sup is not computed.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran the oracle after a refused enumeration")
+
+    monkeypatch.setattr(cones, "brute_force_sup", must_not_run)
+    d = 7 ** 33
+    code, out, err = run(capsys, "pnbound", "--m", "2", "--q", f"{(5 * d - 1) // 2}/{d}")
+    assert code == EXIT_OPERATIONAL_ERROR
+    assert out == ""
+    assert err.startswith("error: cannot decide") and "3799169689032693160639057" in err
+
+
 def test_oracle_draw_beyond_the_memory_cap_is_refused_up_front(capsys, monkeypatch):
     # At --m 21201 the default 10^5 samples would need 2^17 x 21201 doubles
     # (22 GB) per array: refused before the enumeration or any allocation.
@@ -233,7 +248,7 @@ def test_oracle_draw_beyond_the_memory_cap_is_refused_up_front(capsys, monkeypat
 
 
 def test_identities_certified_with_small_campaigns(capsys):
-    code, doc, _ = run_json(capsys, "identities", "--samples", "2000", "--depth", "30")
+    code, doc, _ = run_json(capsys, "identities", "--samples", "2000")
     assert code == EXIT_CERTIFIED
     assert doc["verdict"] == "certified"
     claims = [r["claim"] for r in doc["reports"]]
@@ -282,16 +297,14 @@ def test_optimize_rejects_unsupported_dimension(capsys):
 
 
 def test_selftest_runs_certified_quick(capsys):
-    code, doc, _ = run_json(
-        capsys, "selftest", "--samples", "2000", "--depth", "30", "--seed", "42"
-    )
+    code, doc, _ = run_json(capsys, "selftest", "--samples", "2000", "--seed", "42")
     assert code == EXIT_CERTIFIED
     assert doc["verdict"] == "certified"
     assert len(doc["reports"]) == 13
     digest_rep = doc["reports"][-1]
     # Pinned: any change to the report bytes of this configuration shows here.
     assert digest_rep["payload"]["content_digest_sha256"] == (
-        "f804ab7727e27ad97986b966a1c20e42553cfabf758fdf9f63a50c81be17ec17"
+        "cc9b927de972b37439591bbb48d80a3045d40f8f3a5391c2968c5741644b3966"
     )
 
 
@@ -322,7 +335,7 @@ def test_unknown_command_is_operational_error(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Startup: scipy and sympy are imported only by the commands that use them
+# Startup: scipy is imported only by the commands that use it; sympy never
 # ---------------------------------------------------------------------------
 
 
@@ -338,11 +351,14 @@ sys.stderr.write("\\n" + json.dumps([code, heavy]) + "\\n")
 """
 
 
-def fresh_run(*argv):
+def _fresh_env(**extra):
     path = [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
+def fresh_run(*argv):
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=_fresh_env(), timeout=300
     )
     code, heavy = json.loads(proc.stderr.splitlines()[-1])
     return code, heavy
@@ -364,4 +380,46 @@ def test_pnbound_still_loads_the_scipy_oracle():
         "pnbound", "--m", "5", "--q", "43/391", "--p2", "646328929/717317652", "--samples", "10000"
     )
     assert code == EXIT_FALSIFIED
-    assert "scipy.stats" in heavy
+    assert heavy == ["scipy.stats"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("certify", "--n", "4"), ("certify", "--n", "5"), ("certify", "--n", "6"),
+     ("identities", "--samples", "2000"), ("selftest", "--samples", "2000")],
+    ids=["certify-n4", "certify-n5", "certify-n6", "identities", "selftest"],
+)
+def test_exact_proofs_and_factoring_never_load_sympy(argv):
+    # Identity proofs, Sturm counts and squarefree radicands are computed by
+    # conecert.exact alone; sympy is a test-only cross-check.
+    code, heavy = fresh_run(*argv)
+    assert code == EXIT_CERTIFIED
+    assert "sympy" not in heavy
+
+
+# ---------------------------------------------------------------------------
+# Host portability: one selftest digest whatever kernels the CPU selects
+# ---------------------------------------------------------------------------
+
+
+_BASELINE_NUMPY = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
+
+
+@pytest.mark.parametrize(
+    "host",
+    [{"OPENBLAS_CORETYPE": "Prescott"},
+     {"NPY_DISABLE_CPU_FEATURES": _BASELINE_NUMPY},
+     {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": _BASELINE_NUMPY}],
+    ids=["openblas-prescott", "numpy-baseline", "both"],
+)
+def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
+    # OpenBLAS and numpy pick BLAS and SIMD kernels per CPU; these settings
+    # make this host pick an older CPU's kernels.  Every float in the reports
+    # comes from correctly rounded operations, so the digest is criterion 11's.
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert", "selftest", "--seed", "42", "--format", "json"],
+        capture_output=True, text=True, env=_fresh_env(**host), timeout=600,
+    )
+    assert proc.returncode == EXIT_CERTIFIED, proc.stderr
+    digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
+    assert digest == "01bd755f7e8bc599b7cb0f945e16341ddb38f1a8664a99ce19d860e4ab166add"

@@ -276,12 +276,13 @@ def test_certify_dimension_reports_m_ambiguity():
     assert rep.verdict == "certified"
 
 
-@pytest.mark.parametrize("n,m,expected", [(5, 4, 0.6307095887206784), (6, 5, 0.9579365174853631)])
+@pytest.mark.parametrize("n,m,expected", [(5, 4, 0.6307095887206784), (6, 5, 0.957936517485363)])
 def test_certify_dimension_sup_float_is_f_squared_when_irrational(n, m, expected):
     entry = cones.certify_dimension(n).payload["sup_comparisons"][f"m={m}"]
     assert isinstance(entry["sup_f_squared"], str)  # irrational: printed as "r + c*sqrt(d)"
     assert entry["sup_f_squared_float"] == expected
-    assert math.isclose(expected, float(sympy.N(sympy.sympify(entry["sup_f_squared"]), 30)), abs_tol=1e-15)
+    # Correctly rounded: the nearest double to the exact surd.
+    assert expected == float(sympy.N(sympy.sympify(entry["sup_f_squared"]), 30))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conecert import exact
 from conecert.exact import (
     AngleDeg,
     DegenerateQuadraticError,
     Interval,
+    Polynomial,
     QuadraticSurd,
     SingularAngleError,
     angle_range_from_threshold,
@@ -19,6 +21,7 @@ from conecert.exact import (
     pi_interval,
     quadratic_real_roots,
     sqrt_fraction_enclosure,
+    sturm_count,
     threshold_to_cos_squared,
     to_fraction,
 )
@@ -213,6 +216,103 @@ def test_compare_matches_sympy_sign(u, v, equal):
     assert compare(QuadraticSurd(*u), QuadraticSurd(*v)) == expected
     if equal:
         assert QuadraticSurd(*u) == QuadraticSurd(*v)
+
+
+def test_surd_float_is_correctly_rounded():
+    # The m = 4, q = 6/11 critical root -0.2146638974973679428...: the
+    # float(r) + float(c) sqrt(d) formula gives ...797, one ulp off.
+    root = quadratic_real_roots(Fraction(336, 11), Fraction(333, 11), Fraction(56, 11))[1]
+    assert root == QuadraticSurd(Fraction(-111, 224), Fraction(25, 672), 57)
+    assert float(root) == -0.21466389749736794
+    assert float(QuadraticSurd(0, 1, 2)) == math.sqrt(2)
+    assert float(QuadraticSurd(Fraction(7, 3))) == 7 / 3
+
+
+@given(surds)
+@settings(max_examples=200, deadline=None)
+def test_surd_float_matches_a_400_bit_evaluation(u):
+    import mpmath
+
+    r, c, d = u
+    with mpmath.workprec(400):
+        expected = float(
+            mpmath.mpf(r.numerator) / r.denominator
+            + mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(d)
+        )
+    assert float(QuadraticSurd(*u)) == expected
+
+
+def test_square_split_agrees_with_factorint():
+    import random
+
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20170101)
+    samples = [rng.randrange(1, 10 ** 18) for _ in range(300)]
+    # Prime squares, and semiprimes whose factors are all above 41.
+    samples += [1, 43 * 43, 1000003 ** 2 * 6, 999999937 * 999999929, 2 ** 61 - 1, (2 ** 31 - 1) ** 2]
+    for n in samples:
+        s = f = 1
+        for prime, mult in sympy.factorint(n).items():
+            s *= int(prime) ** (mult // 2)
+            f *= int(prime) ** (mult % 2)
+        assert exact._square_split(n) == (s, f), n
+
+
+def test_square_split_refuses_an_unproven_prime():
+    # 2^89 - 1 is prime, but Miller-Rabin on bases 2..41 is proven only below
+    # 3.3e24: the squarefree normal form cannot be decided, so it is refused.
+    with pytest.raises(ValueError, match="cannot decide"):
+        QuadraticSurd(0, 1, 2 ** 89 - 1)
+    # Compositeness needs no bound: 2^89 + 1 = 3 * 179 * 62020897 * 18584774046020617.
+    assert exact._square_split(2 ** 89 + 1) == (1, 2 ** 89 + 1)
+
+
+# ---------------------------------------------------------------------------
+# Polynomial and Sturm counts
+# ---------------------------------------------------------------------------
+
+
+def test_polynomial_arithmetic_and_evaluation():
+    x, y = Polynomial.variables(2)
+    p = (x + y) ** 2 - x * x - 2 * x * y
+    assert p == y ** 2 and p != x
+    assert x - x == 0 and not (x - x).terms
+    assert (3 - x)(Fraction(1, 2), 7) == Fraction(5, 2)
+    assert (Fraction(1, 3) * x * y ** 2)(3, 2) == 4
+    with pytest.raises(TypeError):
+        x + 0.5
+    with pytest.raises(ValueError):
+        x + Polynomial.variables(3)[0]
+
+
+def test_polynomial_reduce_square():
+    c, s = Polynomial.variables(2)
+    # (c + s)^2 = c^2 + 2cs + s^2 becomes 1 + 2cs once s^2 = 1 - c^2.
+    assert ((c + s) ** 2).reduce_square(1, 1 - c ** 2) == 1 + 2 * c * s
+    assert (s ** 3).reduce_square(1, 1 - c ** 2) == s - c ** 2 * s
+
+
+def test_polynomial_division_with_remainder():
+    p = Polynomial.from_coeffs([1, 0, -3, 2])  # x^3 - 3x + 2 = (x - 1)^2 (x + 2)
+    q, r = divmod(p, Polynomial.from_coeffs([1, -1]))
+    assert r == 0 and q == Polynomial.from_coeffs([1, 1, -2])
+    divisor = Polynomial.from_coeffs([2, 0, 1])
+    q, r = divmod(p, divisor)
+    assert q * divisor + r == p and r.degree < 2
+    assert p.derivative() == Polynomial.from_coeffs([3, 0, -3])
+
+
+def test_sturm_count_distinct_roots_in_closed_interval():
+    p = Polynomial.from_coeffs([1, 0, -3, 2])  # double root 1, simple root -2
+    assert sturm_count(p, -3, 3) == 2
+    assert sturm_count(p, 1, 1) == 1  # a double root at both ends counts once
+    assert sturm_count(p, 0, 1) == 1 and sturm_count(p, 1, 3) == 1
+    assert sturm_count(p, Fraction(11, 10), 3) == 0
+    assert sturm_count(p, -2, 0) == 1
+    assert sturm_count(Polynomial.from_coeffs([1, 0, 1]), -10, 10) == 0
+    assert sturm_count(Polynomial.from_coeffs([5]), 0, 1) == 0
+    with pytest.raises(ValueError):
+        sturm_count(Polynomial.from_coeffs([0]), 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert import tilt
-from conecert.exact import AngleDeg, Interval
+from conecert.exact import AngleDeg, Interval, Polynomial, sturm_count
 
 ANGLES_K = [
     (Fraction(100), Fraction(1)),
@@ -98,6 +98,39 @@ def test_symbolic_identity_certificates_all_hold():
         "wedge_sum_identity": True,
         "signed_gap_identity": True,
     }
+
+
+def _kernel_outputs(k, c, s, n1, npp):
+    t = tilt._tilt_terms(n1, npp, c, k)
+    jfrak, gradient_defect = tilt._gradient_defect(n1, npp, k, t)
+    sum_defect, wedge_defect = tilt._frame_defects(n1, npp, c, k, t)
+    signed = tilt._signed_gap(n1 * c + npp * s, t.g2) - ((1 - k) * (n1 - c) ** 2 + (npp - s) ** 2)
+    return [t.g2, jfrak, gradient_defect, sum_defect, wedge_defect, signed]
+
+
+def test_polynomial_expansion_agrees_with_sympy():
+    # The kernels expanded as exact polynomials equal sympy's expansion of the
+    # same kernels on symbols: non-zero ones (g^2, jfrak, the unreduced signed
+    # gap) term by term, and the identities' defects as zero.
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("k c S nu1 nulast", real=True)
+    variables = Polynomial.variables(5)
+
+    def as_sympy(poly):
+        return sympy.Add(*[
+            sympy.Rational(int(coeff.numerator), int(coeff.denominator))
+            * sympy.Mul(*[x ** e for x, e in zip(symbols, exps)])
+            for exps, coeff in poly.terms.items()
+        ])
+
+    for poly, expr in zip(_kernel_outputs(*variables), _kernel_outputs(*symbols)):
+        assert sympy.expand(as_sympy(poly) - expr) == 0
+    k, c, s, _, _ = symbols
+    signed_poly = _kernel_outputs(*variables)[-1]
+    signed_expr = sympy.expand(_kernel_outputs(*symbols)[-1])
+    assert signed_poly != 0 and signed_expr != 0
+    assert signed_poly.reduce_square(2, 1 - variables[1] ** 2) == 0
+    assert sympy.expand(signed_expr.subs(s ** 2, 1 - c ** 2)) == 0
 
 
 @given(
@@ -214,26 +247,69 @@ def test_margin_polynomial_tracks_margin_sign():
      (5, Fraction(1, 3)), (6, Fraction(1, 4)), (7, Fraction(1, 5))],
 )
 def test_margin_certified_positive_on_working_range(n, k):
-    rep = tilt.certify_margin_positive(n, k, 1, 179, max_depth=40)
+    rep = tilt.certify_margin_positive(n, k, 1, 179)
     assert rep.verdict == "certified"
     assert rep.method in ("exact", "interval")
 
 
 def test_margin_certification_fails_towards_poles():
-    # The margin vanishes at the poles, so a range touching 0 cannot certify
-    # at any depth; strictly interior ranges still certify.
-    rep = tilt.certify_margin_positive(3, Fraction(1), 0, 179, max_depth=8)
+    # The margin vanishes at the poles, so a range touching 0 cannot certify;
+    # strictly interior ranges still certify.
+    rep = tilt.certify_margin_positive(3, Fraction(1), 0, 179)
     assert rep.verdict == "inconclusive"
-    interior = tilt.certify_margin_positive(3, Fraction(1), Fraction(1, 10**6), 179, max_depth=12)
+    interior = tilt.certify_margin_positive(3, Fraction(1), Fraction(1, 10**6), 179)
     assert interior.verdict == "certified"
 
 
-def test_margin_certification_depth_limit_is_honoured():
-    shallow = tilt.certify_margin_positive(3, Fraction(1), 0, 179, max_depth=0)
-    assert shallow.verdict == "inconclusive"
-    assert shallow.provenance["boxes_checked"] == 1
-    deeper = tilt.certify_margin_positive(3, Fraction(1), 0, 179, max_depth=6)
-    assert deeper.provenance["boxes_checked"] > 1
+def test_margin_certification_decides_in_one_count(monkeypatch):
+    # A range touching 0 degrees has P(1) = 0 on its |cos| enclosure: one
+    # box, one Sturm count, and the verdict is inconclusive, not a deeper search.
+    counts = []
+    original = tilt.sturm_count
+    monkeypatch.setattr(tilt, "sturm_count", lambda *a: counts.append(a) or original(*a))
+    rep = tilt.certify_margin_positive(3, Fraction(1), 0, 179)
+    assert rep.verdict == "inconclusive"
+    assert rep.provenance["boxes_checked"] == 1
+    assert len(counts) == 1
+    _, lo, hi = counts[0]
+    assert hi == 1 and tilt.margin_polynomial_value(3, Fraction(1), hi) == 0
+
+
+def test_margin_falsified_with_a_certified_witness():
+    # n = 10, k = 1 lies outside k <= 1/(n-2): the margin turns negative.
+    rep = tilt.certify_margin_positive(10, 1, 1, 179)
+    assert rep.verdict == "falsified"
+    theta = rep.payload["counterexample_theta_deg"]
+    assert 1 <= theta <= 179
+    assert rep.payload["margin_enclosure"].strictly_negative()
+    again = tilt.stability_margin(10, Fraction(1), AngleDeg.from_degrees(theta))
+    assert again == rep.payload["margin_enclosure"] and again.hi < 0
+
+
+def _margin_grid():
+    for n in range(2, 30):
+        ks = {Fraction(1), Fraction(1, 2), Fraction(1, 3), tilt.default_k(n), Fraction(1, 10)}
+        for k in sorted(ks):
+            yield n, k
+
+
+def test_sturm_count_matches_sympy_on_the_margin_quartics():
+    sympy = pytest.importorskip("sympy")
+    v = sympy.Symbol("v")
+    cos1 = tilt._abs_cos_enclosure(Fraction(1), Fraction(179)).hi
+    ranges = [(Fraction(0), cos1), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(999999, 10**6)),
+              (Fraction(1, 2), Fraction(1))]
+    with_roots = 0
+    for n, k in _margin_grid():
+        coeffs = tilt.margin_polynomial_coeffs(n, k)
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], v, domain="QQ")
+        mine = Polynomial.from_coeffs(coeffs)
+        for lo, hi in ranges:
+            expected = poly.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                                        sympy.Rational(hi.numerator, hi.denominator))
+            assert sturm_count(mine, lo, hi) == expected, (n, k, lo, hi)
+        with_roots += sturm_count(mine, 0, Fraction(999999, 10**6)) > 0
+    assert with_roots == 92
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +348,9 @@ def test_appendix_campaign_clean(theta_deg, orientation):
 
 
 def test_appendix_campaign_vectorized_matches_pointwise():
-    # The scalar check is the campaign's kernel on a batch of one, so the
-    # worst values over the same ball agree bit for bit -- except the two
-    # slacks read through <nu, nu_ref>: that product goes through BLAS,
-    # which sends a single row to ddot and a batch to dgemv, and the two
-    # kernels may round differently.  Those two are held
-    # to a few units in the last place of an O(1) quantity.
-    ulps = 4 * np.finfo(float).eps
+    # The scalar check is the campaign's kernel on a batch of one, and every
+    # slack is built elementwise, so the worst values over the same ball
+    # agree bit for bit.
     for n in (2, 3, 4, 6):
         for theta_deg in (91, 120, 150):
             for orientation in ("up", "down"):
@@ -300,10 +372,8 @@ def test_appendix_campaign_vectorized_matches_pointwise():
                 assert min(r.slack_gradient_shift for r in reps) == res.min_slack_gradient_shift, config
                 assert min(r.slack_normal_gap for r in reps) == res.min_slack_normal_gap, config
                 assert min(r.slack_gradient_size for r in reps) == res.min_slack_gradient_size, config
-                worst_tilt = min(r.slack_tilt_vs_gap for r in reps)
-                assert abs(worst_tilt - res.min_slack_tilt_vs_gap) <= ulps, config
-                worst_signed = min(r.signed_gap_slack for r in reps)
-                assert abs(worst_signed - res.min_signed_gap_slack) <= ulps, config
+                assert min(r.slack_tilt_vs_gap for r in reps) == res.min_slack_tilt_vs_gap, config
+                assert min(r.signed_gap_slack for r in reps) == res.min_signed_gap_slack, config
 
 
 @pytest.mark.parametrize(
