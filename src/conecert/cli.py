@@ -254,8 +254,6 @@ def _override_echo(alpha, delta, q, p2) -> dict:
 
 _ORACLE_AGREEMENT = 1e-8
 _MIN_ORACLE_SAMPLES = 10_000
-# The oracle's Sobol generator supports at most this many dimensions.
-_MAX_ORACLE_DIM = 21201
 
 
 def _check_oracle_size(m: int, samples: int) -> None:
@@ -287,8 +285,6 @@ def pnbound(
     started = time.perf_counter()
     if m < 2:
         raise click.UsageError("--m must be at least 2")
-    if m > _MAX_ORACLE_DIM:
-        raise click.UsageError(f"--m must be at most {_MAX_ORACLE_DIM} (the sampling oracle's limit)")
     if q <= 0:
         raise click.UsageError("--q must be positive")
     samples_used = max(samples, _MIN_ORACLE_SAMPLES)

@@ -16,10 +16,9 @@ two ways:
   :class:`~conecert.exact.QuadraticSurd` numbers of Q(sqrt(disc)), and the
   champion is chosen by the exact order :func:`~conecert.exact.compare`,
   which also decides sup^2 against p^2 across fields;
-* approximately from below, by quasi-random sphere sampling plus projected
-  gradient ascent (``brute_force_sup``), an independent oracle that must
-  agree with the enumeration to 1e-8.  It is the package's only user of
-  scipy and imports ``scipy.stats`` on its first call.
+* approximately from below, by sampling pseudo-random Gaussian directions
+  on the sphere plus projected gradient ascent (``brute_force_sup``), an
+  independent oracle that must agree with the enumeration to 1e-8.
 
 On top sit the exact threshold functional ``m_functional``, the parameter
 constraint ``constraint_holds``, per-dimension certification combining both
@@ -338,7 +337,7 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
 
 @dataclass(frozen=True)
 class BruteForceResult:
-    """Best |f| found by quasi-random sampling plus gradient ascent."""
+    """Best |f| found by random sphere sampling plus gradient ascent."""
 
     value: float
     witness: tuple[float, ...]
@@ -366,22 +365,16 @@ def _f_and_gradient(x: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     return f, grad
 
 
-# The oracle holds its whole Sobol draw of 2^bits points in R^m, and the
-# Gaussian image of that draw, at once: at most this many doubles per array.
+# The oracle holds its whole draw of ``samples`` directions in R^m at once:
+# at most this many doubles per array.
 ORACLE_MAX_DOUBLES = 2 ** 25  # 256 MiB
-
-
-def _sobol_bits(samples: int) -> int:
-    """log2 of the Sobol draw that covers ``samples`` points (at least 2 points)."""
-    return max(1, (samples - 1).bit_length())
 
 
 def check_oracle_size(m: int, samples: int) -> None:
     """Raise ValueError if ``brute_force_sup(m, q, samples)`` would exceed ORACLE_MAX_DOUBLES."""
-    points = 2 ** _sobol_bits(samples)
-    if points * m > ORACLE_MAX_DOUBLES:
+    if samples * m > ORACLE_MAX_DOUBLES:
         raise ValueError(
-            f"the oracle would draw {points} points in R^{m}, {points * m} doubles per array; "
+            f"the oracle would draw {samples} points in R^{m}, {samples * m} doubles per array; "
             f"the limit is {ORACLE_MAX_DOUBLES} doubles (256 MiB), so lower the samples or m"
         )
 
@@ -395,12 +388,11 @@ def brute_force_sup(
 ) -> BruteForceResult:
     """Lower-bound oracle for sup |f_{m,q}| on the unit sphere.
 
-    Scrambled Sobol points are pushed through the Gaussian inverse CDF and
-    normalised to the sphere; the best 512 starts are refined by projected
-    gradient ascent on |f| with per-sample adaptive step sizes.  Fully
-    deterministic for a fixed seed.  scipy.stats is imported on the first
-    call; draws above ORACLE_MAX_DOUBLES are refused before anything is
-    allocated.
+    Standard Gaussian vectors from ``numpy.random.default_rng(seed)`` are
+    normalised to uniform directions on the sphere (Muller 1959); the best
+    512 starts are refined by projected gradient ascent on |f| with
+    per-sample adaptive step sizes.  Fully deterministic for a fixed seed.
+    Draws above ORACLE_MAX_DOUBLES are refused before anything is allocated.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -409,16 +401,8 @@ def brute_force_sup(
     check_oracle_size(m, samples)
     q = float(to_fraction(q))
 
-    from scipy import stats
-    from scipy.stats import qmc
-
-    sobol = qmc.Sobol(d=m, scramble=True, seed=seed)
-    u = sobol.random_base2(_sobol_bits(samples))[:samples]
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    g = stats.norm.ppf(u)
-    norms = np.linalg.norm(g, axis=1)
-    keep = norms > 1e-8
-    x = g[keep] / norms[keep, None]
+    x = np.random.default_rng(seed).standard_normal((samples, m))
+    x /= np.linalg.norm(x, axis=1)[:, None]
 
     f, _ = _f_and_gradient(x, q)
     order = np.argsort(-np.abs(f))

@@ -397,7 +397,10 @@ def _square_split(n: int) -> tuple[int, int]:
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
-        if m < 43 * 43 or _is_prime(m):  # no factor <= 41 is left
+        root = math.isqrt(m)
+        if root * root == m:  # rho needs ~sqrt(p) steps on p^2, past its budget for p > 10^12
+            pending += [root, root]
+        elif m < 43 * 43 or _is_prime(m):  # no factor <= 41 is left
             primes[m] = primes.get(m, 0) + 1
         else:
             factor = _rho_factor(m)
@@ -444,9 +447,9 @@ class QuadraticSurd:
 
     @classmethod
     def _in_field(cls, rational: Fraction, coeff: Fraction, radicand: int) -> "QuadraticSurd":
-        """Field arithmetic result; ``radicand`` is already squarefree, so skip factoring."""
+        """Field arithmetic result or a rational; ``radicand`` is already squarefree, so skip factoring."""
         if coeff == 0:
-            return cls(rational)
+            coeff, radicand = Fraction(0), 0
         value = object.__new__(cls)
         object.__setattr__(value, "rational", rational)
         object.__setattr__(value, "coeff", coeff)
@@ -464,7 +467,9 @@ class QuadraticSurd:
 
     @staticmethod
     def _coerce(value) -> "QuadraticSurd":
-        return value if isinstance(value, QuadraticSurd) else QuadraticSurd(to_fraction(value))
+        if isinstance(value, QuadraticSurd):
+            return value
+        return QuadraticSurd._in_field(to_fraction(value), Fraction(0), 0)
 
     @property
     def is_rational(self) -> bool:

@@ -199,12 +199,12 @@ def test_pnbound_input_validation(capsys):
 
 
 def test_pnbound_rejects_m_beyond_the_oracle_limit(capsys):
-    # Sobol sampling supports at most 21201 dimensions; larger --m must be
-    # refused up front, not after a long enumeration and a scipy traceback.
+    # 10^4 samples in R^25000 exceed the oracle's memory cap; refused up
+    # front, not after a long enumeration.
     code, out, err = run(capsys, "pnbound", "--m", "25000", "--q", "1", "--samples", "10000")
     assert code == EXIT_OPERATIONAL_ERROR
     assert out == ""
-    assert err.startswith("error:") and "21201" in err
+    assert err.startswith("error:") and str(cones.ORACLE_MAX_DOUBLES) in err
 
 
 def test_pnbound_refuses_a_radicand_with_an_unproven_prime_factor(capsys, monkeypatch):
@@ -223,8 +223,8 @@ def test_pnbound_refuses_a_radicand_with_an_unproven_prime_factor(capsys, monkey
 
 
 def test_oracle_draw_beyond_the_memory_cap_is_refused_up_front(capsys, monkeypatch):
-    # At --m 21201 the default 10^5 samples would need 2^17 x 21201 doubles
-    # (22 GB) per array: refused before the enumeration or any allocation.
+    # At --m 21201 the default 10^5 samples would need 10^5 x 21201 doubles
+    # (17 GB) per array: refused before the enumeration or any allocation.
     def must_not_run(*args, **kwargs):
         raise AssertionError("started work on an oversized oracle draw")
 
@@ -335,7 +335,7 @@ def test_unknown_command_is_operational_error(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Startup: scipy is imported only by the commands that use it; sympy never
+# Startup: no command loads scipy or sympy
 # ---------------------------------------------------------------------------
 
 
@@ -346,7 +346,7 @@ _PROBE = """
 import json, sys
 from conecert.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-heavy = [name for name in ("scipy.stats", "sympy") if name in sys.modules]
+heavy = sorted({name.split(".")[0] for name in sys.modules} & {"scipy", "sympy"})
 sys.stderr.write("\\n" + json.dumps([code, heavy]) + "\\n")
 """
 
@@ -365,22 +365,24 @@ def fresh_run(*argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [(), ("--version",), ("certify", "--n", "3"), ("table",), ("optimize", "--n", "5", "--budget", "200")],
-    ids=["import", "version", "certify-n3", "table", "optimize"],
+    "argv,expected_code",
+    [
+        ((), EXIT_CERTIFIED),
+        (("--version",), EXIT_CERTIFIED),
+        (("certify", "--n", "3"), EXIT_CERTIFIED),
+        (("table",), EXIT_CERTIFIED),
+        (("optimize", "--n", "5", "--budget", "200"), EXIT_CERTIFIED),
+        (("pnbound", "--m", "5", "--q", "43/391", "--p2", "646328929/717317652", "--samples", "10000"),
+         EXIT_FALSIFIED),
+        (("selftest", "--samples", "2000"), EXIT_CERTIFIED),
+    ],
+    ids=["import", "version", "certify-n3", "table", "optimize", "pnbound", "selftest"],
 )
-def test_exact_commands_load_neither_scipy_nor_sympy(argv):
+def test_exact_commands_load_neither_scipy_nor_sympy(argv, expected_code):
+    # The sampling oracle (pnbound, selftest) draws from numpy alone.
     code, heavy = fresh_run(*argv)
-    assert code == EXIT_CERTIFIED
+    assert code == expected_code
     assert heavy == []
-
-
-def test_pnbound_still_loads_the_scipy_oracle():
-    code, heavy = fresh_run(
-        "pnbound", "--m", "5", "--q", "43/391", "--p2", "646328929/717317652", "--samples", "10000"
-    )
-    assert code == EXIT_FALSIFIED
-    assert heavy == ["scipy.stats"]
 
 
 @pytest.mark.parametrize(

@@ -181,10 +181,10 @@ def test_brute_force_requires_enough_samples():
 
 
 def test_brute_force_refuses_draws_beyond_the_memory_cap():
-    # 10^5 samples draw 2^17 points: m = 256 fills the 2^25-double cap, 257 exceeds it.
-    cones.check_oracle_size(256, 100_000)
+    # 10^5 samples in R^335 are 33 500 000 <= 2^25 doubles; R^336 needs 33 600 000.
+    cones.check_oracle_size(335, 100_000)
     cones.check_oracle_size(2, 2 ** 24)
-    for m, samples in ((257, 100_000), (21201, 100_000), (2, 2 ** 24 + 1)):
+    for m, samples in ((336, 100_000), (21201, 100_000), (2, 2 ** 24 + 1)):
         with pytest.raises(ValueError, match=str(cones.ORACLE_MAX_DOUBLES)):
             cones.check_oracle_size(m, samples)
     with pytest.raises(ValueError, match="limit"):
@@ -205,6 +205,32 @@ def test_sup_value_positive_and_bounded(q):
     val = float(res)
     # |f| <= sqrt(P2^3)/P2^{3/2} * (1 + |1-q| + q) crude bound: just sanity.
     assert 0 < val < 10
+
+
+def test_sup_at_large_m_matches_sympy_expansion_at_the_witness():
+    # The witness is a float, so its exact coordinate y is recovered from a
+    # sympy root of the critical quadratic: a witness (a ones, b copies of y)
+    # comes from the root y of split (b, a) when |y| <= 1, else from the root
+    # 1/y of split (a, b).
+    q = Fraction(43, 391)
+    res = cones.sup_abs_f_two_value(200, q)
+    w = res.witness
+    x = sympy.Symbol("x")
+
+    def exact_roots(a, b):
+        A, B, C = (sympy.Rational(c) for c in cones.critical_quadratic_coeffs(a, b, q))
+        return sympy.solve(A * x ** 2 + B * x + C, x)
+
+    ys = [r for r in exact_roots(w.b, w.a) if abs(r) <= 1] + [1 / r for r in exact_roots(w.a, w.b) if abs(r) > 1]
+    y = min(ys, key=lambda r: abs(float(r) - w.y))
+    assert w.y == float(sympy.N(y, 40))
+
+    qs = sympy.Rational(q)
+    P1, P2, P3 = w.a + w.b * y, w.a + w.b * y ** 2, w.a + w.b * y ** 3
+    N = P3 + (1 - qs) * P1 * P2 - qs * P1 ** 3
+    f2 = sympy.radsimp(N ** 2 / (P2 + P1 ** 2) ** 3)
+    assert isinstance(res.f_squared, QuadraticSurd)
+    assert sympy.expand(f2 - sympy.sympify(str(res.f_squared))) == 0
 
 
 def test_sup_monotone_in_m_at_fixed_q():

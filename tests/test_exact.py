@@ -368,6 +368,8 @@ def test_supplement_mirrors_cosine(deg):
 
 @given(rationals, rationals, st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=1000))
 @settings(max_examples=60, deadline=None)
+# The discriminant's radicand is the square of the prime 2875948899419.
+@example(r1=Fraction(-5751541, 27944), r2=Fraction(6590, 499999), lead=Fraction(1, 100))
 def test_quadratic_roots_from_constructed_factors(r1, r2, lead):
     # a (x - r1)(x - r2) has exactly the roots {r1, r2}.
     a = lead
