@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import click
+import numpy as np
 
 from . import cones, linearization, tilt
 from .exact import AngleDeg, Interval, QuadraticSurd, angle_range_from_threshold, compare
@@ -401,10 +402,14 @@ def _campaign_suite(samples: int, seed: int) -> tuple[dict, dict]:
                 theta=AngleDeg.from_degrees(theta_deg), k=k, n=n, exploratory=True
             )
             res = tilt.identity_campaign(params, samples=samples, seed=seed)
-            worst["gradient"] = max(worst["gradient"], res.max_gradient_residual)
-            worst["frame"] = max(worst["frame"], res.max_frame_sum_residual)
-            worst["wedge"] = max(worst["wedge"], res.max_wedge_sum_residual)
-            worst["j_over_g2"] = max(worst["j_over_g2"], res.max_j_over_g2)
+            # np.maximum keeps a NaN residual, which max() would drop.
+            for key, value in (
+                ("gradient", res.max_gradient_residual),
+                ("frame", res.max_frame_sum_residual),
+                ("wedge", res.max_wedge_sum_residual),
+                ("j_over_g2", res.max_j_over_g2),
+            ):
+                worst[key] = float(np.maximum(worst[key], value))
             worst["fallbacks"] += res.fallback_count
             per_config[f"theta={theta_deg} k={k} n={n}"] = {
                 "max_gradient_residual": res.max_gradient_residual,

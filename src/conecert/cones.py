@@ -36,6 +36,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._sampling import unit_gaussian_chunks
 from .exact import (
     Interval,
     QuadraticSurd,
@@ -346,8 +347,8 @@ class BruteForceResult:
     seed: int
 
 
-def _f_and_gradient(x: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised f values and Euclidean gradients for rows of x."""
+def _f_parts(x: np.ndarray, q: float) -> tuple:
+    """x^2, P1, P2, the numerator N, base = P2 + P1^2, base^1.5 and f for rows of x."""
     # Only + - * / and sqrt, which IEEE 754 rounds correctly: numpy sends
     # float powers to SIMD kernels picked per CPU, which round differently.
     x2 = x * x
@@ -357,25 +358,39 @@ def _f_and_gradient(x: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     N = p3 + (1.0 - q) * p1 * p2 - q * (p1 * p1 * p1)
     base = p2 + p1 * p1
     b15 = base * np.sqrt(base)
+    return x2, p1, p2, N, base, b15, N / b15
+
+
+def _f_value(x: np.ndarray, q: float) -> np.ndarray:
+    """Vectorised f values for rows of x, bitwise equal to ``_f_and_gradient``'s."""
+    return _f_parts(x, q)[-1]
+
+
+def _f_and_gradient(x: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised f values and Euclidean gradients for rows of x."""
+    x2, p1, p2, N, base, b15, f = _f_parts(x, q)
     b25 = base * b15
-    f = N / b15
     dN = 3.0 * x2 + (1.0 - q) * (p2[:, None] + 2.0 * p1[:, None] * x) - 3.0 * q * (p1 * p1)[:, None]
     dbase = 2.0 * x + 2.0 * p1[:, None]
     grad = dN / b15[:, None] - 1.5 * N[:, None] * dbase / b25[:, None]
     return f, grad
 
 
-# The oracle holds its whole draw of ``samples`` directions in R^m at once:
-# at most this many doubles per array.
-ORACLE_MAX_DOUBLES = 2 ** 25  # 256 MiB
+# The oracle streams its draw in chunks, so memory does not grow with the
+# draw; this caps its work, the samples x m coordinates it draws and scores.
+ORACLE_MAX_DOUBLES = 2 ** 25
+
+# Ascent starts kept from the draw: the rows of largest |f|.
+_ORACLE_STARTS = 512
 
 
 def check_oracle_size(m: int, samples: int) -> None:
     """Raise ValueError if ``brute_force_sup(m, q, samples)`` would exceed ORACLE_MAX_DOUBLES."""
     if samples * m > ORACLE_MAX_DOUBLES:
         raise ValueError(
-            f"the oracle would draw {samples} points in R^{m}, {samples * m} doubles per array; "
-            f"the limit is {ORACLE_MAX_DOUBLES} doubles (256 MiB), so lower the samples or m"
+            f"the oracle would draw {samples} points in R^{m}, {samples * m} coordinates in all; "
+            f"the limit is {ORACLE_MAX_DOUBLES} coordinates, which bounds its work, "
+            "so lower the samples or m"
         )
 
 
@@ -389,10 +404,11 @@ def brute_force_sup(
     """Lower-bound oracle for sup |f_{m,q}| on the unit sphere.
 
     Standard Gaussian vectors from ``numpy.random.default_rng(seed)`` are
-    normalised to uniform directions on the sphere (Muller 1959); the best
-    512 starts are refined by projected gradient ascent on |f| with
-    per-sample adaptive step sizes.  Fully deterministic for a fixed seed.
-    Draws above ORACLE_MAX_DOUBLES are refused before anything is allocated.
+    normalised to uniform directions on the sphere (Muller 1959) and scored
+    chunk by chunk, keeping a running top 512 by |f|; those starts are
+    refined by projected gradient ascent on |f| with per-sample adaptive
+    step sizes.  Fully deterministic for a fixed seed.  Draws above
+    ORACLE_MAX_DOUBLES are refused before any work.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -401,31 +417,35 @@ def brute_force_sup(
     check_oracle_size(m, samples)
     q = float(to_fraction(q))
 
-    x = np.random.default_rng(seed).standard_normal((samples, m))
-    x /= np.linalg.norm(x, axis=1)[:, None]
-
-    f, _ = _f_and_gradient(x, q)
-    order = np.argsort(-np.abs(f))
-    top = x[order[:512]].copy()
+    top = np.empty((0, m))
+    vals = np.empty(0)
+    for x in unit_gaussian_chunks(np.random.default_rng(seed), samples, m):
+        top = np.concatenate((top, x))
+        vals = np.concatenate((vals, _f_value(x, q)))
+        if vals.size > _ORACLE_STARTS:
+            keep = np.argpartition(-np.abs(vals), _ORACLE_STARTS - 1)[:_ORACLE_STARTS]
+            top, vals = top[keep], vals[keep]
+    order = np.argsort(-np.abs(vals))
+    top, vals = top[order], vals[order]
 
     step = np.full(top.shape[0], 0.1)
     for _ in range(ascent_steps):
-        vals, grads = _f_and_gradient(top, q)
+        _, grads = _f_and_gradient(top, q)
         direction = np.sign(vals)[:, None] * grads
         tangential = direction - (direction * top).sum(axis=1)[:, None] * top
         proposal = top + step[:, None] * tangential
         proposal /= np.linalg.norm(proposal, axis=1)[:, None]
-        new_vals, _ = _f_and_gradient(proposal, q)
+        new_vals = _f_value(proposal, q)
         better = np.abs(new_vals) > np.abs(vals)
         top[better] = proposal[better]
+        vals[better] = new_vals[better]
         step[better] *= 1.3
         step[~better] *= 0.5
 
-    final, _ = _f_and_gradient(top, q)
-    best_idx = int(np.argmax(np.abs(final)))
+    best_idx = int(np.argmax(np.abs(vals)))
     witness = np.sort(top[best_idx])[::-1]
     return BruteForceResult(
-        value=float(np.abs(final[best_idx])),
+        value=float(np.abs(vals[best_idx])),
         witness=tuple(float(c) for c in witness),
         samples=samples,
         ascent_steps=ascent_steps,

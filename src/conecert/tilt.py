@@ -47,6 +47,7 @@ from typing import NamedTuple, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
+from ._sampling import chunk_sizes, unit_gaussian_chunks
 from .exact import (
     AngleDeg,
     Interval,
@@ -657,8 +658,9 @@ def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orienta
     }
     applicable = g_sq <= c_small
     conditional = ("gradient_shift", "normal_gap", "gradient_size", "tilt_vs_gap")
-    violated = {name: applicable & (slacks[name] < -1e-12) for name in conditional}
-    violated["signed_gap"] = slacks["signed_gap"] < -1e-12
+    # Written as "not >=" so that a NaN slack counts as a violation.
+    violated = {name: applicable & ~(slacks[name] >= -1e-12) for name in conditional}
+    violated["signed_gap"] = ~(slacks["signed_gap"] >= -1e-12)
     return {
         "g2": g_sq,
         "ip": ip,
@@ -784,44 +786,53 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
     """Check the gradient and frame identities at many random unit normals.
 
     Normals are drawn uniformly on the sphere (normalised Gaussians) with a
-    fixed seed.  Rows with g^2 below 1e-4 are recomputed in 50-digit
-    arithmetic before residuals are aggregated.
+    fixed seed, in chunks of ``_sampling.CHUNK_ROWS`` rows.  Rows with g^2
+    below 1e-4 are recomputed in 50-digit arithmetic before residuals are
+    aggregated; the extrema fold with ``np.maximum``/``np.minimum``, so a
+    NaN residual reaches the result.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    rng = np.random.default_rng(seed)
-    nu = rng.standard_normal((samples, params.n + 1))
-    nu /= np.linalg.norm(nu, axis=1)[:, None]
-
     k = params.k_float
     cos_t = params.cos_theta
     sin_sq = params.sin_squared
-    nu1, nup = nu[:, 0], nu[:, -1]
-    t = _tilt_terms(nu1, nup, cos_t, k)
-    jfrak, defect = _gradient_defect(nu1, nup, k, t)
-    grad_res = np.abs(defect)
+    # Running maxima of the gradient, frame-sum and wedge-sum residuals and of jfrak / g^2.
+    worst = np.full(4, -np.inf)
+    min_g2 = np.inf
+    fallbacks = 0
+    for nu in unit_gaussian_chunks(np.random.default_rng(seed), samples, params.n + 1):
+        nu1, nup = nu[:, 0], nu[:, -1]
+        t = _tilt_terms(nu1, nup, cos_t, k)
+        jfrak, defect = _gradient_defect(nu1, nup, k, t)
+        grad_res = np.abs(defect)
 
-    frame = _frame_terms(nu, k, sin_sq, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j_ratio = jfrak / t.g2
+        frame = _frame_terms(nu, k, sin_sq, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            j_ratio = jfrak / t.g2
 
-    small = np.flatnonzero(t.g2 < _SMALL_G2)
-    for idx in small:
-        res = _identity_row_mp(nu[idx], params)
-        grad_res[idx] = res["grad"]
-        frame["res_sum"][idx] = res["res_sum"]
-        frame["res_wedge"][idx] = res["res_wedge"]
-        j_ratio[idx] = res["j_ratio"]
+        small = np.flatnonzero(t.g2 < _SMALL_G2)
+        for idx in small:
+            res = _identity_row_mp(nu[idx], params)
+            grad_res[idx] = res["grad"]
+            frame["res_sum"][idx] = res["res_sum"]
+            frame["res_wedge"][idx] = res["res_wedge"]
+            j_ratio[idx] = res["j_ratio"]
+
+        worst = np.maximum(
+            worst, [np.max(grad_res), np.max(frame["res_sum"]), np.max(frame["res_wedge"]), np.max(j_ratio)]
+        )
+        min_g2 = np.minimum(min_g2, np.min(t.g2))
+        fallbacks += int(small.size)
 
     return IdentityCampaignResult(
         samples=samples,
         seed=seed,
-        max_gradient_residual=float(np.max(grad_res)),
-        max_frame_sum_residual=float(np.max(frame["res_sum"])),
-        max_wedge_sum_residual=float(np.max(frame["res_wedge"])),
-        max_j_over_g2=float(np.max(j_ratio)),
-        min_g_squared=float(np.min(t.g2)),
-        fallback_count=int(small.size),
+        max_gradient_residual=float(worst[0]),
+        max_frame_sum_residual=float(worst[1]),
+        max_wedge_sum_residual=float(worst[2]),
+        max_j_over_g2=float(worst[3]),
+        min_g_squared=float(min_g2),
+        fallback_count=fallbacks,
     )
 
 
@@ -893,33 +904,49 @@ def appendix_campaign(
     The ball is centred at the reference gradient (the one whose graph
     normal equals the reference normal), so for small radii every sample
     lies in the applicable regime and all slacks must be non-negative.
+
+    The seeded generator yields all the directions, then all the radii.  The
+    sweep streams both in chunks: one generator first runs through the
+    direction draw to reach the radii, then two generators replay the
+    directions and the radii side by side.
     """
     k, c, s = _appendix_inputs(n, theta, orientation, k)
     if samples < 1:
         raise ValueError("samples must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     cot = c / s
     center = np.zeros(n)
     center[0] = -cot if orientation == "up" else cot
 
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, n))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = radius * rng.random(samples) ** (1.0 / n)
-    grads = center[None, :] + radii[:, None] * dirs
-    out = _appendix_slacks(grads, k, c, s, orientation)
-    slacks = out["slacks"]
+    radii_rng = np.random.default_rng(seed)
+    for rows in chunk_sizes(samples):
+        radii_rng.standard_normal((rows, n))
+    max_g2 = -np.inf
+    all_applicable = True
+    min_slacks = {}
+    violations = 0
+    for dirs in unit_gaussian_chunks(np.random.default_rng(seed), samples, n):
+        radii = radius * radii_rng.random(dirs.shape[0]) ** (1.0 / n)
+        grads = center[None, :] + radii[:, None] * dirs
+        out = _appendix_slacks(grads, k, c, s, orientation)
+        max_g2 = np.maximum(max_g2, np.max(out["g2"]))
+        all_applicable = all_applicable and bool(np.all(out["applicable"]))
+        for name, values in out["slacks"].items():
+            min_slacks[name] = np.minimum(min_slacks.get(name, np.inf), np.min(values))
+        violations += sum(int(np.count_nonzero(hit)) for hit in out["violated"].values())
 
     return AppendixCampaignResult(
         samples=samples,
         seed=seed,
         radius=radius,
-        max_g_squared=float(np.max(out["g2"])),
+        max_g_squared=float(max_g2),
         c_small=out["c_small"],
-        all_applicable=bool(np.all(out["applicable"])),
-        min_slack_gradient_shift=float(np.min(slacks["gradient_shift"])),
-        min_slack_normal_gap=float(np.min(slacks["normal_gap"])),
-        min_slack_gradient_size=float(np.min(slacks["gradient_size"])),
-        min_slack_tilt_vs_gap=float(np.min(slacks["tilt_vs_gap"])),
-        min_signed_gap_slack=float(np.min(slacks["signed_gap"])),
-        violation_count=sum(int(np.count_nonzero(hit)) for hit in out["violated"].values()),
+        all_applicable=all_applicable,
+        min_slack_gradient_shift=float(min_slacks["gradient_shift"]),
+        min_slack_normal_gap=float(min_slacks["normal_gap"]),
+        min_slack_gradient_size=float(min_slacks["gradient_size"]),
+        min_slack_tilt_vs_gap=float(min_slacks["tilt_vs_gap"]),
+        min_signed_gap_slack=float(min_slacks["signed_gap"]),
+        violation_count=violations,
     )

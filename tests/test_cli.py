@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and report envelope."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -261,6 +263,27 @@ def test_identities_certified_with_small_campaigns(capsys):
     grad = doc["reports"][0]["payload"]
     assert grad["symbolic_certificate"] is True
     assert grad["max_sampled_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "field,report",
+    [("max_gradient_residual", 0), ("max_j_over_g2", 0), ("max_frame_sum_residual", 1),
+     ("max_wedge_sum_residual", 1)],
+)
+def test_identities_nan_residual_is_not_certified(capsys, monkeypatch, field, report):
+    # max(0.0, nan) is 0.0: a NaN residual must not vanish in the suite's fold.
+    from conecert import tilt
+
+    campaign = tilt.identity_campaign
+
+    def nan_residual(params, samples, seed):
+        return dataclasses.replace(campaign(params, samples=samples, seed=seed), **{field: math.nan})
+
+    monkeypatch.setattr(tilt, "identity_campaign", nan_residual)
+    code, out, _ = run(capsys, "identities", "--samples", "2000", "--format", "json")
+    doc = json.loads(out)
+    assert code != EXIT_CERTIFIED
+    assert doc["reports"][report]["verdict"] != "certified"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,186 @@
+"""Streamed draws: the chunked campaigns equal one-shot evaluations and run in bounded memory."""
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conecert import _sampling, cones, tilt
+from conecert.exact import AngleDeg
+
+CHUNK = _sampling.CHUNK_ROWS
+IDENTITY_PARAMS = [
+    tilt.TiltParams(theta=AngleDeg.from_degrees(120), k=Fraction(1, 2), n=6, exploratory=True),
+    tilt.TiltParams(theta=AngleDeg.from_degrees(91), k=Fraction(1), n=2, exploratory=True),
+]
+APPENDIX_CASES = [(4, 91, "down"), (2, 150, "up")]
+
+
+def _one_shot_directions(rng, samples, dim):
+    x = rng.standard_normal((samples, dim))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    return x
+
+
+def _identity_one_shot(params, samples, seed):
+    """The identity campaign's kernels on the whole draw at once."""
+    nu = _one_shot_directions(np.random.default_rng(seed), samples, params.n + 1)
+    k, cos_t = params.k_float, params.cos_theta
+    nu1, nup = nu[:, 0], nu[:, -1]
+    t = tilt._tilt_terms(nu1, nup, cos_t, k)
+    jfrak, defect = tilt._gradient_defect(nu1, nup, k, t)
+    grad_res = np.abs(defect)
+    frame = tilt._frame_terms(nu, k, params.sin_squared, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j_ratio = jfrak / t.g2
+    small = np.flatnonzero(t.g2 < tilt._SMALL_G2)
+    for idx in small:
+        res = tilt._identity_row_mp(nu[idx], params)
+        grad_res[idx] = res["grad"]
+        frame["res_sum"][idx] = res["res_sum"]
+        frame["res_wedge"][idx] = res["res_wedge"]
+        j_ratio[idx] = res["j_ratio"]
+    return tilt.IdentityCampaignResult(
+        samples=samples,
+        seed=seed,
+        max_gradient_residual=float(np.max(grad_res)),
+        max_frame_sum_residual=float(np.max(frame["res_sum"])),
+        max_wedge_sum_residual=float(np.max(frame["res_wedge"])),
+        max_j_over_g2=float(np.max(j_ratio)),
+        min_g_squared=float(np.min(t.g2)),
+        fallback_count=int(small.size),
+    )
+
+
+def _appendix_one_shot(n, theta, orientation, samples, seed, radius=0.05):
+    """The comparison-bound kernel on the whole ball at once: all directions, then all radii."""
+    k, c, s = tilt._appendix_inputs(n, theta, orientation, None)
+    center = np.zeros(n)
+    center[0] = -c / s if orientation == "up" else c / s
+    rng = np.random.default_rng(seed)
+    dirs = _one_shot_directions(rng, samples, n)
+    radii = radius * rng.random(samples) ** (1.0 / n)
+    out = tilt._appendix_slacks(center[None, :] + radii[:, None] * dirs, k, c, s, orientation)
+    slacks = out["slacks"]
+    return tilt.AppendixCampaignResult(
+        samples=samples,
+        seed=seed,
+        radius=radius,
+        max_g_squared=float(np.max(out["g2"])),
+        c_small=out["c_small"],
+        all_applicable=bool(np.all(out["applicable"])),
+        min_slack_gradient_shift=float(np.min(slacks["gradient_shift"])),
+        min_slack_normal_gap=float(np.min(slacks["normal_gap"])),
+        min_slack_gradient_size=float(np.min(slacks["gradient_size"])),
+        min_slack_tilt_vs_gap=float(np.min(slacks["tilt_vs_gap"])),
+        min_signed_gap_slack=float(np.min(slacks["signed_gap"])),
+        violation_count=sum(int(np.count_nonzero(hit)) for hit in out["violated"].values()),
+    )
+
+
+def _oracle_one_shot(m, q, samples, ascent_steps, seed):
+    """The oracle on the whole draw at once, with f and its gradient re-evaluated every step."""
+    q = float(q)
+    x = _one_shot_directions(np.random.default_rng(seed), samples, m)
+    f, _ = cones._f_and_gradient(x, q)
+    top = x[np.argsort(-np.abs(f))[:512]].copy()
+    step = np.full(top.shape[0], 0.1)
+    for _ in range(ascent_steps):
+        vals, grads = cones._f_and_gradient(top, q)
+        direction = np.sign(vals)[:, None] * grads
+        tangential = direction - (direction * top).sum(axis=1)[:, None] * top
+        proposal = top + step[:, None] * tangential
+        proposal /= np.linalg.norm(proposal, axis=1)[:, None]
+        new_vals, _ = cones._f_and_gradient(proposal, q)
+        better = np.abs(new_vals) > np.abs(vals)
+        top[better] = proposal[better]
+        step[better] *= 1.3
+        step[~better] *= 0.5
+    final, _ = cones._f_and_gradient(top, q)
+    best = int(np.argmax(np.abs(final)))
+    return cones.BruteForceResult(
+        value=float(np.abs(final[best])),
+        witness=tuple(float(c) for c in np.sort(top[best])[::-1]),
+        samples=samples,
+        ascent_steps=ascent_steps,
+        seed=seed,
+    )
+
+
+def test_chunks_replay_the_one_shot_draw():
+    for samples in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+        chunks = list(_sampling.unit_gaussian_chunks(np.random.default_rng(9), samples, 5))
+        assert all(len(chunk) <= CHUNK for chunk in chunks)
+        one_shot = _one_shot_directions(np.random.default_rng(9), samples, 5)
+        assert np.array_equal(np.concatenate(chunks), one_shot)
+
+
+@pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_streamed_campaigns_equal_one_shot_evaluation(samples):
+    for params in IDENTITY_PARAMS:
+        streamed = tilt.identity_campaign(params, samples=samples, seed=42)
+        assert streamed == _identity_one_shot(params, samples, 42)
+    for n, theta_deg, orientation in APPENDIX_CASES:
+        theta = AngleDeg.from_degrees(theta_deg)
+        streamed = tilt.appendix_campaign(n, theta, orientation=orientation, samples=samples, seed=7)
+        assert streamed == _appendix_one_shot(n, theta, orientation, samples, 7)
+
+
+# The oracle refuses fewer than 10^4 samples, so its boundaries sit two chunks further on.
+@pytest.mark.parametrize("samples", [3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 1, 3 * CHUNK + 5])
+def test_streamed_oracle_equals_one_shot_evaluation(samples):
+    for m, q in ((4, Fraction(43, 391)), (9, Fraction(1, 3))):
+        streamed = cones.brute_force_sup(m, q, samples=samples, ascent_steps=30, seed=42)
+        assert streamed == _oracle_one_shot(m, q, samples, 30, 42)
+
+
+def test_f_value_is_the_value_of_f_and_gradient():
+    x = _one_shot_directions(np.random.default_rng(3), 1000, 6)
+    assert np.array_equal(cones._f_value(x, 0.3), cones._f_and_gradient(x, 0.3)[0])
+
+
+def test_identity_campaign_keeps_a_nan_residual(monkeypatch):
+    # A NaN in the first chunk must survive the fold over the later chunks.
+    kernel = tilt._gradient_defect
+    calls = []
+
+    def nan_in_first_chunk(nu1, nu_last, k, t):
+        jfrak, defect = kernel(nu1, nu_last, k, t)
+        if not calls:
+            defect[0] = np.nan
+        calls.append(1)
+        return jfrak, defect
+
+    monkeypatch.setattr(tilt, "_gradient_defect", nan_in_first_chunk)
+    res = tilt.identity_campaign(IDENTITY_PARAMS[0], samples=3 * CHUNK, seed=42)
+    assert len(calls) == 3
+    assert np.isnan(res.max_gradient_residual)
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    [
+        lambda chunks: tilt.identity_campaign(IDENTITY_PARAMS[0], samples=chunks * CHUNK, seed=42),
+        lambda chunks: tilt.appendix_campaign(4, AngleDeg.from_degrees(91), samples=chunks * CHUNK, seed=42),
+        # At least 10^4 samples: 3 and 30 chunks.
+        lambda chunks: cones.brute_force_sup(
+            4, Fraction(43, 391), samples=3 * chunks // 2 * CHUNK, ascent_steps=5, seed=42
+        ),
+    ],
+    ids=["identity", "appendix", "oracle"],
+)
+def test_campaign_memory_does_not_grow_with_samples(campaign):
+    campaign(2)  # one-time allocations (caches, 50-digit constants) happen outside the measurement
+    small = _peak_bytes(lambda: campaign(2))
+    large = _peak_bytes(lambda: campaign(20))
+    assert large <= 1.5 * small, (small, large)

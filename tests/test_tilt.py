@@ -390,6 +390,19 @@ def test_appendix_campaign_validates_like_the_scalar_check(theta_deg, k, orienta
     assert str(campaign.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.05])
+def test_appendix_campaign_rejects_a_radius_that_is_not_finite_and_positive(radius):
+    # A NaN radius made every slack NaN, and NaN < -1e-12 is False: no violation counted.
+    with pytest.raises(ValueError, match="radius"):
+        tilt.appendix_campaign(4, AngleDeg.from_degrees(120), radius=radius, samples=100)
+
+
+def test_appendix_nan_slack_is_a_violation():
+    rep = tilt.appendix_bounds_check((math.nan, 0.0, 0.0), AngleDeg.from_degrees(120))
+    assert math.isnan(rep.signed_gap_slack)
+    assert "signed_gap" in rep.violations
+
+
 def _drop_k_one_minus_k_term(nu1, nu_last, k, t):
     jfrak = t.bfrak ** 2 + nu_last ** 2 - (t.bfrak * nu1 + nu_last ** 2) ** 2
     return jfrak, t.g2 - jfrak - (t.cfrak - k * nu1 * t.afrak) ** 2
