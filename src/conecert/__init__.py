@@ -12,7 +12,6 @@ from .exact import (
     Interval,
     QuadraticSurd,
     angle_range_from_threshold,
-    threshold_to_cos_squared,
     to_fraction,
 )
 from .report import (
@@ -33,7 +32,6 @@ __all__ = [
     "Interval",
     "QuadraticSurd",
     "angle_range_from_threshold",
-    "threshold_to_cos_squared",
     "to_fraction",
     "CertificationReport",
     "ReportEnvelope",

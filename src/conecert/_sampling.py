@@ -18,19 +18,13 @@ import numpy as np
 CHUNK_ROWS = 4096
 
 
-def chunk_sizes(samples: int) -> Iterator[int]:
-    """The row counts of the chunks that make up ``samples`` rows."""
-    for start in range(0, samples, CHUNK_ROWS):
-        yield min(CHUNK_ROWS, samples - start)
-
-
 def unit_gaussian_chunks(rng: np.random.Generator, samples: int, dim: int) -> Iterator[np.ndarray]:
     """Yield ``samples`` uniform unit vectors in R^dim, in (rows, dim) chunks.
 
     Each row is a standard Gaussian vector divided by its norm (Muller,
     CACM 2(4), 1959).
     """
-    for rows in chunk_sizes(samples):
-        x = rng.standard_normal((rows, dim))
+    for start in range(0, samples, CHUNK_ROWS):
+        x = rng.standard_normal((min(CHUNK_ROWS, samples - start), dim))
         x /= np.linalg.norm(x, axis=1)[:, None]
         yield x

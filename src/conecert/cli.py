@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,9 +41,12 @@ __all__ = ["cli", "main"]
 
 
 class RationalType(click.ParamType):
-    """Exact rational parameter: "num/den" or an integer literal."""
+    """Exact rational parameter: "num/den" or an integer literal, optionally > 0."""
 
     name = "rational"
+
+    def __init__(self, positive: bool = False) -> None:
+        self.positive = positive
 
     def convert(self, value, param, ctx):
         if isinstance(value, Fraction):
@@ -54,9 +58,12 @@ class RationalType(click.ParamType):
         if any(ch in text for ch in ".eE"):
             self.fail(f"{value!r} is not an exact rational (write it as num/den)", param, ctx)
         try:
-            return Fraction(text)
+            result = Fraction(text)
         except (ValueError, ZeroDivisionError):
             self.fail(f"{value!r} is not an exact rational (write it as num/den)", param, ctx)
+        if self.positive and result <= 0:
+            self.fail(f"{value!r} is not a positive rational", param, ctx)
+        return result
 
 
 RATIONAL = RationalType()
@@ -77,10 +84,10 @@ _OUT = click.option(
 )
 _TOL = click.option(
     "--tol-deg",
-    type=RATIONAL,
+    type=RationalType(positive=True),
     default=Fraction(1, 1000),
     show_default="1/1000",
-    help="Width bound (degrees) for certified angle enclosures.",
+    help="Grid step (degrees) of the certified angle enclosures; a positive rational.",
 )
 _SAMPLES = click.option(
     "--samples",
@@ -96,6 +103,19 @@ _SEED = click.option("--seed", type=int, default=42, show_default=True, help="RN
 @click.version_option(VERSION, prog_name="conecert")
 def cli() -> None:
     """Certified computations for capillary-cone stability thresholds."""
+
+
+@contextmanager
+def _undecidable_as_error():
+    """End with ``error:`` and exit code 1 on a ValueError of the exact layer.
+
+    It flags input the exact layer cannot decide: a radicand factor of
+    unproven primality, or an angle grid too fine for the enclosures.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
 
 
 def _finish(envelope: ReportEnvelope, started: float) -> int:
@@ -127,7 +147,8 @@ def table(tol_deg: Fraction, fmt: str, out: Optional[str]) -> int:
     config = RunConfig(command="table", tol_deg=tol_deg, format=fmt, out=out)
     envelope = ReportEnvelope(config=config)
 
-    tbl = cones.n_theta_table(tol_deg)
+    with _undecidable_as_error():
+        tbl = cones.n_theta_table(tol_deg)
     envelope.table_rows = tbl.formatted_rows()
     envelope.table_csv_header = ("theta_lo_deg", "theta_hi_deg", "n_theta")
     envelope.add(
@@ -240,7 +261,8 @@ def certify(
         )
         return _finish(envelope, started)
 
-    envelope.add(cones.certify_dimension(n, params, tol_deg))
+    with _undecidable_as_error():
+        envelope.add(cones.certify_dimension(n, params, tol_deg))
     return _finish(envelope, started)
 
 
@@ -258,7 +280,7 @@ _MIN_ORACLE_SAMPLES = 10_000
 
 
 def _check_oracle_size(m: int, samples: int) -> None:
-    """Refuse, before any work, an oracle draw that would exceed its memory cap."""
+    """Refuse, before any work, an oracle draw of more coordinates than its work cap allows."""
     try:
         cones.check_oracle_size(m, samples)
     except ValueError as exc:
@@ -295,10 +317,8 @@ def pnbound(
     )
     envelope = ReportEnvelope(config=config)
 
-    try:
+    with _undecidable_as_error():
         enum = cones.sup_abs_f_two_value(m, q)
-    except ValueError as exc:  # a radicand whose squarefree part cannot be proven
-        raise click.ClickException(str(exc)) from None
     oracle = cones.brute_force_sup(m, q, samples=samples_used, ascent_steps=200, seed=seed)
     enum_float = float(enum)
     gap = enum_float - oracle.value
@@ -629,7 +649,8 @@ def optimize(
         )
         return _finish(envelope, started)
 
-    theta_min, theta_max = angle_range_from_threshold(result.best_m, tol_deg)
+    with _undecidable_as_error():
+        theta_min, theta_max = angle_range_from_threshold(result.best_m, tol_deg)
     payload = {
         "note": "no search performed; defaults echoed" if result.no_search else "search completed",
         "best": {
@@ -877,8 +898,9 @@ def selftest(samples: int, seed: int, tol_deg: Fraction, fmt: str, out: Optional
         out=out,
     )
     envelope = ReportEnvelope(config=config)
-    for rep in _selftest_reports(samples, seed, tol_deg):
-        envelope.add(rep)
+    with _undecidable_as_error():
+        for rep in _selftest_reports(samples, seed, tol_deg):
+            envelope.add(rep)
     return _finish(envelope, started)
 
 

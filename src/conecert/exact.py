@@ -5,7 +5,7 @@ feeds a certification verdict is represented either as an exact
 :class:`fractions.Fraction`, as an exact :class:`QuadraticSurd`
 ``a + b*sqrt(d)``, or as an :class:`Interval` with exact rational endpoints
 that provably contains the true real value.  Transcendental functions (cos,
-arccos, pi) are evaluated through mpmath's interval context with directed
+sin, pi) are evaluated through mpmath's interval context with directed
 rounding, then converted back to rational endpoints, so no step of the
 pipeline silently rounds toward the wrong side.
 
@@ -27,7 +27,11 @@ the real roots of a univariate one in a rational interval exactly.
 
 Angles are carried in degrees through :class:`AngleDeg`.  Cosines of the
 handful of angles with rational cosine (0, 60, 90, 120, 180 degrees) are
-returned exactly; everything else gets a thin certified enclosure.
+returned exactly, and so are the squared sines of the angles with rational
+squared cosine (those and 30, 45, 135, 150 degrees); everything else gets a
+thin certified enclosure.  The window edge where cos^2/sin^4 meets a
+threshold (:func:`angle_range_from_threshold`) is a grid cell decided by
+the signs of such enclosures; no inverse function is evaluated.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from typing import Iterable, Sequence, Union
 
 import mpmath as mp
 import mpmath.libmp as libmp
-from mpmath.libmp import libmpf
 
 __all__ = [
     "Rational",
@@ -52,13 +55,11 @@ __all__ = [
     "to_fraction",
     "sqrt_fraction_enclosure",
     "pi_interval",
-    "acos_interval",
     "cos_interval",
     "compare",
     "quadratic_real_roots",
     "Polynomial",
     "sturm_count",
-    "threshold_to_cos_squared",
     "angle_range_from_threshold",
     "cos2_over_sin4",
 ]
@@ -81,6 +82,14 @@ _SPECIAL_COS = {
     Fraction(90): Fraction(0),
     Fraction(120): Fraction(-1, 2),
     Fraction(180): Fraction(-1),
+}
+# Angles (in degrees) whose squared cosine is rational, and that square:
+# cos^2(x) = (1 + cos(2x)) / 2, and by Niven's theorem cos(2x) is rational
+# at a rational angle only at the angles above (modulo 360 and sign).
+_SPECIAL_COS_SQUARED = {
+    angle: (1 + cos) / 2
+    for double, cos in _SPECIAL_COS.items()
+    for angle in (double / 2, 180 - double / 2)
 }
 
 
@@ -116,11 +125,6 @@ def _fraction_from_mpf_tuple(t) -> Fraction:
         return Fraction(0)
     value = Fraction(man) * (Fraction(2) ** exp)
     return -value if sign else value
-
-
-def _fraction_to_mpf(x: Fraction, rounding: str):
-    """Directed-rounding conversion of a Fraction to a raw mpf tuple."""
-    return libmpf.from_rational(x.numerator, x.denominator, _IV_PREC, rounding)
 
 
 def sqrt_fraction_enclosure(x: Fraction, scale: int = _SQRT_SCALE) -> "Interval":
@@ -818,7 +822,7 @@ def sturm_count(poly: Polynomial, lo: RationalLike, hi: RationalLike) -> int:
     return _sign_changes(p(lo) for p in seq) - _sign_changes(p(hi) for p in seq) + (seq[0](lo) == 0)
 
 # ---------------------------------------------------------------------------
-# Transcendental kernel: pi, cos, arccos with certified directed rounding.
+# Transcendental kernel: pi, cos, sin with certified directed rounding.
 # ---------------------------------------------------------------------------
 
 
@@ -831,7 +835,6 @@ def pi_interval() -> Interval:
 
 _PI = pi_interval()
 _DEG_TO_RAD = _PI / 180          # interval enclosing pi/180
-_RAD_TO_DEG = Interval.point(180) / _PI
 
 
 def cos_interval(radians: Interval) -> Interval:
@@ -855,43 +858,14 @@ def sin_interval(radians: Interval) -> Interval:
     return Interval.from_ivmpf(result).clamp(Fraction(-1), Fraction(1))
 
 
-def _acos_directed(x: Fraction, rounding: str) -> Fraction:
-    """acos(x) rounded strictly down ('f') or up ('c').
-
-    Evaluates at high working precision and pads by 2^(6 - prec), which
-    dominates the final rounding error of mpmath's acos.
-    """
-    x = max(Fraction(-1), min(Fraction(1), x))
-    with mp.workprec(_IV_PREC):
-        approx = mp.acos(mp.mpf(x.numerator) / x.denominator)
-        pad = Fraction(1, 2 ** (_IV_PREC - 6))
-        value = _fraction_from_mpf_tuple(approx._mpf_)
-    if rounding == "f":
-        return max(Fraction(0), value - pad)
-    return value + pad
-
-
-def acos_interval(x: Interval) -> Interval:
-    """Certified enclosure of arccos over an interval, in radians.
-
-    arccos is monotone decreasing, so the image of [lo, hi] is
-    [arccos(hi), arccos(lo)]; each endpoint is rounded outward.
-    """
-    if x.hi < -1 or x.lo > 1:
-        raise ValueError(f"arccos argument outside [-1, 1]: {x}")
-    clamped = x.clamp(Fraction(-1), Fraction(1))
-    lo = _acos_directed(clamped.hi, "f")
-    hi = _acos_directed(clamped.lo, "c")
-    return Interval(lo, min(hi, _PI.hi))
-
-
 @dataclass(frozen=True)
 class AngleDeg:
     """An angle in degrees, carried as a certified enclosure.
 
     ``value`` is an :class:`Interval` of degrees inside [0, 180].  Exact
     rational angles are point intervals.  ``cos`` and ``sin`` return
-    certified enclosures, exact at the special angles 0, 60, 90, 120, 180.
+    certified enclosures, exact at the special angles 0, 60, 90, 120, 180;
+    ``sin_squared`` is also exact at 30, 45, 135 and 150.
     """
 
     value: Interval
@@ -919,7 +893,9 @@ class AngleDeg:
         return cos_interval(self.radians())
 
     def sin_squared(self) -> Interval:
-        """Enclosure of sin^2 via 1 - cos^2 (keeps special angles exact)."""
+        """Enclosure of sin^2 via 1 - cos^2, exact where cos^2 is rational."""
+        if self.is_point and self.value.lo in _SPECIAL_COS_SQUARED:
+            return Interval.point(1 - _SPECIAL_COS_SQUARED[self.value.lo])
         return (Interval.point(1) - self.cos().square()).clamp(Fraction(0), Fraction(1))
 
     def sin(self) -> Interval:
@@ -940,44 +916,25 @@ class AngleDeg:
 
 
 # ---------------------------------------------------------------------------
-# Threshold <-> angle conversions.
+# Threshold -> angle window.
 # ---------------------------------------------------------------------------
 
 
-def threshold_to_cos_squared(
-    threshold: RationalLike,
-    tol: RationalLike = Fraction(1, 10 ** 12),
-) -> Interval:
-    """Solve cos^2(theta) / sin^4(theta) = T for u = cos^2(theta) in (0, 1).
+def cos2_over_sin4(theta: AngleDeg) -> Interval:
+    """Certified enclosure of cos^2(theta) / sin^4(theta).
 
-    Writing u = cos^2, the equation becomes T (1-u)^2 = u, i.e.
-    h(u) = T u^2 - (2T + 1) u + T = 0, which has exactly one root in (0, 1)
-    (h(0) = T > 0, h(1) = -1 < 0, and h is strictly decreasing on [0, 1]).
-    Pure rational bisection; returns an enclosure of width <= tol.
+    Both come from one cosine enclosure, as sin^2 and cos^2 = 1 - sin^2,
+    so the quotient is exact at the angles with rational cos^2 (30, 45,
+    60, 90, 120, 135 and 150 degrees).  Raises :class:`SingularAngleError`
+    when the angle enclosure touches 0 or 180 degrees, where the quantity
+    blows up, or when sin^2 cannot be separated from 0.
     """
-    T = to_fraction(threshold)
-    tol = to_fraction(tol)
-    if T <= 0:
-        raise ValueError("threshold must be positive")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-
-    def h(u: Fraction) -> Fraction:
-        return T * u * u - (2 * T + 1) * u + T
-
-    lo, hi = Fraction(0), Fraction(1)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return Interval(lo, hi)
-
-
-def _ceil_to_grid(x: Fraction, step: Fraction) -> Fraction:
-    """Least multiple of step that is >= x."""
-    return Fraction(int(-((-x) // step))) * step
+    if theta.value.contains(Fraction(0)) or theta.value.contains(Fraction(180)):
+        raise SingularAngleError(f"cos^2/sin^4 is singular at {theta}")
+    s2 = theta.sin_squared()
+    if s2.lo <= 0:
+        raise SingularAngleError(f"angle enclosure too close to a pole: {theta}")
+    return (1 - s2) / s2.square()
 
 
 def angle_range_from_threshold(
@@ -987,39 +944,50 @@ def angle_range_from_threshold(
     """Certified enclosures of the angle window endpoints for a threshold T.
 
     The window is (theta_min, theta_max) with theta_max = 180 - theta_min
-    and cos^2(theta_min)/sin^4(theta_min) = T, theta_min in (0, 90).  The
-    upper endpoint of the theta_min enclosure is rounded up to the reporting
-    grid of spacing ``tol_deg`` (and clamped so the enclosure width stays
-    <= tol_deg); theta_max mirrors it exactly.  This matches the convention
-    of quoting an inward-rounded window: the certified window
-    [theta_min.hi, theta_max.lo] is contained in the true one.
+    and cos^2(theta_min)/sin^4(theta_min) = T, theta_min in (0, 90), where
+    the left side falls strictly from +inf to 0.  So theta_min is found by
+    bisection over the grid points i * tol_deg, each probe decided by the
+    strict sign of the enclosure of cos^2/sin^4 - T there; the ends, 0 and
+    90 degrees, are never evaluated.  theta_min is the grid cell where the
+    sign changes, clipped at 90, or the grid point where cos^2/sin^4 is
+    exactly T, and theta_max mirrors it; the inward-rounded window
+    [theta_min.hi, theta_max.lo] is contained in the true one.  A float
+    estimate picks the first two probes, so two enclosures usually decide
+    the cell, but it decides no sign.  A probe whose enclosure contains T
+    without being exactly T raises ValueError.
     """
-    tol_deg = to_fraction(tol_deg)
-    if tol_deg <= 0:
+    T = to_fraction(threshold)
+    tol = to_fraction(tol_deg)
+    if T <= 0:
+        raise ValueError("threshold must be positive")
+    if tol <= 0:
         raise ValueError("tol_deg must be positive")
-    u = threshold_to_cos_squared(threshold, tol=Fraction(1, 10 ** 12))
-    cos_enc = u.sqrt()  # theta_min < 90 degrees, so cos(theta_min) = +sqrt(u)
-    rad = acos_interval(cos_enc)
-    deg = rad * _RAD_TO_DEG
-    grid_hi = _ceil_to_grid(deg.hi, tol_deg)
-    if grid_hi - deg.lo > tol_deg:
-        grid_hi = deg.lo + tol_deg
-    theta_min = AngleDeg(Interval(deg.lo, grid_hi))
-    theta_max = AngleDeg(Interval(180 - grid_hi, 180 - deg.lo))
-    return theta_min, theta_max
 
+    # With u = cos^2, T (1 - u)^2 = u has the root below in (0, 1).  The
+    # estimate only orders the probes, so capping T short of float overflow
+    # can cost probes but never changes the cell.
+    t = float(min(T, Fraction(10) ** 300))
+    u = 2 * t / ((2 * t + 1) + math.sqrt(4 * t + 1))
+    guess = math.floor(Fraction(math.degrees(math.acos(math.sqrt(u)))) / tol)
 
-def cos2_over_sin4(theta: AngleDeg) -> Interval:
-    """Certified enclosure of cos^2(theta) / sin^4(theta).
-
-    Exact at special angles (e.g. exactly [0, 0] at 90 degrees).  Raises
-    :class:`SingularAngleError` when the angle enclosure touches 0 or 180
-    degrees, where the quantity blows up.
-    """
-    if theta.value.contains(Fraction(0)) or theta.value.contains(Fraction(180)):
-        raise SingularAngleError(f"cos^2/sin^4 is singular at {theta}")
-    c2 = theta.cos().square()
-    s2 = theta.sin_squared()
-    if s2.lo <= 0:
-        raise SingularAngleError(f"angle enclosure too close to a pole: {theta}")
-    return c2 / s2.square()
+    lo, hi = 0, math.ceil(90 / tol)  # cos^2/sin^4 - T is + at 0 degrees and - at 90
+    probes = [guess, guess + 1]
+    while hi - lo > 1:
+        i = probes.pop(0) if probes else (lo + hi) // 2
+        if not lo < i < hi:
+            continue
+        gap = cos2_over_sin4(AngleDeg.from_degrees(i * tol)) - T
+        if gap.lo > 0:
+            lo = i
+        elif gap.hi < 0:
+            hi = i
+        elif gap.lo == gap.hi:
+            theta_min = AngleDeg.from_degrees(i * tol)
+            return theta_min, theta_min.supplement()
+        else:
+            raise ValueError(
+                f"cannot separate cos^2/sin^4 from the threshold {T} at {float(i * tol)} degrees "
+                f"with {_IV_PREC}-bit enclosures; the angle grid step {tol} is too fine"
+            )
+    theta_min = AngleDeg(Interval(lo * tol, min(hi * tol, Fraction(90))))
+    return theta_min, theta_min.supplement()

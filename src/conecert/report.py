@@ -82,8 +82,6 @@ def jsonable(value: Any) -> Any:
         return value
     if isinstance(value, str):
         return value
-    if hasattr(value, "payload_dict"):
-        return jsonable(value.payload_dict())
     return str(value)
 
 

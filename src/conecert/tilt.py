@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from ._sampling import chunk_sizes, unit_gaussian_chunks
+from ._sampling import unit_gaussian_chunks
 from .exact import (
     AngleDeg,
     Interval,
@@ -581,23 +581,6 @@ class AppendixBoundsReport:
     k: Fraction
     violations: tuple[str, ...]
 
-    def payload_dict(self) -> dict:
-        return {
-            "g_squared": self.g_squared,
-            "c_small": self.c_small,
-            "c_big": self.c_big,
-            "applicable": self.applicable,
-            "inner_product": self.inner_product,
-            "slack_gradient_shift": self.slack_gradient_shift,
-            "slack_normal_gap": self.slack_normal_gap,
-            "slack_gradient_size": self.slack_gradient_size,
-            "slack_tilt_vs_gap": self.slack_tilt_vs_gap,
-            "signed_gap_slack": self.signed_gap_slack,
-            "orientation": self.orientation,
-            "k": self.k,
-            "violations": list(self.violations),
-        }
-
 
 def _appendix_inputs(n: int, theta: AngleDeg, orientation: str, k: Optional[RationalLike]):
     """Validate the comparison-bound inputs; return k, cos(theta) and sin(theta).
@@ -769,18 +752,6 @@ class IdentityCampaignResult:
     min_g_squared: float
     fallback_count: int
 
-    def payload_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_gradient_residual": self.max_gradient_residual,
-            "max_frame_sum_residual": self.max_frame_sum_residual,
-            "max_wedge_sum_residual": self.max_wedge_sum_residual,
-            "max_j_over_g2": self.max_j_over_g2,
-            "min_g_squared": self.min_g_squared,
-            "fallback_count": self.fallback_count,
-        }
-
 
 def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42) -> IdentityCampaignResult:
     """Check the gradient and frame identities at many random unit normals.
@@ -873,22 +844,6 @@ class AppendixCampaignResult:
     min_signed_gap_slack: float
     violation_count: int
 
-    def payload_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "radius": self.radius,
-            "max_g_squared": self.max_g_squared,
-            "c_small": self.c_small,
-            "all_applicable": self.all_applicable,
-            "min_slack_gradient_shift": self.min_slack_gradient_shift,
-            "min_slack_normal_gap": self.min_slack_normal_gap,
-            "min_slack_gradient_size": self.min_slack_gradient_size,
-            "min_slack_tilt_vs_gap": self.min_slack_tilt_vs_gap,
-            "min_signed_gap_slack": self.min_signed_gap_slack,
-            "violation_count": self.violation_count,
-        }
-
 
 def appendix_campaign(
     n: int,
@@ -905,10 +860,8 @@ def appendix_campaign(
     normal equals the reference normal), so for small radii every sample
     lies in the applicable regime and all slacks must be non-negative.
 
-    The seeded generator yields all the directions, then all the radii.  The
-    sweep streams both in chunks: one generator first runs through the
-    direction draw to reach the radii, then two generators replay the
-    directions and the radii side by side.
+    The seed spawns two independent streams, one for the directions and
+    one for the radii, so the sweep draws both chunk by chunk side by side.
     """
     k, c, s = _appendix_inputs(n, theta, orientation, k)
     if samples < 1:
@@ -919,14 +872,13 @@ def appendix_campaign(
     center = np.zeros(n)
     center[0] = -cot if orientation == "up" else cot
 
-    radii_rng = np.random.default_rng(seed)
-    for rows in chunk_sizes(samples):
-        radii_rng.standard_normal((rows, n))
+    streams = np.random.SeedSequence(seed).spawn(2)
+    dirs_rng, radii_rng = (np.random.default_rng(stream) for stream in streams)
     max_g2 = -np.inf
     all_applicable = True
     min_slacks = {}
     violations = 0
-    for dirs in unit_gaussian_chunks(np.random.default_rng(seed), samples, n):
+    for dirs in unit_gaussian_chunks(dirs_rng, samples, n):
         radii = radius * radii_rng.random(dirs.shape[0]) ** (1.0 / n)
         grads = center[None, :] + radii[:, None] * dirs
         out = _appendix_slacks(grads, k, c, s, orientation)

@@ -152,6 +152,38 @@ def test_certify_rejects_malformed_rational(capsys):
     assert "not an exact rational" in err
 
 
+_WINDOW_COMMANDS = [
+    ("table",), ("certify", "--n", "4"), ("optimize", "--n", "5"), ("selftest", "--samples", "2000"),
+]
+
+
+@pytest.mark.parametrize("argv", _WINDOW_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("tol", ["0", "-1/1000", "0/7"])
+def test_tol_deg_must_be_a_positive_rational(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, "--tol-deg", tol)
+    assert code == EXIT_OPERATIONAL_ERROR
+    assert out == ""
+    assert err.startswith("error:") and "--tol-deg" in err and "positive" in err
+
+
+@pytest.mark.parametrize("argv", _WINDOW_COMMANDS, ids=lambda argv: argv[0])
+def test_a_grid_too_fine_to_decide_is_an_operational_error(capsys, argv):
+    # 192-bit enclosures cannot tell grid points 10^-80 degrees apart from
+    # the window edge: refused with a message, never a guessed tie.
+    code, out, err = run(capsys, *argv, "--tol-deg", f"1/{10 ** 80}")
+    assert code == EXIT_OPERATIONAL_ERROR
+    assert out == ""
+    assert err.startswith("error: cannot separate")
+
+
+def test_certify_huge_threshold_keeps_the_edge_in_the_first_cell(capsys):
+    code, doc, _ = run_json(capsys, "certify", "--n", "4", "--p2", f"1/{10 ** 400}")
+    assert code == EXIT_FALSIFIED
+    payload = doc["reports"][0]["payload"]
+    assert payload["theta_min_deg"]["lo"] == {"num": "0", "den": "1"}
+    assert payload["theta_min_deg"]["hi"] == {"num": "1", "den": "1000"}
+
+
 # ---------------------------------------------------------------------------
 # pnbound
 # ---------------------------------------------------------------------------
@@ -201,8 +233,8 @@ def test_pnbound_input_validation(capsys):
 
 
 def test_pnbound_rejects_m_beyond_the_oracle_limit(capsys):
-    # 10^4 samples in R^25000 exceed the oracle's memory cap; refused up
-    # front, not after a long enumeration.
+    # 10^4 samples in R^25000 exceed the cap on the oracle's work; refused
+    # up front, not after a long enumeration.
     code, out, err = run(capsys, "pnbound", "--m", "25000", "--q", "1", "--samples", "10000")
     assert code == EXIT_OPERATIONAL_ERROR
     assert out == ""
@@ -224,9 +256,10 @@ def test_pnbound_refuses_a_radicand_with_an_unproven_prime_factor(capsys, monkey
     assert err.startswith("error: cannot decide") and "3799169689032693160639057" in err
 
 
-def test_oracle_draw_beyond_the_memory_cap_is_refused_up_front(capsys, monkeypatch):
-    # At --m 21201 the default 10^5 samples would need 10^5 x 21201 doubles
-    # (17 GB) per array: refused before the enumeration or any allocation.
+def test_oracle_draw_beyond_the_work_cap_is_refused_up_front(capsys, monkeypatch):
+    # At --m 21201 the default 10^5 samples would draw 10^5 x 21201
+    # coordinates, past the cap on the oracle's work: refused before the
+    # enumeration or any sampling.
     def must_not_run(*args, **kwargs):
         raise AssertionError("started work on an oversized oracle draw")
 
@@ -327,7 +360,7 @@ def test_selftest_runs_certified_quick(capsys):
     digest_rep = doc["reports"][-1]
     # Pinned: any change to the report bytes of this configuration shows here.
     assert digest_rep["payload"]["content_digest_sha256"] == (
-        "cc9b927de972b37439591bbb48d80a3045d40f8f3a5391c2968c5741644b3966"
+        "c900a04e196cb4a76c630a7129183e7bacb54dd30abe38a3a5ec7332cf278b45"
     )
 
 
@@ -447,4 +480,4 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
     )
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
-    assert digest == "01bd755f7e8bc599b7cb0f945e16341ddb38f1a8664a99ce19d860e4ab166add"
+    assert digest == "6ba8f50aca011d2bf0fb938e7b035e94d7816e6a68b9483f71dc94c685b5b3c3"

@@ -180,7 +180,7 @@ def test_brute_force_requires_enough_samples():
         cones.brute_force_sup(2, Fraction(1), samples=100)
 
 
-def test_brute_force_refuses_draws_beyond_the_memory_cap():
+def test_brute_force_refuses_draws_beyond_the_work_cap():
     # 10^5 samples in R^335 are 33 500 000 <= 2^25 doubles; R^336 needs 33 600 000.
     cones.check_oracle_size(335, 100_000)
     cones.check_oracle_size(2, 2 ** 24)

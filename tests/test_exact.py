@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,6 @@ from conecert.exact import (
     quadratic_real_roots,
     sqrt_fraction_enclosure,
     sturm_count,
-    threshold_to_cos_squared,
     to_fraction,
 )
 
@@ -413,26 +413,67 @@ def test_quadratic_no_real_roots_and_degenerate():
 # ---------------------------------------------------------------------------
 
 
-@given(st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10**6))
+@given(
+    st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=10**6),
+    st.sampled_from([Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**6)]),
+)
 @settings(max_examples=40, deadline=None)
-def test_threshold_to_cos_squared_soundness(t):
-    u = threshold_to_cos_squared(t)
-    assert 0 < u.lo and u.hi < 1
-    assert u.width <= Fraction(1, 10**12)
+@example(t=Fraction(2), tol=Fraction(1, 10))  # a tie at the grid point 45
+@example(t=Fraction(2), tol=Fraction(7, 10))  # 45 is no grid point: strict signs around it
+def test_window_edge_is_a_grid_cell_around_the_root(t, tol):
+    theta_min, _ = angle_range_from_threshold(t, tol)
+    lo, hi = theta_min.value.lo, theta_min.value.hi
+    assert (lo / tol).denominator == (hi / tol).denominator == 1
+    gap_lo = cos2_over_sin4(AngleDeg.from_degrees(lo)) - t
+    gap_hi = cos2_over_sin4(AngleDeg.from_degrees(hi)) - t
+    if theta_min.is_point:  # cos^2/sin^4 equals t exactly at a grid point
+        assert gap_lo.lo == gap_lo.hi == 0
+    else:
+        # cos^2/sin^4 falls strictly on (0, 90), so the root lies strictly inside.
+        assert hi - lo == tol
+        assert gap_lo.strictly_positive() and gap_hi.strictly_negative()
 
-    def h(x: Fraction) -> Fraction:
-        return t * x * x - (2 * t + 1) * x + t
 
-    # h is strictly decreasing on [0, 1] and the enclosed root is its zero.
-    assert h(u.lo) >= 0 >= h(u.hi)
+@given(
+    st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=10**4),
+    st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=10**4),
+)
+@settings(max_examples=25, deadline=None)
+def test_window_edge_is_monotone_in_t(t1, t2):
+    # A larger threshold gives a window edge that is not larger.
+    small, large = sorted((t1, t2))
+    edge_small = angle_range_from_threshold(small)[0].value
+    edge_large = angle_range_from_threshold(large)[0].value
+    assert edge_large.lo <= edge_small.lo and edge_large.hi <= edge_small.hi
+    half, one, two = (angle_range_from_threshold(t)[0].value for t in (Fraction(1, 2), 1, 2))
+    assert two.hi <= one.lo and one.hi <= half.lo
 
 
-def test_threshold_monotone_in_t():
-    # Larger threshold -> larger cos^2 at the window edge.
-    u_half = threshold_to_cos_squared(Fraction(1, 2))
-    u_one = threshold_to_cos_squared(Fraction(1))
-    u_two = threshold_to_cos_squared(Fraction(2))
-    assert u_half.hi < u_one.lo < u_one.hi < u_two.lo
+@pytest.mark.parametrize("tol", [Fraction(1, 1000), Fraction(1, 7), Fraction(15)])
+@pytest.mark.parametrize("t,deg", [(Fraction(4, 9), 60), (Fraction(2), 45), (Fraction(12), 30)])
+def test_exact_ties_give_point_windows(t, deg, tol):
+    # cos^2/sin^4 is 4/9, 2 and 12 at 60, 45 and 30 degrees, all grid points here.
+    theta_min, theta_max = angle_range_from_threshold(t, tol)
+    assert theta_min.value == Interval.point(deg)
+    assert theta_max.value == Interval.point(180 - deg)
+
+
+@pytest.mark.parametrize("t", [Fraction(18928, 18605), Fraction(264924, 2713295),
+                               Fraction(12002306544, 1858195670875)])
+def test_fine_window_contains_the_80_digit_root(t):
+    # On a 10^-12 degree grid the cell must still hold the true edge,
+    # acos(sqrt(u)) for the root u of t (1 - u)^2 = u, here to 80 digits.
+    tol = Fraction(1, 10**12)
+    theta_min, theta_max = angle_range_from_threshold(t, tol)
+    assert theta_min.value.width == tol
+    with mp.workdps(80):
+        T = mp.mpf(t.numerator) / t.denominator
+        u = (2 * T + 1 - mp.sqrt(4 * T + 1)) / (2 * T)
+        root = mp.degrees(mp.acos(mp.sqrt(u)))
+        lo, hi = (mp.mpf(x.numerator) / x.denominator for x in (theta_min.value.lo, theta_min.value.hi))
+        assert lo < root < hi
+        lo, hi = (mp.mpf(x.numerator) / x.denominator for x in (theta_max.value.lo, theta_max.value.hi))
+        assert lo < 180 - root < hi
 
 
 @given(st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=10**4))
@@ -456,6 +497,10 @@ def test_cos2_over_sin4_special_values():
     assert ninety.lo == ninety.hi == 0
     sixty = cos2_over_sin4(AngleDeg.from_degrees(60))
     assert sixty.lo == sixty.hi == Fraction(1, 4) / Fraction(9, 16)
+    # Exact at every rational angle with rational cos^2 (Niven's theorem).
+    for deg, value in ((30, 12), (45, 2), (120, Fraction(4, 9)), (135, 2), (150, 12)):
+        q = cos2_over_sin4(AngleDeg.from_degrees(deg))
+        assert q.lo == q.hi == value
     with pytest.raises(SingularAngleError):
         cos2_over_sin4(AngleDeg.from_degrees(0))
     with pytest.raises(SingularAngleError):

@@ -54,13 +54,14 @@ def _identity_one_shot(params, samples, seed):
 
 
 def _appendix_one_shot(n, theta, orientation, samples, seed, radius=0.05):
-    """The comparison-bound kernel on the whole ball at once: all directions, then all radii."""
+    """The comparison-bound kernel on the whole ball at once, drawn from the two streams the campaign uses."""
     k, c, s = tilt._appendix_inputs(n, theta, orientation, None)
     center = np.zeros(n)
     center[0] = -c / s if orientation == "up" else c / s
-    rng = np.random.default_rng(seed)
-    dirs = _one_shot_directions(rng, samples, n)
-    radii = radius * rng.random(samples) ** (1.0 / n)
+    streams = np.random.SeedSequence(seed).spawn(2)
+    dirs_rng, radii_rng = (np.random.default_rng(stream) for stream in streams)
+    dirs = _one_shot_directions(dirs_rng, samples, n)
+    radii = radius * radii_rng.random(samples) ** (1.0 / n)
     out = tilt._appendix_slacks(center[None, :] + radii[:, None] * dirs, k, c, s, orientation)
     slacks = out["slacks"]
     return tilt.AppendixCampaignResult(

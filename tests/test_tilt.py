@@ -356,13 +356,13 @@ def test_appendix_campaign_vectorized_matches_pointwise():
             for orientation in ("up", "down"):
                 theta = AngleDeg.from_degrees(theta_deg)
                 res = tilt.appendix_campaign(n, theta, orientation=orientation, samples=100, seed=11)
-                rng = np.random.default_rng(11)
+                dirs_rng, radii_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(11).spawn(2))
                 cot = float(theta.cos()) / float(theta.sin())
                 center = np.zeros(n)
                 center[0] = -cot if orientation == "up" else cot
-                raw = rng.standard_normal((100, n))
+                raw = dirs_rng.standard_normal((100, n))
                 raw /= np.linalg.norm(raw, axis=1)[:, None]
-                radii = res.radius * rng.random(100) ** (1 / n)
+                radii = res.radius * radii_rng.random(100) ** (1 / n)
                 reps = [
                     tilt.appendix_bounds_check(tuple(p), theta, orientation=orientation)
                     for p in center + radii[:, None] * raw
