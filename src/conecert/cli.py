@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from . import cones, linearization, tilt
-from .exact import AngleDeg, Interval, QuadraticSurd, angle_range_from_threshold, compare
+from .exact import AngleDeg, QuadraticSurd, angle_range_from_threshold, compare
 from .report import (
     EXIT_CERTIFIED,
     EXIT_OPERATIONAL_ERROR,

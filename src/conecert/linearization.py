@@ -15,7 +15,10 @@ remainder G - L after subtracting the affine linearization L is second
 order.  ``remainder_order_check`` is sampled corroboration: float halving
 ratios r(t)/r(t/2) on seeded directions sit near 4.
 ``remainder_ratio_certified`` is the interval proof of the same fact on
-seeded directions frozen as exact rationals.
+seeded directions frozen as exact rationals.  It evaluates |G - L| on
+outward-rounded fixed-point intervals with integer ends at the scale
+2^-256 (``_Dyadic``), converted once per call from the 192-bit trig
+enclosures; the ratios and bounds are then decided in exact rationals.
 
 Float evaluation.  The float formulas live in private kernels that take
 sin(theta) and cos(theta) as floats.  These are the midpoints of the
@@ -201,6 +204,8 @@ def remainder_order_check(
             bound_ok = False
         if r_half > bound_constant * (scale / 2.0) ** 2:
             bound_ok = False
+    if not ratios:
+        raise ValueError("no direction gave a nonzero remainder at scale/2; scale is too small")
     arr = np.asarray(ratios)
     return RemainderOrderReport(
         theta_deg=float(theta.value.mid),
@@ -226,7 +231,12 @@ def _remainder_norm(p: list[float], s: float, c: float, sign: int) -> float:
 
 @dataclass(frozen=True)
 class CertifiedRatioReport:
-    """Interval-certified halving ratios on seeded rational directions."""
+    """Interval-certified halving ratios on seeded rational directions.
+
+    Each |G - L| is enclosed on outward-rounded fixed-point intervals at
+    the scale 2^-256, converted from the 192-bit trig enclosures; the
+    ratio enclosures and the bound check are exact rational arithmetic.
+    """
 
     theta_deg: float
     scale: Fraction
@@ -257,7 +267,9 @@ def remainder_ratio_certified(
 
     The directions are drawn once in floating point and then frozen as
     exact rationals, so the certified statement quantifies over an explicit
-    finite set of exact gradients.
+    finite set of exact gradients.  The cos, sin, cot and sin^3 enclosures
+    of the 192-bit ``AngleDeg`` are rounded outward once to the 2^-256
+    grid of ``_Dyadic``, on which every |G(q) - L(q)| is evaluated.
     """
     theta = _interior_angle(theta)
     sign = _check_orientation(orientation)
@@ -275,8 +287,11 @@ def remainder_ratio_certified(
 
     cos_iv = theta.cos()
     sin_iv = theta.sin()
-    cot_iv = cos_iv / sin_iv
-    sin_cubed = sin_iv * sin_iv * sin_iv
+    # The sign rides on the exact enclosures, so the kernel needs none.
+    slant = _Dyadic.enclose(cos_iv / sin_iv * sign)
+    lead = _Dyadic.enclose(cos_iv * (-sign))
+    sin_d = _Dyadic.enclose(sin_iv)
+    sin_cubed = _Dyadic.enclose(sin_iv * sin_iv * sin_iv)
 
     hull = None
     all_in = True
@@ -285,10 +300,11 @@ def remainder_ratio_certified(
         # Fraction(float) is exact: the sampled direction is frozen bit-for-bit.
         qs = [Fraction(float(c)) * scale for c in d]
         q_norm_sq = sum((c * c for c in qs), Fraction(0))
-        r_full = _remainder_norm_interval(qs, sign, cot_iv, cos_iv, sin_iv, sin_cubed)
-        r_half = _remainder_norm_interval(
-            [c / 2 for c in qs], sign, cot_iv, cos_iv, sin_iv, sin_cubed
-        )
+        r_full = _remainder_norm_interval(qs, slant, lead, sin_d, sin_cubed)
+        r_half = _remainder_norm_interval([c / 2 for c in qs], slant, lead, sin_d, sin_cubed)
+        # r <= bound * |q|^2, squared to stay in rational arithmetic.
+        if not (r_full.hi * r_full.hi <= bound_constant ** 2 * q_norm_sq ** 2):
+            bound_ok = False
         if not r_half.strictly_positive():
             all_in = False
             continue
@@ -296,9 +312,6 @@ def remainder_ratio_certified(
         hull = ratio if hull is None else Interval.hull([hull, ratio])
         if not (band_lo <= ratio.lo and ratio.hi <= band_hi):
             all_in = False
-        # r <= bound * |q|^2, squared to stay in rational arithmetic.
-        if not (r_full.hi * r_full.hi <= bound_constant ** 2 * q_norm_sq ** 2):
-            bound_ok = False
 
     if hull is None:
         hull = Interval.point(Fraction(0))
@@ -318,27 +331,93 @@ def remainder_ratio_certified(
     )
 
 
+# Fixed-point scale of the remainder kernel: a _Dyadic end k stands for
+# k / 2^_DYADIC_BITS.  The grid (about 1e-77) is far finer than the 1e-40
+# to which Interval.sqrt rounds, so no Interval evaluation is tighter.
+_DYADIC_BITS = 256
+_DYADIC_ONE = 1 << _DYADIC_BITS
+
+
+class _Dyadic:
+    """Interval [lo, hi] / 2^_DYADIC_BITS with int ends, rounded outward.
+
+    Lower ends round with floor and upper ends with ceiling, so every
+    result encloses the exact result of the same operation.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int) -> None:
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def enclose(cls, iv: Interval) -> "_Dyadic":
+        lo, hi = iv.lo, iv.hi
+        return cls(
+            (lo.numerator << _DYADIC_BITS) // lo.denominator,
+            -((-hi.numerator << _DYADIC_BITS) // hi.denominator),
+        )
+
+    def to_interval(self) -> Interval:
+        return Interval(Fraction(self.lo, _DYADIC_ONE), Fraction(self.hi, _DYADIC_ONE))
+
+    def __add__(self, other: "_Dyadic") -> "_Dyadic":
+        return _Dyadic(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other: "_Dyadic") -> "_Dyadic":
+        return _Dyadic(self.lo - other.hi, self.hi - other.lo)
+
+    def __neg__(self) -> "_Dyadic":
+        return _Dyadic(-self.hi, -self.lo)
+
+    def __mul__(self, other: "_Dyadic") -> "_Dyadic":
+        products = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return _Dyadic(min(products) >> _DYADIC_BITS, -(-max(products) >> _DYADIC_BITS))
+
+    def square(self) -> "_Dyadic":
+        lo, hi = abs(self.lo), abs(self.hi)
+        low = 0 if self.lo <= 0 <= self.hi else min(lo, hi)
+        return _Dyadic(low * low >> _DYADIC_BITS, -(-max(lo, hi) ** 2 >> _DYADIC_BITS))
+
+    def __truediv__(self, other: "_Dyadic") -> "_Dyadic":
+        if other.lo <= 0 <= other.hi:
+            raise ZeroDivisionError("division by a _Dyadic interval containing zero")
+        corners = [(a << _DYADIC_BITS, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return _Dyadic(min(a // b for a, b in corners), max(-(-a // b) for a, b in corners))
+
+    def sqrt(self) -> "_Dyadic":
+        if self.lo < 0:
+            raise ValueError("sqrt of a _Dyadic interval with negative part")
+        hi_sq = self.hi << _DYADIC_BITS
+        hi = math.isqrt(hi_sq)
+        return _Dyadic(math.isqrt(self.lo << _DYADIC_BITS), hi if hi * hi == hi_sq else hi + 1)
+
+
 def _remainder_norm_interval(
     qs: Sequence[Fraction],
-    sign: int,
-    cot_iv: Interval,
-    cos_iv: Interval,
-    sin_iv: Interval,
-    sin_cubed: Interval,
+    slant: _Dyadic,
+    lead: _Dyadic,
+    sin_d: _Dyadic,
+    sin_cubed: _Dyadic,
 ) -> Interval:
-    """Certified enclosure of |G(q) - L(q)| for an exact rational gradient."""
-    p = [Interval.point(c) for c in qs]
-    p[0] = p[0] - cot_iv * sign
-    w_sq = Interval.point(Fraction(1))
+    """Certified enclosure of |G(q) - L(q)| for an exact rational gradient.
+
+    ``slant`` encloses sign cot(theta) and ``lead`` -sign cos(theta); the
+    result has endpoints k / 2^_DYADIC_BITS.
+    """
+    q = [_Dyadic.enclose(Interval.point(c)) for c in qs]
+    p = [q[0] - slant] + q[1:]
+    w_sq = _Dyadic(_DYADIC_ONE, _DYADIC_ONE)
     for comp in p:
         w_sq = w_sq + comp.square()
     w = w_sq.sqrt()
-    lin = [cos_iv * (-sign) + sin_cubed * Interval.point(qs[0])]
-    lin.extend(sin_iv * Interval.point(c) for c in qs[1:])
-    diff_sq = Interval.point(Fraction(0))
+    lin = [lead + sin_cubed * q[0]]
+    lin.extend(sin_d * c for c in q[1:])
+    diff_sq = _Dyadic(0, 0)
     for comp, l in zip(p, lin):
         diff_sq = diff_sq + (comp / w - l).square()
-    return diff_sq.sqrt()
+    return diff_sq.sqrt().to_interval()
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert import linearization as lin
-from conecert.exact import AngleDeg
+import conecert
+from conecert.exact import AngleDeg, Interval
 
 ANGLES = [Fraction(91), Fraction(120), Fraction(150), Fraction(179)]
 
@@ -106,6 +108,19 @@ def test_remainder_ratio_certified_rejects_zero_directions():
         lin.remainder_ratio_certified(120, directions=0)
 
 
+def test_remainder_ratio_certified_checks_the_bound_on_every_direction():
+    # At scale 1e-60 every remainder is below the 2^-256 grid, so no ratio is
+    # certified and neither may the bound be: it must not hold vacuously.
+    rep = lin.remainder_ratio_certified(120, scale=Fraction(1, 10**60), directions=4)
+    assert rep.all_in_band is False
+    assert rep.bound_certified is False
+
+
+def test_remainder_order_check_refuses_a_scale_with_no_remainder():
+    with pytest.raises(ValueError, match="no direction gave a nonzero remainder at scale/2"):
+        lin.remainder_order_check(120, scale=1e-200, directions=4)
+
+
 def _reference_remainder_check(theta, orientation, scale, directions, seed, bound=10.0):
     """remainder_order_check rebuilt from the public Gauss maps, one call per map."""
     rng = np.random.default_rng(seed)
@@ -176,6 +191,164 @@ def test_certified_and_sampled_ratios_agree():
     # Both bracket the same second-order behavior near ratio 4.
     assert cert.ratio_enclosure_lo <= sampled.ratio_max + 0.2
     assert sampled.ratio_min <= cert.ratio_enclosure_hi + 0.2
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point remainder kernel
+# ---------------------------------------------------------------------------
+
+ULP = Fraction(1, 1 << lin._DYADIC_BITS)
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**9)
+
+
+@st.composite
+def fraction_intervals(draw):
+    a = draw(fractions)
+    b = draw(st.one_of(st.just(a), fractions))
+    return Interval(min(a, b), max(a, b))
+
+
+def _assert_tight_enclosure(got, exact, ulps=2):
+    assert got.lo <= exact.lo and exact.hi <= got.hi
+    assert exact.lo - got.lo <= ulps * ULP and got.hi - exact.hi <= ulps * ULP
+
+
+@given(fraction_intervals())
+@settings(max_examples=150, deadline=None)
+def test_dyadic_encloses_its_fraction_interval_within_one_unit(x):
+    _assert_tight_enclosure(lin._Dyadic.enclose(x).to_interval(), x, ulps=1)
+
+
+@given(fraction_intervals(), fraction_intervals())
+@settings(max_examples=200, deadline=None)
+def test_dyadic_operations_enclose_the_exact_results(x, y):
+    # The operands are rounded to the grid first; each operation then rounds
+    # outward by less than one unit of 2^-256 beyond the exact result.
+    dx, dy = lin._Dyadic.enclose(x), lin._Dyadic.enclose(y)
+    ex, ey = dx.to_interval(), dy.to_interval()
+    _assert_tight_enclosure((dx + dy).to_interval(), ex + ey)
+    _assert_tight_enclosure((dx - dy).to_interval(), ex - ey)
+    _assert_tight_enclosure((-dx).to_interval(), -ex)
+    _assert_tight_enclosure((dx * dy).to_interval(), ex * ey)
+    _assert_tight_enclosure(dx.square().to_interval(), ex.square())
+    if ey.lo <= 0 <= ey.hi:
+        with pytest.raises(ZeroDivisionError):
+            dx / dy
+    else:
+        _assert_tight_enclosure((dx / dy).to_interval(), ex / ey)
+    if ex.lo < 0:
+        with pytest.raises(ValueError):
+            dx.sqrt()
+    else:
+        root = dx.sqrt().to_interval()
+        # lo <= sqrt(x.lo) < lo + ulp and hi - ulp < sqrt(x.hi) <= hi.
+        assert root.lo ** 2 <= ex.lo < (root.lo + ULP) ** 2
+        assert ex.hi <= root.hi ** 2
+        assert root.hi == 0 or (root.hi - ULP) ** 2 < ex.hi
+
+
+def test_dyadic_division_by_a_negative_interval():
+    x = lin._Dyadic.enclose(Interval(Fraction(-3), Fraction(5)))
+    y = lin._Dyadic.enclose(Interval(Fraction(-4), Fraction(-2)))
+    assert (x / y).to_interval() == Interval(Fraction(-5, 2), Fraction(3, 2))
+
+
+def _exact_trig(theta):
+    """cot, cos, sin and sin^3 enclosures from the 192-bit AngleDeg."""
+    angle = AngleDeg.from_degrees(theta)
+    cos_iv, sin_iv = angle.cos(), angle.sin()
+    return cos_iv / sin_iv, cos_iv, sin_iv, sin_iv * sin_iv * sin_iv
+
+
+def _kernel_trig(theta, orientation):
+    """slant, lead, sin and sin^3 as remainder_ratio_certified hands them to the kernel."""
+    sign = 1 if orientation == "up" else -1
+    cot_iv, cos_iv, sin_iv, sin_cubed = _exact_trig(theta)
+    return tuple(lin._Dyadic.enclose(iv) for iv in (cot_iv * sign, cos_iv * (-sign), sin_iv, sin_cubed))
+
+
+def _mp_remainder_norm(qs, theta, orientation):
+    """|G(q) - L(q)| to 120 digits."""
+    sign = 1 if orientation == "up" else -1
+    with mp.workdps(120):
+        rad = mp.mpf(theta.numerator) / theta.denominator * mp.pi / 180
+        c, s = mp.cos(rad), mp.sin(rad)
+        q = [mp.mpf(v.numerator) / v.denominator for v in qs]
+        p = [q[0] - sign * c / s] + q[1:]
+        w = mp.sqrt(1 + mp.fsum(v * v for v in p))
+        lin_map = [-sign * c + s ** 3 * q[0]] + [s * v for v in q[1:]]
+        return mp.sqrt(mp.fsum((a / w - b) ** 2 for a, b in zip(p, lin_map)))
+
+
+KERNEL_ANGLES = [
+    Fraction(1, 1000), Fraction(1), Fraction(91),
+    Fraction(120), Fraction(179), Fraction(179999, 1000),
+]
+small_q = st.lists(
+    st.fractions(min_value=Fraction(-1, 200), max_value=Fraction(1, 200), max_denominator=10**12),
+    min_size=3,
+    max_size=3,
+)
+
+
+@given(small_q, st.sampled_from(KERNEL_ANGLES), st.sampled_from(["up", "down"]))
+@settings(max_examples=60, deadline=None)
+def test_dyadic_remainder_encloses_the_mpmath_value(qs, theta, orientation):
+    enclosure = lin._remainder_norm_interval(qs, *_kernel_trig(theta, orientation))
+    value = _mp_remainder_norm(qs, theta, orientation)
+    with mp.workdps(120):
+        lo = mp.mpf(enclosure.lo.numerator) / enclosure.lo.denominator
+        hi = mp.mpf(enclosure.hi.numerator) / enclosure.hi.denominator
+        assert lo <= value <= hi
+
+
+@pytest.mark.parametrize("orientation", ["up", "down"])
+@pytest.mark.parametrize("theta", [Fraction(91), Fraction(179999, 1000)])
+def test_dyadic_remainder_endpoints_stay_on_the_grid(theta, orientation):
+    qs = [Fraction(3, 1000), Fraction(-1, 700), Fraction(1, 3000)]
+    for r in (
+        lin._remainder_norm_interval(qs, *_kernel_trig(theta, orientation)),
+        lin._remainder_norm_interval([c / 2 for c in qs], *_kernel_trig(theta, orientation)),
+    ):
+        assert (1 << 256) % r.lo.denominator == 0
+        assert (1 << 256) % r.hi.denominator == 0
+        # The 192-bit trig, not the grid, sets the width (a 2^-128 grid gives ~1e-38).
+        assert r.width < Fraction(1, 10**50)
+    assert not hasattr(conecert, "_Dyadic")
+
+
+def _fraction_remainder_norm(qs, sign, cot_iv, cos_iv, sin_iv, sin_cubed):
+    """The exact-rational kernel the fixed-point one replaced, kept as a reference."""
+    p = [Interval.point(c) for c in qs]
+    p[0] = p[0] - cot_iv * sign
+    w_sq = Interval.point(Fraction(1))
+    for comp in p:
+        w_sq = w_sq + comp.square()
+    w = w_sq.sqrt()
+    lin_map = [cos_iv * (-sign) + sin_cubed * Interval.point(qs[0])]
+    lin_map.extend(sin_iv * Interval.point(c) for c in qs[1:])
+    diff_sq = Interval.point(Fraction(0))
+    for comp, l in zip(p, lin_map):
+        diff_sq = diff_sq + (comp / w - l).square()
+    return diff_sq.sqrt()
+
+
+@pytest.mark.parametrize("orientation", ["up", "down"])
+@pytest.mark.parametrize("theta", ANGLES)
+def test_dyadic_kernel_gives_the_reports_of_the_fraction_kernel(monkeypatch, theta, orientation):
+    def reports():
+        return [
+            lin.remainder_ratio_certified(theta, directions=16, seed=seed, orientation=orientation)
+            for seed in (7, 42)
+        ]
+
+    dyadic = reports()
+    sign = 1 if orientation == "up" else -1
+    trig = _exact_trig(theta)
+    monkeypatch.setattr(
+        lin, "_remainder_norm_interval", lambda qs, *_dyadic_trig: _fraction_remainder_norm(qs, sign, *trig)
+    )
+    assert dyadic == reports()
 
 
 # ---------------------------------------------------------------------------
