@@ -4,10 +4,12 @@ This module is the numerical foundation of the package.  Every quantity that
 feeds a certification verdict is represented either as an exact
 :class:`fractions.Fraction`, as an exact :class:`QuadraticSurd`
 ``a + b*sqrt(d)``, or as an :class:`Interval` with exact rational endpoints
-that provably contains the true real value.  Transcendental functions (cos,
-sin, pi) are evaluated through mpmath's interval context with directed
-rounding, then converted back to rational endpoints, so no step of the
-pipeline silently rounds toward the wrong side.
+that provably contains the true real value.  Transcendental functions (pi,
+cos, sin) are computed here on ``_Dyadic``, the package's fixed-point
+interval type with integer ends at the scale 2^-256, rounded outward at
+every step: pi by Machin's formula, cos and sin by Taylor series widened
+by the Lagrange remainder bound.  No step of the pipeline silently rounds
+toward the wrong side.
 
 :class:`QuadraticSurd` is the one exact type for numbers in a quadratic
 field Q(sqrt d): its radicand is always squarefree, so equal numbers have
@@ -41,9 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-import mpmath as mp
-import mpmath.libmp as libmp
-
 __all__ = [
     "Rational",
     "RationalLike",
@@ -66,10 +65,6 @@ __all__ = [
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
-
-# Working precision (bits) of the mpmath interval kernel.  160+ bits keeps
-# enclosure widths near 1e-48, far below every tolerance used downstream.
-_IV_PREC = 192
 
 # Scale used for rational square-root enclosures: endpoints are correct to
 # about 40 decimal digits.
@@ -110,21 +105,6 @@ def to_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def _fraction_from_mpf_tuple(t) -> Fraction:
-    """Exact value of a raw mpmath float tuple ``(sign, man, exp, bc)``.
-
-    The mantissa may be a ``gmpy2.mpz`` when the gmpy backend is active, so
-    everything is funnelled through ``int`` before touching ``Fraction``.
-    """
-    sign, man, exp, _ = t
-    man = int(man)
-    exp = int(exp)
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(man) * (Fraction(2) ** exp)
-    return -value if sign else value
 
 
 def sqrt_fraction_enclosure(x: Fraction, scale: int = _SQRT_SCALE) -> "Interval":
@@ -185,23 +165,6 @@ class Interval:
         if not items:
             raise ValueError("hull of no intervals")
         return cls(min(i.lo for i in items), max(i.hi for i in items))
-
-    @classmethod
-    def from_ivmpf(cls, x) -> "Interval":
-        """Exact endpoints of an mpmath interval number."""
-        lo_t, hi_t = x._mpi_
-        return cls(_fraction_from_mpf_tuple(lo_t), _fraction_from_mpf_tuple(hi_t))
-
-    def to_ivmpf(self):
-        """This interval as an mpmath interval number (outward-rounded)."""
-        old = mp.iv.prec
-        mp.iv.prec = _IV_PREC
-        try:
-            lo = mp.iv.mpf(self.lo.numerator) / self.lo.denominator
-            hi = mp.iv.mpf(self.hi.numerator) / self.hi.denominator
-            return mp.iv.mpf([lo.a, hi.b])
-        finally:
-            mp.iv.prec = old
 
     # -- basic queries -----------------------------------------------------
 
@@ -822,40 +785,136 @@ def sturm_count(poly: Polynomial, lo: RationalLike, hi: RationalLike) -> int:
     return _sign_changes(p(lo) for p in seq) - _sign_changes(p(hi) for p in seq) + (seq[0](lo) == 0)
 
 # ---------------------------------------------------------------------------
-# Transcendental kernel: pi, cos, sin with certified directed rounding.
+# Fixed-point intervals, and the transcendental kernel: pi, cos, sin.
 # ---------------------------------------------------------------------------
+
+# Fixed-point scale: a _Dyadic end k stands for k / 2^_DYADIC_BITS.  The grid
+# (about 1e-77) is far finer than the 1e-40 to which Interval.sqrt rounds.
+_DYADIC_BITS = 256
+_DYADIC_ONE = 1 << _DYADIC_BITS
+
+
+class _Dyadic:
+    """Interval [lo, hi] / 2^_DYADIC_BITS with int ends, rounded outward.
+
+    Lower ends round with floor and upper ends with ceiling, so every
+    result encloses the exact result of the same operation.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int) -> None:
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def enclose(cls, iv: Interval) -> "_Dyadic":
+        lo, hi = iv.lo, iv.hi
+        return cls(
+            (lo.numerator << _DYADIC_BITS) // lo.denominator,
+            -((-hi.numerator << _DYADIC_BITS) // hi.denominator),
+        )
+
+    def to_interval(self) -> Interval:
+        return Interval(Fraction(self.lo, _DYADIC_ONE), Fraction(self.hi, _DYADIC_ONE))
+
+    def __add__(self, other: "_Dyadic") -> "_Dyadic":
+        return _Dyadic(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other: "_Dyadic") -> "_Dyadic":
+        return _Dyadic(self.lo - other.hi, self.hi - other.lo)
+
+    def __neg__(self) -> "_Dyadic":
+        return _Dyadic(-self.hi, -self.lo)
+
+    def __mul__(self, other: "_Dyadic") -> "_Dyadic":
+        if self.lo >= 0 and other.lo >= 0:  # the common case in the Taylor kernel
+            return _Dyadic(self.lo * other.lo >> _DYADIC_BITS, -(-self.hi * other.hi >> _DYADIC_BITS))
+        products = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return _Dyadic(min(products) >> _DYADIC_BITS, -(-max(products) >> _DYADIC_BITS))
+
+    def square(self) -> "_Dyadic":
+        lo, hi = abs(self.lo), abs(self.hi)
+        low = 0 if self.lo <= 0 <= self.hi else min(lo, hi)
+        return _Dyadic(low * low >> _DYADIC_BITS, -(-max(lo, hi) ** 2 >> _DYADIC_BITS))
+
+    def __truediv__(self, other: Union["_Dyadic", int]) -> "_Dyadic":
+        if isinstance(other, int):  # a positive integer divides both ends
+            return _Dyadic(self.lo // other, -(-self.hi // other))
+        if other.lo <= 0 <= other.hi:
+            raise ZeroDivisionError("division by a _Dyadic interval containing zero")
+        corners = [(a << _DYADIC_BITS, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
+        return _Dyadic(min(a // b for a, b in corners), max(-(-a // b) for a, b in corners))
+
+    def sqrt(self) -> "_Dyadic":
+        if self.lo < 0:
+            raise ValueError("sqrt of a _Dyadic interval with negative part")
+        hi_sq = self.hi << _DYADIC_BITS
+        hi = math.isqrt(hi_sq)
+        return _Dyadic(math.isqrt(self.lo << _DYADIC_BITS), hi if hi * hi == hi_sq else hi + 1)
+
+
+def _arctan_of_inverse(m: int, factor: int) -> _Dyadic:
+    """factor * arctan(1/m) for an integer m > 1: the series sum_j (-1)^j factor /
+    ((2j+1) m^(2j+1)) alternates with falling terms, so its tail is within the first omitted one."""
+    power = _Dyadic(factor << _DYADIC_BITS, factor << _DYADIC_BITS) / m  # factor / m^(2j+1)
+    total, j = _Dyadic(0, 0), 0
+    while power.hi > 1:
+        term = power / (2 * j + 1)
+        total = total - term if j % 2 else total + term
+        power, j = power / (m * m), j + 1
+    tail = (power / (2 * j + 1)).hi
+    return total + _Dyadic(-tail, tail)
 
 
 def pi_interval() -> Interval:
-    """Certified rational enclosure of pi."""
-    lo = _fraction_from_mpf_tuple(libmp.mpf_pi(_IV_PREC, "f"))
-    hi = _fraction_from_mpf_tuple(libmp.mpf_pi(_IV_PREC, "c"))
-    return Interval(lo, hi)
+    """Certified enclosure of pi by Machin's formula, 16 arctan(1/5) - 4 arctan(1/239)."""
+    return (_arctan_of_inverse(5, 16) - _arctan_of_inverse(239, 4)).to_interval()
 
 
 _PI = pi_interval()
 _DEG_TO_RAD = _PI / 180          # interval enclosing pi/180
 
 
+def _taylor(x: _Dyadic, odd: bool) -> _Dyadic:
+    """sin (odd) or cos of the fixed-point x >= 0: Taylor terms x^n / n! until one falls
+    to a unit of the grid, which, as the Lagrange bound |x|^N / N! on the rest, widens the sum."""
+    x_sq = x.square()
+    term = x if odd else _Dyadic(_DYADIC_ONE, _DYADIC_ONE)
+    total, n = _Dyadic(0, 0), int(odd)
+    while term.hi > 1:
+        total = total - term if n % 4 >= 2 else total + term
+        term = term * x_sq / ((n + 1) * (n + 2))
+        n += 2
+    return total + _Dyadic(-term.hi, term.hi)
+
+
+def _trig_hull(radians: Interval, odd: bool) -> Interval:
+    """Enclosure of sin (odd) or cos over radians in [0, pi_hi].
+
+    There each is monotone on either side of one turn, sin's maximum 1 at
+    pi/2 and cos's minimum -1 at pi; so the values at the ends of the
+    interval rounded out to the grid bound it, with the turn's value joined
+    when that rounded interval may reach the turn.
+    """
+    if radians.lo < 0 or radians.hi > _PI.hi:
+        raise ValueError(f"radians {radians} outside [0, pi]")
+    grid = _Dyadic.enclose(radians)
+    ends = [_taylor(_Dyadic(x, x), odd) for x in (grid.lo, grid.hi)]
+    hull = _Dyadic(min(e.lo for e in ends), max(e.hi for e in ends)).to_interval()
+    if grid.to_interval().overlaps(_PI / 2 if odd else _PI):
+        hull = Interval.hull([hull, Interval.point(1 if odd else -1)])
+    return hull.clamp(Fraction(-1), Fraction(1))
+
+
 def cos_interval(radians: Interval) -> Interval:
-    """Certified enclosure of cos over an interval of radians."""
-    old = mp.iv.prec
-    mp.iv.prec = _IV_PREC
-    try:
-        result = mp.iv.cos(radians.to_ivmpf())
-    finally:
-        mp.iv.prec = old
-    return Interval.from_ivmpf(result).clamp(Fraction(-1), Fraction(1))
+    """Certified enclosure of cos over an interval of radians in [0, pi]."""
+    return _trig_hull(radians, False)
 
 
 def sin_interval(radians: Interval) -> Interval:
-    old = mp.iv.prec
-    mp.iv.prec = _IV_PREC
-    try:
-        result = mp.iv.sin(radians.to_ivmpf())
-    finally:
-        mp.iv.prec = old
-    return Interval.from_ivmpf(result).clamp(Fraction(-1), Fraction(1))
+    """Certified enclosure of sin over an interval of radians in [0, pi]."""
+    return _trig_hull(radians, True)
 
 
 @dataclass(frozen=True)
@@ -987,7 +1046,7 @@ def angle_range_from_threshold(
         else:
             raise ValueError(
                 f"cannot separate cos^2/sin^4 from the threshold {T} at {float(i * tol)} degrees "
-                f"with {_IV_PREC}-bit enclosures; the angle grid step {tol} is too fine"
+                f"with enclosures on the 2^-{_DYADIC_BITS} grid; the angle grid step {tol} is too fine"
             )
     theta_min = AngleDeg(Interval(lo * tol, min(hi * tol, Fraction(90))))
     return theta_min, theta_min.supplement()

@@ -17,12 +17,13 @@ ratios r(t)/r(t/2) on seeded directions sit near 4.
 ``remainder_ratio_certified`` is the interval proof of the same fact on
 seeded directions frozen as exact rationals.  It evaluates |G - L| on
 outward-rounded fixed-point intervals with integer ends at the scale
-2^-256 (``_Dyadic``), converted once per call from the 192-bit trig
-enclosures; the ratios and bounds are then decided in exact rationals.
+2^-256 (``exact._Dyadic``), converted once per call from the sin and
+cos enclosures of ``AngleDeg``; the ratios and bounds are then decided in
+exact rationals.
 
 Float evaluation.  The float formulas live in private kernels that take
 sin(theta) and cos(theta) as floats.  These are the midpoints of the
-192-bit sin/cos enclosures of ``AngleDeg``, computed once per public call,
+2^-256-grid sin/cos enclosures of ``AngleDeg``, computed once per public call,
 so a campaign over many directions pays for the trig only once.
 
 The induced quadratic form sin^3(theta) x_1 y_1 + sin(theta) <x', y'> is
@@ -41,7 +42,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .exact import AngleDeg, Interval, RationalLike, to_fraction
+from .exact import _DYADIC_ONE, AngleDeg, Interval, RationalLike, _Dyadic, to_fraction
 
 __all__ = [
     "RemainderOrderReport",
@@ -82,7 +83,7 @@ def _check_orientation(orientation: str) -> int:
 
 
 def _sin_cos(theta: AngleDeg) -> tuple[float, float]:
-    """Float midpoints of the 192-bit sin/cos enclosures; call once per public call."""
+    """Float midpoints of the AngleDeg sin/cos enclosures; call once per public call."""
     return float(theta.sin().mid), float(theta.cos().mid)
 
 
@@ -180,8 +181,9 @@ def remainder_order_check(
     each remainder must obey |r| <= bound_constant |q|^2.
     """
     theta = _interior_angle(theta)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    # The float kernels square |q|; this also refuses NaN and infinity.
+    if not (scale > 0 and math.isfinite(4 * scale * scale)):
+        raise ValueError(f"scale must be positive with a finite float square, got {scale!r}")
     if directions < 1:
         raise ValueError("need at least one direction")
     sign = _check_orientation(orientation)
@@ -234,7 +236,7 @@ class CertifiedRatioReport:
     """Interval-certified halving ratios on seeded rational directions.
 
     Each |G - L| is enclosed on outward-rounded fixed-point intervals at
-    the scale 2^-256, converted from the 192-bit trig enclosures; the
+    the scale 2^-256, converted from the trig enclosures of ``AngleDeg``; the
     ratio enclosures and the bound check are exact rational arithmetic.
     """
 
@@ -268,8 +270,8 @@ def remainder_ratio_certified(
     The directions are drawn once in floating point and then frozen as
     exact rationals, so the certified statement quantifies over an explicit
     finite set of exact gradients.  The cos, sin, cot and sin^3 enclosures
-    of the 192-bit ``AngleDeg`` are rounded outward once to the 2^-256
-    grid of ``_Dyadic``, on which every |G(q) - L(q)| is evaluated.
+    of ``AngleDeg`` are rounded outward once to the 2^-256 grid of
+    ``exact._Dyadic``, on which every |G(q) - L(q)| is evaluated.
     """
     theta = _interior_angle(theta)
     sign = _check_orientation(orientation)
@@ -331,69 +333,6 @@ def remainder_ratio_certified(
     )
 
 
-# Fixed-point scale of the remainder kernel: a _Dyadic end k stands for
-# k / 2^_DYADIC_BITS.  The grid (about 1e-77) is far finer than the 1e-40
-# to which Interval.sqrt rounds, so no Interval evaluation is tighter.
-_DYADIC_BITS = 256
-_DYADIC_ONE = 1 << _DYADIC_BITS
-
-
-class _Dyadic:
-    """Interval [lo, hi] / 2^_DYADIC_BITS with int ends, rounded outward.
-
-    Lower ends round with floor and upper ends with ceiling, so every
-    result encloses the exact result of the same operation.
-    """
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int) -> None:
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def enclose(cls, iv: Interval) -> "_Dyadic":
-        lo, hi = iv.lo, iv.hi
-        return cls(
-            (lo.numerator << _DYADIC_BITS) // lo.denominator,
-            -((-hi.numerator << _DYADIC_BITS) // hi.denominator),
-        )
-
-    def to_interval(self) -> Interval:
-        return Interval(Fraction(self.lo, _DYADIC_ONE), Fraction(self.hi, _DYADIC_ONE))
-
-    def __add__(self, other: "_Dyadic") -> "_Dyadic":
-        return _Dyadic(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "_Dyadic") -> "_Dyadic":
-        return _Dyadic(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "_Dyadic":
-        return _Dyadic(-self.hi, -self.lo)
-
-    def __mul__(self, other: "_Dyadic") -> "_Dyadic":
-        products = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
-        return _Dyadic(min(products) >> _DYADIC_BITS, -(-max(products) >> _DYADIC_BITS))
-
-    def square(self) -> "_Dyadic":
-        lo, hi = abs(self.lo), abs(self.hi)
-        low = 0 if self.lo <= 0 <= self.hi else min(lo, hi)
-        return _Dyadic(low * low >> _DYADIC_BITS, -(-max(lo, hi) ** 2 >> _DYADIC_BITS))
-
-    def __truediv__(self, other: "_Dyadic") -> "_Dyadic":
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("division by a _Dyadic interval containing zero")
-        corners = [(a << _DYADIC_BITS, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        return _Dyadic(min(a // b for a, b in corners), max(-(-a // b) for a, b in corners))
-
-    def sqrt(self) -> "_Dyadic":
-        if self.lo < 0:
-            raise ValueError("sqrt of a _Dyadic interval with negative part")
-        hi_sq = self.hi << _DYADIC_BITS
-        hi = math.isqrt(hi_sq)
-        return _Dyadic(math.isqrt(self.lo << _DYADIC_BITS), hi if hi * hi == hi_sq else hi + 1)
-
-
 def _remainder_norm_interval(
     qs: Sequence[Fraction],
     slant: _Dyadic,
@@ -404,7 +343,7 @@ def _remainder_norm_interval(
     """Certified enclosure of |G(q) - L(q)| for an exact rational gradient.
 
     ``slant`` encloses sign cot(theta) and ``lead`` -sign cos(theta); the
-    result has endpoints k / 2^_DYADIC_BITS.
+    result has endpoints k / 2^256.
     """
     q = [_Dyadic.enclose(Interval.point(c)) for c in qs]
     p = [q[0] - slant] + q[1:]

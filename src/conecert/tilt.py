@@ -27,11 +27,11 @@ This module checks, numerically at scale and exactly where it matters:
 
 Each formula is written once, as a private kernel made only of arithmetic
 operators and integer literals, so one body runs on floats, numpy arrays,
-mpmath numbers and exact polynomials (:class:`conecert.exact.Polynomial`).
+exact rationals and exact polynomials (:class:`conecert.exact.Polynomial`).
 The ``*_campaign`` functions evaluate the kernels on seeded random samples
 and report worst-case residuals; samples very close to the zero locus of g
-are re-evaluated in 50-digit arithmetic so that division noise does not
-masquerade as an identity violation; and ``symbolic_identity_certificates``
+are re-evaluated in exact rational arithmetic so that division noise does
+not masquerade as an identity violation; and ``symbolic_identity_certificates``
 expands the same kernels as polynomials and checks that each defect is the
 zero polynomial.
 """
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from ._sampling import unit_gaussian_chunks
@@ -53,6 +52,7 @@ from .exact import (
     Interval,
     Polynomial,
     RationalLike,
+    sqrt_fraction_enclosure,
     sturm_count,
     to_fraction,
 )
@@ -81,11 +81,10 @@ __all__ = [
     "symbolic_identity_certificates",
 ]
 
-# Samples whose g^2 falls below this threshold get the high-precision
-# treatment in campaigns: dividing float residuals by a tiny g^2 would
-# otherwise inflate pure rounding noise.
+# Samples whose g^2 falls below this threshold are re-evaluated exactly in
+# campaigns: dividing float residuals by a tiny g^2 would otherwise inflate
+# pure rounding noise.
 _SMALL_G2 = 1e-4
-_MP_DPS = 50
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ class TiltParams:
 
 
 class _TiltTerms(NamedTuple):
-    """The tilt terms; floats, numpy arrays, mpmath numbers or exact polynomials."""
+    """The tilt terms; floats, numpy arrays, Fractions or exact polynomials."""
 
     afrak: object
     bfrak: object
@@ -319,7 +318,7 @@ def _frame_terms(nu: np.ndarray, k: float, sin_sq: float, t: _TiltTerms) -> dict
     projections as explicit ambient vectors: for a fixed vector v, the
     tangential projection is v - <v, nu> nu.  This is the float
     reference for the Gram forms of ``_frame_defects`` (which the symbolic
-    certificate and the 50-digit fallback use), so it keeps its own
+    certificate and the exact fallback use), so it keeps its own
     independent construction instead of reusing them.
     """
     nu1 = nu[:, 0]
@@ -758,7 +757,7 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
 
     Normals are drawn uniformly on the sphere (normalised Gaussians) with a
     fixed seed, in chunks of ``_sampling.CHUNK_ROWS`` rows.  Rows with g^2
-    below 1e-4 are recomputed in 50-digit arithmetic before residuals are
+    below 1e-4 are recomputed in exact rationals before residuals are
     aggregated; the extrema fold with ``np.maximum``/``np.minimum``, so a
     NaN residual reaches the result.
     """
@@ -766,6 +765,7 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
         raise ValueError("samples must be positive")
     k = params.k_float
     cos_t = params.cos_theta
+    exact_cos_t = Fraction(cos_t)
     sin_sq = params.sin_squared
     # Running maxima of the gradient, frame-sum and wedge-sum residuals and of jfrak / g^2.
     worst = np.full(4, -np.inf)
@@ -783,7 +783,7 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
 
         small = np.flatnonzero(t.g2 < _SMALL_G2)
         for idx in small:
-            res = _identity_row_mp(nu[idx], params)
+            res = _identity_row_exact(nu[idx], exact_cos_t, params.k)
             grad_res[idx] = res["grad"]
             frame["res_sum"][idx] = res["res_sum"]
             frame["res_wedge"][idx] = res["res_wedge"]
@@ -807,24 +807,21 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
     )
 
 
-def _identity_row_mp(row: np.ndarray, params: TiltParams) -> dict:
-    """Re-evaluate one sample's identities at 50 decimal digits."""
-    with mp.workdps(_MP_DPS):
-        comp = [mp.mpf(float(c)) for c in row]
-        norm = mp.sqrt(mp.fsum(c * c for c in comp))
-        nu1, nup = comp[0] / norm, comp[-1] / norm
-        k = mp.mpf(params.k.numerator) / params.k.denominator
-        theta_mid = params.theta.value.mid
-        cos_t = mp.cos(mp.mpf(theta_mid.numerator) / theta_mid.denominator * mp.pi / 180)
-        t = _tilt_terms(nu1, nup, cos_t, k)
-        jfrak, defect = _gradient_defect(nu1, nup, k, t)
-        sum_defect, wedge_defect = _frame_defects(nu1, nup, cos_t, k, t)
-        return {
-            "grad": float(abs(defect)),
-            "res_sum": float(abs(sum_defect / t.g2)),
-            "res_wedge": float(abs(wedge_defect / t.g2)),
-            "j_ratio": float(jfrak / t.g2),
-        }
+def _identity_row_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> dict:
+    """Re-evaluate one sample's identities in exact rationals: the float
+    components taken exactly and renormalised by a rational just below their norm."""
+    comp = [Fraction(float(c)) for c in row]
+    norm = sqrt_fraction_enclosure(sum(c * c for c in comp)).lo
+    nu1, nup = comp[0] / norm, comp[-1] / norm
+    t = _tilt_terms(nu1, nup, cos_t, k)
+    jfrak, defect = _gradient_defect(nu1, nup, k, t)
+    sum_defect, wedge_defect = _frame_defects(nu1, nup, cos_t, k, t)
+    return {
+        "grad": float(abs(defect)),
+        "res_sum": float(abs(sum_defect / t.g2)),
+        "res_wedge": float(abs(wedge_defect / t.g2)),
+        "j_ratio": float(jfrak / t.g2),
+    }
 
 
 @dataclass(frozen=True)

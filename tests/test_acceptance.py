@@ -211,6 +211,6 @@ def test_criterion_11_selftest_determinism(capsys):
     )
     # Pinned: any change to the report bytes of the default configuration shows here.
     assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == (
-        "6ba8f50aca011d2bf0fb938e7b035e94d7816e6a68b9483f71dc94c685b5b3c3"
+        "79a2c24e095a33cfa9433b3e1bee55cbb7e2ead3b5844ab5da92f55d6d563bf5"
     )
     _announce(11, "two selftest --seed 42 runs byte-identical except wall-time, digest pinned")

@@ -168,8 +168,8 @@ def test_tol_deg_must_be_a_positive_rational(capsys, argv, tol):
 
 @pytest.mark.parametrize("argv", _WINDOW_COMMANDS, ids=lambda argv: argv[0])
 def test_a_grid_too_fine_to_decide_is_an_operational_error(capsys, argv):
-    # 192-bit enclosures cannot tell grid points 10^-80 degrees apart from
-    # the window edge: refused with a message, never a guessed tie.
+    # Enclosures on the 2^-256 grid cannot tell grid points 10^-80 degrees
+    # apart from the window edge: refused with a message, never a guessed tie.
     code, out, err = run(capsys, *argv, "--tol-deg", f"1/{10 ** 80}")
     assert code == EXIT_OPERATIONAL_ERROR
     assert out == ""
@@ -360,7 +360,7 @@ def test_selftest_runs_certified_quick(capsys):
     digest_rep = doc["reports"][-1]
     # Pinned: any change to the report bytes of this configuration shows here.
     assert digest_rep["payload"]["content_digest_sha256"] == (
-        "c900a04e196cb4a76c630a7129183e7bacb54dd30abe38a3a5ec7332cf278b45"
+        "c09f135939ee0ae33d208a987337c93f37af3d00296eef64e7affaeded526340"
     )
 
 
@@ -402,7 +402,7 @@ _PROBE = """
 import json, sys
 from conecert.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-heavy = sorted({name.split(".")[0] for name in sys.modules} & {"scipy", "sympy"})
+heavy = sorted({name.split(".")[0] for name in sys.modules} & {"mpmath", "scipy", "sympy"})
 sys.stderr.write("\\n" + json.dumps([code, heavy]) + "\\n")
 """
 
@@ -430,12 +430,15 @@ def fresh_run(*argv):
         (("optimize", "--n", "5", "--budget", "200"), EXIT_CERTIFIED),
         (("pnbound", "--m", "5", "--q", "43/391", "--p2", "646328929/717317652", "--samples", "10000"),
          EXIT_FALSIFIED),
+        (("identities", "--samples", "2000"), EXIT_CERTIFIED),
         (("selftest", "--samples", "2000"), EXIT_CERTIFIED),
     ],
-    ids=["import", "version", "certify-n3", "table", "optimize", "pnbound", "selftest"],
+    ids=["import", "version", "certify-n3", "table", "optimize", "pnbound", "identities", "selftest"],
 )
-def test_exact_commands_load_neither_scipy_nor_sympy(argv, expected_code):
-    # The sampling oracle (pnbound, selftest) draws from numpy alone.
+def test_commands_load_neither_mpmath_scipy_nor_sympy(argv, expected_code):
+    # conecert.exact computes pi, cos and sin itself, the exact fallback of
+    # the identity campaign runs on Fractions, and the sampling oracle
+    # (pnbound, selftest) draws from numpy alone.
     code, heavy = fresh_run(*argv)
     assert code == expected_code
     assert heavy == []
@@ -480,4 +483,4 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
     )
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
-    assert digest == "6ba8f50aca011d2bf0fb938e7b035e94d7816e6a68b9483f71dc94c685b5b3c3"
+    assert digest == "79a2c24e095a33cfa9433b3e1bee55cbb7e2ead3b5844ab5da92f55d6d563bf5"

@@ -124,10 +124,12 @@ def test_pi_enclosure_is_tight_and_correct():
     pi = pi_interval()
     assert pi.strictly_positive()
     assert pi.contains_float(math.pi)
-    # 192-bit working precision leaves an enclosure far finer than any
-    # tolerance used downstream.
-    assert pi.width < Fraction(1, 10**50)
+    # Machin's formula on the 2^-256 grid leaves an enclosure far finer than
+    # any tolerance used downstream.
+    assert pi.width <= TRIG_WIDTH
     assert Fraction(355, 113) > pi.hi > pi.lo > Fraction(22, 7) - Fraction(1, 100)
+    with mp.workdps(300):
+        _assert_encloses(pi, +mp.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +361,96 @@ def test_supplement_mirrors_cosine(deg):
     mirrored = theta.cos() * Interval.point(Fraction(-1))
     assert supp.cos().overlaps(mirrored)
     assert supp.sin().overlaps(theta.sin())
+
+
+# The fixed-point trig kernel, against mpmath at 300 digits.  Its enclosures
+# sum dozens of series terms, each rounded outward by a unit of 2^-256; the
+# widths measured stay below 128 units (pi: 76).
+TRIG_WIDTH = Fraction(256, 1 << exact._DYADIC_BITS)
+
+
+def _mpf(x):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def _assert_encloses(iv, value):
+    # The reference is good to about 10^-300 (cos 90 degrees comes out as 6e-302).
+    slack = mp.mpf(10) ** -290
+    assert _mpf(iv.lo) - slack <= value <= _mpf(iv.hi) + slack
+
+
+@given(st.fractions(min_value=0, max_value=180, max_denominator=10**6))
+@example(Fraction(1, 10**6))
+@example(Fraction(91))
+@example(Fraction(179))
+@example(Fraction(17999999, 10**5))
+@settings(max_examples=150, deadline=None)
+def test_point_angle_trig_contains_the_300_digit_values(deg):
+    theta = AngleDeg.from_degrees(deg)
+    c, s = theta.cos(), theta.sin()
+    with mp.workdps(300):
+        rad = _mpf(deg) * mp.pi / 180
+        _assert_encloses(c, mp.cos(rad))
+        _assert_encloses(s, mp.sin(rad))
+    if deg not in exact._SPECIAL_COS:  # sin there is a 10^-40 square root enclosure
+        assert c.width <= TRIG_WIDTH and s.width <= TRIG_WIDTH
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(1, 179), (0, 90), (89, 91), (Fraction(1, 3), Fraction(270001, 3000)), (45, Fraction(1351, 10)), (0, 180)],
+    ids=["1-179", "0-90", "89-91", "third-90.0003", "45-135.1", "0-180"],
+)
+def test_box_trig_is_the_hull_of_its_end_values(lo, hi):
+    # cos falls on [0, 180] degrees and sin peaks at 90: the true ranges,
+    # which the enclosures must contain and exceed by at most TRIG_WIDTH.
+    box = AngleDeg(Interval(Fraction(lo), Fraction(hi)))
+    with mp.workdps(300):
+        ends = [_mpf(Fraction(d)) * mp.pi / 180 for d in (lo, hi)]
+        sin_ends = [mp.sin(x) for x in ends]
+        ranges = [
+            (box.cos(), mp.cos(ends[1]), mp.cos(ends[0])),
+            (box.sin(), min(sin_ends), 1 if lo <= 90 <= hi else max(sin_ends)),
+        ]
+        for iv, low, high in ranges:
+            assert _mpf(iv.lo) <= low and high <= _mpf(iv.hi)
+            assert low - _mpf(iv.lo) <= _mpf(TRIG_WIDTH) and _mpf(iv.hi) - high <= _mpf(TRIG_WIDTH)
+
+
+@pytest.mark.parametrize(
+    "radians",
+    [
+        Interval(Fraction(-1, 10**80), Fraction(1)),
+        Interval(Fraction(3), pi_interval().hi + Fraction(1, 1 << 300)),
+        Interval(Fraction(4), Fraction(5)),
+    ],
+    ids=["below-zero", "past-pi", "outside"],
+)
+def test_trig_refuses_radians_outside_zero_to_pi(radians):
+    with pytest.raises(ValueError, match="outside"):
+        exact.cos_interval(radians)
+    with pytest.raises(ValueError, match="outside"):
+        exact.sin_interval(radians)
+
+
+def test_trig_accepts_the_whole_range_angles_produce():
+    everything = AngleDeg(Interval(Fraction(0), Fraction(180))).radians()
+    assert everything == Interval(Fraction(0), pi_interval().hi)
+    assert exact.cos_interval(everything) == Interval(Fraction(-1), Fraction(1))
+    assert exact.sin_interval(everything).hi == 1
+
+
+@given(
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**12),
+    st.fractions(min_value=0, max_value=1000, max_denominator=10**12),
+    st.integers(min_value=1, max_value=10**9),
+)
+@settings(max_examples=150, deadline=None)
+def test_dyadic_division_by_a_positive_integer_rounds_outward_within_a_unit(lo, width, d):
+    x = exact._Dyadic.enclose(Interval(lo, lo + width))
+    got, want = (x / d).to_interval(), x.to_interval() / d
+    unit = Fraction(1, 1 << exact._DYADIC_BITS)
+    assert want.lo - unit < got.lo <= want.lo and want.hi <= got.hi < want.hi + unit
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conecert import linearization as lin
 import conecert
-from conecert.exact import AngleDeg, Interval
+from conecert.exact import _DYADIC_BITS, AngleDeg, Interval, _Dyadic
 
 ANGLES = [Fraction(91), Fraction(120), Fraction(150), Fraction(179)]
 
@@ -94,6 +94,14 @@ def test_remainder_sampled_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 1e160], ids=["nan", "inf", "square-overflows"])
+def test_remainder_check_refuses_a_scale_it_cannot_square(scale):
+    # NaN and infinity pass no comparison, so they would report NaN ratios
+    # with bound_satisfied=True; 1e160 overflows the float kernel.
+    with pytest.raises(ValueError, match="scale"):
+        lin.remainder_order_check(120, scale=scale, directions=4)
+
+
 @pytest.mark.parametrize("theta", ANGLES)
 def test_remainder_ratio_certified_in_band(theta):
     rep = lin.remainder_ratio_certified(theta, directions=16, seed=42)
@@ -149,7 +157,7 @@ def _reference_remainder_check(theta, orientation, scale, directions, seed, boun
 @pytest.mark.parametrize("orientation", ["up", "down"])
 @pytest.mark.parametrize("theta", [Fraction(91), Fraction(120)])
 def test_remainder_check_bit_identical_to_public_gauss_maps(theta, orientation):
-    # 91 degrees takes the 192-bit trig path, 120 the exact special cosine.
+    # 91 degrees takes the fixed-point trig path, 120 the exact special cosine.
     rep = lin.remainder_order_check(theta, scale=1e-3, directions=200, seed=7, orientation=orientation)
     got = (rep.ratio_min, rep.ratio_max, rep.ratio_mean, rep.max_remainder, rep.bound_satisfied)
     assert got == _reference_remainder_check(theta, orientation, 1e-3, 200, 7)
@@ -197,7 +205,7 @@ def test_certified_and_sampled_ratios_agree():
 # Fixed-point remainder kernel
 # ---------------------------------------------------------------------------
 
-ULP = Fraction(1, 1 << lin._DYADIC_BITS)
+ULP = Fraction(1, 1 << _DYADIC_BITS)
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**9)
 
 
@@ -216,7 +224,7 @@ def _assert_tight_enclosure(got, exact, ulps=2):
 @given(fraction_intervals())
 @settings(max_examples=150, deadline=None)
 def test_dyadic_encloses_its_fraction_interval_within_one_unit(x):
-    _assert_tight_enclosure(lin._Dyadic.enclose(x).to_interval(), x, ulps=1)
+    _assert_tight_enclosure(_Dyadic.enclose(x).to_interval(), x, ulps=1)
 
 
 @given(fraction_intervals(), fraction_intervals())
@@ -224,7 +232,7 @@ def test_dyadic_encloses_its_fraction_interval_within_one_unit(x):
 def test_dyadic_operations_enclose_the_exact_results(x, y):
     # The operands are rounded to the grid first; each operation then rounds
     # outward by less than one unit of 2^-256 beyond the exact result.
-    dx, dy = lin._Dyadic.enclose(x), lin._Dyadic.enclose(y)
+    dx, dy = _Dyadic.enclose(x), _Dyadic.enclose(y)
     ex, ey = dx.to_interval(), dy.to_interval()
     _assert_tight_enclosure((dx + dy).to_interval(), ex + ey)
     _assert_tight_enclosure((dx - dy).to_interval(), ex - ey)
@@ -248,13 +256,13 @@ def test_dyadic_operations_enclose_the_exact_results(x, y):
 
 
 def test_dyadic_division_by_a_negative_interval():
-    x = lin._Dyadic.enclose(Interval(Fraction(-3), Fraction(5)))
-    y = lin._Dyadic.enclose(Interval(Fraction(-4), Fraction(-2)))
+    x = _Dyadic.enclose(Interval(Fraction(-3), Fraction(5)))
+    y = _Dyadic.enclose(Interval(Fraction(-4), Fraction(-2)))
     assert (x / y).to_interval() == Interval(Fraction(-5, 2), Fraction(3, 2))
 
 
 def _exact_trig(theta):
-    """cot, cos, sin and sin^3 enclosures from the 192-bit AngleDeg."""
+    """cot, cos, sin and sin^3 enclosures from the AngleDeg trig on the 2^-256 grid."""
     angle = AngleDeg.from_degrees(theta)
     cos_iv, sin_iv = angle.cos(), angle.sin()
     return cos_iv / sin_iv, cos_iv, sin_iv, sin_iv * sin_iv * sin_iv
@@ -264,7 +272,7 @@ def _kernel_trig(theta, orientation):
     """slant, lead, sin and sin^3 as remainder_ratio_certified hands them to the kernel."""
     sign = 1 if orientation == "up" else -1
     cot_iv, cos_iv, sin_iv, sin_cubed = _exact_trig(theta)
-    return tuple(lin._Dyadic.enclose(iv) for iv in (cot_iv * sign, cos_iv * (-sign), sin_iv, sin_cubed))
+    return tuple(_Dyadic.enclose(iv) for iv in (cot_iv * sign, cos_iv * (-sign), sin_iv, sin_cubed))
 
 
 def _mp_remainder_norm(qs, theta, orientation):
@@ -312,7 +320,7 @@ def test_dyadic_remainder_endpoints_stay_on_the_grid(theta, orientation):
     ):
         assert (1 << 256) % r.lo.denominator == 0
         assert (1 << 256) % r.hi.denominator == 0
-        # The 192-bit trig, not the grid, sets the width (a 2^-128 grid gives ~1e-38).
+        # The trig and the grid, both at 2^-256, set the width (a 2^-128 grid gives ~1e-38).
         assert r.width < Fraction(1, 10**50)
     assert not hasattr(conecert, "_Dyadic")
 

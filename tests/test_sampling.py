@@ -36,7 +36,7 @@ def _identity_one_shot(params, samples, seed):
         j_ratio = jfrak / t.g2
     small = np.flatnonzero(t.g2 < tilt._SMALL_G2)
     for idx in small:
-        res = tilt._identity_row_mp(nu[idx], params)
+        res = tilt._identity_row_exact(nu[idx], Fraction(cos_t), params.k)
         grad_res[idx] = res["grad"]
         frame["res_sum"][idx] = res["res_sum"]
         frame["res_wedge"][idx] = res["res_wedge"]
