@@ -828,8 +828,6 @@ class _Dyadic:
         return _Dyadic(-self.hi, -self.lo)
 
     def __mul__(self, other: "_Dyadic") -> "_Dyadic":
-        if self.lo >= 0 and other.lo >= 0:  # the common case in the Taylor kernel
-            return _Dyadic(self.lo * other.lo >> _DYADIC_BITS, -(-self.hi * other.hi >> _DYADIC_BITS))
         products = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
         return _Dyadic(min(products) >> _DYADIC_BITS, -(-max(products) >> _DYADIC_BITS))
 

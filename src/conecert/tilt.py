@@ -30,8 +30,8 @@ operators and integer literals, so one body runs on floats, numpy arrays,
 exact rationals and exact polynomials (:class:`conecert.exact.Polynomial`).
 The ``*_campaign`` functions evaluate the kernels on seeded random samples
 and report worst-case residuals; samples very close to the zero locus of g
-are re-evaluated in exact rational arithmetic so that division noise does
-not masquerade as an identity violation; and ``symbolic_identity_certificates``
+are re-evaluated in rationals, on a normal unit to about 1e-40, so that division
+noise does not masquerade as an identity violation; and ``symbolic_identity_certificates``
 expands the same kernels as polynomials and checks that each defect is the
 zero polynomial.
 """
@@ -81,7 +81,7 @@ __all__ = [
     "symbolic_identity_certificates",
 ]
 
-# Samples whose g^2 falls below this threshold are re-evaluated exactly in
+# Samples whose g^2 falls below this threshold are re-evaluated in rationals in
 # campaigns: dividing float residuals by a tiny g^2 would otherwise inflate
 # pure rounding noise.
 _SMALL_G2 = 1e-4
@@ -318,7 +318,7 @@ def _frame_terms(nu: np.ndarray, k: float, sin_sq: float, t: _TiltTerms) -> dict
     projections as explicit ambient vectors: for a fixed vector v, the
     tangential projection is v - <v, nu> nu.  This is the float
     reference for the Gram forms of ``_frame_defects`` (which the symbolic
-    certificate and the exact fallback use), so it keeps its own
+    certificate and the rational fallback use), so it keeps its own
     independent construction instead of reusing them.
     """
     nu1 = nu[:, 0]
@@ -757,7 +757,7 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
 
     Normals are drawn uniformly on the sphere (normalised Gaussians) with a
     fixed seed, in chunks of ``_sampling.CHUNK_ROWS`` rows.  Rows with g^2
-    below 1e-4 are recomputed in exact rationals before residuals are
+    below 1e-4 are recomputed by ``_identity_row_exact`` before residuals are
     aggregated; the extrema fold with ``np.maximum``/``np.minimum``, so a
     NaN residual reaches the result.
     """
@@ -808,8 +808,10 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
 
 
 def _identity_row_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> dict:
-    """Re-evaluate one sample's identities in exact rationals: the float
-    components taken exactly and renormalised by a rational just below their norm."""
+    """Re-evaluate one sample's identities in rationals: the float components
+    are taken exactly and divided by the lower end of the 1e-40 enclosure of
+    their norm, so the normal is unit only to about 1e-40 and each defect over
+    g^2 carries about 1e-40 / g^2 of normalisation error."""
     comp = [Fraction(float(c)) for c in row]
     norm = sqrt_fraction_enclosure(sum(c * c for c in comp)).lo
     nu1, nup = comp[0] / norm, comp[-1] / norm
