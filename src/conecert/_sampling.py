@@ -10,9 +10,10 @@ same stream, so the chunks are, row for row, the one-shot draw of
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads inside the float functions, so exact commands never import it
+    import numpy as np
 
 # Rows per chunk: a 4096 x 7 array of doubles is 229 KB and stays in L2.
 CHUNK_ROWS = 4096
@@ -24,6 +25,8 @@ def unit_gaussian_chunks(rng: np.random.Generator, samples: int, dim: int) -> It
     Each row is a standard Gaussian vector divided by its norm (Muller,
     CACM 2(4), 1959).
     """
+    import numpy as np
+
     for start in range(0, samples, CHUNK_ROWS):
         x = rng.standard_normal((min(CHUNK_ROWS, samples - start), dim))
         x /= np.linalg.norm(x, axis=1)[:, None]

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import click
-import numpy as np
 
 from . import cones, linearization, tilt
 from .exact import AngleDeg, QuadraticSurd, angle_range_from_threshold, compare
@@ -308,8 +307,10 @@ def pnbound(
     started = time.perf_counter()
     if m < 2:
         raise click.UsageError("--m must be at least 2")
-    if q <= 0:
-        raise click.UsageError("--q must be positive")
+    try:
+        cones.check_oracle_q(m, q)
+    except ValueError as exc:
+        raise click.UsageError(f"--q: {exc}") from None
     samples_used = max(samples, _MIN_ORACLE_SAMPLES)
     _check_oracle_size(m, samples_used)
     config = RunConfig(
@@ -408,6 +409,8 @@ _FRAME_TOL = 1e-10
 
 def _campaign_suite(samples: int, seed: int) -> tuple[dict, dict]:
     """Run the identity campaigns over the full sweep grid; return maxima."""
+    import numpy as np
+
     worst = {
         "gradient": 0.0,
         "frame": 0.0,

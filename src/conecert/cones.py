@@ -30,11 +30,13 @@ optimizer, and the angle-free n=3 exponent computation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads inside the float functions, so exact commands never import it
+    import numpy as np
 
 from ._sampling import unit_gaussian_chunks
 from .exact import (
@@ -69,6 +71,7 @@ __all__ = [
     "two_value_critical_x",
     "sup_abs_f_two_value",
     "brute_force_sup",
+    "check_oracle_q",
     "check_oracle_size",
     "m_functional",
     "constraint_holds",
@@ -349,6 +352,8 @@ class BruteForceResult:
 
 def _f_parts(x: np.ndarray, q: float) -> tuple:
     """x^2, P1, P2, the numerator N, base = P2 + P1^2, base^1.5 and f for rows of x."""
+    import numpy as np
+
     # Only + - * / and sqrt, which IEEE 754 rounds correctly: numpy sends
     # float powers to SIMD kernels picked per CPU, which round differently.
     x2 = x * x
@@ -394,6 +399,28 @@ def check_oracle_size(m: int, samples: int) -> None:
         )
 
 
+def check_oracle_q(m: int, q: RationalLike) -> float:
+    """q as the oracle's double; ValueError unless f_{m,q} and f^2 fit in doubles.
+
+    The oracle computes f in doubles and the report gives f^2 as one.  On
+    the unit sphere |x_i| <= 1 and |P1| <= m, so |f| <= 1 + (1 + q) m + q m^2;
+    a q whose bound squared exceeds the largest double, or whose double is
+    0.0, is refused.
+    """
+    q = to_fraction(q)
+    if q <= 0:
+        raise ValueError("q must be positive")
+    if (1 + (1 + q) * m + q * m * m) ** 2 > sys.float_info.max:
+        raise ValueError(
+            f"q is too large for m = {m}: |f|^2 may exceed the largest double, "
+            f"about {sys.float_info.max:.3g}, and the oracle and the report compute in doubles"
+        )
+    q_float = float(q)
+    if q_float == 0.0:
+        raise ValueError("q is too small: it rounds to 0.0 as a double, and the oracle computes in doubles")
+    return q_float
+
+
 def brute_force_sup(
     m: int,
     q: RationalLike,
@@ -408,14 +435,17 @@ def brute_force_sup(
     chunk by chunk, keeping a running top 512 by |f|; those starts are
     refined by projected gradient ascent on |f| with per-sample adaptive
     step sizes.  Fully deterministic for a fixed seed.  Draws above
-    ORACLE_MAX_DOUBLES are refused before any work.
+    ORACLE_MAX_DOUBLES, and a q that ``check_oracle_q`` refuses, are
+    refused before any work.
     """
+    import numpy as np
+
     if m < 2:
         raise ValueError("m must be at least 2")
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples for a meaningful oracle")
     check_oracle_size(m, samples)
-    q = float(to_fraction(q))
+    q = check_oracle_q(m, q)
 
     top = np.empty((0, m))
     vals = np.empty(0)

@@ -283,6 +283,11 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 # Pollard rho gives up on a cofactor after about this many steps, which
 # find a prime factor below about 10^12 (about sqrt(p) steps are needed).
 _RHO_MAX_STEPS = 1 << 21
+# A step costs more as the cofactor grows (a failed search takes about 5 s
+# at 127 bits and about 1 min at 1329 bits on a 2-vCPU host), so rho runs
+# only on cofactors of at most this many bits.  The radicands of selftest,
+# table, certify and the tests leave cofactors of at most 97 bits.
+_RHO_MAX_BITS = 128
 
 
 def _is_prime(n: int) -> bool:
@@ -354,7 +359,8 @@ def _square_split(n: int) -> tuple[int, int]:
 
     Trial division by the Miller-Rabin bases, then deterministic
     Miller-Rabin and Pollard rho on what is left.  Raises ValueError when
-    a cofactor's primality cannot be proven (see :func:`_is_prime`).
+    a cofactor's primality cannot be proven (see :func:`_is_prime`), or a
+    composite cofactor is longer than ``_RHO_MAX_BITS`` or resists rho.
     """
     primes: dict[int, int] = {}
     for p in _MR_BASES:
@@ -369,6 +375,11 @@ def _square_split(n: int) -> tuple[int, int]:
             pending += [root, root]
         elif m < 43 * 43 or _is_prime(m):  # no factor <= 41 is left
             primes[m] = primes.get(m, 0) + 1
+        elif m.bit_length() > _RHO_MAX_BITS:
+            raise ValueError(
+                f"no factor of the {m.bit_length()}-bit radicand part {m} found: Pollard rho "
+                f"runs only on parts of at most {_RHO_MAX_BITS} bits, which bounds its work"
+            )
         else:
             factor = _rho_factor(m)
             pending += [factor, m // factor]

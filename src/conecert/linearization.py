@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-import numpy as np
-
 from .exact import _DYADIC_ONE, AngleDeg, Interval, RationalLike, _Dyadic, to_fraction
 
 __all__ = [
@@ -180,6 +178,8 @@ def remainder_order_check(
     |r(scale d)| / |r(scale d / 2)| must approach 4 (second order), and
     each remainder must obey |r| <= bound_constant |q|^2.
     """
+    import numpy as np
+
     theta = _interior_angle(theta)
     # The float kernels square |q|; this also refuses NaN and infinity.
     if not (scale > 0 and math.isfinite(4 * scale * scale)):
@@ -273,6 +273,8 @@ def remainder_ratio_certified(
     of ``AngleDeg`` are rounded outward once to the 2^-256 grid of
     ``exact._Dyadic``, on which every |G(q) - L(q)| is evaluated.
     """
+    import numpy as np
+
     theta = _interior_angle(theta)
     sign = _check_orientation(orientation)
     scale = to_fraction(scale)
@@ -559,6 +561,8 @@ def laplace_equivalence_check(
     differentiated weighted Laplacian in x.  The tolerance scales with the
     coefficient mass of each polynomial.
     """
+    import numpy as np
+
     theta = _interior_angle(theta)
     if degree < 0 or degree > 4:
         raise ValueError("degree must lie in [0, 4]")

@@ -42,9 +42,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads inside the float functions, so exact commands never import it
+    import numpy as np
 
 from ._sampling import unit_gaussian_chunks
 from .exact import (
@@ -296,6 +297,8 @@ class FrameReport:
 
 def frame_sums(nu: UnitNormal | Sequence[float], params: TiltParams) -> FrameReport:
     """Evaluate the frame projections and their two sum identities."""
+    import numpy as np
+
     nu = nu if isinstance(nu, UnitNormal) else UnitNormal.from_components(nu)
     arr = np.asarray(nu.components, dtype=float)[None, :]
     k = params.k_float
@@ -321,6 +324,8 @@ def _frame_terms(nu: np.ndarray, k: float, sin_sq: float, t: _TiltTerms) -> dict
     certificate and the rational fallback use), so it keeps its own
     independent construction instead of reusing them.
     """
+    import numpy as np
+
     nu1 = nu[:, 0]
     nup = nu[:, -1]
 
@@ -455,6 +460,8 @@ def _negative_margin_witness(n: int, k: Fraction, coeffs: list[Fraction], v_iv: 
     acos to an angle in the range, rounded to 10^-6 degrees.  Only the
     rigorous enclosure of the margin at that angle decides.
     """
+    import numpy as np
+
     poly = Polynomial.from_coeffs(coeffs)
     lo, hi = float(v_iv.lo), float(v_iv.hi)
     roots = np.roots([float(c) for c in coeffs])
@@ -605,6 +612,8 @@ def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orienta
     and the ``violated`` masks, both keyed by bound name, conditional bounds
     first) and the scalars ``c_small`` and ``c_big``.
     """
+    import numpy as np
+
     n = grads.shape[1]
     kf = float(k)
     s2 = s * s
@@ -668,6 +677,8 @@ def appendix_bounds_check(
     inspection, but they do not count as violations).  The evaluation is
     ``appendix_campaign``'s on a batch of one gradient.
     """
+    import numpy as np
+
     grads = np.asarray(Du, dtype=float).reshape(1, -1)
     k, c, s = _appendix_inputs(grads.shape[1], theta, orientation, k)
     out = _appendix_slacks(grads, k, c, s, orientation)
@@ -761,6 +772,8 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
     aggregated; the extrema fold with ``np.maximum``/``np.minimum``, so a
     NaN residual reaches the result.
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError("samples must be positive")
     k = params.k_float
@@ -862,6 +875,8 @@ def appendix_campaign(
     The seed spawns two independent streams, one for the directions and
     one for the radii, so the sweep draws both chunk by chunk side by side.
     """
+    import numpy as np
+
     k, c, s = _appendix_inputs(n, theta, orientation, k)
     if samples < 1:
         raise ValueError("samples must be positive")

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import conecert
-from conecert import cones
+from conecert import cones, exact
 from conecert.cli import main
 from conecert.report import (
     EXIT_CERTIFIED,
@@ -232,6 +232,44 @@ def test_pnbound_input_validation(capsys):
     assert code == EXIT_OPERATIONAL_ERROR
 
 
+@pytest.mark.parametrize(
+    "q,message",
+    [(str(10 ** 400), "error: --q: q is too large"),
+     (str(10 ** 160), "error: --q: q is too large"),
+     (f"1/{10 ** 400}", "error: --q: q is too small")],
+    ids=["1e400", "1e160", "1e-400"],
+)
+def test_pnbound_refuses_a_q_outside_the_doubles(q, message):
+    # 10^400 and 10^160 (a double, but f^2 ~ q^2 is not) ended in an
+    # OverflowError traceback, 1/10^400 (0.0 as a double) in over a minute
+    # of factoring; each is refused before any work.
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert", "pnbound", "--m", "3", "--q", q],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120,
+    )
+    assert proc.returncode == EXIT_OPERATIONAL_ERROR
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("digits,bits", [(80, 532), (200, 1329)])
+def test_pnbound_refuses_an_oversized_radicand_without_running_rho(capsys, monkeypatch, digits, bits):
+    # At q = 1/10^80 and 1/10^200 the radicand keeps a 532- and a 1329-bit
+    # cofactor, on which Pollard rho ran for 16 s and 58 s before giving up.
+    rho = exact._rho_factor
+
+    def bounded_rho(n):
+        assert n.bit_length() <= exact._RHO_MAX_BITS, f"rho ran on a {n.bit_length()}-bit cofactor"
+        return rho(n)
+
+    monkeypatch.setattr(exact, "_rho_factor", bounded_rho)
+    code, out, err = run(capsys, "pnbound", "--m", "3", "--q", f"1/{10 ** digits}")
+    assert code == EXIT_OPERATIONAL_ERROR
+    assert out == ""
+    assert err.startswith(f"error: no factor of the {bits}-bit radicand part")
+
+
 def test_pnbound_rejects_m_beyond_the_oracle_limit(capsys):
     # 10^4 samples in R^25000 exceed the cap on the oracle's work; refused
     # up front, not after a long enumeration.
@@ -402,7 +440,7 @@ _PROBE = """
 import json, sys
 from conecert.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-heavy = sorted({name.split(".")[0] for name in sys.modules} & {"mpmath", "scipy", "sympy"})
+heavy = sorted({name.split(".")[0] for name in sys.modules} & {"mpmath", "numpy", "scipy", "sympy"})
 sys.stderr.write("\\n" + json.dumps([code, heavy]) + "\\n")
 """
 
@@ -421,27 +459,42 @@ def fresh_run(*argv):
 
 
 @pytest.mark.parametrize(
-    "argv,expected_code",
+    "argv,expected_code,loads_numpy",
     [
-        ((), EXIT_CERTIFIED),
-        (("--version",), EXIT_CERTIFIED),
-        (("certify", "--n", "3"), EXIT_CERTIFIED),
-        (("table",), EXIT_CERTIFIED),
-        (("optimize", "--n", "5", "--budget", "200"), EXIT_CERTIFIED),
+        ((), EXIT_CERTIFIED, False),
+        (("--version",), EXIT_CERTIFIED, False),
+        (("certify", "--n", "3"), EXIT_CERTIFIED, False),
+        (("certify", "--n", "4"), EXIT_CERTIFIED, False),
+        (("certify", "--n", "5"), EXIT_CERTIFIED, False),
+        (("certify", "--n", "6"), EXIT_CERTIFIED, False),
+        (("table",), EXIT_CERTIFIED, False),
+        (("optimize", "--n", "5", "--budget", "200"), EXIT_CERTIFIED, False),
         (("pnbound", "--m", "5", "--q", "43/391", "--p2", "646328929/717317652", "--samples", "10000"),
-         EXIT_FALSIFIED),
-        (("identities", "--samples", "2000"), EXIT_CERTIFIED),
-        (("selftest", "--samples", "2000"), EXIT_CERTIFIED),
+         EXIT_FALSIFIED, True),
+        (("identities", "--samples", "2000"), EXIT_CERTIFIED, True),
+        (("selftest", "--samples", "2000"), EXIT_CERTIFIED, True),
     ],
-    ids=["import", "version", "certify-n3", "table", "optimize", "pnbound", "identities", "selftest"],
+    ids=["import", "version", "certify-n3", "certify-n4", "certify-n5", "certify-n6", "table", "optimize",
+         "pnbound", "identities", "selftest"],
 )
-def test_commands_load_neither_mpmath_scipy_nor_sympy(argv, expected_code):
+def test_commands_load_neither_mpmath_scipy_nor_sympy(argv, expected_code, loads_numpy):
     # conecert.exact computes pi, cos and sin itself, the exact fallback of
     # the identity campaign runs on Fractions, and the sampling oracle
-    # (pnbound, selftest) draws from numpy alone.
+    # (pnbound, selftest) draws from numpy alone.  numpy is imported inside
+    # the float functions, so the exact commands never load it.
     code, heavy = fresh_run(*argv)
     assert code == expected_code
-    assert heavy == []
+    assert heavy == (["numpy"] if loads_numpy else [])
+
+
+def test_importing_the_cli_loads_every_layer_module():
+    # The traced benchmark imports conecert.cli alone, then finds the float
+    # layers it times in sys.modules.
+    probe = "import json, sys, conecert.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_fresh_env(), timeout=300
+    )
+    assert {"conecert.cones", "conecert.linearization", "conecert.tilt"} <= set(json.loads(proc.stdout))
 
 
 @pytest.mark.parametrize(

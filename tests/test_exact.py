@@ -269,6 +269,16 @@ def test_square_split_refuses_an_unproven_prime():
     assert exact._square_split(2 ** 89 + 1) == (1, 2 ** 89 + 1)
 
 
+def test_square_split_runs_rho_only_up_to_its_bit_cap():
+    # Seven 20-bit primes: rho splits their 120-bit product of six, but the
+    # 140-bit product of all seven is past _RHO_MAX_BITS and is refused untried.
+    primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117]
+    n = math.prod(primes[:6])
+    assert exact._square_split(n) == (1, n)
+    with pytest.raises(ValueError, match="no factor of the 140-bit radicand part"):
+        exact._square_split(n * primes[6])
+
+
 # ---------------------------------------------------------------------------
 # Polynomial and Sturm counts
 # ---------------------------------------------------------------------------
