@@ -191,6 +191,16 @@ def test_brute_force_refuses_draws_beyond_the_work_cap():
         cones.brute_force_sup(21201, Fraction(1))
 
 
+def test_brute_force_refuses_a_q_outside_the_doubles():
+    # At m = 3, |f|^2 <= (1 + 4q + 9q)^2 fits in a double up to q ~ 1.1e153.
+    assert cones.check_oracle_q(3, 10 ** 152) == 1e152
+    assert cones.check_oracle_q(3, Fraction(1, 2 ** 1074)) == 5e-324
+    for q, match in ((10 ** 154, "too large"), (10 ** 400, "too large"),
+                     (Fraction(1, 2 ** 1076), "too small"), (Fraction(1, 10 ** 400), "too small")):
+        with pytest.raises(ValueError, match=match):
+            cones.brute_force_sup(3, q, samples=10_000)
+
+
 def test_brute_force_deterministic():
     a = cones.brute_force_sup(3, Fraction(6, 11), samples=10_000, ascent_steps=50, seed=5)
     b = cones.brute_force_sup(3, Fraction(6, 11), samples=10_000, ascent_steps=50, seed=5)
