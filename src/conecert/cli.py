@@ -418,13 +418,21 @@ def _campaign_suite(samples: int, seed: int) -> tuple[dict, dict]:
         "j_over_g2": 0.0,
         "fallbacks": 0,
     }
+    # One draw per dimension serves all (theta, k) pairs; the payload stays theta-major.
+    results = {}
+    for n in _IDENTITY_DIMS:
+        grid = [
+            tilt.TiltParams(theta=AngleDeg.from_degrees(theta_deg), k=k, n=n, exploratory=True)
+            for theta_deg, k in _IDENTITY_ANGLES_K
+        ]
+        for (theta_deg, k), res in zip(
+            _IDENTITY_ANGLES_K, tilt.identity_campaigns(grid, samples=samples, seed=seed)
+        ):
+            results[theta_deg, k, n] = res
     per_config = {}
     for theta_deg, k in _IDENTITY_ANGLES_K:
         for n in _IDENTITY_DIMS:
-            params = tilt.TiltParams(
-                theta=AngleDeg.from_degrees(theta_deg), k=k, n=n, exploratory=True
-            )
-            res = tilt.identity_campaign(params, samples=samples, seed=seed)
+            res = results[theta_deg, k, n]
             # np.maximum keeps a NaN residual, which max() would drop.
             for key, value in (
                 ("gradient", res.max_gradient_residual),
@@ -494,27 +502,30 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
 
     appendix_payload = {}
     appendix_violations = 0
-    for theta_deg in (Fraction(91), Fraction(120), Fraction(150)):
-        for orientation in ("up", "down"):
-            res = tilt.appendix_campaign(
-                4,
-                AngleDeg.from_degrees(theta_deg),
-                orientation=orientation,
-                samples=samples,
-                seed=seed,
-            )
-            appendix_violations += res.violation_count
-            appendix_payload[f"theta={theta_deg} {orientation}"] = {
-                "all_applicable": res.all_applicable,
-                "min_signed_gap_slack": res.min_signed_gap_slack,
-                "min_conditional_slacks": [
-                    res.min_slack_gradient_shift,
-                    res.min_slack_normal_gap,
-                    res.min_slack_gradient_size,
-                    res.min_slack_tilt_vs_gap,
-                ],
-                "violations": res.violation_count,
-            }
+    appendix_grid = [
+        (theta_deg, orientation)
+        for theta_deg in (Fraction(91), Fraction(120), Fraction(150))
+        for orientation in ("up", "down")
+    ]
+    appendix_results = tilt.appendix_campaigns(
+        4,
+        [(AngleDeg.from_degrees(theta_deg), orientation) for theta_deg, orientation in appendix_grid],
+        samples=samples,
+        seed=seed,
+    )
+    for (theta_deg, orientation), res in zip(appendix_grid, appendix_results):
+        appendix_violations += res.violation_count
+        appendix_payload[f"theta={theta_deg} {orientation}"] = {
+            "all_applicable": res.all_applicable,
+            "min_signed_gap_slack": res.min_signed_gap_slack,
+            "min_conditional_slacks": [
+                res.min_slack_gradient_shift,
+                res.min_slack_normal_gap,
+                res.min_slack_gradient_size,
+                res.min_slack_tilt_vs_gap,
+            ],
+            "violations": res.violation_count,
+        }
     reports.append(
         CertificationReport(
             claim="comparison bounds: signed-gap identity exact; conditional bounds on sampled balls",

@@ -29,7 +29,8 @@ Each formula is written once, as a private kernel made only of arithmetic
 operators and integer literals, so one body runs on floats, numpy arrays,
 exact rationals and exact polynomials (:class:`conecert.exact.Polynomial`).
 The ``*_campaign`` functions evaluate the kernels on seeded random samples
-and report worst-case residuals; samples very close to the zero locus of g
+and report worst-case residuals (the ``*_campaigns`` functions evaluate
+several configurations on one shared draw); samples very close to the zero locus of g
 are re-evaluated in rationals, on a normal unit to about 1e-40, so that division
 noise does not masquerade as an identity violation; and ``symbolic_identity_certificates``
 expands the same kernels as polynomials and checks that each defect is the
@@ -78,7 +79,9 @@ __all__ = [
     "default_k",
     "appendix_bounds_check",
     "identity_campaign",
+    "identity_campaigns",
     "appendix_campaign",
+    "appendix_campaigns",
     "symbolic_identity_certificates",
 ]
 
@@ -303,7 +306,7 @@ def frame_sums(nu: UnitNormal | Sequence[float], params: TiltParams) -> FrameRep
     arr = np.asarray(nu.components, dtype=float)[None, :]
     k = params.k_float
     t = _tilt_terms(arr[:, 0], arr[:, -1], params.cos_theta, k)
-    out = _frame_terms(arr, k, params.sin_squared, t)
+    out = _frame_terms(_tangent_projections(arr), k, params.sin_squared, t)
     return FrameReport(
         sum_squares=float(out["sum_sq"][0]),
         sum_wedge_squares=float(out["sum_wedge"][0]),
@@ -314,29 +317,40 @@ def frame_sums(nu: UnitNormal | Sequence[float], params: TiltParams) -> FrameRep
     )
 
 
-def _frame_terms(nu: np.ndarray, k: float, sin_sq: float, t: _TiltTerms) -> dict:
-    """Vectorised frame quantities for an (N, n+1) array of unit normals.
+def _tangent_projections(nu: np.ndarray) -> tuple:
+    """e1^T, e_{n+1}^T, nu_last e_{n+1}^T and |e_{n+1}^T|^2 at an (N, n+1) array of unit normals.
 
-    ``t`` holds the caller's ``_tilt_terms`` of the same rows.  Builds the
-    projections as explicit ambient vectors: for a fixed vector v, the
-    tangential projection is v - <v, nu> nu.  This is the float
-    reference for the Gram forms of ``_frame_defects`` (which the symbolic
-    certificate and the rational fallback use), so it keeps its own
-    independent construction instead of reusing them.
+    For a fixed vector v, the tangential projection is v^T = v - <v, nu> nu.
+    These terms depend on the normals alone, so configurations that share a
+    draw share them.
     """
     import numpy as np
 
     nu1 = nu[:, 0]
     nup = nu[:, -1]
-
     e1_t = -nu1[:, None] * nu
     e1_t[:, 0] += 1.0
     ep_t = -nup[:, None] * nu
     ep_t[:, -1] += 1.0
+    return e1_t, ep_t, nup[:, None] * ep_t, np.einsum("ij,ij->i", ep_t, ep_t)
 
+
+def _frame_terms(projections: tuple, k: float, sin_sq: float, t: _TiltTerms) -> dict:
+    """Vectorised frame quantities at N unit normals.
+
+    ``projections`` is ``_tangent_projections`` of the normals and ``t``
+    the caller's ``_tilt_terms`` of the same rows.  Builds the projections
+    a1, a2, a3 as explicit ambient vectors.  This is the float reference
+    for the Gram forms of ``_frame_defects`` (which the symbolic
+    certificate and the rational fallback use), so it keeps its own
+    independent construction instead of reusing them.
+    """
+    import numpy as np
+
+    e1_t, ep_t, nup_ep_t, a2sq = projections
     g = np.sqrt(np.maximum(t.g2, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        a3 = (t.bfrak[:, None] * e1_t + nup[:, None] * ep_t) / g[:, None]
+        a3 = (t.bfrak[:, None] * e1_t + nup_ep_t) / g[:, None]
 
     a1 = math.sqrt(1.0 - k) * e1_t
     a2 = ep_t
@@ -344,7 +358,7 @@ def _frame_terms(nu: np.ndarray, k: float, sin_sq: float, t: _TiltTerms) -> dict
     def dot(u, v):
         return np.einsum("ij,ij->i", u, v)
 
-    a1sq, a2sq, a3sq = dot(a1, a1), dot(a2, a2), dot(a3, a3)
+    a1sq, a3sq = dot(a1, a1), dot(a3, a3)
     w12 = a1sq * a2sq - dot(a1, a2) ** 2
     w13 = a1sq * a3sq - dot(a1, a3) ** 2
     w23 = a2sq * a3sq - dot(a2, a3) ** 2
@@ -770,54 +784,91 @@ def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42
     fixed seed, in chunks of ``_sampling.CHUNK_ROWS`` rows.  Rows with g^2
     below 1e-4 are recomputed by ``_identity_row_exact`` before residuals are
     aggregated; the extrema fold with ``np.maximum``/``np.minimum``, so a
-    NaN residual reaches the result.
+    NaN residual reaches the result.  This is ``identity_campaigns`` with
+    one configuration.
     """
-    import numpy as np
+    return identity_campaigns([params], samples=samples, seed=seed)[0]
 
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    k = params.k_float
-    cos_t = params.cos_theta
-    exact_cos_t = Fraction(cos_t)
-    sin_sq = params.sin_squared
-    # Running maxima of the gradient, frame-sum and wedge-sum residuals and of jfrak / g^2.
-    worst = np.full(4, -np.inf)
-    min_g2 = np.inf
-    fallbacks = 0
-    for nu in unit_gaussian_chunks(np.random.default_rng(seed), samples, params.n + 1):
+
+class _IdentityFold:
+    """One configuration's constants and running extrema in ``identity_campaigns``."""
+
+    def __init__(self, params: TiltParams):
+        # Each constant is a Taylor series on the fixed-point grid: read it once, not per chunk.
+        self.k_exact = params.k
+        self.k = params.k_float
+        self.cos_t = params.cos_theta
+        self.exact_cos_t = Fraction(self.cos_t)
+        self.sin_sq = params.sin_squared
+        # Running maxima of the gradient, frame-sum and wedge-sum residuals and of jfrak / g^2.
+        self.worst = [-math.inf] * 4
+        self.min_g2 = math.inf
+        self.fallbacks = 0
+
+    def add(self, nu: np.ndarray, projections: tuple) -> None:
+        import numpy as np
+
+        k = self.k
         nu1, nup = nu[:, 0], nu[:, -1]
-        t = _tilt_terms(nu1, nup, cos_t, k)
+        t = _tilt_terms(nu1, nup, self.cos_t, k)
         jfrak, defect = _gradient_defect(nu1, nup, k, t)
         grad_res = np.abs(defect)
 
-        frame = _frame_terms(nu, k, sin_sq, t)
+        frame = _frame_terms(projections, k, self.sin_sq, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             j_ratio = jfrak / t.g2
 
         small = np.flatnonzero(t.g2 < _SMALL_G2)
         for idx in small:
-            res = _identity_row_exact(nu[idx], exact_cos_t, params.k)
+            res = _identity_row_exact(nu[idx], self.exact_cos_t, self.k_exact)
             grad_res[idx] = res["grad"]
             frame["res_sum"][idx] = res["res_sum"]
             frame["res_wedge"][idx] = res["res_wedge"]
             j_ratio[idx] = res["j_ratio"]
 
-        worst = np.maximum(
-            worst, [np.max(grad_res), np.max(frame["res_sum"]), np.max(frame["res_wedge"]), np.max(j_ratio)]
+        self.worst = np.maximum(
+            self.worst, [np.max(grad_res), np.max(frame["res_sum"]), np.max(frame["res_wedge"]), np.max(j_ratio)]
         )
-        min_g2 = np.minimum(min_g2, np.min(t.g2))
-        fallbacks += int(small.size)
+        self.min_g2 = np.minimum(self.min_g2, np.min(t.g2))
+        self.fallbacks += int(small.size)
 
-    return IdentityCampaignResult(
-        samples=samples,
-        seed=seed,
-        max_gradient_residual=float(worst[0]),
-        max_frame_sum_residual=float(worst[1]),
-        max_wedge_sum_residual=float(worst[2]),
-        max_j_over_g2=float(worst[3]),
-        min_g_squared=float(min_g2),
-        fallback_count=fallbacks,
-    )
+    def result(self, samples: int, seed: int) -> IdentityCampaignResult:
+        return IdentityCampaignResult(
+            samples=samples,
+            seed=seed,
+            max_gradient_residual=float(self.worst[0]),
+            max_frame_sum_residual=float(self.worst[1]),
+            max_wedge_sum_residual=float(self.worst[2]),
+            max_j_over_g2=float(self.worst[3]),
+            min_g_squared=float(self.min_g2),
+            fallback_count=self.fallbacks,
+        )
+
+
+def identity_campaigns(
+    params_seq: Sequence[TiltParams], samples: int = 100_000, seed: int = 42
+) -> list[IdentityCampaignResult]:
+    """``identity_campaign`` for several configurations of one graph dimension, on one draw.
+
+    Each chunk of normals is drawn and projected once and then evaluated for
+    every configuration in turn, so the results are those of separate
+    ``identity_campaign`` calls, in the order of ``params_seq``.
+    """
+    import numpy as np
+
+    if not params_seq:
+        raise ValueError("need at least one configuration")
+    dims = sorted({params.n for params in params_seq})
+    if len(dims) > 1:
+        raise ValueError(f"configurations on one draw must share the graph dimension, got n = {dims}")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    folds = [_IdentityFold(params) for params in params_seq]
+    for nu in unit_gaussian_chunks(np.random.default_rng(seed), samples, dims[0] + 1):
+        projections = _tangent_projections(nu)
+        for fold in folds:
+            fold.add(nu, projections)
+    return [fold.result(samples, seed) for fold in folds]
 
 
 def _identity_row_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> dict:
@@ -874,45 +925,86 @@ def appendix_campaign(
 
     The seed spawns two independent streams, one for the directions and
     one for the radii, so the sweep draws both chunk by chunk side by side.
+    This is ``appendix_campaigns`` with one configuration.
+    """
+    return appendix_campaigns(n, [(theta, orientation)], radius=radius, samples=samples, seed=seed, k=k)[0]
+
+
+class _AppendixFold:
+    """One configuration's ball centre and running extrema in ``appendix_campaigns``."""
+
+    def __init__(self, n: int, theta: AngleDeg, orientation: str, k: Optional[RationalLike]):
+        import numpy as np
+
+        self.k, self.c, self.s = _appendix_inputs(n, theta, orientation, k)
+        self.orientation = orientation
+        cot = self.c / self.s
+        self.center = np.zeros(n)
+        self.center[0] = -cot if orientation == "up" else cot
+        self.c_small = None
+        self.max_g2 = -np.inf
+        self.all_applicable = True
+        self.min_slacks = {}
+        self.violations = 0
+
+    def add(self, offsets: np.ndarray) -> None:
+        import numpy as np
+
+        out = _appendix_slacks(self.center[None, :] + offsets, self.k, self.c, self.s, self.orientation)
+        self.c_small = out["c_small"]
+        self.max_g2 = np.maximum(self.max_g2, np.max(out["g2"]))
+        self.all_applicable = self.all_applicable and bool(np.all(out["applicable"]))
+        for name, values in out["slacks"].items():
+            self.min_slacks[name] = np.minimum(self.min_slacks.get(name, np.inf), np.min(values))
+        self.violations += sum(int(np.count_nonzero(hit)) for hit in out["violated"].values())
+
+    def result(self, samples: int, seed: int, radius: float) -> AppendixCampaignResult:
+        return AppendixCampaignResult(
+            samples=samples,
+            seed=seed,
+            radius=radius,
+            max_g_squared=float(self.max_g2),
+            c_small=self.c_small,
+            all_applicable=self.all_applicable,
+            min_slack_gradient_shift=float(self.min_slacks["gradient_shift"]),
+            min_slack_normal_gap=float(self.min_slacks["normal_gap"]),
+            min_slack_gradient_size=float(self.min_slacks["gradient_size"]),
+            min_slack_tilt_vs_gap=float(self.min_slacks["tilt_vs_gap"]),
+            min_signed_gap_slack=float(self.min_slacks["signed_gap"]),
+            violation_count=self.violations,
+        )
+
+
+def appendix_campaigns(
+    n: int,
+    configurations: Sequence[tuple[AngleDeg, str]],
+    radius: float = 0.05,
+    samples: int = 10_000,
+    seed: int = 42,
+    k: Optional[RationalLike] = None,
+) -> list[AppendixCampaignResult]:
+    """``appendix_campaign`` for several (theta, orientation) pairs, on one draw.
+
+    The balls differ only in their centres, so each chunk of offsets
+    (radius times direction) is drawn once and moved to every
+    configuration's centre in turn; the results are those of separate
+    ``appendix_campaign`` calls, in the order of ``configurations``.
     """
     import numpy as np
 
-    k, c, s = _appendix_inputs(n, theta, orientation, k)
+    if not configurations:
+        raise ValueError("need at least one configuration")
+    folds = [_AppendixFold(n, theta, orientation, k) for theta, orientation in configurations]
     if samples < 1:
         raise ValueError("samples must be positive")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
-    cot = c / s
-    center = np.zeros(n)
-    center[0] = -cot if orientation == "up" else cot
 
     streams = np.random.SeedSequence(seed).spawn(2)
     dirs_rng, radii_rng = (np.random.default_rng(stream) for stream in streams)
-    max_g2 = -np.inf
-    all_applicable = True
-    min_slacks = {}
-    violations = 0
     for dirs in unit_gaussian_chunks(dirs_rng, samples, n):
         radii = radius * radii_rng.random(dirs.shape[0]) ** (1.0 / n)
-        grads = center[None, :] + radii[:, None] * dirs
-        out = _appendix_slacks(grads, k, c, s, orientation)
-        max_g2 = np.maximum(max_g2, np.max(out["g2"]))
-        all_applicable = all_applicable and bool(np.all(out["applicable"]))
-        for name, values in out["slacks"].items():
-            min_slacks[name] = np.minimum(min_slacks.get(name, np.inf), np.min(values))
-        violations += sum(int(np.count_nonzero(hit)) for hit in out["violated"].values())
-
-    return AppendixCampaignResult(
-        samples=samples,
-        seed=seed,
-        radius=radius,
-        max_g_squared=float(max_g2),
-        c_small=out["c_small"],
-        all_applicable=all_applicable,
-        min_slack_gradient_shift=float(min_slacks["gradient_shift"]),
-        min_slack_normal_gap=float(min_slacks["normal_gap"]),
-        min_slack_gradient_size=float(min_slacks["gradient_size"]),
-        min_slack_tilt_vs_gap=float(min_slacks["tilt_vs_gap"]),
-        min_signed_gap_slack=float(min_slacks["signed_gap"]),
-        violation_count=violations,
-    )
+        offsets = radii[:, None] * dirs
+        for fold in folds:
+            fold.add(offsets)
+    return [fold.result(samples, seed, radius) for fold in folds]

@@ -345,12 +345,13 @@ def test_identities_nan_residual_is_not_certified(capsys, monkeypatch, field, re
     # max(0.0, nan) is 0.0: a NaN residual must not vanish in the suite's fold.
     from conecert import tilt
 
-    campaign = tilt.identity_campaign
+    campaigns = tilt.identity_campaigns
 
-    def nan_residual(params, samples, seed):
-        return dataclasses.replace(campaign(params, samples=samples, seed=seed), **{field: math.nan})
+    def nan_residual(params_seq, samples, seed):
+        results = campaigns(params_seq, samples=samples, seed=seed)
+        return [dataclasses.replace(res, **{field: math.nan}) for res in results]
 
-    monkeypatch.setattr(tilt, "identity_campaign", nan_residual)
+    monkeypatch.setattr(tilt, "identity_campaigns", nan_residual)
     code, out, _ = run(capsys, "identities", "--samples", "2000", "--format", "json")
     doc = json.loads(out)
     assert code != EXIT_CERTIFIED

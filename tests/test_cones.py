@@ -249,6 +249,13 @@ def test_sup_monotone_in_m_at_fixed_q():
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+def test_sup_at_a_q_beyond_the_doubles_is_refused_not_overflowed():
+    # The enumeration is exact: a q whose f^2 exceeds the largest double ends
+    # in the documented refusal of an oversized radicand, not in an OverflowError.
+    with pytest.raises(ValueError, match="Pollard rho runs only on parts of at most 128 bits"):
+        cones.sup_abs_f_two_value(3, 10 ** 160)
+
+
 # ---------------------------------------------------------------------------
 # Parameter sets, thresholds, constraint
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Streamed draws: the chunked campaigns equal one-shot evaluations and run in bounded memory."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,17 @@ IDENTITY_PARAMS = [
     tilt.TiltParams(theta=AngleDeg.from_degrees(91), k=Fraction(1), n=2, exploratory=True),
 ]
 APPENDIX_CASES = [(4, 91, "down"), (2, 150, "up")]
+# The selftest grid: four (theta, k) pairs at each graph dimension, and the six comparison balls at n = 4.
+SELFTEST_ANGLES_K = [(100, Fraction(1)), (120, Fraction(1, 2)), (135, Fraction(1, 3)), (150, Fraction(1, 4))]
+SELFTEST_DIMS = [2, 3, 4, 6]
+COMPARISON_CONFIGS = [(AngleDeg.from_degrees(t), o) for t in (91, 120, 150) for o in ("up", "down")]
+
+
+def _identity_grid(n):
+    return [
+        tilt.TiltParams(theta=AngleDeg.from_degrees(theta), k=k, n=n, exploratory=True)
+        for theta, k in SELFTEST_ANGLES_K
+    ]
 
 
 def _one_shot_directions(rng, samples, dim):
@@ -31,7 +43,7 @@ def _identity_one_shot(params, samples, seed):
     t = tilt._tilt_terms(nu1, nup, cos_t, k)
     jfrak, defect = tilt._gradient_defect(nu1, nup, k, t)
     grad_res = np.abs(defect)
-    frame = tilt._frame_terms(nu, k, params.sin_squared, t)
+    frame = tilt._frame_terms(tilt._tangent_projections(nu), k, params.sin_squared, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         j_ratio = jfrak / t.g2
     small = np.flatnonzero(t.g2 < tilt._SMALL_G2)
@@ -128,6 +140,32 @@ def test_streamed_campaigns_equal_one_shot_evaluation(samples):
         assert streamed == _appendix_one_shot(n, theta, orientation, samples, 7)
 
 
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_shared_draw_campaigns_equal_one_shot_evaluation(samples, seed):
+    for n in SELFTEST_DIMS:
+        grid = _identity_grid(n)
+        shared = tilt.identity_campaigns(grid, samples=samples, seed=seed)
+        assert shared == [_identity_one_shot(params, samples, seed) for params in grid]
+    shared = tilt.appendix_campaigns(4, COMPARISON_CONFIGS, samples=samples, seed=seed)
+    assert shared == [
+        _appendix_one_shot(4, theta, orientation, samples, seed) for theta, orientation in COMPARISON_CONFIGS
+    ]
+
+
+def test_shared_draw_campaigns_refuse_an_empty_or_mixed_grid_before_drawing(monkeypatch):
+    def must_not_draw(*args, **kwargs):
+        raise AssertionError("drew samples for an invalid grid")
+
+    monkeypatch.setattr(tilt, "unit_gaussian_chunks", must_not_draw)
+    with pytest.raises(ValueError, match="at least one configuration"):
+        tilt.identity_campaigns([], samples=10, seed=42)
+    with pytest.raises(ValueError, match="share the graph dimension"):
+        tilt.identity_campaigns(_identity_grid(3) + _identity_grid(4), samples=10, seed=42)
+    with pytest.raises(ValueError, match="at least one configuration"):
+        tilt.appendix_campaigns(4, [], samples=10, seed=42)
+
+
 # The oracle refuses fewer than 10^4 samples, so its boundaries sit two chunks further on.
 @pytest.mark.parametrize("samples", [3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 1, 3 * CHUNK + 5])
 def test_streamed_oracle_equals_one_shot_evaluation(samples):
@@ -159,6 +197,32 @@ def test_identity_campaign_keeps_a_nan_residual(monkeypatch):
     assert np.isnan(res.max_gradient_residual)
 
 
+def test_shared_draw_keeps_a_nan_residual_in_its_own_configuration(monkeypatch):
+    # On a shared draw, a NaN in one configuration's first chunk reaches that
+    # configuration's result and no other.
+    grid = _identity_grid(3)
+    clean = tilt.identity_campaigns(grid, samples=3 * CHUNK, seed=42)
+    target = grid[1].k_float
+    kernel = tilt._gradient_defect
+    calls = []
+
+    def nan_in_targets_first_chunk(nu1, nu_last, k, t):
+        jfrak, defect = kernel(nu1, nu_last, k, t)
+        if k == target and k not in calls:
+            defect[0] = np.nan
+        calls.append(k)
+        return jfrak, defect
+
+    monkeypatch.setattr(tilt, "_gradient_defect", nan_in_targets_first_chunk)
+    shared = tilt.identity_campaigns(grid, samples=3 * CHUNK, seed=42)
+    assert len(calls) == 3 * len(grid)
+    assert np.isnan(shared[1].max_gradient_residual)
+    assert dataclasses.replace(shared[1], max_gradient_residual=0.0) == dataclasses.replace(
+        clean[1], max_gradient_residual=0.0
+    )
+    assert [res for i, res in enumerate(shared) if i != 1] == [res for i, res in enumerate(clean) if i != 1]
+
+
 def _peak_bytes(run) -> int:
     tracemalloc.start()
     try:
@@ -173,12 +237,14 @@ def _peak_bytes(run) -> int:
     [
         lambda chunks: tilt.identity_campaign(IDENTITY_PARAMS[0], samples=chunks * CHUNK, seed=42),
         lambda chunks: tilt.appendix_campaign(4, AngleDeg.from_degrees(91), samples=chunks * CHUNK, seed=42),
+        lambda chunks: tilt.identity_campaigns(_identity_grid(6), samples=chunks * CHUNK, seed=42),
+        lambda chunks: tilt.appendix_campaigns(4, COMPARISON_CONFIGS, samples=chunks * CHUNK, seed=42),
         # At least 10^4 samples: 3 and 30 chunks.
         lambda chunks: cones.brute_force_sup(
             4, Fraction(43, 391), samples=3 * chunks // 2 * CHUNK, ascent_steps=5, seed=42
         ),
     ],
-    ids=["identity", "appendix", "oracle"],
+    ids=["identity", "appendix", "identity-grid", "comparison-grid", "oracle"],
 )
 def test_campaign_memory_does_not_grow_with_samples(campaign):
     campaign(2)  # one-time allocations (caches, 50-digit constants) happen outside the measurement
