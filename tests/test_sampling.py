@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conecert import _sampling, cones, tilt
+from conecert import _sampling, cli, cones, tilt
 from conecert.exact import AngleDeg
 
 CHUNK = _sampling.CHUNK_ROWS
@@ -16,16 +16,15 @@ IDENTITY_PARAMS = [
     tilt.TiltParams(theta=AngleDeg.from_degrees(91), k=Fraction(1), n=2, exploratory=True),
 ]
 APPENDIX_CASES = [(4, 91, "down"), (2, 150, "up")]
-# The selftest grid: four (theta, k) pairs at each graph dimension, and the six comparison balls at n = 4.
-SELFTEST_ANGLES_K = [(100, Fraction(1)), (120, Fraction(1, 2)), (135, Fraction(1, 3)), (150, Fraction(1, 4))]
-SELFTEST_DIMS = [2, 3, 4, 6]
+# The selftest's six comparison balls, all at n = 4.
 COMPARISON_CONFIGS = [(AngleDeg.from_degrees(t), o) for t in (91, 120, 150) for o in ("up", "down")]
 
 
 def _identity_grid(n):
+    """The selftest's identity configurations at graph dimension n."""
     return [
         tilt.TiltParams(theta=AngleDeg.from_degrees(theta), k=k, n=n, exploratory=True)
-        for theta, k in SELFTEST_ANGLES_K
+        for theta, k in cli._IDENTITY_ANGLES_K
     ]
 
 
@@ -143,7 +142,7 @@ def test_streamed_campaigns_equal_one_shot_evaluation(samples):
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_shared_draw_campaigns_equal_one_shot_evaluation(samples, seed):
-    for n in SELFTEST_DIMS:
+    for n in cli._IDENTITY_DIMS:
         grid = _identity_grid(n)
         shared = tilt.identity_campaigns(grid, samples=samples, seed=seed)
         assert shared == [_identity_one_shot(params, samples, seed) for params in grid]
@@ -196,31 +195,29 @@ def test_identity_campaign_keeps_a_nan_residual(monkeypatch):
     assert len(calls) == 3
     assert np.isnan(res.max_gradient_residual)
 
-
-def test_shared_draw_keeps_a_nan_residual_in_its_own_configuration(monkeypatch):
     # On a shared draw, a NaN in one configuration's first chunk reaches that
-    # configuration's result and no other.
+    # configuration's result and leaves the others' unchanged.
+    monkeypatch.setattr(tilt, "_gradient_defect", kernel)
     grid = _identity_grid(3)
     clean = tilt.identity_campaigns(grid, samples=3 * CHUNK, seed=42)
     target = grid[1].k_float
-    kernel = tilt._gradient_defect
-    calls = []
+    seen = []
 
     def nan_in_targets_first_chunk(nu1, nu_last, k, t):
         jfrak, defect = kernel(nu1, nu_last, k, t)
-        if k == target and k not in calls:
+        if k == target and k not in seen:
             defect[0] = np.nan
-        calls.append(k)
+        seen.append(k)
         return jfrak, defect
 
     monkeypatch.setattr(tilt, "_gradient_defect", nan_in_targets_first_chunk)
     shared = tilt.identity_campaigns(grid, samples=3 * CHUNK, seed=42)
-    assert len(calls) == 3 * len(grid)
+    assert len(seen) == 3 * len(grid)
     assert np.isnan(shared[1].max_gradient_residual)
     assert dataclasses.replace(shared[1], max_gradient_residual=0.0) == dataclasses.replace(
         clean[1], max_gradient_residual=0.0
     )
-    assert [res for i, res in enumerate(shared) if i != 1] == [res for i, res in enumerate(clean) if i != 1]
+    assert shared[:1] + shared[2:] == clean[:1] + clean[2:]
 
 
 def _peak_bytes(run) -> int:
