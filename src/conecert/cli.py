@@ -14,15 +14,13 @@ re-emitted as {"num": ..., "den": ...} objects in JSON — never as floats.
 
 from __future__ import annotations
 
-import hashlib
+import argparse
 import json
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence
-
-import click
 
 from . import cones, linearization, tilt
 from .exact import AngleDeg, QuadraticSurd, angle_range_from_threshold, compare
@@ -36,72 +34,97 @@ from .report import (
     jsonable,
 )
 
-__all__ = ["cli", "main"]
+__all__ = ["main"]
 
 
-class RationalType(click.ParamType):
+class UsageError(Exception):
+    """Input the run refuses; ``main`` prints it as one ``error:`` line and returns 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a :class:`UsageError`, without the usage text."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _rational(text: str, positive: bool = False) -> Fraction:
     """Exact rational parameter: "num/den" or an integer literal, optionally > 0."""
-
-    name = "rational"
-
-    def __init__(self, positive: bool = False) -> None:
-        self.positive = positive
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, Fraction):
-            return value
-        text = str(value).strip()
-        # Decimal or scientific notation is refused on purpose: the flag
-        # contract is exact integers or num/den quotients, nothing that
-        # looks like it might have been rounded.
+    # Decimal or scientific notation is refused on purpose: the flag
+    # contract is exact integers or num/den quotients, nothing that
+    # looks like it might have been rounded.
+    try:
         if any(ch in text for ch in ".eE"):
-            self.fail(f"{value!r} is not an exact rational (write it as num/den)", param, ctx)
+            raise ValueError
+        result = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an exact rational (write it as num/den)"
+        ) from None
+    if positive and result <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive rational")
+    return result
+
+
+def _positive_rational(text: str) -> Fraction:
+    return _rational(text, positive=True)
+
+
+def _count_from(minimum: int):
+    """An integer option of at least ``minimum``."""
+
+    def parse(text: str) -> int:
         try:
-            result = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            self.fail(f"{value!r} is not an exact rational (write it as num/den)", param, ctx)
-        if self.positive and result <= 0:
-            self.fail(f"{value!r} is not a positive rational", param, ctx)
-        return result
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={minimum}")
+        return value
+
+    return parse
 
 
-RATIONAL = RationalType()
-
-_FORMAT = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv", "text"]),
-    default="text",
-    show_default=True,
-    help="Report rendering.",
-)
-_OUT = click.option(
-    "--out",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    help="Write the rendered report to PATH instead of stdout.",
-)
-_TOL = click.option(
-    "--tol-deg",
-    type=RationalType(positive=True),
-    default=Fraction(1, 1000),
-    show_default="1/1000",
-    help="Grid step (degrees) of the certified angle enclosures; a positive rational.",
-)
-_SAMPLES = click.option(
-    "--samples",
-    type=click.IntRange(min=1),
-    default=100_000,
-    show_default=True,
-    help="Sample count for randomized campaigns.",
-)
-_SEED = click.option("--seed", type=int, default=42, show_default=True, help="RNG seed.")
+# Options shared by several commands; every option takes one value.
+_SHARED = {
+    "--tol-deg": dict(
+        type=_positive_rational,
+        default=Fraction(1, 1000),
+        help="Grid step (degrees) of the certified angle enclosures; a positive rational "
+        "(default 1/1000).",
+    ),
+    "--format": dict(
+        dest="fmt", choices=("json", "csv", "text"), default="text",
+        help="Report rendering (default text).",
+    ),
+    "--out": dict(metavar="PATH", help="Write the rendered report to PATH instead of stdout."),
+    "--samples": dict(
+        type=_count_from(1), default=100_000,
+        help="Sample count for randomized campaigns (default 100000).",
+    ),
+    "--seed": dict(type=int, default=42, help="RNG seed (default 42)."),
+}
 
 
-@click.group()
-@click.version_option(VERSION, prog_name="conecert")
-def cli() -> None:
-    """Certified computations for capillary-cone stability thresholds."""
+# Command name -> (function, options); filled by @_command.
+_COMMANDS: dict = {}
+
+
+def _command(*options):
+    """Register a command; its help is the docstring's first line.
+
+    Each option is the name of a ``_SHARED`` option or a ``(name, settings)``
+    pair; every option takes one value.
+    """
+
+    def register(func):
+        _COMMANDS[func.__name__.lstrip("_")] = (
+            func,
+            [(opt, _SHARED[opt]) if isinstance(opt, str) else opt for opt in options],
+        )
+        return func
+
+    return register
 
 
 @contextmanager
@@ -114,7 +137,7 @@ def _undecidable_as_error():
     try:
         yield
     except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
 def _finish(envelope: ReportEnvelope, started: float) -> int:
@@ -122,12 +145,14 @@ def _finish(envelope: ReportEnvelope, started: float) -> int:
     rendered = envelope.render()
     if envelope.config.out:
         try:
-            Path(envelope.config.out).write_text(rendered)
+            with open(envelope.config.out, "w") as handle:
+                handle.write(rendered)
         except OSError as exc:
-            click.echo(f"error: cannot write {envelope.config.out}: {exc}", err=True)
+            print(f"error: cannot write {envelope.config.out}: {exc}", file=sys.stderr)
             return EXIT_OPERATIONAL_ERROR
     else:
-        click.echo(rendered, nl=False)
+        sys.stdout.write(rendered)
+        sys.stdout.flush()
     return envelope.exit_code()
 
 
@@ -136,11 +161,8 @@ def _finish(envelope: ReportEnvelope, started: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@cli.command()
-@_TOL
-@_FORMAT
-@_OUT
-def table(tol_deg: Fraction, fmt: str, out: Optional[str]) -> int:
+@_command("--tol-deg", "--format", "--out")
+def _table(tol_deg: Fraction, fmt: str, out: Optional[str]) -> int:
     """Print the critical-dimension table with certified breakpoints."""
     started = time.perf_counter()
     config = RunConfig(command="table", tol_deg=tol_deg, format=fmt, out=out)
@@ -176,16 +198,17 @@ def table(tol_deg: Fraction, fmt: str, out: Optional[str]) -> int:
 _N3_EPS_GRID = (Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 4))
 
 
-@cli.command()
-@click.option("--n", type=int, required=True, help="Dimension (3, 4, 5 or 6).")
-@click.option("--alpha", type=RATIONAL, default=None, help="Override alpha.")
-@click.option("--delta", type=RATIONAL, default=None, help="Override delta.")
-@click.option("--q", type=RATIONAL, default=None, help="Override q.")
-@click.option("--p2", type=RATIONAL, default=None, help="Override p^2.")
-@_TOL
-@_FORMAT
-@_OUT
-def certify(
+@_command(
+    ("--n", dict(type=int, required=True, help="Dimension (3, 4, 5 or 6).")),
+    ("--alpha", dict(type=_rational, help="Override alpha.")),
+    ("--delta", dict(type=_rational, help="Override delta.")),
+    ("--q", dict(type=_rational, help="Override q.")),
+    ("--p2", dict(type=_rational, help="Override p^2.")),
+    "--tol-deg",
+    "--format",
+    "--out",
+)
+def _certify(
     n: int,
     alpha: Optional[Fraction],
     delta: Optional[Fraction],
@@ -212,7 +235,7 @@ def certify(
 
     if n == 3:
         if any(v is not None for v in (alpha, delta, q, p2)):
-            raise click.UsageError("parameter overrides apply to n in {4, 5, 6} only")
+            raise UsageError("parameter overrides apply to n in {4, 5, 6} only")
         results = {str(eps): cones.n3_coefficients(eps) for eps in _N3_EPS_GRID}
         ok = all(r.contradiction_closes for r in results.values())
         envelope.add(
@@ -237,7 +260,7 @@ def certify(
         return _finish(envelope, started)
 
     if n not in (4, 5, 6):
-        raise click.UsageError("certify supports n in {3, 4, 5, 6}")
+        raise UsageError("certify supports n in {3, 4, 5, 6}")
 
     defaults = cones.calibrated_defaults(n)
     try:
@@ -283,18 +306,19 @@ def _check_oracle_size(m: int, samples: int) -> None:
     try:
         cones.check_oracle_size(m, samples)
     except ValueError as exc:
-        raise click.UsageError(f"--samples {samples} with m = {m}: {exc}") from None
+        raise UsageError(f"--samples {samples} with m = {m}: {exc}") from None
 
 
-@cli.command()
-@click.option("--m", type=int, required=True, help="Number of variables (>= 2).")
-@click.option("--q", type=RATIONAL, required=True, help="The parameter q > 0.")
-@click.option("--p2", type=RATIONAL, default=None, help="Compare sup^2 against this exact p^2.")
-@_SAMPLES
-@_SEED
-@_FORMAT
-@_OUT
-def pnbound(
+@_command(
+    ("--m", dict(type=int, required=True, help="Number of variables (>= 2).")),
+    ("--q", dict(type=_rational, required=True, help="The parameter q > 0.")),
+    ("--p2", dict(type=_rational, help="Compare sup^2 against this exact p^2.")),
+    "--samples",
+    "--seed",
+    "--format",
+    "--out",
+)
+def _pnbound(
     m: int,
     q: Fraction,
     p2: Optional[Fraction],
@@ -306,11 +330,11 @@ def pnbound(
     """Exact two-value sup of |f_{m,q}| with an independent sampling oracle."""
     started = time.perf_counter()
     if m < 2:
-        raise click.UsageError("--m must be at least 2")
+        raise UsageError("--m must be at least 2")
     try:
         cones.check_oracle_q(m, q)
     except ValueError as exc:
-        raise click.UsageError(f"--q: {exc}") from None
+        raise UsageError(f"--q: {exc}") from None
     samples_used = max(samples, _MIN_ORACLE_SAMPLES)
     _check_oracle_size(m, samples_used)
     config = RunConfig(
@@ -593,12 +617,8 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
     return reports
 
 
-@cli.command()
-@_SAMPLES
-@_SEED
-@_FORMAT
-@_OUT
-def identities(samples: int, seed: int, fmt: str, out: Optional[str]) -> int:
+@_command("--samples", "--seed", "--format", "--out")
+def _identities(samples: int, seed: int, fmt: str, out: Optional[str]) -> int:
     """Run every identity campaign, anchored by exact certificates."""
     started = time.perf_counter()
     config = RunConfig(command="identities", samples=samples, seed=seed, format=fmt, out=out)
@@ -613,16 +633,24 @@ def identities(samples: int, seed: int, fmt: str, out: Optional[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@cli.command()
-@click.option("--n", type=int, required=True, help="Dimension (4, 5 or 6).")
-@click.option("--p2", type=RATIONAL, default=None, help="p^2 to use (defaults to the calibrated one).")
-@click.option("--budget", type=click.IntRange(min=0), default=0, show_default=True,
-              help="Maximal number of exact evaluations; 0 echoes the defaults.")
-@_SEED
-@_TOL
-@_FORMAT
-@_OUT
-def optimize(
+@_command(
+    ("--n", dict(type=int, required=True, help="Dimension (4, 5 or 6).")),
+    ("--p2", dict(type=_rational, help="p^2 to use (defaults to the calibrated one).")),
+    (
+        "--budget",
+        dict(
+            type=_count_from(0),
+            default=0,
+            help=f"Maximal number of exact evaluations, at most {cones.OPTIMIZE_MAX_BUDGET}; "
+            "0 echoes the defaults (default 0).",
+        ),
+    ),
+    "--seed",
+    "--tol-deg",
+    "--format",
+    "--out",
+)
+def _optimize(
     n: int,
     p2: Optional[Fraction],
     budget: int,
@@ -634,7 +662,7 @@ def optimize(
     """Search (alpha, delta, q) for a larger certified threshold."""
     started = time.perf_counter()
     if n not in (4, 5, 6):
-        raise click.UsageError("optimize supports n in {4, 5, 6}")
+        raise UsageError("optimize supports n in {4, 5, 6}")
     config = RunConfig(
         command="optimize",
         n=n,
@@ -647,7 +675,10 @@ def optimize(
     )
     envelope = ReportEnvelope(config=config)
 
-    result = cones.optimize_params(n, p_squared=p2, budget=budget)
+    try:
+        result = cones.optimize_params(n, p_squared=p2, budget=budget)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if result.best is None:
         envelope.add(
             CertificationReport(
@@ -717,6 +748,15 @@ _EXPECTED_SURDS = {
     3: (Fraction(6, 11), Fraction(65, 726), 66),
     4: (Fraction(43, 391), Fraction(25423, 917286), 1173),
 }
+
+
+def _content_digest(reports: list[CertificationReport]) -> str:
+    """SHA-256 of the reports' canonical JSON."""
+    import hashlib
+
+    return hashlib.sha256(
+        json.dumps(jsonable([r.to_dict() for r in reports]), sort_keys=True).encode()
+    ).hexdigest()
 
 
 def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[CertificationReport]:
@@ -878,28 +918,20 @@ def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[Certif
     )
 
     # 11. Determinism digest over everything above.
-    digest = hashlib.sha256(
-        json.dumps(jsonable([r.to_dict() for r in reports]), sort_keys=True).encode()
-    ).hexdigest()
     reports.append(
         CertificationReport(
             claim="report content is a pure function of the configuration",
             method="exact",
             verdict="certified",
-            payload={"content_digest_sha256": digest},
+            payload={"content_digest_sha256": _content_digest(reports)},
             provenance={"note": "identical config must reproduce this digest"},
         )
     )
     return reports
 
 
-@cli.command()
-@_SAMPLES
-@_SEED
-@_TOL
-@_FORMAT
-@_OUT
-def selftest(samples: int, seed: int, tol_deg: Fraction, fmt: str, out: Optional[str]) -> int:
+@_command("--samples", "--seed", "--tol-deg", "--format", "--out")
+def _selftest(samples: int, seed: int, tol_deg: Fraction, fmt: str, out: Optional[str]) -> int:
     """Run the full deterministic check suite."""
     started = time.perf_counter()
     _check_oracle_size(max(_EXPECTED_SURDS), max(samples, _MIN_ORACLE_SAMPLES))
@@ -923,20 +955,64 @@ def selftest(samples: int, seed: int, tol_deg: Fraction, fmt: str, out: Optional
 # ---------------------------------------------------------------------------
 
 
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The command-line parser, with the options of ``command`` only.
+
+    argparse reads the command from the first word, so no other command's
+    options can apply; adding them all would take about 1 ms more per run.
+    """
+    parser = _Parser(
+        prog="conecert",
+        description="Certified computations for capillary-cone stability thresholds.",
+        allow_abbrev=False,
+        add_help=False,
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument(
+        "--version", action="version", version=f"conecert, version {VERSION}",
+        help="Show the version and exit.",
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True, prog="conecert")
+    for name, (func, options) in _COMMANDS.items():
+        summary = func.__doc__.splitlines()[0]
+        sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False, add_help=False)
+        if name == command:
+            sub.add_argument("--help", action="help", help="Show this message and exit.")
+            for option, settings in options:
+                sub.add_argument(option, **settings)
+    return parser
+
+
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """Write ``--opt VALUE`` as ``--opt=VALUE`` where VALUE starts with "-".
+
+    argparse would read a value such as ``-1/2`` as an option; attached, it
+    reaches the option's own check.
+    """
+    takes_value = {option for _, options in _COMMANDS.values() for option, _ in options}
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in takes_value and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the CLI; returns the process exit code instead of raising."""
+    args = sys.argv[1:] if argv is None else argv
     try:
-        result = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        try:
+            parser = _parser(args[0] if args else None)
+            options = vars(parser.parse_args(_attach_values(args)))
+        except SystemExit as exc:  # --help and --version
+            return int(exc.code or 0)
+        command = _COMMANDS[options.pop("command")][0]
+        return command(**options)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL_ERROR
-    except click.Abort:
-        return EXIT_OPERATIONAL_ERROR
-    if isinstance(result, int):
-        return result
-    return EXIT_CERTIFIED
 
 
 if __name__ == "__main__":

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # numpy loads inside the float functions, so exact commands never import it
     import numpy as np
 
+from ._record import Record, _fill
 from ._sampling import unit_gaussian_chunks
 from .exact import (
     Interval,
@@ -73,6 +73,7 @@ __all__ = [
     "brute_force_sup",
     "check_oracle_q",
     "check_oracle_size",
+    "OPTIMIZE_MAX_BUDGET",
     "m_functional",
     "constraint_holds",
     "certify_dimension",
@@ -89,23 +90,23 @@ ExactScalar = Union[Fraction, QuadraticSurd]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerSums:
+class PowerSums(Record):
     """First three power sums of a vector; exact for rational inputs."""
 
-    P1: Union[Fraction, float]
-    P2: Union[Fraction, float]
-    P3: Union[Fraction, float]
+    __slots__ = ("P1", "P2", "P3")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.P2, Fraction):
-            if self.P2 < 0:
+    def __init__(
+        self, P1: Union[Fraction, float], P2: Union[Fraction, float], P3: Union[Fraction, float]
+    ) -> None:
+        if isinstance(P2, Fraction):
+            if P2 < 0:
                 raise ValueError("P2 must be non-negative")
-            if self.P2 == 0:
+            if P2 == 0:
                 raise ValueError("zero vector rejected (P2 = 0)")
         else:
-            if self.P2 <= 0:
+            if P2 <= 0:
                 raise ValueError("zero vector rejected (P2 <= 0)")
+        _fill(self, locals())
 
     @classmethod
     def from_vector(cls, x: Sequence) -> "PowerSums":
@@ -126,20 +127,17 @@ class PowerSums:
         )
 
 
-@dataclass(frozen=True)
-class TwoValuePoint:
+class TwoValuePoint(Record):
     """The vector with ``a`` copies of ``x`` followed by ``b`` copies of ``y``."""
 
-    a: int
-    b: int
-    x: Union[Fraction, float]
-    y: Union[Fraction, float]
+    __slots__ = ("a", "b", "x", "y")
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a: int, b: int, x: Union[Fraction, float], y: Union[Fraction, float]) -> None:
+        if a < 1 or b < 1:
             raise ValueError("multiplicities must be positive")
-        if self.x == 0 and self.y == 0:
+        if x == 0 and y == 0:
             raise ValueError("(x, y) must not be (0, 0)")
+        _fill(self, locals())
 
     @property
     def m(self) -> int:
@@ -226,8 +224,7 @@ def _f_squared_exact(a: int, b: int, q: Fraction, x: QuadraticSurd) -> Quadratic
     return (N * N) / base ** 3
 
 
-@dataclass(frozen=True)
-class SupResult:
+class SupResult(Record):
     """Result of the exhaustive two-value sup computation.
 
     ``f_squared`` is the exact maximal f^2: a Fraction when it is rational,
@@ -238,12 +235,13 @@ class SupResult:
     largest-magnitude coordinate is 1 and sorted descending.
     """
 
-    value: Union[QuadraticSurd, Interval]
-    f_squared: ExactScalar
-    witness: TwoValuePoint
-    witness_source: str
-    exhaustive: bool
-    candidates: tuple[dict, ...] = field(default_factory=tuple)
+    __slots__ = ("value", "f_squared", "witness", "witness_source", "exhaustive", "candidates")
+
+    def __init__(
+        self, value: Union[QuadraticSurd, Interval], f_squared: ExactScalar, witness: TwoValuePoint,
+        witness_source: str, exhaustive: bool, candidates: tuple[dict, ...] = (),
+    ) -> None:
+        _fill(self, locals())
 
     def __float__(self) -> float:
         return float(self.value)
@@ -322,15 +320,15 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(Record):
     """Best |f| found by random sphere sampling plus gradient ascent."""
 
-    value: float
-    witness: tuple[float, ...]
-    samples: int
-    ascent_steps: int
-    seed: int
+    __slots__ = ("value", "witness", "samples", "ascent_steps", "seed")
+
+    def __init__(
+        self, value: float, witness: tuple[float, ...], samples: int, ascent_steps: int, seed: int,
+    ) -> None:
+        _fill(self, locals())
 
 
 def _f_parts(x: np.ndarray, q: float) -> tuple:
@@ -479,8 +477,7 @@ class ConeParamsError(ValueError):
         self.payload = payload or {}
 
 
-@dataclass(frozen=True)
-class ConeParams:
+class ConeParams(Record):
     """Certification parameters (n, alpha, delta, q, p^2).
 
     The invariant 2 alpha - 1 + 2/(n-1) - alpha^2 (q+1) > 0 (positivity of
@@ -489,15 +486,13 @@ class ConeParams:
     value attached.
     """
 
-    n: int
-    alpha: Fraction
-    delta: Fraction
-    q: Fraction
-    p_squared: Fraction
+    __slots__ = ("n", "alpha", "delta", "q", "p_squared")
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "delta", "q", "p_squared"):
-            object.__setattr__(self, name, to_fraction(getattr(self, name)))
+    def __init__(
+        self, n: int, alpha: RationalLike, delta: RationalLike, q: RationalLike, p_squared: RationalLike
+    ) -> None:
+        alpha, delta, q, p_squared = map(to_fraction, (alpha, delta, q, p_squared))
+        _fill(self, locals())
         if self.n < 3:
             raise ConeParamsError(f"n must be at least 3, got {self.n}")
         if not 0 < self.alpha <= 1:
@@ -546,13 +541,13 @@ def m_functional(p: ConeParams) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(Record):
     """Exact evaluation of the admissibility constraint lhs < rhs."""
 
-    lhs: Fraction
-    rhs: Fraction
-    strict: bool
+    __slots__ = ("lhs", "rhs", "strict")
+
+    def __init__(self, lhs: Fraction, rhs: Fraction, strict: bool) -> None:
+        _fill(self, locals())
 
     @property
     def gap(self) -> Fraction:
@@ -669,21 +664,23 @@ def _witness_payload(w: TwoValuePoint) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NThetaRow:
+class NThetaRow(Record):
     """One half-open row [lo, hi) of the critical-dimension table."""
 
-    lo: Fraction
-    hi: Fraction
-    n_theta: int
-    lo_enclosure: Interval
-    hi_enclosure: Interval
+    __slots__ = ("lo", "hi", "n_theta", "lo_enclosure", "hi_enclosure")
+
+    def __init__(
+        self, lo: Fraction, hi: Fraction, n_theta: int, lo_enclosure: Interval,
+        hi_enclosure: Interval,
+    ) -> None:
+        _fill(self, locals())
 
 
-@dataclass(frozen=True)
-class NThetaTable:
-    rows: tuple[NThetaRow, ...]
-    tol_deg: Fraction
+class NThetaTable(Record):
+    __slots__ = ("rows", "tol_deg")
+
+    def __init__(self, rows: tuple[NThetaRow, ...], tol_deg: Fraction) -> None:
+        _fill(self, locals())
 
     def classify(self, theta_deg: RationalLike) -> int:
         """Critical dimension for a contact angle (degrees).
@@ -758,23 +755,30 @@ def n_theta_table(tol_deg: RationalLike = Fraction(1, 1000)) -> NThetaTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
+class OptimizeResult(Record):
     """Outcome of the deterministic grid + refinement search."""
 
-    best: Optional[ConeParams]
-    best_m: Optional[Fraction]
-    calibrated: Optional[ConeParams]
-    default_m: Optional[Fraction]
-    matches_or_improves_default: Optional[bool]
-    evaluated: int
-    feasible_count: int
-    no_search: bool
+    __slots__ = (
+        "best", "best_m", "calibrated", "default_m", "matches_or_improves_default", "evaluated",
+        "feasible_count", "no_search",
+    )
+
+    def __init__(
+        self, best: Optional[ConeParams], best_m: Optional[Fraction],
+        calibrated: Optional[ConeParams], default_m: Optional[Fraction],
+        matches_or_improves_default: Optional[bool], evaluated: int, feasible_count: int,
+        no_search: bool,
+    ) -> None:
+        _fill(self, locals())
 
 
 # Feasibility margin keeping the optimizer away from the blow-up boundary
 # of the threshold functional.
 _FEASIBILITY_MARGIN = Fraction(1, 10 ** 6)
+
+# Cap on optimize_params' budget: the search makes up to one exact
+# evaluation (about 0.1 ms) per unit, so the cap bounds a run to seconds.
+OPTIMIZE_MAX_BUDGET = 10 ** 5
 
 
 def _try_params(n: int, alpha: Fraction, delta: Fraction, q: Fraction, p_squared: Fraction):
@@ -802,10 +806,16 @@ def optimize_params(
     scored by the exact functional.  The known-good parameter set for n in
     {4, 5, 6} is always included as a candidate, so the result never falls
     below it.  ``budget`` caps the number of exact evaluations; zero budget
-    performs no search and simply echoes the defaults.
+    performs no search and simply echoes the defaults.  A budget above
+    OPTIMIZE_MAX_BUDGET is refused before any work.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    if budget > OPTIMIZE_MAX_BUDGET:
+        raise ValueError(
+            f"budget above the limit of {OPTIMIZE_MAX_BUDGET} exact evaluations, "
+            "which bounds the search's work"
+        )
     calibrated = CALIBRATED_PARAMS.get(n)
     if p_squared is None:
         if calibrated is None:
@@ -896,8 +906,7 @@ def optimize_params(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class N3Report:
+class N3Report(Record):
     """Exponent coefficients of the n = 3 contradiction argument.
 
     The comparison function r^(1+eps) * max(1, r)^(-1/2 - 2 eps) has
@@ -907,9 +916,10 @@ class N3Report:
     below 1.
     """
 
-    c_outer: Fraction
-    c_inner: Fraction
-    contradiction_closes: bool
+    __slots__ = ("c_outer", "c_inner", "contradiction_closes")
+
+    def __init__(self, c_outer: Fraction, c_inner: Fraction, contradiction_closes: bool) -> None:
+        _fill(self, locals())
 
 
 def n3_coefficients(eps: RationalLike) -> N3Report:

@@ -39,9 +39,10 @@ the signs of such enclosures; no inverse function is evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from ._record import Record, _set
 
 __all__ = [
     "Rational",
@@ -132,8 +133,7 @@ def sqrt_fraction_enclosure(x: Fraction, scale: int = _SQRT_SCALE) -> "Interval"
     return Interval(Fraction(lo_int, scale), Fraction(hi_int, scale))
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval with exact rational endpoints.
 
     All arithmetic is exact (rational endpoints never need outward
@@ -142,15 +142,15 @@ class Interval:
     guaranteed to lie inside ``[lo, hi]``.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "lo", to_fraction(self.lo))
-            object.__setattr__(self, "hi", to_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+    def __init__(self, lo: RationalLike, hi: RationalLike) -> None:
+        if not isinstance(lo, Fraction) or not isinstance(hi, Fraction):
+            lo, hi = to_fraction(lo), to_fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     # -- constructors ------------------------------------------------------
 
@@ -390,8 +390,7 @@ def _square_split(n: int) -> tuple[int, int]:
     return s, f
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(Record):
     """Exact real number ``rational + coeff * sqrt(radicand)``.
 
     Normal form: either ``coeff != 0`` and ``radicand`` is a squarefree
@@ -406,12 +405,12 @@ class QuadraticSurd:
     fields.
     """
 
-    rational: Fraction
-    coeff: Fraction = Fraction(0)
-    radicand: int = 0
+    __slots__ = ("rational", "coeff", "radicand")
 
-    def __post_init__(self) -> None:
-        rational, coeff, radicand = to_fraction(self.rational), to_fraction(self.coeff), self.radicand
+    def __init__(
+        self, rational: RationalLike, coeff: RationalLike = Fraction(0), radicand: int = 0
+    ) -> None:
+        rational, coeff = to_fraction(rational), to_fraction(coeff)
         if not isinstance(radicand, int) or radicand < 0:
             raise ValueError(f"radicand must be a non-negative integer, got {radicand!r}")
         if coeff != 0 and radicand > 1:
@@ -419,9 +418,9 @@ class QuadraticSurd:
             coeff *= square
         if coeff == 0 or radicand <= 1:  # sqrt(0) = 0, sqrt(1) = 1
             rational, coeff, radicand = rational + coeff * radicand, Fraction(0), 0
-        object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "radicand", radicand)
+        _set(self, "rational", rational)
+        _set(self, "coeff", coeff)
+        _set(self, "radicand", radicand)
 
     @classmethod
     def _in_field(cls, rational: Fraction, coeff: Fraction, radicand: int) -> "QuadraticSurd":
@@ -429,9 +428,9 @@ class QuadraticSurd:
         if coeff == 0:
             coeff, radicand = Fraction(0), 0
         value = object.__new__(cls)
-        object.__setattr__(value, "rational", rational)
-        object.__setattr__(value, "coeff", coeff)
-        object.__setattr__(value, "radicand", radicand)
+        _set(value, "rational", rational)
+        _set(value, "coeff", coeff)
+        _set(value, "radicand", radicand)
         return value
 
     @classmethod
@@ -926,8 +925,7 @@ def sin_interval(radians: Interval) -> Interval:
     return _trig_hull(radians, True)
 
 
-@dataclass(frozen=True)
-class AngleDeg:
+class AngleDeg(Record):
     """An angle in degrees, carried as a certified enclosure.
 
     ``value`` is an :class:`Interval` of degrees inside [0, 180].  Exact
@@ -936,13 +934,14 @@ class AngleDeg:
     ``sin_squared`` is also exact at 30, 45, 135 and 150.
     """
 
-    value: Interval
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Interval):
-            object.__setattr__(self, "value", Interval.point(to_fraction(self.value)))
-        if self.value.lo < 0 or self.value.hi > 180:
-            raise ValueError(f"angle out of [0, 180] degrees: {self.value}")
+    def __init__(self, value: Union[Interval, RationalLike]) -> None:
+        if not isinstance(value, Interval):
+            value = Interval.point(to_fraction(value))
+        if value.lo < 0 or value.hi > 180:
+            raise ValueError(f"angle out of [0, 180] degrees: {value}")
+        _set(self, "value", value)
 
     @classmethod
     def from_degrees(cls, degrees: RationalLike) -> "AngleDeg":

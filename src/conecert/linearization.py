@@ -36,10 +36,10 @@ sin^3(theta) d11 + sin(theta) (d22 + ...) into the flat one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from ._record import Record, _fill
 from .exact import _DYADIC_ONE, AngleDeg, Interval, RationalLike, _Dyadic, to_fraction
 
 __all__ = [
@@ -143,21 +143,20 @@ def gauss_unit_deficiency(q: Sequence[float], theta: AngleLike, orientation: str
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RemainderOrderReport:
+class RemainderOrderReport(Record):
     """Sampled evidence that the Gauss-map remainder is second order."""
 
-    theta_deg: float
-    scale: float
-    directions: int
-    seed: int
-    orientation: str
-    ratio_min: float
-    ratio_max: float
-    ratio_mean: float
-    max_remainder: float
-    remainder_bound_constant: float
-    bound_satisfied: bool
+    __slots__ = (
+        "theta_deg", "scale", "directions", "seed", "orientation", "ratio_min", "ratio_max",
+        "ratio_mean", "max_remainder", "remainder_bound_constant", "bound_satisfied",
+    )
+
+    def __init__(
+        self, theta_deg: float, scale: float, directions: int, seed: int, orientation: str,
+        ratio_min: float, ratio_max: float, ratio_mean: float, max_remainder: float,
+        remainder_bound_constant: float, bound_satisfied: bool,
+    ) -> None:
+        _fill(self, locals())
 
     def ratios_within(self, lo: float = 3.6, hi: float = 4.4) -> bool:
         return lo <= self.ratio_min and self.ratio_max <= hi
@@ -231,8 +230,7 @@ def _remainder_norm(p: list[float], s: float, c: float, sign: int) -> float:
     return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(exact, lin)))
 
 
-@dataclass(frozen=True)
-class CertifiedRatioReport:
+class CertifiedRatioReport(Record):
     """Interval-certified halving ratios on seeded rational directions.
 
     Each |G - L| is enclosed on outward-rounded fixed-point intervals at
@@ -240,18 +238,18 @@ class CertifiedRatioReport:
     ratio enclosures and the bound check are exact rational arithmetic.
     """
 
-    theta_deg: float
-    scale: Fraction
-    directions: int
-    seed: int
-    orientation: str
-    band_lo: Fraction
-    band_hi: Fraction
-    ratio_enclosure_lo: float
-    ratio_enclosure_hi: float
-    all_in_band: bool
-    bound_constant: Fraction
-    bound_certified: bool
+    __slots__ = (
+        "theta_deg", "scale", "directions", "seed", "orientation", "band_lo", "band_hi",
+        "ratio_enclosure_lo", "ratio_enclosure_hi", "all_in_band", "bound_constant",
+        "bound_certified",
+    )
+
+    def __init__(
+        self, theta_deg: float, scale: Fraction, directions: int, seed: int, orientation: str,
+        band_lo: Fraction, band_hi: Fraction, ratio_enclosure_lo: float, ratio_enclosure_hi: float,
+        all_in_band: bool, bound_constant: Fraction, bound_certified: bool,
+    ) -> None:
+        _fill(self, locals())
 
 
 def remainder_ratio_certified(
@@ -385,8 +383,7 @@ def theta_norm_squared(x: Sequence[float], theta: AngleLike) -> float:
     return theta_inner(x, x, theta)
 
 
-@dataclass(frozen=True)
-class NormEquivalenceReport:
+class NormEquivalenceReport(Record):
     """Sandwich sin^3 |x|^2 <= |x|_theta^2 <= sin |x|^2 with stable slacks.
 
     Both slacks are evaluated as (sin - sin^3) times a sum of squares — a
@@ -394,11 +391,13 @@ class NormEquivalenceReport:
     rounding.
     """
 
-    theta_deg: float
-    norm_sq: float
-    theta_norm_sq: float
-    slack_vs_upper: float
-    slack_vs_lower: float
+    __slots__ = ("theta_deg", "norm_sq", "theta_norm_sq", "slack_vs_upper", "slack_vs_lower")
+
+    def __init__(
+        self, theta_deg: float, norm_sq: float, theta_norm_sq: float, slack_vs_upper: float,
+        slack_vs_lower: float,
+    ) -> None:
+        _fill(self, locals())
 
     @property
     def sandwiched(self) -> bool:
@@ -484,17 +483,19 @@ def _x_of_z(z: Sequence[float], s: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaplaceReport:
+class LaplaceReport(Record):
     """Agreement of the weighted Laplacian with the flat one in z."""
 
-    theta_deg: float
-    polynomials: int
-    points_per_polynomial: int
-    degree: int
-    step: float
-    max_residual: float
-    tolerance: float
+    __slots__ = (
+        "theta_deg", "polynomials", "points_per_polynomial", "degree", "step", "max_residual",
+        "tolerance",
+    )
+
+    def __init__(
+        self, theta_deg: float, polynomials: int, points_per_polynomial: int, degree: int,
+        step: float, max_residual: float, tolerance: float,
+    ) -> None:
+        _fill(self, locals())
 
     @property
     def passed(self) -> bool:

@@ -14,13 +14,12 @@ checks can at best report ``falsified`` (a concrete counterexample) or
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
+from ._record import _fill
 from .exact import AngleDeg, Interval, QuadraticSurd, to_fraction
 
 __all__ = [
@@ -85,23 +84,30 @@ def jsonable(value: Any) -> Any:
     return str(value)
 
 
-@dataclass
 class CertificationReport:
     """Outcome of one checked claim."""
 
-    claim: str
-    method: str
-    verdict: str
-    payload: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ("claim", "method", "verdict", "payload", "provenance")
 
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}; expected one of {VERDICTS}")
-        if self.verdict == "certified" and self.method == "sampled":
+    def __init__(
+        self,
+        claim: str,
+        method: str,
+        verdict: str,
+        payload: Optional[dict] = None,
+        provenance: Optional[dict] = None,
+    ) -> None:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        if verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}; expected one of {VERDICTS}")
+        if verdict == "certified" and method == "sampled":
             raise ValueError("sampling can falsify or be inconclusive, never certify")
+        self.claim = claim
+        self.method = method
+        self.verdict = verdict
+        self.payload = {} if payload is None else payload
+        self.provenance = {} if provenance is None else provenance
 
     def to_dict(self) -> dict:
         return {
@@ -119,23 +125,31 @@ def _format_rational(x: Optional[Fraction]) -> Optional[str]:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass
 class RunConfig:
     """Echo of the effective configuration of one CLI run."""
 
-    command: str
-    n: Optional[int] = None
-    m: Optional[int] = None
-    q: Optional[Fraction] = None
-    alpha: Optional[Fraction] = None
-    delta: Optional[Fraction] = None
-    p_squared: Optional[Fraction] = None
-    tol_deg: Fraction = Fraction(1, 1000)
-    samples: int = 100_000
-    seed: int = 42
-    budget: int = 0
-    format: str = "text"
-    out: Optional[str] = None
+    __slots__ = (
+        "command", "n", "m", "q", "alpha", "delta", "p_squared", "tol_deg", "samples", "seed",
+        "budget", "format", "out",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        n: Optional[int] = None,
+        m: Optional[int] = None,
+        q: Optional[Fraction] = None,
+        alpha: Optional[Fraction] = None,
+        delta: Optional[Fraction] = None,
+        p_squared: Optional[Fraction] = None,
+        tol_deg: Fraction = Fraction(1, 1000),
+        samples: int = 100_000,
+        seed: int = 42,
+        budget: int = 0,
+        format: str = "text",
+        out: Optional[str] = None,
+    ) -> None:
+        _fill(self, locals())
 
     def to_dict(self) -> dict:
         """JSON form: every rational is a {"num", "den"} object."""
@@ -164,16 +178,21 @@ class RunConfig:
         return doc
 
 
-@dataclass
 class ReportEnvelope:
-    """All reports of one run plus configuration echo and overall verdict."""
+    """All reports of one run plus configuration echo and overall verdict.
 
-    config: RunConfig
-    reports: list[CertificationReport] = field(default_factory=list)
-    elapsed_ms: int = 0
-    version: str = VERSION
-    table_rows: Optional[list[dict]] = None  # set by table-shaped commands
-    table_csv_header: Optional[Sequence[str]] = None
+    ``table_rows`` and ``table_csv_header`` are set by table-shaped commands.
+    """
+
+    __slots__ = ("config", "reports", "elapsed_ms", "version", "table_rows", "table_csv_header")
+
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
+        self.reports: list[CertificationReport] = []
+        self.elapsed_ms = 0
+        self.version = VERSION
+        self.table_rows: Optional[list[dict]] = None
+        self.table_csv_header: Optional[Sequence[str]] = None
 
     def add(self, report: CertificationReport) -> None:
         self.reports.append(report)
@@ -206,6 +225,8 @@ class ReportEnvelope:
         return json.dumps(doc, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if self.table_rows is not None and self.table_csv_header is not None:

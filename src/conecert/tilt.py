@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:  # numpy loads inside the float functions, so exact commands never import it
     import numpy as np
 
+from ._record import Record, _fill
 from ._sampling import unit_gaussian_chunks
 from .exact import (
     AngleDeg,
@@ -91,18 +91,18 @@ __all__ = [
 _SMALL_G2 = 1e-4
 
 
-@dataclass(frozen=True)
-class UnitNormal:
+class UnitNormal(Record):
     """A unit vector in R^(n+1), validated to machine tolerance."""
 
-    components: tuple[float, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        if len(self.components) < 3:
+    def __init__(self, components: tuple[float, ...]) -> None:
+        if len(components) < 3:
             raise ValueError("ambient dimension must be at least 3")
-        norm_sq = sum(c * c for c in self.components)
+        norm_sq = sum(c * c for c in components)
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"not a unit vector: |nu|^2 - 1 = {norm_sq - 1.0:.3e}")
+        _fill(self, locals())
 
     @classmethod
     def from_components(cls, seq: Sequence[float]) -> "UnitNormal":
@@ -142,8 +142,7 @@ def _check_orientation(orientation: str) -> None:
         raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
 
 
-@dataclass(frozen=True)
-class TiltParams:
+class TiltParams(Record):
     """Parameters (theta, k, n) of the tilt function.
 
     In the default mode, k must respect the dimensional restriction under
@@ -153,27 +152,27 @@ class TiltParams:
     hold for every such k, so campaigns may sweep freely.
     """
 
-    theta: AngleDeg
-    k: Fraction
-    n: int
-    exploratory: bool = False
+    __slots__ = ("theta", "k", "n", "exploratory")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, Fraction):
-            object.__setattr__(self, "k", to_fraction(self.k))
-        if not isinstance(self.theta, AngleDeg):
-            object.__setattr__(self, "theta", AngleDeg.from_degrees(self.theta))
-        if self.n < 2:
+    def __init__(
+        self, theta: AngleDeg | RationalLike, k: RationalLike, n: int, exploratory: bool = False
+    ) -> None:
+        if not isinstance(k, Fraction):
+            k = to_fraction(k)
+        if not isinstance(theta, AngleDeg):
+            theta = AngleDeg.from_degrees(theta)
+        if n < 2:
             raise ValueError("n must be at least 2")
-        if not 0 < self.k <= 1:
-            raise ValueError(f"k must lie in (0, 1], got {self.k}")
-        if not self.exploratory and self.n >= 3 and self.k > Fraction(1, self.n - 2):
+        if not 0 < k <= 1:
+            raise ValueError(f"k must lie in (0, 1], got {k}")
+        if not exploratory and n >= 3 and k > Fraction(1, n - 2):
             raise ValueError(
-                f"k = {self.k} exceeds 1/(n-2) = 1/{self.n - 2}; "
+                f"k = {k} exceeds 1/(n-2) = 1/{n - 2}; "
                 "pass exploratory=True to lift the restriction"
             )
-        if self.theta.value.lo <= 0 or self.theta.value.hi >= 180:
+        if theta.value.lo <= 0 or theta.value.hi >= 180:
             raise ValueError("theta must lie strictly between 0 and 180 degrees")
+        _fill(self, locals())
 
     @property
     def cos_theta(self) -> float:
@@ -272,8 +271,7 @@ def gradient_identity_residual(nu: UnitNormal | Sequence[float], params: TiltPar
     return abs(_gradient_defect(nu.first, nu.last, k, t)[1])
 
 
-@dataclass(frozen=True)
-class FrameReport:
+class FrameReport(Record):
     """Frame-sum identities at a single normal.
 
     ``a1``, ``a2``, ``a3`` are the tangential projections
@@ -286,16 +284,17 @@ class FrameReport:
     with w = cfrak / g^2 in [0, 1].
     """
 
-    sum_squares: float
-    sum_wedge_squares: float
-    w: float
-    residual_sum: float
-    residual_wedge: float
-    g_squared: float
+    __slots__ = (
+        "sum_squares", "sum_wedge_squares", "w", "residual_sum", "residual_wedge", "g_squared",
+    )
 
-    def __post_init__(self) -> None:
-        if not -1e-9 <= self.w <= 1.0 + 1e-9:
-            raise ValueError(f"w = cfrak/g^2 = {self.w} outside [0, 1]")
+    def __init__(
+        self, sum_squares: float, sum_wedge_squares: float, w: float, residual_sum: float,
+        residual_wedge: float, g_squared: float,
+    ) -> None:
+        if not -1e-9 <= w <= 1.0 + 1e-9:
+            raise ValueError(f"w = cfrak/g^2 = {w} outside [0, 1]")
+        _fill(self, locals())
 
 
 def frame_sums(nu: UnitNormal | Sequence[float], params: TiltParams) -> FrameReport:
@@ -567,8 +566,7 @@ def certify_margin_positive(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AppendixBoundsReport:
+class AppendixBoundsReport(Record):
     """Slack report for the comparison bounds at one graph gradient.
 
     All four bounds are stated under the applicability threshold
@@ -587,19 +585,19 @@ class AppendixBoundsReport:
     reference normal.
     """
 
-    g_squared: float
-    c_small: float
-    c_big: float
-    applicable: bool
-    inner_product: float
-    slack_gradient_shift: float
-    slack_normal_gap: float
-    slack_gradient_size: float
-    slack_tilt_vs_gap: float
-    signed_gap_slack: float
-    orientation: str
-    k: Fraction
-    violations: tuple[str, ...]
+    __slots__ = (
+        "g_squared", "c_small", "c_big", "applicable", "inner_product", "slack_gradient_shift",
+        "slack_normal_gap", "slack_gradient_size", "slack_tilt_vs_gap", "signed_gap_slack",
+        "orientation", "k", "violations",
+    )
+
+    def __init__(
+        self, g_squared: float, c_small: float, c_big: float, applicable: bool,
+        inner_product: float, slack_gradient_shift: float, slack_normal_gap: float,
+        slack_gradient_size: float, slack_tilt_vs_gap: float, signed_gap_slack: float,
+        orientation: str, k: Fraction, violations: tuple[str, ...],
+    ) -> None:
+        _fill(self, locals())
 
 
 def _appendix_inputs(n: int, theta: AngleDeg, orientation: str, k: Optional[RationalLike]):
@@ -763,18 +761,20 @@ def _symbolic_certificates() -> dict[str, bool]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCampaignResult:
+class IdentityCampaignResult(Record):
     """Worst-case residuals over a random sweep of unit normals."""
 
-    samples: int
-    seed: int
-    max_gradient_residual: float
-    max_frame_sum_residual: float
-    max_wedge_sum_residual: float
-    max_j_over_g2: float
-    min_g_squared: float
-    fallback_count: int
+    __slots__ = (
+        "samples", "seed", "max_gradient_residual", "max_frame_sum_residual",
+        "max_wedge_sum_residual", "max_j_over_g2", "min_g_squared", "fallback_count",
+    )
+
+    def __init__(
+        self, samples: int, seed: int, max_gradient_residual: float, max_frame_sum_residual: float,
+        max_wedge_sum_residual: float, max_j_over_g2: float, min_g_squared: float,
+        fallback_count: int,
+    ) -> None:
+        _fill(self, locals())
 
 
 def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42) -> IdentityCampaignResult:
@@ -890,22 +890,22 @@ def _identity_row_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class AppendixCampaignResult:
+class AppendixCampaignResult(Record):
     """Worst-case comparison-bound slacks over a ball of graph gradients."""
 
-    samples: int
-    seed: int
-    radius: float
-    max_g_squared: float
-    c_small: float
-    all_applicable: bool
-    min_slack_gradient_shift: float
-    min_slack_normal_gap: float
-    min_slack_gradient_size: float
-    min_slack_tilt_vs_gap: float
-    min_signed_gap_slack: float
-    violation_count: int
+    __slots__ = (
+        "samples", "seed", "radius", "max_g_squared", "c_small", "all_applicable",
+        "min_slack_gradient_shift", "min_slack_normal_gap", "min_slack_gradient_size",
+        "min_slack_tilt_vs_gap", "min_signed_gap_slack", "violation_count",
+    )
+
+    def __init__(
+        self, samples: int, seed: int, radius: float, max_g_squared: float, c_small: float,
+        all_applicable: bool, min_slack_gradient_shift: float, min_slack_normal_gap: float,
+        min_slack_gradient_size: float, min_slack_tilt_vs_gap: float, min_signed_gap_slack: float,
+        violation_count: int,
+    ) -> None:
+        _fill(self, locals())
 
 
 def appendix_campaign(

@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface and report envelope."""
 
-import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -349,7 +350,10 @@ def test_identities_nan_residual_is_not_certified(capsys, monkeypatch, field, re
 
     def nan_residual(params_seq, samples, seed):
         results = campaigns(params_seq, samples=samples, seed=seed)
-        return [dataclasses.replace(res, **{field: math.nan}) for res in results]
+        return [
+            type(res)(**{**{name: getattr(res, name) for name in res.__slots__}, field: math.nan})
+            for res in results
+        ]
 
     monkeypatch.setattr(tilt, "identity_campaigns", nan_residual)
     code, out, _ = run(capsys, "identities", "--samples", "2000", "--format", "json")
@@ -384,6 +388,39 @@ def test_optimize_with_budget_never_regresses(capsys):
 def test_optimize_rejects_unsupported_dimension(capsys):
     code, _, err = run(capsys, "optimize", "--n", "3")
     assert code == EXIT_OPERATIONAL_ERROR
+
+
+def test_optimize_rejects_a_non_positive_p2(capsys):
+    # optimize_params' ValueError ended in a traceback.
+    code, out, err = run(capsys, "optimize", "--n", "5", "--p2", "0")
+    assert code == EXIT_OPERATIONAL_ERROR
+    assert out == "" and err == "error: p_squared must be positive\n"
+
+
+@pytest.mark.parametrize("budget", ["100000000", str(10 ** 400)], ids=["1e8", "1e400"])
+def test_optimize_refuses_a_budget_beyond_its_cap(budget):
+    # 10^8 ran for hours (the search is linear in the budget) and 10^400
+    # ended in an OverflowError traceback at budget ** (1/3).
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert", "optimize", "--n", "5", "--budget", budget],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120,
+    )
+    assert time.perf_counter() - started < 30
+    assert proc.returncode == EXIT_OPERATIONAL_ERROR
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: budget above the limit") and proc.stderr.count("\n") == 1
+    assert str(cones.OPTIMIZE_MAX_BUDGET) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_optimize_params_refuses_a_budget_beyond_its_cap_before_any_work(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("evaluated a parameter set under a refused budget")
+
+    monkeypatch.setattr(cones, "m_functional", must_not_run)
+    with pytest.raises(ValueError, match=str(cones.OPTIMIZE_MAX_BUDGET)):
+        cones.optimize_params(5, budget=cones.OPTIMIZE_MAX_BUDGET + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +464,54 @@ def test_version_and_help_exit_zero(capsys):
 
 def test_unknown_command_is_operational_error(capsys):
     assert main(["frobnicate"]) == EXIT_OPERATIONAL_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv,mentions",
+    [
+        (("certify", "--n", "4", "--bogus", "1"), "--bogus"),
+        (("pnbound", "--m", "3", "--q", "1", "--sam", "10"), "--sam"),  # prefixes are not accepted
+        (("certify",), "--n"),
+        (("table", "--format", "xml"), "xml"),
+        (("selftest", "--samples", "0"), "--samples"),
+        (("optimize", "--n", "5", "--budget", "-1"), "--budget"),
+        (("pnbound", "--m", "3", "--q", "-1/2"), "q must be positive"),
+        (("certify", "--n", "4", "--alpha", "0.42"), "'0.42' is not an exact rational (write it as num/den)"),
+        (("frobnicate",), "frobnicate"),
+        ((), "COMMAND"),
+    ],
+    ids=["unknown-option", "abbreviated-option", "missing-n", "format-xml", "samples-0", "budget-negative",
+         "q-negative", "alpha-decimal", "unknown-command", "no-command"],
+)
+def test_a_bad_command_line_ends_with_one_error_line(capsys, argv, mentions):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OPERATIONAL_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert mentions in err
+    assert "usage" not in err.lower() and "Traceback" not in err
+
+
+_COMMAND_OPTIONS = {
+    "table": ("--tol-deg", "--format", "--out"),
+    "certify": ("--n", "--alpha", "--delta", "--q", "--p2", "--tol-deg", "--format", "--out"),
+    "pnbound": ("--m", "--q", "--p2", "--samples", "--seed", "--format", "--out"),
+    "identities": ("--samples", "--seed", "--format", "--out"),
+    "optimize": ("--n", "--p2", "--budget", "--seed", "--tol-deg", "--format", "--out"),
+    "selftest": ("--samples", "--seed", "--tol-deg", "--format", "--out"),
+}
+
+
+@pytest.mark.parametrize("command", _COMMAND_OPTIONS)
+def test_command_help_names_each_option(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert code == EXIT_CERTIFIED and err == ""
+    named = set(re.findall(r"--[a-z0-9-]+", out))
+    assert named == {"--help", *_COMMAND_OPTIONS[command]}
+
+
+def test_version_prints_name_and_version(capsys):
+    assert run(capsys, "--version") == (EXIT_CERTIFIED, "conecert, version 0.1.0\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +571,50 @@ def test_commands_load_neither_mpmath_scipy_nor_sympy(argv, expected_code, loads
     code, heavy = fresh_run(*argv)
     assert code == expected_code
     assert heavy == (["numpy"] if loads_numpy else [])
+
+
+# Runs the CLI in a fresh interpreter, then writes its exit code, the
+# top-level modules the import and the run added, and whether hashlib is
+# loaded, as the last line of stderr.
+_LOADED_PROBE = """
+import json, sys
+before = set(sys.modules)
+from conecert.cli import main
+code = main(sys.argv[1:])
+added = sorted({name.split(".")[0] for name in set(sys.modules) - before})
+sys.stderr.write("\\n" + json.dumps([code, added, "hashlib" in sys.modules]) + "\\n")
+"""
+_STARTUP_HEAVY = {"dataclasses", "inspect", "hashlib", "csv"}
+
+
+def _loaded_by(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, *argv], capture_output=True, text=True, env=_fresh_env(),
+        timeout=300,
+    )
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--version",), ("certify", "--n", "3"), ("certify", "--n", "4"), ("certify", "--n", "5"),
+     ("certify", "--n", "6"), ("table",), ("optimize", "--n", "5", "--budget", "200")],
+    ids=["version", "certify-n3", "certify-n4", "certify-n5", "certify-n6", "table", "optimize"],
+)
+def test_exact_commands_load_only_the_lean_standard_library(argv):
+    # Records are slotted classes (no dataclass code generation, which pulls
+    # in inspect), the parser is argparse, and hashlib and csv are imported
+    # where the selftest digest and --format csv need them.
+    code, added, _ = _loaded_by(*argv)
+    assert code == EXIT_CERTIFIED
+    assert [name for name in added if name not in sys.stdlib_module_names and name != "conecert"] == []
+    assert sorted(_STARTUP_HEAVY.intersection(added)) == []
+
+
+def test_selftest_still_loads_hashlib_for_its_digest():
+    code, _, hashlib_loaded = _loaded_by("selftest", "--samples", "2000")
+    assert code == EXIT_CERTIFIED
+    assert hashlib_loaded
 
 
 def test_importing_the_cli_loads_every_layer_module():

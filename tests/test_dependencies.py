@@ -53,7 +53,7 @@ def test_package_imports_only_its_declared_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     runtime = _dependency_names(project["dependencies"])
-    assert runtime == {"click", "numpy"}
+    assert runtime == {"numpy"}
     # mpmath and sympy are independent cross-checks in the tests only.
     assert {"mpmath", "sympy"} <= _dependency_names(project["optional-dependencies"]["test"])
     undeclared = sorted(
