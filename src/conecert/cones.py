@@ -29,10 +29,9 @@ optimizer, and the angle-free n=3 exponent computation.
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:  # numpy loads inside the float functions, so exact commands never import it
     import numpy as np
@@ -51,7 +50,6 @@ from .exact import (
 from .report import CertificationReport
 
 __all__ = [
-    "PowerSums",
     "TwoValuePoint",
     "ConeParams",
     "ConeParamsError",
@@ -64,9 +62,6 @@ __all__ = [
     "N3Report",
     "CALIBRATED_PARAMS",
     "calibrated_defaults",
-    "f_value",
-    "f_squared_signed",
-    "zero_homogeneity_check",
     "critical_quadratic_coeffs",
     "two_value_critical_x",
     "sup_abs_f_two_value",
@@ -86,45 +81,8 @@ ExactScalar = Union[Fraction, QuadraticSurd]
 
 
 # ---------------------------------------------------------------------------
-# Power sums and the function f.
+# Two-value enumeration.
 # ---------------------------------------------------------------------------
-
-
-class PowerSums(Record):
-    """First three power sums of a vector; exact for rational inputs."""
-
-    __slots__ = ("P1", "P2", "P3")
-
-    def __init__(
-        self, P1: Union[Fraction, float], P2: Union[Fraction, float], P3: Union[Fraction, float]
-    ) -> None:
-        if isinstance(P2, Fraction):
-            if P2 < 0:
-                raise ValueError("P2 must be non-negative")
-            if P2 == 0:
-                raise ValueError("zero vector rejected (P2 = 0)")
-        else:
-            if P2 <= 0:
-                raise ValueError("zero vector rejected (P2 <= 0)")
-        _fill(self, locals())
-
-    @classmethod
-    def from_vector(cls, x: Sequence) -> "PowerSums":
-        if len(x) == 0:
-            raise ValueError("empty vector")
-        if all(isinstance(c, (int, Fraction)) for c in x):
-            xs = [to_fraction(c) for c in x]
-            return cls(
-                sum(xs, Fraction(0)),
-                sum((c * c for c in xs), Fraction(0)),
-                sum((c * c * c for c in xs), Fraction(0)),
-            )
-        xf = [float(c) for c in x]
-        return cls(
-            math.fsum(xf),
-            math.fsum(c * c for c in xf),
-            math.fsum(c * c * c for c in xf),
-        )
 
 
 class TwoValuePoint(Record):
@@ -145,44 +103,6 @@ class TwoValuePoint(Record):
 
     def vector(self) -> list:
         return [self.x] * self.a + [self.y] * self.b
-
-
-def f_value(x: Sequence, q: RationalLike) -> float:
-    """f_{m,q}(x) = (P3 + (1-q) P1 P2 - q P1^3) / (P2 + P1^2)^(3/2)."""
-    q = float(to_fraction(q))
-    ps = PowerSums.from_vector(x)
-    p1, p2, p3 = float(ps.P1), float(ps.P2), float(ps.P3)
-    numerator = p3 + (1.0 - q) * p1 * p2 - q * p1 ** 3
-    base = p2 + p1 * p1
-    return numerator / base ** 1.5
-
-
-def f_squared_signed(x: Sequence, q: RationalLike) -> tuple[int, Fraction]:
-    """(sign of f, exact f^2) for a rational vector x.
-
-    Avoids radicals entirely: the sign is the sign of the numerator N and
-    the square N^2 / (P2 + P1^2)^3 is rational.
-    """
-    q = to_fraction(q)
-    xs = [to_fraction(c) for c in x]
-    ps = PowerSums.from_vector(xs)
-    N = ps.P3 + (1 - q) * ps.P1 * ps.P2 - q * ps.P1 ** 3
-    base = ps.P2 + ps.P1 ** 2
-    sign = 0 if N == 0 else (1 if N > 0 else -1)
-    return sign, N * N / base ** 3
-
-
-def zero_homogeneity_check(x: Sequence, q: RationalLike, scale: float) -> float:
-    """|f(scale * x) - f(x)|; must vanish since f is 0-homogeneous."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    scaled = [scale * float(c) for c in x]
-    return abs(f_value(scaled, q) - f_value(x, q))
-
-
-# ---------------------------------------------------------------------------
-# Two-value enumeration.
-# ---------------------------------------------------------------------------
 
 
 def critical_quadratic_coeffs(a: int, b: int, q: RationalLike) -> tuple[Fraction, Fraction, Fraction]:
@@ -483,7 +403,8 @@ class ConeParams(Record):
     The invariant 2 alpha - 1 + 2/(n-1) - alpha^2 (q+1) > 0 (positivity of
     the threshold functional's numerator factor) is enforced at
     construction: an infeasible triple is rejected with the exact invariant
-    value attached.
+    value attached.  p^2 must be positive, so the functional's quotient is
+    defined (the three-dimensional case is ``n3_coefficients``).
     """
 
     __slots__ = ("n", "alpha", "delta", "q", "p_squared")
@@ -501,8 +422,8 @@ class ConeParams(Record):
             raise ConeParamsError(f"delta must lie in (0, 1), got {self.delta}")
         if self.q <= 0:
             raise ConeParamsError(f"q must be positive, got {self.q}")
-        if self.p_squared < 0:
-            raise ConeParamsError(f"p_squared must be non-negative, got {self.p_squared}")
+        if self.p_squared <= 0:
+            raise ConeParamsError(f"p_squared must be positive, got {self.p_squared}")
         inv = self.invariant_value
         if inv <= 0:
             raise ConeParamsError(
@@ -531,11 +452,6 @@ def calibrated_defaults(n: int) -> ConeParams:
 
 def m_functional(p: ConeParams) -> Fraction:
     """Exact threshold functional 4(1-d) q (2a - 1 + 2/(n-1) - a^2(q+1)) / ((2a+1)^2 p^2)."""
-    if p.p_squared == 0:
-        raise ZeroDivisionError(
-            "p_squared = 0 (the three-dimensional case is handled by n3_coefficients, "
-            "not the threshold functional)"
-        )
     return (
         4 * (1 - p.delta) * p.q * p.invariant_value / ((2 * p.alpha + 1) ** 2 * p.p_squared)
     )

@@ -1,7 +1,7 @@
 """Slanted-graph linearization: the exact Gauss map of a graph tilted to
 meet a wall at contact angle theta, its linearization around the reference
-plane, the second-order remainder checks, and the weighted (capillary)
-inner product together with the flattening change of variables.
+plane, the second-order remainder checks, and the slack of the weighted
+(capillary) norm.
 
 Conventions.  A graph over the half-space carries the slanted height
 w(x) = u(x) - cot(theta) x_1 ("up" orientation; "down" flips the sign),
@@ -27,10 +27,9 @@ sin(theta) and cos(theta) as floats.  These are the midpoints of the
 so a campaign over many directions pays for the trig only once.
 
 The induced quadratic form sin^3(theta) x_1 y_1 + sin(theta) <x', y'> is
-sandwiched between sin^3(theta) |x|^2 and sin(theta) |x|^2 with explicitly
-nonnegative slacks, and the rescaling z_1 = x_1 / sin^(3/2)(theta),
-z_i = x_i / sin^(1/2)(theta) turns the weighted Laplacian
-sin^3(theta) d11 + sin(theta) (d22 + ...) into the flat one.
+sandwiched between sin^3(theta) |x|^2 and sin(theta) |x|^2; both slacks are
+one factor times a sum of squares, and ``norm_equivalence_certified``
+encloses that factor.
 """
 
 from __future__ import annotations
@@ -45,20 +44,9 @@ from .exact import _DYADIC_ONE, AngleDeg, Interval, RationalLike, _Dyadic, to_fr
 __all__ = [
     "RemainderOrderReport",
     "CertifiedRatioReport",
-    "NormEquivalenceReport",
-    "LaplaceReport",
-    "gauss_map_exact",
-    "gauss_map_linearized",
-    "gauss_unit_deficiency",
     "remainder_order_check",
     "remainder_ratio_certified",
-    "theta_inner",
-    "theta_norm_squared",
-    "norm_equivalence_check",
     "norm_equivalence_certified",
-    "z_coordinates",
-    "x_from_z",
-    "laplace_equivalence_check",
 ]
 
 AngleLike = Union[AngleDeg, RationalLike]
@@ -85,19 +73,6 @@ def _sin_cos(theta: AngleDeg) -> tuple[float, float]:
     return float(theta.sin().mid), float(theta.cos().mid)
 
 
-def _gauss_inputs(
-    q: Sequence[float], theta: AngleLike, orientation: str
-) -> tuple[list[float], float, float, int]:
-    """Validated float gradient, sin, cos and orientation sign for the Gauss-map kernels."""
-    theta = _interior_angle(theta)
-    sign = _check_orientation(orientation)
-    p = [float(v) for v in q]
-    if not p:
-        raise ValueError("gradient must have at least one component")
-    s, c = _sin_cos(theta)
-    return p, s, c, sign
-
-
 # ---------------------------------------------------------------------------
 # Exact and linearized Gauss maps.
 # ---------------------------------------------------------------------------
@@ -116,26 +91,6 @@ def _gauss_linear(p: list[float], s: float, c: float, sign: int) -> list[float]:
     out = [-sign * c + s ** 3 * p[0]]
     out.extend(s * v for v in p[1:])
     return out
-
-
-def gauss_map_exact(q: Sequence[float], theta: AngleLike, orientation: str = "up") -> tuple[float, ...]:
-    """Horizontal part of the unit normal of the slanted graph with gradient q."""
-    return tuple(_gauss_exact(*_gauss_inputs(q, theta, orientation))[0])
-
-
-def gauss_map_linearized(q: Sequence[float], theta: AngleLike, orientation: str = "up") -> tuple[float, ...]:
-    """Affine linearization of the Gauss map at q = 0.
-
-    First component -sign*cos(theta) + sin^3(theta) q_1, remaining
-    components sin(theta) q_i.
-    """
-    return tuple(_gauss_linear(*_gauss_inputs(q, theta, orientation)))
-
-
-def gauss_unit_deficiency(q: Sequence[float], theta: AngleLike, orientation: str = "up") -> float:
-    """|G(q)|^2 + 1/(1 + |p|^2) - 1; identically zero for a unit normal."""
-    g, w_sq = _gauss_exact(*_gauss_inputs(q, theta, orientation))
-    return math.fsum(v * v for v in g) + 1.0 / w_sq - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -360,245 +315,21 @@ def _remainder_norm_interval(
 
 
 # ---------------------------------------------------------------------------
-# Weighted inner product and flattening coordinates.
+# Weighted norm.
 # ---------------------------------------------------------------------------
-
-
-def _theta_inner(x: Sequence[float], y: Sequence[float], s: float) -> float:
-    head = s ** 3 * float(x[0]) * float(y[0])
-    tail = s * math.fsum(float(a) * float(b) for a, b in zip(x[1:], y[1:]))
-    return head + tail
-
-
-def theta_inner(x: Sequence[float], y: Sequence[float], theta: AngleLike) -> float:
-    """Weighted inner product sin^3(theta) x_1 y_1 + sin(theta) <x', y'>."""
-    theta = _interior_angle(theta)
-    if len(x) != len(y) or len(x) == 0:
-        raise ValueError("x and y must be non-empty and of equal length")
-    s, _ = _sin_cos(theta)
-    return _theta_inner(x, y, s)
-
-
-def theta_norm_squared(x: Sequence[float], theta: AngleLike) -> float:
-    return theta_inner(x, x, theta)
-
-
-class NormEquivalenceReport(Record):
-    """Sandwich sin^3 |x|^2 <= |x|_theta^2 <= sin |x|^2 with stable slacks.
-
-    Both slacks are evaluated as (sin - sin^3) times a sum of squares — a
-    product of nonnegative factors — so they can never go negative from
-    rounding.
-    """
-
-    __slots__ = ("theta_deg", "norm_sq", "theta_norm_sq", "slack_vs_upper", "slack_vs_lower")
-
-    def __init__(
-        self, theta_deg: float, norm_sq: float, theta_norm_sq: float, slack_vs_upper: float,
-        slack_vs_lower: float,
-    ) -> None:
-        _fill(self, locals())
-
-    @property
-    def sandwiched(self) -> bool:
-        return self.slack_vs_upper >= 0.0 and self.slack_vs_lower >= 0.0
-
-
-def norm_equivalence_check(x: Sequence[float], theta: AngleLike) -> NormEquivalenceReport:
-    """Slack of the weighted norm against its equivalence bounds.
-
-    upper slack = sin(theta) |x|^2 - |x|_theta^2 = (sin - sin^3) x_1^2,
-    lower slack = |x|_theta^2 - sin^3(theta) |x|^2 = (sin - sin^3) |x'|^2.
-    """
-    theta = _interior_angle(theta)
-    if len(x) == 0:
-        raise ValueError("x must be non-empty")
-    s, _ = _sin_cos(theta)
-    factor = s * (1.0 - s) * (1.0 + s)
-    xf = [float(v) for v in x]
-    head_sq = xf[0] * xf[0]
-    tail_sq = math.fsum(v * v for v in xf[1:])
-    return NormEquivalenceReport(
-        theta_deg=float(theta.value.mid),
-        norm_sq=head_sq + tail_sq,
-        theta_norm_sq=_theta_inner(xf, xf, s),
-        slack_vs_upper=factor * head_sq,
-        slack_vs_lower=factor * tail_sq,
-    )
 
 
 def norm_equivalence_certified(theta: AngleLike) -> tuple[Interval, bool]:
     """Certified enclosure of the slack factor sin(1-sin)(1+sin) >= 0.
 
     Nonnegativity of this factor implies the norm sandwich for every
-    vector, since both slacks are this factor times a sum of squares.
+    vector, since both slacks are this factor times a sum of squares:
+
+    upper slack = sin(theta) |x|^2 - |x|_theta^2 = (sin - sin^3) x_1^2,
+    lower slack = |x|_theta^2 - sin^3(theta) |x|^2 = (sin - sin^3) |x'|^2.
     """
     theta = _interior_angle(theta)
     s = theta.sin()
     one = Interval.point(Fraction(1))
     factor = s * (one - s) * (one + s)
     return factor, factor.lo >= 0
-
-
-def z_coordinates(x: Sequence[float], theta: AngleLike) -> tuple[float, ...]:
-    """Flattening coordinates z_1 = x_1 / sin^(3/2), z_i = x_i / sin^(1/2).
-
-    In these coordinates the weighted Laplacian
-    sin^3 d_11 + sin (d_22 + ...) becomes the Euclidean one: the direction
-    of the rescaling is pinned by v = x_1^2, where both Laplacians must
-    equal 2 sin^3(theta).
-    """
-    theta = _interior_angle(theta)
-    if len(x) == 0:
-        raise ValueError("x must be non-empty")
-    s, _ = _sin_cos(theta)
-    return _z_of_x(x, s)
-
-
-def x_from_z(z: Sequence[float], theta: AngleLike) -> tuple[float, ...]:
-    """Inverse of :func:`z_coordinates`."""
-    theta = _interior_angle(theta)
-    if len(z) == 0:
-        raise ValueError("z must be non-empty")
-    s, _ = _sin_cos(theta)
-    return _x_of_z(z, s)
-
-
-def _z_of_x(x: Sequence[float], s: float) -> tuple[float, ...]:
-    root = math.sqrt(s)
-    out = [float(x[0]) / (s * root)]
-    out.extend(float(v) / root for v in x[1:])
-    return tuple(out)
-
-
-def _x_of_z(z: Sequence[float], s: float) -> tuple[float, ...]:
-    root = math.sqrt(s)
-    out = [float(z[0]) * s * root]
-    out.extend(float(v) * root for v in z[1:])
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Laplacian equivalence under the flattening map.
-# ---------------------------------------------------------------------------
-
-
-class LaplaceReport(Record):
-    """Agreement of the weighted Laplacian with the flat one in z."""
-
-    __slots__ = (
-        "theta_deg", "polynomials", "points_per_polynomial", "degree", "step", "max_residual",
-        "tolerance",
-    )
-
-    def __init__(
-        self, theta_deg: float, polynomials: int, points_per_polynomial: int, degree: int,
-        step: float, max_residual: float, tolerance: float,
-    ) -> None:
-        _fill(self, locals())
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-
-def _monomials(ndim: int, degree: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, budget: int) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for e in range(budget + 1):
-            rec(prefix + (e,), remaining - 1, budget - e)
-
-    rec(tuple(), ndim, degree)
-    return out
-
-
-def _poly_eval(coeffs: dict[tuple[int, ...], float], x: Sequence[float]) -> float:
-    total = 0.0
-    for expo, c in coeffs.items():
-        term = c
-        for xi, e in zip(x, expo):
-            if e:
-                term *= xi ** e
-        total += term
-    return total
-
-
-def _weighted_laplacian(
-    coeffs: dict[tuple[int, ...], float], x: Sequence[float], s: float
-) -> float:
-    """sin^3 d11 p + sin (d22 + ...) p, with exact polynomial derivatives."""
-    total = 0.0
-    for expo, c in coeffs.items():
-        for i, e in enumerate(expo):
-            if e < 2:
-                continue
-            term = c * e * (e - 1)
-            for j, ej in enumerate(expo):
-                power = ej - 2 if j == i else ej
-                if power:
-                    term *= x[j] ** power
-            total += (s ** 3 if i == 0 else s) * term
-    return total
-
-
-def laplace_equivalence_check(
-    theta: AngleLike,
-    degree: int = 4,
-    n_polys: int = 20,
-    points_per_poly: int = 5,
-    step: float = 1e-4,
-    seed: int = 42,
-    ndim: int = 3,
-) -> LaplaceReport:
-    """Check Delta_z (p o x(z)) = sin^3 d11 p + sin (d22+...) p numerically.
-
-    Random polynomials of total degree <= ``degree`` are pushed through the
-    flattening map; the flat Laplacian is formed by central second
-    differences in z (step ``step``) and compared with the exactly
-    differentiated weighted Laplacian in x.  The tolerance scales with the
-    coefficient mass of each polynomial.
-    """
-    import numpy as np
-
-    theta = _interior_angle(theta)
-    if degree < 0 or degree > 4:
-        raise ValueError("degree must lie in [0, 4]")
-    s, _ = _sin_cos(theta)
-    rng = np.random.default_rng(seed)
-    monos = _monomials(ndim, degree)
-
-    max_residual = 0.0
-    max_tol = 0.0
-    for _ in range(n_polys):
-        coeffs = {expo: float(c) for expo, c in zip(monos, rng.standard_normal(len(monos)))}
-        coeff_mass = max(1.0, math.fsum(abs(c) for c in coeffs.values()))
-        tol = 1e-6 * coeff_mass
-        max_tol = max(max_tol, tol)
-        for _ in range(points_per_poly):
-            x0 = rng.uniform(-1.0, 1.0, ndim)
-            z0 = np.asarray(_z_of_x(x0, s))
-
-            def v_of_z(z: np.ndarray) -> float:
-                return _poly_eval(coeffs, _x_of_z(z, s))
-
-            flat = 0.0
-            for i in range(ndim):
-                e = np.zeros(ndim)
-                e[i] = step
-                flat += (v_of_z(z0 + e) - 2.0 * v_of_z(z0) + v_of_z(z0 - e)) / step ** 2
-            weighted = _weighted_laplacian(coeffs, x0, s)
-            max_residual = max(max_residual, abs(flat - weighted))
-
-    return LaplaceReport(
-        theta_deg=float(theta.value.mid),
-        polynomials=n_polys,
-        points_per_polynomial=points_per_poly,
-        degree=degree,
-        step=step,
-        max_residual=max_residual,
-        tolerance=max_tol,
-    )

@@ -13,28 +13,27 @@ where, writing nu1 and nu_last for the first and last components of nu,
 
 This module checks, numerically at scale and exactly where it matters:
 
-* the pointwise algebraic identity that bounds |grad g|^2 by |A|^2
-  (``gradient_identity_residual``),
-* the frame-sum identities for the tangential projections a1, a2, a3
-  (``frame_sums``),
+* the pointwise algebraic identity that bounds |grad g|^2 by |A|^2 and
+  the frame-sum identities for the tangential projections a1, a2, a3
+  (``identity_campaigns``, proved by ``symbolic_identity_certificates``),
 * positivity of the spectral stability margin
   1 + k cos^2(theta) - k |cos(theta)| - s(k, n, theta)
   over whole angle ranges, decided by the sign of an exact quartic and one
   Sturm root count over rationals (``certify_margin_positive``),
 * the closed-ball comparison bounds between |Du|, the normal gap
   |nu - nu_theta|, and g, together with their applicability threshold
-  (``appendix_bounds_check``).
+  (``appendix_campaigns``).
 
 Each formula is written once, as a private kernel made only of arithmetic
 operators and integer literals, so one body runs on floats, numpy arrays,
 exact rationals and exact polynomials (:class:`conecert.exact.Polynomial`).
-The ``*_campaign`` functions evaluate the kernels on seeded random samples
-and report worst-case residuals (the ``*_campaigns`` functions evaluate
-several configurations on one shared draw); samples very close to the zero locus of g
-are re-evaluated in rationals, on a normal unit to about 1e-40, so that division
-noise does not masquerade as an identity violation; and ``symbolic_identity_certificates``
-expands the same kernels as polynomials and checks that each defect is the
-zero polynomial.
+The ``*_campaigns`` functions evaluate the kernels on seeded random samples,
+several configurations on one shared draw, and report worst-case residuals;
+samples very close to the zero locus of g are re-evaluated in rationals, on
+a normal unit to about 1e-40, so that division noise does not masquerade as
+an identity violation; and ``symbolic_identity_certificates`` expands the
+same kernels as polynomials and checks that each defect is the zero
+polynomial.
 """
 
 from __future__ import annotations
@@ -61,26 +60,16 @@ from .exact import (
 from .report import CertificationReport
 
 __all__ = [
-    "UnitNormal",
     "TiltParams",
-    "FrameReport",
-    "AppendixBoundsReport",
     "IdentityCampaignResult",
     "AppendixCampaignResult",
-    "g_theta_k",
-    "gradient_identity_residual",
-    "frame_sums",
     "f_of_t",
     "s_constant",
     "stability_margin",
     "margin_polynomial_coeffs",
-    "margin_polynomial_value",
     "certify_margin_positive",
     "default_k",
-    "appendix_bounds_check",
-    "identity_campaign",
     "identity_campaigns",
-    "appendix_campaign",
     "appendix_campaigns",
     "symbolic_identity_certificates",
 ]
@@ -89,52 +78,6 @@ __all__ = [
 # campaigns: dividing float residuals by a tiny g^2 would otherwise inflate
 # pure rounding noise.
 _SMALL_G2 = 1e-4
-
-
-class UnitNormal(Record):
-    """A unit vector in R^(n+1), validated to machine tolerance."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: tuple[float, ...]) -> None:
-        if len(components) < 3:
-            raise ValueError("ambient dimension must be at least 3")
-        norm_sq = sum(c * c for c in components)
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"not a unit vector: |nu|^2 - 1 = {norm_sq - 1.0:.3e}")
-        _fill(self, locals())
-
-    @classmethod
-    def from_components(cls, seq: Sequence[float]) -> "UnitNormal":
-        return cls(tuple(float(c) for c in seq))
-
-    @classmethod
-    def normalized(cls, seq: Sequence[float]) -> "UnitNormal":
-        arr = [float(c) for c in seq]
-        norm = math.sqrt(sum(c * c for c in arr))
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(tuple(c / norm for c in arr))
-
-    @classmethod
-    def reference(cls, n: int, theta: AngleDeg, orientation: str) -> "UnitNormal":
-        """The constant normal nu_(+theta) (up) or nu_(-theta) (down)."""
-        _check_orientation(orientation)
-        c = float(theta.cos())
-        s = float(theta.sin())
-        sign = 1.0 if orientation == "up" else -1.0
-        return cls(tuple([c] + [0.0] * (n - 1) + [sign * s]))
-
-    @property
-    def first(self) -> float:
-        return self.components[0]
-
-    @property
-    def last(self) -> float:
-        return self.components[-1]
-
-    def __iter__(self):
-        return iter(self.components)
 
 
 def _check_orientation(orientation: str) -> None:
@@ -243,79 +186,6 @@ def _signed_gap(inner_product, g2):
     return 2 * (1 - inner_product) - g2
 
 
-def g_theta_k(nu: UnitNormal | Sequence[float], params: TiltParams) -> float:
-    """The tilt value g_{theta,k}(nu) >= 0."""
-    nu = nu if isinstance(nu, UnitNormal) else UnitNormal.from_components(nu)
-    if len(nu.components) != params.n + 1:
-        raise ValueError(f"normal has dimension {len(nu.components)}, expected {params.n + 1}")
-    g_sq = _tilt_terms(nu.first, nu.last, params.cos_theta, params.k_float).g2
-    if g_sq < -1e-12:
-        raise ValueError(f"negative squared tilt {g_sq}; input is not a unit normal")
-    return math.sqrt(max(g_sq, 0.0))
-
-
-def gradient_identity_residual(nu: UnitNormal | Sequence[float], params: TiltParams) -> float:
-    """Residual of the identity behind the pointwise bound |grad g|^2 <= |A|^2.
-
-    With jfrak = bfrak^2 + nu_last^2 - (bfrak nu1 + nu_last^2)^2 the claimed
-    identity is
-
-        g^2 - jfrak = (cfrak - k nu1 afrak)^2 + k (1 - k) afrak^2,
-
-    whose right side is visibly non-negative; it yields jfrak <= g^2, the
-    algebraic heart of the gradient bound.  Returns |lhs - rhs|.
-    """
-    nu = nu if isinstance(nu, UnitNormal) else UnitNormal.from_components(nu)
-    k = params.k_float
-    t = _tilt_terms(nu.first, nu.last, params.cos_theta, k)
-    return abs(_gradient_defect(nu.first, nu.last, k, t)[1])
-
-
-class FrameReport(Record):
-    """Frame-sum identities at a single normal.
-
-    ``a1``, ``a2``, ``a3`` are the tangential projections
-    a1 = sqrt(1-k) e1^T, a2 = e_{n+1}^T, a3 = (bfrak e1^T + nu_last e_{n+1}^T)/g.
-    The two checked identities are
-
-        sum |a_i|^2      = 1 + (1 - k sin^2 theta) w,
-        sum |a_i ^ a_j|^2 = (1 - k sin^2 theta) w,
-
-    with w = cfrak / g^2 in [0, 1].
-    """
-
-    __slots__ = (
-        "sum_squares", "sum_wedge_squares", "w", "residual_sum", "residual_wedge", "g_squared",
-    )
-
-    def __init__(
-        self, sum_squares: float, sum_wedge_squares: float, w: float, residual_sum: float,
-        residual_wedge: float, g_squared: float,
-    ) -> None:
-        if not -1e-9 <= w <= 1.0 + 1e-9:
-            raise ValueError(f"w = cfrak/g^2 = {w} outside [0, 1]")
-        _fill(self, locals())
-
-
-def frame_sums(nu: UnitNormal | Sequence[float], params: TiltParams) -> FrameReport:
-    """Evaluate the frame projections and their two sum identities."""
-    import numpy as np
-
-    nu = nu if isinstance(nu, UnitNormal) else UnitNormal.from_components(nu)
-    arr = np.asarray(nu.components, dtype=float)[None, :]
-    k = params.k_float
-    t = _tilt_terms(arr[:, 0], arr[:, -1], params.cos_theta, k)
-    out = _frame_terms(_tangent_projections(arr), k, params.sin_squared, t)
-    return FrameReport(
-        sum_squares=float(out["sum_sq"][0]),
-        sum_wedge_squares=float(out["sum_wedge"][0]),
-        w=float(out["w"][0]),
-        residual_sum=float(out["res_sum"][0]),
-        residual_wedge=float(out["res_wedge"][0]),
-        g_squared=float(out["g2"][0]),
-    )
-
-
 def _tangent_projections(nu: np.ndarray) -> tuple:
     """e1^T, e_{n+1}^T, nu_last e_{n+1}^T and |e_{n+1}^T|^2 at an (N, n+1) array of unit normals.
 
@@ -339,7 +209,13 @@ def _frame_terms(projections: tuple, k: float, sin_sq: float, t: _TiltTerms) -> 
 
     ``projections`` is ``_tangent_projections`` of the normals and ``t``
     the caller's ``_tilt_terms`` of the same rows.  Builds the projections
-    a1, a2, a3 as explicit ambient vectors.  This is the float reference
+    a1 = sqrt(1-k) e1^T, a2 = e_{n+1}^T, a3 = (bfrak e1^T + nu_last e_{n+1}^T)/g
+    as explicit ambient vectors, for the two identities
+
+        sum |a_i|^2      = 1 + (1 - k sin^2 theta) w,
+        sum |a_i ^ a_j|^2 = (1 - k sin^2 theta) w,
+
+    with w = cfrak / g^2 in [0, 1].  This is the float reference
     for the Gram forms of ``_frame_defects`` (which the symbolic
     certificate and the rational fallback use), so it keeps its own
     independent construction instead of reusing them.
@@ -445,11 +321,6 @@ def margin_polynomial_coeffs(n: int, k: RationalLike) -> list[Fraction]:
         -4 * k * n * (k * n - k + 2),
         4 * k * n,
     ]
-
-
-def margin_polynomial_value(n: int, k: RationalLike, v: RationalLike) -> Fraction:
-    """Exact value of the margin quartic at a rational v."""
-    return Polynomial.from_coeffs(margin_polynomial_coeffs(n, k))(v)
 
 
 def default_k(n: int) -> Fraction:
@@ -566,40 +437,6 @@ def certify_margin_positive(
 # ---------------------------------------------------------------------------
 
 
-class AppendixBoundsReport(Record):
-    """Slack report for the comparison bounds at one graph gradient.
-
-    All four bounds are stated under the applicability threshold
-    g^2 <= c_small = min(k sin^2(theta)/64, sqrt(k/(k + 1 + 16/sin^2 theta))).
-    Slacks are (bound rhs) - (bound lhs), so a valid bound has slack >= 0:
-
-    * ``slack_gradient_shift``: C(theta) |nu - nu_ref|^2 - |Du -/+ cot(theta) e1|^2
-      with C(theta) = (4/sin^2)(3 + 2 cot^2),
-    * ``slack_normal_gap``: (1/k + 1 + 16/(k sin^2)) g^2 - |nu - nu_ref|^2,
-    * ``slack_gradient_size``: (4/sin^2 - 1) - |Du|^2,
-    * ``slack_tilt_vs_gap``: 2 (1 - |<nu, nu_ref>|) - g^2.
-
-    ``signed_gap_slack`` = 2 (1 - <nu, nu_ref>) - g^2 is reported as well;
-    unlike the four conditional bounds it holds unconditionally (for the
-    admissible k), which makes it a useful smoke check far from the
-    reference normal.
-    """
-
-    __slots__ = (
-        "g_squared", "c_small", "c_big", "applicable", "inner_product", "slack_gradient_shift",
-        "slack_normal_gap", "slack_gradient_size", "slack_tilt_vs_gap", "signed_gap_slack",
-        "orientation", "k", "violations",
-    )
-
-    def __init__(
-        self, g_squared: float, c_small: float, c_big: float, applicable: bool,
-        inner_product: float, slack_gradient_shift: float, slack_normal_gap: float,
-        slack_gradient_size: float, slack_tilt_vs_gap: float, signed_gap_slack: float,
-        orientation: str, k: Fraction, violations: tuple[str, ...],
-    ) -> None:
-        _fill(self, locals())
-
-
 def _appendix_inputs(n: int, theta: AngleDeg, orientation: str, k: Optional[RationalLike]):
     """Validate the comparison-bound inputs; return k, cos(theta) and sin(theta).
 
@@ -619,6 +456,20 @@ def _appendix_inputs(n: int, theta: AngleDeg, orientation: str, k: Optional[Rati
 
 def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orientation: str) -> dict:
     """The comparison-bound slacks at an (N, n) array of graph gradients.
+
+    The four conditional bounds hold under the applicability threshold
+    g^2 <= c_small = min(k sin^2(theta)/64, sqrt(k/(k + 1 + 16/sin^2 theta))).
+    Slacks are (bound rhs) - (bound lhs), so a valid bound has slack >= 0:
+
+    * ``gradient_shift``: C(theta) |nu - nu_ref|^2 - |Du -/+ cot(theta) e1|^2
+      with C(theta) = (4/sin^2)(3 + 2 cot^2),
+    * ``normal_gap``: (1/k + 1 + 16/(k sin^2)) g^2 - |nu - nu_ref|^2,
+    * ``gradient_size``: (4/sin^2 - 1) - |Du|^2,
+    * ``tilt_vs_gap``: 2 (1 - |<nu, nu_ref>|) - g^2.
+
+    ``signed_gap`` = 2 (1 - <nu, nu_ref>) - g^2 holds unconditionally (for
+    the admissible k), which makes it a smoke check far from the reference
+    normal.
 
     Returns per-row arrays (``g2``, ``ip``, ``applicable``, the ``slacks``
     and the ``violated`` masks, both keyed by bound name, conditional bounds
@@ -673,43 +524,6 @@ def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orienta
         "c_small": c_small,
         "c_big": c_big,
     }
-
-
-def appendix_bounds_check(
-    Du: Sequence[float],
-    theta: AngleDeg,
-    orientation: str = "up",
-    k: Optional[RationalLike] = None,
-) -> AppendixBoundsReport:
-    """Evaluate the comparison bounds for the graph with gradient Du.
-
-    ``k`` defaults to the canonical choice for n = len(Du).  When
-    g^2 exceeds the threshold c_small, the four conditional bounds are
-    reported as not applicable (their slacks are still computed for
-    inspection, but they do not count as violations).  The evaluation is
-    ``appendix_campaign``'s on a batch of one gradient.
-    """
-    import numpy as np
-
-    grads = np.asarray(Du, dtype=float).reshape(1, -1)
-    k, c, s = _appendix_inputs(grads.shape[1], theta, orientation, k)
-    out = _appendix_slacks(grads, k, c, s, orientation)
-    slacks = {name: float(values[0]) for name, values in out["slacks"].items()}
-    return AppendixBoundsReport(
-        g_squared=float(out["g2"][0]),
-        c_small=out["c_small"],
-        c_big=out["c_big"],
-        applicable=bool(out["applicable"][0]),
-        inner_product=float(out["ip"][0]),
-        slack_gradient_shift=slacks["gradient_shift"],
-        slack_normal_gap=slacks["normal_gap"],
-        slack_gradient_size=slacks["gradient_size"],
-        slack_tilt_vs_gap=slacks["tilt_vs_gap"],
-        signed_gap_slack=slacks["signed_gap"],
-        orientation=orientation,
-        k=k,
-        violations=tuple(name for name, hit in out["violated"].items() if hit[0]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -777,19 +591,6 @@ class IdentityCampaignResult(Record):
         _fill(self, locals())
 
 
-def identity_campaign(params: TiltParams, samples: int = 100_000, seed: int = 42) -> IdentityCampaignResult:
-    """Check the gradient and frame identities at many random unit normals.
-
-    Normals are drawn uniformly on the sphere (normalised Gaussians) with a
-    fixed seed, in chunks of ``_sampling.CHUNK_ROWS`` rows.  Rows with g^2
-    below 1e-4 are recomputed by ``_identity_row_exact`` before residuals are
-    aggregated; the extrema fold with ``np.maximum``/``np.minimum``, so a
-    NaN residual reaches the result.  This is ``identity_campaigns`` with
-    one configuration.
-    """
-    return identity_campaigns([params], samples=samples, seed=seed)[0]
-
-
 class _IdentityFold:
     """One configuration's constants and running extrema in ``identity_campaigns``."""
 
@@ -848,11 +649,17 @@ class _IdentityFold:
 def identity_campaigns(
     params_seq: Sequence[TiltParams], samples: int = 100_000, seed: int = 42
 ) -> list[IdentityCampaignResult]:
-    """``identity_campaign`` for several configurations of one graph dimension, on one draw.
+    """Check the gradient and frame identities at many random unit normals.
 
-    Each chunk of normals is drawn and projected once and then evaluated for
-    every configuration in turn, so the results are those of separate
-    ``identity_campaign`` calls, in the order of ``params_seq``.
+    Normals are drawn uniformly on the sphere (normalised Gaussians) with a
+    fixed seed, in chunks of ``_sampling.CHUNK_ROWS`` rows.  Each chunk is
+    drawn and projected once and then evaluated for every configuration in
+    turn, so the results, in the order of ``params_seq``, are those of one
+    draw per configuration; the configurations must share the graph
+    dimension.  Rows with g^2 below 1e-4 are recomputed by
+    ``_identity_row_exact`` before residuals are aggregated; the extrema
+    fold with ``np.maximum``/``np.minimum``, so a NaN residual reaches the
+    result.
     """
     import numpy as np
 
@@ -908,28 +715,6 @@ class AppendixCampaignResult(Record):
         _fill(self, locals())
 
 
-def appendix_campaign(
-    n: int,
-    theta: AngleDeg,
-    orientation: str = "up",
-    radius: float = 0.05,
-    samples: int = 10_000,
-    seed: int = 42,
-    k: Optional[RationalLike] = None,
-) -> AppendixCampaignResult:
-    """Sweep the comparison bounds over a ball of gradients.
-
-    The ball is centred at the reference gradient (the one whose graph
-    normal equals the reference normal), so for small radii every sample
-    lies in the applicable regime and all slacks must be non-negative.
-
-    The seed spawns two independent streams, one for the directions and
-    one for the radii, so the sweep draws both chunk by chunk side by side.
-    This is ``appendix_campaigns`` with one configuration.
-    """
-    return appendix_campaigns(n, [(theta, orientation)], radius=radius, samples=samples, seed=seed, k=k)[0]
-
-
 class _AppendixFold:
     """One configuration's ball centre and running extrema in ``appendix_campaigns``."""
 
@@ -983,12 +768,18 @@ def appendix_campaigns(
     seed: int = 42,
     k: Optional[RationalLike] = None,
 ) -> list[AppendixCampaignResult]:
-    """``appendix_campaign`` for several (theta, orientation) pairs, on one draw.
+    """Sweep the comparison bounds over balls of gradients, one per (theta, orientation).
 
+    Each ball is centred at the reference gradient (the one whose graph
+    normal equals the reference normal), so for small radii every sample
+    lies in the applicable regime and all slacks must be non-negative.
+
+    The seed spawns two independent streams, one for the directions and
+    one for the radii, so the sweep draws both chunk by chunk side by side.
     The balls differ only in their centres, so each chunk of offsets
     (radius times direction) is drawn once and moved to every
-    configuration's centre in turn; the results are those of separate
-    ``appendix_campaign`` calls, in the order of ``configurations``.
+    configuration's centre in turn; the results, in the order of
+    ``configurations``, are those of one draw per configuration.
     """
     import numpy as np
 

@@ -147,6 +147,16 @@ def test_certify_bad_parameters_are_falsified_not_crash(capsys):
     assert "reason" in rep["payload"]
 
 
+def test_certify_zero_p2_is_falsified_not_crash(capsys):
+    # ConeParams refuses p^2 = 0, which m_functional would divide by.
+    code, doc, err = run_json(capsys, "certify", "--n", "4", "--p2", "0")
+    assert code == EXIT_FALSIFIED
+    assert err == ""
+    rep = doc["reports"][0]
+    assert rep["verdict"] == "falsified"
+    assert rep["payload"]["reason"].startswith("p_squared must be positive")
+
+
 def test_certify_rejects_malformed_rational(capsys):
     code, _, err = run(capsys, "certify", "--n", "4", "--alpha", "0.42")
     assert code == EXIT_OPERATIONAL_ERROR

@@ -1,4 +1,5 @@
-"""The package imports only the standard library and its declared runtime dependencies."""
+"""The package imports only the standard library and its declared runtime dependencies,
+and every top-level definition is reached from a command or an export."""
 
 import ast
 import re
@@ -75,3 +76,65 @@ def test_no_module_imports_numpy_when_it_is_imported():
         if "numpy" in _packages(node)
     )
     assert eager == []
+
+
+def _top_level_bindings(tree):
+    """Each name a module binds at top level with a def, class or assignment, and its node."""
+    bindings = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bindings[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    bindings[target.id] = node
+    return bindings
+
+
+def _package_imports(tree):
+    """Local name -> (module, name) for a package import; name is None for a whole module."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                target = (alias.name, None) if node.module is None else (node.module, alias.name)
+                aliases[alias.asname or alias.name] = target
+    return aliases
+
+
+def test_every_top_level_definition_is_reached_from_a_command_or_an_export():
+    # Roots: the registered commands, main, and the names the package exports.
+    # From them, follow every name and module attribute a definition refers to.
+    from conecert import cli
+
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    bindings = {module: _top_level_bindings(tree) for module, tree in trees.items()}
+    imports = {module: _package_imports(tree) for module, tree in trees.items()}
+    roots = [("cli", func.__name__) for func, _ in cli._COMMANDS.values()] + [("cli", "main")]
+    roots += [target for target in imports["__init__"].values() if target[1] is not None]
+
+    reached, pending = set(), roots
+    while pending:
+        module, name = pending.pop()
+        if (module, name) in reached or name not in bindings[module]:
+            continue
+        reached.add((module, name))
+        for node in ast.walk(bindings[module][name]):
+            if isinstance(node, ast.Name):
+                if node.id in bindings[module]:
+                    pending.append((module, node.id))
+                elif node.id in imports[module]:
+                    pending.append(imports[module][node.id])
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                target = imports[module].get(node.value.id)
+                if target is not None and target[1] is None:
+                    pending.append((target[0], node.attr))
+
+    unreached = sorted(
+        f"{module}.{name}"
+        for module, names in bindings.items()
+        for name, node in names.items()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and (module, name) not in reached
+    )
+    assert unreached == []

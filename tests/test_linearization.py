@@ -25,10 +25,18 @@ unit_dirs = st.lists(
 # ---------------------------------------------------------------------------
 
 
+def _kernel_inputs(theta, orientation="up"):
+    """sin, cos and the orientation sign, as the public checks hand them to the Gauss-map kernels."""
+    s, c = lin._sin_cos(AngleDeg.from_degrees(theta))
+    return s, c, 1 if orientation == "up" else -1
+
+
 @given(unit_dirs, st.sampled_from(ANGLES), st.sampled_from(["up", "down"]))
 @settings(max_examples=120, deadline=None)
 def test_gauss_map_comes_from_a_unit_normal(q, theta, orientation):
-    assert abs(lin.gauss_unit_deficiency(q, theta, orientation)) <= 1e-12
+    # |G(q)|^2 + 1/(1 + |p|^2) = 1 for the unit normal (G, 1)/w.
+    g, w_sq = lin._gauss_exact([float(v) for v in q], *_kernel_inputs(theta, orientation))
+    assert abs(math.fsum(v * v for v in g) + 1.0 / w_sq - 1.0) <= 1e-12
 
 
 @given(st.sampled_from(ANGLES), st.sampled_from(["up", "down"]))
@@ -36,11 +44,12 @@ def test_gauss_map_comes_from_a_unit_normal(q, theta, orientation):
 def test_gauss_map_at_zero_gradient_is_reference_horizontal(theta, orientation):
     # At q = 0 the slanted graph is the reference plane: G(0) = (-sign cos, 0,...).
     sign = 1.0 if orientation == "up" else -1.0
-    g = lin.gauss_map_exact((0.0, 0.0, 0.0), theta, orientation)
+    inputs = _kernel_inputs(theta, orientation)
+    g = lin._gauss_exact([0.0, 0.0, 0.0], *inputs)[0]
     c = math.cos(math.radians(float(theta)))
     assert g[0] == pytest.approx(-sign * c, abs=1e-14)
     assert g[1] == g[2] == 0.0
-    linearized = lin.gauss_map_linearized((0.0, 0.0, 0.0), theta, orientation)
+    linearized = lin._gauss_linear([0.0, 0.0, 0.0], *inputs)
     assert linearized == pytest.approx(g, abs=1e-14)
 
 
@@ -52,20 +61,12 @@ def test_gauss_map_at_zero_gradient_is_reference_horizontal(theta, orientation):
 def test_linearization_error_is_quadratically_small(vals, theta):
     # |G(q) - L(q)| <= 10 |q|^2 in the unit ball (the certified constant).
     q = [v * 0.3 for v in vals]
-    exact = lin.gauss_map_exact(q, theta)
-    approx = lin.gauss_map_linearized(q, theta)
+    inputs = _kernel_inputs(theta)
+    exact = lin._gauss_exact(q, *inputs)[0]
+    approx = lin._gauss_linear(q, *inputs)
     err = math.sqrt(sum((a - b) ** 2 for a, b in zip(exact, approx)))
     q_sq = sum(v * v for v in q)
     assert err <= 10.0 * q_sq + 1e-15
-
-
-def test_gauss_map_rejects_empty_gradient():
-    with pytest.raises(ValueError):
-        lin.gauss_map_exact((), 120)
-    with pytest.raises(ValueError):
-        lin.gauss_map_linearized((), 120)
-    with pytest.raises(ValueError):
-        lin.gauss_unit_deficiency((), 120)
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +131,15 @@ def test_remainder_order_check_refuses_a_scale_with_no_remainder():
 
 
 def _reference_remainder_check(theta, orientation, scale, directions, seed, bound=10.0):
-    """remainder_order_check rebuilt from the public Gauss maps, one call per map."""
+    """remainder_order_check rebuilt from the two Gauss-map kernels, one call per map."""
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((directions, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    inputs = _kernel_inputs(theta, orientation)
 
     def remainder(q):
-        g = lin.gauss_map_exact(q, theta, orientation)
-        l = lin.gauss_map_linearized(q, theta, orientation)
+        g = lin._gauss_exact(q.tolist(), *inputs)[0]
+        l = lin._gauss_linear(q.tolist(), *inputs)
         return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(g, l)))
 
     ratios, max_rem, bound_ok = [], 0.0, True
@@ -181,10 +183,10 @@ def trig_calls(monkeypatch):
     "run",
     [
         lambda: lin.remainder_order_check(91, directions=1000),
-        lambda: lin.norm_equivalence_check((0.3, -0.2, 0.5), 91),
-        lambda: lin.laplace_equivalence_check(91, n_polys=2, points_per_poly=2),
+        lambda: lin.remainder_ratio_certified(91, directions=4),
+        lambda: lin.norm_equivalence_certified(91),
     ],
-    ids=["remainder_order_check", "norm_equivalence_check", "laplace_equivalence_check"],
+    ids=["remainder_order_check", "remainder_ratio_certified", "norm_equivalence_certified"],
 )
 def test_trig_evaluated_once_per_call(trig_calls, run):
     # Per-direction or per-point trig would multiply these counts.
@@ -360,19 +362,22 @@ def test_dyadic_kernel_gives_the_reports_of_the_fraction_kernel(monkeypatch, the
 
 
 # ---------------------------------------------------------------------------
-# Weighted metric
+# Weighted norm
 # ---------------------------------------------------------------------------
 
 
 @given(unit_dirs, st.sampled_from(ANGLES))
 @settings(max_examples=120, deadline=None)
 def test_norm_equivalence_sandwich(x, theta):
-    rep = lin.norm_equivalence_check(x, theta)
-    assert rep.sandwiched
+    # The certified factor is the one both slacks carry: sin |x|^2 - |x|_theta^2
+    # is it times x_1^2, and |x|_theta^2 - sin^3 |x|^2 it times |x'|^2.
+    factor, ok = lin.norm_equivalence_certified(theta)
+    assert ok
     s = math.sin(math.radians(float(theta)))
-    norm_sq = sum(float(v) ** 2 for v in x)
-    assert rep.theta_norm_sq <= s * norm_sq + 1e-12
-    assert rep.theta_norm_sq >= s**3 * norm_sq - 1e-12
+    head_sq, tail_sq = x[0] ** 2, math.fsum(v * v for v in x[1:])
+    theta_norm_sq = s**3 * head_sq + s * tail_sq
+    assert s * (head_sq + tail_sq) - theta_norm_sq == pytest.approx(float(factor.mid) * head_sq, abs=1e-12)
+    assert theta_norm_sq - s**3 * (head_sq + tail_sq) == pytest.approx(float(factor.mid) * tail_sq, abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", ANGLES + [Fraction(90)])
@@ -382,61 +387,3 @@ def test_norm_equivalence_certified_factor(theta):
     assert factor.lo >= 0
     if theta == 90:
         assert factor.lo == factor.hi == 0  # sin = 1: sandwich is equality
-
-
-@given(unit_dirs, unit_dirs.filter(lambda v: len(v) == 3), st.sampled_from(ANGLES))
-@settings(max_examples=60, deadline=None)
-def test_theta_inner_is_bilinear_symmetric(x, y, theta):
-    if len(x) != len(y):
-        x = (x + [0.0] * 3)[: len(y)]
-        if sum(abs(v) for v in x) < 1e-3:
-            x = [1.0] * len(y)
-    a = lin.theta_inner(x, y, theta)
-    b = lin.theta_inner(y, x, theta)
-    assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-    assert lin.theta_norm_squared(x, theta) >= 0
-
-
-# ---------------------------------------------------------------------------
-# Flattening coordinates
-# ---------------------------------------------------------------------------
-
-
-@given(unit_dirs, st.sampled_from(ANGLES))
-@settings(max_examples=80, deadline=None)
-def test_z_coordinates_roundtrip(x, theta):
-    z = lin.z_coordinates(x, theta)
-    back = lin.x_from_z(z, theta)
-    assert back == pytest.approx(tuple(float(v) for v in x), rel=1e-12, abs=1e-14)
-    # The scaling is anisotropic: the first coordinate is compressed by a
-    # full extra factor of sin(theta) relative to the others.
-    if float(x[0]) != 0.0:
-        s = math.sin(math.radians(float(theta)))
-        assert z[0] == pytest.approx(float(x[0]) / s**1.5, rel=1e-12)
-
-
-@pytest.mark.parametrize("theta", [Fraction(91), Fraction(120), Fraction(150)])
-def test_laplace_equivalence_under_flattening(theta):
-    rep = lin.laplace_equivalence_check(theta, degree=4, n_polys=8, points_per_poly=3, seed=42)
-    assert rep.passed
-    assert rep.max_residual <= rep.tolerance
-
-
-def test_laplace_direction_pinned_by_quadratic():
-    # v = x_1^2: weighted Laplacian = 2 sin^3; flat Laplacian of v(x(z))
-    # = 2 sin^3 as well, pinning the exponent 3/2 on the first coordinate.
-    theta = Fraction(120)
-    s = math.sin(math.radians(120))
-    z = (0.3, -0.2, 0.5)
-    h = 1e-4
-
-    def v_of_z(zz):
-        x = lin.x_from_z(zz, theta)
-        return x[0] ** 2
-
-    lap = 0.0
-    for i in range(3):
-        zp = list(z); zp[i] += h
-        zm = list(z); zm[i] -= h
-        lap += (v_of_z(zp) - 2 * v_of_z(z) + v_of_z(zm)) / (h * h)
-    assert lap == pytest.approx(2 * s**3, rel=1e-6)

@@ -130,11 +130,11 @@ def test_chunks_replay_the_one_shot_draw():
 @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_streamed_campaigns_equal_one_shot_evaluation(samples):
     for params in IDENTITY_PARAMS:
-        streamed = tilt.identity_campaign(params, samples=samples, seed=42)
+        streamed = tilt.identity_campaigns([params], samples=samples, seed=42)[0]
         assert streamed == _identity_one_shot(params, samples, 42)
     for n, theta_deg, orientation in APPENDIX_CASES:
         theta = AngleDeg.from_degrees(theta_deg)
-        streamed = tilt.appendix_campaign(n, theta, orientation=orientation, samples=samples, seed=7)
+        streamed = tilt.appendix_campaigns(n, [(theta, orientation)], samples=samples, seed=7)[0]
         assert streamed == _appendix_one_shot(n, theta, orientation, samples, 7)
 
 
@@ -190,7 +190,7 @@ def test_identity_campaign_keeps_a_nan_residual(monkeypatch):
         return jfrak, defect
 
     monkeypatch.setattr(tilt, "_gradient_defect", nan_in_first_chunk)
-    res = tilt.identity_campaign(IDENTITY_PARAMS[0], samples=3 * CHUNK, seed=42)
+    res = tilt.identity_campaigns([IDENTITY_PARAMS[0]], samples=3 * CHUNK, seed=42)[0]
     assert len(calls) == 3
     assert np.isnan(res.max_gradient_residual)
 
@@ -234,8 +234,8 @@ def _peak_bytes(run) -> int:
 @pytest.mark.parametrize(
     "campaign",
     [
-        lambda chunks: tilt.identity_campaign(IDENTITY_PARAMS[0], samples=chunks * CHUNK, seed=42),
-        lambda chunks: tilt.appendix_campaign(4, AngleDeg.from_degrees(91), samples=chunks * CHUNK, seed=42),
+        lambda chunks: tilt.identity_campaigns([IDENTITY_PARAMS[0]], samples=chunks * CHUNK, seed=42),
+        lambda chunks: tilt.appendix_campaigns(4, [(AngleDeg.from_degrees(91), "up")], samples=chunks * CHUNK, seed=42),
         lambda chunks: tilt.identity_campaigns(_identity_grid(6), samples=chunks * CHUNK, seed=42),
         lambda chunks: tilt.appendix_campaigns(4, COMPARISON_CONFIGS, samples=chunks * CHUNK, seed=42),
         # At least 10^4 samples: 3 and 30 chunks.

@@ -28,15 +28,6 @@ def params_for(theta, k, n):
 # ---------------------------------------------------------------------------
 
 
-def test_unit_normal_validation():
-    with pytest.raises(ValueError):
-        tilt.UnitNormal((1.0, 0.0))  # ambient dimension too small
-    with pytest.raises(ValueError):
-        tilt.UnitNormal((1.0, 1.0, 0.0))  # not unit
-    nu = tilt.UnitNormal.normalized((1.0, 1.0, 1.0, 1.0))
-    assert math.isclose(sum(c * c for c in nu.components), 1.0, abs_tol=1e-14)
-
-
 def test_params_dimensional_restriction():
     with pytest.raises(ValueError):
         tilt.TiltParams(theta=AngleDeg.from_degrees(120), k=Fraction(1), n=4)
@@ -63,26 +54,26 @@ def test_default_k():
 # ---------------------------------------------------------------------------
 
 
+def _normalized(raw):
+    norm = math.sqrt(sum(v * v for v in raw))
+    return [v / norm for v in raw]
+
+
 @pytest.mark.parametrize("orientation", ["up", "down"])
 @pytest.mark.parametrize("theta,k", ANGLES_K)
 def test_tilt_vanishes_exactly_at_reference_normals(theta, k, orientation):
+    # At the reference normal (cos, 0, ..., +/-sin) afrak = cfrak = 0; the
+    # components are floats, so g^2 is zero only to ~1e-16.
     params = params_for(theta, k, 3)
-    nu = tilt.UnitNormal.reference(3, params.theta, orientation)
-    # The reference components are floats, so g^2 is zero to ~1e-16 and the
-    # tilt value g to its square root.
-    assert tilt.g_theta_k(nu, params) <= 1e-7
+    sin_t = float(params.theta.sin())
+    nu_last = sin_t if orientation == "up" else -sin_t
+    assert abs(tilt._tilt_terms(params.cos_theta, nu_last, params.cos_theta, params.k_float).g2) <= 1e-14
 
 
 def test_tilt_positive_away_from_reference():
     params = params_for(120, Fraction(1, 2), 3)
-    nu = tilt.UnitNormal.normalized((0.3, 0.5, 0.2, 0.7))
-    assert tilt.g_theta_k(nu, params) > 0.1
-
-
-def test_tilt_dimension_mismatch_rejected():
-    params = params_for(120, Fraction(1, 2), 4)
-    with pytest.raises(ValueError):
-        tilt.g_theta_k(tilt.UnitNormal.normalized((1.0, 1.0, 1.0)), params)
+    nu = _normalized((0.3, 0.5, 0.2, 0.7))
+    assert tilt._tilt_terms(nu[0], nu[-1], params.cos_theta, params.k_float).g2 > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +134,9 @@ def test_gradient_identity_residual_pointwise(raw, angle_k):
         raw = [1.0, 0.0, 0.0, 0.0]
     theta, k = angle_k
     params = params_for(theta, k, 3)
-    nu = tilt.UnitNormal.normalized(raw)
-    assert abs(tilt.gradient_identity_residual(nu, params)) <= 1e-12
+    nu = _normalized(raw)
+    t = tilt._tilt_terms(nu[0], nu[-1], params.cos_theta, params.k_float)
+    assert abs(tilt._gradient_defect(nu[0], nu[-1], params.k_float, t)[1]) <= 1e-12
 
 
 @given(
@@ -157,20 +149,21 @@ def test_frame_sum_identities_pointwise(raw, angle_k):
         raw = [0.5, 0.5, 0.5, 0.5]
     theta, k = angle_k
     params = params_for(theta, k, 3)
-    nu = tilt.UnitNormal.normalized(raw)
-    rep = tilt.frame_sums(nu, params)
-    if rep.g_squared < 1e-6:
+    nu = np.asarray([_normalized(raw)])
+    t = tilt._tilt_terms(nu[:, 0], nu[:, -1], params.cos_theta, params.k_float)
+    out = tilt._frame_terms(tilt._tangent_projections(nu), params.k_float, params.sin_squared, t)
+    if out["g2"][0] < 1e-6:
         return  # near the tilt zeros the frame normalisation degenerates
-    assert abs(rep.residual_sum) <= 1e-9
-    assert abs(rep.residual_wedge) <= 1e-9
-    assert -1e-9 <= rep.w <= 1 + 1e-9
+    assert out["res_sum"][0] <= 1e-9
+    assert out["res_wedge"][0] <= 1e-9
+    assert -1e-9 <= out["w"][0] <= 1 + 1e-9
     # The two identities are coupled: sum = 1 + wedge-sum.
-    assert math.isclose(rep.sum_squares, 1.0 + rep.sum_wedge_squares, rel_tol=0, abs_tol=1e-9)
+    assert math.isclose(out["sum_sq"][0], 1.0 + out["sum_wedge"][0], rel_tol=0, abs_tol=1e-9)
 
 
 def test_identity_campaign_residuals_small():
     params = params_for(120, Fraction(1, 2), 3)
-    res = tilt.identity_campaign(params, samples=20_000, seed=42)
+    res = tilt.identity_campaigns([params], samples=20_000, seed=42)[0]
     assert res.max_gradient_residual <= 1e-12
     assert res.max_frame_sum_residual <= 1e-10
     assert res.max_wedge_sum_residual <= 1e-10
@@ -180,10 +173,10 @@ def test_identity_campaign_residuals_small():
 
 def test_identity_campaign_deterministic():
     params = params_for(135, Fraction(1, 3), 4)
-    a = tilt.identity_campaign(params, samples=5_000, seed=7)
-    b = tilt.identity_campaign(params, samples=5_000, seed=7)
+    a = tilt.identity_campaigns([params], samples=5_000, seed=7)
+    b = tilt.identity_campaigns([params], samples=5_000, seed=7)
     assert a == b
-    c = tilt.identity_campaign(params, samples=5_000, seed=8)
+    c = tilt.identity_campaigns([params], samples=5_000, seed=8)
     assert a != c
 
 
@@ -227,14 +220,19 @@ def test_stability_margin_signs():
     assert near_pole.hi < Fraction(1, 100)
 
 
+def _margin_quartic(n, k):
+    return Polynomial.from_coeffs(tilt.margin_polynomial_coeffs(n, k))
+
+
 def test_margin_polynomial_tracks_margin_sign():
     # sign(P(|cos theta|)) must agree with sign(margin) on a spread of angles.
     for n, k in [(2, Fraction(1)), (4, Fraction(1, 2)), (7, Fraction(1, 5))]:
+        quartic = _margin_quartic(n, k)
         for deg in (5, 30, 60, 90, 120, 175):
             theta = AngleDeg.from_degrees(deg)
             v = abs(theta.cos().mid)
             margin = tilt.stability_margin(n, k, theta)
-            pval = tilt.margin_polynomial_value(n, k, v)
+            pval = quartic(v)
             if margin.strictly_positive():
                 assert pval > 0
             elif margin.strictly_negative():
@@ -272,7 +270,7 @@ def test_margin_certification_decides_in_one_count(monkeypatch):
     assert rep.provenance["boxes_checked"] == 1
     assert len(counts) == 1
     _, lo, hi = counts[0]
-    assert hi == 1 and tilt.margin_polynomial_value(3, Fraction(1), hi) == 0
+    assert hi == 1 and _margin_quartic(3, Fraction(1))(hi) == 0
 
 
 def test_margin_falsified_with_a_certified_witness():
@@ -317,6 +315,13 @@ def test_sturm_count_matches_sympy_on_the_margin_quartics():
 # ---------------------------------------------------------------------------
 
 
+def _slacks_at(Du, theta, orientation="up", k=None):
+    """The comparison-bound slacks at one graph gradient: the campaigns' kernel on a batch of one."""
+    grads = np.asarray(Du, dtype=float).reshape(1, -1)
+    k, c, s = tilt._appendix_inputs(grads.shape[1], theta, orientation, k)
+    return tilt._appendix_slacks(grads, k, c, s, orientation)
+
+
 @pytest.mark.parametrize("orientation", ["up", "down"])
 def test_appendix_bounds_at_reference_gradient(orientation):
     theta = AngleDeg.from_degrees(120)
@@ -324,38 +329,31 @@ def test_appendix_bounds_at_reference_gradient(orientation):
     cot = float(theta.cos()) / float(theta.sin())
     # The reference graph gradient: normal equals the reference normal.
     Du = (-sign * cot, 0.0)
-    rep = tilt.appendix_bounds_check(Du, theta, orientation=orientation)
-    assert rep.applicable
-    for slack in (
-        rep.slack_gradient_shift,
-        rep.slack_normal_gap,
-        rep.slack_gradient_size,
-        rep.slack_tilt_vs_gap,
-        rep.signed_gap_slack,
-    ):
-        assert slack >= -1e-12
+    out = _slacks_at(Du, theta, orientation=orientation)
+    assert out["applicable"][0]
+    assert set(out["slacks"]) == {"gradient_shift", "normal_gap", "gradient_size", "tilt_vs_gap", "signed_gap"}
+    for slack in out["slacks"].values():
+        assert slack[0] >= -1e-12
+    assert not any(hit[0] for hit in out["violated"].values())
 
 
 @pytest.mark.parametrize("theta_deg", [91, 120, 150])
 @pytest.mark.parametrize("orientation", ["up", "down"])
 def test_appendix_campaign_clean(theta_deg, orientation):
-    res = tilt.appendix_campaign(
-        4, AngleDeg.from_degrees(theta_deg), orientation=orientation, samples=5_000, seed=42
-    )
+    res = tilt.appendix_campaigns(4, [(AngleDeg.from_degrees(theta_deg), orientation)], samples=5_000, seed=42)[0]
     assert res.violation_count == 0
     assert res.all_applicable
     assert res.min_signed_gap_slack >= -1e-12
 
 
 def test_appendix_campaign_vectorized_matches_pointwise():
-    # The scalar check is the campaign's kernel on a batch of one, and every
-    # slack is built elementwise, so the worst values over the same ball
-    # agree bit for bit.
+    # Every slack is built elementwise, so the kernel on batches of one and
+    # the campaign agree bit for bit on the worst values over the same ball.
     for n in (2, 3, 4, 6):
         for theta_deg in (91, 120, 150):
             for orientation in ("up", "down"):
                 theta = AngleDeg.from_degrees(theta_deg)
-                res = tilt.appendix_campaign(n, theta, orientation=orientation, samples=100, seed=11)
+                res = tilt.appendix_campaigns(n, [(theta, orientation)], samples=100, seed=11)[0]
                 dirs_rng, radii_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(11).spawn(2))
                 cot = float(theta.cos()) / float(theta.sin())
                 center = np.zeros(n)
@@ -363,17 +361,18 @@ def test_appendix_campaign_vectorized_matches_pointwise():
                 raw = dirs_rng.standard_normal((100, n))
                 raw /= np.linalg.norm(raw, axis=1)[:, None]
                 radii = res.radius * radii_rng.random(100) ** (1 / n)
-                reps = [
-                    tilt.appendix_bounds_check(tuple(p), theta, orientation=orientation)
-                    for p in center + radii[:, None] * raw
-                ]
+                outs = [_slacks_at(p, theta, orientation=orientation) for p in center + radii[:, None] * raw]
+
+                def worst(name):
+                    return min(float(out["slacks"][name][0]) for out in outs)
+
                 config = (n, theta_deg, orientation)
-                assert max(r.g_squared for r in reps) == res.max_g_squared, config
-                assert min(r.slack_gradient_shift for r in reps) == res.min_slack_gradient_shift, config
-                assert min(r.slack_normal_gap for r in reps) == res.min_slack_normal_gap, config
-                assert min(r.slack_gradient_size for r in reps) == res.min_slack_gradient_size, config
-                assert min(r.slack_tilt_vs_gap for r in reps) == res.min_slack_tilt_vs_gap, config
-                assert min(r.signed_gap_slack for r in reps) == res.min_signed_gap_slack, config
+                assert max(float(out["g2"][0]) for out in outs) == res.max_g_squared, config
+                assert worst("gradient_shift") == res.min_slack_gradient_shift, config
+                assert worst("normal_gap") == res.min_slack_normal_gap, config
+                assert worst("gradient_size") == res.min_slack_gradient_size, config
+                assert worst("tilt_vs_gap") == res.min_slack_tilt_vs_gap, config
+                assert worst("signed_gap") == res.min_signed_gap_slack, config
 
 
 @pytest.mark.parametrize(
@@ -384,9 +383,9 @@ def test_appendix_campaign_vectorized_matches_pointwise():
 def test_appendix_campaign_validates_like_the_scalar_check(theta_deg, k, orientation):
     theta = AngleDeg.from_degrees(theta_deg)
     with pytest.raises(ValueError) as scalar:
-        tilt.appendix_bounds_check((-0.5, 0.0, 0.0), theta, orientation=orientation, k=k)
+        _slacks_at((-0.5, 0.0, 0.0), theta, orientation=orientation, k=k)
     with pytest.raises(ValueError) as campaign:
-        tilt.appendix_campaign(3, theta, orientation=orientation, samples=100, k=k)
+        tilt.appendix_campaigns(3, [(theta, orientation)], samples=100, k=k)
     assert str(campaign.value) == str(scalar.value)
 
 
@@ -394,13 +393,13 @@ def test_appendix_campaign_validates_like_the_scalar_check(theta_deg, k, orienta
 def test_appendix_campaign_rejects_a_radius_that_is_not_finite_and_positive(radius):
     # A NaN radius made every slack NaN, and NaN < -1e-12 is False: no violation counted.
     with pytest.raises(ValueError, match="radius"):
-        tilt.appendix_campaign(4, AngleDeg.from_degrees(120), radius=radius, samples=100)
+        tilt.appendix_campaigns(4, [(AngleDeg.from_degrees(120), "up")], radius=radius, samples=100)
 
 
 def test_appendix_nan_slack_is_a_violation():
-    rep = tilt.appendix_bounds_check((math.nan, 0.0, 0.0), AngleDeg.from_degrees(120))
-    assert math.isnan(rep.signed_gap_slack)
-    assert "signed_gap" in rep.violations
+    out = _slacks_at((math.nan, 0.0, 0.0), AngleDeg.from_degrees(120))
+    assert math.isnan(out["slacks"]["signed_gap"][0])
+    assert out["violated"]["signed_gap"][0]
 
 
 def _drop_k_one_minus_k_term(nu1, nu_last, k, t):
@@ -424,11 +423,11 @@ def test_proof_and_campaign_read_the_same_kernels(monkeypatch, kernel, mutant):
     # Break one kernel: the symbolic proof and the sampled campaign must both
     # notice, which shows that they evaluate the same code.
     params = params_for(120, Fraction(1, 2), 3)
-    assert tilt.identity_campaign(params, samples=2_000, seed=3).max_gradient_residual <= 1e-12
+    assert tilt.identity_campaigns([params], samples=2_000, seed=3)[0].max_gradient_residual <= 1e-12
     monkeypatch.setattr(tilt, kernel, mutant)
     tilt._symbolic_certificates.cache_clear()
     try:
         assert tilt.symbolic_identity_certificates()["gradient_bound_identity"] is False
-        assert tilt.identity_campaign(params, samples=2_000, seed=3).max_gradient_residual > 1e-3
+        assert tilt.identity_campaigns([params], samples=2_000, seed=3)[0].max_gradient_residual > 1e-3
     finally:
         tilt._symbolic_certificates.cache_clear()
