@@ -6,6 +6,15 @@ sampling oracle), ``identities`` (all residual campaigns anchored by exact
 certificates), ``optimize`` (parameter search), ``selftest`` (the full
 deterministic check suite).
 
+Each command only adds its reports to the envelope it is given.  ``main``
+owns the rest of a run: it echoes the parsed options as the run's
+configuration, makes the envelope, times the run and renders the report to
+stdout or ``--out``.  It ends a refused run with one ``error:`` line and
+exit code 1: a bad command line, input a command refuses, a ValueError of
+a command (input the exact layer cannot decide, such as a radicand factor
+of unproven primality or an angle grid too fine for the enclosures), or a
+report that cannot be written.
+
 Exit codes: 0 every claim certified, 2 at least one falsified,
 3 inconclusive present but nothing falsified, 1 operational error.
 Rational-valued flags are parsed exactly from "num/den" strings and
@@ -18,20 +27,19 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import cones, linearization, tilt
 from .exact import AngleDeg, QuadraticSurd, angle_range_from_threshold, compare
 from .report import (
-    EXIT_CERTIFIED,
     EXIT_OPERATIONAL_ERROR,
     VERSION,
     CertificationReport,
     ReportEnvelope,
     RunConfig,
     jsonable,
+    worst_verdict,
 )
 
 __all__ = ["main"]
@@ -94,8 +102,7 @@ _SHARED = {
         "(default 1/1000).",
     ),
     "--format": dict(
-        dest="fmt", choices=("json", "csv", "text"), default="text",
-        help="Report rendering (default text).",
+        choices=("json", "csv", "text"), default="text", help="Report rendering (default text).",
     ),
     "--out": dict(metavar="PATH", help="Write the rendered report to PATH instead of stdout."),
     "--samples": dict(
@@ -104,6 +111,8 @@ _SHARED = {
     ),
     "--seed": dict(type=int, default=42, help="RNG seed (default 42)."),
 }
+# --p2 of certify, pnbound and optimize; each adds its own help.
+_P2 = dict(type=_rational, dest="p_squared", metavar="P2")
 
 
 # Command name -> (function, options); filled by @_command.
@@ -114,46 +123,20 @@ def _command(*options):
     """Register a command; its help is the docstring's first line.
 
     Each option is the name of a ``_SHARED`` option or a ``(name, settings)``
-    pair; every option takes one value.
+    pair; every option takes one value, and its dest is a ``RunConfig``
+    field.  Every command also takes ``--format`` and ``--out``, which
+    ``main`` handles; the command is called with the envelope and its other
+    options.
     """
 
     def register(func):
         _COMMANDS[func.__name__.lstrip("_")] = (
             func,
-            [(opt, _SHARED[opt]) if isinstance(opt, str) else opt for opt in options],
+            [(opt, _SHARED[opt]) if isinstance(opt, str) else opt for opt in (*options, "--format", "--out")],
         )
         return func
 
     return register
-
-
-@contextmanager
-def _undecidable_as_error():
-    """End with ``error:`` and exit code 1 on a ValueError of the exact layer.
-
-    It flags input the exact layer cannot decide: a radicand factor of
-    unproven primality, or an angle grid too fine for the enclosures.
-    """
-    try:
-        yield
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _finish(envelope: ReportEnvelope, started: float) -> int:
-    envelope.elapsed_ms = int((time.perf_counter() - started) * 1000)
-    rendered = envelope.render()
-    if envelope.config.out:
-        try:
-            with open(envelope.config.out, "w") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            print(f"error: cannot write {envelope.config.out}: {exc}", file=sys.stderr)
-            return EXIT_OPERATIONAL_ERROR
-    else:
-        sys.stdout.write(rendered)
-        sys.stdout.flush()
-    return envelope.exit_code()
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +144,11 @@ def _finish(envelope: ReportEnvelope, started: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@_command("--tol-deg", "--format", "--out")
-def _table(tol_deg: Fraction, fmt: str, out: Optional[str]) -> int:
+@_command("--tol-deg")
+def _table(envelope: ReportEnvelope, tol_deg: Fraction) -> None:
     """Print the critical-dimension table with certified breakpoints."""
-    started = time.perf_counter()
-    config = RunConfig(command="table", tol_deg=tol_deg, format=fmt, out=out)
-    envelope = ReportEnvelope(config=config)
-
-    with _undecidable_as_error():
-        tbl = cones.n_theta_table(tol_deg)
+    tbl = cones.n_theta_table(tol_deg)
     envelope.table_rows = tbl.formatted_rows()
-    envelope.table_csv_header = ("theta_lo_deg", "theta_hi_deg", "n_theta")
     envelope.add(
         CertificationReport(
             claim="critical dimension by contact angle on [90°, 180°)",
@@ -187,7 +164,6 @@ def _table(tol_deg: Fraction, fmt: str, out: Optional[str]) -> int:
             provenance={"tol_deg": tol_deg},
         )
     )
-    return _finish(envelope, started)
 
 
 # ---------------------------------------------------------------------------
@@ -203,38 +179,22 @@ _N3_EPS_GRID = (Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 4))
     ("--alpha", dict(type=_rational, help="Override alpha.")),
     ("--delta", dict(type=_rational, help="Override delta.")),
     ("--q", dict(type=_rational, help="Override q.")),
-    ("--p2", dict(type=_rational, help="Override p^2.")),
+    ("--p2", dict(_P2, help="Override p^2.")),
     "--tol-deg",
-    "--format",
-    "--out",
 )
 def _certify(
+    envelope: ReportEnvelope,
     n: int,
     alpha: Optional[Fraction],
     delta: Optional[Fraction],
     q: Optional[Fraction],
-    p2: Optional[Fraction],
+    p_squared: Optional[Fraction],
     tol_deg: Fraction,
-    fmt: str,
-    out: Optional[str],
-) -> int:
+) -> None:
     """Certify the stability parameters for one dimension."""
-    started = time.perf_counter()
-    config = RunConfig(
-        command="certify",
-        n=n,
-        alpha=alpha,
-        delta=delta,
-        q=q,
-        p_squared=p2,
-        tol_deg=tol_deg,
-        format=fmt,
-        out=out,
-    )
-    envelope = ReportEnvelope(config=config)
-
+    overrides = {"alpha": alpha, "delta": delta, "q": q, "p_squared": p_squared}
     if n == 3:
-        if any(v is not None for v in (alpha, delta, q, p2)):
+        if any(v is not None for v in overrides.values()):
             raise UsageError("parameter overrides apply to n in {4, 5, 6} only")
         results = {str(eps): cones.n3_coefficients(eps) for eps in _N3_EPS_GRID}
         ok = all(r.contradiction_closes for r in results.values())
@@ -257,7 +217,7 @@ def _certify(
                 provenance={"eps_grid": list(_N3_EPS_GRID)},
             )
         )
-        return _finish(envelope, started)
+        return
 
     if n not in (4, 5, 6):
         raise UsageError("certify supports n in {3, 4, 5, 6}")
@@ -265,11 +225,7 @@ def _certify(
     defaults = cones.calibrated_defaults(n)
     try:
         params = cones.ConeParams(
-            n=n,
-            alpha=alpha if alpha is not None else defaults.alpha,
-            delta=delta if delta is not None else defaults.delta,
-            q=q if q is not None else defaults.q,
-            p_squared=p2 if p2 is not None else defaults.p_squared,
+            n=n, **{key: getattr(defaults, key) if v is None else v for key, v in overrides.items()}
         )
     except cones.ConeParamsError as exc:
         envelope.add(
@@ -278,18 +234,11 @@ def _certify(
                 method="exact",
                 verdict="falsified",
                 payload={"reason": str(exc), **exc.payload},
-                provenance={"overrides": _override_echo(alpha, delta, q, p2)},
+                provenance={"overrides": overrides},
             )
         )
-        return _finish(envelope, started)
-
-    with _undecidable_as_error():
-        envelope.add(cones.certify_dimension(n, params, tol_deg))
-    return _finish(envelope, started)
-
-
-def _override_echo(alpha, delta, q, p2) -> dict:
-    return {"alpha": alpha, "delta": delta, "q": q, "p_squared": p2}
+        return
+    envelope.add(cones.certify_dimension(n, params, tol_deg))
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +261,14 @@ def _check_oracle_size(m: int, samples: int) -> None:
 @_command(
     ("--m", dict(type=int, required=True, help="Number of variables (>= 2).")),
     ("--q", dict(type=_rational, required=True, help="The parameter q > 0.")),
-    ("--p2", dict(type=_rational, help="Compare sup^2 against this exact p^2.")),
+    ("--p2", dict(_P2, help="Compare sup^2 against this exact p^2.")),
     "--samples",
     "--seed",
-    "--format",
-    "--out",
 )
 def _pnbound(
-    m: int,
-    q: Fraction,
-    p2: Optional[Fraction],
-    samples: int,
-    seed: int,
-    fmt: str,
-    out: Optional[str],
-) -> int:
+    envelope: ReportEnvelope, m: int, q: Fraction, p_squared: Optional[Fraction], samples: int, seed: int
+) -> None:
     """Exact two-value sup of |f_{m,q}| with an independent sampling oracle."""
-    started = time.perf_counter()
     if m < 2:
         raise UsageError("--m must be at least 2")
     try:
@@ -337,13 +277,7 @@ def _pnbound(
         raise UsageError(f"--q: {exc}") from None
     samples_used = max(samples, _MIN_ORACLE_SAMPLES)
     _check_oracle_size(m, samples_used)
-    config = RunConfig(
-        command="pnbound", m=m, q=q, p_squared=p2, samples=samples, seed=seed, format=fmt, out=out
-    )
-    envelope = ReportEnvelope(config=config)
-
-    with _undecidable_as_error():
-        enum = cones.sup_abs_f_two_value(m, q)
+    enum = cones.sup_abs_f_two_value(m, q)
     oracle = cones.brute_force_sup(m, q, samples=samples_used, ascent_steps=200, seed=seed)
     enum_float = float(enum)
     gap = enum_float - oracle.value
@@ -382,8 +316,8 @@ def _pnbound(
         )
     )
 
-    if p2 is not None:
-        comparison = compare(enum.f_squared, p2)
+    if p_squared is not None:
+        comparison = compare(enum.f_squared, p_squared)
         symbol = {-1: "<", 0: "=", 1: ">"}[comparison]
         envelope.add(
             CertificationReport(
@@ -395,13 +329,12 @@ def _pnbound(
                     if isinstance(enum.f_squared, Fraction)
                     else str(enum.f_squared),
                     "sup_squared_float": float(enum.f_squared),
-                    "p_squared": p2,
+                    "p_squared": p_squared,
                     "comparison": f"sup^2 {symbol} p^2",
                 },
                 provenance={"comparison_sign": comparison},
             )
         )
-    return _finish(envelope, started)
 
 
 # ---------------------------------------------------------------------------
@@ -565,25 +498,17 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
     )
 
     margin_payload = {}
-    margin_verdicts = []
     for n, k in _MARGIN_PAIRS:
         rep = tilt.certify_margin_positive(n, k, 1, 179)
-        margin_verdicts.append(rep.verdict)
         margin_payload[f"n={n} k={k}"] = {
             "verdict": rep.verdict,
             "boxes_checked": rep.provenance.get("boxes_checked"),
         }
-    if "falsified" in margin_verdicts:
-        margin_overall = "falsified"
-    elif "inconclusive" in margin_verdicts:
-        margin_overall = "inconclusive"
-    else:
-        margin_overall = "certified"
     reports.append(
         CertificationReport(
             claim="stability margin positive on [1°, 179°] for the six (n, k) pairs",
             method="exact",
-            verdict=margin_overall,
+            verdict=worst_verdict(entry["verdict"] for entry in margin_payload.values()),
             payload=margin_payload,
         )
     )
@@ -617,15 +542,10 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
     return reports
 
 
-@_command("--samples", "--seed", "--format", "--out")
-def _identities(samples: int, seed: int, fmt: str, out: Optional[str]) -> int:
+@_command("--samples", "--seed")
+def _identities(envelope: ReportEnvelope, samples: int, seed: int) -> None:
     """Run every identity campaign, anchored by exact certificates."""
-    started = time.perf_counter()
-    config = RunConfig(command="identities", samples=samples, seed=seed, format=fmt, out=out)
-    envelope = ReportEnvelope(config=config)
-    for rep in _identity_reports(samples, seed):
-        envelope.add(rep)
-    return _finish(envelope, started)
+    envelope.reports.extend(_identity_reports(samples, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +555,7 @@ def _identities(samples: int, seed: int, fmt: str, out: Optional[str]) -> int:
 
 @_command(
     ("--n", dict(type=int, required=True, help="Dimension (4, 5 or 6).")),
-    ("--p2", dict(type=_rational, help="p^2 to use (defaults to the calibrated one).")),
+    ("--p2", dict(_P2, help="p^2 to use (defaults to the calibrated one).")),
     (
         "--budget",
         dict(
@@ -647,38 +567,14 @@ def _identities(samples: int, seed: int, fmt: str, out: Optional[str]) -> int:
     ),
     "--seed",
     "--tol-deg",
-    "--format",
-    "--out",
 )
 def _optimize(
-    n: int,
-    p2: Optional[Fraction],
-    budget: int,
-    seed: int,
-    tol_deg: Fraction,
-    fmt: str,
-    out: Optional[str],
-) -> int:
+    envelope: ReportEnvelope, n: int, p_squared: Optional[Fraction], budget: int, seed: int, tol_deg: Fraction
+) -> None:
     """Search (alpha, delta, q) for a larger certified threshold."""
-    started = time.perf_counter()
     if n not in (4, 5, 6):
         raise UsageError("optimize supports n in {4, 5, 6}")
-    config = RunConfig(
-        command="optimize",
-        n=n,
-        p_squared=p2,
-        budget=budget,
-        seed=seed,
-        tol_deg=tol_deg,
-        format=fmt,
-        out=out,
-    )
-    envelope = ReportEnvelope(config=config)
-
-    try:
-        result = cones.optimize_params(n, p_squared=p2, budget=budget)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = cones.optimize_params(n, p_squared=p_squared, budget=budget)
     if result.best is None:
         envelope.add(
             CertificationReport(
@@ -692,10 +588,8 @@ def _optimize(
                 provenance={"budget": budget, "seed": seed},
             )
         )
-        return _finish(envelope, started)
-
-    with _undecidable_as_error():
-        theta_min, theta_max = angle_range_from_threshold(result.best_m, tol_deg)
+        return
+    theta_min, theta_max = angle_range_from_threshold(result.best_m, tol_deg)
     payload = {
         "note": "no search performed; defaults echoed" if result.no_search else "search completed",
         "best": {
@@ -724,7 +618,6 @@ def _optimize(
             provenance={"budget": budget, "seed": seed, "tol_deg": tol_deg},
         )
     )
-    return _finish(envelope, started)
 
 
 # ---------------------------------------------------------------------------
@@ -930,24 +823,11 @@ def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[Certif
     return reports
 
 
-@_command("--samples", "--seed", "--tol-deg", "--format", "--out")
-def _selftest(samples: int, seed: int, tol_deg: Fraction, fmt: str, out: Optional[str]) -> int:
+@_command("--samples", "--seed", "--tol-deg")
+def _selftest(envelope: ReportEnvelope, samples: int, seed: int, tol_deg: Fraction) -> None:
     """Run the full deterministic check suite."""
-    started = time.perf_counter()
     _check_oracle_size(max(_EXPECTED_SURDS), max(samples, _MIN_ORACLE_SAMPLES))
-    config = RunConfig(
-        command="selftest",
-        samples=samples,
-        seed=seed,
-        tol_deg=tol_deg,
-        format=fmt,
-        out=out,
-    )
-    envelope = ReportEnvelope(config=config)
-    with _undecidable_as_error():
-        for rep in _selftest_reports(samples, seed, tol_deg):
-            envelope.add(rep)
-    return _finish(envelope, started)
+    envelope.reports.extend(_selftest_reports(samples, seed, tol_deg))
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +888,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             options = vars(parser.parse_args(_attach_values(args)))
         except SystemExit as exc:  # --help and --version
             return int(exc.code or 0)
-        command = _COMMANDS[options.pop("command")][0]
-        return command(**options)
+        started = time.perf_counter()
+        config = RunConfig(command=options.pop("command"), **options)
+        envelope = ReportEnvelope(config)
+        del options["format"], options["out"]
+        try:
+            _COMMANDS[config.command][0](envelope, **options)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        envelope.elapsed_ms = int((time.perf_counter() - started) * 1000)
+        rendered = envelope.render()
+        if config.out:
+            try:
+                with open(config.out, "w") as handle:
+                    handle.write(rendered)
+            except OSError as exc:
+                raise UsageError(f"cannot write {config.out}: {exc}") from None
+        else:
+            sys.stdout.write(rendered)
+            sys.stdout.flush()
+        return envelope.exit_code()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL_ERROR

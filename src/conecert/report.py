@@ -17,10 +17,10 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 from ._record import _fill
-from .exact import AngleDeg, Interval, QuadraticSurd, to_fraction
+from .exact import AngleDeg, Interval, QuadraticSurd
 
 __all__ = [
     "VERSION",
@@ -34,6 +34,7 @@ __all__ = [
     "EXIT_FALSIFIED",
     "EXIT_INCONCLUSIVE",
     "jsonable",
+    "worst_verdict",
 ]
 
 VERSION = "0.1.0"
@@ -45,6 +46,11 @@ EXIT_CERTIFIED = 0
 EXIT_OPERATIONAL_ERROR = 1
 EXIT_FALSIFIED = 2
 EXIT_INCONCLUSIVE = 3
+
+
+def worst_verdict(verdicts: Iterable[str]) -> str:
+    """``falsified`` if any verdict is, else ``inconclusive`` if any is, else ``certified``."""
+    return max(verdicts, key=("certified", "inconclusive", "falsified").index, default="certified")
 
 
 def jsonable(value: Any) -> Any:
@@ -153,22 +159,9 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """JSON form: every rational is a {"num", "den"} object."""
-        return {
-            "command": self.command,
-            "n": self.n,
-            "m": self.m,
-            "q": jsonable(self.q),
-            "alpha": jsonable(self.alpha),
-            "delta": jsonable(self.delta),
-            "p_squared": jsonable(self.p_squared),
-            "tol_deg": jsonable(self.tol_deg),
-            "samples": self.samples,
-            "seed": self.seed,
-            "budget": self.budget,
-            "format": self.format,
-            "out": self.out,
-            "low_sample": self.samples < 10_000,
-        }
+        doc = {name: jsonable(getattr(self, name)) for name in self.__slots__}
+        doc["low_sample"] = self.samples < 10_000
+        return doc
 
     def display_dict(self) -> dict:
         """Text form: rationals as compact num/den strings."""
@@ -181,10 +174,11 @@ class RunConfig:
 class ReportEnvelope:
     """All reports of one run plus configuration echo and overall verdict.
 
-    ``table_rows`` and ``table_csv_header`` are set by table-shaped commands.
+    ``table_rows`` is set by table-shaped commands; the keys of its first
+    row are the table's columns.
     """
 
-    __slots__ = ("config", "reports", "elapsed_ms", "version", "table_rows", "table_csv_header")
+    __slots__ = ("config", "reports", "elapsed_ms", "version", "table_rows")
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
@@ -192,18 +186,13 @@ class ReportEnvelope:
         self.elapsed_ms = 0
         self.version = VERSION
         self.table_rows: Optional[list[dict]] = None
-        self.table_csv_header: Optional[Sequence[str]] = None
 
     def add(self, report: CertificationReport) -> None:
         self.reports.append(report)
 
     @property
     def verdict(self) -> str:
-        if any(r.verdict == "falsified" for r in self.reports):
-            return "falsified"
-        if any(r.verdict == "inconclusive" for r in self.reports):
-            return "inconclusive"
-        return "certified"
+        return worst_verdict(r.verdict for r in self.reports)
 
     def exit_code(self) -> int:
         return {
@@ -229,10 +218,10 @@ class ReportEnvelope:
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if self.table_rows is not None and self.table_csv_header is not None:
-            writer.writerow(self.table_csv_header)
+        if self.table_rows:
+            writer.writerow(self.table_rows[0])
             for row in self.table_rows:
-                writer.writerow([row[k] for k in self.table_csv_header])
+                writer.writerow(row.values())
         else:
             writer.writerow(["claim", "method", "verdict", "detail"])
             for r in self.reports:
@@ -248,18 +237,14 @@ class ReportEnvelope:
         if cfg["low_sample"]:
             lines.append("warning: sample count below 10000; sampled checks are weak")
         lines.append("")
-        if self.table_rows is not None and self.table_csv_header is not None:
-            widths = [
-                max(len(str(h)), *(len(str(row[h])) for row in self.table_rows))
-                for h in self.table_csv_header
-            ]
-            header = "  ".join(str(h).ljust(w) for h, w in zip(self.table_csv_header, widths))
+        if self.table_rows:
+            columns = list(self.table_rows[0])
+            widths = [max(len(h), *(len(str(row[h])) for row in self.table_rows)) for h in columns]
+            header = "  ".join(h.ljust(w) for h, w in zip(columns, widths))
             lines.append(header)
             lines.append("-" * len(header))
             for row in self.table_rows:
-                lines.append(
-                    "  ".join(str(row[h]).ljust(w) for h, w in zip(self.table_csv_header, widths))
-                )
+                lines.append("  ".join(str(row[h]).ljust(w) for h, w in zip(columns, widths)))
             lines.append("")
         for r in self.reports:
             lines.append(f"[{r.verdict.upper():12s}] ({r.method}) {r.claim}")

@@ -10,8 +10,6 @@ import json
 import time
 from fractions import Fraction
 
-import pytest
-
 from conecert import cones, linearization, tilt
 from conecert.cli import main
 from conecert.exact import AngleDeg, QuadraticSurd, angle_range_from_threshold

@@ -7,13 +7,12 @@ import re
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import conecert
-from conecert import cones, exact
+from conecert import cli, cones, exact, tilt
 from conecert.cli import main
 from conecert.report import (
     EXIT_CERTIFIED,
@@ -23,6 +22,7 @@ from conecert.report import (
     CertificationReport,
     ReportEnvelope,
     RunConfig,
+    worst_verdict,
 )
 
 
@@ -50,14 +50,28 @@ def test_report_rejects_certified_sampling():
     CertificationReport(claim="x", method="exact", verdict="certified")
 
 
-def test_envelope_verdict_aggregation():
+def test_envelope_verdict_aggregation(monkeypatch):
     env = ReportEnvelope(config=RunConfig(command="t"))
+    assert worst_verdict([]) == env.verdict == "certified"
     env.add(CertificationReport(claim="a", method="exact", verdict="certified"))
     assert env.verdict == "certified" and env.exit_code() == EXIT_CERTIFIED
     env.add(CertificationReport(claim="b", method="interval", verdict="inconclusive"))
     assert env.verdict == "inconclusive" and env.exit_code() == EXIT_INCONCLUSIVE
     env.add(CertificationReport(claim="c", method="sampled", verdict="falsified"))
     assert env.verdict == "falsified" and env.exit_code() == EXIT_FALSIFIED
+    # The margin report folds the verdicts of its six (n, k) pairs by the same rule.
+    for verdicts, expected in (
+        (("certified",) * 4 + ("inconclusive", "falsified"), "falsified"),
+        (("certified",) * 5 + ("inconclusive",), "inconclusive"),
+    ):
+        given = iter(verdicts)
+        monkeypatch.setattr(
+            tilt, "certify_margin_positive",
+            lambda *args: CertificationReport(claim="margin", method="exact", verdict=next(given)),
+        )
+        margin = cli._identity_reports(100, 42)[3]
+        assert margin.claim.startswith("stability margin") and margin.verdict == expected
+        assert [entry["verdict"] for entry in margin.payload.values()] == list(verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +113,15 @@ def test_table_out_file(tmp_path, capsys):
     assert code == EXIT_CERTIFIED
     assert out == ""
     assert target.read_text().startswith("theta_lo_deg,theta_hi_deg,n_theta")
+
+
+def test_table_out_to_a_missing_directory_is_an_operational_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.txt"
+    code, out, err = run(capsys, "table", "--out", str(target))
+    assert code == EXIT_OPERATIONAL_ERROR
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +377,6 @@ def test_identities_certified_with_small_campaigns(capsys):
 )
 def test_identities_nan_residual_is_not_certified(capsys, monkeypatch, field, report):
     # max(0.0, nan) is 0.0: a NaN residual must not vanish in the suite's fold.
-    from conecert import tilt
-
     campaigns = tilt.identity_campaigns
 
     def nan_residual(params_seq, samples, seed):
@@ -518,6 +539,40 @@ def test_command_help_names_each_option(capsys, command):
     assert code == EXIT_CERTIFIED and err == ""
     named = set(re.findall(r"--[a-z0-9-]+", out))
     assert named == {"--help", *_COMMAND_OPTIONS[command]}
+
+
+# What every command echoes of an option it does not take.
+_ECHO_DEFAULTS = {
+    "n": None, "m": None, "q": None, "alpha": None, "delta": None, "p_squared": None,
+    "tol_deg": {"num": "1", "den": "1000"}, "samples": 100000, "seed": 42, "budget": 0,
+    "format": "json", "out": None, "low_sample": False,
+}
+
+
+@pytest.mark.parametrize(
+    "argv,echoed",
+    [
+        (("table", "--tol-deg", "1/100"), {"tol_deg": {"num": "1", "den": "100"}}),
+        (("certify", "--n", "4", "--p2", "0"), {"n": 4, "p_squared": {"num": "0", "den": "1"}}),
+        (("pnbound", "--m", "2", "--q", "1", "--p2", "1/2", "--samples", "300", "--seed", "7"),
+         {"m": 2, "q": {"num": "1", "den": "1"}, "p_squared": {"num": "1", "den": "2"}, "samples": 300,
+          "seed": 7, "low_sample": True}),
+        (("identities", "--samples", "2000", "--seed", "7"), {"samples": 2000, "seed": 7, "low_sample": True}),
+        (("optimize", "--n", "5", "--budget", "27", "--seed", "3"), {"n": 5, "budget": 27, "seed": 3}),
+        (("selftest", "--samples", "2000", "--tol-deg", "1/100"),
+         {"samples": 2000, "tol_deg": {"num": "1", "den": "100"}, "low_sample": True}),
+    ],
+    ids=["table", "certify", "pnbound", "identities", "optimize", "selftest"],
+)
+def test_config_echoes_every_field(capsys, argv, echoed):
+    # An option a command does not take is echoed at its RunConfig default;
+    # pnbound echoes the samples requested, not the oracle's 10^4 floor.
+    _, doc, err = run_json(capsys, *argv)
+    assert err == ""
+    expected = {"command": argv[0], **_ECHO_DEFAULTS}
+    expected.update(echoed)
+    assert doc["config"] == expected
+    assert list(doc["config"]) == list(expected)
 
 
 def test_version_prints_name_and_version(capsys):

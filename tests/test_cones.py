@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert import cones
-from conecert.exact import Interval, QuadraticSurd, compare
+from conecert.exact import QuadraticSurd, compare
 
 small_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 positive_q = st.fractions(min_value=Fraction(1, 64), max_value=4, max_denominator=512)

@@ -138,3 +138,47 @@ def test_every_top_level_definition_is_reached_from_a_command_or_an_export():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and (module, name) not in reached
     )
     assert unreached == []
+
+
+def _annotations(tree):
+    """Every annotation of a module: of arguments, return values and annotated assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _unused_imports(path):
+    """The names a module imports, at any depth, and never uses.
+
+    A name is used if the module reads it anywhere, in an annotation too
+    (quoted or not), or lists it in ``__all__``; ``__future__`` imports
+    count as used.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    for annotation in filter(None, _annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used.update(name.id for name in ast.walk(quoted) if isinstance(name, ast.Name))
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = sorted(
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in MODULES + sorted((ROOT / "tests").glob("*.py"))
+        for name in _unused_imports(path)
+    )
+    assert unused == []

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecert import tilt
-from conecert.exact import AngleDeg, Interval, Polynomial, sturm_count
+from conecert.exact import AngleDeg, Polynomial, sturm_count
 
 ANGLES_K = [
     (Fraction(100), Fraction(1)),
