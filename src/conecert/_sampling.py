@@ -2,7 +2,9 @@
 
 The float campaigns and the sampling oracle stream their draws through
 ``unit_gaussian_chunks`` and fold each chunk into running extrema, so their
-memory does not grow with the number of samples.  Consecutive
+memory does not grow with the number of samples.  The certified halving
+ratios (``linearization.remainder_ratio_certified``) draw their seeded
+directions here too, before freezing them as exact rationals.  Consecutive
 ``standard_normal`` draws from one ``numpy.random.Generator`` continue the
 same stream, so the chunks are, row for row, the one-shot draw of
 ``samples`` rows.

@@ -291,15 +291,8 @@ def _pnbound(
             payload={
                 "sup": enum.value,
                 "sup_float": enum_float,
-                "sup_squared": enum.f_squared
-                if isinstance(enum.f_squared, Fraction)
-                else str(enum.f_squared),
-                "witness": {
-                    "a": enum.witness.a,
-                    "b": enum.witness.b,
-                    "x": enum.witness.x,
-                    "y": enum.witness.y,
-                },
+                "sup_squared": cones._f_squared_payload(enum.f_squared),
+                "witness": cones._witness_payload(enum.witness),
                 "witness_source": enum.witness_source,
                 "exhaustive": enum.exhaustive,
                 "candidates_examined": len(enum.candidates),
@@ -325,9 +318,7 @@ def _pnbound(
                 method="exact",
                 verdict="certified" if comparison <= 0 else "falsified",
                 payload={
-                    "sup_squared": enum.f_squared
-                    if isinstance(enum.f_squared, Fraction)
-                    else str(enum.f_squared),
+                    "sup_squared": cones._f_squared_payload(enum.f_squared),
                     "sup_squared_float": float(enum.f_squared),
                     "p_squared": p_squared,
                     "comparison": f"sup^2 {symbol} p^2",
@@ -518,9 +509,6 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
     for theta_deg in _LINEARIZATION_ANGLES:
         cert = linearization.remainder_ratio_certified(theta_deg, directions=64, seed=seed)
         factor, factor_ok = linearization.norm_equivalence_certified(theta_deg)
-        sampled = linearization.remainder_order_check(
-            theta_deg, scale=1e-3, directions=1000, seed=seed
-        )
         lin_ok = lin_ok and cert.all_in_band and cert.bound_certified and factor_ok
         lin_payload[f"theta={theta_deg}"] = {
             "certified_ratio_enclosure": [cert.ratio_enclosure_lo, cert.ratio_enclosure_hi],
@@ -528,7 +516,6 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
             "remainder_bound_certified": cert.bound_certified,
             "norm_slack_factor_nonnegative": factor_ok,
             "norm_slack_factor_enclosure": factor,
-            "sampled_ratio_range": [sampled.ratio_min, sampled.ratio_max],
         }
     reports.append(
         CertificationReport(
@@ -536,7 +523,7 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
             method="interval",
             verdict="certified" if lin_ok else "inconclusive",
             payload=lin_payload,
-            provenance={"certified_directions": 64, "sampled_directions": 1000, "seed": seed},
+            provenance={"certified_directions": 64, "seed": seed},
         )
     )
     return reports

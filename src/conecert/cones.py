@@ -211,8 +211,7 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
                 best_source = "critical_root"
 
     # Diagonal (single-value) candidate: x = (1, ..., 1).
-    N = Fraction(m) + (1 - q) * m * m - q * m ** 3
-    diag_f2 = N * N / Fraction(m + m * m) ** 3
+    diag_f2 = _f_squared_exact(1, m - 1, q, QuadraticSurd(1)).rational
     candidates.append({"kind": "diagonal", "a": 1, "b": m - 1, "root_exact": "1"})
     if best_f2 is None or compare(diag_f2, best_f2) > 0:
         best_f2 = diag_f2
@@ -534,7 +533,7 @@ def certify_dimension(
         if m == n - 2 and exceeds:
             sup_ok = False
         sup_entries[f"m={m}"] = {
-            "sup_f_squared": sup.f_squared if isinstance(sup.f_squared, Fraction) else str(sup.f_squared),
+            "sup_f_squared": _f_squared_payload(sup.f_squared),
             "sup_f_squared_float": float(sup.f_squared),
             "equals_p_squared": matches,
             "exceeds_p_squared": exceeds,
@@ -573,6 +572,11 @@ def _params_payload(p: ConeParams) -> dict:
 
 def _witness_payload(w: TwoValuePoint) -> dict:
     return {"a": w.a, "b": w.b, "x": w.x, "y": w.y}
+
+
+def _f_squared_payload(f2: ExactScalar) -> Union[Fraction, str]:
+    """f^2 as a report value: a Fraction as itself, a surd as its text."""
+    return f2 if isinstance(f2, Fraction) else str(f2)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,8 @@ _SPECIAL_COS_SQUARED = {
     for double, cos in _SPECIAL_COS.items()
     for angle in (double / 2, 180 - double / 2)
 }
+# Angles (in degrees) whose sine is rational, and that sine.
+_RATIONAL_SIN = {Fraction(0): Fraction(0), Fraction(90): Fraction(1), Fraction(180): Fraction(0)}
 
 
 class DegenerateQuadraticError(ValueError):
@@ -122,14 +124,9 @@ def sqrt_fraction_enclosure(x: Fraction, scale: int = _SQRT_SCALE) -> "Interval"
         return Interval(Fraction(0), Fraction(0))
     n2 = x.numerator * scale * scale
     d = x.denominator
-    # floor(sqrt(n2 / d)) needs care: isqrt(n2 // d) can overshoot only when
-    # division truncates, so bracket with explicit checks.
+    # floor(sqrt(floor(y))) = floor(sqrt(y)), so this is floor(sqrt(n2 / d)).
     lo_int = math.isqrt(n2 // d)
-    while Fraction(lo_int * lo_int, 1) > Fraction(n2, d):
-        lo_int -= 1
-    hi_int = lo_int
-    while Fraction(hi_int * hi_int, 1) < Fraction(n2, d):
-        hi_int += 1
+    hi_int = lo_int if lo_int * lo_int * d == n2 else lo_int + 1
     return Interval(Fraction(lo_int, scale), Fraction(hi_int, scale))
 
 
@@ -930,8 +927,9 @@ class AngleDeg(Record):
 
     ``value`` is an :class:`Interval` of degrees inside [0, 180].  Exact
     rational angles are point intervals.  ``cos`` and ``sin`` return
-    certified enclosures, exact at the special angles 0, 60, 90, 120, 180;
-    ``sin_squared`` is also exact at 30, 45, 135 and 150.
+    certified enclosures: ``cos`` is exact at the special angles 0, 60, 90,
+    120 and 180, ``sin`` at 0, 90 and 180, and ``sin_squared`` at those and
+    at 30, 45, 135 and 150.
     """
 
     __slots__ = ("value",)
@@ -966,8 +964,8 @@ class AngleDeg(Record):
         return (Interval.point(1) - self.cos().square()).clamp(Fraction(0), Fraction(1))
 
     def sin(self) -> Interval:
-        if self.is_point and self.value.lo in _SPECIAL_COS:
-            return self.sin_squared().sqrt()
+        if self.is_point and self.value.lo in _RATIONAL_SIN:
+            return Interval.point(_RATIONAL_SIN[self.value.lo])
         return sin_interval(self.radians())
 
     def supplement(self) -> "AngleDeg":
@@ -980,6 +978,24 @@ class AngleDeg(Record):
         if self.is_point:
             return f"{float(self)}°"
         return f"[{float(self.value.lo):.6f}°, {float(self.value.hi):.6f}°]"
+
+
+def _interior_angle(theta: Union[AngleDeg, RationalLike]) -> AngleDeg:
+    """The contact angle as an AngleDeg, refused unless inside (0, 180) degrees."""
+    if not isinstance(theta, AngleDeg):
+        theta = AngleDeg.from_degrees(theta)
+    if theta.value.lo <= 0 or theta.value.hi >= 180:
+        raise ValueError("theta must lie strictly between 0 and 180 degrees")
+    return theta
+
+
+def _check_orientation(orientation: str) -> int:
+    """The sign of the reference normal's orientation: +1 for "up", -1 for "down"."""
+    if orientation == "up":
+        return 1
+    if orientation == "down":
+        return -1
+    raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
 
 
 # ---------------------------------------------------------------------------

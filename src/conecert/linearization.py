@@ -1,6 +1,6 @@
 """Slanted-graph linearization: the exact Gauss map of a graph tilted to
 meet a wall at contact angle theta, its linearization around the reference
-plane, the second-order remainder checks, and the slack of the weighted
+plane, the certified second-order remainder, and the slack of the weighted
 (capillary) norm.
 
 Conventions.  A graph over the half-space carries the slanted height
@@ -12,19 +12,12 @@ theta.  With q = grad u, the horizontal part of the unit normal is
 
 whose derivative at q = 0 is diag(sin^3(theta), sin(theta), ...).  The
 remainder G - L after subtracting the affine linearization L is second
-order.  ``remainder_order_check`` is sampled corroboration: float halving
-ratios r(t)/r(t/2) on seeded directions sit near 4.
-``remainder_ratio_certified`` is the interval proof of the same fact on
-seeded directions frozen as exact rationals.  It evaluates |G - L| on
-outward-rounded fixed-point intervals with integer ends at the scale
-2^-256 (``exact._Dyadic``), converted once per call from the sin and
-cos enclosures of ``AngleDeg``; the ratios and bounds are then decided in
-exact rationals.
-
-Float evaluation.  The float formulas live in private kernels that take
-sin(theta) and cos(theta) as floats.  These are the midpoints of the
-2^-256-grid sin/cos enclosures of ``AngleDeg``, computed once per public call,
-so a campaign over many directions pays for the trig only once.
+order.  ``remainder_ratio_certified`` proves that the halving ratios
+r(t)/r(t/2) sit near 4 on seeded directions frozen as exact rationals.
+It evaluates |G - L| on outward-rounded fixed-point intervals with integer
+ends at the scale 2^-256 (``exact._Dyadic``), converted once per call from
+the sin and cos enclosures of ``AngleDeg``; the ratios and bounds are then
+decided in exact rationals.
 
 The induced quadratic form sin^3(theta) x_1 y_1 + sin(theta) <x', y'> is
 sandwiched between sin^3(theta) |x|^2 and sin(theta) |x|^2; both slacks are
@@ -34,155 +27,41 @@ encloses that factor.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Union
 
 from ._record import Record, _fill
-from .exact import _DYADIC_ONE, AngleDeg, Interval, RationalLike, _Dyadic, to_fraction
+from ._sampling import unit_gaussian_chunks
+from .exact import (
+    _DYADIC_ONE,
+    AngleDeg,
+    Interval,
+    RationalLike,
+    _check_orientation,
+    _Dyadic,
+    _interior_angle,
+    to_fraction,
+)
 
 __all__ = [
-    "RemainderOrderReport",
     "CertifiedRatioReport",
-    "remainder_order_check",
     "remainder_ratio_certified",
     "norm_equivalence_certified",
 ]
 
 AngleLike = Union[AngleDeg, RationalLike]
 
-
-def _interior_angle(theta: AngleLike) -> AngleDeg:
-    if not isinstance(theta, AngleDeg):
-        theta = AngleDeg.from_degrees(theta)
-    if theta.value.lo <= 0 or theta.value.hi >= 180:
-        raise ValueError("theta must lie strictly between 0 and 180 degrees")
-    return theta
-
-
-def _check_orientation(orientation: str) -> int:
-    if orientation == "up":
-        return 1
-    if orientation == "down":
-        return -1
-    raise ValueError("orientation must be 'up' or 'down'")
-
-
-def _sin_cos(theta: AngleDeg) -> tuple[float, float]:
-    """Float midpoints of the AngleDeg sin/cos enclosures; call once per public call."""
-    return float(theta.sin().mid), float(theta.cos().mid)
+# The gradient dimension, the band every halving ratio must lie in, and the
+# constant C of the bound |G(q) - L(q)| <= C |q|^2.
+_NDIM = 3
+_BAND = (Fraction(18, 5), Fraction(22, 5))
+_BOUND_CONSTANT = Fraction(10)
 
 
 # ---------------------------------------------------------------------------
-# Exact and linearized Gauss maps.
+# Remainder order, certified.
 # ---------------------------------------------------------------------------
-
-
-def _gauss_exact(p: list[float], s: float, c: float, sign: int) -> tuple[list[float], float]:
-    """G(q) for the float gradient p, and w^2 = 1 + |p - sign cot(theta) e_1|^2."""
-    slanted = [p[0] - sign * (c / s)] + p[1:]
-    w_sq = 1.0 + math.fsum(v * v for v in slanted)
-    w = math.sqrt(w_sq)
-    return [v / w for v in slanted], w_sq
-
-
-def _gauss_linear(p: list[float], s: float, c: float, sign: int) -> list[float]:
-    """L(q) = (-sign cos + sin^3 q_1, sin q_2, ...) for the float gradient p."""
-    out = [-sign * c + s ** 3 * p[0]]
-    out.extend(s * v for v in p[1:])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Remainder order: sampled and certified.
-# ---------------------------------------------------------------------------
-
-
-class RemainderOrderReport(Record):
-    """Sampled evidence that the Gauss-map remainder is second order."""
-
-    __slots__ = (
-        "theta_deg", "scale", "directions", "seed", "orientation", "ratio_min", "ratio_max",
-        "ratio_mean", "max_remainder", "remainder_bound_constant", "bound_satisfied",
-    )
-
-    def __init__(
-        self, theta_deg: float, scale: float, directions: int, seed: int, orientation: str,
-        ratio_min: float, ratio_max: float, ratio_mean: float, max_remainder: float,
-        remainder_bound_constant: float, bound_satisfied: bool,
-    ) -> None:
-        _fill(self, locals())
-
-    def ratios_within(self, lo: float = 3.6, hi: float = 4.4) -> bool:
-        return lo <= self.ratio_min and self.ratio_max <= hi
-
-
-def remainder_order_check(
-    theta: AngleLike,
-    scale: float = 1e-3,
-    directions: int = 1000,
-    seed: int = 42,
-    orientation: str = "up",
-    ndim: int = 3,
-    bound_constant: float = 10.0,
-) -> RemainderOrderReport:
-    """Halving-ratio test for the remainder r(q) = G(q) - L(q).
-
-    For seeded random unit directions d, the ratios
-    |r(scale d)| / |r(scale d / 2)| must approach 4 (second order), and
-    each remainder must obey |r| <= bound_constant |q|^2.
-    """
-    import numpy as np
-
-    theta = _interior_angle(theta)
-    # The float kernels square |q|; this also refuses NaN and infinity.
-    if not (scale > 0 and math.isfinite(4 * scale * scale)):
-        raise ValueError(f"scale must be positive with a finite float square, got {scale!r}")
-    if directions < 1:
-        raise ValueError("need at least one direction")
-    sign = _check_orientation(orientation)
-    s, c = _sin_cos(theta)
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((directions, ndim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-
-    ratios = []
-    max_rem = 0.0
-    bound_ok = True
-    for d in dirs:
-        r_full = _remainder_norm((d * scale).tolist(), s, c, sign)
-        r_half = _remainder_norm((d * (scale / 2.0)).tolist(), s, c, sign)
-        if r_half == 0.0:
-            continue
-        ratios.append(r_full / r_half)
-        max_rem = max(max_rem, r_full)
-        if r_full > bound_constant * scale * scale:
-            bound_ok = False
-        if r_half > bound_constant * (scale / 2.0) ** 2:
-            bound_ok = False
-    if not ratios:
-        raise ValueError("no direction gave a nonzero remainder at scale/2; scale is too small")
-    arr = np.asarray(ratios)
-    return RemainderOrderReport(
-        theta_deg=float(theta.value.mid),
-        scale=scale,
-        directions=directions,
-        seed=seed,
-        orientation=orientation,
-        ratio_min=float(arr.min()),
-        ratio_max=float(arr.max()),
-        ratio_mean=float(arr.mean()),
-        max_remainder=max_rem,
-        remainder_bound_constant=bound_constant,
-        bound_satisfied=bound_ok,
-    )
-
-
-def _remainder_norm(p: list[float], s: float, c: float, sign: int) -> float:
-    """|G(q) - L(q)| for the float gradient p."""
-    exact = _gauss_exact(p, s, c, sign)[0]
-    lin = _gauss_linear(p, s, c, sign)
-    return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(exact, lin)))
 
 
 class CertifiedRatioReport(Record):
@@ -213,12 +92,9 @@ def remainder_ratio_certified(
     directions: int = 64,
     seed: int = 42,
     orientation: str = "up",
-    ndim: int = 3,
-    band: tuple[RationalLike, RationalLike] = (Fraction(18, 5), Fraction(22, 5)),
-    bound_constant: RationalLike = 10,
 ) -> CertifiedRatioReport:
     """Certify, with interval arithmetic, that every seeded halving ratio
-    lies in ``band`` and every remainder obeys |r| <= bound |q|^2.
+    lies in [18/5, 22/5] and every remainder obeys |r| <= 10 |q|^2.
 
     The directions are drawn once in floating point and then frozen as
     exact rationals, so the certified statement quantifies over an explicit
@@ -231,16 +107,11 @@ def remainder_ratio_certified(
     theta = _interior_angle(theta)
     sign = _check_orientation(orientation)
     scale = to_fraction(scale)
-    bound_constant = to_fraction(bound_constant)
     if scale <= 0:
         raise ValueError("scale must be positive")
     if directions < 1:
         raise ValueError("need at least one direction")
-    band_lo, band_hi = to_fraction(band[0]), to_fraction(band[1])
-
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((directions, ndim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    band_lo, band_hi = _BAND
 
     cos_iv = theta.cos()
     sin_iv = theta.sin()
@@ -253,14 +124,14 @@ def remainder_ratio_certified(
     hull = None
     all_in = True
     bound_ok = True
-    for d in dirs:
+    for d in chain.from_iterable(unit_gaussian_chunks(np.random.default_rng(seed), directions, _NDIM)):
         # Fraction(float) is exact: the sampled direction is frozen bit-for-bit.
         qs = [Fraction(float(c)) * scale for c in d]
         q_norm_sq = sum((c * c for c in qs), Fraction(0))
         r_full = _remainder_norm_interval(qs, slant, lead, sin_d, sin_cubed)
         r_half = _remainder_norm_interval([c / 2 for c in qs], slant, lead, sin_d, sin_cubed)
         # r <= bound * |q|^2, squared to stay in rational arithmetic.
-        if not (r_full.hi * r_full.hi <= bound_constant ** 2 * q_norm_sq ** 2):
+        if not (r_full.hi * r_full.hi <= _BOUND_CONSTANT ** 2 * q_norm_sq ** 2):
             bound_ok = False
         if not r_half.strictly_positive():
             all_in = False
@@ -283,7 +154,7 @@ def remainder_ratio_certified(
         ratio_enclosure_lo=float(hull.lo),
         ratio_enclosure_hi=float(hull.hi),
         all_in_band=all_in,
-        bound_constant=bound_constant,
+        bound_constant=_BOUND_CONSTANT,
         bound_certified=bound_ok,
     )
 

@@ -53,6 +53,8 @@ from .exact import (
     Interval,
     Polynomial,
     RationalLike,
+    _check_orientation,
+    _interior_angle,
     sqrt_fraction_enclosure,
     sturm_count,
     to_fraction,
@@ -80,11 +82,6 @@ __all__ = [
 _SMALL_G2 = 1e-4
 
 
-def _check_orientation(orientation: str) -> None:
-    if orientation not in ("up", "down"):
-        raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
-
-
 class TiltParams(Record):
     """Parameters (theta, k, n) of the tilt function.
 
@@ -102,8 +99,7 @@ class TiltParams(Record):
     ) -> None:
         if not isinstance(k, Fraction):
             k = to_fraction(k)
-        if not isinstance(theta, AngleDeg):
-            theta = AngleDeg.from_degrees(theta)
+        theta = _interior_angle(theta)
         if n < 2:
             raise ValueError("n must be at least 2")
         if not 0 < k <= 1:
@@ -113,8 +109,6 @@ class TiltParams(Record):
                 f"k = {k} exceeds 1/(n-2) = 1/{n - 2}; "
                 "pass exploratory=True to lift the restriction"
             )
-        if theta.value.lo <= 0 or theta.value.hi >= 180:
-            raise ValueError("theta must lie strictly between 0 and 180 degrees")
         _fill(self, locals())
 
     @property
@@ -282,9 +276,7 @@ def s_constant(n: int, k: RationalLike, theta: AngleDeg) -> Interval:
     k = to_fraction(k)
     if not 0 < k <= 1:
         raise ValueError(f"k must lie in (0, 1], got {k}")
-    if theta.value.lo <= 0 or theta.value.hi >= 180:
-        raise ValueError("theta must lie strictly between 0 and 180 degrees")
-    sin_sq = theta.sin_squared()
+    sin_sq = _interior_angle(theta).sin_squared()
     t = (Interval.point(1) - k * sin_sq).clamp(Fraction(0), Fraction(1))
     return f_of_t(n, t)
 
@@ -449,8 +441,7 @@ def _appendix_inputs(n: int, theta: AngleDeg, orientation: str, k: Optional[Rati
     k = default_k(n) if k is None else to_fraction(k)
     if not 0 < k <= 1:
         raise ValueError(f"k must lie in (0, 1], got {k}")
-    if theta.value.lo <= 0 or theta.value.hi >= 180:
-        raise ValueError("theta must lie strictly between 0 and 180 degrees")
+    theta = _interior_angle(theta)
     return k, float(theta.cos()), float(theta.sin())
 
 

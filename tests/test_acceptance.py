@@ -170,17 +170,15 @@ def test_criterion_08_margin_certification():
 
 def test_criterion_09_linearization_order_and_norm_slacks():
     for theta in (91, 120, 150, 179):
-        rep = linearization.remainder_order_check(
-            theta, scale=1e-3, directions=1000, seed=42
-        )
-        assert rep.ratios_within(3.6, 4.4), (
-            f"theta={theta}: ratios [{rep.ratio_min:.4f}, {rep.ratio_max:.4f}]"
+        rep = linearization.remainder_ratio_certified(theta, directions=1000, seed=42)
+        assert rep.all_in_band and rep.bound_certified, (
+            f"theta={theta}: ratios [{rep.ratio_enclosure_lo:.4f}, {rep.ratio_enclosure_hi:.4f}]"
         )
         # Both norm-equivalence slacks are this factor times a sum of squares,
         # so a certified positive factor makes them nonnegative for every vector.
         factor, ok = linearization.norm_equivalence_certified(theta)
         assert ok and factor.lo > 0, f"theta={theta}: slack factor {factor}"
-    _announce(9, "halving ratios in [3.6,4.4] at all four angles; norm slacks ≥ 0")
+    _announce(9, "certified halving ratios in [3.6,4.4] at all four angles; norm slacks ≥ 0")
 
 
 def test_criterion_10_n3_coefficients_exact():
@@ -207,6 +205,6 @@ def test_criterion_11_selftest_determinism(capsys):
     )
     # Pinned: any change to the report bytes of the default configuration shows here.
     assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == (
-        "79a2c24e095a33cfa9433b3e1bee55cbb7e2ead3b5844ab5da92f55d6d563bf5"
+        "6484feee383974b1b706ae1e4a9363408f896dcd2c840d478396781cca67cf0e"
     )
     _announce(11, "two selftest --seed 42 runs byte-identical except wall-time, digest pinned")

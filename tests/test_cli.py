@@ -467,7 +467,7 @@ def test_selftest_runs_certified_quick(capsys):
     digest_rep = doc["reports"][-1]
     # Pinned: any change to the report bytes of this configuration shows here.
     assert digest_rep["payload"]["content_digest_sha256"] == (
-        "c09f135939ee0ae33d208a987337c93f37af3d00296eef64e7affaeded526340"
+        "d8326c531dd51b9dd33e3db57f7b2ee175c84b8eb01242ddbb58baac079e1768"
     )
 
 
@@ -731,4 +731,4 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
     )
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
-    assert digest == "79a2c24e095a33cfa9433b3e1bee55cbb7e2ead3b5844ab5da92f55d6d563bf5"
+    assert digest == "6484feee383974b1b706ae1e4a9363408f896dcd2c840d478396781cca67cf0e"

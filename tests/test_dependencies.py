@@ -182,3 +182,13 @@ def test_no_module_imports_a_name_it_does_not_use():
         for name in _unused_imports(path)
     )
     assert unused == []
+
+
+def test_no_two_modules_define_a_function_or_class_of_one_name():
+    # A helper written twice drifts apart: its copies come to differ in checks and messages.
+    owners = {}
+    for path in MODULES:
+        for name, node in _top_level_bindings(ast.parse(path.read_text(), filename=str(path))).items():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owners.setdefault(name, []).append(path.stem)
+    assert {name: modules for name, modules in owners.items() if len(modules) > 1} == {}

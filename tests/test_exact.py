@@ -95,6 +95,29 @@ def test_sqrt_enclosure_soundness(x):
     assert enc.width <= Fraction(1, 10**12)
 
 
+@given(
+    st.one_of(
+        st.fractions(min_value=0, max_value=10**90, max_denominator=10**30),
+        st.fractions(min_value=0, max_value=10**6, max_denominator=10**6).map(lambda r: r * r),
+    ),
+    st.sampled_from([1, 10, 10**40]),
+)
+@example(Fraction(9, 4), 10)
+@example(Fraction(2), 1)
+@settings(max_examples=300)
+def test_sqrt_enclosure_ends_are_the_floor_and_ceiling_on_the_scale(x, scale):
+    # In integers, with x = n/d: lo = L/s and hi = H/s, where
+    # L^2 d <= n s^2 < (L+1)^2 d and (H-1)^2 d < n s^2 <= H^2 d.
+    enc = sqrt_fraction_enclosure(x, scale)
+    assert (enc.lo * scale).denominator == 1 and (enc.hi * scale).denominator == 1
+    low, high = int(enc.lo * scale), int(enc.hi * scale)
+    n2, d = x.numerator * scale * scale, x.denominator
+    assert low * low * d <= n2 < (low + 1) ** 2 * d
+    assert high == 0 or (high - 1) ** 2 * d < n2 <= high * high * d
+    perfect_square = n2 % d == 0 and math.isqrt(n2 // d) ** 2 == n2 // d
+    assert (low == high) == perfect_square
+
+
 def test_sqrt_enclosure_exact_for_perfect_squares():
     enc = sqrt_fraction_enclosure(Fraction(9, 4))
     assert enc.lo == enc.hi == Fraction(3, 2)
@@ -402,8 +425,7 @@ def test_point_angle_trig_contains_the_300_digit_values(deg):
         rad = _mpf(deg) * mp.pi / 180
         _assert_encloses(c, mp.cos(rad))
         _assert_encloses(s, mp.sin(rad))
-    if deg not in exact._SPECIAL_COS:  # sin there is a 10^-40 square root enclosure
-        assert c.width <= TRIG_WIDTH and s.width <= TRIG_WIDTH
+    assert c.width <= TRIG_WIDTH and s.width <= TRIG_WIDTH
 
 
 @pytest.mark.parametrize(

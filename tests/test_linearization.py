@@ -4,7 +4,6 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,86 +20,8 @@ unit_dirs = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# Gauss map basics
+# Remainder order, certified
 # ---------------------------------------------------------------------------
-
-
-def _kernel_inputs(theta, orientation="up"):
-    """sin, cos and the orientation sign, as the public checks hand them to the Gauss-map kernels."""
-    s, c = lin._sin_cos(AngleDeg.from_degrees(theta))
-    return s, c, 1 if orientation == "up" else -1
-
-
-@given(unit_dirs, st.sampled_from(ANGLES), st.sampled_from(["up", "down"]))
-@settings(max_examples=120, deadline=None)
-def test_gauss_map_comes_from_a_unit_normal(q, theta, orientation):
-    # |G(q)|^2 + 1/(1 + |p|^2) = 1 for the unit normal (G, 1)/w.
-    g, w_sq = lin._gauss_exact([float(v) for v in q], *_kernel_inputs(theta, orientation))
-    assert abs(math.fsum(v * v for v in g) + 1.0 / w_sq - 1.0) <= 1e-12
-
-
-@given(st.sampled_from(ANGLES), st.sampled_from(["up", "down"]))
-@settings(max_examples=20, deadline=None)
-def test_gauss_map_at_zero_gradient_is_reference_horizontal(theta, orientation):
-    # At q = 0 the slanted graph is the reference plane: G(0) = (-sign cos, 0,...).
-    sign = 1.0 if orientation == "up" else -1.0
-    inputs = _kernel_inputs(theta, orientation)
-    g = lin._gauss_exact([0.0, 0.0, 0.0], *inputs)[0]
-    c = math.cos(math.radians(float(theta)))
-    assert g[0] == pytest.approx(-sign * c, abs=1e-14)
-    assert g[1] == g[2] == 0.0
-    linearized = lin._gauss_linear([0.0, 0.0, 0.0], *inputs)
-    assert linearized == pytest.approx(g, abs=1e-14)
-
-
-@given(
-    st.lists(st.floats(-1, 1, allow_nan=False, width=32), min_size=3, max_size=3),
-    st.sampled_from(ANGLES),
-)
-@settings(max_examples=120, deadline=None)
-def test_linearization_error_is_quadratically_small(vals, theta):
-    # |G(q) - L(q)| <= 10 |q|^2 in the unit ball (the certified constant).
-    q = [v * 0.3 for v in vals]
-    inputs = _kernel_inputs(theta)
-    exact = lin._gauss_exact(q, *inputs)[0]
-    approx = lin._gauss_linear(q, *inputs)
-    err = math.sqrt(sum((a - b) ** 2 for a, b in zip(exact, approx)))
-    q_sq = sum(v * v for v in q)
-    assert err <= 10.0 * q_sq + 1e-15
-
-
-# ---------------------------------------------------------------------------
-# Remainder order: sampled and certified
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("theta", ANGLES)
-def test_remainder_halving_ratio_near_four(theta):
-    rep = lin.remainder_order_check(theta, scale=1e-3, directions=200, seed=42)
-    assert rep.ratios_within(3.6, 4.4)
-    assert rep.bound_satisfied
-
-
-def test_remainder_ratio_exactly_cubic_at_ninety_degrees():
-    # At 90 degrees the quadratic term of the remainder vanishes
-    # (cos = 0 kills it), so the leading order is cubic: ratio -> 8.
-    rep = lin.remainder_order_check(90, scale=1e-4, directions=100, seed=42)
-    assert abs(rep.ratio_min - 8.0) < 0.01
-    assert abs(rep.ratio_max - 8.0) < 0.01
-
-
-def test_remainder_sampled_deterministic():
-    a = lin.remainder_order_check(120, scale=1e-3, directions=100, seed=3)
-    b = lin.remainder_order_check(120, scale=1e-3, directions=100, seed=3)
-    assert a == b
-
-
-@pytest.mark.parametrize("scale", [math.nan, math.inf, 1e160], ids=["nan", "inf", "square-overflows"])
-def test_remainder_check_refuses_a_scale_it_cannot_square(scale):
-    # NaN and infinity pass no comparison, so they would report NaN ratios
-    # with bound_satisfied=True; 1e160 overflows the float kernel.
-    with pytest.raises(ValueError, match="scale"):
-        lin.remainder_order_check(120, scale=scale, directions=4)
 
 
 @pytest.mark.parametrize("theta", ANGLES)
@@ -109,6 +30,20 @@ def test_remainder_ratio_certified_in_band(theta):
     assert rep.all_in_band
     assert rep.bound_certified
     assert 3.6 <= rep.ratio_enclosure_lo <= rep.ratio_enclosure_hi <= 4.4
+
+
+def test_remainder_ratio_exactly_cubic_at_ninety_degrees():
+    # At 90 degrees the quadratic term of the remainder vanishes
+    # (cos = 0 kills it), so the leading order is cubic: ratio -> 8.
+    rep = lin.remainder_ratio_certified(90, scale=Fraction(1, 10**4), directions=100, seed=42)
+    assert abs(rep.ratio_enclosure_lo - 8.0) < 0.01
+    assert abs(rep.ratio_enclosure_hi - 8.0) < 0.01
+
+
+def test_remainder_ratio_certified_deterministic():
+    a = lin.remainder_ratio_certified(120, directions=16, seed=3)
+    b = lin.remainder_ratio_certified(120, directions=16, seed=3)
+    assert a == b
 
 
 def test_remainder_ratio_certified_rejects_zero_directions():
@@ -123,46 +58,6 @@ def test_remainder_ratio_certified_checks_the_bound_on_every_direction():
     rep = lin.remainder_ratio_certified(120, scale=Fraction(1, 10**60), directions=4)
     assert rep.all_in_band is False
     assert rep.bound_certified is False
-
-
-def test_remainder_order_check_refuses_a_scale_with_no_remainder():
-    with pytest.raises(ValueError, match="no direction gave a nonzero remainder at scale/2"):
-        lin.remainder_order_check(120, scale=1e-200, directions=4)
-
-
-def _reference_remainder_check(theta, orientation, scale, directions, seed, bound=10.0):
-    """remainder_order_check rebuilt from the two Gauss-map kernels, one call per map."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((directions, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    inputs = _kernel_inputs(theta, orientation)
-
-    def remainder(q):
-        g = lin._gauss_exact(q.tolist(), *inputs)[0]
-        l = lin._gauss_linear(q.tolist(), *inputs)
-        return math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(g, l)))
-
-    ratios, max_rem, bound_ok = [], 0.0, True
-    for d in dirs:
-        r_full = remainder(d * scale)
-        r_half = remainder(d * (scale / 2.0))
-        if r_half == 0.0:
-            continue
-        ratios.append(r_full / r_half)
-        max_rem = max(max_rem, r_full)
-        bound_ok = bound_ok and r_full <= bound * scale * scale
-        bound_ok = bound_ok and r_half <= bound * (scale / 2.0) ** 2
-    arr = np.asarray(ratios)
-    return float(arr.min()), float(arr.max()), float(arr.mean()), max_rem, bound_ok
-
-
-@pytest.mark.parametrize("orientation", ["up", "down"])
-@pytest.mark.parametrize("theta", [Fraction(91), Fraction(120)])
-def test_remainder_check_bit_identical_to_public_gauss_maps(theta, orientation):
-    # 91 degrees takes the fixed-point trig path, 120 the exact special cosine.
-    rep = lin.remainder_order_check(theta, scale=1e-3, directions=200, seed=7, orientation=orientation)
-    got = (rep.ratio_min, rep.ratio_max, rep.ratio_mean, rep.max_remainder, rep.bound_satisfied)
-    assert got == _reference_remainder_check(theta, orientation, 1e-3, 200, 7)
 
 
 @pytest.fixture
@@ -182,25 +77,16 @@ def trig_calls(monkeypatch):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: lin.remainder_order_check(91, directions=1000),
         lambda: lin.remainder_ratio_certified(91, directions=4),
         lambda: lin.norm_equivalence_certified(91),
     ],
-    ids=["remainder_order_check", "remainder_ratio_certified", "norm_equivalence_certified"],
+    ids=["remainder_ratio_certified", "norm_equivalence_certified"],
 )
 def test_trig_evaluated_once_per_call(trig_calls, run):
     # Per-direction or per-point trig would multiply these counts.
     run()
     assert trig_calls["sin"] <= 1
     assert trig_calls["cos"] <= 1
-
-
-def test_certified_and_sampled_ratios_agree():
-    cert = lin.remainder_ratio_certified(120, directions=16, seed=42)
-    sampled = lin.remainder_order_check(120, scale=1e-3, directions=1000, seed=42)
-    # Both bracket the same second-order behavior near ratio 4.
-    assert cert.ratio_enclosure_lo <= sampled.ratio_max + 0.2
-    assert sampled.ratio_min <= cert.ratio_enclosure_hi + 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +196,29 @@ def test_dyadic_remainder_encloses_the_mpmath_value(qs, theta, orientation):
         lo = mp.mpf(enclosure.lo.numerator) / enclosure.lo.denominator
         hi = mp.mpf(enclosure.hi.numerator) / enclosure.hi.denominator
         assert lo <= value <= hi
+
+
+@given(st.sampled_from(ANGLES), st.sampled_from(["up", "down"]))
+@settings(max_examples=20, deadline=None)
+def test_dyadic_remainder_encloses_zero_at_zero_gradient(theta, orientation):
+    # At q = 0 the slanted graph is the reference plane, where G(0) = L(0).
+    # |G - L|^2 is a few units of 2^-256 wide there, so its root is about 2^-128.
+    r = lin._remainder_norm_interval([Fraction(0)] * 3, *_kernel_trig(theta, orientation))
+    assert r.lo == 0
+    assert r.hi < Fraction(1, 10**35)
+
+
+@given(
+    st.lists(st.floats(-1, 1, allow_nan=False, width=32), min_size=3, max_size=3),
+    st.sampled_from(ANGLES),
+)
+@settings(max_examples=120, deadline=None)
+def test_linearization_error_is_quadratically_small(vals, theta):
+    # |G(q) - L(q)| <= 10 |q|^2 in the ball of radius 0.3 sqrt(3) (the certified
+    # constant), up to the root of the grid's noise near q = 0 (see above).
+    qs = [Fraction(v) * Fraction(3, 10) for v in vals]
+    r = lin._remainder_norm_interval(qs, *_kernel_trig(theta, "up"))
+    assert r.hi <= 10 * sum(c * c for c in qs) + Fraction(1, 10**35)
 
 
 @pytest.mark.parametrize("orientation", ["up", "down"])

@@ -28,9 +28,6 @@ RECORDS = {
     ),
     cones.OptimizeResult: lambda: cones.optimize_params(5),
     cones.N3Report: lambda: cones.n3_coefficients(F(1, 10)),
-    linearization.RemainderOrderReport: lambda: linearization.RemainderOrderReport(
-        120.0, 1e-3, 10, 42, "up", 3.9, 4.1, 4.0, 1e-6, 2.0, True
-    ),
     linearization.CertifiedRatioReport: lambda: linearization.CertifiedRatioReport(
         120.0, F(1, 1000), 64, 42, "up", F(18, 5), F(22, 5), 3.9, 4.1, True, F(2), True
     ),

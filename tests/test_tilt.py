@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert import tilt
+from conecert import linearization, tilt
 from conecert.exact import AngleDeg, Polynomial, sturm_count
 
 ANGLES_K = [
@@ -38,6 +38,38 @@ def test_params_dimensional_restriction():
         tilt.TiltParams(theta=AngleDeg.from_degrees(0), k=Fraction(1), n=2)
     with pytest.raises(ValueError):
         tilt.TiltParams(theta=AngleDeg.from_degrees(120), k=Fraction(2), n=2)
+
+
+# Every public entry that takes a contact angle, called as (theta, orientation);
+# those without an orientation ignore it.
+ANGLE_ENTRIES = {
+    "TiltParams": lambda theta, orientation: tilt.TiltParams(theta, Fraction(1, 2), 3),
+    "s_constant": lambda theta, orientation: tilt.s_constant(3, Fraction(1, 2), theta),
+    "stability_margin": lambda theta, orientation: tilt.stability_margin(3, Fraction(1, 2), theta),
+    "appendix_campaigns": lambda theta, orientation: tilt.appendix_campaigns(3, [(theta, orientation)], samples=1),
+    "remainder_ratio_certified": lambda theta, orientation: linearization.remainder_ratio_certified(
+        theta, directions=1, orientation=orientation
+    ),
+    "norm_equivalence_certified": lambda theta, orientation: linearization.norm_equivalence_certified(theta),
+}
+ORIENTED = {"appendix_campaigns", "remainder_ratio_certified"}
+ANGLE_MESSAGE = "theta must lie strictly between 0 and 180 degrees"
+BAD_INPUTS = {
+    "theta=0": (AngleDeg.from_degrees(0), "up", ANGLE_MESSAGE),
+    "theta=180": (AngleDeg.from_degrees(180), "up", ANGLE_MESSAGE),
+    "sideways": (AngleDeg.from_degrees(120), "sideways", "orientation must be 'up' or 'down', got 'sideways'"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,bad",
+    [(entry, bad) for entry in ANGLE_ENTRIES for bad in BAD_INPUTS if bad != "sideways" or entry in ORIENTED],
+    ids=lambda value: value,
+)
+def test_every_angle_entry_refuses_with_the_shared_message(entry, bad):
+    theta, orientation, message = BAD_INPUTS[bad]
+    with pytest.raises(ValueError, match=message):
+        ANGLE_ENTRIES[entry](theta, orientation)
 
 
 def test_default_k():
