@@ -238,7 +238,7 @@ def _certify(
             )
         )
         return
-    envelope.add(cones.certify_dimension(n, params, tol_deg))
+    envelope.add(cones.certify_dimension(params, tol_deg))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,6 @@ def _certify(
 
 
 _ORACLE_AGREEMENT = 1e-8
-_MIN_ORACLE_SAMPLES = 10_000
 
 
 def _check_oracle_size(m: int, samples: int) -> None:
@@ -275,10 +274,10 @@ def _pnbound(
         cones.check_oracle_q(m, q)
     except ValueError as exc:
         raise UsageError(f"--q: {exc}") from None
-    samples_used = max(samples, _MIN_ORACLE_SAMPLES)
+    samples_used = max(samples, cones.MIN_ORACLE_SAMPLES)
     _check_oracle_size(m, samples_used)
     enum = cones.sup_abs_f_two_value(m, q)
-    oracle = cones.brute_force_sup(m, q, samples=samples_used, ascent_steps=200, seed=seed)
+    oracle = cones.brute_force_sup(m, q, samples=samples_used, seed=seed)
     enum_float = float(enum)
     gap = enum_float - oracle.value
     oracle_exceeds = oracle.value > enum_float + _ORACLE_AGREEMENT
@@ -303,7 +302,7 @@ def _pnbound(
             provenance={
                 "samples_requested": samples,
                 "samples_used": samples_used,
-                "ascent_steps": oracle.ascent_steps,
+                "ascent_steps": cones.ORACLE_ASCENT_STEPS,
                 "seed": seed,
             },
         )
@@ -351,6 +350,7 @@ _MARGIN_PAIRS = (
     (7, Fraction(1, 5)),
 )
 _LINEARIZATION_ANGLES = (Fraction(91), Fraction(120), Fraction(150), Fraction(179))
+_CERTIFIED_DIRECTIONS = 64
 _GRAD_TOL = 1e-12
 _FRAME_TOL = 1e-10
 
@@ -370,7 +370,7 @@ def _campaign_suite(samples: int, seed: int) -> tuple[dict, dict]:
     results = {}
     for n in _IDENTITY_DIMS:
         grid = [
-            tilt.TiltParams(theta=AngleDeg.from_degrees(theta_deg), k=k, n=n, exploratory=True)
+            tilt.TiltParams(theta=AngleDeg.from_degrees(theta_deg), k=k, n=n)
             for theta_deg, k in _IDENTITY_ANGLES_K
         ]
         for (theta_deg, k), res in zip(
@@ -484,7 +484,7 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
                 "total_violations": appendix_violations,
                 "campaigns": appendix_payload,
             },
-            provenance={"samples_per_campaign": samples, "seed": seed, "radius": 0.05},
+            provenance={"samples_per_campaign": samples, "seed": seed, "radius": tilt.BALL_RADIUS},
         )
     )
 
@@ -507,7 +507,7 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
     lin_payload = {}
     lin_ok = True
     for theta_deg in _LINEARIZATION_ANGLES:
-        cert = linearization.remainder_ratio_certified(theta_deg, directions=64, seed=seed)
+        cert = linearization.remainder_ratio_certified(theta_deg, _CERTIFIED_DIRECTIONS, seed=seed)
         factor, factor_ok = linearization.norm_equivalence_certified(theta_deg)
         lin_ok = lin_ok and cert.all_in_band and cert.bound_certified and factor_ok
         lin_payload[f"theta={theta_deg}"] = {
@@ -523,7 +523,7 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
             method="interval",
             verdict="certified" if lin_ok else "inconclusive",
             payload=lin_payload,
-            provenance={"certified_directions": 64, "seed": seed},
+            provenance={"certified_directions": _CERTIFIED_DIRECTIONS, "seed": seed},
         )
     )
     return reports
@@ -562,20 +562,6 @@ def _optimize(
     if n not in (4, 5, 6):
         raise UsageError("optimize supports n in {4, 5, 6}")
     result = cones.optimize_params(n, p_squared=p_squared, budget=budget)
-    if result.best is None:
-        envelope.add(
-            CertificationReport(
-                claim=f"parameter search for dimension n={n}",
-                method="exact",
-                verdict="inconclusive",
-                payload={
-                    "note": "no feasible parameter triple found within budget",
-                    "evaluated": result.evaluated,
-                },
-                provenance={"budget": budget, "seed": seed},
-            )
-        )
-        return
     theta_min, theta_max = angle_range_from_threshold(result.best_m, tol_deg)
     payload = {
         "note": "no search performed; defaults echoed" if result.no_search else "search completed",
@@ -589,9 +575,7 @@ def _optimize(
         "theta_min_deg": theta_min.value,
         "theta_max_deg": theta_max.value,
         "default_threshold": result.default_m,
-        "threshold_delta_vs_default": (
-            None if result.default_m is None else result.best_m - result.default_m
-        ),
+        "threshold_delta_vs_default": result.best_m - result.default_m,
         "matches_or_improves_default": result.matches_or_improves_default,
         "evaluated": result.evaluated,
         "feasible_count": result.feasible_count,
@@ -724,6 +708,7 @@ def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[Certif
     )
 
     # 5. Two-value enumeration matches the published surds and the oracle.
+    oracle_samples = max(samples, cones.MIN_ORACLE_SAMPLES)
     sup_payload = {}
     ok = True
     for m, (q, coeff, radicand) in _EXPECTED_SURDS.items():
@@ -734,9 +719,7 @@ def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[Certif
             and value == QuadraticSurd(0, coeff, radicand)
             and value.square() == enum.f_squared
         )
-        oracle = cones.brute_force_sup(
-            m, q, samples=max(samples, _MIN_ORACLE_SAMPLES), ascent_steps=200, seed=seed
-        )
+        oracle = cones.brute_force_sup(m, q, samples=oracle_samples, seed=seed)
         gap = float(enum) - oracle.value
         agrees = abs(gap) <= _ORACLE_AGREEMENT and oracle.value <= float(enum) + _ORACLE_AGREEMENT
         ok = ok and exact_match and agrees
@@ -751,7 +734,7 @@ def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[Certif
             method="exact",
             verdict="certified" if ok else "falsified",
             payload=sup_payload,
-            provenance={"samples": max(samples, _MIN_ORACLE_SAMPLES), "seed": seed},
+            provenance={"samples": oracle_samples, "seed": seed},
         )
     )
 
@@ -813,7 +796,7 @@ def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[Certif
 @_command("--samples", "--seed", "--tol-deg")
 def _selftest(envelope: ReportEnvelope, samples: int, seed: int, tol_deg: Fraction) -> None:
     """Run the full deterministic check suite."""
-    _check_oracle_size(max(_EXPECTED_SURDS), max(samples, _MIN_ORACLE_SAMPLES))
+    _check_oracle_size(max(_EXPECTED_SURDS), max(samples, cones.MIN_ORACLE_SAMPLES))
     envelope.reports.extend(_selftest_reports(samples, seed, tol_deg))
 
 

@@ -42,6 +42,7 @@ from .exact import (
     Interval,
     QuadraticSurd,
     RationalLike,
+    _interior_angle,
     angle_range_from_threshold,
     compare,
     quadratic_real_roots,
@@ -68,6 +69,8 @@ __all__ = [
     "brute_force_sup",
     "check_oracle_q",
     "check_oracle_size",
+    "MIN_ORACLE_SAMPLES",
+    "ORACLE_ASCENT_STEPS",
     "OPTIMIZE_MAX_BUDGET",
     "m_functional",
     "constraint_holds",
@@ -96,13 +99,6 @@ class TwoValuePoint(Record):
         if x == 0 and y == 0:
             raise ValueError("(x, y) must not be (0, 0)")
         _fill(self, locals())
-
-    @property
-    def m(self) -> int:
-        return self.a + self.b
-
-    def vector(self) -> list:
-        return [self.x] * self.a + [self.y] * self.b
 
 
 def critical_quadratic_coeffs(a: int, b: int, q: RationalLike) -> tuple[Fraction, Fraction, Fraction]:
@@ -242,11 +238,9 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
 class BruteForceResult(Record):
     """Best |f| found by random sphere sampling plus gradient ascent."""
 
-    __slots__ = ("value", "witness", "samples", "ascent_steps", "seed")
+    __slots__ = ("value", "witness", "samples", "seed")
 
-    def __init__(
-        self, value: float, witness: tuple[float, ...], samples: int, ascent_steps: int, seed: int,
-    ) -> None:
+    def __init__(self, value: float, witness: tuple[float, ...], samples: int, seed: int) -> None:
         _fill(self, locals())
 
 
@@ -285,8 +279,11 @@ def _f_and_gradient(x: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
 # draw; this caps its work, the samples x m coordinates it draws and scores.
 ORACLE_MAX_DOUBLES = 2 ** 25
 
-# Ascent starts kept from the draw: the rows of largest |f|.
+# The fewest samples the oracle draws, the ascent starts it keeps from the
+# draw (the rows of largest |f|), and the gradient-ascent steps it takes.
+MIN_ORACLE_SAMPLES = 10_000
 _ORACLE_STARTS = 512
+ORACLE_ASCENT_STEPS = 200
 
 
 def check_oracle_size(m: int, samples: int) -> None:
@@ -321,28 +318,22 @@ def check_oracle_q(m: int, q: RationalLike) -> float:
     return q_float
 
 
-def brute_force_sup(
-    m: int,
-    q: RationalLike,
-    samples: int = 100_000,
-    ascent_steps: int = 200,
-    seed: int = 42,
-) -> BruteForceResult:
+def brute_force_sup(m: int, q: RationalLike, samples: int = 100_000, seed: int = 42) -> BruteForceResult:
     """Lower-bound oracle for sup |f_{m,q}| on the unit sphere.
 
     Standard Gaussian vectors from ``numpy.random.default_rng(seed)`` are
     normalised to uniform directions on the sphere (Muller 1959) and scored
     chunk by chunk, keeping a running top 512 by |f|; those starts are
-    refined by projected gradient ascent on |f| with per-sample adaptive
-    step sizes.  Fully deterministic for a fixed seed.  Draws above
-    ORACLE_MAX_DOUBLES, and a q that ``check_oracle_q`` refuses, are
-    refused before any work.
+    refined by ORACLE_ASCENT_STEPS steps of projected gradient ascent on
+    |f| with per-sample adaptive step sizes.  Fully deterministic for a
+    fixed seed.  Draws above ORACLE_MAX_DOUBLES, and a q that
+    ``check_oracle_q`` refuses, are refused before any work.
     """
     import numpy as np
 
     if m < 2:
         raise ValueError("m must be at least 2")
-    if samples < 10_000:
+    if samples < MIN_ORACLE_SAMPLES:
         raise ValueError("need at least 10^4 samples for a meaningful oracle")
     check_oracle_size(m, samples)
     q = check_oracle_q(m, q)
@@ -359,7 +350,7 @@ def brute_force_sup(
     top, vals = top[order], vals[order]
 
     step = np.full(top.shape[0], 0.1)
-    for _ in range(ascent_steps):
+    for _ in range(ORACLE_ASCENT_STEPS):
         _, grads = _f_and_gradient(top, q)
         direction = np.sign(vals)[:, None] * grads
         tangential = direction - (direction * top).sum(axis=1)[:, None] * top
@@ -378,7 +369,6 @@ def brute_force_sup(
         value=float(np.abs(vals[best_idx])),
         witness=tuple(float(c) for c in witness),
         samples=samples,
-        ascent_steps=ascent_steps,
         seed=seed,
     )
 
@@ -483,12 +473,8 @@ def constraint_holds(p: ConeParams) -> ConstraintReport:
     return ConstraintReport(lhs=lhs, rhs=rhs, strict=lhs < rhs)
 
 
-def certify_dimension(
-    n: int,
-    params: Optional[ConeParams] = None,
-    tol_deg: RationalLike = Fraction(1, 1000),
-) -> CertificationReport:
-    """Certify the parameter set for dimension n in {4, 5, 6}.
+def certify_dimension(p: ConeParams, tol_deg: RationalLike = Fraction(1, 1000)) -> CertificationReport:
+    """Certify a parameter set for its dimension n = p.n in {4, 5, 6}.
 
     Checks, all exactly: the parameter invariant (already enforced by
     ConeParams), strictness of the constraint, the threshold functional
@@ -498,11 +484,9 @@ def certify_dimension(
     the one the parameter sets are calibrated to).  The certified angle
     window for the threshold is attached as enclosures.
     """
+    n = p.n
     if n not in (4, 5, 6):
         raise ValueError("certify_dimension handles n in {4, 5, 6}")
-    p = params if params is not None else CALIBRATED_PARAMS[n]
-    if p.n != n:
-        raise ValueError(f"params.n = {p.n} does not match n = {n}")
     tol_deg = to_fraction(tol_deg)
 
     claim = f"dimension n={n}: parameter set admissible with certified angle window"
@@ -608,9 +592,7 @@ class NThetaTable(Record):
         The angle windows are symmetric about 90 degrees, so angles below
         90 are classified through their supplement.
         """
-        theta = to_fraction(theta_deg)
-        if not 0 < theta < 180:
-            raise ValueError("theta must lie strictly between 0 and 180 degrees")
+        theta = _interior_angle(to_fraction(theta_deg)).value.lo
         if theta < 90:
             theta = 180 - theta
         for row in self.rows:
@@ -684,10 +666,8 @@ class OptimizeResult(Record):
     )
 
     def __init__(
-        self, best: Optional[ConeParams], best_m: Optional[Fraction],
-        calibrated: Optional[ConeParams], default_m: Optional[Fraction],
-        matches_or_improves_default: Optional[bool], evaluated: int, feasible_count: int,
-        no_search: bool,
+        self, best: ConeParams, best_m: Fraction, calibrated: ConeParams, default_m: Fraction,
+        matches_or_improves_default: bool, evaluated: int, feasible_count: int, no_search: bool,
     ) -> None:
         _fill(self, locals())
 
@@ -718,16 +698,17 @@ def optimize_params(
     p_squared: Optional[RationalLike] = None,
     budget: int = 0,
 ) -> OptimizeResult:
-    """Search (alpha, delta, q) maximising the threshold functional.
+    """Search (alpha, delta, q) maximising the threshold functional, for n in {4, 5, 6}.
 
     Deterministic coarse rational grid followed by local refinement around
     the incumbent; every candidate is screened by the exact feasibility
     tests (parameter invariant with a 1e-6 margin, strict constraint) and
-    scored by the exact functional.  The known-good parameter set for n in
-    {4, 5, 6} is always included as a candidate, so the result never falls
-    below it.  ``budget`` caps the number of exact evaluations; zero budget
-    performs no search and simply echoes the defaults.  A budget above
-    OPTIMIZE_MAX_BUDGET is refused before any work.
+    scored by the exact functional.  The search starts from the calibrated
+    triple at p^2 (the calibrated one unless given), which passes both
+    tests at every p^2 > 0, since neither involves p^2; so the result never
+    falls below it.  ``budget`` caps the number of exact evaluations; zero
+    budget performs no search and simply echoes the defaults.  A budget
+    above OPTIMIZE_MAX_BUDGET is refused before any work.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -736,39 +717,16 @@ def optimize_params(
             f"budget above the limit of {OPTIMIZE_MAX_BUDGET} exact evaluations, "
             "which bounds the search's work"
         )
-    calibrated = CALIBRATED_PARAMS.get(n)
-    if p_squared is None:
-        if calibrated is None:
-            raise ValueError("p_squared is required for dimensions without defaults")
-        p2 = calibrated.p_squared
-    else:
-        p2 = to_fraction(p_squared)
-        if p2 <= 0:
-            raise ValueError("p_squared must be positive")
+    calibrated = calibrated_defaults(n)
+    p2 = calibrated.p_squared if p_squared is None else to_fraction(p_squared)
+    if p2 <= 0:
+        raise ValueError("p_squared must be positive")
 
-    calibrated_here = None
-    default_m = None
-    if calibrated is not None:
-        calibrated_here = _try_params(n, calibrated.alpha, calibrated.delta, calibrated.q, p2)
-        if calibrated_here is not None:
-            default_m = m_functional(calibrated_here)
-
-    best = calibrated_here
-    best_m = default_m
+    start = ConeParams(n, calibrated.alpha, calibrated.delta, calibrated.q, p2)
+    default_m = m_functional(start)
+    best, best_m = start, default_m
     evaluated = 0
-    feasible = 1 if calibrated_here is not None else 0
-
-    if budget == 0:
-        return OptimizeResult(
-            best=best,
-            best_m=best_m,
-            calibrated=calibrated_here,
-            default_m=default_m,
-            matches_or_improves_default=(None if default_m is None else best_m >= default_m),
-            evaluated=evaluated,
-            feasible_count=feasible,
-            no_search=True,
-        )
+    feasible = 1
 
     def consider(alpha: Fraction, delta: Fraction, q: Fraction) -> None:
         nonlocal best, best_m, evaluated, feasible
@@ -780,7 +738,7 @@ def optimize_params(
             return
         feasible += 1
         value = m_functional(p)
-        if best_m is None or value > best_m:
+        if value > best_m:
             best, best_m = p, value
 
     steps = max(2, round(budget ** (1.0 / 3.0)))
@@ -795,7 +753,7 @@ def optimize_params(
     # Local refinement: shrink the grid around the incumbent.
     spacing = Fraction(1, steps + 1)
     rounds = 0
-    while best is not None and evaluated < budget and rounds < 8:
+    while evaluated < budget and rounds < 8:
         spacing /= 2
         base = (best.alpha, best.delta, best.q)
         for da in (-spacing, Fraction(0), spacing):
@@ -806,18 +764,15 @@ def optimize_params(
                     consider(base[0] + da, base[1] + dd, base[2] + dq)
         rounds += 1
 
-    improves = None
-    if default_m is not None and best_m is not None:
-        improves = best_m >= default_m
     return OptimizeResult(
         best=best,
         best_m=best_m,
-        calibrated=calibrated_here,
+        calibrated=start,
         default_m=default_m,
-        matches_or_improves_default=improves,
+        matches_or_improves_default=best_m >= default_m,
         evaluated=evaluated,
         feasible_count=feasible,
-        no_search=False,
+        no_search=budget == 0,
     )
 
 

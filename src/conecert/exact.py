@@ -110,24 +110,24 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def sqrt_fraction_enclosure(x: Fraction, scale: int = _SQRT_SCALE) -> "Interval":
+def sqrt_fraction_enclosure(x: Fraction) -> "Interval":
     """Certified enclosure of sqrt(x) for rational x >= 0.
 
-    Uses integer square roots of the scaled numerator/denominator, so both
-    endpoints are exact rationals and the enclosure is exact whenever the
-    scaled radicand is a perfect square (in particular for x = (a/b)^2 with
-    b dividing the scale).
+    Uses integer square roots of the numerator/denominator scaled by
+    ``_SQRT_SCALE``, so both endpoints are exact rationals and the
+    enclosure is exact whenever the scaled radicand is a perfect square (in
+    particular for x = (a/b)^2 with b dividing the scale).
     """
     if x < 0:
         raise ValueError(f"square root of a negative rational: {x}")
     if x == 0:
         return Interval(Fraction(0), Fraction(0))
-    n2 = x.numerator * scale * scale
+    n2 = x.numerator * _SQRT_SCALE * _SQRT_SCALE
     d = x.denominator
     # floor(sqrt(floor(y))) = floor(sqrt(y)), so this is floor(sqrt(n2 / d)).
     lo_int = math.isqrt(n2 // d)
     hi_int = lo_int if lo_int * lo_int * d == n2 else lo_int + 1
-    return Interval(Fraction(lo_int, scale), Fraction(hi_int, scale))
+    return Interval(Fraction(lo_int, _SQRT_SCALE), Fraction(hi_int, _SQRT_SCALE))
 
 
 class Interval(Record):
@@ -174,11 +174,7 @@ class Interval(Record):
         return (self.lo + self.hi) / 2
 
     def contains(self, x: RationalLike) -> bool:
-        x = to_fraction(x) if not isinstance(x, float) else x
-        return self.lo <= x <= self.hi
-
-    def contains_float(self, x: float) -> bool:
-        return float(self.lo) <= x <= float(self.hi)
+        return self.lo <= to_fraction(x) <= self.hi
 
     def strictly_positive(self) -> bool:
         return self.lo > 0
@@ -256,13 +252,6 @@ class Interval(Record):
         lo_enc = sqrt_fraction_enclosure(self.lo)
         hi_enc = sqrt_fraction_enclosure(self.hi)
         return Interval(lo_enc.lo, hi_enc.hi)
-
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError(f"empty intersection of {self} and {other}")
-        return Interval(lo, hi)
 
     def clamp(self, lo: Fraction, hi: Fraction) -> "Interval":
         return Interval(min(max(self.lo, lo), hi), min(max(self.hi, lo), hi))
@@ -981,21 +970,15 @@ class AngleDeg(Record):
 
 
 def _interior_angle(theta: Union[AngleDeg, RationalLike]) -> AngleDeg:
-    """The contact angle as an AngleDeg, refused unless inside (0, 180) degrees."""
-    if not isinstance(theta, AngleDeg):
-        theta = AngleDeg.from_degrees(theta)
-    if theta.value.lo <= 0 or theta.value.hi >= 180:
+    """The contact angle as an AngleDeg, refused unless inside (0, 180) degrees.
+
+    A rational angle is checked before it becomes an AngleDeg, so one
+    outside [0, 180] meets this message too.
+    """
+    value = theta.value if isinstance(theta, AngleDeg) else Interval.point(to_fraction(theta))
+    if value.lo <= 0 or value.hi >= 180:
         raise ValueError("theta must lie strictly between 0 and 180 degrees")
-    return theta
-
-
-def _check_orientation(orientation: str) -> int:
-    """The sign of the reference normal's orientation: +1 for "up", -1 for "down"."""
-    if orientation == "up":
-        return 1
-    if orientation == "down":
-        return -1
-    raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
+    return AngleDeg(value)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,16 @@ plane, the certified second-order remainder, and the slack of the weighted
 (capillary) norm.
 
 Conventions.  A graph over the half-space carries the slanted height
-w(x) = u(x) - cot(theta) x_1 ("up" orientation; "down" flips the sign),
-so the reference configuration u = 0 meets the wall {x_1 = 0} at angle
-theta.  With q = grad u, the horizontal part of the unit normal is
+w(x) = u(x) - cot(theta) x_1, so the reference configuration u = 0 meets
+the wall {x_1 = 0} at angle theta.  With q = grad u, the horizontal part of the unit normal is
 
     G(q) = (q - cot(theta) e_1) / sqrt(1 + |q - cot(theta) e_1|^2),
 
 whose derivative at q = 0 is diag(sin^3(theta), sin(theta), ...).  The
 remainder G - L after subtracting the affine linearization L is second
 order.  ``remainder_ratio_certified`` proves that the halving ratios
-r(t)/r(t/2) sit near 4 on seeded directions frozen as exact rationals.
+r(t)/r(t/2) sit near 4 on seeded directions of length 1/1000 frozen as
+exact rationals.
 It evaluates |G - L| on outward-rounded fixed-point intervals with integer
 ends at the scale 2^-256 (``exact._Dyadic``), converted once per call from
 the sin and cos enclosures of ``AngleDeg``; the ratios and bounds are then
@@ -38,10 +38,8 @@ from .exact import (
     AngleDeg,
     Interval,
     RationalLike,
-    _check_orientation,
     _Dyadic,
     _interior_angle,
-    to_fraction,
 )
 
 __all__ = [
@@ -52,9 +50,11 @@ __all__ = [
 
 AngleLike = Union[AngleDeg, RationalLike]
 
-# The gradient dimension, the band every halving ratio must lie in, and the
-# constant C of the bound |G(q) - L(q)| <= C |q|^2.
+# The gradient dimension, the length of the probed gradients, the band every
+# halving ratio must lie in, and the constant C of the bound
+# |G(q) - L(q)| <= C |q|^2.
 _NDIM = 3
+_SCALE = Fraction(1, 1000)
 _BAND = (Fraction(18, 5), Fraction(22, 5))
 _BOUND_CONSTANT = Fraction(10)
 
@@ -73,51 +73,38 @@ class CertifiedRatioReport(Record):
     """
 
     __slots__ = (
-        "theta_deg", "scale", "directions", "seed", "orientation", "band_lo", "band_hi",
-        "ratio_enclosure_lo", "ratio_enclosure_hi", "all_in_band", "bound_constant",
-        "bound_certified",
+        "theta_deg", "directions", "seed", "ratio_enclosure_lo", "ratio_enclosure_hi",
+        "all_in_band", "bound_certified",
     )
 
     def __init__(
-        self, theta_deg: float, scale: Fraction, directions: int, seed: int, orientation: str,
-        band_lo: Fraction, band_hi: Fraction, ratio_enclosure_lo: float, ratio_enclosure_hi: float,
-        all_in_band: bool, bound_constant: Fraction, bound_certified: bool,
+        self, theta_deg: float, directions: int, seed: int, ratio_enclosure_lo: float,
+        ratio_enclosure_hi: float, all_in_band: bool, bound_certified: bool,
     ) -> None:
         _fill(self, locals())
 
 
-def remainder_ratio_certified(
-    theta: AngleLike,
-    scale: RationalLike = Fraction(1, 1000),
-    directions: int = 64,
-    seed: int = 42,
-    orientation: str = "up",
-) -> CertifiedRatioReport:
+def remainder_ratio_certified(theta: AngleLike, directions: int, seed: int = 42) -> CertifiedRatioReport:
     """Certify, with interval arithmetic, that every seeded halving ratio
     lies in [18/5, 22/5] and every remainder obeys |r| <= 10 |q|^2.
 
-    The directions are drawn once in floating point and then frozen as
-    exact rationals, so the certified statement quantifies over an explicit
-    finite set of exact gradients.  The cos, sin, cot and sin^3 enclosures
-    of ``AngleDeg`` are rounded outward once to the 2^-256 grid of
-    ``exact._Dyadic``, on which every |G(q) - L(q)| is evaluated.
+    The directions are drawn once in floating point, scaled by 1/1000 and
+    then frozen as exact rationals, so the certified statement quantifies
+    over an explicit finite set of exact gradients.  The cos, sin, cot and
+    sin^3 enclosures of ``AngleDeg`` are rounded outward once to the 2^-256
+    grid of ``exact._Dyadic``, on which every |G(q) - L(q)| is evaluated.
     """
     import numpy as np
 
     theta = _interior_angle(theta)
-    sign = _check_orientation(orientation)
-    scale = to_fraction(scale)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     if directions < 1:
         raise ValueError("need at least one direction")
     band_lo, band_hi = _BAND
 
     cos_iv = theta.cos()
     sin_iv = theta.sin()
-    # The sign rides on the exact enclosures, so the kernel needs none.
-    slant = _Dyadic.enclose(cos_iv / sin_iv * sign)
-    lead = _Dyadic.enclose(cos_iv * (-sign))
+    slant = _Dyadic.enclose(cos_iv / sin_iv)
+    lead = _Dyadic.enclose(-cos_iv)
     sin_d = _Dyadic.enclose(sin_iv)
     sin_cubed = _Dyadic.enclose(sin_iv * sin_iv * sin_iv)
 
@@ -126,7 +113,7 @@ def remainder_ratio_certified(
     bound_ok = True
     for d in chain.from_iterable(unit_gaussian_chunks(np.random.default_rng(seed), directions, _NDIM)):
         # Fraction(float) is exact: the sampled direction is frozen bit-for-bit.
-        qs = [Fraction(float(c)) * scale for c in d]
+        qs = [Fraction(float(c)) * _SCALE for c in d]
         q_norm_sq = sum((c * c for c in qs), Fraction(0))
         r_full = _remainder_norm_interval(qs, slant, lead, sin_d, sin_cubed)
         r_half = _remainder_norm_interval([c / 2 for c in qs], slant, lead, sin_d, sin_cubed)
@@ -145,16 +132,11 @@ def remainder_ratio_certified(
         hull = Interval.point(Fraction(0))
     return CertifiedRatioReport(
         theta_deg=float(theta.value.mid),
-        scale=scale,
         directions=directions,
         seed=seed,
-        orientation=orientation,
-        band_lo=band_lo,
-        band_hi=band_hi,
         ratio_enclosure_lo=float(hull.lo),
         ratio_enclosure_hi=float(hull.hi),
         all_in_band=all_in,
-        bound_constant=_BOUND_CONSTANT,
         bound_certified=bound_ok,
     )
 
@@ -168,8 +150,8 @@ def _remainder_norm_interval(
 ) -> Interval:
     """Certified enclosure of |G(q) - L(q)| for an exact rational gradient.
 
-    ``slant`` encloses sign cot(theta) and ``lead`` -sign cos(theta); the
-    result has endpoints k / 2^256.
+    ``slant`` encloses cot(theta) and ``lead`` -cos(theta); the result has
+    endpoints k / 2^256.
     """
     q = [_Dyadic.enclose(Interval.point(c)) for c in qs]
     p = [q[0] - slant] + q[1:]

@@ -264,8 +264,12 @@ class ReportEnvelope:
         return self.to_text()
 
 
-def _compact(value: Any, limit: int = 200) -> str:
+# The widest payload value a text report prints before it cuts the value short.
+_TEXT_VALUE_WIDTH = 200
+
+
+def _compact(value: Any) -> str:
     text = json.dumps(value) if not isinstance(value, str) else value
-    if len(text) > limit:
-        text = text[: limit - 3] + "..."
+    if len(text) > _TEXT_VALUE_WIDTH:
+        text = text[: _TEXT_VALUE_WIDTH - 3] + "..."
     return text

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # numpy loads inside the float functions, so exact commands never import it
     import numpy as np
@@ -53,7 +53,6 @@ from .exact import (
     Interval,
     Polynomial,
     RationalLike,
-    _check_orientation,
     _interior_angle,
     sqrt_fraction_enclosure,
     sturm_count,
@@ -74,6 +73,7 @@ __all__ = [
     "identity_campaigns",
     "appendix_campaigns",
     "symbolic_identity_certificates",
+    "BALL_RADIUS",
 ]
 
 # Samples whose g^2 falls below this threshold are re-evaluated in rationals in
@@ -85,18 +85,15 @@ _SMALL_G2 = 1e-4
 class TiltParams(Record):
     """Parameters (theta, k, n) of the tilt function.
 
-    In the default mode, k must respect the dimensional restriction under
-    which the downstream stability statements hold: any k in (0, 1] for
-    n = 2, and k <= 1/(n-2) for n >= 3.  ``exploratory=True`` lifts the
-    restriction to plain 0 < k <= 1; the algebraic identities checked here
-    hold for every such k, so campaigns may sweep freely.
+    theta is a contact angle strictly between 0 and 180 degrees, n >= 2 the
+    graph dimension, and 0 < k <= 1 the tilt weight.  The algebraic
+    identities checked here hold for every such k, so campaigns may sweep k
+    beyond the 1/(n-2) that the stability statements take for n >= 3.
     """
 
-    __slots__ = ("theta", "k", "n", "exploratory")
+    __slots__ = ("theta", "k", "n")
 
-    def __init__(
-        self, theta: AngleDeg | RationalLike, k: RationalLike, n: int, exploratory: bool = False
-    ) -> None:
+    def __init__(self, theta: AngleDeg | RationalLike, k: RationalLike, n: int) -> None:
         if not isinstance(k, Fraction):
             k = to_fraction(k)
         theta = _interior_angle(theta)
@@ -104,11 +101,6 @@ class TiltParams(Record):
             raise ValueError("n must be at least 2")
         if not 0 < k <= 1:
             raise ValueError(f"k must lie in (0, 1], got {k}")
-        if not exploratory and n >= 3 and k > Fraction(1, n - 2):
-            raise ValueError(
-                f"k = {k} exceeds 1/(n-2) = 1/{n - 2}; "
-                "pass exploratory=True to lift the restriction"
-            )
         _fill(self, locals())
 
     @property
@@ -288,6 +280,7 @@ def stability_margin(n: int, k: RationalLike, theta: AngleDeg) -> Interval:
     capillary cone construction rests on.
     """
     k = to_fraction(k)
+    theta = _interior_angle(theta)
     c = theta.cos()
     margin = Interval.point(1) + k * c.square() - k * c.abs() - s_constant(n, k, theta)
     return margin
@@ -429,20 +422,18 @@ def certify_margin_positive(
 # ---------------------------------------------------------------------------
 
 
-def _appendix_inputs(n: int, theta: AngleDeg, orientation: str, k: Optional[RationalLike]):
-    """Validate the comparison-bound inputs; return k, cos(theta) and sin(theta).
+def _appendix_inputs(n: int, theta: AngleDeg, orientation: str):
+    """Validate the comparison-bound inputs; return k = ``default_k(n)``, cos(theta) and sin(theta).
 
     Kept apart from ``_appendix_slacks`` because a campaign needs the
     validated angle to centre its ball before it has a sample to pass there.
     """
-    _check_orientation(orientation)
+    if orientation not in ("up", "down"):
+        raise ValueError(f"orientation must be 'up' or 'down', got {orientation!r}")
     if n < 2:
         raise ValueError("graph dimension must be at least 2")
-    k = default_k(n) if k is None else to_fraction(k)
-    if not 0 < k <= 1:
-        raise ValueError(f"k must lie in (0, 1], got {k}")
     theta = _interior_angle(theta)
-    return k, float(theta.cos()), float(theta.sin())
+    return default_k(n), float(theta.cos()), float(theta.sin())
 
 
 def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orientation: str) -> dict:
@@ -688,20 +679,23 @@ def _identity_row_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> dict:
     }
 
 
+# The radius of the balls of gradients that ``appendix_campaigns`` samples.
+BALL_RADIUS = 0.05
+
+
 class AppendixCampaignResult(Record):
     """Worst-case comparison-bound slacks over a ball of graph gradients."""
 
     __slots__ = (
-        "samples", "seed", "radius", "max_g_squared", "c_small", "all_applicable",
-        "min_slack_gradient_shift", "min_slack_normal_gap", "min_slack_gradient_size",
-        "min_slack_tilt_vs_gap", "min_signed_gap_slack", "violation_count",
+        "samples", "seed", "max_g_squared", "c_small", "all_applicable", "min_slack_gradient_shift",
+        "min_slack_normal_gap", "min_slack_gradient_size", "min_slack_tilt_vs_gap",
+        "min_signed_gap_slack", "violation_count",
     )
 
     def __init__(
-        self, samples: int, seed: int, radius: float, max_g_squared: float, c_small: float,
-        all_applicable: bool, min_slack_gradient_shift: float, min_slack_normal_gap: float,
-        min_slack_gradient_size: float, min_slack_tilt_vs_gap: float, min_signed_gap_slack: float,
-        violation_count: int,
+        self, samples: int, seed: int, max_g_squared: float, c_small: float, all_applicable: bool,
+        min_slack_gradient_shift: float, min_slack_normal_gap: float, min_slack_gradient_size: float,
+        min_slack_tilt_vs_gap: float, min_signed_gap_slack: float, violation_count: int,
     ) -> None:
         _fill(self, locals())
 
@@ -709,10 +703,10 @@ class AppendixCampaignResult(Record):
 class _AppendixFold:
     """One configuration's ball centre and running extrema in ``appendix_campaigns``."""
 
-    def __init__(self, n: int, theta: AngleDeg, orientation: str, k: Optional[RationalLike]):
+    def __init__(self, n: int, theta: AngleDeg, orientation: str):
         import numpy as np
 
-        self.k, self.c, self.s = _appendix_inputs(n, theta, orientation, k)
+        self.k, self.c, self.s = _appendix_inputs(n, theta, orientation)
         self.orientation = orientation
         cot = self.c / self.s
         self.center = np.zeros(n)
@@ -734,11 +728,10 @@ class _AppendixFold:
             self.min_slacks[name] = np.minimum(self.min_slacks.get(name, np.inf), np.min(values))
         self.violations += sum(int(np.count_nonzero(hit)) for hit in out["violated"].values())
 
-    def result(self, samples: int, seed: int, radius: float) -> AppendixCampaignResult:
+    def result(self, samples: int, seed: int) -> AppendixCampaignResult:
         return AppendixCampaignResult(
             samples=samples,
             seed=seed,
-            radius=radius,
             max_g_squared=float(self.max_g2),
             c_small=self.c_small,
             all_applicable=self.all_applicable,
@@ -754,16 +747,15 @@ class _AppendixFold:
 def appendix_campaigns(
     n: int,
     configurations: Sequence[tuple[AngleDeg, str]],
-    radius: float = 0.05,
     samples: int = 10_000,
     seed: int = 42,
-    k: Optional[RationalLike] = None,
 ) -> list[AppendixCampaignResult]:
     """Sweep the comparison bounds over balls of gradients, one per (theta, orientation).
 
-    Each ball is centred at the reference gradient (the one whose graph
-    normal equals the reference normal), so for small radii every sample
-    lies in the applicable regime and all slacks must be non-negative.
+    Each ball has radius ``BALL_RADIUS`` and is centred at the reference
+    gradient (the one whose graph normal equals the reference normal), so
+    every sample lies in the applicable regime and all slacks must be
+    non-negative.  The tilt weight is ``default_k(n)``.
 
     The seed spawns two independent streams, one for the directions and
     one for the radii, so the sweep draws both chunk by chunk side by side.
@@ -776,17 +768,15 @@ def appendix_campaigns(
 
     if not configurations:
         raise ValueError("need at least one configuration")
-    folds = [_AppendixFold(n, theta, orientation, k) for theta, orientation in configurations]
+    folds = [_AppendixFold(n, theta, orientation) for theta, orientation in configurations]
     if samples < 1:
         raise ValueError("samples must be positive")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
 
     streams = np.random.SeedSequence(seed).spawn(2)
     dirs_rng, radii_rng = (np.random.default_rng(stream) for stream in streams)
     for dirs in unit_gaussian_chunks(dirs_rng, samples, n):
-        radii = radius * radii_rng.random(dirs.shape[0]) ** (1.0 / n)
+        radii = BALL_RADIUS * radii_rng.random(dirs.shape[0]) ** (1.0 / n)
         offsets = radii[:, None] * dirs
         for fold in folds:
             fold.add(offsets)
-    return [fold.result(samples, seed, radius) for fold in folds]
+    return [fold.result(samples, seed) for fold in folds]

@@ -111,7 +111,7 @@ def test_criterion_05_two_value_enumeration_with_oracle():
         assert enum.value == surd
         assert isinstance(enum.f_squared, Fraction)
         assert enum.value.square() == enum.f_squared
-        oracle = cones.brute_force_sup(m, q, samples=100_000, ascent_steps=200, seed=42)
+        oracle = cones.brute_force_sup(m, q, samples=100_000, seed=42)
         assert abs(oracle.value - float(enum)) <= 1e-8
         assert oracle.value <= float(enum) + 1e-8
     elapsed = time.perf_counter() - start
@@ -145,9 +145,7 @@ def test_criterion_07_identity_suites_at_full_sample_size():
     for theta, k in [(100, Fraction(1)), (120, Fraction(1, 2)),
                      (135, Fraction(1, 3)), (150, Fraction(1, 4))]:
         for n in (2, 3, 4, 6):
-            params = tilt.TiltParams(
-                theta=AngleDeg.from_degrees(theta), k=k, n=n, exploratory=True
-            )
+            params = tilt.TiltParams(theta=AngleDeg.from_degrees(theta), k=k, n=n)
             res = tilt.identity_campaigns([params], samples=100_000, seed=42)[0]
             worst_grad = max(worst_grad, res.max_gradient_residual)
             worst_frame = max(

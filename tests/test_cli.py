@@ -423,9 +423,10 @@ def test_optimize_rejects_unsupported_dimension(capsys):
 
 def test_optimize_rejects_a_non_positive_p2(capsys):
     # optimize_params' ValueError ended in a traceback.
-    code, out, err = run(capsys, "optimize", "--n", "5", "--p2", "0")
-    assert code == EXIT_OPERATIONAL_ERROR
-    assert out == "" and err == "error: p_squared must be positive\n"
+    for n in ("4", "5"):
+        code, out, err = run(capsys, "optimize", "--n", n, "--p2", "0")
+        assert code == EXIT_OPERATIONAL_ERROR
+        assert out == "" and err == "error: p_squared must be positive\n"
 
 
 @pytest.mark.parametrize("budget", ["100000000", str(10 ** 400)], ids=["1e8", "1e400"])

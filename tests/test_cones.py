@@ -160,7 +160,8 @@ def test_sup_enumeration_grid(m, q):
     assert res.exhaustive
     # The witness reproduces the claimed value through the objective itself:
     # exactly when its coordinates are rational, in floats otherwise.
-    coords = res.witness.vector()
+    w = res.witness
+    coords = [w.x] * w.a + [w.y] * w.b
     if all(isinstance(c, Fraction) for c in coords):
         _, f2 = _signed_f_squared(coords, q)
         assert isinstance(res.f_squared, Fraction) and f2 == res.f_squared
@@ -177,7 +178,7 @@ def test_sup_enumeration_grid(m, q):
 @pytest.mark.parametrize("m,q", [(2, Fraction(1)), (3, Fraction(6, 11)), (4, Fraction(43, 391))])
 def test_sup_oracle_agreement(m, q):
     res = cones.sup_abs_f_two_value(m, q)
-    oracle = cones.brute_force_sup(m, q, samples=20_000, ascent_steps=120, seed=42)
+    oracle = cones.brute_force_sup(m, q, samples=20_000, seed=42)
     assert oracle.value <= float(res) + 1e-8
     assert abs(oracle.value - float(res)) <= 1e-6
 
@@ -209,8 +210,8 @@ def test_brute_force_refuses_a_q_outside_the_doubles():
 
 
 def test_brute_force_deterministic():
-    a = cones.brute_force_sup(3, Fraction(6, 11), samples=10_000, ascent_steps=50, seed=5)
-    b = cones.brute_force_sup(3, Fraction(6, 11), samples=10_000, ascent_steps=50, seed=5)
+    a = cones.brute_force_sup(3, Fraction(6, 11), samples=10_000, seed=5)
+    b = cones.brute_force_sup(3, Fraction(6, 11), samples=10_000, seed=5)
     assert a.value == b.value
     assert a.witness == b.witness
 
@@ -307,7 +308,7 @@ def test_constraint_strict_with_exact_gap(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_certify_dimension_default_parameters(n):
-    rep = cones.certify_dimension(n)
+    rep = cones.certify_dimension(cones.calibrated_defaults(n))
     assert rep.verdict == "certified"
     assert rep.method == "interval"
     payload = rep.payload
@@ -318,7 +319,7 @@ def test_certify_dimension_default_parameters(n):
 
 
 def test_certify_dimension_reports_m_ambiguity():
-    rep = cones.certify_dimension(5)
+    rep = cones.certify_dimension(cones.calibrated_defaults(5))
     comp = rep.payload["sup_comparisons"]["m=4"]
     assert comp["exceeds_p_squared"] is True  # informational: one more variable exceeds
     assert rep.verdict == "certified"
@@ -326,7 +327,7 @@ def test_certify_dimension_reports_m_ambiguity():
 
 @pytest.mark.parametrize("n,m,expected", [(5, 4, 0.6307095887206784), (6, 5, 0.957936517485363)])
 def test_certify_dimension_sup_float_is_f_squared_when_irrational(n, m, expected):
-    entry = cones.certify_dimension(n).payload["sup_comparisons"][f"m={m}"]
+    entry = cones.certify_dimension(cones.calibrated_defaults(n)).payload["sup_comparisons"][f"m={m}"]
     assert isinstance(entry["sup_f_squared"], str)  # irrational: printed as "r + c*sqrt(d)"
     assert entry["sup_f_squared_float"] == expected
     # Correctly rounded: the nearest double to the exact surd.
@@ -398,6 +399,23 @@ def test_optimize_respects_budget():
     res = cones.optimize_params(5, budget=27)
     assert res.evaluated <= 28
     assert res.feasible_count <= res.evaluated
+
+
+@given(
+    st.sampled_from([4, 5, 6]),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**9).filter(lambda r: r > 0),
+    st.sampled_from([0, 27]),
+)
+@settings(max_examples=60, deadline=None)
+def test_optimize_starts_from_the_calibrated_triple_at_every_positive_p2(n, p2, budget):
+    # Neither the invariant nor the constraint involves p^2, so the calibrated
+    # triple passes the search's feasibility tests at every p^2 > 0, and the
+    # search always has an incumbent.
+    c = cones.calibrated_defaults(n)
+    assert cones._try_params(n, c.alpha, c.delta, c.q, p2) is not None
+    res = cones.optimize_params(n, p_squared=p2, budget=budget)
+    assert res.default_m == cones.m_functional(cones.ConeParams(n, c.alpha, c.delta, c.q, p2))
+    assert res.best_m >= res.default_m
 
 
 # ---------------------------------------------------------------------------

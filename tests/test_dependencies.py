@@ -1,7 +1,9 @@
 """The package imports only the standard library and its declared runtime dependencies,
-and every top-level definition is reached from a command or an export."""
+every top-level definition is reached from a command or an export, every method is
+referenced, and every parameter default is overridden by some call."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -192,3 +194,100 @@ def test_no_two_modules_define_a_function_or_class_of_one_name():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owners.setdefault(name, []).append(path.stem)
     assert {name: modules for name, modules in owners.items() if len(modules) > 1} == {}
+
+
+def _methods(tree):
+    """(class name, method node) for every method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, item
+
+
+def _defaulted_parameters(tree):
+    """(callee, name, position, default text) for every parameter with a default.
+
+    The callee is the name a call uses: the class for ``__init__``, else the
+    function's own name.  A method's position skips ``self`` or ``cls``;
+    ``position`` is None for a keyword-only parameter.
+    """
+    methods = {id(item): cls for cls, item in _methods(tree)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = methods.get(id(node))
+        callee = cls if node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        static = any(ast.unparse(d) == "staticmethod" for d in node.decorator_list)
+        skip = 1 if cls is not None and not static else 0
+        for index, default in enumerate(node.args.defaults, len(positional) - len(node.args.defaults)):
+            yield callee, positional[index].arg, index - skip, ast.unparse(default)
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield callee, arg.arg, None, ast.unparse(default)
+
+
+def _passed_values(call):
+    """Source text of each value a call passes, keyed by position and by keyword.
+
+    None for a call that unpacks ``*args`` or ``**kwargs``, which may pass anything.
+    """
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords):
+        return None
+    values = {index: ast.unparse(arg) for index, arg in enumerate(call.args)}
+    values.update((keyword.arg, ast.unparse(keyword.value)) for keyword in call.keywords)
+    return values
+
+
+def test_every_parameter_default_is_overridden_by_some_call_in_the_package():
+    # A parameter that every call leaves at its default is a constant with a
+    # second configuration no run reaches.  main's argv is how tests drive the CLI.
+    exempt = {"cli.main(argv)"}
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(_passed_values(node))
+
+    def overridden(callee, name, position, default):
+        for values in calls.get(callee, ()):
+            if values is None:
+                return True
+            value = values.get(name, values.get(position))
+            if value is not None and value != default:
+                return True
+        return False
+
+    unset = sorted(
+        f"{module}.{callee}({name})"
+        for module, tree in trees.items()
+        for callee, name, position, default in _defaulted_parameters(tree)
+        if f"{module}.{callee}({name})" not in exempt and not overridden(callee, name, position, default)
+    )
+    assert unset == []
+
+
+def test_every_method_is_referenced_in_the_package():
+    # Overrides that a base class outside the package calls, such as
+    # argparse's ArgumentParser.error, are reached without a reference.
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    referenced = {
+        node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+    def overrides_a_foreign_base(module, cls, name):
+        mro = getattr(importlib.import_module(f"conecert.{module}"), cls).__mro__[1:]
+        return any(name in vars(base) for base in mro if base.__module__.split(".")[0] != "conecert")
+
+    unreferenced = sorted(
+        f"{module}.{cls}.{node.name}"
+        for module, tree in trees.items()
+        for cls, node in _methods(tree)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+        and not overrides_a_foreign_base(module, cls, node.name)
+    )
+    assert unreferenced == []

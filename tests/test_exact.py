@@ -100,15 +100,15 @@ def test_sqrt_enclosure_soundness(x):
         st.fractions(min_value=0, max_value=10**90, max_denominator=10**30),
         st.fractions(min_value=0, max_value=10**6, max_denominator=10**6).map(lambda r: r * r),
     ),
-    st.sampled_from([1, 10, 10**40]),
 )
-@example(Fraction(9, 4), 10)
-@example(Fraction(2), 1)
+@example(Fraction(9, 4))
+@example(Fraction(2))
 @settings(max_examples=300)
-def test_sqrt_enclosure_ends_are_the_floor_and_ceiling_on_the_scale(x, scale):
-    # In integers, with x = n/d: lo = L/s and hi = H/s, where
+def test_sqrt_enclosure_ends_are_the_floor_and_ceiling_on_the_scale(x):
+    # In integers, with x = n/d and s = _SQRT_SCALE: lo = L/s and hi = H/s, where
     # L^2 d <= n s^2 < (L+1)^2 d and (H-1)^2 d < n s^2 <= H^2 d.
-    enc = sqrt_fraction_enclosure(x, scale)
+    scale = exact._SQRT_SCALE
+    enc = sqrt_fraction_enclosure(x)
     assert (enc.lo * scale).denominator == 1 and (enc.hi * scale).denominator == 1
     low, high = int(enc.lo * scale), int(enc.hi * scale)
     n2, d = x.numerator * scale * scale, x.denominator
@@ -135,18 +135,15 @@ def test_interval_hull_intersect_clamp():
     a = Interval(Fraction(0), Fraction(2))
     b = Interval(Fraction(1), Fraction(3))
     assert Interval.hull([a, b]) == Interval(Fraction(0), Fraction(3))
-    assert a.intersect(b) == Interval(Fraction(1), Fraction(2))
     assert a.clamp(Fraction(1), Fraction(10)) == Interval(Fraction(1), Fraction(2))
     assert a.overlaps(b)
     assert not a.overlaps(Interval(Fraction(5), Fraction(6)))
-    with pytest.raises(ValueError):
-        a.intersect(Interval(Fraction(5), Fraction(6)))
 
 
 def test_pi_enclosure_is_tight_and_correct():
     pi = pi_interval()
     assert pi.strictly_positive()
-    assert pi.contains_float(math.pi)
+    assert float(pi.lo) <= math.pi <= float(pi.hi)
     # Machin's formula on the 2^-256 grid leaves an enclosure far finer than
     # any tolerance used downstream.
     assert pi.width <= TRIG_WIDTH
@@ -512,8 +509,9 @@ def test_quadratic_irrational_roots_enclosed():
     assert len(roots) == 2
     lo, hi = roots
     assert not lo.is_rational and not hi.is_rational
-    assert hi.to_interval().contains_float(math.sqrt(2))
-    assert lo.to_interval().contains_float(-math.sqrt(2))
+    hi_iv, lo_iv = hi.to_interval(), lo.to_interval()
+    assert float(hi_iv.lo) <= math.sqrt(2) <= float(hi_iv.hi)
+    assert float(lo_iv.lo) <= -math.sqrt(2) <= float(lo_iv.hi)
     assert hi.to_interval().width <= Fraction(1, 10**12)
     assert lo.to_interval().hi < hi.to_interval().lo  # returned in ascending order
 

@@ -35,7 +35,7 @@ def test_remainder_ratio_certified_in_band(theta):
 def test_remainder_ratio_exactly_cubic_at_ninety_degrees():
     # At 90 degrees the quadratic term of the remainder vanishes
     # (cos = 0 kills it), so the leading order is cubic: ratio -> 8.
-    rep = lin.remainder_ratio_certified(90, scale=Fraction(1, 10**4), directions=100, seed=42)
+    rep = lin.remainder_ratio_certified(90, directions=100, seed=42)
     assert abs(rep.ratio_enclosure_lo - 8.0) < 0.01
     assert abs(rep.ratio_enclosure_hi - 8.0) < 0.01
 
@@ -52,10 +52,11 @@ def test_remainder_ratio_certified_rejects_zero_directions():
         lin.remainder_ratio_certified(120, directions=0)
 
 
-def test_remainder_ratio_certified_checks_the_bound_on_every_direction():
+def test_remainder_ratio_certified_checks_the_bound_on_every_direction(monkeypatch):
     # At scale 1e-60 every remainder is below the 2^-256 grid, so no ratio is
     # certified and neither may the bound be: it must not hold vacuously.
-    rep = lin.remainder_ratio_certified(120, scale=Fraction(1, 10**60), directions=4)
+    monkeypatch.setattr(lin, "_SCALE", Fraction(1, 10**60))
+    rep = lin.remainder_ratio_certified(120, directions=4)
     assert rep.all_in_band is False
     assert rep.bound_certified is False
 
@@ -157,7 +158,7 @@ def _exact_trig(theta):
 
 
 def _kernel_trig(theta, orientation):
-    """slant, lead, sin and sin^3 as remainder_ratio_certified hands them to the kernel."""
+    """slant, lead, sin and sin^3 for the kernel, "up" as remainder_ratio_certified hands them."""
     sign = 1 if orientation == "up" else -1
     cot_iv, cos_iv, sin_iv, sin_cubed = _exact_trig(theta)
     return tuple(_Dyadic.enclose(iv) for iv in (cot_iv * sign, cos_iv * (-sign), sin_iv, sin_cubed))
@@ -252,20 +253,15 @@ def _fraction_remainder_norm(qs, sign, cot_iv, cos_iv, sin_iv, sin_cubed):
     return diff_sq.sqrt()
 
 
-@pytest.mark.parametrize("orientation", ["up", "down"])
 @pytest.mark.parametrize("theta", ANGLES)
-def test_dyadic_kernel_gives_the_reports_of_the_fraction_kernel(monkeypatch, theta, orientation):
+def test_dyadic_kernel_gives_the_reports_of_the_fraction_kernel(monkeypatch, theta):
     def reports():
-        return [
-            lin.remainder_ratio_certified(theta, directions=16, seed=seed, orientation=orientation)
-            for seed in (7, 42)
-        ]
+        return [lin.remainder_ratio_certified(theta, directions=16, seed=seed) for seed in (7, 42)]
 
     dyadic = reports()
-    sign = 1 if orientation == "up" else -1
     trig = _exact_trig(theta)
     monkeypatch.setattr(
-        lin, "_remainder_norm_interval", lambda qs, *_dyadic_trig: _fraction_remainder_norm(qs, sign, *trig)
+        lin, "_remainder_norm_interval", lambda qs, *_dyadic_trig: _fraction_remainder_norm(qs, 1, *trig)
     )
     assert dyadic == reports()
 

@@ -19,7 +19,7 @@ RECORDS = {
     cones.SupResult: lambda: cones.SupResult(
         QuadraticSurd(0, F(1, 6), 6), F(1, 6), cones.TwoValuePoint(1, 1, F(1), F(-1)), "enumeration", True
     ),
-    cones.BruteForceResult: lambda: cones.BruteForceResult(0.4, (0.6, -0.8), 10_000, 200, 42),
+    cones.BruteForceResult: lambda: cones.BruteForceResult(0.4, (0.6, -0.8), 10_000, 42),
     cones.ConeParams: lambda: cones.ConeParams(4, F(14, 33), F(1, 15), 1, F(1, 6)),
     cones.ConstraintReport: lambda: cones.constraint_holds(cones.calibrated_defaults(5)),
     cones.NThetaRow: lambda: cones.NThetaRow(F(90), F(95), 7, Interval(90, 90), Interval(94, 95)),
@@ -29,12 +29,12 @@ RECORDS = {
     cones.OptimizeResult: lambda: cones.optimize_params(5),
     cones.N3Report: lambda: cones.n3_coefficients(F(1, 10)),
     linearization.CertifiedRatioReport: lambda: linearization.CertifiedRatioReport(
-        120.0, F(1, 1000), 64, 42, "up", F(18, 5), F(22, 5), 3.9, 4.1, True, F(2), True
+        120.0, 64, 42, 3.9, 4.1, True, True
     ),
     tilt.TiltParams: lambda: tilt.TiltParams(AngleDeg(120), F(1, 2), 3),
     tilt.IdentityCampaignResult: lambda: tilt.IdentityCampaignResult(1000, 42, 0.0, 1e-16, 2e-16, 1.0, 0.1, 0),
     tilt.AppendixCampaignResult: lambda: tilt.AppendixCampaignResult(
-        1000, 42, 0.05, 1e-3, 1e-2, True, 0.1, 0.2, 0.3, 0.4, 0.5, 0
+        1000, 42, 1e-3, 1e-2, True, 0.1, 0.2, 0.3, 0.4, 0.5, 0
     ),
 }
 
@@ -86,9 +86,9 @@ def test_constructors_keep_their_validation():
         AngleDeg(181)
     with pytest.raises(cones.ConeParamsError, match="infeasible"):
         cones.ConeParams(4, 1, F(1, 2), 1, F(1, 6))
-    with pytest.raises(ValueError, match="exploratory"):
-        tilt.TiltParams(120, 1, 4)
+    with pytest.raises(ValueError, match="k must lie in"):
+        tilt.TiltParams(120, 2, 4)
     # Keyword arguments and defaults work as before.
-    assert tilt.TiltParams(theta=120, k=1, n=4, exploratory=True).k == 1
+    assert tilt.TiltParams(theta=120, k=1, n=4).k == 1
     assert QuadraticSurd(0, 1, 8) == QuadraticSurd(rational=0, coeff=2, radicand=2)
     assert cones.SupResult(Interval(0, 1), F(1), cones.TwoValuePoint(1, 1, 1, 0), "x", True).candidates == ()

@@ -11,8 +11,8 @@ from conecert.exact import AngleDeg
 
 CHUNK = _sampling.CHUNK_ROWS
 IDENTITY_PARAMS = [
-    tilt.TiltParams(theta=AngleDeg.from_degrees(120), k=Fraction(1, 2), n=6, exploratory=True),
-    tilt.TiltParams(theta=AngleDeg.from_degrees(91), k=Fraction(1), n=2, exploratory=True),
+    tilt.TiltParams(theta=AngleDeg.from_degrees(120), k=Fraction(1, 2), n=6),
+    tilt.TiltParams(theta=AngleDeg.from_degrees(91), k=Fraction(1), n=2),
 ]
 APPENDIX_CASES = [(4, 91, "down"), (2, 150, "up")]
 # The selftest's six comparison balls, all at n = 4.
@@ -22,7 +22,7 @@ COMPARISON_CONFIGS = [(AngleDeg.from_degrees(t), o) for t in (91, 120, 150) for 
 def _identity_grid(n):
     """The selftest's identity configurations at graph dimension n."""
     return [
-        tilt.TiltParams(theta=AngleDeg.from_degrees(theta), k=k, n=n, exploratory=True)
+        tilt.TiltParams(theta=AngleDeg.from_degrees(theta), k=k, n=n)
         for theta, k in cli._IDENTITY_ANGLES_K
     ]
 
@@ -63,21 +63,20 @@ def _identity_one_shot(params, samples, seed):
     )
 
 
-def _appendix_one_shot(n, theta, orientation, samples, seed, radius=0.05):
+def _appendix_one_shot(n, theta, orientation, samples, seed):
     """The comparison-bound kernel on the whole ball at once, drawn from the two streams the campaign uses."""
-    k, c, s = tilt._appendix_inputs(n, theta, orientation, None)
+    k, c, s = tilt._appendix_inputs(n, theta, orientation)
     center = np.zeros(n)
     center[0] = -c / s if orientation == "up" else c / s
     streams = np.random.SeedSequence(seed).spawn(2)
     dirs_rng, radii_rng = (np.random.default_rng(stream) for stream in streams)
     dirs = _one_shot_directions(dirs_rng, samples, n)
-    radii = radius * radii_rng.random(samples) ** (1.0 / n)
+    radii = tilt.BALL_RADIUS * radii_rng.random(samples) ** (1.0 / n)
     out = tilt._appendix_slacks(center[None, :] + radii[:, None] * dirs, k, c, s, orientation)
     slacks = out["slacks"]
     return tilt.AppendixCampaignResult(
         samples=samples,
         seed=seed,
-        radius=radius,
         max_g_squared=float(np.max(out["g2"])),
         c_small=out["c_small"],
         all_applicable=bool(np.all(out["applicable"])),
@@ -90,14 +89,14 @@ def _appendix_one_shot(n, theta, orientation, samples, seed, radius=0.05):
     )
 
 
-def _oracle_one_shot(m, q, samples, ascent_steps, seed):
+def _oracle_one_shot(m, q, samples, seed):
     """The oracle on the whole draw at once, with f and its gradient re-evaluated every step."""
     q = float(q)
     x = _one_shot_directions(np.random.default_rng(seed), samples, m)
     f, _ = cones._f_and_gradient(x, q)
     top = x[np.argsort(-np.abs(f))[:512]].copy()
     step = np.full(top.shape[0], 0.1)
-    for _ in range(ascent_steps):
+    for _ in range(cones.ORACLE_ASCENT_STEPS):
         vals, grads = cones._f_and_gradient(top, q)
         direction = np.sign(vals)[:, None] * grads
         tangential = direction - (direction * top).sum(axis=1)[:, None] * top
@@ -114,7 +113,6 @@ def _oracle_one_shot(m, q, samples, ascent_steps, seed):
         value=float(np.abs(final[best])),
         witness=tuple(float(c) for c in np.sort(top[best])[::-1]),
         samples=samples,
-        ascent_steps=ascent_steps,
         seed=seed,
     )
 
@@ -168,8 +166,8 @@ def test_shared_draw_campaigns_refuse_an_empty_or_mixed_grid_before_drawing(monk
 @pytest.mark.parametrize("samples", [3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 1, 3 * CHUNK + 5])
 def test_streamed_oracle_equals_one_shot_evaluation(samples):
     for m, q in ((4, Fraction(43, 391)), (9, Fraction(1, 3))):
-        streamed = cones.brute_force_sup(m, q, samples=samples, ascent_steps=30, seed=42)
-        assert streamed == _oracle_one_shot(m, q, samples, 30, 42)
+        streamed = cones.brute_force_sup(m, q, samples=samples, seed=42)
+        assert streamed == _oracle_one_shot(m, q, samples, 42)
 
 
 def test_f_value_is_the_value_of_f_and_gradient():
@@ -239,9 +237,7 @@ def _peak_bytes(run) -> int:
         lambda chunks: tilt.identity_campaigns(_identity_grid(6), samples=chunks * CHUNK, seed=42),
         lambda chunks: tilt.appendix_campaigns(4, COMPARISON_CONFIGS, samples=chunks * CHUNK, seed=42),
         # At least 10^4 samples: 3 and 30 chunks.
-        lambda chunks: cones.brute_force_sup(
-            4, Fraction(43, 391), samples=3 * chunks // 2 * CHUNK, ascent_steps=5, seed=42
-        ),
+        lambda chunks: cones.brute_force_sup(4, Fraction(43, 391), samples=3 * chunks // 2 * CHUNK, seed=42),
     ],
     ids=["identity", "appendix", "identity-grid", "comparison-grid", "oracle"],
 )

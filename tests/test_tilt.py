@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecert import linearization, tilt
+from conecert import cones, linearization, tilt
 from conecert.exact import AngleDeg, Polynomial, sturm_count
 
 ANGLES_K = [
@@ -20,7 +20,7 @@ ANGLES_K = [
 
 
 def params_for(theta, k, n):
-    return tilt.TiltParams(theta=AngleDeg.from_degrees(theta), k=k, n=n, exploratory=True)
+    return tilt.TiltParams(theta=AngleDeg.from_degrees(theta), k=k, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -29,9 +29,7 @@ def params_for(theta, k, n):
 
 
 def test_params_dimensional_restriction():
-    with pytest.raises(ValueError):
-        tilt.TiltParams(theta=AngleDeg.from_degrees(120), k=Fraction(1), n=4)
-    # Same k is allowed in exploratory mode, and for n = 2 unconditionally.
+    # Any k in (0, 1] is allowed in every dimension, above 1/(n-2) too.
     params_for(120, Fraction(1), 4)
     tilt.TiltParams(theta=AngleDeg.from_degrees(120), k=Fraction(1), n=2)
     with pytest.raises(ValueError):
@@ -41,22 +39,28 @@ def test_params_dimensional_restriction():
 
 
 # Every public entry that takes a contact angle, called as (theta, orientation);
-# those without an orientation ignore it.
+# those without an orientation ignore it, and classify takes the angle as a rational.
 ANGLE_ENTRIES = {
     "TiltParams": lambda theta, orientation: tilt.TiltParams(theta, Fraction(1, 2), 3),
     "s_constant": lambda theta, orientation: tilt.s_constant(3, Fraction(1, 2), theta),
     "stability_margin": lambda theta, orientation: tilt.stability_margin(3, Fraction(1, 2), theta),
     "appendix_campaigns": lambda theta, orientation: tilt.appendix_campaigns(3, [(theta, orientation)], samples=1),
     "remainder_ratio_certified": lambda theta, orientation: linearization.remainder_ratio_certified(
-        theta, directions=1, orientation=orientation
+        theta, directions=1
     ),
     "norm_equivalence_certified": lambda theta, orientation: linearization.norm_equivalence_certified(theta),
+    "classify": lambda theta, orientation: cones.n_theta_table(Fraction(1, 10)).classify(
+        theta.value.lo if isinstance(theta, AngleDeg) else theta
+    ),
 }
-ORIENTED = {"appendix_campaigns", "remainder_ratio_certified"}
+ORIENTED = {"appendix_campaigns"}
 ANGLE_MESSAGE = "theta must lie strictly between 0 and 180 degrees"
 BAD_INPUTS = {
     "theta=0": (AngleDeg.from_degrees(0), "up", ANGLE_MESSAGE),
     "theta=180": (AngleDeg.from_degrees(180), "up", ANGLE_MESSAGE),
+    # Plain rationals outside [0, 180] meet the shared check before they become an AngleDeg.
+    "theta=200": (Fraction(200), "up", ANGLE_MESSAGE),
+    "theta=-5": (Fraction(-5), "up", ANGLE_MESSAGE),
     "sideways": (AngleDeg.from_degrees(120), "sideways", "orientation must be 'up' or 'down', got 'sideways'"),
 }
 
@@ -347,10 +351,10 @@ def test_sturm_count_matches_sympy_on_the_margin_quartics():
 # ---------------------------------------------------------------------------
 
 
-def _slacks_at(Du, theta, orientation="up", k=None):
+def _slacks_at(Du, theta, orientation="up"):
     """The comparison-bound slacks at one graph gradient: the campaigns' kernel on a batch of one."""
     grads = np.asarray(Du, dtype=float).reshape(1, -1)
-    k, c, s = tilt._appendix_inputs(grads.shape[1], theta, orientation, k)
+    k, c, s = tilt._appendix_inputs(grads.shape[1], theta, orientation)
     return tilt._appendix_slacks(grads, k, c, s, orientation)
 
 
@@ -392,7 +396,7 @@ def test_appendix_campaign_vectorized_matches_pointwise():
                 center[0] = -cot if orientation == "up" else cot
                 raw = dirs_rng.standard_normal((100, n))
                 raw /= np.linalg.norm(raw, axis=1)[:, None]
-                radii = res.radius * radii_rng.random(100) ** (1 / n)
+                radii = tilt.BALL_RADIUS * radii_rng.random(100) ** (1 / n)
                 outs = [_slacks_at(p, theta, orientation=orientation) for p in center + radii[:, None] * raw]
 
                 def worst(name):
@@ -407,25 +411,14 @@ def test_appendix_campaign_vectorized_matches_pointwise():
                 assert worst("signed_gap") == res.min_signed_gap_slack, config
 
 
-@pytest.mark.parametrize(
-    "theta_deg,k,orientation",
-    [(120, 2, "up"), (120, 0, "up"), (120, -1, "down"), (0, None, "up"), (180, None, "down"),
-     (120, None, "sideways")],
-)
-def test_appendix_campaign_validates_like_the_scalar_check(theta_deg, k, orientation):
+@pytest.mark.parametrize("theta_deg,orientation", [(0, "up"), (180, "down"), (120, "sideways")])
+def test_appendix_campaign_validates_like_the_scalar_check(theta_deg, orientation):
     theta = AngleDeg.from_degrees(theta_deg)
     with pytest.raises(ValueError) as scalar:
-        _slacks_at((-0.5, 0.0, 0.0), theta, orientation=orientation, k=k)
+        _slacks_at((-0.5, 0.0, 0.0), theta, orientation=orientation)
     with pytest.raises(ValueError) as campaign:
-        tilt.appendix_campaigns(3, [(theta, orientation)], samples=100, k=k)
+        tilt.appendix_campaigns(3, [(theta, orientation)], samples=100)
     assert str(campaign.value) == str(scalar.value)
-
-
-@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.05])
-def test_appendix_campaign_rejects_a_radius_that_is_not_finite_and_positive(radius):
-    # A NaN radius made every slack NaN, and NaN < -1e-12 is False: no violation counted.
-    with pytest.raises(ValueError, match="radius"):
-        tilt.appendix_campaigns(4, [(AngleDeg.from_degrees(120), "up")], radius=radius, samples=100)
 
 
 def test_appendix_nan_slack_is_a_violation():
