@@ -493,7 +493,7 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
         rep = tilt.certify_margin_positive(n, k, 1, 179)
         margin_payload[f"n={n} k={k}"] = {
             "verdict": rep.verdict,
-            "boxes_checked": rep.provenance.get("boxes_checked"),
+            "decided_by": rep.provenance.get("decided_by"),
         }
     reports.append(
         CertificationReport(

@@ -24,8 +24,7 @@ factor whose primality is not proven by that test.
 
 :class:`Polynomial` is the one exact polynomial type: a sparse map from
 exponent tuples to rational coefficients.  Identities are proved by
-expanding both sides to the same polynomial, and :func:`sturm_count` counts
-the real roots of a univariate one in a rational interval exactly.
+expanding both sides to the same polynomial.
 
 Angles are carried in degrees through :class:`AngleDeg`.  Cosines of the
 handful of angles with rational cosine (0, 60, 90, 120, 180 degrees) are
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from ._record import Record, _set
 
@@ -59,7 +58,6 @@ __all__ = [
     "compare",
     "quadratic_real_roots",
     "Polynomial",
-    "sturm_count",
     "angle_range_from_threshold",
     "cos2_over_sin4",
 ]
@@ -178,9 +176,6 @@ class Interval(Record):
 
     def strictly_positive(self) -> bool:
         return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
 
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -608,7 +603,7 @@ def quadratic_real_roots(a: RationalLike, b: RationalLike, c: RationalLike) -> l
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomials with rational coefficients, and Sturm root counts.
+# Exact polynomials with rational coefficients.
 # ---------------------------------------------------------------------------
 
 
@@ -620,8 +615,7 @@ class Polynomial:
     term dicts.  The operators + - * and non-negative integer powers mix
     polynomials with ints and Fractions, so code written with arithmetic
     operators only expands on it unchanged; ``p(x1, ..., xk)`` evaluates at
-    rationals.  Univariate polynomials also have a derivative and division
-    with remainder, which :func:`sturm_count` uses.
+    rationals.
     """
 
     __slots__ = ("nvars", "terms")
@@ -636,12 +630,6 @@ class Polynomial:
         return tuple(
             cls(nvars, {tuple(int(i == j) for j in range(nvars)): 1}) for i in range(nvars)
         )
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[RationalLike]) -> "Polynomial":
-        """The univariate polynomial with these coefficients, highest degree first."""
-        top = len(coeffs) - 1
-        return cls(1, {(top - i,): to_fraction(c) for i, c in enumerate(coeffs)})
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -718,67 +706,9 @@ class Polynomial:
             result = result + Polynomial(self.nvars, {reduced: c}) * square ** half
         return result
 
-    # -- univariate operations --------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree of a univariate polynomial; -1 for zero."""
-        return max((exps[0] for exps in self.terms), default=-1)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(1, {(e - 1,): c * e for (e,), c in self.terms.items() if e})
-
-    def __divmod__(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        top = divisor.degree
-        if top < 0:
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = divisor.terms[(top,)]
-        quotient, remainder = Polynomial(1, {}), self
-        while remainder.degree >= top:
-            shift = remainder.degree - top
-            step = Polynomial(1, {(shift,): remainder.terms[(remainder.degree,)] / lead})
-            quotient, remainder = quotient + step, remainder - step * divisor
-        return quotient, remainder
-
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self.terms!r})"
 
-
-def _sign_changes(values: Iterable[Fraction]) -> int:
-    signs = [v > 0 for v in values if v != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def sturm_count(poly: Polynomial, lo: RationalLike, hi: RationalLike) -> int:
-    """Number of distinct real roots of a univariate polynomial in [lo, hi].
-
-    The Sturm sequence (Basu, Pollack & Roy, *Algorithms in Real Algebraic
-    Geometry*, ch. 2) of the squarefree part P of ``poly`` is p0 = P,
-    p1 = P', p_(i+1) = -rem(p_(i-1), p_i).  With V(x) the number of sign
-    changes of p_i(x), zeros dropped, P has V(lo) - V(hi) roots in
-    (lo, hi]; a root at lo is added.  Every step is exact.
-    """
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    if lo > hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    if poly.degree <= 0:
-        if poly.degree < 0:
-            raise ValueError("the zero polynomial has a root everywhere")
-        return 0
-
-    def sequence(p: Polynomial) -> list[Polynomial]:
-        seq = [p, p.derivative()]
-        while seq[-1].degree > 0:
-            remainder = divmod(seq[-2], seq[-1])[1]
-            if remainder.degree < 0:
-                break
-            seq.append(-remainder)
-        return seq
-
-    seq = sequence(poly)
-    if seq[-1].degree > 0:  # gcd(P, P') is not constant: P has multiple roots
-        seq = sequence(divmod(poly, seq[-1])[0])
-    return _sign_changes(p(lo) for p in seq) - _sign_changes(p(hi) for p in seq) + (seq[0](lo) == 0)
 
 # ---------------------------------------------------------------------------
 # Fixed-point intervals, and the transcendental kernel: pi, cos, sin.

@@ -18,8 +18,10 @@ This module checks, numerically at scale and exactly where it matters:
   (``identity_campaigns``, proved by ``symbolic_identity_certificates``),
 * positivity of the spectral stability margin
   1 + k cos^2(theta) - k |cos(theta)| - s(k, n, theta)
-  over whole angle ranges, decided by the sign of an exact quartic and one
-  Sturm root count over rationals (``certify_margin_positive``),
+  over whole angle ranges, decided from the closed-form factor
+  4kn (v-1)^2 (k v^2 - k(n-1) v + 1) of an exact quartic in v = |cos(theta)|,
+  by the rational condition k(n-2) <= 1 or by exact comparisons of |cos| at
+  the range ends with the factor's root (``certify_margin_positive``),
 * the closed-ball comparison bounds between |Du|, the normal gap
   |nu - nu_theta|, and g, together with their applicability threshold
   (``appendix_campaigns``).
@@ -33,7 +35,7 @@ samples very close to the zero locus of g are re-evaluated in rationals, on
 a normal unit to about 1e-40, so that division noise does not masquerade as
 an identity violation; and ``symbolic_identity_certificates`` expands the
 same kernels as polynomials and checks that each defect is the zero
-polynomial.
+polynomial, as the margin certifier does for its factorisation.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ from .exact import (
     Polynomial,
     RationalLike,
     _interior_angle,
+    compare,
+    quadratic_real_roots,
     sqrt_fraction_enclosure,
-    sturm_count,
     to_fraction,
 )
 from .report import CertificationReport
@@ -67,7 +70,6 @@ __all__ = [
     "f_of_t",
     "s_constant",
     "stability_margin",
-    "margin_polynomial_coeffs",
     "certify_margin_positive",
     "default_k",
     "identity_campaigns",
@@ -88,7 +90,8 @@ class TiltParams(Record):
     theta is a contact angle strictly between 0 and 180 degrees, n >= 2 the
     graph dimension, and 0 < k <= 1 the tilt weight.  The algebraic
     identities checked here hold for every such k, so campaigns may sweep k
-    beyond the 1/(n-2) that the stability statements take for n >= 3.
+    past the exact condition k(n-2) <= 1 under which the stability margin is
+    positive on all of (0, 180) degrees (``certify_margin_positive``).
     """
 
     __slots__ = ("theta", "k", "n")
@@ -286,26 +289,30 @@ def stability_margin(n: int, k: RationalLike, theta: AngleDeg) -> Interval:
     return margin
 
 
-def margin_polynomial_coeffs(n: int, k: RationalLike) -> list[Fraction]:
-    """Coefficients (descending) of the quartic P with sign(P(v)) = sign(margin).
+def _margin_terms(v, k, n):
+    """L and D with margin = (L - sqrt(D)) / (2n) at v = |cos theta|.
 
-    Writing v = |cos theta|, the margin is positive iff
-    L(v) = 2n (1 + k v^2 - k v) - (n-1)(2 - k (1 - v^2)) exceeds
-    sqrt(D(v)) with D(v) = 4 (1 - k (1 - v^2)) + (n-1)^2 k^2 (1 - v^2)^2.
-    L is positive for every v (its discriminant 4k(k - 2n - 2) is negative),
-    so positivity of the margin is equivalent to P(v) = L(v)^2 - D(v) > 0.
-    P(1) = 0 always (the margin vanishes in the flat limit), P(0) = 4kn.
+    With t = 1 - k sin^2 theta = 1 - k (1 - v^2), s = f_n(t) is
+    [(n-1)(1+t) + sqrt(D)] / (2n) and L = 2n (1 + k v^2 - k v) - (n-1)(1+t).
+    As a quadratic in v, L has the negative discriminant 4k(k - 2n - 2), so
+    L > 0 and the margin has the sign of L^2 - D.
     """
-    k = to_fraction(k)
-    if n < 2 or not 0 < k <= 1:
-        raise ValueError("need n >= 2 and k in (0, 1]")
-    return [
-        4 * k * k * n,
-        -4 * k * k * n * (n + 1),
-        4 * k * n * (2 * k * n - k + 1),
-        -4 * k * n * (k * n - k + 2),
-        4 * k * n,
-    ]
+    t = 1 - k * (1 - v ** 2)
+    return 2 * n * (1 + k * v ** 2 - k * v) - (n - 1) * (1 + t), 4 * t + (n - 1) ** 2 * (1 - t) ** 2
+
+
+def _margin_factor_coeffs(k, n):
+    """(a, b, c) of R(v) = a v^2 + b v + c = k v^2 - k(n-1) v + 1; L^2 - D = 4kn (v-1)^2 R(v)."""
+    return k, -k * (n - 1), 1
+
+
+@functools.cache
+def _margin_factorisation_holds() -> bool:
+    """Whether L^2 - D expands to 4kn (v-1)^2 R(v) in (v, k, n); expanded once per process."""
+    v, k, n = Polynomial.variables(3)
+    lead, radicand = _margin_terms(v, k, n)
+    a, b, c = _margin_factor_coeffs(k, n)
+    return lead ** 2 - radicand == 4 * k * n * (v - 1) ** 2 * (a * v ** 2 + b * v + c)
 
 
 def default_k(n: int) -> Fraction:
@@ -313,40 +320,6 @@ def default_k(n: int) -> Fraction:
     if n < 2:
         raise ValueError("n must be at least 2")
     return Fraction(1) if n == 2 else Fraction(1, n - 2)
-
-
-def _abs_cos_enclosure(theta_lo: Fraction, theta_hi: Fraction) -> Interval:
-    box = AngleDeg(Interval(theta_lo, theta_hi))
-    return box.cos().abs().clamp(Fraction(0), Fraction(1))
-
-
-def _negative_margin_witness(n: int, k: Fraction, coeffs: list[Fraction], v_iv: Interval,
-                             theta_lo: Fraction, theta_hi: Fraction):
-    """(theta, margin enclosure) with the margin certifiably negative, or None.
-
-    The float roots of P in the v-enclosure propose the midpoints between
-    them; a midpoint v* with exactly P(v*) < 0 maps back through a float
-    acos to an angle in the range, rounded to 10^-6 degrees.  Only the
-    rigorous enclosure of the margin at that angle decides.
-    """
-    import numpy as np
-
-    poly = Polynomial.from_coeffs(coeffs)
-    lo, hi = float(v_iv.lo), float(v_iv.hi)
-    roots = np.roots([float(c) for c in coeffs])
-    cuts = sorted(r.real for r in roots if abs(r.imag) <= 1e-9 and lo < r.real < hi)
-    points = [lo, *cuts, hi]
-    for a, b in zip(points, points[1:]):
-        v_star = Fraction((a + b) / 2)
-        if poly(v_star) >= 0:
-            continue
-        acos_deg = math.degrees(math.acos(v_star))
-        for theta in (acos_deg, 180.0 - acos_deg):
-            theta_star = min(max(Fraction(round(theta * 10 ** 6), 10 ** 6), theta_lo), theta_hi)
-            margin = stability_margin(n, k, AngleDeg.from_degrees(theta_star))
-            if margin.strictly_negative():
-                return theta_star, margin
-    return None
 
 
 def certify_margin_positive(
@@ -357,64 +330,59 @@ def certify_margin_positive(
 ) -> CertificationReport:
     """Decide margin > 0 for every theta in [theta_lo, theta_hi] degrees.
 
-    The margin has the sign of the quartic P at v = |cos theta|
-    (``margin_polynomial_coeffs``).  On a rational enclosure [v1, v2] of
-    |cos| over the whole range, P(v1) > 0 and no root of P in [v1, v2]
-    (one exact Sturm count) certify the claim.  Otherwise a point with
-    P < 0 proposes an angle, and the verdict is falsified only if the
-    rigorous margin enclosure there is strictly negative; every other case
-    is inconclusive.  The margin vanishes at 0 and 180 degrees (P(1) = 0),
-    so ranges touching them are inconclusive.
+    The margin has the sign of L^2 - D = 4kn (v-1)^2 R(v) at v = |cos theta|
+    (``_margin_terms`` and ``_margin_factor_coeffs``; a factorisation that
+    does not expand raises RuntimeError).  So each range is decided by exact
+    comparisons:
+
+    * at 0 and 180 degrees v = 1 and the margin is exactly 0, so a range
+      touching either is falsified there;
+    * R(0) = 1 and R(1) = 1 - k(n-2); R falls on [0, 1] for n >= 3 (its
+      vertex is at (n-1)/2) and R >= 1 - k/4 for n = 2, so k(n-2) <= 1
+      makes the margin positive on all of (0, 180) degrees;
+    * otherwise the margin is positive exactly where v < v*, the smaller
+      root of R.  |cos| is largest at an end of the range, so an end whose
+      |cos| enclosure lies at or above v* is a witness (falsified), both
+      ends strictly below v* certify, and a straddle is inconclusive.
     """
     k = to_fraction(k)
     theta_lo = to_fraction(theta_lo)
     theta_hi = to_fraction(theta_hi)
+    if n < 2 or not 0 < k <= 1:
+        raise ValueError("need n >= 2 and k in (0, 1]")
     if not 0 <= theta_lo < theta_hi <= 180:
         raise ValueError("need 0 <= theta_lo < theta_hi <= 180")
-
-    coeffs = margin_polynomial_coeffs(n, k)
-    poly = Polynomial.from_coeffs(coeffs)
-    v_iv = _abs_cos_enclosure(theta_lo, theta_hi)
-    roots = sturm_count(poly, v_iv.lo, v_iv.hi)
+    if not _margin_factorisation_holds():
+        raise RuntimeError("L^2 - D does not expand to 4kn (v-1)^2 R(v); the margin is left undecided")
     claim = (
         f"stability margin 1 + k cos^2 - k|cos| - s(k,n,theta) > 0 "
         f"for n={n}, k={k}, theta in [{theta_lo}, {theta_hi}] degrees"
     )
-    provenance = {"boxes_checked": 1, "roots_in_v_enclosure": roots}
-    if roots == 0 and poly(v_iv.lo) > 0:
+    factor = _margin_factor_coeffs(k, n)
+
+    def report(verdict: str, decided_by: str, **payload) -> CertificationReport:
         return CertificationReport(
-            claim=claim,
-            method="exact",
-            verdict="certified",
-            payload={
-                "quartic_coeffs_desc": coeffs,
-                "margin_at_midpoint": stability_margin(
-                    n, k, AngleDeg.from_degrees((theta_lo + theta_hi) / 2)
-                ),
-            },
-            provenance=provenance,
+            claim=claim, method="exact", verdict=verdict,
+            payload={"margin_factor_coeffs": factor, **payload}, provenance={"decided_by": decided_by},
         )
-    witness = _negative_margin_witness(n, k, coeffs, v_iv, theta_lo, theta_hi)
-    if witness is not None:
-        return CertificationReport(
-            claim=claim,
-            method="exact",
-            verdict="falsified",
-            payload={"counterexample_theta_deg": witness[0], "margin_enclosure": witness[1]},
-            provenance=provenance,
-        )
-    return CertificationReport(
-        claim=claim,
-        method="exact",
-        verdict="inconclusive",
-        payload={
-            "v_enclosure": v_iv,
-            "note": "the margin quartic is not positive on the whole |cos theta| enclosure, and "
-            "no angle with a certifiably negative margin was found; the margin vanishes at "
-            "0 and 180 degrees",
-        },
-        provenance=provenance,
-    )
+
+    for pole in (theta_lo, theta_hi):
+        if pole in (0, 180):
+            # cos = +-1 and sin = 0 there, so t = 1 and the margin is 1 + k - k - f_n(1).
+            return report("falsified", f"v = 1 at {pole} degrees",
+                          counterexample_theta_deg=pole, margin_enclosure=1 - f_of_t(n, 1))
+    if k * (n - 2) <= 1:
+        return report("certified", f"k(n-2) = {k * (n - 2)} <= 1")
+    v_star = quadratic_real_roots(*factor)[0]
+    abs_cos = {end: AngleDeg.from_degrees(end).cos().abs() for end in (theta_lo, theta_hi)}
+    for end, v in abs_cos.items():
+        if compare(v.lo, v_star) >= 0:
+            return report("falsified", f"|cos theta| >= v* = {v_star} at {end} degrees", v_star=v_star,
+                          counterexample_theta_deg=end, margin_enclosure=stability_margin(n, k, end))
+    if all(compare(v.hi, v_star) < 0 for v in abs_cos.values()):
+        return report("certified", f"|cos theta| < v* = {v_star} at both ends", v_star=v_star)
+    return report("inconclusive", f"|cos theta| straddles v* = {v_star}",
+                  v_star=v_star, abs_cos_at_ends=list(abs_cos.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,6 @@ def test_criterion_11_selftest_determinism(capsys):
     )
     # Pinned: any change to the report bytes of the default configuration shows here.
     assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == (
-        "6484feee383974b1b706ae1e4a9363408f896dcd2c840d478396781cca67cf0e"
+        "c62d5807a75f876819d34e33100d64cd29e304b6e641078d965b9bbff1ce3078"
     )
     _announce(11, "two selftest --seed 42 runs byte-identical except wall-time, digest pinned")

@@ -468,7 +468,7 @@ def test_selftest_runs_certified_quick(capsys):
     digest_rep = doc["reports"][-1]
     # Pinned: any change to the report bytes of this configuration shows here.
     assert digest_rep["payload"]["content_digest_sha256"] == (
-        "d8326c531dd51b9dd33e3db57f7b2ee175c84b8eb01242ddbb58baac079e1768"
+        "6995fe432938e5ba4bd6c5101513c0a4b68be32db35ef4310d306401f7197cac"
     )
 
 
@@ -700,7 +700,7 @@ def test_importing_the_cli_loads_every_layer_module():
     ids=["certify-n4", "certify-n5", "certify-n6", "identities", "selftest"],
 )
 def test_exact_proofs_and_factoring_never_load_sympy(argv):
-    # Identity proofs, Sturm counts and squarefree radicands are computed by
+    # Identity proofs, the margin factorisation and squarefree radicands are computed by
     # conecert.exact alone; sympy is a test-only cross-check.
     code, heavy = fresh_run(*argv)
     assert code == EXIT_CERTIFIED
@@ -732,4 +732,4 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
     )
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
-    assert digest == "6484feee383974b1b706ae1e4a9363408f896dcd2c840d478396781cca67cf0e"
+    assert digest == "c62d5807a75f876819d34e33100d64cd29e304b6e641078d965b9bbff1ce3078"

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conecert import cones, linearization, tilt
-from conecert.exact import AngleDeg, Polynomial, sturm_count
+from conecert.exact import AngleDeg, Interval, Polynomial, QuadraticSurd, compare
 
 ANGLES_K = [
     (Fraction(100), Fraction(1)),
@@ -256,22 +256,23 @@ def test_stability_margin_signs():
     assert near_pole.hi < Fraction(1, 100)
 
 
-def _margin_quartic(n, k):
-    return Polynomial.from_coeffs(tilt.margin_polynomial_coeffs(n, k))
+def _margin_quartic(n, k, v):
+    """L^2 - D at v = |cos theta|, which has the sign of the margin."""
+    lead, radicand = tilt._margin_terms(v, k, n)
+    return lead ** 2 - radicand
 
 
 def test_margin_polynomial_tracks_margin_sign():
-    # sign(P(|cos theta|)) must agree with sign(margin) on a spread of angles.
-    for n, k in [(2, Fraction(1)), (4, Fraction(1, 2)), (7, Fraction(1, 5))]:
-        quartic = _margin_quartic(n, k)
+    # sign(L^2 - D at |cos theta|) must agree with sign(margin) on a spread of angles.
+    for n, k in [(2, Fraction(1)), (4, Fraction(1, 2)), (7, Fraction(1, 5)), (10, Fraction(1))]:
         for deg in (5, 30, 60, 90, 120, 175):
             theta = AngleDeg.from_degrees(deg)
             v = abs(theta.cos().mid)
             margin = tilt.stability_margin(n, k, theta)
-            pval = quartic(v)
+            pval = _margin_quartic(n, k, v)
             if margin.strictly_positive():
                 assert pval > 0
-            elif margin.strictly_negative():
+            elif margin.hi < 0:
                 assert pval < 0
 
 
@@ -287,37 +288,94 @@ def test_margin_certified_positive_on_working_range(n, k):
 
 
 def test_margin_certification_fails_towards_poles():
-    # The margin vanishes at the poles, so a range touching 0 cannot certify;
-    # strictly interior ranges still certify.
-    rep = tilt.certify_margin_positive(3, Fraction(1), 0, 179)
-    assert rep.verdict == "inconclusive"
+    # The margin vanishes at the poles, so a range touching 0 or 180 degrees
+    # is falsified there; strictly interior ranges still certify.
+    for lo, hi, pole in [(0, 179, 0), (1, 180, 180), (0, 180, 0)]:
+        rep = tilt.certify_margin_positive(3, Fraction(1), lo, hi)
+        assert rep.verdict == "falsified"
+        assert rep.payload["counterexample_theta_deg"] == pole
     interior = tilt.certify_margin_positive(3, Fraction(1), Fraction(1, 10**6), 179)
     assert interior.verdict == "certified"
 
 
-def test_margin_certification_decides_in_one_count(monkeypatch):
-    # A range touching 0 degrees has P(1) = 0 on its |cos| enclosure: one
-    # box, one Sturm count, and the verdict is inconclusive, not a deeper search.
-    counts = []
-    original = tilt.sturm_count
-    monkeypatch.setattr(tilt, "sturm_count", lambda *a: counts.append(a) or original(*a))
-    rep = tilt.certify_margin_positive(3, Fraction(1), 0, 179)
-    assert rep.verdict == "inconclusive"
-    assert rep.provenance["boxes_checked"] == 1
-    assert len(counts) == 1
-    _, lo, hi = counts[0]
-    assert hi == 1 and _margin_quartic(3, Fraction(1))(hi) == 0
+def test_margin_exact_ties_are_falsified_at_their_witness():
+    # For n = 4, k = 4/5 the root of R is v* = 1/2 = cos 60 degrees, where
+    # the margin is exactly 0: the claim "margin > 0" fails there.
+    rep = tilt.certify_margin_positive(4, Fraction(4, 5), 60, 120)
+    assert rep.verdict == "falsified"
+    assert rep.payload["counterexample_theta_deg"] == 60
+    assert compare(rep.payload["v_star"], Fraction(1, 2)) == 0
+    assert rep.payload["margin_enclosure"] == Interval.point(0)
+    assert tilt.stability_margin(4, Fraction(4, 5), AngleDeg.from_degrees(60)) == Interval.point(0)
+    # At 0 degrees |cos| = 1 and the margin is exactly 0 for every (n, k).
+    pole = tilt.certify_margin_positive(3, 1, 0, 179)
+    assert pole.verdict == "falsified"
+    assert pole.payload["counterexample_theta_deg"] == 0
+    assert pole.payload["margin_enclosure"] == Interval.point(0)
 
 
 def test_margin_falsified_with_a_certified_witness():
-    # n = 10, k = 1 lies outside k <= 1/(n-2): the margin turns negative.
+    # n = 10, k = 1 breaks k(n-2) <= 1: the margin turns negative.
     rep = tilt.certify_margin_positive(10, 1, 1, 179)
     assert rep.verdict == "falsified"
     theta = rep.payload["counterexample_theta_deg"]
     assert 1 <= theta <= 179
-    assert rep.payload["margin_enclosure"].strictly_negative()
+    assert rep.payload["margin_enclosure"].hi < 0
     again = tilt.stability_margin(10, Fraction(1), AngleDeg.from_degrees(theta))
     assert again == rep.payload["margin_enclosure"] and again.hi < 0
+
+
+def test_margin_straddling_its_root_is_inconclusive(monkeypatch):
+    # A v* inside the |cos| enclosure at 1 degree can be neither ruled in nor
+    # out there; 90 degrees, where cos = 0, lies below it.
+    inside = AngleDeg.from_degrees(1).cos().mid
+    monkeypatch.setattr(tilt, "quadratic_real_roots", lambda *coeffs: [QuadraticSurd(inside)])
+    rep = tilt.certify_margin_positive(10, 1, 1, 90)
+    assert rep.verdict == "inconclusive"
+    assert rep.provenance["decided_by"].startswith("|cos theta| straddles v*")
+
+
+_angles = st.fractions(min_value=0, max_value=180, max_denominator=1000)
+
+
+@given(st.integers(2, 40), st.fractions(min_value=0, max_value=1, max_denominator=64), _angles, _angles)
+@settings(max_examples=150, deadline=None)
+def test_margin_verdicts_follow_the_closed_form(n, k, a, b):
+    assume(k > 0 and a != b)
+    lo, hi = min(a, b), max(a, b)
+    rep = tilt.certify_margin_positive(n, k, lo, hi)
+    holds = k * (n - 2) <= 1
+    if 0 < lo and hi < 180 and holds:
+        assert rep.verdict == "certified"
+    if rep.verdict == "inconclusive":
+        assert not holds
+    if rep.verdict == "certified":
+        assert all(tilt.stability_margin(n, k, AngleDeg.from_degrees(end)).hi > 0 for end in (lo, hi))
+    if rep.verdict == "falsified":
+        theta = rep.payload["counterexample_theta_deg"]
+        assert theta in (lo, hi)
+        if theta in (0, 180):
+            assert rep.payload["margin_enclosure"] == Interval.point(0)
+        else:
+            assert not tilt.stability_margin(n, k, AngleDeg.from_degrees(theta)).strictly_positive()
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [lambda v, lead, radicand: (lead + v, radicand),
+     lambda v, lead, radicand: (lead, radicand - Fraction(1, 1000) * v ** 2)],
+    ids=["L", "D"],
+)
+def test_a_perturbed_margin_kernel_fails_the_factorisation(monkeypatch, perturb):
+    original = tilt._margin_terms
+    monkeypatch.setattr(tilt, "_margin_terms", lambda v, k, n: perturb(v, *original(v, k, n)))
+    tilt._margin_factorisation_holds.cache_clear()
+    try:
+        assert not tilt._margin_factorisation_holds()
+        with pytest.raises(RuntimeError, match="does not expand"):
+            tilt.certify_margin_positive(4, Fraction(1, 2), 1, 179)
+    finally:
+        tilt._margin_factorisation_holds.cache_clear()
 
 
 def _margin_grid():
@@ -327,23 +385,28 @@ def _margin_grid():
             yield n, k
 
 
-def test_sturm_count_matches_sympy_on_the_margin_quartics():
+def test_margin_closed_form_matches_sympy_on_the_margin_quartics():
+    # sympy expands L^2 - D from the definition of s = f_n(t) and isolates
+    # its real roots: it has one in [0, 1) exactly when k(n-2) > 1, and the
+    # smallest is the certifier's v*.
     sympy = pytest.importorskip("sympy")
     v = sympy.Symbol("v")
-    cos1 = tilt._abs_cos_enclosure(Fraction(1), Fraction(179)).hi
-    ranges = [(Fraction(0), cos1), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(999999, 10**6)),
-              (Fraction(1, 2), Fraction(1))]
-    with_roots = 0
+    failing = 0
     for n, k in _margin_grid():
-        coeffs = tilt.margin_polynomial_coeffs(n, k)
-        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], v, domain="QQ")
-        mine = Polynomial.from_coeffs(coeffs)
-        for lo, hi in ranges:
-            expected = poly.count_roots(sympy.Rational(lo.numerator, lo.denominator),
-                                        sympy.Rational(hi.numerator, hi.denominator))
-            assert sturm_count(mine, lo, hi) == expected, (n, k, lo, hi)
-        with_roots += sturm_count(mine, 0, Fraction(999999, 10**6)) > 0
-    assert with_roots == 92
+        kq = sympy.Rational(k.numerator, k.denominator)
+        t = 1 - kq * (1 - v ** 2)
+        lead = 2 * n * (1 + kq * v ** 2 - kq * v) - (n - 1) * (1 + t)
+        quartic = sympy.Poly(sympy.expand(lead ** 2 - 4 * t - (n - 1) ** 2 * (1 - t) ** 2), v)
+        roots = sorted(r for r in quartic.real_roots() if 0 <= r < 1)
+        rep = tilt.certify_margin_positive(n, k, 1, 179)
+        if k * (n - 2) <= 1:
+            assert roots == [] and rep.verdict == "certified", (n, k)
+            continue
+        failing += 1
+        v_star = rep.payload["v_star"]
+        exact_v_star = v_star.rational + v_star.coeff * sympy.sqrt(v_star.radicand)
+        assert roots and sympy.simplify(roots[0] - exact_v_star) == 0, (n, k)
+    assert failing == 92
 
 
 # ---------------------------------------------------------------------------
