@@ -43,6 +43,7 @@ from .exact import (
     QuadraticSurd,
     RationalLike,
     _interior_angle,
+    _window_gap,
     angle_range_from_threshold,
     compare,
     quadratic_real_roots,
@@ -238,9 +239,9 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
 class BruteForceResult(Record):
     """Best |f| found by random sphere sampling plus gradient ascent."""
 
-    __slots__ = ("value", "witness", "samples", "seed")
+    __slots__ = ("value", "witness", "samples")
 
-    def __init__(self, value: float, witness: tuple[float, ...], samples: int, seed: int) -> None:
+    def __init__(self, value: float, witness: tuple[float, ...], samples: int) -> None:
         _fill(self, locals())
 
 
@@ -369,7 +370,6 @@ def brute_force_sup(m: int, q: RationalLike, samples: int = 100_000, seed: int =
         value=float(np.abs(vals[best_idx])),
         witness=tuple(float(c) for c in witness),
         samples=samples,
-        seed=seed,
     )
 
 
@@ -571,12 +571,9 @@ def _f_squared_payload(f2: ExactScalar) -> Union[Fraction, str]:
 class NThetaRow(Record):
     """One half-open row [lo, hi) of the critical-dimension table."""
 
-    __slots__ = ("lo", "hi", "n_theta", "lo_enclosure", "hi_enclosure")
+    __slots__ = ("lo", "hi", "n_theta", "hi_enclosure")
 
-    def __init__(
-        self, lo: Fraction, hi: Fraction, n_theta: int, lo_enclosure: Interval,
-        hi_enclosure: Interval,
-    ) -> None:
+    def __init__(self, lo: Fraction, hi: Fraction, n_theta: int, hi_enclosure: Interval) -> None:
         _fill(self, locals())
 
 
@@ -586,19 +583,26 @@ class NThetaTable(Record):
     def __init__(self, rows: tuple[NThetaRow, ...], tol_deg: Fraction) -> None:
         _fill(self, locals())
 
-    def classify(self, theta_deg: RationalLike) -> int:
-        """Critical dimension for a contact angle (degrees).
+    @staticmethod
+    def classify(theta_deg: RationalLike) -> int:
+        """Critical dimension for a contact angle in (0, 180) degrees.
 
-        The angle windows are symmetric about 90 degrees, so angles below
-        90 are classified through their supplement.
+        The angle is inside the window of n = 6, 5 or 4 exactly when
+        cos^2 - T sin^4 < 0 for that n's threshold T, so n_theta is n + 1
+        for the first window that holds it, else 4; a breakpoint belongs to
+        the row it starts.  The sign is decided on enclosures, not on the
+        grid-rounded rows, so the answer does not depend on tol_deg, and it
+        is symmetric about 90 degrees.  An angle whose enclosure cannot be
+        separated from a breakpoint raises ValueError.
         """
-        theta = _interior_angle(to_fraction(theta_deg)).value.lo
-        if theta < 90:
-            theta = 180 - theta
-        for row in self.rows:
-            if row.lo <= theta < row.hi:
-                return row.n_theta
-        raise ValueError(f"angle {theta} not covered by the table")
+        theta = _interior_angle(theta_deg)
+        for n in (6, 5, 4):
+            gap = _window_gap(theta, m_functional(CALIBRATED_PARAMS[n]))
+            if gap.hi < 0:
+                return n + 1
+            if gap.lo < 0:
+                raise ValueError(f"cannot separate {theta} from the n = {n} breakpoint")
+        return 4
 
     def decimals(self) -> int:
         d = 0
@@ -625,29 +629,23 @@ class NThetaTable(Record):
 def n_theta_table(tol_deg: RationalLike = Fraction(1, 1000)) -> NThetaTable:
     """The critical-dimension table on [90, 180) degrees.
 
-    The three certified thresholds give breakpoints near 94.58, 106.664 and
-    128.346 degrees; each row boundary is the grid-rounded certified value
+    The three certified thresholds T give breakpoints near 94.58, 106.664
+    and 128.346 degrees, where cos^2 - T sin^4 changes sign; each row
+    boundary is the lower end of the grid cell that holds that sign change
     (the true breakpoint lies inside the attached enclosure of width at
     most tol_deg).  n_theta = 7 on [90, b6), 6 on [b6, b5), 5 on [b5, b4),
     4 on [b4, 180).
     """
     tol_deg = to_fraction(tol_deg)
-    breaks: dict[int, tuple[Fraction, Interval]] = {}
-    for n in (4, 5, 6):
-        threshold = m_functional(CALIBRATED_PARAMS[n])
-        _, theta_max = angle_range_from_threshold(threshold, tol_deg)
-        breaks[n] = (theta_max.value.lo, theta_max.value)
-
-    ninety = Interval.point(Fraction(90))
-    one_eighty = Interval.point(Fraction(180))
-    b6, enc6 = breaks[6]
-    b5, enc5 = breaks[5]
-    b4, enc4 = breaks[4]
+    enc = {
+        n: angle_range_from_threshold(m_functional(CALIBRATED_PARAMS[n]), tol_deg)[1].value
+        for n in (4, 5, 6)
+    }
     rows = (
-        NThetaRow(Fraction(90), b6, 7, ninety, enc6),
-        NThetaRow(b6, b5, 6, enc6, enc5),
-        NThetaRow(b5, b4, 5, enc5, enc4),
-        NThetaRow(b4, Fraction(180), 4, enc4, one_eighty),
+        NThetaRow(Fraction(90), enc[6].lo, 7, enc[6]),
+        NThetaRow(enc[6].lo, enc[5].lo, 6, enc[5]),
+        NThetaRow(enc[5].lo, enc[4].lo, 5, enc[4]),
+        NThetaRow(enc[4].lo, Fraction(180), 4, Interval.point(Fraction(180))),
     )
     return NThetaTable(rows=rows, tol_deg=tol_deg)
 
@@ -661,12 +659,12 @@ class OptimizeResult(Record):
     """Outcome of the deterministic grid + refinement search."""
 
     __slots__ = (
-        "best", "best_m", "calibrated", "default_m", "matches_or_improves_default", "evaluated",
-        "feasible_count", "no_search",
+        "best", "best_m", "default_m", "matches_or_improves_default", "evaluated", "feasible_count",
+        "no_search",
     )
 
     def __init__(
-        self, best: ConeParams, best_m: Fraction, calibrated: ConeParams, default_m: Fraction,
+        self, best: ConeParams, best_m: Fraction, default_m: Fraction,
         matches_or_improves_default: bool, evaluated: int, feasible_count: int, no_search: bool,
     ) -> None:
         _fill(self, locals())
@@ -767,7 +765,6 @@ def optimize_params(
     return OptimizeResult(
         best=best,
         best_m=best_m,
-        calibrated=start,
         default_m=default_m,
         matches_or_improves_default=best_m >= default_m,
         evaluated=evaluated,

@@ -31,8 +31,10 @@ handful of angles with rational cosine (0, 60, 90, 120, 180 degrees) are
 returned exactly, and so are the squared sines of the angles with rational
 squared cosine (those and 30, 45, 135, 150 degrees); everything else gets a
 thin certified enclosure.  The window edge where cos^2/sin^4 meets a
-threshold (:func:`angle_range_from_threshold`) is a grid cell decided by
-the signs of such enclosures; no inverse function is evaluated.
+threshold T (:func:`angle_range_from_threshold`) is a grid cell decided by
+the sign of cos^2 - T sin^4, which is that of cos^2/sin^4 - T on (0, 180)
+degrees and needs neither a division nor a pole case; no inverse function
+is evaluated.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "QuadraticSurd",
     "AngleDeg",
     "DegenerateQuadraticError",
-    "SingularAngleError",
     "to_fraction",
     "sqrt_fraction_enclosure",
     "pi_interval",
@@ -59,7 +60,6 @@ __all__ = [
     "quadratic_real_roots",
     "Polynomial",
     "angle_range_from_threshold",
-    "cos2_over_sin4",
 ]
 
 Rational = Fraction
@@ -91,10 +91,6 @@ _RATIONAL_SIN = {Fraction(0): Fraction(0), Fraction(90): Fraction(1), Fraction(1
 
 class DegenerateQuadraticError(ValueError):
     """Raised when a quadratic solver receives a zero leading coefficient."""
-
-
-class SingularAngleError(ValueError):
-    """Raised when an angle-dependent quantity is evaluated at a pole."""
 
 
 def to_fraction(value: RationalLike) -> Fraction:
@@ -916,21 +912,16 @@ def _interior_angle(theta: Union[AngleDeg, RationalLike]) -> AngleDeg:
 # ---------------------------------------------------------------------------
 
 
-def cos2_over_sin4(theta: AngleDeg) -> Interval:
-    """Certified enclosure of cos^2(theta) / sin^4(theta).
+def _window_gap(theta: AngleDeg, threshold: Fraction) -> Interval:
+    """Certified enclosure of cos^2(theta) - T sin^4(theta) for T > 0.
 
-    Both come from one cosine enclosure, as sin^2 and cos^2 = 1 - sin^2,
-    so the quotient is exact at the angles with rational cos^2 (30, 45,
-    60, 90, 120, 135 and 150 degrees).  Raises :class:`SingularAngleError`
-    when the angle enclosure touches 0 or 180 degrees, where the quantity
-    blows up, or when sin^2 cannot be separated from 0.
+    On (0, 180) degrees it has the sign of cos^2/sin^4 - T.  It is written
+    as 1 - s2 - T s2^2 on the one sin^2 enclosure s2, where both terms fall
+    as s2 grows, so the enclosure is tight: exact where cos^2 is rational
+    (0, 30, 45, 60, 90, 120, 135, 150 and 180 degrees), and 1 at 0 and 180.
     """
-    if theta.value.contains(Fraction(0)) or theta.value.contains(Fraction(180)):
-        raise SingularAngleError(f"cos^2/sin^4 is singular at {theta}")
     s2 = theta.sin_squared()
-    if s2.lo <= 0:
-        raise SingularAngleError(f"angle enclosure too close to a pole: {theta}")
-    return (1 - s2) / s2.square()
+    return 1 - s2 - threshold * s2.square()
 
 
 def angle_range_from_threshold(
@@ -943,14 +934,15 @@ def angle_range_from_threshold(
     and cos^2(theta_min)/sin^4(theta_min) = T, theta_min in (0, 90), where
     the left side falls strictly from +inf to 0.  So theta_min is found by
     bisection over the grid points i * tol_deg, each probe decided by the
-    strict sign of the enclosure of cos^2/sin^4 - T there; the ends, 0 and
-    90 degrees, are never evaluated.  theta_min is the grid cell where the
-    sign changes, clipped at 90, or the grid point where cos^2/sin^4 is
-    exactly T, and theta_max mirrors it; the inward-rounded window
-    [theta_min.hi, theta_max.lo] is contained in the true one.  A float
-    estimate picks the first two probes, so two enclosures usually decide
-    the cell, but it decides no sign.  A probe whose enclosure contains T
-    without being exactly T raises ValueError.
+    strict sign of the enclosure of cos^2 - T sin^4 there, which is the
+    sign of cos^2/sin^4 - T; the ends, 0 and 90 degrees, are never
+    evaluated.  theta_min is the grid cell where the sign changes, clipped
+    at 90, or the grid point where cos^2 = T sin^4 exactly, and theta_max
+    mirrors it; the inward-rounded window [theta_min.hi, theta_max.lo] is
+    contained in the true one.  A float estimate picks the first two
+    probes, so two enclosures usually decide the cell, but it decides no
+    sign.  A probe whose enclosure contains 0 without being exactly 0
+    raises ValueError.
     """
     T = to_fraction(threshold)
     tol = to_fraction(tol_deg)
@@ -966,13 +958,13 @@ def angle_range_from_threshold(
     u = 2 * t / ((2 * t + 1) + math.sqrt(4 * t + 1))
     guess = math.floor(Fraction(math.degrees(math.acos(math.sqrt(u)))) / tol)
 
-    lo, hi = 0, math.ceil(90 / tol)  # cos^2/sin^4 - T is + at 0 degrees and - at 90
+    lo, hi = 0, math.ceil(90 / tol)  # cos^2 - T sin^4 is + at 0 degrees and - at 90
     probes = [guess, guess + 1]
     while hi - lo > 1:
         i = probes.pop(0) if probes else (lo + hi) // 2
         if not lo < i < hi:
             continue
-        gap = cos2_over_sin4(AngleDeg.from_degrees(i * tol)) - T
+        gap = _window_gap(AngleDeg.from_degrees(i * tol), T)
         if gap.lo > 0:
             lo = i
         elif gap.hi < 0:

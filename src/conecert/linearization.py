@@ -72,14 +72,11 @@ class CertifiedRatioReport(Record):
     ratio enclosures and the bound check are exact rational arithmetic.
     """
 
-    __slots__ = (
-        "theta_deg", "directions", "seed", "ratio_enclosure_lo", "ratio_enclosure_hi",
-        "all_in_band", "bound_certified",
-    )
+    __slots__ = ("ratio_enclosure_lo", "ratio_enclosure_hi", "all_in_band", "bound_certified")
 
     def __init__(
-        self, theta_deg: float, directions: int, seed: int, ratio_enclosure_lo: float,
-        ratio_enclosure_hi: float, all_in_band: bool, bound_certified: bool,
+        self, ratio_enclosure_lo: float, ratio_enclosure_hi: float, all_in_band: bool,
+        bound_certified: bool,
     ) -> None:
         _fill(self, locals())
 
@@ -131,9 +128,6 @@ def remainder_ratio_certified(theta: AngleLike, directions: int, seed: int = 42)
     if hull is None:
         hull = Interval.point(Fraction(0))
     return CertifiedRatioReport(
-        theta_deg=float(theta.value.mid),
-        directions=directions,
-        seed=seed,
         ratio_enclosure_lo=float(hull.lo),
         ratio_enclosure_hi=float(hull.hi),
         all_in_band=all_in,

@@ -421,9 +421,9 @@ def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orienta
     the admissible k), which makes it a smoke check far from the reference
     normal.
 
-    Returns per-row arrays (``g2``, ``ip``, ``applicable``, the ``slacks``
-    and the ``violated`` masks, both keyed by bound name, conditional bounds
-    first) and the scalars ``c_small`` and ``c_big``.
+    Returns per-row arrays (``ip``, ``applicable``, the ``slacks`` and the
+    ``violated`` masks, both keyed by bound name, conditional bounds first)
+    and the scalars ``c_small`` and ``c_big``.
     """
     import numpy as np
 
@@ -466,7 +466,6 @@ def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orienta
     violated = {name: applicable & ~(slacks[name] >= -1e-12) for name in conditional}
     violated["signed_gap"] = ~(slacks["signed_gap"] >= -1e-12)
     return {
-        "g2": g_sq,
         "ip": ip,
         "applicable": applicable,
         "slacks": slacks,
@@ -529,14 +528,13 @@ class IdentityCampaignResult(Record):
     """Worst-case residuals over a random sweep of unit normals."""
 
     __slots__ = (
-        "samples", "seed", "max_gradient_residual", "max_frame_sum_residual",
-        "max_wedge_sum_residual", "max_j_over_g2", "min_g_squared", "fallback_count",
+        "samples", "max_gradient_residual", "max_frame_sum_residual", "max_wedge_sum_residual",
+        "max_j_over_g2", "fallback_count",
     )
 
     def __init__(
-        self, samples: int, seed: int, max_gradient_residual: float, max_frame_sum_residual: float,
-        max_wedge_sum_residual: float, max_j_over_g2: float, min_g_squared: float,
-        fallback_count: int,
+        self, samples: int, max_gradient_residual: float, max_frame_sum_residual: float,
+        max_wedge_sum_residual: float, max_j_over_g2: float, fallback_count: int,
     ) -> None:
         _fill(self, locals())
 
@@ -553,7 +551,6 @@ class _IdentityFold:
         self.sin_sq = params.sin_squared
         # Running maxima of the gradient, frame-sum and wedge-sum residuals and of jfrak / g^2.
         self.worst = [-math.inf] * 4
-        self.min_g2 = math.inf
         self.fallbacks = 0
 
     def add(self, nu: np.ndarray, projections: tuple) -> None:
@@ -580,18 +577,15 @@ class _IdentityFold:
         self.worst = np.maximum(
             self.worst, [np.max(grad_res), np.max(frame["res_sum"]), np.max(frame["res_wedge"]), np.max(j_ratio)]
         )
-        self.min_g2 = np.minimum(self.min_g2, np.min(t.g2))
         self.fallbacks += int(small.size)
 
-    def result(self, samples: int, seed: int) -> IdentityCampaignResult:
+    def result(self, samples: int) -> IdentityCampaignResult:
         return IdentityCampaignResult(
             samples=samples,
-            seed=seed,
             max_gradient_residual=float(self.worst[0]),
             max_frame_sum_residual=float(self.worst[1]),
             max_wedge_sum_residual=float(self.worst[2]),
             max_j_over_g2=float(self.worst[3]),
-            min_g_squared=float(self.min_g2),
             fallback_count=self.fallbacks,
         )
 
@@ -607,9 +601,8 @@ def identity_campaigns(
     turn, so the results, in the order of ``params_seq``, are those of one
     draw per configuration; the configurations must share the graph
     dimension.  Rows with g^2 below 1e-4 are recomputed by
-    ``_identity_row_exact`` before residuals are aggregated; the extrema
-    fold with ``np.maximum``/``np.minimum``, so a NaN residual reaches the
-    result.
+    ``_identity_row_exact`` before residuals are aggregated; the maxima
+    fold with ``np.maximum``, so a NaN residual reaches the result.
     """
     import numpy as np
 
@@ -625,7 +618,7 @@ def identity_campaigns(
         projections = _tangent_projections(nu)
         for fold in folds:
             fold.add(nu, projections)
-    return [fold.result(samples, seed) for fold in folds]
+    return [fold.result(samples) for fold in folds]
 
 
 def _identity_row_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> dict:
@@ -655,15 +648,14 @@ class AppendixCampaignResult(Record):
     """Worst-case comparison-bound slacks over a ball of graph gradients."""
 
     __slots__ = (
-        "samples", "seed", "max_g_squared", "c_small", "all_applicable", "min_slack_gradient_shift",
-        "min_slack_normal_gap", "min_slack_gradient_size", "min_slack_tilt_vs_gap",
-        "min_signed_gap_slack", "violation_count",
+        "samples", "c_small", "all_applicable", "min_slack_gradient_shift", "min_slack_normal_gap",
+        "min_slack_gradient_size", "min_slack_tilt_vs_gap", "min_signed_gap_slack", "violation_count",
     )
 
     def __init__(
-        self, samples: int, seed: int, max_g_squared: float, c_small: float, all_applicable: bool,
-        min_slack_gradient_shift: float, min_slack_normal_gap: float, min_slack_gradient_size: float,
-        min_slack_tilt_vs_gap: float, min_signed_gap_slack: float, violation_count: int,
+        self, samples: int, c_small: float, all_applicable: bool, min_slack_gradient_shift: float,
+        min_slack_normal_gap: float, min_slack_gradient_size: float, min_slack_tilt_vs_gap: float,
+        min_signed_gap_slack: float, violation_count: int,
     ) -> None:
         _fill(self, locals())
 
@@ -680,7 +672,6 @@ class _AppendixFold:
         self.center = np.zeros(n)
         self.center[0] = -cot if orientation == "up" else cot
         self.c_small = None
-        self.max_g2 = -np.inf
         self.all_applicable = True
         self.min_slacks = {}
         self.violations = 0
@@ -690,17 +681,14 @@ class _AppendixFold:
 
         out = _appendix_slacks(self.center[None, :] + offsets, self.k, self.c, self.s, self.orientation)
         self.c_small = out["c_small"]
-        self.max_g2 = np.maximum(self.max_g2, np.max(out["g2"]))
         self.all_applicable = self.all_applicable and bool(np.all(out["applicable"]))
         for name, values in out["slacks"].items():
             self.min_slacks[name] = np.minimum(self.min_slacks.get(name, np.inf), np.min(values))
         self.violations += sum(int(np.count_nonzero(hit)) for hit in out["violated"].values())
 
-    def result(self, samples: int, seed: int) -> AppendixCampaignResult:
+    def result(self, samples: int) -> AppendixCampaignResult:
         return AppendixCampaignResult(
             samples=samples,
-            seed=seed,
-            max_g_squared=float(self.max_g2),
             c_small=self.c_small,
             all_applicable=self.all_applicable,
             min_slack_gradient_shift=float(self.min_slacks["gradient_shift"]),
@@ -747,4 +735,4 @@ def appendix_campaigns(
         offsets = radii[:, None] * dirs
         for fold in folds:
             fold.add(offsets)
-    return [fold.result(samples, seed) for fold in folds]
+    return [fold.result(samples) for fold in folds]

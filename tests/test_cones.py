@@ -3,10 +3,11 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conecert import cones
@@ -372,6 +373,59 @@ def test_table_respects_tolerance_parameter():
     assert [r.n_theta for r in coarse.rows] == [r.n_theta for r in fine.rows]
     for c, f in zip(coarse.rows[:-1], fine.rows[:-1]):
         assert f.hi_enclosure.width <= c.hi_enclosure.width
+
+
+def _mp(x):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+def _reference_n_theta(theta):
+    """n_theta at a rational angle from 60-digit mpmath: n + 1 for the first n = 6, 5, 4
+    with cos^2 < T_n sin^4, else 4; None within 1e-50 of a breakpoint."""
+    with mp.workdps(60):
+        x = mp.radians(_mp(theta))
+        cos2, sin2 = mp.cos(x) ** 2, mp.sin(x) ** 2
+        for n in (6, 5, 4):
+            gap = cos2 - _mp(EXPECTED_M[n]) * sin2 ** 2
+            if abs(gap) < mp.mpf(10) ** -50:
+                return None
+            if gap < 0:
+                return n + 1
+        return 4
+
+
+def _breakpoint(n):
+    """The n breakpoint 180 - acos(sqrt(u)) degrees, T (1 - u)^2 = u, rounded to a multiple of 1e-90."""
+    with mp.workdps(120):
+        t = _mp(EXPECTED_M[n])
+        u = (2 * t + 1 - mp.sqrt(4 * t + 1)) / (2 * t)
+        return Fraction(int(mp.nint((180 - mp.degrees(mp.acos(mp.sqrt(u)))) * 10**90)), 10**90)
+
+
+@given(
+    st.fractions(min_value=0, max_value=180, max_denominator=10**6).filter(lambda x: 0 < x < 180),
+    st.sampled_from([Fraction(7), Fraction(100), Fraction(1, 10), Fraction(1, 1000)]),
+)
+@settings(max_examples=100, deadline=None)
+@example(theta=Fraction(104), tol=Fraction(7))  # n = 6: the n = 5 breakpoint is near 106.665
+# Inside the boundary cells of the 1/1000 table, one angle on each side of the breakpoint.
+@example(theta=Fraction("94.5802"), tol=Fraction(1, 1000))
+@example(theta=Fraction("94.5804"), tol=Fraction(1, 1000))
+@example(theta=Fraction("106.6649"), tol=Fraction(1, 1000))
+@example(theta=Fraction("106.6650"), tol=Fraction(1, 1000))
+@example(theta=Fraction("128.3460"), tol=Fraction(1, 1000))
+@example(theta=Fraction("128.3461"), tol=Fraction(1, 1000))
+@example(theta=Fraction("85.4196"), tol=Fraction(1, 10))  # the supplement of 94.5804
+def test_classify_matches_a_60_digit_reference_at_every_tolerance(theta, tol):
+    expected = _reference_n_theta(theta)
+    assume(expected is not None)
+    assert cones.n_theta_table(tol).classify(theta) == expected
+
+
+def test_classify_refuses_an_angle_it_cannot_separate_from_a_breakpoint():
+    # Within 1e-80 degrees of the n = 5 breakpoint every enclosure of the gap straddles 0.
+    with pytest.raises(ValueError, match="cannot separate"):
+        cones.n_theta_table(Fraction(1, 1000)).classify(_breakpoint(5))
 
 
 # ---------------------------------------------------------------------------

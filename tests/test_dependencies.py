@@ -1,6 +1,7 @@
 """The package imports only the standard library and its declared runtime dependencies,
 every top-level definition is reached from a command or an export, every method is
-referenced, and every parameter default is overridden by some call."""
+referenced, every record field is read, and every parameter default is overridden
+by some call."""
 
 import ast
 import importlib
@@ -291,3 +292,32 @@ def test_every_method_is_referenced_in_the_package():
         and not overrides_a_foreign_base(module, cls, node.name)
     )
     assert unreferenced == []
+
+
+def _record_slots(tree):
+    """(class name, field) for every slot of a top-level class derived from Record."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and "Record" in map(ast.unparse, node.bases):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and ast.unparse(item.targets[0]) == "__slots__":
+                    for name in ast.literal_eval(item.value):
+                        yield node.name, name
+
+
+def test_every_record_field_is_read():
+    # A field that nothing reads is computed and carried by every record for no caller;
+    # Record's generic ==, hash and repr read fields by name, which does not count.
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{module}.{cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name in _record_slots(tree)
+        if name not in loaded
+    )
+    assert unread == []

@@ -15,10 +15,9 @@ from conecert.exact import (
     Interval,
     Polynomial,
     QuadraticSurd,
-    SingularAngleError,
+    _window_gap,
     angle_range_from_threshold,
     compare,
-    cos2_over_sin4,
     pi_interval,
     quadratic_real_roots,
     sqrt_fraction_enclosure,
@@ -522,9 +521,9 @@ def test_window_edge_is_a_grid_cell_around_the_root(t, tol):
     theta_min, _ = angle_range_from_threshold(t, tol)
     lo, hi = theta_min.value.lo, theta_min.value.hi
     assert (lo / tol).denominator == (hi / tol).denominator == 1
-    gap_lo = cos2_over_sin4(AngleDeg.from_degrees(lo)) - t
-    gap_hi = cos2_over_sin4(AngleDeg.from_degrees(hi)) - t
-    if theta_min.is_point:  # cos^2/sin^4 equals t exactly at a grid point
+    gap_lo = _window_gap(AngleDeg.from_degrees(lo), t)
+    gap_hi = _window_gap(AngleDeg.from_degrees(hi), t)
+    if theta_min.is_point:  # cos^2 = t sin^4 exactly at a grid point
         assert gap_lo.lo == gap_lo.hi == 0
     else:
         # cos^2/sin^4 falls strictly on (0, 90), so the root lies strictly inside.
@@ -585,29 +584,31 @@ def test_angle_window_properties(t):
     assert theta_min.value.width <= tol
     assert 0 < theta_min.value.lo and theta_min.value.hi < 90
     # The window edge satisfies the defining equation: the enclosure of
-    # cos^2/sin^4 over the edge interval must contain the threshold.
+    # cos^2 - t sin^4 over the edge interval must contain 0.
     edge = AngleDeg(theta_min.value)
-    assert cos2_over_sin4(edge).contains(t)
+    assert _window_gap(edge, t).contains(0)
 
 
-def test_cos2_over_sin4_special_values():
-    ninety = cos2_over_sin4(AngleDeg.from_degrees(90))
-    assert ninety.lo == ninety.hi == 0
-    sixty = cos2_over_sin4(AngleDeg.from_degrees(60))
-    assert sixty.lo == sixty.hi == Fraction(1, 4) / Fraction(9, 16)
-    # Exact at every rational angle with rational cos^2 (Niven's theorem).
-    for deg, value in ((30, 12), (45, 2), (120, Fraction(4, 9)), (135, 2), (150, 12)):
-        q = cos2_over_sin4(AngleDeg.from_degrees(deg))
-        assert q.lo == q.hi == value
-    with pytest.raises(SingularAngleError):
-        cos2_over_sin4(AngleDeg.from_degrees(0))
-    with pytest.raises(SingularAngleError):
-        cos2_over_sin4(AngleDeg.from_degrees(180))
+def test_window_gap_special_values():
+    # Exact at every rational angle with rational cos^2 (Niven's theorem):
+    # cos^2/sin^4 is 0, 4/9, 12 and 2 there, so the gap vanishes at that threshold.
+    for deg, cos2, value in (
+        (90, 0, 0), (60, Fraction(1, 4), Fraction(4, 9)), (30, Fraction(3, 4), 12), (45, Fraction(1, 2), 2),
+        (120, Fraction(1, 4), Fraction(4, 9)), (135, Fraction(1, 2), 2), (150, Fraction(3, 4), 12),
+    ):
+        angle = AngleDeg.from_degrees(deg)
+        assert _window_gap(angle, value) == Interval.point(0)
+        for t in (Fraction(1, 3), Fraction(7)):
+            assert _window_gap(angle, t) == Interval.point(cos2 - t * (1 - cos2) ** 2)
+    # No pole: at 0 and 180 degrees sin^2 = 0, so the gap is cos^2 = 1 at any threshold.
+    for deg in (0, 180):
+        for t in (Fraction(1, 3), Fraction(7)):
+            assert _window_gap(AngleDeg.from_degrees(deg), t) == Interval.point(1)
 
 
 @given(st.fractions(min_value=1, max_value=89, max_denominator=360))
 @settings(max_examples=30, deadline=None)
-def test_cos2_over_sin4_supplement_symmetry(deg):
-    a = cos2_over_sin4(AngleDeg.from_degrees(deg))
-    b = cos2_over_sin4(AngleDeg.from_degrees(180 - deg))
+def test_window_gap_supplement_symmetry(deg):
+    a = _window_gap(AngleDeg.from_degrees(deg), Fraction(2))
+    b = _window_gap(AngleDeg.from_degrees(180 - deg), Fraction(2))
     assert a.overlaps(b)

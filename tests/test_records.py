@@ -19,23 +19,19 @@ RECORDS = {
     cones.SupResult: lambda: cones.SupResult(
         QuadraticSurd(0, F(1, 6), 6), F(1, 6), cones.TwoValuePoint(1, 1, F(1), F(-1)), "enumeration", True
     ),
-    cones.BruteForceResult: lambda: cones.BruteForceResult(0.4, (0.6, -0.8), 10_000, 42),
+    cones.BruteForceResult: lambda: cones.BruteForceResult(0.4, (0.6, -0.8), 10_000),
     cones.ConeParams: lambda: cones.ConeParams(4, F(14, 33), F(1, 15), 1, F(1, 6)),
     cones.ConstraintReport: lambda: cones.constraint_holds(cones.calibrated_defaults(5)),
-    cones.NThetaRow: lambda: cones.NThetaRow(F(90), F(95), 7, Interval(90, 90), Interval(94, 95)),
+    cones.NThetaRow: lambda: cones.NThetaRow(F(90), F(95), 7, Interval(94, 95)),
     cones.NThetaTable: lambda: cones.NThetaTable(
-        (cones.NThetaRow(F(90), F(180), 7, Interval(90, 90), Interval(180, 180)),), F(1, 1000)
+        (cones.NThetaRow(F(90), F(180), 7, Interval(180, 180)),), F(1, 1000)
     ),
     cones.OptimizeResult: lambda: cones.optimize_params(5),
     cones.N3Report: lambda: cones.n3_coefficients(F(1, 10)),
-    linearization.CertifiedRatioReport: lambda: linearization.CertifiedRatioReport(
-        120.0, 64, 42, 3.9, 4.1, True, True
-    ),
+    linearization.CertifiedRatioReport: lambda: linearization.CertifiedRatioReport(3.9, 4.1, True, True),
     tilt.TiltParams: lambda: tilt.TiltParams(AngleDeg(120), F(1, 2), 3),
-    tilt.IdentityCampaignResult: lambda: tilt.IdentityCampaignResult(1000, 42, 0.0, 1e-16, 2e-16, 1.0, 0.1, 0),
-    tilt.AppendixCampaignResult: lambda: tilt.AppendixCampaignResult(
-        1000, 42, 1e-3, 1e-2, True, 0.1, 0.2, 0.3, 0.4, 0.5, 0
-    ),
+    tilt.IdentityCampaignResult: lambda: tilt.IdentityCampaignResult(1000, 0.0, 1e-16, 2e-16, 1.0, 0),
+    tilt.AppendixCampaignResult: lambda: tilt.AppendixCampaignResult(1000, 1e-2, True, 0.1, 0.2, 0.3, 0.4, 0.5, 0),
 }
 
 

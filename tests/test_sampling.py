@@ -53,12 +53,10 @@ def _identity_one_shot(params, samples, seed):
         j_ratio[idx] = res["j_ratio"]
     return tilt.IdentityCampaignResult(
         samples=samples,
-        seed=seed,
         max_gradient_residual=float(np.max(grad_res)),
         max_frame_sum_residual=float(np.max(frame["res_sum"])),
         max_wedge_sum_residual=float(np.max(frame["res_wedge"])),
         max_j_over_g2=float(np.max(j_ratio)),
-        min_g_squared=float(np.min(t.g2)),
         fallback_count=int(small.size),
     )
 
@@ -76,8 +74,6 @@ def _appendix_one_shot(n, theta, orientation, samples, seed):
     slacks = out["slacks"]
     return tilt.AppendixCampaignResult(
         samples=samples,
-        seed=seed,
-        max_g_squared=float(np.max(out["g2"])),
         c_small=out["c_small"],
         all_applicable=bool(np.all(out["applicable"])),
         min_slack_gradient_shift=float(np.min(slacks["gradient_shift"])),
@@ -113,7 +109,6 @@ def _oracle_one_shot(m, q, samples, seed):
         value=float(np.abs(final[best])),
         witness=tuple(float(c) for c in np.sort(top[best])[::-1]),
         samples=samples,
-        seed=seed,
     )
 
 

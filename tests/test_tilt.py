@@ -466,7 +466,6 @@ def test_appendix_campaign_vectorized_matches_pointwise():
                     return min(float(out["slacks"][name][0]) for out in outs)
 
                 config = (n, theta_deg, orientation)
-                assert max(float(out["g2"][0]) for out in outs) == res.max_g_squared, config
                 assert worst("gradient_shift") == res.min_slack_gradient_shift, config
                 assert worst("normal_gap") == res.min_slack_normal_gap, config
                 assert worst("gradient_size") == res.min_slack_gradient_size, config
