@@ -176,60 +176,60 @@ def _signed_gap(inner_product, g2):
 
 
 def _tangent_projections(nu: np.ndarray) -> tuple:
-    """e1^T, e_{n+1}^T, nu_last e_{n+1}^T and |e_{n+1}^T|^2 at an (N, n+1) array of unit normals.
+    """Gram entries |e1^T|^2, <e1^T, e_{n+1}^T> and |e_{n+1}^T|^2 at an (N, n+1) array of unit normals.
 
     For a fixed vector v, the tangential projection is v^T = v - <v, nu> nu.
-    These terms depend on the normals alone, so configurations that share a
+    The entries are reduced from the two projection vectors themselves, not
+    read off their unit-normal closed forms 1 - nu1^2, -nu1 nu_last and
+    1 - nu_last^2, which ``_frame_defects`` and the symbolic certificate
+    use; so the float check built on them shares no formula with the exact
+    one.  They depend on the normals alone, so configurations that share a
     draw share them.
     """
     import numpy as np
 
-    nu1 = nu[:, 0]
-    nup = nu[:, -1]
-    e1_t = -nu1[:, None] * nu
+    e1_t = -nu[:, :1] * nu
     e1_t[:, 0] += 1.0
-    ep_t = -nup[:, None] * nu
+    ep_t = -nu[:, -1:] * nu
     ep_t[:, -1] += 1.0
-    return e1_t, ep_t, nup[:, None] * ep_t, np.einsum("ij,ij->i", ep_t, ep_t)
+    return tuple(np.einsum("ij,ij->i", u, v) for u, v in ((e1_t, e1_t), (e1_t, ep_t), (ep_t, ep_t)))
 
 
-def _frame_terms(projections: tuple, k: float, sin_sq: float, t: _TiltTerms) -> dict:
+def _frame_terms(gram: tuple, nu_last, k: float, sin_sq: float, t: _TiltTerms) -> dict:
     """Vectorised frame quantities at N unit normals.
 
-    ``projections`` is ``_tangent_projections`` of the normals and ``t``
-    the caller's ``_tilt_terms`` of the same rows.  Builds the projections
-    a1 = sqrt(1-k) e1^T, a2 = e_{n+1}^T, a3 = (bfrak e1^T + nu_last e_{n+1}^T)/g
-    as explicit ambient vectors, for the two identities
+    ``gram`` is ``_tangent_projections`` of the normals, ``nu_last`` their
+    last components and ``t`` the caller's ``_tilt_terms`` of the same rows.
+    The projections a1 = sqrt(1-k) e1^T, a2 = e_{n+1}^T and
+    a3 = (bfrak e1^T + nu_last e_{n+1}^T)/g are per-row combinations of
+    e1^T and e_{n+1}^T, so by bilinearity every product in the two identities
 
         sum |a_i|^2      = 1 + (1 - k sin^2 theta) w,
         sum |a_i ^ a_j|^2 = (1 - k sin^2 theta) w,
 
-    with w = cfrak / g^2 in [0, 1].  This is the float reference
-    for the Gram forms of ``_frame_defects`` (which the symbolic
-    certificate and the rational fallback use), so it keeps its own
-    independent construction instead of reusing them.
+    with w = cfrak / g^2 in [0, 1], is a combination of the three Gram
+    entries, and a configuration costs O(N) scalar work.  This is the float
+    reference for the closed forms of ``_frame_defects`` (which the symbolic
+    certificate and the rational fallback use); it stays independent of
+    them because the Gram entries come from the projection vectors.
     """
     import numpy as np
 
-    e1_t, ep_t, nup_ep_t, a2sq = projections
-    g = np.sqrt(np.maximum(t.g2, 0.0))
+    g11, g12, g22 = gram
+    b = t.bfrak
+    root = math.sqrt(1.0 - k)
+    a1sq = (1.0 - k) * g11
+    # g^2 |a3|^2, g <a1, a3> and g <a2, a3>; the division by g^2 comes last.
+    a3sq_g2 = b * b * g11 + 2.0 * b * nu_last * g12 + nu_last * nu_last * g22
+    a1a3_g = root * (b * g11 + nu_last * g12)
+    a2a3_g = b * g12 + nu_last * g22
     with np.errstate(divide="ignore", invalid="ignore"):
-        a3 = (t.bfrak[:, None] * e1_t + nup_ep_t) / g[:, None]
-
-    a1 = math.sqrt(1.0 - k) * e1_t
-    a2 = ep_t
-
-    def dot(u, v):
-        return np.einsum("ij,ij->i", u, v)
-
-    a1sq, a3sq = dot(a1, a1), dot(a3, a3)
-    w12 = a1sq * a2sq - dot(a1, a2) ** 2
-    w13 = a1sq * a3sq - dot(a1, a3) ** 2
-    w23 = a2sq * a3sq - dot(a2, a3) ** 2
-
-    with np.errstate(divide="ignore", invalid="ignore"):
+        a3sq = a3sq_g2 / t.g2
+        w13 = (a1sq * a3sq_g2 - a1a3_g ** 2) / t.g2
+        w23 = (g22 * a3sq_g2 - a2a3_g ** 2) / t.g2
         w = t.cfrak / t.g2
-    sum_sq = a1sq + a2sq + a3sq
+    w12 = a1sq * g22 - (root * g12) ** 2
+    sum_sq = a1sq + g22 + a3sq
     sum_wedge = w12 + w13 + w23
     factor = 1.0 - k * sin_sq
     return {
@@ -404,8 +404,9 @@ def _appendix_inputs(n: int, theta: AngleDeg, orientation: str):
     return default_k(n), float(theta.cos()), float(theta.sin())
 
 
-def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orientation: str) -> dict:
-    """The comparison-bound slacks at an (N, n) array of graph gradients.
+def _appendix_slacks(first: np.ndarray, rho: np.ndarray, k: Fraction, c: float, s: float, orientation: str) -> dict:
+    """The comparison-bound slacks at N graph gradients Du, given as the
+    first components Du_1 and rho = |Du'|^2, the squared norm of the rest.
 
     The four conditional bounds hold under the applicability threshold
     g^2 <= c_small = min(k sin^2(theta)/64, sqrt(k/(k + 1 + 16/sin^2 theta))).
@@ -421,42 +422,41 @@ def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orienta
     the admissible k), which makes it a smoke check far from the reference
     normal.
 
-    Returns per-row arrays (``ip``, ``applicable``, the ``slacks`` and the
+    The graph normal is nu = sigma (-Du, 1) / W with W = sqrt(1 + |Du|^2)
+    and sigma = +-1 by orientation, and nu_ref = (cos, 0, ..., sigma sin).
+    Only nu1, nu_last and the middle block's squared norm rho / W^2 enter,
+    so each slack is O(N) scalar work on Du_1 and rho.
+
+    Returns per-row arrays (``applicable``, the ``slacks`` and the
     ``violated`` masks, both keyed by bound name, conditional bounds first)
-    and the scalars ``c_small`` and ``c_big``.
+    and the scalar ``c_small``.
     """
     import numpy as np
 
-    n = grads.shape[1]
     kf = float(k)
     s2 = s * s
     cot = c / s
     sign = 1.0 if orientation == "up" else -1.0
-    du_sq = np.einsum("ij,ij->i", grads, grads)
+    du_sq = first ** 2 + rho
     W = np.sqrt(1.0 + du_sq)
-    nu = np.empty((grads.shape[0], n + 1))
-    nu[:, :n] = -sign * grads / W[:, None]
-    nu[:, n] = sign / W
-    ref = np.zeros(n + 1)
-    ref[0] = c
-    ref[n] = sign * s
-    ip = nu[:, 0] * c + nu[:, n] * (sign * s)
-    gap_sq = np.einsum("ij,ij->i", nu - ref[None, :], nu - ref[None, :])
-    g_sq = _tilt_terms(nu[:, 0], nu[:, -1], c, kf).g2
+    nu1 = -sign * first / W
+    nu_last = sign / W
+    ip = nu1 * c + nu_last * (sign * s)
+    gap_sq = (nu1 - c) ** 2 + rho / W ** 2 + (nu_last - sign * s) ** 2
+    g_sq = _tilt_terms(nu1, nu_last, c, kf).g2
 
     c_small = min(kf * s2 / 64.0, math.sqrt(kf / (kf + 1.0 + 16.0 / s2)))
-    c_big = 4.0 / s2 - 1.0
     big_c_theta = (4.0 / s2) * (3.0 + 2.0 * (cot * cot))
     gap_coeff = 1.0 / kf + 1.0 + 16.0 / (kf * s2)
     # The reference gradient is -cot(theta) e1 for "up", +cot(theta) e1 for
     # "down"; the first bound controls the distance of Du to it.
     shift = cot if orientation == "up" else -cot
-    du_shift_sq = (grads[:, 0] + shift) ** 2 + np.einsum("ij,ij->i", grads[:, 1:], grads[:, 1:])
+    du_shift_sq = (first + shift) ** 2 + rho
 
     slacks = {
         "gradient_shift": big_c_theta * gap_sq - du_shift_sq,
         "normal_gap": gap_coeff * g_sq - gap_sq,
-        "gradient_size": c_big - du_sq,
+        "gradient_size": (4.0 / s2 - 1.0) - du_sq,
         "tilt_vs_gap": _signed_gap(np.abs(ip), g_sq),
         "signed_gap": _signed_gap(ip, g_sq),
     }
@@ -465,14 +465,7 @@ def _appendix_slacks(grads: np.ndarray, k: Fraction, c: float, s: float, orienta
     # Written as "not >=" so that a NaN slack counts as a violation.
     violated = {name: applicable & ~(slacks[name] >= -1e-12) for name in conditional}
     violated["signed_gap"] = ~(slacks["signed_gap"] >= -1e-12)
-    return {
-        "ip": ip,
-        "applicable": applicable,
-        "slacks": slacks,
-        "violated": violated,
-        "c_small": c_small,
-        "c_big": c_big,
-    }
+    return {"applicable": applicable, "slacks": slacks, "violated": violated, "c_small": c_small}
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +546,7 @@ class _IdentityFold:
         self.worst = [-math.inf] * 4
         self.fallbacks = 0
 
-    def add(self, nu: np.ndarray, projections: tuple) -> None:
+    def add(self, nu: np.ndarray, gram: tuple) -> None:
         import numpy as np
 
         k = self.k
@@ -562,7 +555,7 @@ class _IdentityFold:
         jfrak, defect = _gradient_defect(nu1, nup, k, t)
         grad_res = np.abs(defect)
 
-        frame = _frame_terms(projections, k, self.sin_sq, t)
+        frame = _frame_terms(gram, nup, k, self.sin_sq, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             j_ratio = jfrak / t.g2
 
@@ -597,10 +590,10 @@ def identity_campaigns(
 
     Normals are drawn uniformly on the sphere (normalised Gaussians) with a
     fixed seed, in chunks of ``_sampling.CHUNK_ROWS`` rows.  Each chunk is
-    drawn and projected once and then evaluated for every configuration in
-    turn, so the results, in the order of ``params_seq``, are those of one
-    draw per configuration; the configurations must share the graph
-    dimension.  Rows with g^2 below 1e-4 are recomputed by
+    drawn and reduced to its Gram entries once and then evaluated for every
+    configuration in turn, so the results, in the order of ``params_seq``,
+    are those of one draw per configuration; the configurations must share
+    the graph dimension.  Rows with g^2 below 1e-4 are recomputed by
     ``_identity_row_exact`` before residuals are aggregated; the maxima
     fold with ``np.maximum``, so a NaN residual reaches the result.
     """
@@ -615,9 +608,9 @@ def identity_campaigns(
         raise ValueError("samples must be positive")
     folds = [_IdentityFold(params) for params in params_seq]
     for nu in unit_gaussian_chunks(np.random.default_rng(seed), samples, dims[0] + 1):
-        projections = _tangent_projections(nu)
+        gram = _tangent_projections(nu)
         for fold in folds:
-            fold.add(nu, projections)
+            fold.add(nu, gram)
     return [fold.result(samples) for fold in folds]
 
 
@@ -664,22 +657,20 @@ class _AppendixFold:
     """One configuration's ball centre and running extrema in ``appendix_campaigns``."""
 
     def __init__(self, n: int, theta: AngleDeg, orientation: str):
-        import numpy as np
-
         self.k, self.c, self.s = _appendix_inputs(n, theta, orientation)
         self.orientation = orientation
         cot = self.c / self.s
-        self.center = np.zeros(n)
-        self.center[0] = -cot if orientation == "up" else cot
+        # The centre's first coordinate; the others are 0.
+        self.center = -cot if orientation == "up" else cot
         self.c_small = None
         self.all_applicable = True
         self.min_slacks = {}
         self.violations = 0
 
-    def add(self, offsets: np.ndarray) -> None:
+    def add(self, first_offset: np.ndarray, rho: np.ndarray) -> None:
         import numpy as np
 
-        out = _appendix_slacks(self.center[None, :] + offsets, self.k, self.c, self.s, self.orientation)
+        out = _appendix_slacks(self.center + first_offset, rho, self.k, self.c, self.s, self.orientation)
         self.c_small = out["c_small"]
         self.all_applicable = self.all_applicable and bool(np.all(out["applicable"]))
         for name, values in out["slacks"].items():
@@ -715,10 +706,11 @@ def appendix_campaigns(
 
     The seed spawns two independent streams, one for the directions and
     one for the radii, so the sweep draws both chunk by chunk side by side.
-    The balls differ only in their centres, so each chunk of offsets
-    (radius times direction) is drawn once and moved to every
-    configuration's centre in turn; the results, in the order of
-    ``configurations``, are those of one draw per configuration.
+    The balls differ only in their centres' first coordinates, so each
+    chunk of offsets (radius times direction) is drawn and reduced once, to
+    its first column and the squared norm of the rest, and each
+    configuration adds its centre to that column; the results, in the order
+    of ``configurations``, are those of one draw per configuration.
     """
     import numpy as np
 
@@ -733,6 +725,8 @@ def appendix_campaigns(
     for dirs in unit_gaussian_chunks(dirs_rng, samples, n):
         radii = BALL_RADIUS * radii_rng.random(dirs.shape[0]) ** (1.0 / n)
         offsets = radii[:, None] * dirs
+        rest = offsets[:, 1:]
+        rho = np.einsum("ij,ij->i", rest, rest)
         for fold in folds:
-            fold.add(offsets)
+            fold.add(offsets[:, 0], rho)
     return [fold.result(samples) for fold in folds]

@@ -203,6 +203,6 @@ def test_criterion_11_selftest_determinism(capsys):
     )
     # Pinned: any change to the report bytes of the default configuration shows here.
     assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == (
-        "c62d5807a75f876819d34e33100d64cd29e304b6e641078d965b9bbff1ce3078"
+        "5ad953f5091deb7fa645669659944062ffc2af458f62e452e91721930d749064"
     )
     _announce(11, "two selftest --seed 42 runs byte-identical except wall-time, digest pinned")

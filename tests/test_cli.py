@@ -468,7 +468,7 @@ def test_selftest_runs_certified_quick(capsys):
     digest_rep = doc["reports"][-1]
     # Pinned: any change to the report bytes of this configuration shows here.
     assert digest_rep["payload"]["content_digest_sha256"] == (
-        "6995fe432938e5ba4bd6c5101513c0a4b68be32db35ef4310d306401f7197cac"
+        "8278c52595ce541ea7dc53e624c7f6c6728600010788242324c3465356d5c739"
     )
 
 
@@ -732,4 +732,4 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
     )
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
-    assert digest == "c62d5807a75f876819d34e33100d64cd29e304b6e641078d965b9bbff1ce3078"
+    assert digest == "5ad953f5091deb7fa645669659944062ffc2af458f62e452e91721930d749064"

@@ -41,7 +41,7 @@ def _identity_one_shot(params, samples, seed):
     t = tilt._tilt_terms(nu1, nup, cos_t, k)
     jfrak, defect = tilt._gradient_defect(nu1, nup, k, t)
     grad_res = np.abs(defect)
-    frame = tilt._frame_terms(tilt._tangent_projections(nu), k, params.sin_squared, t)
+    frame = tilt._frame_terms(tilt._tangent_projections(nu), nup, k, params.sin_squared, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         j_ratio = jfrak / t.g2
     small = np.flatnonzero(t.g2 < tilt._SMALL_G2)
@@ -61,16 +61,22 @@ def _identity_one_shot(params, samples, seed):
     )
 
 
-def _appendix_one_shot(n, theta, orientation, samples, seed):
-    """The comparison-bound kernel on the whole ball at once, drawn from the two streams the campaign uses."""
-    k, c, s = tilt._appendix_inputs(n, theta, orientation)
-    center = np.zeros(n)
-    center[0] = -c / s if orientation == "up" else c / s
+def _ball_offsets(n, samples, seed):
+    """The comparison balls' offsets from their centres, drawn whole from the campaign's two streams."""
     streams = np.random.SeedSequence(seed).spawn(2)
     dirs_rng, radii_rng = (np.random.default_rng(stream) for stream in streams)
     dirs = _one_shot_directions(dirs_rng, samples, n)
     radii = tilt.BALL_RADIUS * radii_rng.random(samples) ** (1.0 / n)
-    out = tilt._appendix_slacks(center[None, :] + radii[:, None] * dirs, k, c, s, orientation)
+    return radii[:, None] * dirs
+
+
+def _appendix_one_shot(n, theta, orientation, samples, seed):
+    """The comparison-bound kernel on the whole ball at once, drawn from the two streams the campaign uses."""
+    k, c, s = tilt._appendix_inputs(n, theta, orientation)
+    offsets = _ball_offsets(n, samples, seed)
+    center = -c / s if orientation == "up" else c / s
+    rho = np.einsum("ij,ij->i", offsets[:, 1:], offsets[:, 1:])
+    out = tilt._appendix_slacks(center + offsets[:, 0], rho, k, c, s, orientation)
     slacks = out["slacks"]
     return tilt.AppendixCampaignResult(
         samples=samples,
@@ -142,6 +148,110 @@ def test_shared_draw_campaigns_equal_one_shot_evaluation(samples, seed):
     assert shared == [
         _appendix_one_shot(4, theta, orientation, samples, seed) for theta, orientation in COMPARISON_CONFIGS
     ]
+
+
+def _explicit_frame_residuals(nu, k, sin_sq, t):
+    """res_sum and res_wedge from explicit ambient a1, a2, a3 vectors, each row's products by ``einsum``."""
+    nu1, nup = nu[:, 0], nu[:, -1]
+    e1_t = -nu1[:, None] * nu
+    e1_t[:, 0] += 1.0
+    ep_t = -nup[:, None] * nu
+    ep_t[:, -1] += 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a3 = (t.bfrak[:, None] * e1_t + nup[:, None] * ep_t) / np.sqrt(np.maximum(t.g2, 0.0))[:, None]
+        w = t.cfrak / t.g2
+    a1, a2 = np.sqrt(1.0 - k) * e1_t, ep_t
+
+    def dot(u, v):
+        return np.einsum("ij,ij->i", u, v)
+
+    sq1, sq2, sq3 = (dot(a, a) for a in (a1, a2, a3))
+    wedge = (sq1 * sq2 - dot(a1, a2) ** 2) + (sq1 * sq3 - dot(a1, a3) ** 2) + (sq2 * sq3 - dot(a2, a3) ** 2)
+    factor = 1.0 - k * sin_sq
+    return np.abs(sq1 + sq2 + sq3 - (1.0 + factor * w)), np.abs(wedge - factor * w)
+
+
+def _explicit_slacks(grads, k, c, s, orientation):
+    """The comparison-bound slacks from explicit (N, n) gradients and (N, n+1) graph normals."""
+    n, kf, sign = grads.shape[1], float(k), 1.0 if orientation == "up" else -1.0
+    du_sq = np.einsum("ij,ij->i", grads, grads)
+    W = np.sqrt(1.0 + du_sq)
+    nu = np.empty((grads.shape[0], n + 1))
+    nu[:, :n] = -sign * grads / W[:, None]
+    nu[:, n] = sign / W
+    ref = np.zeros(n + 1)
+    ref[0], ref[n] = c, sign * s
+    ip = nu @ ref
+    gap_sq = np.einsum("ij,ij->i", nu - ref, nu - ref)
+    g_sq = 1 - nu[:, 0] ** 2 - nu[:, n] ** 2 + kf * (c - nu[:, 0]) ** 2
+    shift = (c / s) * sign
+    du_shift = grads.copy()
+    du_shift[:, 0] += shift
+    return {
+        "gradient_shift": (4 / s**2) * (3 + 2 * (c / s) ** 2) * gap_sq - np.einsum("ij,ij->i", du_shift, du_shift),
+        "normal_gap": (1 / kf + 1 + 16 / (kf * s**2)) * g_sq - gap_sq,
+        "gradient_size": 4 / s**2 - 1 - du_sq,
+        "tilt_vs_gap": 2 * (1 - np.abs(ip)) - g_sq,
+        "signed_gap": 2 * (1 - ip) - g_sq,
+    }
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_reduced_kernels_agree_with_the_explicit_construction(seed):
+    samples = 3 * CHUNK
+    eps = np.finfo(float).eps
+    for n in cli._IDENTITY_DIMS:
+        nu = _one_shot_directions(np.random.default_rng(seed), samples, n + 1)
+        gram = tilt._tangent_projections(nu)
+        for params in _identity_grid(n):
+            k = params.k_float
+            t = tilt._tilt_terms(nu[:, 0], nu[:, -1], params.cos_theta, k)
+            out = tilt._frame_terms(gram, nu[:, -1], k, params.sin_squared, t)
+            kept = t.g2 >= tilt._SMALL_G2  # the other rows go to the rational fallback
+            # Both sides are rounding noise of order eps * |a3|^2 ~ eps / g^2: at most 1e-13 where g^2 >= 1e-2.
+            tol = 4 * eps * (1 + 1 / t.g2[kept])
+            explicit = _explicit_frame_residuals(nu, k, params.sin_squared, t)
+            for got, want in zip((out["res_sum"], out["res_wedge"]), explicit):
+                assert np.all(np.abs(got[kept] - want[kept]) <= tol), (n, params)
+    offsets = _ball_offsets(4, samples, seed)
+    rho = np.einsum("ij,ij->i", offsets[:, 1:], offsets[:, 1:])
+    for theta, orientation in COMPARISON_CONFIGS:
+        k, c, s = tilt._appendix_inputs(4, theta, orientation)
+        center = -c / s if orientation == "up" else c / s
+        slacks = tilt._appendix_slacks(center + offsets[:, 0], rho, k, c, s, orientation)["slacks"]
+        grads = offsets.copy()
+        grads[:, 0] += center
+        explicit = _explicit_slacks(grads, k, c, s, orientation)
+        assert slacks.keys() == explicit.keys()
+        for name, want in explicit.items():
+            assert np.max(np.abs(slacks[name] - want)) <= 1e-13, (theta, orientation, name)
+
+
+def _frame_terms_without_cross_term(gram, nu_last, k, sin_sq, t):
+    """``tilt._frame_terms`` with the 2 bfrak nu_last G12 term of g^2 |a3|^2 left out."""
+    g11, g12, g22 = gram
+    b, root = t.bfrak, np.sqrt(1.0 - k)
+    a1sq = (1.0 - k) * g11
+    a3sq_g2 = b * b * g11 + nu_last * nu_last * g22
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w13 = (a1sq * a3sq_g2 - (root * (b * g11 + nu_last * g12)) ** 2) / t.g2
+        w23 = (g22 * a3sq_g2 - (b * g12 + nu_last * g22) ** 2) / t.g2
+        a3sq, w = a3sq_g2 / t.g2, t.cfrak / t.g2
+    factor = 1.0 - k * sin_sq
+    sum_wedge = a1sq * g22 - (root * g12) ** 2 + w13 + w23
+    return {
+        "res_sum": np.abs(a1sq + g22 + a3sq - (1.0 + factor * w)),
+        "res_wedge": np.abs(sum_wedge - factor * w),
+    }
+
+
+def test_identity_campaign_fails_a_frame_kernel_missing_its_cross_term(monkeypatch):
+    def frame_residuals():
+        return [res.max_frame_sum_residual for res in tilt.identity_campaigns(_identity_grid(3), samples=CHUNK, seed=42)]
+
+    assert max(frame_residuals()) <= cli._FRAME_TOL
+    monkeypatch.setattr(tilt, "_frame_terms", _frame_terms_without_cross_term)
+    assert min(frame_residuals()) > cli._FRAME_TOL
 
 
 def test_shared_draw_campaigns_refuse_an_empty_or_mixed_grid_before_drawing(monkeypatch):

@@ -187,7 +187,7 @@ def test_frame_sum_identities_pointwise(raw, angle_k):
     params = params_for(theta, k, 3)
     nu = np.asarray([_normalized(raw)])
     t = tilt._tilt_terms(nu[:, 0], nu[:, -1], params.cos_theta, params.k_float)
-    out = tilt._frame_terms(tilt._tangent_projections(nu), params.k_float, params.sin_squared, t)
+    out = tilt._frame_terms(tilt._tangent_projections(nu), nu[:, -1], params.k_float, params.sin_squared, t)
     if out["g2"][0] < 1e-6:
         return  # near the tilt zeros the frame normalisation degenerates
     assert out["res_sum"][0] <= 1e-9
@@ -418,7 +418,8 @@ def _slacks_at(Du, theta, orientation="up"):
     """The comparison-bound slacks at one graph gradient: the campaigns' kernel on a batch of one."""
     grads = np.asarray(Du, dtype=float).reshape(1, -1)
     k, c, s = tilt._appendix_inputs(grads.shape[1], theta, orientation)
-    return tilt._appendix_slacks(grads, k, c, s, orientation)
+    rest = grads[:, 1:]
+    return tilt._appendix_slacks(grads[:, 0], np.einsum("ij,ij->i", rest, rest), k, c, s, orientation)
 
 
 @pytest.mark.parametrize("orientation", ["up", "down"])
