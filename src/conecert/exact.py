@@ -4,12 +4,14 @@ This module is the numerical foundation of the package.  Every quantity that
 feeds a certification verdict is represented either as an exact
 :class:`fractions.Fraction`, as an exact :class:`QuadraticSurd`
 ``a + b*sqrt(d)``, or as an :class:`Interval` with exact rational endpoints
-that provably contains the true real value.  Transcendental functions (pi,
-cos, sin) are computed here on ``_Dyadic``, the package's fixed-point
-interval type with integer ends at the scale 2^-256, rounded outward at
-every step: pi by Machin's formula, cos and sin by Taylor series widened
-by the Lagrange remainder bound.  No step of the pipeline silently rounds
-toward the wrong side.
+that provably contains the true real value.  Everything irrational is
+rounded outward to one grid, 2^-256: a square root is exact at the square
+of a rational and otherwise the floor or ceiling of the root on the grid;
+pi, cos and sin are computed on ``_Dyadic``, the fixed-point interval type
+with integer ends on the grid, rounded outward at every step: pi by
+Machin's formula, cos and sin by Taylor series widened by the Lagrange
+remainder bound.  No step of the pipeline silently rounds toward the wrong
+side.
 
 :class:`QuadraticSurd` is the one exact type for numbers in a quadratic
 field Q(sqrt d): its radicand is always squarefree, so equal numbers have
@@ -26,15 +28,14 @@ factor whose primality is not proven by that test.
 exponent tuples to rational coefficients.  Identities are proved by
 expanding both sides to the same polynomial.
 
-Angles are carried in degrees through :class:`AngleDeg`.  Cosines of the
-handful of angles with rational cosine (0, 60, 90, 120, 180 degrees) are
-returned exactly, and so are the squared sines of the angles with rational
-squared cosine (those and 30, 45, 135, 150 degrees); everything else gets a
-thin certified enclosure.  The window edge where cos^2/sin^4 meets a
-threshold T (:func:`angle_range_from_threshold`) is a grid cell decided by
-the sign of cos^2 - T sin^4, which is that of cos^2/sin^4 - T on (0, 180)
-degrees and needs neither a division nor a pole case; no inverse function
-is evaluated.
+Angles are carried in degrees through :class:`AngleDeg`.  At the nine
+special angles, those with rational cos^2 (0, 30, 45, 60, 90, 120, 135, 150
+and 180 degrees), cos and sin are square roots taken from one table of
+cos^2 and sin^2 is exact; other angles get a Taylor enclosure.  The window
+edge where cos^2/sin^4 meets a threshold T (:func:`angle_range_from_threshold`)
+is a grid cell decided by the sign of cos^2 - T sin^4, which is that of
+cos^2/sin^4 - T on (0, 180) degrees and needs neither a division nor a pole
+case; no inverse function is evaluated.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "AngleDeg",
     "DegenerateQuadraticError",
     "to_fraction",
-    "sqrt_fraction_enclosure",
     "pi_interval",
     "cos_interval",
     "compare",
@@ -65,28 +65,17 @@ __all__ = [
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
-# Scale used for rational square-root enclosures: endpoints are correct to
-# about 40 decimal digits.
-_SQRT_SCALE = 10 ** 40
+# The one grid of rounded results: a _Dyadic end k stands for k / 2^_DYADIC_BITS.
+_DYADIC_BITS = 256
+_DYADIC_ONE = 1 << _DYADIC_BITS
 
-# Angles (in degrees) whose cosine is rational, and that cosine.
-_SPECIAL_COS = {
-    Fraction(0): Fraction(1),
-    Fraction(60): Fraction(1, 2),
-    Fraction(90): Fraction(0),
-    Fraction(120): Fraction(-1, 2),
-    Fraction(180): Fraction(-1),
-}
-# Angles (in degrees) whose squared cosine is rational, and that square:
-# cos^2(x) = (1 + cos(2x)) / 2, and by Niven's theorem cos(2x) is rational
-# at a rational angle only at the angles above (modulo 360 and sign).
+# The angles (in degrees) in [0, 180] whose squared cosine is rational, and
+# that square: cos(2x) = 2 cos^2(x) - 1, and by Niven's theorem cos(2x) is
+# rational at a rational angle only where it is 0, +-1/2 or +-1.
 _SPECIAL_COS_SQUARED = {
-    angle: (1 + cos) / 2
-    for double, cos in _SPECIAL_COS.items()
-    for angle in (double / 2, 180 - double / 2)
+    0: Fraction(1), 30: Fraction(3, 4), 45: Fraction(1, 2), 60: Fraction(1, 4), 90: Fraction(0),
+    120: Fraction(1, 4), 135: Fraction(1, 2), 150: Fraction(3, 4), 180: Fraction(1),
 }
-# Angles (in degrees) whose sine is rational, and that sine.
-_RATIONAL_SIN = {Fraction(0): Fraction(0), Fraction(90): Fraction(1), Fraction(180): Fraction(0)}
 
 
 class DegenerateQuadraticError(ValueError):
@@ -104,32 +93,20 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def sqrt_fraction_enclosure(x: Fraction) -> "Interval":
-    """Certified enclosure of sqrt(x) for rational x >= 0.
-
-    Uses integer square roots of the numerator/denominator scaled by
-    ``_SQRT_SCALE``, so both endpoints are exact rationals and the
-    enclosure is exact whenever the scaled radicand is a perfect square (in
-    particular for x = (a/b)^2 with b dividing the scale).
-    """
-    if x < 0:
-        raise ValueError(f"square root of a negative rational: {x}")
-    if x == 0:
-        return Interval(Fraction(0), Fraction(0))
-    n2 = x.numerator * _SQRT_SCALE * _SQRT_SCALE
-    d = x.denominator
-    # floor(sqrt(floor(y))) = floor(sqrt(y)), so this is floor(sqrt(n2 / d)).
-    lo_int = math.isqrt(n2 // d)
-    hi_int = lo_int if lo_int * lo_int * d == n2 else lo_int + 1
-    return Interval(Fraction(lo_int, _SQRT_SCALE), Fraction(hi_int, _SQRT_SCALE))
+def _isqrt_rounded(num: int, den: int, up: bool) -> int:
+    """floor(sqrt(y)), or its ceiling if ``up``, for y = num / den >= 0 with den > 0:
+    isqrt(floor(y)), or the least m with m^2 >= ceil(y), since m^2 is an integer."""
+    y = -(-num // den) if up else num // den
+    root = math.isqrt(y)
+    return root + 1 if up and root * root < y else root
 
 
 class Interval(Record):
     """Closed interval with exact rational endpoints.
 
     All arithmetic is exact (rational endpoints never need outward
-    rounding); only the transcendental constructors round, and they round
-    outward.  The interval is a certificate: the represented real number is
+    rounding); only sqrt and the transcendental constructors round, and
+    they round outward.  The interval is a certificate: the represented real number is
     guaranteed to lie inside ``[lo, hi]``.
     """
 
@@ -238,11 +215,17 @@ class Interval(Record):
         return Interval(Fraction(0), max(-self.lo, self.hi))
 
     def sqrt(self) -> "Interval":
+        """Enclosure of sqrt: exact at ends that are rational squares, else rounded out to the grid."""
         if self.lo < 0:
             raise ValueError(f"sqrt of interval with negative part: {self}")
-        lo_enc = sqrt_fraction_enclosure(self.lo)
-        hi_enc = sqrt_fraction_enclosure(self.hi)
-        return Interval(lo_enc.lo, hi_enc.hi)
+        return Interval(self._sqrt_end(self.lo, False), self._sqrt_end(self.hi, True))
+
+    @staticmethod
+    def _sqrt_end(x: Fraction, up: bool) -> Fraction:
+        num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+        if num * num == x.numerator and den * den == x.denominator:  # x is in lowest terms
+            return Fraction(num, den)
+        return Fraction(_isqrt_rounded(x.numerator << 2 * _DYADIC_BITS, x.denominator, up), _DYADIC_ONE)
 
     def clamp(self, lo: Fraction, hi: Fraction) -> "Interval":
         return Interval(min(max(self.lo, lo), hi), min(max(self.hi, lo), hi))
@@ -528,7 +511,7 @@ class QuadraticSurd(Record):
 
     def to_interval(self) -> Interval:
         """Certified enclosure with exact rational endpoints."""
-        return self.rational + sqrt_fraction_enclosure(Fraction(self.radicand)) * self.coeff
+        return self.rational + Interval.point(self.radicand).sqrt() * self.coeff
 
     def __float__(self) -> float:
         """The nearest double, correctly rounded.
@@ -710,12 +693,6 @@ class Polynomial:
 # Fixed-point intervals, and the transcendental kernel: pi, cos, sin.
 # ---------------------------------------------------------------------------
 
-# Fixed-point scale: a _Dyadic end k stands for k / 2^_DYADIC_BITS.  The grid
-# (about 1e-77) is far finer than the 1e-40 to which Interval.sqrt rounds.
-_DYADIC_BITS = 256
-_DYADIC_ONE = 1 << _DYADIC_BITS
-
-
 class _Dyadic:
     """Interval [lo, hi] / 2^_DYADIC_BITS with int ends, rounded outward.
 
@@ -769,9 +746,8 @@ class _Dyadic:
     def sqrt(self) -> "_Dyadic":
         if self.lo < 0:
             raise ValueError("sqrt of a _Dyadic interval with negative part")
-        hi_sq = self.hi << _DYADIC_BITS
-        hi = math.isqrt(hi_sq)
-        return _Dyadic(math.isqrt(self.lo << _DYADIC_BITS), hi if hi * hi == hi_sq else hi + 1)
+        lo, hi = self.lo << _DYADIC_BITS, self.hi << _DYADIC_BITS
+        return _Dyadic(_isqrt_rounded(lo, 1, False), _isqrt_rounded(hi, 1, True))
 
 
 def _arctan_of_inverse(m: int, factor: int) -> _Dyadic:
@@ -842,9 +818,10 @@ class AngleDeg(Record):
 
     ``value`` is an :class:`Interval` of degrees inside [0, 180].  Exact
     rational angles are point intervals.  ``cos`` and ``sin`` return
-    certified enclosures: ``cos`` is exact at the special angles 0, 60, 90,
-    120 and 180, ``sin`` at 0, 90 and 180, and ``sin_squared`` at those and
-    at 30, 45, 135 and 150.
+    certified enclosures.  At the special angles, whose cos^2 is rational,
+    ``sin_squared`` is exact and ``cos`` and ``sin`` are exact where they
+    are rational (``cos`` at 0, 60, 90, 120 and 180, ``sin`` at 0, 30, 90,
+    150 and 180) and one 2^-256 grid unit wide elsewhere.
     """
 
     __slots__ = ("value",)
@@ -867,21 +844,24 @@ class AngleDeg(Record):
     def radians(self) -> Interval:
         return self.value * _DEG_TO_RAD
 
+    def _special_cos_squared(self) -> Fraction | None:
+        return _SPECIAL_COS_SQUARED.get(self.value.lo) if self.is_point else None
+
     def cos(self) -> Interval:
-        if self.is_point and self.value.lo in _SPECIAL_COS:
-            return Interval.point(_SPECIAL_COS[self.value.lo])
-        return cos_interval(self.radians())
+        if (cos_sq := self._special_cos_squared()) is None:
+            return cos_interval(self.radians())
+        return Interval.point(cos_sq).sqrt() * (1 if self.value.lo <= 90 else -1)
 
     def sin_squared(self) -> Interval:
-        """Enclosure of sin^2 via 1 - cos^2, exact where cos^2 is rational."""
-        if self.is_point and self.value.lo in _SPECIAL_COS_SQUARED:
-            return Interval.point(1 - _SPECIAL_COS_SQUARED[self.value.lo])
-        return (Interval.point(1) - self.cos().square()).clamp(Fraction(0), Fraction(1))
+        """Enclosure of sin^2 via 1 - cos^2, exact at the special angles."""
+        if (cos_sq := self._special_cos_squared()) is None:
+            return (Interval.point(1) - self.cos().square()).clamp(Fraction(0), Fraction(1))
+        return Interval.point(1 - cos_sq)
 
     def sin(self) -> Interval:
-        if self.is_point and self.value.lo in _RATIONAL_SIN:
-            return Interval.point(_RATIONAL_SIN[self.value.lo])
-        return sin_interval(self.radians())
+        if (cos_sq := self._special_cos_squared()) is None:
+            return sin_interval(self.radians())
+        return Interval.point(1 - cos_sq).sqrt()
 
     def supplement(self) -> "AngleDeg":
         return AngleDeg(Interval(180 - self.value.hi, 180 - self.value.lo))

@@ -32,7 +32,7 @@ exact rationals and exact polynomials (:class:`conecert.exact.Polynomial`).
 The ``*_campaigns`` functions evaluate the kernels on seeded random samples,
 several configurations on one shared draw, and report worst-case residuals;
 samples very close to the zero locus of g are re-evaluated in rationals, on
-a normal unit to about 1e-40, so that division noise does not masquerade as
+a normal unit to the 2^-256 grid, so that division noise does not masquerade as
 an identity violation; and ``symbolic_identity_certificates`` expands the
 same kernels as polynomials and checks that each defect is the zero
 polynomial, as the margin certifier does for its factorisation.
@@ -58,7 +58,6 @@ from .exact import (
     _interior_angle,
     compare,
     quadratic_real_roots,
-    sqrt_fraction_enclosure,
     to_fraction,
 )
 from .report import CertificationReport
@@ -252,7 +251,7 @@ def f_of_t(n: int, t: Interval | RationalLike) -> Interval:
 
     s(k, n, theta) equals f_n(1 - k sin^2 theta); f_n is increasing on
     [0, 1].  Accepts an exact rational or an interval; returns a certified
-    enclosure (exact when the radicand is a perfect square).
+    enclosure (exact when the radicand is the square of a rational).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -616,11 +615,11 @@ def identity_campaigns(
 
 def _identity_row_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> dict:
     """Re-evaluate one sample's identities in rationals: the float components
-    are taken exactly and divided by the lower end of the 1e-40 enclosure of
-    their norm, so the normal is unit only to about 1e-40 and each defect over
-    g^2 carries about 1e-40 / g^2 of normalisation error."""
+    are taken exactly and divided by the lower end of the enclosure of their
+    norm on the 2^-256 grid, so the normal is unit only to about 2^-256 and
+    each defect over g^2 carries about 2^-256 / g^2 of normalisation error."""
     comp = [Fraction(float(c)) for c in row]
-    norm = sqrt_fraction_enclosure(sum(c * c for c in comp)).lo
+    norm = Interval.point(sum(c * c for c in comp)).sqrt().lo
     nu1, nup = comp[0] / norm, comp[-1] / norm
     t = _tilt_terms(nu1, nup, cos_t, k)
     jfrak, defect = _gradient_defect(nu1, nup, k, t)

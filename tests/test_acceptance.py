@@ -203,6 +203,6 @@ def test_criterion_11_selftest_determinism(capsys):
     )
     # Pinned: any change to the report bytes of the default configuration shows here.
     assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == (
-        "5ad953f5091deb7fa645669659944062ffc2af458f62e452e91721930d749064"
+        "22b97c2e7636c358341646dc5cfed9291255c67ed074e8a20d2531fbf5897586"
     )
     _announce(11, "two selftest --seed 42 runs byte-identical except wall-time, digest pinned")

@@ -7,8 +7,10 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import conecert
@@ -250,6 +252,21 @@ def test_pnbound_p2_comparison_verdicts(capsys):
     assert doc["reports"][1]["payload"]["comparison"] == "sup^2 > p^2"
 
 
+def test_pnbound_irrational_sup_is_enclosed_on_the_grid(capsys):
+    # f^2 = a + b sqrt(d) is irrational here, so sup = sqrt(f^2) is rounded to
+    # the 2^-256 grid (its enclosure was about 1e-40 wide on a coarser scale).
+    code, doc, _ = run_json(capsys, "pnbound", "--m", "5", "--q", "43/391")
+    assert code == EXIT_CERTIFIED
+    payload = doc["reports"][0]["payload"]
+    a, b, d = re.fullmatch(r"(\S+) \+ (\S+)\*sqrt\((\d+)\)", payload["sup_squared"]).groups()
+    with mp.workdps(60):
+        to_mpf = lambda x: mp.mpf(x.numerator) / x.denominator
+        value = mp.sqrt(to_mpf(Fraction(a)) + to_mpf(Fraction(b)) * mp.sqrt(int(d)))
+        lo, hi = (mp.mpf(int(payload["sup"][end]["num"])) / int(payload["sup"][end]["den"]) for end in ("lo", "hi"))
+        assert lo <= value <= hi
+        assert hi - lo < mp.mpf(10) ** -70
+
+
 def test_pnbound_clamps_low_sample_oracle(capsys):
     code, doc, _ = run_json(capsys, "pnbound", "--m", "2", "--q", "1", "--samples", "300")
     assert code == EXIT_CERTIFIED
@@ -468,7 +485,7 @@ def test_selftest_runs_certified_quick(capsys):
     digest_rep = doc["reports"][-1]
     # Pinned: any change to the report bytes of this configuration shows here.
     assert digest_rep["payload"]["content_digest_sha256"] == (
-        "8278c52595ce541ea7dc53e624c7f6c6728600010788242324c3465356d5c739"
+        "53ff25d9fb30b76c3f5ae78f052a4de6ee587f19689e1b8b420d85f643daad5f"
     )
 
 
@@ -732,4 +749,4 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
     )
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
-    assert digest == "5ad953f5091deb7fa645669659944062ffc2af458f62e452e91721930d749064"
+    assert digest == "22b97c2e7636c358341646dc5cfed9291255c67ed074e8a20d2531fbf5897586"

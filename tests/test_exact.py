@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conecert import exact
@@ -20,7 +20,6 @@ from conecert.exact import (
     compare,
     pi_interval,
     quadratic_real_roots,
-    sqrt_fraction_enclosure,
     to_fraction,
 )
 
@@ -85,40 +84,43 @@ def test_interval_square_is_nonnegative(a, b):
 
 
 @given(nonneg_rationals)
-def test_sqrt_enclosure_soundness(x):
-    enc = sqrt_fraction_enclosure(x)
-    assert enc.lo >= 0
-    assert enc.lo * enc.lo <= x <= enc.hi * enc.hi
-    # Outward rounding is tight: the endpoints sit on a fine grid.
-    assert enc.width <= Fraction(1, 10**12)
+@example(Fraction(2))
+def test_interval_sqrt_of_a_point_is_sound(x):
+    root = Interval.point(x).sqrt()
+    assert 0 <= root.lo and root.lo * root.lo <= x <= root.hi * root.hi
+
+
+@given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**6))
+@example(Fraction(1, 3))  # 1/9: 3 divides no power of 2, so no grid point is 1/3
+@example(Fraction(3, 2))
+@example(Fraction(0))
+def test_interval_sqrt_is_exact_at_squares_of_rationals(r):
+    root = Interval.point(r * r).sqrt()
+    assert root.lo == root.hi == r
 
 
 @given(
     st.one_of(
         st.fractions(min_value=0, max_value=10**90, max_denominator=10**30),
-        st.fractions(min_value=0, max_value=10**6, max_denominator=10**6).map(lambda r: r * r),
+        st.fractions(min_value=0, max_value=10**6, max_denominator=10**6).map(lambda r: r * r + Fraction(1, 10**40)),
     ),
 )
-@example(Fraction(9, 4))
 @example(Fraction(2))
+@example(Fraction(1, 3))
+@example(Fraction(3, 4))
 @settings(max_examples=300)
-def test_sqrt_enclosure_ends_are_the_floor_and_ceiling_on_the_scale(x):
-    # In integers, with x = n/d and s = _SQRT_SCALE: lo = L/s and hi = H/s, where
-    # L^2 d <= n s^2 < (L+1)^2 d and (H-1)^2 d < n s^2 <= H^2 d.
-    scale = exact._SQRT_SCALE
-    enc = sqrt_fraction_enclosure(x)
-    assert (enc.lo * scale).denominator == 1 and (enc.hi * scale).denominator == 1
-    low, high = int(enc.lo * scale), int(enc.hi * scale)
-    n2, d = x.numerator * scale * scale, x.denominator
-    assert low * low * d <= n2 < (low + 1) ** 2 * d
-    assert high == 0 or (high - 1) ** 2 * d < n2 <= high * high * d
-    perfect_square = n2 % d == 0 and math.isqrt(n2 // d) ** 2 == n2 // d
-    assert (low == high) == perfect_square
-
-
-def test_sqrt_enclosure_exact_for_perfect_squares():
-    enc = sqrt_fraction_enclosure(Fraction(9, 4))
-    assert enc.lo == enc.hi == Fraction(3, 2)
+def test_interval_sqrt_ends_are_adjacent_grid_points_elsewhere(x):
+    # In integers, with x = n/d and g = 2^_DYADIC_BITS: lo = L/g and hi = H/g, where
+    # L^2 d < n g^2 < (L+1)^2 d (the root is irrational) and H = L + 1.
+    # x is in lowest terms, so it is the square of a rational iff both parts are squares.
+    assume(not all(math.isqrt(n) ** 2 == n for n in (x.numerator, x.denominator)))
+    grid = 1 << exact._DYADIC_BITS
+    root = Interval.point(x).sqrt()
+    assert (root.lo * grid).denominator == 1 and (root.hi * grid).denominator == 1
+    low, high = int(root.lo * grid), int(root.hi * grid)
+    n2, d = x.numerator * grid * grid, x.denominator
+    assert low * low * d < n2 < (low + 1) ** 2 * d
+    assert high == low + 1
 
 
 @given(nonneg_rationals, nonneg_rationals)
@@ -398,6 +400,40 @@ def test_point_angle_trig_contains_the_300_digit_values(deg):
         _assert_encloses(c, mp.cos(rad))
         _assert_encloses(s, mp.sin(rad))
     assert c.width <= TRIG_WIDTH and s.width <= TRIG_WIDTH
+
+
+# The nine angles in [0, 180] degrees with rational cos^2 (Niven's theorem),
+# and where cos and sin are rational there.
+SPECIAL_ANGLES = (0, 30, 45, 60, 90, 120, 135, 150, 180)
+RATIONAL_COS = {0, 60, 90, 120, 180}
+RATIONAL_SIN = {0, 30, 90, 150, 180}
+
+
+def _check_special_angle(deg):
+    theta = AngleDeg.from_degrees(deg)
+    unit = Fraction(1, 1 << exact._DYADIC_BITS)
+    with mp.workdps(60):
+        rad = mp.mpf(deg) * mp.pi / 180
+        values = [
+            (theta.cos(), mp.cos(rad), deg in RATIONAL_COS),
+            (theta.sin(), mp.sin(rad), deg in RATIONAL_SIN),
+            (theta.sin_squared(), mp.sin(rad) ** 2, True),
+        ]
+        slack = mp.mpf(10) ** -55
+        for iv, value, rational in values:
+            assert _mpf(iv.lo) - slack <= value <= _mpf(iv.hi) + slack
+            assert iv.width == 0 if rational else 0 < iv.width <= unit
+
+
+@pytest.mark.parametrize("deg", SPECIAL_ANGLES)
+def test_special_angle_trig_is_exact_where_rational_and_one_grid_unit_elsewhere(deg):
+    _check_special_angle(deg)
+
+
+def test_special_angle_check_catches_a_wrong_table_entry(monkeypatch):
+    monkeypatch.setitem(exact._SPECIAL_COS_SQUARED, 45, Fraction(1, 4))
+    with pytest.raises(AssertionError):
+        _check_special_angle(45)
 
 
 @pytest.mark.parametrize(
