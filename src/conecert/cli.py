@@ -11,9 +11,8 @@ owns the rest of a run: it echoes the parsed options as the run's
 configuration, makes the envelope, times the run and renders the report to
 stdout or ``--out``.  It ends a refused run with one ``error:`` line and
 exit code 1: a bad command line, input a command refuses, a ValueError of
-a command (input the exact layer cannot decide, such as a radicand factor
-of unproven primality or an angle grid too fine for the enclosures), or a
-report that cannot be written.
+a command (input the exact layer cannot decide, such as an angle grid too
+fine for the enclosures), or a report that cannot be written.
 
 Exit codes: 0 every claim certified, 2 at least one falsified,
 3 inconclusive present but nothing falsified, 1 operational error.

@@ -145,7 +145,7 @@ class SupResult(Record):
     """Result of the exhaustive two-value sup computation.
 
     ``f_squared`` is the exact maximal f^2: a Fraction when it is rational,
-    otherwise a :class:`QuadraticSurd` with squarefree radicand.  ``value``
+    otherwise an irrational :class:`QuadraticSurd`.  ``value``
     is the sup of |f|: the exact :class:`QuadraticSurd` ``coeff*sqrt(d)``
     when f^2 is rational, otherwise the square root of the enclosure
     ``f_squared.to_interval()``.  ``witness`` is normalised: scaled so the

@@ -14,15 +14,15 @@ remainder bound.  No step of the pipeline silently rounds toward the wrong
 side.
 
 :class:`QuadraticSurd` is the one exact type for numbers in a quadratic
-field Q(sqrt d): its radicand is always squarefree, so equal numbers have
-equal representations.  :func:`compare` orders any two of them (and
+field Q(sqrt d).  Its radicand is not made squarefree, which would take
+factoring: only the squares of the primes up to 41 leave it, and all of it
+when it is a perfect square, so a surd is rational exactly when its value
+is, and ``==`` compares values.  :func:`compare` orders any two surds (and
 rationals) exactly, also when their fields differ, by isolating the radicals
 and squaring; no comparison falls back to intervals.  Roots of rational
 quadratics (:func:`quadratic_real_roots`) are returned as such surds, and
 enclosures come from :meth:`QuadraticSurd.to_interval`; ``float`` of a surd
-is correctly rounded.  The squarefree normal form factors radicands with
-deterministic Miller-Rabin and Pollard rho, and refuses (ValueError) a
-factor whose primality is not proven by that test.
+is correctly rounded.
 
 :class:`Polynomial` is the one exact polynomial type: a sparse map from
 exponent tuples to rational coefficients.  Identities are proved by
@@ -236,133 +236,42 @@ class Interval(Record):
 # ---------------------------------------------------------------------------
 
 
-# Miller-Rabin with the first 13 prime bases decides primality for every
-# n below this bound (Sorenson & Webster, Math. Comp. 86, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
-# Pollard rho gives up on a cofactor after about this many steps, which
-# find a prime factor below about 10^12 (about sqrt(p) steps are needed).
-_RHO_MAX_STEPS = 1 << 21
-# A step costs more as the cofactor grows (a failed search takes about 5 s
-# at 127 bits and about 1 min at 1329 bits on a 2-vCPU host), so rho runs
-# only on cofactors of at most this many bits.  The radicands of selftest,
-# table, certify and the tests leave cofactors of at most 97 bits.
-_RHO_MAX_BITS = 128
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic primality of an odd n > 41 with no prime factor <= 41.
-
-    A base that witnesses compositeness proves it at any size; declaring
-    n prime is proven only below ``_MR_PROVEN_BOUND``, so above it a
-    ValueError is raised instead.
-    """
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _MR_PROVEN_BOUND:
-        raise ValueError(
-            f"cannot decide whether the {n.bit_length()}-bit factor {n} of a radicand is prime: "
-            f"Miller-Rabin on bases 2..41 is proven only below {_MR_PROVEN_BOUND}"
-        )
-    return True
-
-
-def _rho_factor(n: int) -> int:
-    """A proper factor of the composite n.
-
-    Pollard rho with Brent's cycle search, one gcd per batch of 128 steps;
-    a batch that hides the factor behind n is replayed step by step.
-    """
-    steps = 0
-    for c in range(1, n):
-        y, length, factor = 2, 1, 1
-        while factor == 1:
-            if steps > _RHO_MAX_STEPS:
-                raise ValueError(
-                    f"no factor of the {n.bit_length()}-bit radicand part {n} found "
-                    f"in {_RHO_MAX_STEPS} Pollard rho steps"
-                )
-            x = y
-            for start in range(0, length, 128):
-                saved, product = y, 1
-                for _ in range(min(128, length - start)):
-                    y = (y * y + c) % n
-                    product = product * (x - y) % n
-                factor = math.gcd(product, n)
-                if factor != 1:
-                    break
-            steps += length
-            length *= 2
-        if factor == n:
-            y, factor = saved, 1
-            while factor == 1:
-                y = (y * y + c) % n
-                factor = math.gcd(x - y, n)
-        if factor != n:
-            return factor
-    raise AssertionError("unreachable: Pollard rho splits every composite")
+# Squares of these primes are divided out of a radicand; finding its
+# squarefree part would need its factorisation, which no comparison needs.
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _square_split(n: int) -> tuple[int, int]:
-    """(s, f) with n == s * s * f and f squarefree, for an integer n >= 1.
+    """(s, f) with n == s * s * f for an integer n >= 1, and f == 1 exactly when n is a square.
 
-    Trial division by the Miller-Rabin bases, then deterministic
-    Miller-Rabin and Pollard rho on what is left.  Raises ValueError when
-    a cofactor's primality cannot be proven (see :func:`_is_prime`), or a
-    composite cofactor is longer than ``_RHO_MAX_BITS`` or resists rho.
+    No p^2 with p <= 41 divides f, and f moves into s when it is a perfect
+    square; f need not be squarefree (a square of a larger prime may stay).
     """
-    primes: dict[int, int] = {}
-    for p in _MR_BASES:
-        while n % p == 0:
-            n //= p
-            primes[p] = primes.get(p, 0) + 1
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        root = math.isqrt(m)
-        if root * root == m:  # rho needs ~sqrt(p) steps on p^2, past its budget for p > 10^12
-            pending += [root, root]
-        elif m < 43 * 43 or _is_prime(m):  # no factor <= 41 is left
-            primes[m] = primes.get(m, 0) + 1
-        elif m.bit_length() > _RHO_MAX_BITS:
-            raise ValueError(
-                f"no factor of the {m.bit_length()}-bit radicand part {m} found: Pollard rho "
-                f"runs only on parts of at most {_RHO_MAX_BITS} bits, which bounds its work"
-            )
-        else:
-            factor = _rho_factor(m)
-            pending += [factor, m // factor]
-    s = f = 1
-    for prime, mult in primes.items():
-        s *= prime ** (mult // 2)
-        f *= prime ** (mult % 2)
-    return s, f
+    s = 1
+    for p in _TRIAL_PRIMES:
+        while n % (p * p) == 0:
+            n //= p * p
+            s *= p
+    root = math.isqrt(n)
+    return (s * root, 1) if root * root == n else (s, n)
 
 
 class QuadraticSurd(Record):
     """Exact real number ``rational + coeff * sqrt(radicand)``.
 
-    Normal form: either ``coeff != 0`` and ``radicand`` is a squarefree
-    integer > 1, or the number is rational and ``coeff == radicand == 0``.
-    Construction moves square factors of the radicand into ``coeff``
-    (``QuadraticSurd(0, 1, 8)`` is ``2*sqrt(2)``).  Square roots of
-    distinct squarefree integers are linearly independent over Q, so each
-    number has exactly one normal form and ``==``/``hash`` compare fields.
+    Either ``coeff != 0`` and ``radicand`` is an integer > 1 that is not a
+    perfect square, or the number is rational and ``coeff == radicand == 0``.
+    Construction moves the squares of the primes up to 41, and a radicand
+    that is a perfect square, into ``coeff`` (``QuadraticSurd(0, 1, 8)`` is
+    ``2*sqrt(2)``).  The radicand is not made squarefree, which would take
+    factoring, so one number may have two representations (``sqrt(43^2 *
+    47)`` and ``43*sqrt(47)``): ``==`` compares values with :func:`compare`,
+    and ``hash`` hashes the rational part, which equal numbers share
+    because 1 and an irrational sqrt(d) are linearly independent over Q.
 
-    Field arithmetic (+, -, *, /, **) takes operands over one radicand or
-    rationals; the order (<, <=, >, >=, :func:`compare`) is exact across
-    fields.
+    Field arithmetic (+, -, *, /, **) takes operands over one quadratic
+    field: rationals, and radicands whose product is a perfect square; the
+    order (<, <=, >, >=, :func:`compare`) is exact across fields.
     """
 
     __slots__ = ("rational", "coeff", "radicand")
@@ -384,7 +293,7 @@ class QuadraticSurd(Record):
 
     @classmethod
     def _in_field(cls, rational: Fraction, coeff: Fraction, radicand: int) -> "QuadraticSurd":
-        """Field arithmetic result or a rational; ``radicand`` is already squarefree, so skip factoring."""
+        """Field arithmetic result or a rational; ``radicand`` is an operand's, so skip the square split."""
         if coeff == 0:
             coeff, radicand = Fraction(0), 0
         value = object.__new__(cls)
@@ -395,12 +304,16 @@ class QuadraticSurd(Record):
 
     @classmethod
     def from_square(cls, square: RationalLike) -> "QuadraticSurd":
-        """The non-negative v with v^2 == square, in normal form."""
+        """The non-negative v with v^2 == square."""
         square = to_fraction(square)
         if square < 0:
             raise ValueError("cannot take a real square root of a negative rational")
-        # sqrt(p/q) = sqrt(p q) / q; normalisation makes the radicand squarefree.
-        return cls(0, Fraction(1, square.denominator), square.numerator * square.denominator)
+        if square == 0:
+            return cls(0)
+        # sqrt(p/q) = sqrt(p q) / q, with p and q split apart so that a square
+        # p or q leaves the radicand whatever its prime factors.
+        (s_num, f_num), (s_den, f_den) = _square_split(square.numerator), _square_split(square.denominator)
+        return cls(0, Fraction(s_num, s_den * f_den), f_num * f_den)
 
     @staticmethod
     def _coerce(value) -> "QuadraticSurd":
@@ -412,19 +325,24 @@ class QuadraticSurd(Record):
     def is_rational(self) -> bool:
         return self.coeff == 0
 
-    def _common_radicand(self, other: "QuadraticSurd") -> int:
-        if self.is_rational or other.is_rational or self.radicand == other.radicand:
-            return max(self.radicand, other.radicand)  # a rational has radicand 0
-        raise ValueError(
-            f"mixed radicands {self.radicand} and {other.radicand}: "
-            "field arithmetic needs one quadratic field"
-        )
+    def _common_radicand(self, other: "QuadraticSurd") -> tuple["QuadraticSurd", int]:
+        """``other`` written over the radicand d of their common field, and d.
+
+        When d1 d2 == s^2, c sqrt(d2) == (c s / d1) sqrt(d1) moves ``other``
+        onto this number's radicand d1.
+        """
+        d1, d2 = self.radicand, other.radicand
+        if self.is_rational or other.is_rational or d1 == d2:
+            return other, max(d1, d2)  # a rational has radicand 0
+        s = math.isqrt(d1 * d2)
+        if s * s == d1 * d2:
+            return self._in_field(other.rational, other.coeff * s / d1, d1), d1
+        raise ValueError(f"mixed radicands {d1} and {d2}: field arithmetic needs one quadratic field")
 
     # -- field operations ------------------------------------------------
 
     def __add__(self, other) -> "QuadraticSurd":
-        o = self._coerce(other)
-        d = self._common_radicand(o)
+        o, d = self._common_radicand(self._coerce(other))
         return self._in_field(self.rational + o.rational, self.coeff + o.coeff, d)
 
     __radd__ = __add__
@@ -439,8 +357,7 @@ class QuadraticSurd(Record):
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "QuadraticSurd":
-        o = self._coerce(other)
-        d = self._common_radicand(o)
+        o, d = self._common_radicand(self._coerce(other))
         rational = self.rational * o.rational + self.coeff * o.coeff * d
         coeff = self.rational * o.coeff + self.coeff * o.rational
         return self._in_field(rational, coeff, d)
@@ -448,8 +365,7 @@ class QuadraticSurd(Record):
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QuadraticSurd":
-        o = self._coerce(other)
-        d = self._common_radicand(o)
+        o, d = self._common_radicand(self._coerce(other))
         norm = o.rational * o.rational - o.coeff * o.coeff * d
         if norm == 0:
             raise ZeroDivisionError("division by zero surd")
@@ -494,6 +410,14 @@ class QuadraticSurd(Record):
         if a > 0:  # b < 0
             return 1 if lhs > rhs else -1
         return 1 if rhs > lhs else -1
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadraticSurd):
+            return NotImplemented
+        return compare(self, other) == 0
+
+    def __hash__(self) -> int:
+        return hash(self.rational)
 
     def __lt__(self, other) -> bool:
         return compare(self, other) < 0

@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 import conecert
-from conecert import cli, cones, exact, tilt
+from conecert import cli, cones, tilt
 from conecert.cli import main
 from conecert.report import (
     EXIT_CERTIFIED,
@@ -304,23 +304,6 @@ def test_pnbound_refuses_a_q_outside_the_doubles(q, message):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("digits,bits", [(80, 532), (200, 1329)])
-def test_pnbound_refuses_an_oversized_radicand_without_running_rho(capsys, monkeypatch, digits, bits):
-    # At q = 1/10^80 and 1/10^200 the radicand keeps a 532- and a 1329-bit
-    # cofactor, on which Pollard rho ran for 16 s and 58 s before giving up.
-    rho = exact._rho_factor
-
-    def bounded_rho(n):
-        assert n.bit_length() <= exact._RHO_MAX_BITS, f"rho ran on a {n.bit_length()}-bit cofactor"
-        return rho(n)
-
-    monkeypatch.setattr(exact, "_rho_factor", bounded_rho)
-    code, out, err = run(capsys, "pnbound", "--m", "3", "--q", f"1/{10 ** digits}")
-    assert code == EXIT_OPERATIONAL_ERROR
-    assert out == ""
-    assert err.startswith(f"error: no factor of the {bits}-bit radicand part")
-
-
 def test_pnbound_rejects_m_beyond_the_oracle_limit(capsys):
     # 10^4 samples in R^25000 exceed the cap on the oracle's work; refused
     # up front, not after a long enumeration.
@@ -330,19 +313,56 @@ def test_pnbound_rejects_m_beyond_the_oracle_limit(capsys):
     assert err.startswith("error:") and str(cones.ORACLE_MAX_DOUBLES) in err
 
 
-def test_pnbound_refuses_a_radicand_with_an_unproven_prime_factor(capsys, monkeypatch):
-    # For m = 2 and q = N/D with D = 7^33, N = (5D - 1)/2, the discriminant's
-    # radicand has the 82-bit factor 3799169689032693160639057; Miller-Rabin
-    # on bases 2..41 is proven only below 3.3e24, so the sup is not computed.
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("ran the oracle after a refused enumeration")
+def _sympy_f_squared(q: Fraction, a: int, b: int, y_float: float):
+    """f^2 at the two-value point (1 a times, y b times), y the real critical
+    point of f^2 nearest y_float: an evaluation by sympy alone."""
+    import sympy
 
-    monkeypatch.setattr(cones, "brute_force_sup", must_not_run)
-    d = 7 ** 33
-    code, out, err = run(capsys, "pnbound", "--m", "2", "--q", f"{(5 * d - 1) // 2}/{d}")
-    assert code == EXIT_OPERATIONAL_ERROR
-    assert out == ""
-    assert err.startswith("error: cannot decide") and "3799169689032693160639057" in err
+    y = sympy.Symbol("y")
+    qs = sympy.Rational(q.numerator, q.denominator)
+    P1, P2, P3 = (a + b * y ** k for k in (1, 2, 3))
+    N = P3 + (1 - qs) * P1 * P2 - qs * P1 ** 3
+    f2 = N ** 2 / (P2 + P1 ** 2) ** 3
+    critical = sympy.Poly(sympy.numer(sympy.together(sympy.diff(f2, y))), y)
+    root = min((r for r in sympy.roots(critical) if r.is_real), key=lambda r: abs(float(r) - y_float))
+    return sympy.radsimp(f2.subs(y, root))
+
+
+@pytest.mark.parametrize(
+    "m,q",
+    [(3, Fraction(1, 10 ** 80)), (3, Fraction(1, 10 ** 200)), (2, Fraction((5 * 7 ** 33 - 1) // 2, 7 ** 33))],
+    ids=["1e-80", "1e-200", "7^33"],
+)
+def test_pnbound_certifies_where_the_radicand_is_not_factored(capsys, m, q):
+    # Radicands are not factored, so one that keeps a 532- or 1329-bit
+    # cofactor (1/10^80, 1/10^200) or has the 82-bit prime factor
+    # 3799169689032693160639057 (N/7^33, in the discriminant) is decided like
+    # any other.
+    import sympy
+
+    code, doc, _ = run_json(capsys, "pnbound", "--m", str(m), "--q", str(q))
+    assert code == EXIT_CERTIFIED
+    payload = doc["reports"][0]["payload"]
+    assert payload["oracle_within_tolerance"] is True
+    w = payload["witness"]
+    y = w["y"] if isinstance(w["y"], float) else int(w["y"]["num"]) / int(w["y"]["den"])
+    got = payload["sup_squared"]
+    got = sympy.Rational(int(got["num"]), int(got["den"])) if isinstance(got, dict) else sympy.sympify(got)
+    assert sympy.expand(_sympy_f_squared(q, w["a"], w["b"], y) - got) == 0
+
+
+def test_pnbound_refuses_a_q_of_thousands_of_digits_promptly():
+    # No time goes to the radicands of a q with thousands of digits: it is
+    # refused in well under a second (factoring them took about 43 s).
+    q = f"{10 ** 4000 + 1}/{10 ** 4000}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert", "pnbound", "--m", "3", "--q", q],
+        capture_output=True, text=True, env=_fresh_env(), timeout=60,
+    )
+    assert proc.returncode == EXIT_OPERATIONAL_ERROR
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_oracle_draw_beyond_the_work_cap_is_refused_up_front(capsys, monkeypatch):
@@ -717,7 +737,7 @@ def test_importing_the_cli_loads_every_layer_module():
     ids=["certify-n4", "certify-n5", "certify-n6", "identities", "selftest"],
 )
 def test_exact_proofs_and_factoring_never_load_sympy(argv):
-    # Identity proofs, the margin factorisation and squarefree radicands are computed by
+    # Identity proofs, the margin factorisation and the surds are computed by
     # conecert.exact alone; sympy is a test-only cross-check.
     code, heavy = fresh_run(*argv)
     assert code == EXIT_CERTIFIED

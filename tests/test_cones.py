@@ -258,11 +258,18 @@ def test_sup_monotone_in_m_at_fixed_q():
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
-def test_sup_at_a_q_beyond_the_doubles_is_refused_not_overflowed():
-    # The enumeration is exact: a q whose f^2 exceeds the largest double ends
-    # in the documented refusal of an oversized radicand, not in an OverflowError.
-    with pytest.raises(ValueError, match="Pollard rho runs only on parts of at most 128 bits"):
-        cones.sup_abs_f_two_value(3, 10 ** 160)
+def test_sup_at_a_q_beyond_the_doubles_is_exact():
+    # The enumeration is exact: at a q whose f^2 (about 7.5e319) exceeds the
+    # largest double it returns f^2 as sympy evaluates it at the witness,
+    # neither an OverflowError nor a refusal.
+    q = 10 ** 160
+    res = cones.sup_abs_f_two_value(3, q)
+    w = res.witness
+    y = sympy.Rational(w.y)
+    P1, P2, P3 = (w.a + w.b * y ** k for k in (1, 2, 3))
+    N = P3 + (1 - q) * P1 * P2 - q * P1 ** 3
+    assert sympy.Rational(res.f_squared) == N ** 2 / (P2 + P1 ** 2) ** 3
+    assert float(res) == 8.660254037844387e+159
 
 
 # ---------------------------------------------------------------------------

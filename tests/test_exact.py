@@ -1,6 +1,7 @@
 """Tests for the exact rational/interval arithmetic layer."""
 
 import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
@@ -189,6 +190,15 @@ def test_surd_normal_form_makes_equal_numbers_equal():
     assert QuadraticSurd(0, 2, 2) == QuadraticSurd(0, 1, 8)
     assert hash(QuadraticSurd(0, 2, 2)) == hash(QuadraticSurd(0, 1, 8))
     assert QuadraticSurd(0, 1, 8).radicand == 2
+    # 43 is past the trial primes, so sqrt(43^2 * 47) keeps its radicand, and
+    # is still equal to 43 sqrt(47), with the same hash.
+    wide, narrow = QuadraticSurd(0, 1, 43 * 43 * 47), QuadraticSurd(0, 43, 47)
+    assert wide.radicand == 43 * 43 * 47 and wide == narrow and hash(wide) == hash(narrow)
+    assert wide + QuadraticSurd(0, 1, 47) == QuadraticSurd(0, 44, 47)
+    with pytest.raises(ValueError, match="mixed radicands"):  # 47 * 53 is not a square
+        wide + QuadraticSurd(0, 1, 53)
+    # The hash never converts to a double, which overflows past 1.8e308.
+    assert hash(QuadraticSurd(10 ** 400, 1, 2)) == hash(Fraction(10 ** 400))
     # Perfect squares, radicand 1 and a zero coefficient fold into the rational part.
     assert QuadraticSurd(1, 3, 4) == QuadraticSurd(7)
     assert QuadraticSurd(1, 3, 1) == QuadraticSurd(4)
@@ -220,14 +230,17 @@ surds = st.tuples(
 @example((Fraction(0), Fraction(-1), 2), (Fraction(0), Fraction(-1), 3), False)
 @example((Fraction(-3), Fraction(1), 2), (Fraction(-1), Fraction(1), 3), False)
 @example((Fraction(1), Fraction(1), 2), (Fraction(3), Fraction(-1), 3), False)
+@example((Fraction(-1), Fraction(3, 2), 8), (Fraction(0), Fraction(0), 0), True)
 @settings(max_examples=300, deadline=None)
 def test_compare_matches_sympy_sign(u, v, equal):
     import sympy
 
     if equal:
-        # The same number as u, written over a non-squarefree radicand.
+        # The same number as u twice more: over 9 d, which construction
+        # reduces to u's radicand, and over 43^2 d, which it keeps.
         r, c, d = u
         v = (r, c / 3, 9 * d)
+        w = (r, c / 43, 43 * 43 * d)
 
     def symbolic(r, c, d):
         return sympy.Rational(r.numerator, r.denominator) + sympy.Rational(
@@ -237,7 +250,14 @@ def test_compare_matches_sympy_sign(u, v, equal):
     expected = int(sympy.sign(symbolic(*u) - symbolic(*v)))
     assert compare(QuadraticSurd(*u), QuadraticSurd(*v)) == expected
     if equal:
-        assert QuadraticSurd(*u) == QuadraticSurd(*v)
+        x, y = QuadraticSurd(*u), QuadraticSurd(*w)
+        assert x == QuadraticSurd(*v) == y and hash(x) == hash(y)
+        # Field arithmetic moves y onto x's radicand, which differs from y's
+        # unless both are rational.
+        for op in [operator.add, operator.mul] + [operator.truediv] * (y.sign() != 0):
+            z = op(x, y)
+            exact_z = symbolic(z.rational, z.coeff, z.radicand)
+            assert sympy.expand(sympy.radsimp(exact_z - op(symbolic(*u), symbolic(*w)))) == 0
 
 
 def test_surd_float_is_correctly_rounded():
@@ -264,39 +284,28 @@ def test_surd_float_matches_a_400_bit_evaluation(u):
     assert float(QuadraticSurd(*u)) == expected
 
 
-def test_square_split_agrees_with_factorint():
+def test_square_split_takes_out_small_prime_squares_and_whole_squares():
     import random
 
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20170101)
     samples = [rng.randrange(1, 10 ** 18) for _ in range(300)]
-    # Prime squares, and semiprimes whose factors are all above 41.
+    # Prime squares, semiprimes whose factors are all above 41 (the last of
+    # them 124 bits), the prime 2^89 - 1 and 2^89 + 1 = 3 * 179 * 62020897 *
+    # 18584774046020617: none is factored, so each splits at once (the last
+    # three are too slow for factorint).
     samples += [1, 43 * 43, 1000003 ** 2 * 6, 999999937 * 999999929, 2 ** 61 - 1, (2 ** 31 - 1) ** 2]
+    unfactored = [2 ** 89 - 1, 2 ** 89 + 1, (2 ** 61 - 1) * (2 ** 63 - 25)]
+    for n in samples + unfactored:
+        s, f = exact._square_split(n)
+        assert n == s * s * f, n
+        assert (f == 1) == (math.isqrt(n) ** 2 == n), n
+        assert all(f % (p * p) for p in exact._TRIAL_PRIMES), n
+    # Where every repeated prime is a trial prime, f is the squarefree part.
     for n in samples:
-        s = f = 1
-        for prime, mult in sympy.factorint(n).items():
-            s *= int(prime) ** (mult // 2)
-            f *= int(prime) ** (mult % 2)
-        assert exact._square_split(n) == (s, f), n
-
-
-def test_square_split_refuses_an_unproven_prime():
-    # 2^89 - 1 is prime, but Miller-Rabin on bases 2..41 is proven only below
-    # 3.3e24: the squarefree normal form cannot be decided, so it is refused.
-    with pytest.raises(ValueError, match="cannot decide"):
-        QuadraticSurd(0, 1, 2 ** 89 - 1)
-    # Compositeness needs no bound: 2^89 + 1 = 3 * 179 * 62020897 * 18584774046020617.
-    assert exact._square_split(2 ** 89 + 1) == (1, 2 ** 89 + 1)
-
-
-def test_square_split_runs_rho_only_up_to_its_bit_cap():
-    # Seven 20-bit primes: rho splits their 120-bit product of six, but the
-    # 140-bit product of all seven is past _RHO_MAX_BITS and is refused untried.
-    primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117]
-    n = math.prod(primes[:6])
-    assert exact._square_split(n) == (1, n)
-    with pytest.raises(ValueError, match="no factor of the 140-bit radicand part"):
-        exact._square_split(n * primes[6])
+        factors = sympy.factorint(n)
+        if all(p <= 41 for p, mult in factors.items() if mult > 1):
+            assert exact._square_split(n)[1] == math.prod(int(p) for p, mult in factors.items() if mult % 2), n
 
 
 # ---------------------------------------------------------------------------
