@@ -284,28 +284,54 @@ def test_surd_float_matches_a_400_bit_evaluation(u):
     assert float(QuadraticSurd(*u)) == expected
 
 
-def test_square_split_takes_out_small_prime_squares_and_whole_squares():
+def _split_samples():
     import random
 
-    sympy = pytest.importorskip("sympy")
     rng = random.Random(20170101)
-    samples = [rng.randrange(1, 10 ** 18) for _ in range(300)]
-    # Prime squares, semiprimes whose factors are all above 41 (the last of
-    # them 124 bits), the prime 2^89 - 1 and 2^89 + 1 = 3 * 179 * 62020897 *
-    # 18584774046020617: none is factored, so each splits at once (the last
-    # three are too slow for factorint).
-    samples += [1, 43 * 43, 1000003 ** 2 * 6, 999999937 * 999999929, 2 ** 61 - 1, (2 ** 31 - 1) ** 2]
+    # Random integers, prime squares, and semiprimes whose factors are all above 41.
+    return [rng.randrange(1, 10 ** 18) for _ in range(300)] + [
+        1, 43 * 43, 1000003 ** 2 * 6, 999999937 * 999999929, 2 ** 61 - 1, (2 ** 31 - 1) ** 2
+    ]
+
+
+def test_square_split_takes_out_small_prime_squares_and_whole_squares():
+    # Besides the samples: the prime 2^89 - 1, 2^89 + 1 = 3 * 179 * 62020897 *
+    # 18584774046020617 and a 124-bit semiprime. None is factored, so each
+    # splits at once (all three are too slow for factorint).
     unfactored = [2 ** 89 - 1, 2 ** 89 + 1, (2 ** 61 - 1) * (2 ** 63 - 25)]
-    for n in samples + unfactored:
+    for n in _split_samples() + unfactored:
         s, f = exact._square_split(n)
         assert n == s * s * f, n
         assert (f == 1) == (math.isqrt(n) ** 2 == n), n
         assert all(f % (p * p) for p in exact._TRIAL_PRIMES), n
-    # Where every repeated prime is a trial prime, f is the squarefree part.
-    for n in samples:
-        factors = sympy.factorint(n)
+
+
+def test_square_split_agrees_with_factorint():
+    # Where every repeated prime is a trial prime, f is the squarefree part
+    # and s the product of the halved powers.
+    sympy = pytest.importorskip("sympy")
+    checked = 0
+    for n in _split_samples():
+        factors = {int(p): mult for p, mult in sympy.factorint(n).items()}
         if all(p <= 41 for p, mult in factors.items() if mult > 1):
-            assert exact._square_split(n)[1] == math.prod(int(p) for p, mult in factors.items() if mult % 2), n
+            s = math.prod(p ** (mult // 2) for p, mult in factors.items())
+            f = math.prod(p for p, mult in factors.items() if mult % 2)
+            assert exact._square_split(n) == (s, f), n
+            checked += 1
+    assert checked > 200
+
+
+def test_square_split_refuses_an_unproven_prime():
+    # 2^89 - 1 is prime, past 3.3e24, where Miller-Rabin on the bases up to 41
+    # stops being a proof. The split tests no primality, so neither it nor a
+    # surd over it refuses: the radicand is kept whole and the value is exact.
+    p = 2 ** 89 - 1
+    assert exact._square_split(p) == (1, p)
+    root = QuadraticSurd(0, 1, p)
+    assert root.radicand == p and root * root == QuadraticSurd(p)
+    assert QuadraticSurd(0, 3, 4 * p) == QuadraticSurd(0, 6, p)
+    # 2^89 + 1 = 3 * 179 * 62020897 * 18584774046020617 is squarefree.
+    assert exact._square_split(2 ** 89 + 1) == (1, 2 ** 89 + 1)
 
 
 # ---------------------------------------------------------------------------
