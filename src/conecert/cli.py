@@ -866,7 +866,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         envelope.elapsed_ms = int((time.perf_counter() - started) * 1000)
-        rendered = envelope.render()
+        try:
+            rendered = envelope.render()
+        except ValueError:
+            # Rendering only formats finished values; its one ValueError is an
+            # integer past the interpreter's limit on printed decimal digits.
+            raise UsageError(
+                f"a number in the report has more than {sys.get_int_max_str_digits()} digits and is too long "
+                "to print; give the rational options (such as --q) fewer digits"
+            ) from None
         if config.out:
             try:
                 with open(config.out, "w") as handle:

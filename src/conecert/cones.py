@@ -201,7 +201,7 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
         for root in two_value_critical_x(a, b, q):
             f2 = _f_squared_exact(a, b, q, root)
             f2_simple: ExactScalar = f2.rational if f2.is_rational else f2
-            candidates.append({"kind": "critical_root", "a": a, "b": b, "root_exact": str(root)})
+            candidates.append({"kind": "critical_root", "a": a, "b": b})
             if best_f2 is None or compare(f2_simple, best_f2) > 0:
                 best_f2 = f2_simple
                 best_witness = _normalize_witness(a, b, root)
@@ -209,7 +209,7 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
 
     # Diagonal (single-value) candidate: x = (1, ..., 1).
     diag_f2 = _f_squared_exact(1, m - 1, q, QuadraticSurd(1)).rational
-    candidates.append({"kind": "diagonal", "a": 1, "b": m - 1, "root_exact": "1"})
+    candidates.append({"kind": "diagonal", "a": 1, "b": m - 1})
     if best_f2 is None or compare(diag_f2, best_f2) > 0:
         best_f2 = diag_f2
         best_witness = TwoValuePoint(a=1, b=m - 1, x=Fraction(1), y=Fraction(1))

@@ -35,7 +35,11 @@ samples very close to the zero locus of g are re-evaluated in rationals, on
 a normal unit to the 2^-256 grid, so that division noise does not masquerade as
 an identity violation; and ``symbolic_identity_certificates`` expands the
 same kernels as polynomials and checks that each defect is the zero
-polynomial, as the margin certifier does for its factorisation.
+polynomial, as the margin certifier does for its factorisation.  The one
+frame-sum kernel takes the Gram entries of the tangential projections: the
+proof and the fallback give it their unit-normal closed forms, the campaign
+the entries it reduces from the projection vectors, so the sampled check
+shares the kernel with the proof but not its inputs.
 """
 
 from __future__ import annotations
@@ -152,21 +156,40 @@ def _gradient_defect(nu1, nu_last, k, t: _TiltTerms):
     return jfrak, t.g2 - jfrak - sum_of_squares
 
 
-def _frame_defects(nu1, nu_last, cos_t, k, t: _TiltTerms):
-    """g^2 times the defects of the two frame-sum identities, from Gram forms.
+def _frame_defects(gram: tuple, nu_last, k, sin_sq, t: _TiltTerms):
+    """g^2 times the defects of the two frame-sum identities, from Gram entries.
 
-    For a unit normal, |a1|^2 = (1-k)(1-nu1^2), |a2|^2 = 1-nu_last^2 and
-    g^2 |a3|^2 = bfrak^2 (1-nu1^2) - 2 bfrak nu1 nu_last^2 + nu_last^2 (1-nu_last^2).
-    Cleared of the division by g^2, the forms stay accurate near the zero
-    locus of g and are polynomials that expand exactly.
+    ``gram`` holds (g11, g12, g22) = (|e1^T|^2, <e1^T, e_{n+1}^T>, |e_{n+1}^T|^2),
+    the Gram entries of the tangential projections v^T = v - <v, nu> nu, and
+    ``t`` the ``_tilt_terms`` of the same normals.  The projections
+    a1 = sqrt(1-k) e1^T, a2 = e_{n+1}^T and a3 = (bfrak e1^T + nu_last e_{n+1}^T)/g
+    are combinations of e1^T and e_{n+1}^T, so by bilinearity every product in
+
+        sum |a_i|^2      = 1 + (1 - k sin^2 theta) w,
+        sum |a_i ^ a_j|^2 = (1 - k sin^2 theta) w,
+
+    with w = cfrak / g^2 in [0, 1], is a combination of the Gram entries.
+    sqrt(1-k) enters only squared, and the division by g^2 is left to the
+    caller, so the defects are polynomials that expand exactly and stay
+    accurate near the zero locus of g.
     """
-    factor = 1 - k * (1 - cos_t ** 2)  # 1 - k sin^2
-    a1sq = (1 - k) * (1 - nu1 ** 2)
-    a2sq = 1 - nu_last ** 2
-    a3sq_times_g2 = t.bfrak ** 2 * (1 - nu1 ** 2) - 2 * t.bfrak * nu1 * nu_last ** 2 + nu_last ** 2 * a2sq
-    sum_defect = (a1sq + a2sq) * t.g2 + a3sq_times_g2 - (t.g2 + factor * t.cfrak)
-    wedge_times_g2 = (1 - k) * t.cfrak * t.g2 + (1 - k) * nu_last ** 2 * t.cfrak + t.bfrak ** 2 * t.cfrak
-    return sum_defect, wedge_times_g2 - factor * t.cfrak
+    g11, g12, g22 = gram
+    b = t.bfrak
+    a1sq = (1 - k) * g11
+    # g^2 |a3|^2, g <a1, a3> / sqrt(1-k) and g <a2, a3>.
+    a3sq_g2 = b * b * g11 + 2 * b * nu_last * g12 + nu_last * nu_last * g22
+    a1a3_g = b * g11 + nu_last * g12
+    a2a3_g = b * g12 + nu_last * g22
+    wedge_12 = a1sq * g22 - (1 - k) * g12 * g12
+    wedges_3_g2 = a1sq * a3sq_g2 - (1 - k) * a1a3_g * a1a3_g + g22 * a3sq_g2 - a2a3_g * a2a3_g
+    factor_w_g2 = (1 - k * sin_sq) * t.cfrak
+    sum_defect = (a1sq + g22 - 1) * t.g2 + a3sq_g2 - factor_w_g2
+    return sum_defect, wedge_12 * t.g2 + wedges_3_g2 - factor_w_g2
+
+
+def _unit_normal_gram(nu1, nu_last) -> tuple:
+    """The Gram entries of ``_frame_defects`` in closed form for a unit normal."""
+    return 1 - nu1 ** 2, -nu1 * nu_last, 1 - nu_last ** 2
 
 
 def _signed_gap(inner_product, g2):
@@ -179,11 +202,11 @@ def _tangent_projections(nu: np.ndarray) -> tuple:
 
     For a fixed vector v, the tangential projection is v^T = v - <v, nu> nu.
     The entries are reduced from the two projection vectors themselves, not
-    read off their unit-normal closed forms 1 - nu1^2, -nu1 nu_last and
-    1 - nu_last^2, which ``_frame_defects`` and the symbolic certificate
-    use; so the float check built on them shares no formula with the exact
-    one.  They depend on the normals alone, so configurations that share a
-    draw share them.
+    read off their unit-normal closed forms (``_unit_normal_gram``), which
+    the symbolic certificate and the rational fallback feed to
+    ``_frame_defects``; so the float check shares that kernel with the
+    proof but not its Gram entries.  They depend on the normals alone, so
+    configurations that share a draw share them.
     """
     import numpy as np
 
@@ -192,53 +215,6 @@ def _tangent_projections(nu: np.ndarray) -> tuple:
     ep_t = -nu[:, -1:] * nu
     ep_t[:, -1] += 1.0
     return tuple(np.einsum("ij,ij->i", u, v) for u, v in ((e1_t, e1_t), (e1_t, ep_t), (ep_t, ep_t)))
-
-
-def _frame_terms(gram: tuple, nu_last, k: float, sin_sq: float, t: _TiltTerms) -> dict:
-    """Vectorised frame quantities at N unit normals.
-
-    ``gram`` is ``_tangent_projections`` of the normals, ``nu_last`` their
-    last components and ``t`` the caller's ``_tilt_terms`` of the same rows.
-    The projections a1 = sqrt(1-k) e1^T, a2 = e_{n+1}^T and
-    a3 = (bfrak e1^T + nu_last e_{n+1}^T)/g are per-row combinations of
-    e1^T and e_{n+1}^T, so by bilinearity every product in the two identities
-
-        sum |a_i|^2      = 1 + (1 - k sin^2 theta) w,
-        sum |a_i ^ a_j|^2 = (1 - k sin^2 theta) w,
-
-    with w = cfrak / g^2 in [0, 1], is a combination of the three Gram
-    entries, and a configuration costs O(N) scalar work.  This is the float
-    reference for the closed forms of ``_frame_defects`` (which the symbolic
-    certificate and the rational fallback use); it stays independent of
-    them because the Gram entries come from the projection vectors.
-    """
-    import numpy as np
-
-    g11, g12, g22 = gram
-    b = t.bfrak
-    root = math.sqrt(1.0 - k)
-    a1sq = (1.0 - k) * g11
-    # g^2 |a3|^2, g <a1, a3> and g <a2, a3>; the division by g^2 comes last.
-    a3sq_g2 = b * b * g11 + 2.0 * b * nu_last * g12 + nu_last * nu_last * g22
-    a1a3_g = root * (b * g11 + nu_last * g12)
-    a2a3_g = b * g12 + nu_last * g22
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a3sq = a3sq_g2 / t.g2
-        w13 = (a1sq * a3sq_g2 - a1a3_g ** 2) / t.g2
-        w23 = (g22 * a3sq_g2 - a2a3_g ** 2) / t.g2
-        w = t.cfrak / t.g2
-    w12 = a1sq * g22 - (root * g12) ** 2
-    sum_sq = a1sq + g22 + a3sq
-    sum_wedge = w12 + w13 + w23
-    factor = 1.0 - k * sin_sq
-    return {
-        "g2": t.g2,
-        "w": w,
-        "sum_sq": sum_sq,
-        "sum_wedge": sum_wedge,
-        "res_sum": np.abs(sum_sq - (1.0 + factor * w)),
-        "res_wedge": np.abs(sum_wedge - factor * w),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +476,7 @@ def _symbolic_certificates() -> dict[str, bool]:
     k, c, S, n1, npp = Polynomial.variables(5)
     t = _tilt_terms(n1, npp, c, k)
     _, gradient_defect = _gradient_defect(n1, npp, k, t)
-    sum_defect, wedge_defect = _frame_defects(n1, npp, c, k, t)
+    sum_defect, wedge_defect = _frame_defects(_unit_normal_gram(n1, npp), npp, k, 1 - c ** 2, t)
     # S stands for +sin (up) or -sin (down); only S^2 = 1 - c^2 is used.
     signed = _signed_gap(n1 * c + npp * S, t.g2) - ((1 - k) * (n1 - c) ** 2 + (npp - S) ** 2)
     return {
@@ -554,20 +530,22 @@ class _IdentityFold:
         jfrak, defect = _gradient_defect(nu1, nup, k, t)
         grad_res = np.abs(defect)
 
-        frame = _frame_terms(gram, nup, k, self.sin_sq, t)
+        sum_defect, wedge_defect = _frame_defects(gram, nup, k, self.sin_sq, t)
         with np.errstate(divide="ignore", invalid="ignore"):
+            res_sum = np.abs(sum_defect / t.g2)
+            res_wedge = np.abs(wedge_defect / t.g2)
             j_ratio = jfrak / t.g2
 
         small = np.flatnonzero(t.g2 < _SMALL_G2)
         for idx in small:
             res = _identity_row_exact(nu[idx], self.exact_cos_t, self.k_exact)
             grad_res[idx] = res["grad"]
-            frame["res_sum"][idx] = res["res_sum"]
-            frame["res_wedge"][idx] = res["res_wedge"]
+            res_sum[idx] = res["res_sum"]
+            res_wedge[idx] = res["res_wedge"]
             j_ratio[idx] = res["j_ratio"]
 
         self.worst = np.maximum(
-            self.worst, [np.max(grad_res), np.max(frame["res_sum"]), np.max(frame["res_wedge"]), np.max(j_ratio)]
+            self.worst, [np.max(grad_res), np.max(res_sum), np.max(res_wedge), np.max(j_ratio)]
         )
         self.fallbacks += int(small.size)
 
@@ -623,7 +601,7 @@ def _identity_row_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> dict:
     nu1, nup = comp[0] / norm, comp[-1] / norm
     t = _tilt_terms(nu1, nup, cos_t, k)
     jfrak, defect = _gradient_defect(nu1, nup, k, t)
-    sum_defect, wedge_defect = _frame_defects(nu1, nup, cos_t, k, t)
+    sum_defect, wedge_defect = _frame_defects(_unit_normal_gram(nu1, nup), nup, k, 1 - cos_t ** 2, t)
     return {
         "grad": float(abs(defect)),
         "res_sum": float(abs(sum_defect / t.g2)),

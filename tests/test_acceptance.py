@@ -203,6 +203,6 @@ def test_criterion_11_selftest_determinism(capsys):
     )
     # Pinned: any change to the report bytes of the default configuration shows here.
     assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == (
-        "22b97c2e7636c358341646dc5cfed9291255c67ed074e8a20d2531fbf5897586"
+        "f2f6acadb7383357be6bdacacce83b2fd20a132d5c7fdc61dbaa8547d5f057c3"
     )
     _announce(11, "two selftest --seed 42 runs byte-identical except wall-time, digest pinned")

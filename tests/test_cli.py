@@ -365,6 +365,23 @@ def test_pnbound_refuses_a_q_of_thousands_of_digits_promptly():
     assert "Traceback" not in proc.stderr
 
 
+def test_pnbound_refuses_a_report_too_long_to_print():
+    # A q of 2500 digits is decided, but its report holds a number past the
+    # interpreter's limit on printed digits: one error line naming the
+    # cause, not a traceback from rendering.
+    q = f"{10 ** 2500 + 1}/{10 ** 2500}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert", "pnbound", "--m", "3", "--q", q],
+        capture_output=True, text=True, env=_fresh_env(), timeout=60,
+    )
+    assert proc.returncode == EXIT_OPERATIONAL_ERROR
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert "too long to print" in proc.stderr and "--q" in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
+
+
 def test_oracle_draw_beyond_the_work_cap_is_refused_up_front(capsys, monkeypatch):
     # At --m 21201 the default 10^5 samples would draw 10^5 x 21201
     # coordinates, past the cap on the oracle's work: refused before the
@@ -505,7 +522,7 @@ def test_selftest_runs_certified_quick(capsys):
     digest_rep = doc["reports"][-1]
     # Pinned: any change to the report bytes of this configuration shows here.
     assert digest_rep["payload"]["content_digest_sha256"] == (
-        "53ff25d9fb30b76c3f5ae78f052a4de6ee587f19689e1b8b420d85f643daad5f"
+        "53f4dd064ceb42552eb009dbe44214ed9babd7d50b5f8cc231f21cf8c4b50656"
     )
 
 
@@ -769,4 +786,4 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
     )
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
-    assert digest == "22b97c2e7636c358341646dc5cfed9291255c67ed074e8a20d2531fbf5897586"
+    assert digest == "f2f6acadb7383357be6bdacacce83b2fd20a132d5c7fdc61dbaa8547d5f057c3"

@@ -41,21 +41,22 @@ def _identity_one_shot(params, samples, seed):
     t = tilt._tilt_terms(nu1, nup, cos_t, k)
     jfrak, defect = tilt._gradient_defect(nu1, nup, k, t)
     grad_res = np.abs(defect)
-    frame = tilt._frame_terms(tilt._tangent_projections(nu), nup, k, params.sin_squared, t)
+    sum_defect, wedge_defect = tilt._frame_defects(tilt._tangent_projections(nu), nup, k, params.sin_squared, t)
     with np.errstate(divide="ignore", invalid="ignore"):
+        res_sum, res_wedge = np.abs(sum_defect / t.g2), np.abs(wedge_defect / t.g2)
         j_ratio = jfrak / t.g2
     small = np.flatnonzero(t.g2 < tilt._SMALL_G2)
     for idx in small:
         res = tilt._identity_row_exact(nu[idx], Fraction(cos_t), params.k)
         grad_res[idx] = res["grad"]
-        frame["res_sum"][idx] = res["res_sum"]
-        frame["res_wedge"][idx] = res["res_wedge"]
+        res_sum[idx] = res["res_sum"]
+        res_wedge[idx] = res["res_wedge"]
         j_ratio[idx] = res["j_ratio"]
     return tilt.IdentityCampaignResult(
         samples=samples,
         max_gradient_residual=float(np.max(grad_res)),
-        max_frame_sum_residual=float(np.max(frame["res_sum"])),
-        max_wedge_sum_residual=float(np.max(frame["res_wedge"])),
+        max_frame_sum_residual=float(np.max(res_sum)),
+        max_wedge_sum_residual=float(np.max(res_wedge)),
         max_j_over_g2=float(np.max(j_ratio)),
         fallback_count=int(small.size),
     )
@@ -206,12 +207,13 @@ def test_reduced_kernels_agree_with_the_explicit_construction(seed):
         for params in _identity_grid(n):
             k = params.k_float
             t = tilt._tilt_terms(nu[:, 0], nu[:, -1], params.cos_theta, k)
-            out = tilt._frame_terms(gram, nu[:, -1], k, params.sin_squared, t)
+            defects = tilt._frame_defects(gram, nu[:, -1], k, params.sin_squared, t)
             kept = t.g2 >= tilt._SMALL_G2  # the other rows go to the rational fallback
             # Both sides are rounding noise of order eps * |a3|^2 ~ eps / g^2: at most 1e-13 where g^2 >= 1e-2.
             tol = 4 * eps * (1 + 1 / t.g2[kept])
             explicit = _explicit_frame_residuals(nu, k, params.sin_squared, t)
-            for got, want in zip((out["res_sum"], out["res_wedge"]), explicit):
+            for defect, want in zip(defects, explicit):
+                got = np.abs(defect / t.g2)
                 assert np.all(np.abs(got[kept] - want[kept]) <= tol), (n, params)
     offsets = _ball_offsets(4, samples, seed)
     rho = np.einsum("ij,ij->i", offsets[:, 1:], offsets[:, 1:])
@@ -227,22 +229,19 @@ def test_reduced_kernels_agree_with_the_explicit_construction(seed):
             assert np.max(np.abs(slacks[name] - want)) <= 1e-13, (theta, orientation, name)
 
 
-def _frame_terms_without_cross_term(gram, nu_last, k, sin_sq, t):
-    """``tilt._frame_terms`` with the 2 bfrak nu_last G12 term of g^2 |a3|^2 left out."""
+FRAME_DEFECTS = tilt._frame_defects
+
+
+def _frame_defects_without_cross_term(gram, nu_last, k, sin_sq, t):
+    """``tilt._frame_defects`` with the 2 bfrak nu_last g12 term of g^2 |a3|^2 left out.
+
+    g^2 |a3|^2 enters the sum defect once and the wedge defect times
+    |a1|^2 + |a2|^2 = (1 - k) g11 + g22.
+    """
     g11, g12, g22 = gram
-    b, root = t.bfrak, np.sqrt(1.0 - k)
-    a1sq = (1.0 - k) * g11
-    a3sq_g2 = b * b * g11 + nu_last * nu_last * g22
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w13 = (a1sq * a3sq_g2 - (root * (b * g11 + nu_last * g12)) ** 2) / t.g2
-        w23 = (g22 * a3sq_g2 - (b * g12 + nu_last * g22) ** 2) / t.g2
-        a3sq, w = a3sq_g2 / t.g2, t.cfrak / t.g2
-    factor = 1.0 - k * sin_sq
-    sum_wedge = a1sq * g22 - (root * g12) ** 2 + w13 + w23
-    return {
-        "res_sum": np.abs(a1sq + g22 + a3sq - (1.0 + factor * w)),
-        "res_wedge": np.abs(sum_wedge - factor * w),
-    }
+    cross = 2 * t.bfrak * nu_last * g12
+    sum_defect, wedge_defect = FRAME_DEFECTS(gram, nu_last, k, sin_sq, t)
+    return sum_defect - cross, wedge_defect - ((1 - k) * g11 + g22) * cross
 
 
 def test_identity_campaign_fails_a_frame_kernel_missing_its_cross_term(monkeypatch):
@@ -250,8 +249,23 @@ def test_identity_campaign_fails_a_frame_kernel_missing_its_cross_term(monkeypat
         return [res.max_frame_sum_residual for res in tilt.identity_campaigns(_identity_grid(3), samples=CHUNK, seed=42)]
 
     assert max(frame_residuals()) <= cli._FRAME_TOL
-    monkeypatch.setattr(tilt, "_frame_terms", _frame_terms_without_cross_term)
+    monkeypatch.setattr(tilt, "_frame_defects", _frame_defects_without_cross_term)
     assert min(frame_residuals()) > cli._FRAME_TOL
+
+
+def test_symbolic_certificate_fails_a_frame_kernel_missing_its_cross_term(monkeypatch):
+    # The mutant the campaign catches above also fails the proof itself.
+    tilt._symbolic_certificates.cache_clear()
+    try:
+        assert tilt.symbolic_identity_certificates()["frame_sum_identity"] is True
+        monkeypatch.setattr(tilt, "_frame_defects", _frame_defects_without_cross_term)
+        tilt._symbolic_certificates.cache_clear()
+        certs = tilt.symbolic_identity_certificates()
+        assert certs["frame_sum_identity"] is False
+        assert certs["wedge_sum_identity"] is False
+        assert certs["gradient_bound_identity"] is True and certs["signed_gap_identity"] is True
+    finally:
+        tilt._symbolic_certificates.cache_clear()
 
 
 def test_shared_draw_campaigns_refuse_an_empty_or_mixed_grid_before_drawing(monkeypatch):

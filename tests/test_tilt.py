@@ -130,7 +130,7 @@ def test_symbolic_identity_certificates_all_hold():
 def _kernel_outputs(k, c, s, n1, npp):
     t = tilt._tilt_terms(n1, npp, c, k)
     jfrak, gradient_defect = tilt._gradient_defect(n1, npp, k, t)
-    sum_defect, wedge_defect = tilt._frame_defects(n1, npp, c, k, t)
+    sum_defect, wedge_defect = tilt._frame_defects(tilt._unit_normal_gram(n1, npp), npp, k, 1 - c ** 2, t)
     signed = tilt._signed_gap(n1 * c + npp * s, t.g2) - ((1 - k) * (n1 - c) ** 2 + (npp - s) ** 2)
     return [t.g2, jfrak, gradient_defect, sum_defect, wedge_defect, signed]
 
@@ -187,14 +187,16 @@ def test_frame_sum_identities_pointwise(raw, angle_k):
     params = params_for(theta, k, 3)
     nu = np.asarray([_normalized(raw)])
     t = tilt._tilt_terms(nu[:, 0], nu[:, -1], params.cos_theta, params.k_float)
-    out = tilt._frame_terms(tilt._tangent_projections(nu), nu[:, -1], params.k_float, params.sin_squared, t)
-    if out["g2"][0] < 1e-6:
+    gram = tilt._tangent_projections(nu)
+    sum_defect, wedge_defect = tilt._frame_defects(gram, nu[:, -1], params.k_float, params.sin_squared, t)
+    g2 = t.g2[0]
+    if g2 < 1e-6:
         return  # near the tilt zeros the frame normalisation degenerates
-    assert out["res_sum"][0] <= 1e-9
-    assert out["res_wedge"][0] <= 1e-9
-    assert -1e-9 <= out["w"][0] <= 1 + 1e-9
+    assert abs(sum_defect[0]) / g2 <= 1e-9
+    assert abs(wedge_defect[0]) / g2 <= 1e-9
+    assert -1e-9 <= t.cfrak[0] / g2 <= 1 + 1e-9  # w = cfrak / g^2
     # The two identities are coupled: sum = 1 + wedge-sum.
-    assert math.isclose(out["sum_sq"][0], 1.0 + out["sum_wedge"][0], rel_tol=0, abs_tol=1e-9)
+    assert abs(sum_defect[0] - wedge_defect[0]) / g2 <= 1e-9
 
 
 def test_identity_campaign_residuals_small():
@@ -517,5 +519,28 @@ def test_proof_and_campaign_read_the_same_kernels(monkeypatch, kernel, mutant):
     try:
         assert tilt.symbolic_identity_certificates()["gradient_bound_identity"] is False
         assert tilt.identity_campaigns([params], samples=2_000, seed=3)[0].max_gradient_residual > 1e-3
+    finally:
+        tilt._symbolic_certificates.cache_clear()
+
+
+def test_proof_fallback_and_campaign_call_the_one_frame_kernel(monkeypatch):
+    # The certificate, the rational fallback and the sampled campaign all
+    # evaluate tilt._frame_defects, so no second frame formula runs unproved.
+    calls = []
+    kernel = tilt._frame_defects
+
+    def spy(gram, nu_last, k, sin_sq, t):
+        calls.append(type(nu_last))
+        return kernel(gram, nu_last, k, sin_sq, t)
+
+    monkeypatch.setattr(tilt, "_frame_defects", spy)
+    tilt._symbolic_certificates.cache_clear()
+    try:
+        assert tilt.symbolic_identity_certificates()["frame_sum_identity"] is True
+        assert calls == [Polynomial]
+        tilt._identity_row_exact(np.array([0.6, 0.0, 0.8]), Fraction(1, 2), Fraction(1, 2))
+        assert calls == [Polynomial, Fraction]
+        tilt.identity_campaigns([params_for(120, Fraction(1, 2), 3)], samples=100, seed=3)
+        assert calls[2] is np.ndarray
     finally:
         tilt._symbolic_certificates.cache_clear()
