@@ -301,7 +301,7 @@ def _pnbound(
             provenance={
                 "samples_requested": samples,
                 "samples_used": samples_used,
-                "ascent_steps": cones.ORACLE_ASCENT_STEPS,
+                "ascent_steps": oracle.steps,
                 "seed": seed,
             },
         )

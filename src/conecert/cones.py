@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # numpy loads inside the float functions, so exact commands n
     import numpy as np
 
 from ._record import Record, _fill
-from ._sampling import unit_gaussian_chunks
+from ._sampling import row_sums, unit_gaussian_chunks
 from .exact import (
     Interval,
     QuadraticSurd,
@@ -239,9 +239,9 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
 class BruteForceResult(Record):
     """Best |f| found by random sphere sampling plus gradient ascent."""
 
-    __slots__ = ("value", "witness", "samples")
+    __slots__ = ("value", "witness", "samples", "steps")
 
-    def __init__(self, value: float, witness: tuple[float, ...], samples: int) -> None:
+    def __init__(self, value: float, witness: tuple[float, ...], samples: int, steps: int) -> None:
         _fill(self, locals())
 
 
@@ -252,9 +252,9 @@ def _f_parts(x: np.ndarray, q: float) -> tuple:
     # Only + - * / and sqrt, which IEEE 754 rounds correctly: numpy sends
     # float powers to SIMD kernels picked per CPU, which round differently.
     x2 = x * x
-    p1 = x.sum(axis=1)
-    p2 = x2.sum(axis=1)
-    p3 = (x2 * x).sum(axis=1)
+    p1 = row_sums(x)
+    p2 = row_sums(x2)
+    p3 = row_sums(x2 * x)
     N = p3 + (1.0 - q) * p1 * p2 - q * (p1 * p1 * p1)
     base = p2 + p1 * p1
     b15 = base * np.sqrt(base)
@@ -281,7 +281,7 @@ def _f_and_gradient(x: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
 ORACLE_MAX_DOUBLES = 2 ** 25
 
 # The fewest samples the oracle draws, the ascent starts it keeps from the
-# draw (the rows of largest |f|), and the gradient-ascent steps it takes.
+# draw (the rows of largest |f|), and the most gradient-ascent steps it takes.
 MIN_ORACLE_SAMPLES = 10_000
 _ORACLE_STARTS = 512
 ORACLE_ASCENT_STEPS = 200
@@ -325,10 +325,21 @@ def brute_force_sup(m: int, q: RationalLike, samples: int = 100_000, seed: int =
     Standard Gaussian vectors from ``numpy.random.default_rng(seed)`` are
     normalised to uniform directions on the sphere (Muller 1959) and scored
     chunk by chunk, keeping a running top 512 by |f|; those starts are
-    refined by ORACLE_ASCENT_STEPS steps of projected gradient ascent on
-    |f| with per-sample adaptive step sizes.  Fully deterministic for a
-    fixed seed.  Draws above ORACLE_MAX_DOUBLES, and a q that
+    refined by at most ORACLE_ASCENT_STEPS steps of projected gradient
+    ascent on |f| with per-sample adaptive step sizes.  Fully deterministic
+    for a fixed seed.  Draws above ORACLE_MAX_DOUBLES, and a q that
     ``check_oracle_q`` refuses, are refused before any work.
+
+    The ascent stops after a step in which no start improved and every
+    unnormalised proposal ``top + step * tangential`` rounded to ``top``
+    itself; ``steps`` counts the steps taken.  The stop changes no result.
+    After such a step ``top``, ``vals`` and so the tangential directions are
+    unchanged, and each later step only halves every step size.  Rounding
+    is monotone, so a product and a sum that rounded to no move at a step
+    size round to no move at any smaller one: every later proposal is this
+    step's again, its normalised row and f value repeat, and no start can
+    improve.  The final ``top`` and ``vals`` are those of all
+    ORACLE_ASCENT_STEPS steps.
     """
     import numpy as np
 
@@ -351,18 +362,21 @@ def brute_force_sup(m: int, q: RationalLike, samples: int = 100_000, seed: int =
     top, vals = top[order], vals[order]
 
     step = np.full(top.shape[0], 0.1)
-    for _ in range(ORACLE_ASCENT_STEPS):
+    for steps in range(1, ORACLE_ASCENT_STEPS + 1):
         _, grads = _f_and_gradient(top, q)
         direction = np.sign(vals)[:, None] * grads
-        tangential = direction - (direction * top).sum(axis=1)[:, None] * top
+        tangential = direction - row_sums(direction * top)[:, None] * top
         proposal = top + step[:, None] * tangential
-        proposal /= np.linalg.norm(proposal, axis=1)[:, None]
+        frozen = np.array_equal(proposal, top)
+        proposal /= np.sqrt(row_sums(proposal * proposal))[:, None]
         new_vals = _f_value(proposal, q)
         better = np.abs(new_vals) > np.abs(vals)
         top[better] = proposal[better]
         vals[better] = new_vals[better]
         step[better] *= 1.3
         step[~better] *= 0.5
+        if frozen and not better.any():
+            break
 
     best_idx = int(np.argmax(np.abs(vals)))
     witness = np.sort(top[best_idx])[::-1]
@@ -370,6 +384,7 @@ def brute_force_sup(m: int, q: RationalLike, samples: int = 100_000, seed: int =
         value=float(np.abs(vals[best_idx])),
         witness=tuple(float(c) for c in witness),
         samples=samples,
+        steps=steps,
     )
 
 

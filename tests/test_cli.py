@@ -276,6 +276,14 @@ def test_pnbound_clamps_low_sample_oracle(capsys):
     assert prov["samples_used"] == 10000
 
 
+def test_pnbound_reports_the_ascent_steps_taken(capsys):
+    code, doc, _ = run_json(capsys, "pnbound", "--m", "5", "--q", "43/391", "--samples", "10000", "--seed", "42")
+    assert code == EXIT_CERTIFIED
+    steps = doc["reports"][0]["provenance"]["ascent_steps"]
+    assert steps == cones.brute_force_sup(5, Fraction(43, 391), samples=10_000, seed=42).steps
+    assert 1 <= steps < cones.ORACLE_ASCENT_STEPS
+
+
 def test_pnbound_input_validation(capsys):
     code, _, err = run(capsys, "pnbound", "--m", "1", "--q", "1")
     assert code == EXIT_OPERATIONAL_ERROR
@@ -787,3 +795,16 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
     assert digest == "f2f6acadb7383357be6bdacacce83b2fd20a132d5c7fdc61dbaa8547d5f057c3"
+
+
+def test_pnbound_output_does_not_depend_on_the_cpu_kernels():
+    # The oracle's sums and norms are column adds and square roots, which
+    # IEEE 754 rounds the same on every kernel numpy may pick.
+    argv = [sys.executable, "-m", "conecert", "pnbound", "--m", "5", "--q", "43/391",
+            "--samples", "10000", "--seed", "42", "--format", "json"]
+    stdouts = []
+    for host in ({}, {"NPY_DISABLE_CPU_FEATURES": _BASELINE_NUMPY}):
+        proc = subprocess.run(argv, capture_output=True, text=True, env=_fresh_env(**host), timeout=300)
+        assert proc.returncode == EXIT_CERTIFIED, proc.stderr
+        stdouts.append(re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": 0', proc.stdout))
+    assert stdouts[0] == stdouts[1]

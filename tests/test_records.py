@@ -19,7 +19,7 @@ RECORDS = {
     cones.SupResult: lambda: cones.SupResult(
         QuadraticSurd(0, F(1, 6), 6), F(1, 6), cones.TwoValuePoint(1, 1, F(1), F(-1)), "enumeration", True
     ),
-    cones.BruteForceResult: lambda: cones.BruteForceResult(0.4, (0.6, -0.8), 10_000),
+    cones.BruteForceResult: lambda: cones.BruteForceResult(0.4, (0.6, -0.8), 10_000, 37),
     cones.ConeParams: lambda: cones.ConeParams(4, F(14, 33), F(1, 15), 1, F(1, 6)),
     cones.ConstraintReport: lambda: cones.constraint_holds(cones.calibrated_defaults(5)),
     cones.NThetaRow: lambda: cones.NThetaRow(F(90), F(95), 7, Interval(94, 95)),

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conecert import _sampling, cli, cones, tilt
 from conecert.exact import AngleDeg
@@ -116,6 +119,7 @@ def _oracle_one_shot(m, q, samples, seed):
         value=float(np.abs(final[best])),
         witness=tuple(float(c) for c in np.sort(top[best])[::-1]),
         samples=samples,
+        steps=cones.ORACLE_ASCENT_STEPS,
     )
 
 
@@ -281,12 +285,55 @@ def test_shared_draw_campaigns_refuse_an_empty_or_mixed_grid_before_drawing(monk
         tilt.appendix_campaigns(4, [], samples=10, seed=42)
 
 
+def _same_oracle_result(stopped, full):
+    """The early-stopped oracle found what the fixed-step reference found, bit for bit."""
+    return (stopped.value, stopped.witness, stopped.samples) == (full.value, full.witness, full.samples)
+
+
 # The oracle refuses fewer than 10^4 samples, so its boundaries sit two chunks further on.
 @pytest.mark.parametrize("samples", [3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 1, 3 * CHUNK + 5])
 def test_streamed_oracle_equals_one_shot_evaluation(samples):
     for m, q in ((4, Fraction(43, 391)), (9, Fraction(1, 3))):
         streamed = cones.brute_force_sup(m, q, samples=samples, seed=42)
-        assert streamed == _oracle_one_shot(m, q, samples, 42)
+        assert _same_oracle_result(streamed, _oracle_one_shot(m, q, samples, 42))
+
+
+# selftest's three oracles and pnbound's m = 5 at seeds 42 and 7, and two
+# cases on which stopping at the first step with no improving start finds a
+# different value.
+@pytest.mark.parametrize(
+    "m,q,samples,seed",
+    [(m, q, samples, seed)
+     for seed in (42, 7)
+     for m, q, samples in ((2, Fraction(1), 100_000), (3, Fraction(6, 11), 100_000),
+                           (4, Fraction(43, 391), 100_000), (5, Fraction(43, 391), 10_000))]
+    + [(2, Fraction(6, 11), 10_000, 0), (3, Fraction(1000), 10_000, 0)],
+)
+def test_oracle_stops_early_with_the_result_of_every_step(m, q, samples, seed):
+    stopped = cones.brute_force_sup(m, q, samples=samples, seed=seed)
+    assert _same_oracle_result(stopped, _oracle_one_shot(m, q, samples, seed))
+    assert 1 <= stopped.steps < cones.ORACLE_ASCENT_STEPS
+
+
+_EDGE_DOUBLES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                 1.7976931348623157e308, 1.0, -1.0, 1e-16]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(0, 6), st.integers(1, 12)),
+        elements=st.one_of(st.sampled_from(_EDGE_DOUBLES), st.floats(width=64)),
+    )
+)
+def test_row_sums_are_numpys_row_sums(x):
+    # If numpy changes its summation order, this fails before a digest moves.
+    with np.errstate(all="ignore"):
+        got, want = _sampling.row_sums(x), x.sum(axis=1)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_f_value_is_the_value_of_f_and_gradient():
