@@ -108,7 +108,7 @@ _SHARED = {
         type=_count_from(1), default=100_000,
         help="Sample count for randomized campaigns (default 100000).",
     ),
-    "--seed": dict(type=int, default=42, help="RNG seed (default 42)."),
+    "--seed": dict(type=_count_from(0), default=42, help="RNG seed (default 42)."),
 }
 # --p2 of certify, pnbound and optimize; each adds its own help.
 _P2 = dict(type=_rational, dest="p_squared", metavar="P2")
@@ -489,7 +489,7 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
 
     margin_payload = {}
     for n, k in _MARGIN_PAIRS:
-        rep = tilt.certify_margin_positive(n, k, 1, 179)
+        rep = tilt.certify_margin_positive(n, k)
         margin_payload[f"n={n} k={k}"] = {
             "verdict": rep.verdict,
             "decided_by": rep.provenance.get("decided_by"),

@@ -131,14 +131,19 @@ def two_value_critical_x(a: int, b: int, q: RationalLike) -> list[QuadraticSurd]
     return quadratic_real_roots(*critical_quadratic_coeffs(a, b, q))
 
 
+def _f_terms(p1, p2, p3, q):
+    """The numerator N and base = P2 + P1^2 of f = N / base^1.5 from the power sums P1, P2, P3.
+
+    Only + - * and integer literals, so one body runs on exact surds and on numpy rows.
+    """
+    return p3 + (1 - q) * p1 * p2 - q * (p1 * p1 * p1), p2 + p1 * p1
+
+
 def _f_squared_exact(a: int, b: int, q: Fraction, x: QuadraticSurd) -> QuadraticSurd:
     """Exact f^2 at the point with a copies of x and b copies of 1."""
-    P1 = x * a + b
-    P2 = x * x * a + b
-    P3 = x ** 3 * a + b
-    N = P3 + P1 * P2 * (1 - q) - P1 ** 3 * q
-    base = P2 + P1 * P1
-    return (N * N) / base ** 3
+    x2 = x * x
+    N, base = _f_terms(x * a + b, x2 * a + b, x2 * x * a + b, q)
+    return (N * N) / (base * base * base)
 
 
 class SupResult(Record):
@@ -255,8 +260,7 @@ def _f_parts(x: np.ndarray, q: float) -> tuple:
     p1 = row_sums(x)
     p2 = row_sums(x2)
     p3 = row_sums(x2 * x)
-    N = p3 + (1.0 - q) * p1 * p2 - q * (p1 * p1 * p1)
-    base = p2 + p1 * p1
+    N, base = _f_terms(p1, p2, p3, q)
     b15 = base * np.sqrt(base)
     return x2, p1, p2, N, base, b15, N / b15
 

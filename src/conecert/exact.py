@@ -207,13 +207,6 @@ class Interval(Record):
             return Interval(self.hi * self.hi, self.lo * self.lo)
         return Interval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
 
-    def abs(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
-
     def sqrt(self) -> "Interval":
         """Enclosure of sqrt: exact at ends that are rational squares, else rounded out to the grid."""
         if self.lo < 0:
@@ -374,17 +367,6 @@ class QuadraticSurd(Record):
 
     def __rtruediv__(self, other) -> "QuadraticSurd":
         return self._coerce(other) / self
-
-    def __pow__(self, exponent: int) -> "QuadraticSurd":
-        if exponent < 0:
-            return 1 / self ** (-exponent)
-        result, base = QuadraticSurd(1), self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     def square(self) -> Union[Fraction, "QuadraticSurd"]:
         """self^2; a Fraction whenever it is rational (always for coeff*sqrt(d))."""

@@ -18,10 +18,9 @@ This module checks, numerically at scale and exactly where it matters:
   (``identity_campaigns``, proved by ``symbolic_identity_certificates``),
 * positivity of the spectral stability margin
   1 + k cos^2(theta) - k |cos(theta)| - s(k, n, theta)
-  over whole angle ranges, decided from the closed-form factor
-  4kn (v-1)^2 (k v^2 - k(n-1) v + 1) of an exact quartic in v = |cos(theta)|,
-  by the rational condition k(n-2) <= 1 or by exact comparisons of |cos| at
-  the range ends with the factor's root (``certify_margin_positive``),
+  on all of (0, 180) degrees, decided in one step from the closed-form factor
+  4kn (v-1)^2 (k v^2 - k(n-1) v + 1) of an exact quartic in v = |cos(theta)|:
+  it holds exactly when k(n-2) <= 1 (``certify_margin_positive``),
 * the closed-ball comparison bounds between |Du|, the normal gap
   |nu - nu_theta|, and g, together with their applicability threshold
   (``appendix_campaigns``).
@@ -31,15 +30,16 @@ operators and integer literals, so one body runs on floats, numpy arrays,
 exact rationals and exact polynomials (:class:`conecert.exact.Polynomial`).
 The ``*_campaigns`` functions evaluate the kernels on seeded random samples,
 several configurations on one shared draw, and report worst-case residuals;
-samples very close to the zero locus of g are re-evaluated in rationals, on
-a normal unit to the 2^-256 grid, so that division noise does not masquerade as
-an identity violation; and ``symbolic_identity_certificates`` expands the
-same kernels as polynomials and checks that each defect is the zero
-polynomial, as the margin certifier does for its factorisation.  The one
+``symbolic_identity_certificates`` expands the same kernels as polynomials
+and checks that each defect is the zero polynomial, as the margin certifier
+does for its factorisation.  So at samples very close to the zero locus of
+g, where division noise would masquerade as an identity violation, the
+campaigns take the defects as their proved value 0 and re-evaluate only
+jfrak / g^2 in rationals, on a normal unit to the 2^-256 grid.  The one
 frame-sum kernel takes the Gram entries of the tangential projections: the
-proof and the fallback give it their unit-normal closed forms, the campaign
-the entries it reduces from the projection vectors, so the sampled check
-shares the kernel with the proof but not its inputs.
+proof gives it their unit-normal closed forms, the campaign the entries it
+reduces from the projection vectors, so the sampled check shares the
+kernel with the proof but not its inputs.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .exact import (
     Polynomial,
     RationalLike,
     _interior_angle,
-    compare,
     quadratic_real_roots,
     to_fraction,
 )
@@ -70,9 +69,6 @@ __all__ = [
     "TiltParams",
     "IdentityCampaignResult",
     "AppendixCampaignResult",
-    "f_of_t",
-    "s_constant",
-    "stability_margin",
     "certify_margin_positive",
     "default_k",
     "identity_campaigns",
@@ -81,9 +77,9 @@ __all__ = [
     "BALL_RADIUS",
 ]
 
-# Samples whose g^2 falls below this threshold are re-evaluated in rationals in
-# campaigns: dividing float residuals by a tiny g^2 would otherwise inflate
-# pure rounding noise.
+# Samples whose g^2 falls below this threshold take their proved residuals and a
+# rational jfrak / g^2 in campaigns: dividing float residuals by a tiny g^2 would
+# otherwise inflate pure rounding noise.
 _SMALL_G2 = 1e-4
 
 
@@ -203,10 +199,10 @@ def _tangent_projections(nu: np.ndarray) -> tuple:
     For a fixed vector v, the tangential projection is v^T = v - <v, nu> nu.
     The entries are reduced from the two projection vectors themselves, not
     read off their unit-normal closed forms (``_unit_normal_gram``), which
-    the symbolic certificate and the rational fallback feed to
-    ``_frame_defects``; so the float check shares that kernel with the
-    proof but not its Gram entries.  They depend on the normals alone, so
-    configurations that share a draw share them.
+    the symbolic certificate feeds to ``_frame_defects``; so the float
+    check shares that kernel with the proof but not its Gram entries.  They
+    depend on the normals alone, so configurations that share a draw share
+    them.
     """
     import numpy as np
 
@@ -218,50 +214,8 @@ def _tangent_projections(nu: np.ndarray) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The spectral constant s(k, n, theta) and the stability margin.
+# The stability margin.
 # ---------------------------------------------------------------------------
-
-
-def f_of_t(n: int, t: Interval | RationalLike) -> Interval:
-    """The auxiliary function f_n(t) = [(n-1)(1+t) + sqrt(4t + (n-1)^2 (1-t)^2)] / (2n).
-
-    s(k, n, theta) equals f_n(1 - k sin^2 theta); f_n is increasing on
-    [0, 1].  Accepts an exact rational or an interval; returns a certified
-    enclosure (exact when the radicand is the square of a rational).
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    t_iv = t if isinstance(t, Interval) else Interval.point(to_fraction(t))
-    if t_iv.lo < 0 or t_iv.hi > 1:
-        raise ValueError(f"t must lie in [0, 1], got {t_iv}")
-    one = Interval.point(1)
-    radicand = (4 * t_iv + (n - 1) ** 2 * (one - t_iv).square()).clamp(
-        Fraction(0), Fraction(4 + (n - 1) ** 2)
-    )
-    return ((n - 1) * (one + t_iv) + radicand.sqrt()) / (2 * n)
-
-
-def s_constant(n: int, k: RationalLike, theta: AngleDeg) -> Interval:
-    """Certified enclosure of the spectral constant s(k, n, theta)."""
-    k = to_fraction(k)
-    if not 0 < k <= 1:
-        raise ValueError(f"k must lie in (0, 1], got {k}")
-    sin_sq = _interior_angle(theta).sin_squared()
-    t = (Interval.point(1) - k * sin_sq).clamp(Fraction(0), Fraction(1))
-    return f_of_t(n, t)
-
-
-def stability_margin(n: int, k: RationalLike, theta: AngleDeg) -> Interval:
-    """Certified enclosure of 1 + k cos^2(theta) - k |cos(theta)| - s(k, n, theta).
-
-    Positivity of this margin is the spectral gap that stability of the
-    capillary cone construction rests on.
-    """
-    k = to_fraction(k)
-    theta = _interior_angle(theta)
-    c = theta.cos()
-    margin = Interval.point(1) + k * c.square() - k * c.abs() - s_constant(n, k, theta)
-    return margin
 
 
 def _margin_terms(v, k, n):
@@ -297,67 +251,34 @@ def default_k(n: int) -> Fraction:
     return Fraction(1) if n == 2 else Fraction(1, n - 2)
 
 
-def certify_margin_positive(
-    n: int,
-    k: RationalLike,
-    theta_lo: RationalLike,
-    theta_hi: RationalLike,
-) -> CertificationReport:
-    """Decide margin > 0 for every theta in [theta_lo, theta_hi] degrees.
+def certify_margin_positive(n: int, k: RationalLike) -> CertificationReport:
+    """Decide margin > 0 at every theta in (0, 180) degrees.
 
     The margin has the sign of L^2 - D = 4kn (v-1)^2 R(v) at v = |cos theta|
     (``_margin_terms`` and ``_margin_factor_coeffs``; a factorisation that
-    does not expand raises RuntimeError).  So each range is decided by exact
-    comparisons:
-
-    * at 0 and 180 degrees v = 1 and the margin is exactly 0, so a range
-      touching either is falsified there;
-    * R(0) = 1 and R(1) = 1 - k(n-2); R falls on [0, 1] for n >= 3 (its
-      vertex is at (n-1)/2) and R >= 1 - k/4 for n = 2, so k(n-2) <= 1
-      makes the margin positive on all of (0, 180) degrees;
-    * otherwise the margin is positive exactly where v < v*, the smaller
-      root of R.  |cos| is largest at an end of the range, so an end whose
-      |cos| enclosure lies at or above v* is a witness (falsified), both
-      ends strictly below v* certify, and a straddle is inconclusive.
+    does not expand raises RuntimeError), and v < 1 inside the range.
+    R(0) = 1 and R(1) = 1 - k(n-2); R falls on [0, 1] for n >= 3 (its vertex
+    is at (n-1)/2) and R >= 1 - k/4 for n = 2.  So k(n-2) <= 1 certifies the
+    claim in one rational comparison; otherwise the smaller root v* of R
+    lies in (0, 1), and the margin is negative wherever v* < |cos theta| < 1.
     """
     k = to_fraction(k)
-    theta_lo = to_fraction(theta_lo)
-    theta_hi = to_fraction(theta_hi)
     if n < 2 or not 0 < k <= 1:
         raise ValueError("need n >= 2 and k in (0, 1]")
-    if not 0 <= theta_lo < theta_hi <= 180:
-        raise ValueError("need 0 <= theta_lo < theta_hi <= 180")
     if not _margin_factorisation_holds():
         raise RuntimeError("L^2 - D does not expand to 4kn (v-1)^2 R(v); the margin is left undecided")
-    claim = (
-        f"stability margin 1 + k cos^2 - k|cos| - s(k,n,theta) > 0 "
-        f"for n={n}, k={k}, theta in [{theta_lo}, {theta_hi}] degrees"
-    )
     factor = _margin_factor_coeffs(k, n)
-
-    def report(verdict: str, decided_by: str, **payload) -> CertificationReport:
-        return CertificationReport(
-            claim=claim, method="exact", verdict=verdict,
-            payload={"margin_factor_coeffs": factor, **payload}, provenance={"decided_by": decided_by},
-        )
-
-    for pole in (theta_lo, theta_hi):
-        if pole in (0, 180):
-            # cos = +-1 and sin = 0 there, so t = 1 and the margin is 1 + k - k - f_n(1).
-            return report("falsified", f"v = 1 at {pole} degrees",
-                          counterexample_theta_deg=pole, margin_enclosure=1 - f_of_t(n, 1))
+    payload = {"margin_factor_coeffs": factor}
     if k * (n - 2) <= 1:
-        return report("certified", f"k(n-2) = {k * (n - 2)} <= 1")
-    v_star = quadratic_real_roots(*factor)[0]
-    abs_cos = {end: AngleDeg.from_degrees(end).cos().abs() for end in (theta_lo, theta_hi)}
-    for end, v in abs_cos.items():
-        if compare(v.lo, v_star) >= 0:
-            return report("falsified", f"|cos theta| >= v* = {v_star} at {end} degrees", v_star=v_star,
-                          counterexample_theta_deg=end, margin_enclosure=stability_margin(n, k, end))
-    if all(compare(v.hi, v_star) < 0 for v in abs_cos.values()):
-        return report("certified", f"|cos theta| < v* = {v_star} at both ends", v_star=v_star)
-    return report("inconclusive", f"|cos theta| straddles v* = {v_star}",
-                  v_star=v_star, abs_cos_at_ends=list(abs_cos.values()))
+        verdict, decided_by = "certified", f"k(n-2) = {k * (n - 2)} <= 1"
+    else:
+        payload["v_star"] = v_star = quadratic_real_roots(*factor)[0]
+        verdict, decided_by = "falsified", f"k(n-2) = {k * (n - 2)} > 1; margin < 0 where v* = {v_star} < |cos theta|"
+    return CertificationReport(
+        claim=f"stability margin 1 + k cos^2 - k|cos| - s(k,n,theta) > 0 "
+        f"for n={n}, k={k}, theta in (0, 180) degrees",
+        method="exact", verdict=verdict, payload=payload, provenance={"decided_by": decided_by},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +458,12 @@ class _IdentityFold:
             j_ratio = jfrak / t.g2
 
         small = np.flatnonzero(t.g2 < _SMALL_G2)
+        # The three defects expand to the zero polynomial in free (nu1, nu_last, cos theta, k),
+        # with no unit-norm relation (``symbolic_identity_certificates``), so they are exactly 0
+        # at these rows, where the float frame residuals would be rounding noise over a tiny g^2.
+        grad_res[small] = res_sum[small] = res_wedge[small] = 0.0
         for idx in small:
-            res = _identity_row_exact(nu[idx], self.exact_cos_t, self.k_exact)
-            grad_res[idx] = res["grad"]
-            res_sum[idx] = res["res_sum"]
-            res_wedge[idx] = res["res_wedge"]
-            j_ratio[idx] = res["j_ratio"]
+            j_ratio[idx] = _j_ratio_exact(nu[idx], self.exact_cos_t, self.k_exact)
 
         self.worst = np.maximum(
             self.worst, [np.max(grad_res), np.max(res_sum), np.max(res_wedge), np.max(j_ratio)]
@@ -570,9 +491,10 @@ def identity_campaigns(
     drawn and reduced to its Gram entries once and then evaluated for every
     configuration in turn, so the results, in the order of ``params_seq``,
     are those of one draw per configuration; the configurations must share
-    the graph dimension.  Rows with g^2 below 1e-4 are recomputed by
-    ``_identity_row_exact`` before residuals are aggregated; the maxima
-    fold with ``np.maximum``, so a NaN residual reaches the result.
+    the graph dimension.  At rows with g^2 below 1e-4 the three residuals
+    are set to their proved value 0 and jfrak / g^2 is recomputed by
+    ``_j_ratio_exact`` before residuals are aggregated; the maxima fold
+    with ``np.maximum``, so a NaN residual reaches the result.
     """
     import numpy as np
 
@@ -591,23 +513,17 @@ def identity_campaigns(
     return [fold.result(samples) for fold in folds]
 
 
-def _identity_row_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> dict:
-    """Re-evaluate one sample's identities in rationals: the float components
-    are taken exactly and divided by the lower end of the enclosure of their
-    norm on the 2^-256 grid, so the normal is unit only to about 2^-256 and
-    each defect over g^2 carries about 2^-256 / g^2 of normalisation error."""
+def _j_ratio_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> float:
+    """jfrak / g^2 at one sample in rationals: the float components are taken
+    exactly and divided by the lower end of the enclosure of their norm on
+    the 2^-256 grid, so the normal is unit only to about 2^-256 and the
+    ratio carries about 2^-256 / g^2 of normalisation error."""
     comp = [Fraction(float(c)) for c in row]
     norm = Interval.point(sum(c * c for c in comp)).sqrt().lo
     nu1, nup = comp[0] / norm, comp[-1] / norm
     t = _tilt_terms(nu1, nup, cos_t, k)
-    jfrak, defect = _gradient_defect(nu1, nup, k, t)
-    sum_defect, wedge_defect = _frame_defects(_unit_normal_gram(nu1, nup), nup, k, 1 - cos_t ** 2, t)
-    return {
-        "grad": float(abs(defect)),
-        "res_sum": float(abs(sum_defect / t.g2)),
-        "res_wedge": float(abs(wedge_defect / t.g2)),
-        "j_ratio": float(jfrak / t.g2),
-    }
+    jfrak, _ = _gradient_defect(nu1, nup, k, t)
+    return float(jfrak / t.g2)
 
 
 # The radius of the balls of gradients that ``appendix_campaigns`` samples.

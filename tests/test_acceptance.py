@@ -161,7 +161,7 @@ def test_criterion_07_identity_suites_at_full_sample_size():
 def test_criterion_08_margin_certification():
     for n, k in [(2, Fraction(1)), (3, Fraction(1)), (4, Fraction(1, 2)),
                  (5, Fraction(1, 3)), (6, Fraction(1, 4)), (7, Fraction(1, 5))]:
-        rep = tilt.certify_margin_positive(n, k, 1, 179)
+        rep = tilt.certify_margin_positive(n, k)
         assert rep.verdict == "certified", f"(n,k)=({n},{k}): {rep.verdict}"
     _announce(8, "margin certified positive on [1°,179°] for all six (n,k) pairs")
 

@@ -573,9 +573,14 @@ def test_unknown_command_is_operational_error(capsys):
         (("certify", "--n", "4", "--alpha", "0.42"), "'0.42' is not an exact rational (write it as num/den)"),
         (("frobnicate",), "frobnicate"),
         ((), "COMMAND"),
+        (("pnbound", "--m", "3", "--q", "1", "--seed", "-1"), "--seed"),
+        (("selftest", "--seed", "-1"), "--seed"),
+        (("identities", "--seed", "-1"), "--seed"),
+        (("optimize", "--n", "5", "--seed", "-1"), "--seed"),
     ],
     ids=["unknown-option", "abbreviated-option", "missing-n", "format-xml", "samples-0", "budget-negative",
-         "q-negative", "alpha-decimal", "unknown-command", "no-command"],
+         "q-negative", "alpha-decimal", "unknown-command", "no-command", "pnbound-seed-negative",
+         "selftest-seed-negative", "identities-seed-negative", "optimize-seed-negative"],
 )
 def test_a_bad_command_line_ends_with_one_error_line(capsys, argv, mentions):
     code, out, err = run(capsys, *argv)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conecert import _sampling, cli, cones, tilt
-from conecert.exact import AngleDeg
+from conecert.exact import AngleDeg, Interval
 
 CHUNK = _sampling.CHUNK_ROWS
 IDENTITY_PARAMS = [
@@ -36,6 +36,23 @@ def _one_shot_directions(rng, samples, dim):
     return x
 
 
+def _identity_row_rational(row, cos_t, k):
+    """All three identities and jfrak / g^2 at one sample, re-evaluated in rationals on
+    the normal scaled by the lower end of its norm's enclosure on the 2^-256 grid."""
+    comp = [Fraction(float(c)) for c in row]
+    norm = Interval.point(sum(c * c for c in comp)).sqrt().lo
+    nu1, nup = comp[0] / norm, comp[-1] / norm
+    t = tilt._tilt_terms(nu1, nup, cos_t, k)
+    jfrak, defect = tilt._gradient_defect(nu1, nup, k, t)
+    sum_defect, wedge_defect = tilt._frame_defects(tilt._unit_normal_gram(nu1, nup), nup, k, 1 - cos_t ** 2, t)
+    return {
+        "grad": float(abs(defect)),
+        "res_sum": float(abs(sum_defect / t.g2)),
+        "res_wedge": float(abs(wedge_defect / t.g2)),
+        "j_ratio": float(jfrak / t.g2),
+    }
+
+
 def _identity_one_shot(params, samples, seed):
     """The identity campaign's kernels on the whole draw at once."""
     nu = _one_shot_directions(np.random.default_rng(seed), samples, params.n + 1)
@@ -50,7 +67,9 @@ def _identity_one_shot(params, samples, seed):
         j_ratio = jfrak / t.g2
     small = np.flatnonzero(t.g2 < tilt._SMALL_G2)
     for idx in small:
-        res = tilt._identity_row_exact(nu[idx], Fraction(cos_t), params.k)
+        res = _identity_row_rational(nu[idx], Fraction(cos_t), params.k)
+        # The campaign takes these three as 0 without evaluating them.
+        assert res["grad"] == res["res_sum"] == res["res_wedge"] == 0.0
         grad_res[idx] = res["grad"]
         res_sum[idx] = res["res_sum"]
         res_wedge[idx] = res["res_wedge"]

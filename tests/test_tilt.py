@@ -1,15 +1,17 @@
 """Tests for the tilt function, its identities, and margin certification."""
 
+import contextlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from conecert import cones, linearization, tilt
-from conecert.exact import AngleDeg, Interval, Polynomial, QuadraticSurd, compare
+from conecert.exact import AngleDeg, Polynomial, QuadraticSurd
 
 ANGLES_K = [
     (Fraction(100), Fraction(1)),
@@ -42,8 +44,6 @@ def test_params_dimensional_restriction():
 # those without an orientation ignore it, and classify takes the angle as a rational.
 ANGLE_ENTRIES = {
     "TiltParams": lambda theta, orientation: tilt.TiltParams(theta, Fraction(1, 2), 3),
-    "s_constant": lambda theta, orientation: tilt.s_constant(3, Fraction(1, 2), theta),
-    "stability_margin": lambda theta, orientation: tilt.stability_margin(3, Fraction(1, 2), theta),
     "appendix_campaigns": lambda theta, orientation: tilt.appendix_campaigns(3, [(theta, orientation)], samples=1),
     "remainder_ratio_certified": lambda theta, orientation: linearization.remainder_ratio_certified(
         theta, directions=1
@@ -223,39 +223,45 @@ def test_identity_campaign_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def test_f_of_t_exact_at_perfect_square_radicands():
-    # f_n(1) = [(n-1)*2 + 2]/(2n) = 1 for every n.
-    for n in (2, 3, 5, 9):
-        one = tilt.f_of_t(n, 1)
-        assert one.lo == one.hi == 1
-    # f_2(0) = [1 + 1]/4 = 1/2.
-    zero = tilt.f_of_t(2, 0)
-    assert zero.lo == zero.hi == Fraction(1, 2)
+@contextlib.contextmanager
+def _iv_digits(dps=60):
+    saved = iv.dps
+    iv.dps = dps
+    try:
+        yield
+    finally:
+        iv.dps = saved
 
 
-@given(st.integers(2, 8), st.fractions(min_value=0, max_value=1, max_denominator=64))
-@settings(max_examples=60, deadline=None)
-def test_f_of_t_enclosure_soundness(n, t):
-    enc = tilt.f_of_t(n, t)
-    true = ((n - 1) * (1 + t) + math.sqrt(4 * t + (n - 1) ** 2 * (1 - t) ** 2)) / (2 * n)
-    assert enc.lo <= Fraction(true).limit_denominator(10**15) + Fraction(1, 10**12)
-    assert float(enc.lo) - 1e-12 <= true <= float(enc.hi) + 1e-12
-    assert enc.width <= Fraction(1, 10**9)
+def _iv(x):
+    """A rational, or an exact surd r + c sqrt(d), as an mpmath interval at the current precision."""
+    if isinstance(x, QuadraticSurd):
+        return _iv(x.rational) + _iv(x.coeff) * iv.sqrt(x.radicand)
+    x = Fraction(x)
+    return iv.mpf(x.numerator) / x.denominator
 
 
-def test_s_constant_90_degrees_exact():
-    # At 90 degrees sin^2 = 1 exactly, so s = f_n(1 - k).
-    s = tilt.s_constant(3, Fraction(1), AngleDeg.from_degrees(90))
-    # f_3(0) = [2 + 2]/6 = 2/3.
-    assert s.lo == s.hi == Fraction(2, 3)
+def _reference_margin(n, k, cos_t, sin_sq):
+    """1 + k cos^2 - k|cos| - s(k, n, theta) from its definition, on mpmath intervals:
+    s = f_n(1 - k sin^2 theta) with f_n(t) = [(n-1)(1+t) + sqrt(4t + (n-1)^2 (1-t)^2)] / (2n)."""
+    k = _iv(k)
+    t = 1 - k * sin_sq
+    s = ((n - 1) * (1 + t) + iv.sqrt(4 * t + (n - 1) ** 2 * (1 - t) ** 2)) / (2 * n)
+    return 1 + k * cos_t ** 2 - k * abs(cos_t) - s
 
 
-def test_stability_margin_signs():
-    # Margin is positive in the certified range and collapses near the poles.
-    pos = tilt.stability_margin(3, Fraction(1), AngleDeg.from_degrees(90))
-    assert pos.strictly_positive()
-    near_pole = tilt.stability_margin(3, Fraction(1), AngleDeg.from_degrees(Fraction(1, 10)))
-    assert near_pole.hi < Fraction(1, 100)
+def _reference_margin_at_angle(n, k, degrees):
+    """The reference margin at a rational angle in degrees, at 60 digits."""
+    with _iv_digits():
+        radians = iv.pi * _iv(degrees) / 180
+        return _reference_margin(n, k, iv.cos(radians), iv.sin(radians) ** 2)
+
+
+def _reference_margin_at_abs_cos(n, k, v):
+    """The reference margin at an angle with |cos theta| = v, a rational or an exact surd, at 60 digits."""
+    with _iv_digits():
+        cos_t = _iv(v)
+        return _reference_margin(n, k, cos_t, 1 - cos_t ** 2)
 
 
 def _margin_quartic(n, k, v):
@@ -264,18 +270,59 @@ def _margin_quartic(n, k, v):
     return lead ** 2 - radicand
 
 
+def _r_at(n, k, v):
+    """R(v) = k v^2 - k(n-1) v + 1, the factor of L^2 - D that decides the margin's sign."""
+    return k * v * v - k * (n - 1) * v + 1
+
+
+def _encloses(interval, x):
+    """Whether a reference margin encloses the rational x."""
+    with _iv_digits():
+        return _iv(x) in interval
+
+
+def test_f_of_t_exact_at_perfect_square_radicands():
+    # margin = (L - sqrt(D)) / (2n) with s = f_n(t) = [(n-1)(1+t) + sqrt(D)] / (2n);
+    # the kernel's D is a rational square at the poles, and for n = 2, k = 1 at 90 degrees.
+    for n in (2, 3, 5, 9):
+        for k in (Fraction(1), Fraction(1, 3)):
+            # v = 1: t = 1 and D = 4, so f_n(1) = 1 and the margin is exactly 0.
+            assert tilt._margin_terms(Fraction(1), k, n) == (2, 4)
+            assert _encloses(_reference_margin_at_abs_cos(n, k, 1), 0)
+    # n = 2, k = 1, v = 0: t = 0 and D = 1, so f_2(0) = 1/2 and the margin is (3 - 1)/4 = 1/2.
+    assert tilt._margin_terms(Fraction(0), Fraction(1), 2) == (3, 1)
+    assert _encloses(_reference_margin_at_angle(2, Fraction(1), 90), Fraction(1, 2))
+
+
+def test_s_constant_90_degrees_exact():
+    # At 90 degrees sin^2 = 1 and v = 0, so s = f_n(1 - k); for n = 3, k = 1,
+    # D = 4 and s = f_3(0) = [2 + 2]/6 = 2/3, leaving the margin (L - 2)/6 = 1/3.
+    assert tilt._margin_terms(Fraction(0), Fraction(1), 3) == (4, 4)
+    margin = _reference_margin_at_angle(3, Fraction(1), 90)
+    assert _encloses(margin, Fraction(1, 3)) and margin.delta < 1e-50
+
+
+def test_stability_margin_signs():
+    # The certified pair (3, 1) has k(n-2) = 1: its margin is positive inside
+    # (0, 180) degrees and collapses towards the poles, where it is 0.
+    assert tilt.certify_margin_positive(3, 1).verdict == "certified"
+    assert _reference_margin_at_angle(3, Fraction(1), 90).a > 0
+    near_pole = _reference_margin_at_angle(3, Fraction(1), Fraction(1, 10))
+    assert near_pole.a > 0 and near_pole.b < 0.01
+
+
 def test_margin_polynomial_tracks_margin_sign():
-    # sign(L^2 - D at |cos theta|) must agree with sign(margin) on a spread of angles.
+    # sign(L^2 - D) at a rational v = |cos theta| agrees with the sign of the
+    # margin evaluated from its definition at the same v.
+    signs = set()
     for n, k in [(2, Fraction(1)), (4, Fraction(1, 2)), (7, Fraction(1, 5)), (10, Fraction(1))]:
         for deg in (5, 30, 60, 90, 120, 175):
-            theta = AngleDeg.from_degrees(deg)
-            v = abs(theta.cos().mid)
-            margin = tilt.stability_margin(n, k, theta)
+            v = Fraction(abs(math.cos(math.radians(deg))))
+            margin = _reference_margin_at_abs_cos(n, k, v)
             pval = _margin_quartic(n, k, v)
-            if margin.strictly_positive():
-                assert pval > 0
-            elif margin.hi < 0:
-                assert pval < 0
+            assert (margin.a > 0 and pval > 0) or (margin.b < 0 and pval < 0), (n, k, deg)
+            signs.add(pval > 0)
+    assert signs == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -284,82 +331,62 @@ def test_margin_polynomial_tracks_margin_sign():
      (5, Fraction(1, 3)), (6, Fraction(1, 4)), (7, Fraction(1, 5))],
 )
 def test_margin_certified_positive_on_working_range(n, k):
-    rep = tilt.certify_margin_positive(n, k, 1, 179)
+    rep = tilt.certify_margin_positive(n, k)
     assert rep.verdict == "certified"
-    assert rep.method in ("exact", "interval")
-
-
-def test_margin_certification_fails_towards_poles():
-    # The margin vanishes at the poles, so a range touching 0 or 180 degrees
-    # is falsified there; strictly interior ranges still certify.
-    for lo, hi, pole in [(0, 179, 0), (1, 180, 180), (0, 180, 0)]:
-        rep = tilt.certify_margin_positive(3, Fraction(1), lo, hi)
-        assert rep.verdict == "falsified"
-        assert rep.payload["counterexample_theta_deg"] == pole
-    interior = tilt.certify_margin_positive(3, Fraction(1), Fraction(1, 10**6), 179)
-    assert interior.verdict == "certified"
+    assert rep.method == "exact"
+    assert rep.provenance["decided_by"] == f"k(n-2) = {k * (n - 2)} <= 1"
+    assert rep.payload == {"margin_factor_coeffs": (k, -k * (n - 1), 1)}
 
 
 def test_margin_exact_ties_are_falsified_at_their_witness():
     # For n = 4, k = 4/5 the root of R is v* = 1/2 = cos 60 degrees, where
     # the margin is exactly 0: the claim "margin > 0" fails there.
-    rep = tilt.certify_margin_positive(4, Fraction(4, 5), 60, 120)
+    rep = tilt.certify_margin_positive(4, Fraction(4, 5))
     assert rep.verdict == "falsified"
-    assert rep.payload["counterexample_theta_deg"] == 60
-    assert compare(rep.payload["v_star"], Fraction(1, 2)) == 0
-    assert rep.payload["margin_enclosure"] == Interval.point(0)
-    assert tilt.stability_margin(4, Fraction(4, 5), AngleDeg.from_degrees(60)) == Interval.point(0)
-    # At 0 degrees |cos| = 1 and the margin is exactly 0 for every (n, k).
-    pole = tilt.certify_margin_positive(3, 1, 0, 179)
-    assert pole.verdict == "falsified"
-    assert pole.payload["counterexample_theta_deg"] == 0
-    assert pole.payload["margin_enclosure"] == Interval.point(0)
+    v_star = rep.payload["v_star"]
+    assert v_star.is_rational and v_star.rational == Fraction(1, 2)
+    assert _margin_quartic(4, Fraction(4, 5), Fraction(1, 2)) == 0
+    assert _encloses(_reference_margin_at_angle(4, Fraction(4, 5), 60), 0)
+    assert _encloses(_reference_margin_at_abs_cos(4, Fraction(4, 5), v_star), 0)
 
 
 def test_margin_falsified_with_a_certified_witness():
-    # n = 10, k = 1 breaks k(n-2) <= 1: the margin turns negative.
-    rep = tilt.certify_margin_positive(10, 1, 1, 179)
+    # n = 10, k = 1 breaks k(n-2) <= 1: v* is an exact irrational root of R,
+    # and the margin is negative between v* and |cos theta| = 1.
+    rep = tilt.certify_margin_positive(10, 1)
     assert rep.verdict == "falsified"
-    theta = rep.payload["counterexample_theta_deg"]
-    assert 1 <= theta <= 179
-    assert rep.payload["margin_enclosure"].hi < 0
-    again = tilt.stability_margin(10, Fraction(1), AngleDeg.from_degrees(theta))
-    assert again == rep.payload["margin_enclosure"] and again.hi < 0
+    assert rep.provenance["decided_by"].startswith("k(n-2) = 8 > 1")
+    v_star = rep.payload["v_star"]
+    assert not v_star.is_rational and 0 < v_star < 1
+    assert _r_at(10, Fraction(1), v_star).sign() == 0
+    assert _reference_margin_at_abs_cos(10, Fraction(1), (v_star + 1) / 2).b < 0
+    assert _reference_margin_at_abs_cos(10, Fraction(1), v_star / 2).a > 0
 
 
-def test_margin_straddling_its_root_is_inconclusive(monkeypatch):
-    # A v* inside the |cos| enclosure at 1 degree can be neither ruled in nor
-    # out there; 90 degrees, where cos = 0, lies below it.
-    inside = AngleDeg.from_degrees(1).cos().mid
-    monkeypatch.setattr(tilt, "quadratic_real_roots", lambda *coeffs: [QuadraticSurd(inside)])
-    rep = tilt.certify_margin_positive(10, 1, 1, 90)
-    assert rep.verdict == "inconclusive"
-    assert rep.provenance["decided_by"].startswith("|cos theta| straddles v*")
-
-
-_angles = st.fractions(min_value=0, max_value=180, max_denominator=1000)
-
-
-@given(st.integers(2, 40), st.fractions(min_value=0, max_value=1, max_denominator=64), _angles, _angles)
+@given(
+    st.integers(2, 40),
+    st.fractions(min_value=0, max_value=1, max_denominator=64),
+    st.fractions(min_value=1, max_value=179, max_denominator=1000),
+)
+# On and just past the boundary k(n-2) = 1, where v* is closest to 1.
+@example(3, Fraction(1), Fraction(1, 10))
+@example(34, Fraction(1, 32), Fraction(1799, 10))
+@example(4, Fraction(33, 64), 90)
+@example(34, Fraction(2, 63), 90)
 @settings(max_examples=150, deadline=None)
-def test_margin_verdicts_follow_the_closed_form(n, k, a, b):
-    assume(k > 0 and a != b)
-    lo, hi = min(a, b), max(a, b)
-    rep = tilt.certify_margin_positive(n, k, lo, hi)
-    holds = k * (n - 2) <= 1
-    if 0 < lo and hi < 180 and holds:
-        assert rep.verdict == "certified"
-    if rep.verdict == "inconclusive":
-        assert not holds
+def test_margin_verdicts_follow_the_closed_form(n, k, degrees):
+    assume(k > 0)
+    rep = tilt.certify_margin_positive(n, k)
+    assert (rep.verdict == "certified") == (k * (n - 2) <= 1)
     if rep.verdict == "certified":
-        assert all(tilt.stability_margin(n, k, AngleDeg.from_degrees(end)).hi > 0 for end in (lo, hi))
-    if rep.verdict == "falsified":
-        theta = rep.payload["counterexample_theta_deg"]
-        assert theta in (lo, hi)
-        if theta in (0, 180):
-            assert rep.payload["margin_enclosure"] == Interval.point(0)
-        else:
-            assert not tilt.stability_margin(n, k, AngleDeg.from_degrees(theta)).strictly_positive()
+        for angle in (degrees, 1, 90, 179, Fraction(1, 10), Fraction(1799, 10)):
+            assert _reference_margin_at_angle(n, k, angle).a > 0, (n, k, angle)
+    else:
+        assert rep.verdict == "falsified"
+        v_star = rep.payload["v_star"]
+        assert 0 < v_star < 1
+        assert _r_at(n, k, v_star).sign() == 0
+        assert _reference_margin_at_abs_cos(n, k, (v_star + 1) / 2).b < 0
 
 
 @pytest.mark.parametrize(
@@ -375,7 +402,7 @@ def test_a_perturbed_margin_kernel_fails_the_factorisation(monkeypatch, perturb)
     try:
         assert not tilt._margin_factorisation_holds()
         with pytest.raises(RuntimeError, match="does not expand"):
-            tilt.certify_margin_positive(4, Fraction(1, 2), 1, 179)
+            tilt.certify_margin_positive(4, Fraction(1, 2))
     finally:
         tilt._margin_factorisation_holds.cache_clear()
 
@@ -400,7 +427,7 @@ def test_margin_closed_form_matches_sympy_on_the_margin_quartics():
         lead = 2 * n * (1 + kq * v ** 2 - kq * v) - (n - 1) * (1 + t)
         quartic = sympy.Poly(sympy.expand(lead ** 2 - 4 * t - (n - 1) ** 2 * (1 - t) ** 2), v)
         roots = sorted(r for r in quartic.real_roots() if 0 <= r < 1)
-        rep = tilt.certify_margin_positive(n, k, 1, 179)
+        rep = tilt.certify_margin_positive(n, k)
         if k * (n - 2) <= 1:
             assert roots == [] and rep.verdict == "certified", (n, k)
             continue
@@ -524,8 +551,9 @@ def test_proof_and_campaign_read_the_same_kernels(monkeypatch, kernel, mutant):
 
 
 def test_proof_fallback_and_campaign_call_the_one_frame_kernel(monkeypatch):
-    # The certificate, the rational fallback and the sampled campaign all
-    # evaluate tilt._frame_defects, so no second frame formula runs unproved.
+    # The certificate and the sampled campaign both evaluate tilt._frame_defects,
+    # so no second frame formula runs unproved; the campaign's rows near the
+    # zero locus of g take the defect the certificate proves, and call no kernel.
     calls = []
     kernel = tilt._frame_defects
 
@@ -538,9 +566,7 @@ def test_proof_fallback_and_campaign_call_the_one_frame_kernel(monkeypatch):
     try:
         assert tilt.symbolic_identity_certificates()["frame_sum_identity"] is True
         assert calls == [Polynomial]
-        tilt._identity_row_exact(np.array([0.6, 0.0, 0.8]), Fraction(1, 2), Fraction(1, 2))
-        assert calls == [Polynomial, Fraction]
         tilt.identity_campaigns([params_for(120, Fraction(1, 2), 3)], samples=100, seed=3)
-        assert calls[2] is np.ndarray
+        assert calls[1:] == [np.ndarray]
     finally:
         tilt._symbolic_certificates.cache_clear()
