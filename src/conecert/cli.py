@@ -358,13 +358,7 @@ def _campaign_suite(samples: int, seed: int) -> tuple[dict, dict]:
     """Run the identity campaigns over the full sweep grid; return maxima."""
     import numpy as np
 
-    worst = {
-        "gradient": 0.0,
-        "frame": 0.0,
-        "wedge": 0.0,
-        "j_over_g2": 0.0,
-        "fallbacks": 0,
-    }
+    worst = dict.fromkeys(("gradient", "frame", "wedge", "j_minus_g2"), -np.inf)
     # One draw per dimension serves all (theta, k) pairs; the payload stays theta-major.
     results = {}
     for n in _IDENTITY_DIMS:
@@ -385,10 +379,9 @@ def _campaign_suite(samples: int, seed: int) -> tuple[dict, dict]:
                 ("gradient", res.max_gradient_residual),
                 ("frame", res.max_frame_sum_residual),
                 ("wedge", res.max_wedge_sum_residual),
-                ("j_over_g2", res.max_j_over_g2),
+                ("j_minus_g2", res.max_j_minus_g2),
             ):
                 worst[key] = float(np.maximum(worst[key], value))
-            worst["fallbacks"] += res.fallback_count
             per_config[f"theta={theta_deg} k={k} n={n}"] = {
                 "max_gradient_residual": res.max_gradient_residual,
                 "max_frame_sum_residual": res.max_frame_sum_residual,
@@ -408,7 +401,7 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
             return "falsified"
         return "certified" if residual_ok else "inconclusive"
 
-    grad_ok = worst["gradient"] <= _GRAD_TOL and worst["j_over_g2"] <= 1.0 + 1e-10
+    grad_ok = worst["gradient"] <= _GRAD_TOL and worst["j_minus_g2"] <= _GRAD_TOL
     reports.append(
         CertificationReport(
             claim="gradient-bound identity g^2 - jfrak = sum of squares (hence jfrak <= g^2)",
@@ -417,7 +410,7 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
             payload={
                 "symbolic_certificate": certs["gradient_bound_identity"],
                 "max_sampled_residual": worst["gradient"],
-                "max_j_over_g_squared": worst["j_over_g2"],
+                "max_j_minus_g_squared": worst["j_minus_g2"],
                 "residual_tolerance": _GRAD_TOL,
             },
             provenance={"samples_per_config": samples, "seed": seed, "configs": len(per_config)},
@@ -430,17 +423,18 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
             claim="frame-sum identities: sum |a_i|^2 and sum |a_i ^ a_j|^2 closed forms",
             method="exact",
             verdict=residual_verdict(
-                certs["frame_sum_identity"] and certs["wedge_sum_identity"], frame_ok
+                certs["projection_gram_identity"] and certs["frame_sum_identity"] and certs["wedge_sum_identity"],
+                frame_ok,
             ),
             payload={
                 "symbolic_certificates": {
+                    "projection_gram": certs["projection_gram_identity"],
                     "frame_sum": certs["frame_sum_identity"],
                     "wedge_sum": certs["wedge_sum_identity"],
                 },
                 "max_frame_residual": worst["frame"],
                 "max_wedge_residual": worst["wedge"],
                 "residual_tolerance": _FRAME_TOL,
-                "high_precision_fallbacks": worst["fallbacks"],
                 "per_configuration": per_config,
             },
             provenance={"samples_per_config": samples, "seed": seed},
@@ -496,7 +490,7 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
         }
     reports.append(
         CertificationReport(
-            claim="stability margin positive on [1°, 179°] for the six (n, k) pairs",
+            claim="stability margin positive on (0°, 180°) for the six (n, k) pairs, each with k(n-2) <= 1",
             method="exact",
             verdict=worst_verdict(entry["verdict"] for entry in margin_payload.values()),
             payload=margin_payload,
@@ -737,9 +731,9 @@ def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[Certif
         )
     )
 
-    # 6. The m = n-1 comparisons are exactly decided.
+    # 6. The m = n-1 comparisons, each decided exactly: sup^2 > p^2 at n = 5 and n = 6.
     ambiguity_payload = {}
-    decided = True
+    ok = True
     for n in (5, 6):
         p = cones.calibrated_defaults(n)
         sup = cones.sup_abs_f_two_value(n - 1, p.q)
@@ -750,12 +744,12 @@ def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[Certif
             "sup_squared_float": float(sup.f_squared),
             "p_squared": p.p_squared,
         }
-        decided = decided and cmp_sign in (-1, 0, 1)
+        ok = ok and cmp_sign == 1
     reports.append(
         CertificationReport(
-            claim="variable-count ambiguity at m = n-1 is exactly decided for n=5,6",
+            claim="variable-count ambiguity at m = n-1: sup^2 > p^2 exactly for n=5,6",
             method="exact",
-            verdict="certified" if decided else "falsified",
+            verdict="certified" if ok else "falsified",
             payload=ambiguity_payload,
         )
     )

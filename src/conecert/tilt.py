@@ -32,14 +32,13 @@ The ``*_campaigns`` functions evaluate the kernels on seeded random samples,
 several configurations on one shared draw, and report worst-case residuals;
 ``symbolic_identity_certificates`` expands the same kernels as polynomials
 and checks that each defect is the zero polynomial, as the margin certifier
-does for its factorisation.  So at samples very close to the zero locus of
-g, where division noise would masquerade as an identity violation, the
-campaigns take the defects as their proved value 0 and re-evaluate only
-jfrak / g^2 in rationals, on a normal unit to the 2^-256 grid.  The one
-frame-sum kernel takes the Gram entries of the tangential projections: the
-proof gives it their unit-normal closed forms, the campaign the entries it
-reduces from the projection vectors, so the sampled check shares the
-kernel with the proof but not its inputs.
+does for its factorisation.  The campaigns sample the defects in the same
+cleared form, with no division by g^2, so rounding stays rounding near the
+zero locus of g.  The one frame-sum kernel takes the Gram entries of the
+tangential projections: the proof gives it their unit-normal closed forms,
+and proves those equal to the projections' Gram entries, while the
+campaign reduces the entries from the projection vectors, so the sampled
+check shares the kernel with the proof but not its inputs.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from ._record import Record, _fill
 from ._sampling import unit_gaussian_chunks
 from .exact import (
     AngleDeg,
-    Interval,
     Polynomial,
     RationalLike,
     _interior_angle,
@@ -76,12 +74,6 @@ __all__ = [
     "symbolic_identity_certificates",
     "BALL_RADIUS",
 ]
-
-# Samples whose g^2 falls below this threshold take their proved residuals and a
-# rational jfrak / g^2 in campaigns: dividing float residuals by a tiny g^2 would
-# otherwise inflate pure rounding noise.
-_SMALL_G2 = 1e-4
-
 
 class TiltParams(Record):
     """Parameters (theta, k, n) of the tilt function.
@@ -165,9 +157,9 @@ def _frame_defects(gram: tuple, nu_last, k, sin_sq, t: _TiltTerms):
         sum |a_i ^ a_j|^2 = (1 - k sin^2 theta) w,
 
     with w = cfrak / g^2 in [0, 1], is a combination of the Gram entries.
-    sqrt(1-k) enters only squared, and the division by g^2 is left to the
-    caller, so the defects are polynomials that expand exactly and stay
-    accurate near the zero locus of g.
+    sqrt(1-k) enters only squared, and the identities are cleared of g^2,
+    so the defects are polynomials that expand exactly and stay accurate
+    near the zero locus of g.
     """
     g11, g12, g22 = gram
     b = t.bfrak
@@ -375,14 +367,17 @@ def symbolic_identity_certificates() -> dict[str, bool]:
     The campaigns sample these identities numerically; this function
     certifies each one exactly by evaluating the very kernels the campaigns
     run on polynomial variables (nu1, nu_last, cos theta, k) and checking
-    that the resulting defect is the zero polynomial.  Only the unit-normal relation
-    (through the Gram forms of the frame projections) and
+    that the resulting defect is the zero polynomial.  Only |nu|^2 = 1 and
     cos^2 + sin^2 = 1 are used:
 
     * ``gradient_bound_identity``: g^2 - jfrak equals an explicit sum of
       squares, hence jfrak <= g^2;
+    * ``projection_gram_identity``: the Gram entries of e1^T and e_{n+1}^T,
+      expanded by bilinearity from v^T = v - <v, nu> nu with |nu|^2 kept as
+      a variable, equal the closed forms ``_unit_normal_gram`` once
+      |nu|^2 = 1, for every n >= 2;
     * ``frame_sum_identity`` and ``wedge_sum_identity``: the two frame-sum
-      formulas, cleared of the g^2 denominator;
+      formulas on those closed forms, cleared of the g^2 denominator;
     * ``signed_gap_identity``: 2(1 - <nu, nu_ref>) - g^2 equals
       (1-k)(nu1 - cos)^2 + (nu_last -/+ sin)^2, hence is non-negative for
       k <= 1, for either orientation of the reference normal.
@@ -394,14 +389,24 @@ def symbolic_identity_certificates() -> dict[str, bool]:
 
 @functools.cache
 def _symbolic_certificates() -> dict[str, bool]:
-    k, c, S, n1, npp = Polynomial.variables(5)
+    k, c, S, n1, npp, norm = Polynomial.variables(6)
     t = _tilt_terms(n1, npp, c, k)
     _, gradient_defect = _gradient_defect(n1, npp, k, t)
-    sum_defect, wedge_defect = _frame_defects(_unit_normal_gram(n1, npp), npp, k, 1 - c ** 2, t)
+    gram = _unit_normal_gram(n1, npp)
+    sum_defect, wedge_defect = _frame_defects(gram, npp, k, 1 - c ** 2, t)
+    # e1^T and e_{n+1}^T as coordinates on (e1, e_{n+1}, nu), whose Gram matrix has
+    # <e_i, nu> = nu_i and |nu|^2 = norm^2; e1 and e_{n+1} are orthonormal for n >= 2.
+    basis = ((1, 0, n1), (0, 1, npp), (n1, npp, norm ** 2))
+    e1_t, ep_t = (1, 0, -n1), (0, 1, -npp)
+    projected = [
+        sum(u[i] * basis[i][j] * v[j] for i in range(3) for j in range(3))
+        for u, v in ((e1_t, e1_t), (e1_t, ep_t), (ep_t, ep_t))
+    ]
     # S stands for +sin (up) or -sin (down); only S^2 = 1 - c^2 is used.
     signed = _signed_gap(n1 * c + npp * S, t.g2) - ((1 - k) * (n1 - c) ** 2 + (npp - S) ** 2)
     return {
         "gradient_bound_identity": gradient_defect == 0,
+        "projection_gram_identity": all((p - q).reduce_square(5, 1) == 0 for p, q in zip(projected, gram)),
         "frame_sum_identity": sum_defect == 0,
         "wedge_sum_identity": wedge_defect == 0,
         "signed_gap_identity": signed.reduce_square(2, 1 - c ** 2) == 0,
@@ -409,21 +414,21 @@ def _symbolic_certificates() -> dict[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Campaigns: seeded random sweeps with high-precision fallback.
+# Campaigns: seeded random sweeps of the cleared defects.
 # ---------------------------------------------------------------------------
 
 
 class IdentityCampaignResult(Record):
-    """Worst-case residuals over a random sweep of unit normals."""
+    """Worst-case cleared defects over a random sweep of unit normals."""
 
     __slots__ = (
         "samples", "max_gradient_residual", "max_frame_sum_residual", "max_wedge_sum_residual",
-        "max_j_over_g2", "fallback_count",
+        "max_j_minus_g2",
     )
 
     def __init__(
         self, samples: int, max_gradient_residual: float, max_frame_sum_residual: float,
-        max_wedge_sum_residual: float, max_j_over_g2: float, fallback_count: int,
+        max_wedge_sum_residual: float, max_j_minus_g2: float,
     ) -> None:
         _fill(self, locals())
 
@@ -433,52 +438,26 @@ class _IdentityFold:
 
     def __init__(self, params: TiltParams):
         # Each constant is a Taylor series on the fixed-point grid: read it once, not per chunk.
-        self.k_exact = params.k
         self.k = params.k_float
         self.cos_t = params.cos_theta
-        self.exact_cos_t = Fraction(self.cos_t)
         self.sin_sq = params.sin_squared
-        # Running maxima of the gradient, frame-sum and wedge-sum residuals and of jfrak / g^2.
+        # Running maxima of |gradient defect|, |g^2 frame-sum defect|, |g^2 wedge-sum defect|
+        # and jfrak - g^2.
         self.worst = [-math.inf] * 4
-        self.fallbacks = 0
 
     def add(self, nu: np.ndarray, gram: tuple) -> None:
         import numpy as np
 
-        k = self.k
         nu1, nup = nu[:, 0], nu[:, -1]
-        t = _tilt_terms(nu1, nup, self.cos_t, k)
-        jfrak, defect = _gradient_defect(nu1, nup, k, t)
-        grad_res = np.abs(defect)
-
-        sum_defect, wedge_defect = _frame_defects(gram, nup, k, self.sin_sq, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res_sum = np.abs(sum_defect / t.g2)
-            res_wedge = np.abs(wedge_defect / t.g2)
-            j_ratio = jfrak / t.g2
-
-        small = np.flatnonzero(t.g2 < _SMALL_G2)
-        # The three defects expand to the zero polynomial in free (nu1, nu_last, cos theta, k),
-        # with no unit-norm relation (``symbolic_identity_certificates``), so they are exactly 0
-        # at these rows, where the float frame residuals would be rounding noise over a tiny g^2.
-        grad_res[small] = res_sum[small] = res_wedge[small] = 0.0
-        for idx in small:
-            j_ratio[idx] = _j_ratio_exact(nu[idx], self.exact_cos_t, self.k_exact)
-
+        t = _tilt_terms(nu1, nup, self.cos_t, self.k)
+        jfrak, defect = _gradient_defect(nu1, nup, self.k, t)
+        sum_defect, wedge_defect = _frame_defects(gram, nup, self.k, self.sin_sq, t)
         self.worst = np.maximum(
-            self.worst, [np.max(grad_res), np.max(res_sum), np.max(res_wedge), np.max(j_ratio)]
+            self.worst, [*(np.max(np.abs(d)) for d in (defect, sum_defect, wedge_defect)), np.max(jfrak - t.g2)]
         )
-        self.fallbacks += int(small.size)
 
     def result(self, samples: int) -> IdentityCampaignResult:
-        return IdentityCampaignResult(
-            samples=samples,
-            max_gradient_residual=float(self.worst[0]),
-            max_frame_sum_residual=float(self.worst[1]),
-            max_wedge_sum_residual=float(self.worst[2]),
-            max_j_over_g2=float(self.worst[3]),
-            fallback_count=self.fallbacks,
-        )
+        return IdentityCampaignResult(samples, *(float(w) for w in self.worst))
 
 
 def identity_campaigns(
@@ -491,10 +470,11 @@ def identity_campaigns(
     drawn and reduced to its Gram entries once and then evaluated for every
     configuration in turn, so the results, in the order of ``params_seq``,
     are those of one draw per configuration; the configurations must share
-    the graph dimension.  At rows with g^2 below 1e-4 the three residuals
-    are set to their proved value 0 and jfrak / g^2 is recomputed by
-    ``_j_ratio_exact`` before residuals are aggregated; the maxima fold
-    with ``np.maximum``, so a NaN residual reaches the result.
+    the graph dimension.  The defects are sampled in the cleared form the
+    certificate proves, with no division by g^2, so near the zero locus of
+    g they are rounding as anywhere else; jfrak - g^2 is minus a sum of
+    squares, so it is <= 0 up to rounding.  The maxima fold with
+    ``np.maximum``, so a NaN residual reaches the result.
     """
     import numpy as np
 
@@ -511,19 +491,6 @@ def identity_campaigns(
         for fold in folds:
             fold.add(nu, gram)
     return [fold.result(samples) for fold in folds]
-
-
-def _j_ratio_exact(row: np.ndarray, cos_t: Fraction, k: Fraction) -> float:
-    """jfrak / g^2 at one sample in rationals: the float components are taken
-    exactly and divided by the lower end of the enclosure of their norm on
-    the 2^-256 grid, so the normal is unit only to about 2^-256 and the
-    ratio carries about 2^-256 / g^2 of normalisation error."""
-    comp = [Fraction(float(c)) for c in row]
-    norm = Interval.point(sum(c * c for c in comp)).sqrt().lo
-    nu1, nup = comp[0] / norm, comp[-1] / norm
-    t = _tilt_terms(nu1, nup, cos_t, k)
-    jfrak, _ = _gradient_defect(nu1, nup, k, t)
-    return float(jfrak / t.g2)
 
 
 # The radius of the balls of gradients that ``appendix_campaigns`` samples.

@@ -5,16 +5,44 @@ line.  Default output capture hides those lines when a test passes, so this
 plugin collects them from captured stdout (and synthesizes a FAIL line when a
 criterion test errors before announcing) and replays them in the terminal
 summary, where they are visible in any ``pytest`` run without ``-s``.
+
+It also fails any test that runs longer than ``TEST_TIME_LIMIT_S`` (by
+``SIGALRM``, where the platform has it), so a loop that never ends fails
+the suite instead of hanging it.
 """
 
 from __future__ import annotations
 
 import re
+import signal
+
+import pytest
 
 _CRITERION_TAG = "ACCEPTANCE CRITERION"
 _CRITERION_TEST = re.compile(r"test_criterion_(\d+)")
 
 _verdict_lines: dict[int, str] = {}
+
+# Generous: the slowest test takes a few seconds on a 2-core host.
+TEST_TIME_LIMIT_S = 300
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def time_out(signum, frame):
+        raise TimeoutError(f"{item.nodeid} ran longer than {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, time_out)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_runtest_logreport(report) -> None:

@@ -141,21 +141,23 @@ def test_criterion_06_indexing_ambiguity_decided(capsys):
 
 def test_criterion_07_identity_suites_at_full_sample_size():
     start = time.perf_counter()
-    worst_grad, worst_frame = 0.0, 0.0
+    # The frame residuals are the defects cleared of g^2, as the certificate proves them.
+    grads, js, frames = [], [], []
     for theta, k in [(100, Fraction(1)), (120, Fraction(1, 2)),
                      (135, Fraction(1, 3)), (150, Fraction(1, 4))]:
         for n in (2, 3, 4, 6):
             params = tilt.TiltParams(theta=AngleDeg.from_degrees(theta), k=k, n=n)
             res = tilt.identity_campaigns([params], samples=100_000, seed=42)[0]
-            worst_grad = max(worst_grad, res.max_gradient_residual)
-            worst_frame = max(
-                worst_frame, res.max_frame_sum_residual, res.max_wedge_sum_residual
-            )
-    assert worst_grad <= 1e-12, f"gradient residual {worst_grad:.3e}"
-    assert worst_frame <= 1e-10, f"frame residual {worst_frame:.3e}"
+            grads.append(res.max_gradient_residual)
+            js.append(res.max_j_minus_g2)
+            frames += [res.max_frame_sum_residual, res.max_wedge_sum_residual]
+    # all(<=), not max(): max() can drop a NaN, which all() counts as a failure.
+    assert all(v <= 1e-12 for v in grads), f"gradient residuals {grads}"
+    assert all(v <= 1e-12 for v in js), f"jfrak - g^2 maxima {js}"
+    assert all(v <= 1e-10 for v in frames), f"frame residuals {frames}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"identity campaigns took {elapsed:.2f}s"
-    _announce(7, f"16 campaigns × 10^5 samples: grad ≤ 1e-12, frame ≤ 1e-10 ({elapsed:.1f}s)")
+    _announce(7, f"16 campaigns × 10^5 samples: grad ≤ 1e-12, jfrak - g² ≤ 1e-12, frame ≤ 1e-10 ({elapsed:.1f}s)")
 
 
 def test_criterion_08_margin_certification():
@@ -163,7 +165,7 @@ def test_criterion_08_margin_certification():
                  (5, Fraction(1, 3)), (6, Fraction(1, 4)), (7, Fraction(1, 5))]:
         rep = tilt.certify_margin_positive(n, k)
         assert rep.verdict == "certified", f"(n,k)=({n},{k}): {rep.verdict}"
-    _announce(8, "margin certified positive on [1°,179°] for all six (n,k) pairs")
+    _announce(8, "margin certified positive on (0°,180°) for all six (n,k) pairs")
 
 
 def test_criterion_09_linearization_order_and_norm_slacks():
@@ -203,6 +205,6 @@ def test_criterion_11_selftest_determinism(capsys):
     )
     # Pinned: any change to the report bytes of the default configuration shows here.
     assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == (
-        "f2f6acadb7383357be6bdacacce83b2fd20a132d5c7fdc61dbaa8547d5f057c3"
+        "8601661d49615817797c0d6297ee198880a127eb0cac8cc308effc1aeb77c816"
     )
     _announce(11, "two selftest --seed 42 runs byte-identical except wall-time, digest pinned")

@@ -432,9 +432,22 @@ def test_identities_certified_with_small_campaigns(capsys):
     assert grad["max_sampled_residual"] <= 1e-12
 
 
+def test_frame_report_requires_the_projection_gram_certificate(capsys, monkeypatch):
+    certs = tilt.symbolic_identity_certificates
+    monkeypatch.setattr(
+        tilt, "symbolic_identity_certificates", lambda: {**certs(), "projection_gram_identity": False}
+    )
+    code, doc, _ = run_json(capsys, "identities", "--samples", "2000")
+    assert code == EXIT_FALSIFIED
+    frame = doc["reports"][1]
+    assert frame["verdict"] == "falsified"
+    assert frame["payload"]["symbolic_certificates"]["projection_gram"] is False
+    assert [r["verdict"] for r in doc["reports"]].count("falsified") == 1
+
+
 @pytest.mark.parametrize(
     "field,report",
-    [("max_gradient_residual", 0), ("max_j_over_g2", 0), ("max_frame_sum_residual", 1),
+    [("max_gradient_residual", 0), ("max_j_minus_g2", 0), ("max_frame_sum_residual", 1),
      ("max_wedge_sum_residual", 1)],
 )
 def test_identities_nan_residual_is_not_certified(capsys, monkeypatch, field, report):
@@ -530,8 +543,27 @@ def test_selftest_runs_certified_quick(capsys):
     digest_rep = doc["reports"][-1]
     # Pinned: any change to the report bytes of this configuration shows here.
     assert digest_rep["payload"]["content_digest_sha256"] == (
-        "53f4dd064ceb42552eb009dbe44214ed9babd7d50b5f8cc231f21cf8c4b50656"
+        "ae62a69c916bcd0d840aa7c4d21570a54f0a0c7fbb97583d0e5622993544728b"
     )
+
+
+@pytest.mark.parametrize("flipped,sign", [(0, -1), (1, 0)], ids=["n5-less", "n6-equal"])
+def test_selftest_falsifies_an_ambiguity_comparison_that_changes(capsys, monkeypatch, flipped, sign):
+    exact_compare = cli.compare
+    calls = []
+
+    def compare(a, b):
+        calls.append(exact_compare(a, b))
+        return sign if len(calls) == flipped + 1 else calls[-1]
+
+    monkeypatch.setattr(cli, "compare", compare)
+    code, doc, _ = run_json(capsys, "selftest", "--samples", "2000", "--seed", "42")
+    assert code == EXIT_FALSIFIED and doc["verdict"] == "falsified"
+    (ambiguity,) = [r for r in doc["reports"] if r["claim"].startswith("variable-count ambiguity")]
+    assert ambiguity["verdict"] == "falsified"
+    symbol = {-1: "<", 0: "="}[sign]
+    assert [c["comparison"] for c in ambiguity["payload"].values()][flipped] == f"sup^2 {symbol} p^2"
+    assert calls == [1, 1]
 
 
 def test_selftest_reports_are_a_pure_function_of_config(capsys):
@@ -799,7 +831,7 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
     )
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
-    assert digest == "f2f6acadb7383357be6bdacacce83b2fd20a132d5c7fdc61dbaa8547d5f057c3"
+    assert digest == "8601661d49615817797c0d6297ee198880a127eb0cac8cc308effc1aeb77c816"
 
 
 def test_pnbound_output_does_not_depend_on_the_cpu_kernels():

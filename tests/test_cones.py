@@ -184,6 +184,13 @@ def test_sup_oracle_agreement(m, q):
     assert abs(oracle.value - float(res)) <= 1e-6
 
 
+def test_sup_abs_f_two_value_refuses_a_nonpositive_q():
+    # The CLI refuses q <= 0 before the library sees it, so only this test reaches the library's check.
+    for q in (0, Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="q must be positive"):
+            cones.sup_abs_f_two_value(3, q)
+
+
 def test_brute_force_requires_enough_samples():
     with pytest.raises(ValueError):
         cones.brute_force_sup(2, Fraction(1), samples=100)

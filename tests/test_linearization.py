@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecert import _sampling
 from conecert import linearization as lin
 import conecert
 from conecert.exact import _DYADIC_BITS, AngleDeg, Interval, _Dyadic
@@ -59,6 +61,23 @@ def test_remainder_ratio_certified_checks_the_bound_on_every_direction(monkeypat
     rep = lin.remainder_ratio_certified(120, directions=4)
     assert rep.all_in_band is False
     assert rep.bound_certified is False
+
+
+def test_remainder_bound_is_decided_at_the_largest_remainder_ratio(monkeypatch):
+    # The bound |r| <= C |q|^2 holds on every direction exactly when C is at
+    # least the largest |r| / |q|^2, computed here to 120 digits.
+    theta, directions = Fraction(120), 4
+    ratios = []
+    for d in _sampling.unit_gaussian_chunks(np.random.default_rng(42), directions, lin._NDIM):
+        for row in d:
+            qs = [Fraction(float(c)) * lin._SCALE for c in row]
+            with mp.workdps(120):
+                ratios.append(_mp_remainder_norm(qs, theta, "up") / mp.fsum((mp.mpf(c.numerator) / c.denominator) ** 2 for c in qs))
+    largest = float(max(ratios))
+    assert 0 < largest < lin._BOUND_CONSTANT
+    for factor, holds in ((1 - 1e-9, False), (1 + 1e-9, True)):
+        monkeypatch.setattr(lin, "_BOUND_CONSTANT", Fraction(largest * factor))
+        assert lin.remainder_ratio_certified(theta, directions, seed=42).bound_certified is holds, factor
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ RECORDS = {
     cones.N3Report: lambda: cones.n3_coefficients(F(1, 10)),
     linearization.CertifiedRatioReport: lambda: linearization.CertifiedRatioReport(3.9, 4.1, True, True),
     tilt.TiltParams: lambda: tilt.TiltParams(AngleDeg(120), F(1, 2), 3),
-    tilt.IdentityCampaignResult: lambda: tilt.IdentityCampaignResult(1000, 0.0, 1e-16, 2e-16, 1.0, 0),
+    tilt.IdentityCampaignResult: lambda: tilt.IdentityCampaignResult(1000, 0.0, 1e-16, 2e-16, -1e-10),
     tilt.AppendixCampaignResult: lambda: tilt.AppendixCampaignResult(1000, 1e-2, True, 0.1, 0.2, 0.3, 0.4, 0.5, 0),
 }
 

@@ -121,10 +121,29 @@ def test_symbolic_identity_certificates_all_hold():
     certs = tilt.symbolic_identity_certificates()
     assert certs == {
         "gradient_bound_identity": True,
+        "projection_gram_identity": True,
         "frame_sum_identity": True,
         "wedge_sum_identity": True,
         "signed_gap_identity": True,
     }
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [lambda n1, npp: (1 - n1 ** 2, n1 * npp, 1 - npp ** 2), lambda n1, npp: (1 - n1 ** 2, -n1 * npp, 1 - npp)],
+    ids=["cross-term-sign", "last-entry-unsquared"],
+)
+def test_projection_gram_certificate_fails_a_mutated_closed_form(monkeypatch, mutant):
+    tilt._symbolic_certificates.cache_clear()
+    try:
+        assert tilt.symbolic_identity_certificates()["projection_gram_identity"] is True
+        monkeypatch.setattr(tilt, "_unit_normal_gram", mutant)
+        tilt._symbolic_certificates.cache_clear()
+        certs = tilt.symbolic_identity_certificates()
+        assert certs["projection_gram_identity"] is False
+        assert certs["gradient_bound_identity"] is True and certs["signed_gap_identity"] is True
+    finally:
+        tilt._symbolic_certificates.cache_clear()
 
 
 def _kernel_outputs(k, c, s, n1, npp):
@@ -205,7 +224,7 @@ def test_identity_campaign_residuals_small():
     assert res.max_gradient_residual <= 1e-12
     assert res.max_frame_sum_residual <= 1e-10
     assert res.max_wedge_sum_residual <= 1e-10
-    assert res.max_j_over_g2 <= 1.0 + 1e-10
+    assert res.max_j_minus_g2 <= 1e-12
     assert res.samples == 20_000
 
 
@@ -550,10 +569,9 @@ def test_proof_and_campaign_read_the_same_kernels(monkeypatch, kernel, mutant):
         tilt._symbolic_certificates.cache_clear()
 
 
-def test_proof_fallback_and_campaign_call_the_one_frame_kernel(monkeypatch):
+def test_proof_and_campaign_call_the_one_frame_kernel(monkeypatch):
     # The certificate and the sampled campaign both evaluate tilt._frame_defects,
-    # so no second frame formula runs unproved; the campaign's rows near the
-    # zero locus of g take the defect the certificate proves, and call no kernel.
+    # so no second frame formula runs unproved.
     calls = []
     kernel = tilt._frame_defects
 
