@@ -32,12 +32,14 @@ def row_sums(x: np.ndarray) -> np.ndarray:
     (so a row of -0.0 sums to +0.0); adding whole columns in that order
     gives the same doubles without a reduction loop per row.  From 8
     columns on numpy sums pairwise, so its own reduce is used there.
+    The adds are not in place: numpy's in-place add may swap its operands,
+    and then of two NaNs the other one's sign bit propagates.
     """
     if x.shape[1] >= 8:
         return x.sum(axis=1)
     out = x[:, 0] + 0.0
     for j in range(1, x.shape[1]):
-        out += x[:, j]
+        out = out + x[:, j]
     return out
 
 

@@ -246,6 +246,8 @@ def _certify(
 
 
 _ORACLE_AGREEMENT = 1e-8
+# The sign of compare(a, b) as the relation a ? b.
+_SYMBOL = {-1: "<", 0: "=", 1: ">"}
 
 
 def _check_oracle_size(m: int, samples: int) -> None:
@@ -309,7 +311,6 @@ def _pnbound(
 
     if p_squared is not None:
         comparison = compare(enum.f_squared, p_squared)
-        symbol = {-1: "<", 0: "=", 1: ">"}[comparison]
         envelope.add(
             CertificationReport(
                 claim=f"sup^2 <= p^2 for m={m}, q={q}",
@@ -319,11 +320,44 @@ def _pnbound(
                     "sup_squared": cones._f_squared_payload(enum.f_squared),
                     "sup_squared_float": float(enum.f_squared),
                     "p_squared": p_squared,
-                    "comparison": f"sup^2 {symbol} p^2",
+                    "comparison": f"sup^2 {_SYMBOL[comparison]} p^2",
                 },
                 provenance={"comparison_sign": comparison},
             )
         )
+
+
+# ---------------------------------------------------------------------------
+# claims of identities and selftest
+# ---------------------------------------------------------------------------
+
+
+class _Run:
+    """One run of claim entries: its options, its reports so far, and shared work.
+
+    Work that several claims read is memoised on the run, so it runs once
+    per run and never carries over into another run in the same process.
+    """
+
+    def __init__(self, samples: int, seed: int, tol_deg: Optional[Fraction]) -> None:
+        from functools import cache
+
+        self.samples, self.seed, self.tol_deg = samples, seed, tol_deg
+        self.reports: list[CertificationReport] = []
+        self.campaigns = cache(lambda: _campaign_suite(samples, seed))
+        self.thresholds = cache(lambda: {n: cones.m_functional(cones.calibrated_defaults(n)) for n in (4, 5, 6)})
+
+
+def _claim_reports(claims: tuple, samples: int, seed: int, tol_deg: Optional[Fraction]) -> list[CertificationReport]:
+    """Decide each ``(claim, method, decide)`` entry in order, in one run.
+
+    ``decide(run)`` returns the claim's ``(verdict, payload, provenance)``.
+    """
+    run = _Run(samples, seed, tol_deg)
+    for claim, method, decide in claims:
+        verdict, payload, provenance = decide(run)
+        run.reports.append(CertificationReport(claim, method, verdict, payload, provenance))
+    return run.reports
 
 
 # ---------------------------------------------------------------------------
@@ -390,59 +424,54 @@ def _campaign_suite(samples: int, seed: int) -> tuple[dict, dict]:
     return worst, per_config
 
 
-def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
-    """The five identity-suite reports shared by `identities` and `selftest`."""
-    reports: list[CertificationReport] = []
-    certs = tilt.symbolic_identity_certificates()
-    worst, per_config = _campaign_suite(samples, seed)
+def _residual_verdict(cert_ok: bool, residual_ok: bool) -> str:
+    """Falsified without the exact certificate; else certified if the sampled residuals agree."""
+    if not cert_ok:
+        return "falsified"
+    return "certified" if residual_ok else "inconclusive"
 
-    def residual_verdict(cert_ok: bool, residual_ok: bool) -> str:
-        if not cert_ok:
-            return "falsified"
-        return "certified" if residual_ok else "inconclusive"
 
+def _decide_gradient(run: _Run) -> tuple:
+    cert = tilt.symbolic_identity_certificates()["gradient_bound_identity"]
+    worst, per_config = run.campaigns()
     grad_ok = worst["gradient"] <= _GRAD_TOL and worst["j_minus_g2"] <= _GRAD_TOL
-    reports.append(
-        CertificationReport(
-            claim="gradient-bound identity g^2 - jfrak = sum of squares (hence jfrak <= g^2)",
-            method="exact",
-            verdict=residual_verdict(certs["gradient_bound_identity"], grad_ok),
-            payload={
-                "symbolic_certificate": certs["gradient_bound_identity"],
-                "max_sampled_residual": worst["gradient"],
-                "max_j_minus_g_squared": worst["j_minus_g2"],
-                "residual_tolerance": _GRAD_TOL,
-            },
-            provenance={"samples_per_config": samples, "seed": seed, "configs": len(per_config)},
-        )
+    payload = {
+        "symbolic_certificate": cert,
+        "max_sampled_residual": worst["gradient"],
+        "max_j_minus_g_squared": worst["j_minus_g2"],
+        "residual_tolerance": _GRAD_TOL,
+    }
+    return (
+        _residual_verdict(cert, grad_ok),
+        payload,
+        {"samples_per_config": run.samples, "seed": run.seed, "configs": len(per_config)},
     )
 
+
+def _decide_frame(run: _Run) -> tuple:
+    certs = tilt.symbolic_identity_certificates()
+    worst, per_config = run.campaigns()
     frame_ok = worst["frame"] <= _FRAME_TOL and worst["wedge"] <= _FRAME_TOL
-    reports.append(
-        CertificationReport(
-            claim="frame-sum identities: sum |a_i|^2 and sum |a_i ^ a_j|^2 closed forms",
-            method="exact",
-            verdict=residual_verdict(
-                certs["projection_gram_identity"] and certs["frame_sum_identity"] and certs["wedge_sum_identity"],
-                frame_ok,
-            ),
-            payload={
-                "symbolic_certificates": {
-                    "projection_gram": certs["projection_gram_identity"],
-                    "frame_sum": certs["frame_sum_identity"],
-                    "wedge_sum": certs["wedge_sum_identity"],
-                },
-                "max_frame_residual": worst["frame"],
-                "max_wedge_residual": worst["wedge"],
-                "residual_tolerance": _FRAME_TOL,
-                "per_configuration": per_config,
-            },
-            provenance={"samples_per_config": samples, "seed": seed},
-        )
+    payload = {
+        "symbolic_certificates": {
+            "projection_gram": certs["projection_gram_identity"],
+            "frame_sum": certs["frame_sum_identity"],
+            "wedge_sum": certs["wedge_sum_identity"],
+        },
+        "max_frame_residual": worst["frame"],
+        "max_wedge_residual": worst["wedge"],
+        "residual_tolerance": _FRAME_TOL,
+        "per_configuration": per_config,
+    }
+    return (
+        _residual_verdict(all(payload["symbolic_certificates"].values()), frame_ok),
+        payload,
+        {"samples_per_config": run.samples, "seed": run.seed},
     )
 
-    appendix_payload = {}
-    appendix_violations = 0
+
+def _decide_comparison(run: _Run) -> tuple:
+    cert = tilt.symbolic_identity_certificates()["signed_gap_identity"]
     appendix_grid = [
         (theta_deg, orientation)
         for theta_deg in (Fraction(91), Fraction(120), Fraction(150))
@@ -451,12 +480,11 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
     appendix_results = tilt.appendix_campaigns(
         4,
         [(AngleDeg.from_degrees(theta_deg), orientation) for theta_deg, orientation in appendix_grid],
-        samples=samples,
-        seed=seed,
+        samples=run.samples,
+        seed=run.seed,
     )
-    for (theta_deg, orientation), res in zip(appendix_grid, appendix_results):
-        appendix_violations += res.violation_count
-        appendix_payload[f"theta={theta_deg} {orientation}"] = {
+    campaigns = {
+        f"theta={theta_deg} {orientation}": {
             "all_applicable": res.all_applicable,
             "min_signed_gap_slack": res.min_signed_gap_slack,
             "min_conditional_slacks": [
@@ -467,65 +495,66 @@ def _identity_reports(samples: int, seed: int) -> list[CertificationReport]:
             ],
             "violations": res.violation_count,
         }
-    reports.append(
-        CertificationReport(
-            claim="comparison bounds: signed-gap identity exact; conditional bounds on sampled balls",
-            method="exact",
-            verdict=residual_verdict(certs["signed_gap_identity"], appendix_violations == 0),
-            payload={
-                "symbolic_certificate": certs["signed_gap_identity"],
-                "total_violations": appendix_violations,
-                "campaigns": appendix_payload,
-            },
-            provenance={"samples_per_campaign": samples, "seed": seed, "radius": tilt.BALL_RADIUS},
-        )
+        for (theta_deg, orientation), res in zip(appendix_grid, appendix_results)
+    }
+    violations = sum(res.violation_count for res in appendix_results)
+    return (
+        _residual_verdict(cert, violations == 0),
+        {"symbolic_certificate": cert, "total_violations": violations, "campaigns": campaigns},
+        {"samples_per_campaign": run.samples, "seed": run.seed, "radius": tilt.BALL_RADIUS},
     )
 
-    margin_payload = {}
+
+def _decide_margin(run: _Run) -> tuple:
+    payload = {}
     for n, k in _MARGIN_PAIRS:
         rep = tilt.certify_margin_positive(n, k)
-        margin_payload[f"n={n} k={k}"] = {
+        payload[f"n={n} k={k}"] = {
             "verdict": rep.verdict,
             "decided_by": rep.provenance.get("decided_by"),
         }
-    reports.append(
-        CertificationReport(
-            claim="stability margin positive on (0°, 180°) for the six (n, k) pairs, each with k(n-2) <= 1",
-            method="exact",
-            verdict=worst_verdict(entry["verdict"] for entry in margin_payload.values()),
-            payload=margin_payload,
-        )
-    )
+    return worst_verdict(entry["verdict"] for entry in payload.values()), payload, {}
 
-    lin_payload = {}
-    lin_ok = True
+
+def _decide_linearization(run: _Run) -> tuple:
+    payload = {}
+    ok = True
     for theta_deg in _LINEARIZATION_ANGLES:
-        cert = linearization.remainder_ratio_certified(theta_deg, _CERTIFIED_DIRECTIONS, seed=seed)
+        cert = linearization.remainder_ratio_certified(theta_deg, _CERTIFIED_DIRECTIONS, seed=run.seed)
         factor, factor_ok = linearization.norm_equivalence_certified(theta_deg)
-        lin_ok = lin_ok and cert.all_in_band and cert.bound_certified and factor_ok
-        lin_payload[f"theta={theta_deg}"] = {
+        ok = ok and cert.all_in_band and cert.bound_certified and factor_ok
+        payload[f"theta={theta_deg}"] = {
             "certified_ratio_enclosure": [cert.ratio_enclosure_lo, cert.ratio_enclosure_hi],
             "certified_in_band": cert.all_in_band,
             "remainder_bound_certified": cert.bound_certified,
             "norm_slack_factor_nonnegative": factor_ok,
             "norm_slack_factor_enclosure": factor,
         }
-    reports.append(
-        CertificationReport(
-            claim="Gauss-map remainder is second order; weighted norm sandwiched by sin^3 and sin",
-            method="interval",
-            verdict="certified" if lin_ok else "inconclusive",
-            payload=lin_payload,
-            provenance={"certified_directions": _CERTIFIED_DIRECTIONS, "seed": seed},
-        )
+    return (
+        "certified" if ok else "inconclusive",
+        payload,
+        {"certified_directions": _CERTIFIED_DIRECTIONS, "seed": run.seed},
     )
-    return reports
+
+
+_GRADIENT = ("gradient-bound identity g^2 - jfrak = sum of squares (hence jfrak <= g^2)", "exact", _decide_gradient)
+_FRAME = ("frame-sum identities: sum |a_i|^2 and sum |a_i ^ a_j|^2 closed forms", "exact", _decide_frame)
+_COMPARISON = (
+    "comparison bounds: signed-gap identity exact; conditional bounds on sampled balls", "exact", _decide_comparison
+)
+_MARGIN = (
+    "stability margin positive on (0°, 180°) for the six (n, k) pairs, each with k(n-2) <= 1", "exact", _decide_margin
+)
+_LINEARIZATION = (
+    "Gauss-map remainder is second order; weighted norm sandwiched by sin^3 and sin", "interval", _decide_linearization
+)
+_IDENTITY_CLAIMS = (_GRADIENT, _FRAME, _COMPARISON, _MARGIN, _LINEARIZATION)
 
 
 @_command("--samples", "--seed")
 def _identities(envelope: ReportEnvelope, samples: int, seed: int) -> None:
     """Run every identity campaign, anchored by exact certificates."""
-    envelope.reports.extend(_identity_reports(samples, seed))
+    envelope.reports.extend(_claim_reports(_IDENTITY_CLAIMS, samples, seed, None))
 
 
 # ---------------------------------------------------------------------------
@@ -607,102 +636,53 @@ _EXPECTED_SURDS = {
 }
 
 
-def _content_digest(reports: list[CertificationReport]) -> str:
-    """SHA-256 of the reports' canonical JSON."""
-    import hashlib
-
-    return hashlib.sha256(
-        json.dumps(jsonable([r.to_dict() for r in reports]), sort_keys=True).encode()
-    ).hexdigest()
-
-
-def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[CertificationReport]:
-    reports: list[CertificationReport] = []
-
-    # 1. Exact threshold values.
-    thresholds = {n: cones.m_functional(cones.calibrated_defaults(n)) for n in (4, 5, 6)}
+def _decide_thresholds(run: _Run) -> tuple:
+    thresholds = run.thresholds()
     ok = all(thresholds[n] == _EXPECTED_THRESHOLDS[n] for n in (4, 5, 6))
-    reports.append(
-        CertificationReport(
-            claim="threshold functional equals the published exact rationals for n=4,5,6",
-            method="exact",
-            verdict="certified" if ok else "falsified",
-            payload={f"n={n}": thresholds[n] for n in (4, 5, 6)},
-        )
-    )
+    return "certified" if ok else "falsified", {f"n={n}": thresholds[n] for n in (4, 5, 6)}, {}
 
-    # 2. Certified angle windows contain the published breakpoints.
-    windows_payload = {}
+
+def _decide_windows(run: _Run) -> tuple:
+    payload = {}
     ok = True
-    for n in (4, 5, 6):
-        tmin, tmax = angle_range_from_threshold(thresholds[n], tol_deg)
+    for n, threshold in run.thresholds().items():
+        tmin, tmax = angle_range_from_threshold(threshold, run.tol_deg)
         lo_pub, hi_pub = _PUBLISHED_BREAKPOINTS[n]
         contains = tmin.value.contains(lo_pub) and tmax.value.contains(hi_pub)
-        narrow = tmin.value.width <= tol_deg and tmax.value.width <= tol_deg
+        narrow = tmin.value.width <= run.tol_deg and tmax.value.width <= run.tol_deg
         ok = ok and contains and narrow
-        windows_payload[f"n={n}"] = {
+        payload[f"n={n}"] = {
             "theta_min": tmin.value,
             "theta_max": tmax.value,
             "contains_published": contains,
             "width_within_tol": narrow,
         }
-    reports.append(
-        CertificationReport(
-            claim="certified angle windows contain the published 3-decimal breakpoints",
-            method="interval",
-            verdict="certified" if ok else "falsified",
-            payload=windows_payload,
-            provenance={"tol_deg": tol_deg},
-        )
-    )
+    return "certified" if ok else "falsified", payload, {"tol_deg": run.tol_deg}
 
-    # 3. Critical-dimension table.
-    tbl = cones.n_theta_table(tol_deg)
-    expected = [
-        (Fraction(90), 7),
-        (None, 6),
-        (None, 5),
-        (None, 4),
-    ]
-    rows_ok = (
-        len(tbl.rows) == 4
+
+def _decide_table(run: _Run) -> tuple:
+    tbl = cones.n_theta_table(run.tol_deg)
+    ok = (
+        [r.n_theta for r in tbl.rows] == [7, 6, 5, 4]
         and tbl.rows[0].lo == 90
         and tbl.rows[-1].hi == 180
-        and [r.n_theta for r in tbl.rows] == [e[1] for e in expected]
         and tbl.classify(Fraction(90)) == 7
         and tbl.classify(Fraction(120)) == 5
         and tbl.classify(Fraction(130)) == 4
     )
-    reports.append(
-        CertificationReport(
-            claim="critical-dimension table has the four published rows",
-            method="interval",
-            verdict="certified" if rows_ok else "falsified",
-            payload={"rows": tbl.formatted_rows()},
-        )
-    )
+    return "certified" if ok else "falsified", {"rows": tbl.formatted_rows()}, {}
 
-    # 4. Constraints strict, with the tight n=4 gap.
-    constraint_payload = {}
-    ok = True
-    for n in (4, 5, 6):
-        rep = cones.constraint_holds(cones.calibrated_defaults(n))
-        constraint_payload[f"n={n}"] = {"lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap}
-        ok = ok and rep.strict
-    gap4 = cones.constraint_holds(cones.calibrated_defaults(4)).gap
-    ok = ok and 0 < gap4 < Fraction(1, 300)
-    reports.append(
-        CertificationReport(
-            claim="parameter constraints hold strictly; n=4 margin is tight but positive",
-            method="exact",
-            verdict="certified" if ok else "falsified",
-            payload=constraint_payload,
-        )
-    )
 
-    # 5. Two-value enumeration matches the published surds and the oracle.
-    oracle_samples = max(samples, cones.MIN_ORACLE_SAMPLES)
-    sup_payload = {}
+def _decide_constraints(run: _Run) -> tuple:
+    reps = {n: cones.constraint_holds(cones.calibrated_defaults(n)) for n in (4, 5, 6)}
+    ok = all(rep.strict for rep in reps.values()) and 0 < reps[4].gap < Fraction(1, 300)
+    payload = {f"n={n}": {"lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap} for n, rep in reps.items()}
+    return "certified" if ok else "falsified", payload, {}
+
+
+def _decide_sups(run: _Run) -> tuple:
+    oracle_samples = max(run.samples, cones.MIN_ORACLE_SAMPLES)
+    payload = {}
     ok = True
     for m, (q, coeff, radicand) in _EXPECTED_SURDS.items():
         enum = cones.sup_abs_f_two_value(m, q)
@@ -712,85 +692,79 @@ def _selftest_reports(samples: int, seed: int, tol_deg: Fraction) -> list[Certif
             and value == QuadraticSurd(0, coeff, radicand)
             and value.square() == enum.f_squared
         )
-        oracle = cones.brute_force_sup(m, q, samples=oracle_samples, seed=seed)
+        oracle = cones.brute_force_sup(m, q, samples=oracle_samples, seed=run.seed)
         gap = float(enum) - oracle.value
         agrees = abs(gap) <= _ORACLE_AGREEMENT and oracle.value <= float(enum) + _ORACLE_AGREEMENT
         ok = ok and exact_match and agrees
-        sup_payload[f"m={m} q={q}"] = {
+        payload[f"m={m} q={q}"] = {
             "sup": value,
             "exact_match": exact_match,
             "oracle_gap": gap,
         }
-    reports.append(
-        CertificationReport(
-            claim="two-value sup equals the published surds; sampling oracle agrees to 1e-8",
-            method="exact",
-            verdict="certified" if ok else "falsified",
-            payload=sup_payload,
-            provenance={"samples": oracle_samples, "seed": seed},
-        )
-    )
+    return "certified" if ok else "falsified", payload, {"samples": oracle_samples, "seed": run.seed}
 
-    # 6. The m = n-1 comparisons, each decided exactly: sup^2 > p^2 at n = 5 and n = 6.
-    ambiguity_payload = {}
+
+def _decide_ambiguity(run: _Run) -> tuple:
+    payload = {}
     ok = True
     for n in (5, 6):
         p = cones.calibrated_defaults(n)
         sup = cones.sup_abs_f_two_value(n - 1, p.q)
         cmp_sign = compare(sup.f_squared, p.p_squared)
-        symbol = {-1: "<", 0: "=", 1: ">"}[cmp_sign]
-        ambiguity_payload[f"n={n} m={n-1}"] = {
-            "comparison": f"sup^2 {symbol} p^2",
+        payload[f"n={n} m={n-1}"] = {
+            "comparison": f"sup^2 {_SYMBOL[cmp_sign]} p^2",
             "sup_squared_float": float(sup.f_squared),
             "p_squared": p.p_squared,
         }
         ok = ok and cmp_sign == 1
-    reports.append(
-        CertificationReport(
-            claim="variable-count ambiguity at m = n-1: sup^2 > p^2 exactly for n=5,6",
-            method="exact",
-            verdict="certified" if ok else "falsified",
-            payload=ambiguity_payload,
-        )
-    )
+    return "certified" if ok else "falsified", payload, {}
 
-    # 7-9 + margin: reuse the identity suite (symbolically anchored).
-    reports.extend(_identity_reports(samples, seed))
 
-    # 10. n=3 coefficients at eps = 0.
+def _decide_n3(run: _Run) -> tuple:
     n3 = cones.n3_coefficients(0)
-    n3_ok = n3.c_outer == Fraction(-1, 2) and n3.c_inner == 0 and n3.contradiction_closes
-    reports.append(
-        CertificationReport(
-            claim="n=3 exponent coefficients at eps=0 are exactly (-1/2, 0, closes)",
-            method="exact",
-            verdict="certified" if n3_ok else "falsified",
-            payload={
-                "c_outer": n3.c_outer,
-                "c_inner": n3.c_inner,
-                "contradiction_closes": n3.contradiction_closes,
-            },
-        )
+    ok = n3.c_outer == Fraction(-1, 2) and n3.c_inner == 0 and n3.contradiction_closes
+    payload = {
+        "c_outer": n3.c_outer,
+        "c_inner": n3.c_inner,
+        "contradiction_closes": n3.contradiction_closes,
+    }
+    return "certified" if ok else "falsified", payload, {}
+
+
+def _content_digest(reports: list[CertificationReport]) -> str:
+    """SHA-256 of the reports' canonical JSON."""
+    import hashlib
+
+    return hashlib.sha256(
+        json.dumps(jsonable([r.to_dict() for r in reports]), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _decide_digest(run: _Run) -> tuple:
+    return (
+        "certified",
+        {"content_digest_sha256": _content_digest(run.reports)},
+        {"note": "identical config must reproduce this digest"},
     )
 
-    # 11. Determinism digest over everything above.
-    reports.append(
-        CertificationReport(
-            claim="report content is a pure function of the configuration",
-            method="exact",
-            verdict="certified",
-            payload={"content_digest_sha256": _content_digest(reports)},
-            provenance={"note": "identical config must reproduce this digest"},
-        )
-    )
-    return reports
+
+_THRESHOLDS = ("threshold functional equals the published exact rationals for n=4,5,6", "exact", _decide_thresholds)
+_WINDOWS = ("certified angle windows contain the published 3-decimal breakpoints", "interval", _decide_windows)
+_TABLE = ("critical-dimension table has the four published rows", "interval", _decide_table)
+_CONSTRAINTS = ("parameter constraints hold strictly; n=4 margin is tight but positive", "exact", _decide_constraints)
+_SUPS = ("two-value sup equals the published surds; sampling oracle agrees to 1e-8", "exact", _decide_sups)
+_AMBIGUITY = ("variable-count ambiguity at m = n-1: sup^2 > p^2 exactly for n=5,6", "exact", _decide_ambiguity)
+_N3 = ("n=3 exponent coefficients at eps=0 are exactly (-1/2, 0, closes)", "exact", _decide_n3)
+# The last report is the digest of all the reports before it.
+_DIGEST = ("report content is a pure function of the configuration", "exact", _decide_digest)
 
 
 @_command("--samples", "--seed", "--tol-deg")
 def _selftest(envelope: ReportEnvelope, samples: int, seed: int, tol_deg: Fraction) -> None:
     """Run the full deterministic check suite."""
     _check_oracle_size(max(_EXPECTED_SURDS), max(samples, cones.MIN_ORACLE_SAMPLES))
-    envelope.reports.extend(_selftest_reports(samples, seed, tol_deg))
+    claims = (_THRESHOLDS, _WINDOWS, _TABLE, _CONSTRAINTS, _SUPS, _AMBIGUITY, *_IDENTITY_CLAIMS, _N3, _DIGEST)
+    envelope.reports.extend(_claim_reports(claims, samples, seed, tol_deg))
 
 
 # ---------------------------------------------------------------------------

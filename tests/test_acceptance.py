@@ -189,7 +189,7 @@ def test_criterion_10_n3_coefficients_exact():
     _announce(10, "n=3 coefficients at eps=0 are exactly (-1/2, 0, true)")
 
 
-def test_criterion_11_selftest_determinism(capsys):
+def test_criterion_11_selftest_determinism(capsys, selftest_digests):
     def run_once() -> str:
         code = main(["selftest", "--seed", "42", "--format", "json"])
         assert code == 0
@@ -203,8 +203,5 @@ def test_criterion_11_selftest_determinism(capsys):
     assert without_wall_time(first) == without_wall_time(second), (
         "selftest output must be byte-identical except wall-time"
     )
-    # Pinned: any change to the report bytes of the default configuration shows here.
-    assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == (
-        "8601661d49615817797c0d6297ee198880a127eb0cac8cc308effc1aeb77c816"
-    )
+    assert json.loads(first)["reports"][-1]["payload"]["content_digest_sha256"] == selftest_digests[100_000, 42]
     _announce(11, "two selftest --seed 42 runs byte-identical except wall-time, digest pinned")

@@ -71,7 +71,7 @@ def test_envelope_verdict_aggregation(monkeypatch):
             tilt, "certify_margin_positive",
             lambda *args: CertificationReport(claim="margin", method="exact", verdict=next(given)),
         )
-        margin = cli._identity_reports(100, 42)[3]
+        (margin,) = cli._claim_reports((cli._MARGIN,), 100, 42, None)
         assert margin.claim.startswith("stability margin") and margin.verdict == expected
         assert [entry["verdict"] for entry in margin.payload.values()] == list(verdicts)
 
@@ -535,16 +535,30 @@ def test_optimize_params_refuses_a_budget_beyond_its_cap_before_any_work(monkeyp
 # ---------------------------------------------------------------------------
 
 
-def test_selftest_runs_certified_quick(capsys):
+def test_selftest_runs_certified_quick(capsys, selftest_digests):
     code, doc, _ = run_json(capsys, "selftest", "--samples", "2000", "--seed", "42")
     assert code == EXIT_CERTIFIED
     assert doc["verdict"] == "certified"
     assert len(doc["reports"]) == 13
-    digest_rep = doc["reports"][-1]
-    # Pinned: any change to the report bytes of this configuration shows here.
-    assert digest_rep["payload"]["content_digest_sha256"] == (
-        "ae62a69c916bcd0d840aa7c4d21570a54f0a0c7fbb97583d0e5622993544728b"
-    )
+    assert doc["reports"][-1]["payload"]["content_digest_sha256"] == selftest_digests[2000, 42]
+
+
+def test_selftest_reports_the_identity_claims_of_one_campaign_per_run(capsys, monkeypatch):
+    # selftest's reports 7-11 are the identities reports, and each run draws
+    # its own campaigns, one per dimension, none shared with an earlier run.
+    campaigns, calls = tilt.identity_campaigns, []
+
+    def counted(params_seq, samples, seed):
+        calls.append(params_seq[0].n)
+        return campaigns(params_seq, samples=samples, seed=seed)
+
+    monkeypatch.setattr(tilt, "identity_campaigns", counted)
+    options = ("--samples", "2000", "--seed", "7")
+    _, identities, _ = run_json(capsys, "identities", *options)
+    assert calls == list(cli._IDENTITY_DIMS)
+    _, selftest, _ = run_json(capsys, "selftest", *options)
+    assert calls == 2 * list(cli._IDENTITY_DIMS)
+    assert identities["reports"] == selftest["reports"][6:11]
 
 
 @pytest.mark.parametrize("flipped,sign", [(0, -1), (1, 0)], ids=["n5-less", "n6-equal"])
@@ -821,7 +835,7 @@ _BASELINE_NUMPY = "X86_V4 AVX512_ICL AVX512_SPR X86_V3"
      {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": _BASELINE_NUMPY}],
     ids=["openblas-prescott", "numpy-baseline", "both"],
 )
-def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
+def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host, selftest_digests):
     # OpenBLAS and numpy pick BLAS and SIMD kernels per CPU; these settings
     # make this host pick an older CPU's kernels.  Every float in the reports
     # comes from correctly rounded operations, so the digest is criterion 11's.
@@ -831,7 +845,7 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host):
     )
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
-    assert digest == "8601661d49615817797c0d6297ee198880a127eb0cac8cc308effc1aeb77c816"
+    assert digest == selftest_digests[100_000, 42]
 
 
 def test_pnbound_output_does_not_depend_on_the_cpu_kernels():

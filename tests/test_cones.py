@@ -1,6 +1,7 @@
 """Tests for the two-value sup enumeration, thresholds, and the table."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -440,6 +441,15 @@ def test_classify_refuses_an_angle_it_cannot_separate_from_a_breakpoint():
     # Within 1e-80 degrees of the n = 5 breakpoint every enclosure of the gap straddles 0.
     with pytest.raises(ValueError, match="cannot separate"):
         cones.n_theta_table(Fraction(1, 1000)).classify(_breakpoint(5))
+
+
+def test_a_grid_too_fine_to_decide_names_the_angle_it_cannot_separate():
+    # On a 1e-80 degree grid the n = 4 window probe lands within reach of the
+    # enclosures of its breakpoint, and the refusal names that probe's angle.
+    with pytest.raises(ValueError, match="cannot separate") as refusal:
+        cones.n_theta_table(Fraction(1, 10**80))
+    angle = float(re.search(r" at (\S+) degrees ", str(refusal.value)).group(1))
+    assert abs(angle - float(180 - _breakpoint(4))) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -343,6 +343,9 @@ _EDGE_DOUBLES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.22507385
         elements=st.one_of(st.sampled_from(_EDGE_DOUBLES), st.floats(width=64)),
     )
 )
+# Two NaNs of opposite sign: numpy's in-place add propagates the second one's sign.
+@example(np.array([[np.nan, -np.nan], [-np.nan, np.nan]]))
+@example(np.array([[1.0, np.nan, -np.nan]]))
 def test_row_sums_are_numpys_row_sums(x):
     # If numpy changes its summation order, this fails before a digest moves.
     with np.errstate(all="ignore"):
