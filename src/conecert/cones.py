@@ -71,8 +71,10 @@ __all__ = [
     "check_oracle_q",
     "check_oracle_size",
     "MIN_ORACLE_SAMPLES",
+    "ORACLE_AGREEMENT",
     "ORACLE_ASCENT_STEPS",
     "OPTIMIZE_MAX_BUDGET",
+    "SUP_VS_P2",
     "m_functional",
     "constraint_holds",
     "certify_dimension",
@@ -289,6 +291,8 @@ ORACLE_MAX_DOUBLES = 2 ** 25
 MIN_ORACLE_SAMPLES = 10_000
 _ORACLE_STARTS = 512
 ORACLE_ASCENT_STEPS = 200
+# The oracle agrees with an exact sup that it does not exceed by more than this.
+ORACLE_AGREEMENT = 1e-8
 
 
 def check_oracle_size(m: int, samples: int) -> None:
@@ -575,6 +579,10 @@ def _params_payload(p: ConeParams) -> dict:
 
 def _witness_payload(w: TwoValuePoint) -> dict:
     return {"a": w.a, "b": w.b, "x": w.x, "y": w.y}
+
+
+# The sign of compare(sup^2, p^2) as a report's text.
+SUP_VS_P2 = {-1: "sup^2 < p^2", 0: "sup^2 = p^2", 1: "sup^2 > p^2"}
 
 
 def _f_squared_payload(f2: ExactScalar) -> Union[Fraction, str]:

@@ -14,8 +14,9 @@ import mpmath as mp
 import pytest
 
 import conecert
-from conecert import cli, cones, tilt
+from conecert import claims, cones, tilt
 from conecert.cli import main
+from conecert.exact import QuadraticSurd
 from conecert.report import (
     EXIT_CERTIFIED,
     EXIT_FALSIFIED,
@@ -71,7 +72,7 @@ def test_envelope_verdict_aggregation(monkeypatch):
             tilt, "certify_margin_positive",
             lambda *args: CertificationReport(claim="margin", method="exact", verdict=next(given)),
         )
-        (margin,) = cli._claim_reports((cli._MARGIN,), 100, 42, None)
+        (margin,) = claims._claim_reports((claims._MARGIN,), 100, 42, None)
         assert margin.claim.startswith("stability margin") and margin.verdict == expected
         assert [entry["verdict"] for entry in margin.payload.values()] == list(verdicts)
 
@@ -233,6 +234,30 @@ def test_pnbound_reports_exact_sup_and_oracle(capsys):
     assert payload["sup"]["radicand"] == "66"
     assert payload["oracle_within_tolerance"] is True
     assert payload["exhaustive"] is True
+
+
+def test_pnbound_falsifies_a_sup_that_its_witness_does_not_reach(capsys, monkeypatch):
+    # The oracle only finds values below the sup, so it cannot see an exact
+    # sup that is too large; |f| at the printed witness can.  Here the
+    # diagonal candidate's f^2 is computed as if it had a = 2: the sup reads
+    # 8.72, while |f| at the diagonal witness is the true sup, 8.3716.
+    exact_f_squared = cones._f_squared_exact
+
+    def inflated(a, b, q, x):
+        return exact_f_squared(a + 1 if x == QuadraticSurd(1) else a, b, q, x)
+
+    code, doc, _ = run_json(capsys, "pnbound", "--m", "3", "--q", "10", "--samples", "10000")
+    assert code == EXIT_CERTIFIED
+    honest = doc["reports"][0]["payload"]
+    assert honest["witness_source"] == "diagonal"
+    assert honest["witness_abs_f"] == pytest.approx(honest["sup_float"], rel=1e-12)
+    monkeypatch.setattr(cones, "_f_squared_exact", inflated)
+    code, doc, _ = run_json(capsys, "pnbound", "--m", "3", "--q", "10", "--samples", "10000")
+    assert code == EXIT_FALSIFIED and doc["verdict"] == "falsified"
+    payload = doc["reports"][0]["payload"]
+    assert payload["oracle_value"] < payload["sup_float"]
+    assert payload["witness_abs_f"] == pytest.approx(honest["sup_float"], rel=1e-12)
+    assert payload["sup_float"] > 1.04 * payload["witness_abs_f"]
 
 
 def test_pnbound_p2_comparison_verdicts(capsys):
@@ -555,22 +580,22 @@ def test_selftest_reports_the_identity_claims_of_one_campaign_per_run(capsys, mo
     monkeypatch.setattr(tilt, "identity_campaigns", counted)
     options = ("--samples", "2000", "--seed", "7")
     _, identities, _ = run_json(capsys, "identities", *options)
-    assert calls == list(cli._IDENTITY_DIMS)
+    assert calls == list(claims._IDENTITY_DIMS)
     _, selftest, _ = run_json(capsys, "selftest", *options)
-    assert calls == 2 * list(cli._IDENTITY_DIMS)
+    assert calls == 2 * list(claims._IDENTITY_DIMS)
     assert identities["reports"] == selftest["reports"][6:11]
 
 
 @pytest.mark.parametrize("flipped,sign", [(0, -1), (1, 0)], ids=["n5-less", "n6-equal"])
 def test_selftest_falsifies_an_ambiguity_comparison_that_changes(capsys, monkeypatch, flipped, sign):
-    exact_compare = cli.compare
+    exact_compare = claims.compare
     calls = []
 
     def compare(a, b):
         calls.append(exact_compare(a, b))
         return sign if len(calls) == flipped + 1 else calls[-1]
 
-    monkeypatch.setattr(cli, "compare", compare)
+    monkeypatch.setattr(claims, "compare", compare)
     code, doc, _ = run_json(capsys, "selftest", "--samples", "2000", "--seed", "42")
     assert code == EXIT_FALSIFIED and doc["verdict"] == "falsified"
     (ambiguity,) = [r for r in doc["reports"] if r["claim"].startswith("variable-count ambiguity")]
@@ -653,6 +678,9 @@ def test_command_help_names_each_option(capsys, command):
     assert code == EXIT_CERTIFIED and err == ""
     named = set(re.findall(r"--[a-z0-9-]+", out))
     assert named == {"--help", *_COMMAND_OPTIONS[command]}
+    # The budget's limit is read from cones only when the optimize parser is built.
+    if command == "optimize":
+        assert f"at most {cones.OPTIMIZE_MAX_BUDGET};" in " ".join(out.split())
 
 
 # What every command echoes of an option it does not take.
@@ -753,15 +781,21 @@ def test_commands_load_neither_mpmath_scipy_nor_sympy(argv, expected_code, loads
 
 
 # Runs the CLI in a fresh interpreter, then writes its exit code, the
-# top-level modules the import and the run added, and whether hashlib is
-# loaded, as the last line of stderr.
+# top-level modules the import and the run added, whether hashlib is
+# loaded, and which lazily registered layer modules have executed, as the
+# last line of stderr.  A module that has executed has __builtins__ in its
+# namespace; object.__getattribute__ reads the namespace without loading it.
 _LOADED_PROBE = """
 import json, sys
 before = set(sys.modules)
 from conecert.cli import main
 code = main(sys.argv[1:])
 added = sorted({name.split(".")[0] for name in set(sys.modules) - before})
-sys.stderr.write("\\n" + json.dumps([code, added, "hashlib" in sys.modules]) + "\\n")
+executed = [
+    name for name in ("claims", "cones", "linearization", "tilt")
+    if "__builtins__" in object.__getattribute__(sys.modules["conecert." + name], "__dict__")
+]
+sys.stderr.write("\\n" + json.dumps([code, added, "hashlib" in sys.modules, executed]) + "\\n")
 """
 _STARTUP_HEAVY = {"dataclasses", "inspect", "hashlib", "csv"}
 
@@ -784,16 +818,35 @@ def test_exact_commands_load_only_the_lean_standard_library(argv):
     # Records are slotted classes (no dataclass code generation, which pulls
     # in inspect), the parser is argparse, and hashlib and csv are imported
     # where the selftest digest and --format csv need them.
-    code, added, _ = _loaded_by(*argv)
+    code, added, _, _ = _loaded_by(*argv)
     assert code == EXIT_CERTIFIED
     assert [name for name in added if name not in sys.stdlib_module_names and name != "conecert"] == []
     assert sorted(_STARTUP_HEAVY.intersection(added)) == []
 
 
 def test_selftest_still_loads_hashlib_for_its_digest():
-    code, _, hashlib_loaded = _loaded_by("selftest", "--samples", "2000")
+    code, _, hashlib_loaded, _ = _loaded_by("selftest", "--samples", "2000")
     assert code == EXIT_CERTIFIED
     assert hashlib_loaded
+
+
+@pytest.mark.parametrize(
+    "argv,executed",
+    [(("--version",), []),
+     (("certify", "--n", "4"), ["cones"]),
+     (("table",), ["cones"]),
+     (("optimize", "--n", "5", "--budget", "200"), ["cones"]),
+     (("pnbound", "--m", "3", "--q", "6/11"), ["cones"]),
+     (("identities", "--samples", "2000"), ["claims", "linearization", "tilt"]),
+     (("selftest", "--samples", "2000"), ["claims", "cones", "linearization", "tilt"])],
+    ids=["version", "certify-n4", "table", "optimize", "pnbound", "identities", "selftest"],
+)
+def test_each_command_executes_only_the_layer_modules_it_uses(argv, executed):
+    # The cli registers every layer module lazily: each is compiled and
+    # executed on its first attribute access, by the command that reads it.
+    code, _, _, ran = _loaded_by(*argv)
+    assert code == EXIT_CERTIFIED
+    assert ran == executed
 
 
 def test_importing_the_cli_loads_every_layer_module():
@@ -804,6 +857,31 @@ def test_importing_the_cli_loads_every_layer_module():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_fresh_env(), timeout=300
     )
     assert {"conecert.cones", "conecert.linearization", "conecert.tilt"} <= set(json.loads(proc.stdout))
+
+
+_INPROC = Path(__file__).resolve().parents[1] / "perfbench" / "inproc.py"
+
+
+@pytest.mark.parametrize(
+    "argv,layers",
+    [(("certify", "--n", "4"), ("cones",)), (("selftest", "--samples", "2000"), ("cones", "tilt", "linearization"))],
+    ids=["certify-n4", "selftest"],
+)
+def test_the_benchmark_tracer_times_the_lazily_loaded_layers(argv, layers):
+    # The benchmark's in-process runner imports conecert.cli, wraps the
+    # public functions of every layer module it finds in sys.modules, and
+    # runs the command; reading a lazy module's namespace loads it.
+    proc = subprocess.run(
+        [sys.executable, str(_INPROC), "--trace", "--", *argv, "--format", "json"],
+        capture_output=True, text=True, env=_fresh_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["exit"] == EXIT_CERTIFIED
+    assert json.loads(result["stdout"])["verdict"] == "certified"
+    for layer in layers:
+        times = {label: s for label, s in result["layers"].items() if label.startswith(layer + ".")}
+        assert times and all(s > 0 for s in times.values()), (layer, result["layers"])
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conecert import _sampling, cli, cones, tilt
+from conecert import _sampling, claims, cones, tilt
 from conecert.exact import AngleDeg, Interval
 
 CHUNK = _sampling.CHUNK_ROWS
@@ -26,7 +26,7 @@ def _identity_grid(n):
     """The selftest's identity configurations at graph dimension n."""
     return [
         tilt.TiltParams(theta=AngleDeg.from_degrees(theta), k=k, n=n)
-        for theta, k in cli._IDENTITY_ANGLES_K
+        for theta, k in claims._IDENTITY_ANGLES_K
     ]
 
 
@@ -161,7 +161,7 @@ def test_streamed_campaigns_equal_one_shot_evaluation(samples):
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_shared_draw_campaigns_equal_one_shot_evaluation(samples, seed):
-    for n in cli._IDENTITY_DIMS:
+    for n in claims._IDENTITY_DIMS:
         grid = _identity_grid(n)
         shared = tilt.identity_campaigns(grid, samples=samples, seed=seed)
         assert shared == [_identity_one_shot(params, samples, seed) for params in grid]
@@ -221,7 +221,7 @@ def _explicit_slacks(grads, k, c, s, orientation):
 def test_reduced_kernels_agree_with_the_explicit_construction(seed):
     samples = 3 * CHUNK
     eps = np.finfo(float).eps
-    for n in cli._IDENTITY_DIMS:
+    for n in claims._IDENTITY_DIMS:
         nu = _one_shot_directions(np.random.default_rng(seed), samples, n + 1)
         gram = tilt._tangent_projections(nu)
         for params in _identity_grid(n):
@@ -268,9 +268,9 @@ def test_identity_campaign_fails_a_frame_kernel_missing_its_cross_term(monkeypat
     def frame_residuals():
         return [res.max_frame_sum_residual for res in tilt.identity_campaigns(_identity_grid(3), samples=CHUNK, seed=42)]
 
-    assert max(frame_residuals()) <= cli._FRAME_TOL
+    assert max(frame_residuals()) <= claims._FRAME_TOL
     monkeypatch.setattr(tilt, "_frame_defects", _frame_defects_without_cross_term)
-    assert min(frame_residuals()) > cli._FRAME_TOL
+    assert min(frame_residuals()) > claims._FRAME_TOL
 
 
 def test_symbolic_certificate_fails_a_frame_kernel_missing_its_cross_term(monkeypatch):
