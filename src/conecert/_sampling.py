@@ -9,6 +9,13 @@ directions here too, before freezing them as exact rationals.  Consecutive
 same stream, so the chunks are, row for row, the one-shot draw of
 ``samples`` rows.
 
+A campaign that needs several dimensions draws once, at the widest, and
+reads each narrower one as a prefix of the columns: the first d coordinates
+of a standard Gaussian vector are a standard Gaussian vector in R^d, so
+each normalised prefix is uniform on its own sphere (Muller, CACM 2(4),
+1959).  The prefixes of one draw are dependent, which no campaign's
+verdict relies on: each dimension is checked on its own.
+
 The sampler and the oracle sum their short rows with ``row_sums``, which
 adds whole columns instead of starting numpy's reduction loop once per row
 and returns the same doubles as ``x.sum(axis=1)``.
@@ -43,16 +50,24 @@ def row_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def unit_gaussian_chunks(rng: np.random.Generator, samples: int, dim: int) -> Iterator[np.ndarray]:
-    """Yield ``samples`` uniform unit vectors in R^dim, in (rows, dim) chunks.
+def unit_gaussian_chunks(rng: np.random.Generator, samples: int, widths: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """Yield ``samples`` uniform unit vectors in R^d for each d in ``widths``, in chunks.
 
-    Each row is a standard Gaussian vector divided by its norm (Muller,
-    CACM 2(4), 1959), the square root of ``row_sums(x * x)``, which is
-    bitwise ``np.linalg.norm(x, axis=1)``.
+    ``widths`` is ascending.  Each chunk is one (rows, widths[-1]) standard
+    Gaussian block; for each width d in turn it yields the block's first d
+    columns divided by their row norms, the square roots of ``row_sums``
+    of their squares, which are bitwise ``np.linalg.norm``.  Only the block
+    is kept between yields, so a caller that drops each prefix before the
+    next holds one at a time.  With a single width the chunks are the
+    normalised rows of one draw in R^d.
     """
     import numpy as np
 
     for start in range(0, samples, CHUNK_ROWS):
-        x = rng.standard_normal((min(CHUNK_ROWS, samples - start), dim))
+        x = rng.standard_normal((min(CHUNK_ROWS, samples - start), widths[-1]))
+        for d in widths[:-1]:
+            prefix = x[:, :d]
+            yield prefix / np.sqrt(row_sums(prefix * prefix))[:, None]
+        # The widest prefix is the block itself, normalised in place.
         x /= np.sqrt(row_sums(x * x))[:, None]
         yield x

@@ -83,38 +83,31 @@ _FRAME_TOL = 1e-10
 
 
 def _campaign_suite(samples: int, seed: int) -> tuple[dict, dict]:
-    """Run the identity campaigns over the full sweep grid; return maxima."""
+    """Run the identity campaigns over the full sweep grid, on one shared draw; return maxima."""
     import numpy as np
 
     worst = dict.fromkeys(("gradient", "frame", "wedge", "j_minus_g2"), -np.inf)
-    # One draw per dimension serves all (theta, k) pairs; the payload stays theta-major.
-    results = {}
-    for n in _IDENTITY_DIMS:
-        grid = [
-            TiltParams(theta=AngleDeg.from_degrees(theta_deg), k=k, n=n)
-            for theta_deg, k in _IDENTITY_ANGLES_K
-        ]
-        for (theta_deg, k), res in zip(
-            _IDENTITY_ANGLES_K, tilt.identity_campaigns(grid, samples=samples, seed=seed)
-        ):
-            results[theta_deg, k, n] = res
+    grid = [(theta_deg, k, n) for theta_deg, k in _IDENTITY_ANGLES_K for n in _IDENTITY_DIMS]
+    results = tilt.identity_campaigns(
+        [TiltParams(theta=AngleDeg.from_degrees(theta_deg), k=k, n=n) for theta_deg, k, n in grid],
+        samples=samples,
+        seed=seed,
+    )
     per_config = {}
-    for theta_deg, k in _IDENTITY_ANGLES_K:
-        for n in _IDENTITY_DIMS:
-            res = results[theta_deg, k, n]
-            # np.maximum keeps a NaN residual, which max() would drop.
-            for key, value in (
-                ("gradient", res.max_gradient_residual),
-                ("frame", res.max_frame_sum_residual),
-                ("wedge", res.max_wedge_sum_residual),
-                ("j_minus_g2", res.max_j_minus_g2),
-            ):
-                worst[key] = float(np.maximum(worst[key], value))
-            per_config[f"theta={theta_deg} k={k} n={n}"] = {
-                "max_gradient_residual": res.max_gradient_residual,
-                "max_frame_sum_residual": res.max_frame_sum_residual,
-                "max_wedge_sum_residual": res.max_wedge_sum_residual,
-            }
+    for (theta_deg, k, n), res in zip(grid, results):
+        # np.maximum keeps a NaN residual, which max() would drop.
+        for key, value in (
+            ("gradient", res.max_gradient_residual),
+            ("frame", res.max_frame_sum_residual),
+            ("wedge", res.max_wedge_sum_residual),
+            ("j_minus_g2", res.max_j_minus_g2),
+        ):
+            worst[key] = float(np.maximum(worst[key], value))
+        per_config[f"theta={theta_deg} k={k} n={n}"] = {
+            "max_gradient_residual": res.max_gradient_residual,
+            "max_frame_sum_residual": res.max_frame_sum_residual,
+            "max_wedge_sum_residual": res.max_wedge_sum_residual,
+        }
     return worst, per_config
 
 
@@ -314,9 +307,12 @@ def _decide_constraints(run: _Run) -> tuple:
 
 def _decide_sups(run: _Run) -> tuple:
     oracle_samples = max(run.samples, cones.MIN_ORACLE_SAMPLES)
+    oracles = cones.brute_force_sup(
+        [(m, q) for m, (q, _, _) in _EXPECTED_SURDS.items()], samples=oracle_samples, seed=run.seed
+    )
     payload = {}
     ok = True
-    for m, (q, coeff, radicand) in _EXPECTED_SURDS.items():
+    for (m, (q, coeff, radicand)), oracle in zip(_EXPECTED_SURDS.items(), oracles):
         enum = cones.sup_abs_f_two_value(m, q)
         value = enum.value
         exact_match = (
@@ -324,7 +320,6 @@ def _decide_sups(run: _Run) -> tuple:
             and value == QuadraticSurd(0, coeff, radicand)
             and value.square() == enum.f_squared
         )
-        oracle = cones.brute_force_sup(m, q, samples=oracle_samples, seed=run.seed)
         gap = float(enum) - oracle.value
         agrees = abs(gap) <= cones.ORACLE_AGREEMENT and oracle.value <= float(enum) + cones.ORACLE_AGREEMENT
         ok = ok and exact_match and agrees

@@ -325,7 +325,7 @@ def _pnbound(
     samples_used = max(samples, cones.MIN_ORACLE_SAMPLES)
     _check_oracle_size(m, samples_used)
     enum = cones.sup_abs_f_two_value(m, q)
-    oracle = cones.brute_force_sup(m, q, samples=samples_used, seed=seed)
+    (oracle,) = cones.brute_force_sup([(m, q)], samples=samples_used, seed=seed)
     enum_float = float(enum)
     gap = enum_float - oracle.value
     # The oracle finds an underestimate of the sup, the witness an overestimate.

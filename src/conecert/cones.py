@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # numpy loads inside the float functions, so exact commands never import it
     import numpy as np
@@ -296,7 +296,7 @@ ORACLE_AGREEMENT = 1e-8
 
 
 def check_oracle_size(m: int, samples: int) -> None:
-    """Raise ValueError if ``brute_force_sup(m, q, samples)`` would exceed ORACLE_MAX_DOUBLES."""
+    """Raise ValueError if an oracle draw of ``samples`` points in R^m would exceed ORACLE_MAX_DOUBLES."""
     if samples * m > ORACLE_MAX_DOUBLES:
         raise ValueError(
             f"the oracle would draw {samples} points in R^{m}, {samples * m} coordinates in all; "
@@ -327,15 +327,21 @@ def check_oracle_q(m: int, q: RationalLike) -> float:
     return q_float
 
 
-def brute_force_sup(m: int, q: RationalLike, samples: int = 100_000, seed: int = 42) -> BruteForceResult:
-    """Lower-bound oracle for sup |f_{m,q}| on the unit sphere.
+def brute_force_sup(
+    pairs: Sequence[tuple[int, RationalLike]], samples: int = 100_000, seed: int = 42
+) -> list[BruteForceResult]:
+    """Lower-bound oracles for sup |f_{m,q}| on the unit sphere, one per (m, q) pair.
 
     Standard Gaussian vectors from ``numpy.random.default_rng(seed)`` are
-    normalised to uniform directions on the sphere (Muller 1959) and scored
-    chunk by chunk, keeping a running top 512 by |f|; those starts are
-    refined by at most ORACLE_ASCENT_STEPS steps of projected gradient
-    ascent on |f| with per-sample adaptive step sizes.  Fully deterministic
-    for a fixed seed.  Draws above ORACLE_MAX_DOUBLES, and a q that
+    drawn once, in the largest m of ``pairs``; each pair reads the
+    normalised prefix of its first m coordinates, which is uniform on its
+    sphere (Muller 1959).  Each pair scores its prefix chunk by chunk,
+    keeping a running top 512 by |f|; those starts are refined by at most
+    ORACLE_ASCENT_STEPS steps of projected gradient ascent on |f| with
+    per-sample adaptive step sizes.  The results, in the order of
+    ``pairs``, are those of one draw per pair on the prefix of the widest
+    draw.  Fully deterministic for a fixed seed.  Draws above
+    ORACLE_MAX_DOUBLES (samples times the largest m), and a q that
     ``check_oracle_q`` refuses, are refused before any work.
 
     The ascent stops after a step in which no start improved and every
@@ -351,21 +357,35 @@ def brute_force_sup(m: int, q: RationalLike, samples: int = 100_000, seed: int =
     """
     import numpy as np
 
-    if m < 2:
+    if not pairs:
+        raise ValueError("need at least one (m, q) pair")
+    if min(m for m, _ in pairs) < 2:
         raise ValueError("m must be at least 2")
     if samples < MIN_ORACLE_SAMPLES:
         raise ValueError("need at least 10^4 samples for a meaningful oracle")
-    check_oracle_size(m, samples)
-    q = check_oracle_q(m, q)
+    widths = tuple(sorted({m for m, _ in pairs}))
+    check_oracle_size(widths[-1], samples)
+    qs = [check_oracle_q(m, q) for m, q in pairs]
 
-    top = np.empty((0, m))
-    vals = np.empty(0)
-    for x in unit_gaussian_chunks(np.random.default_rng(seed), samples, m):
-        top = np.concatenate((top, x))
-        vals = np.concatenate((vals, _f_value(x, q)))
-        if vals.size > _ORACLE_STARTS:
-            keep = np.argpartition(-np.abs(vals), _ORACLE_STARTS - 1)[:_ORACLE_STARTS]
-            top, vals = top[keep], vals[keep]
+    tops = [np.empty((0, m)) for m, _ in pairs]
+    vals = [np.empty(0) for _ in pairs]
+    for x in unit_gaussian_chunks(np.random.default_rng(seed), samples, widths):
+        for i, (m, _) in enumerate(pairs):
+            if m != x.shape[1]:
+                continue
+            top = np.concatenate((tops[i], x))
+            val = np.concatenate((vals[i], _f_value(x, qs[i])))
+            if val.size > _ORACLE_STARTS:
+                keep = np.argpartition(-np.abs(val), _ORACLE_STARTS - 1)[:_ORACLE_STARTS]
+                top, val = top[keep], val[keep]
+            tops[i], vals[i] = top, val
+    return [_ascend(top, val, q, samples) for top, val, q in zip(tops, vals, qs)]
+
+
+def _ascend(top: np.ndarray, vals: np.ndarray, q: float, samples: int) -> BruteForceResult:
+    """Refine the oracle's starts by projected gradient ascent on |f| (see ``brute_force_sup``)."""
+    import numpy as np
+
     order = np.argsort(-np.abs(vals))
     top, vals = top[order], vals[order]
 

@@ -147,9 +147,6 @@ class Interval(Record):
     def contains(self, x: RationalLike) -> bool:
         return self.lo <= to_fraction(x) <= self.hi
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -620,6 +617,11 @@ class _Dyadic:
             -((-hi.numerator << _DYADIC_BITS) // hi.denominator),
         )
 
+    @classmethod
+    def enclose_ratio(cls, num: int, den: int) -> "_Dyadic":
+        """The grid units around num / den, for den > 0: ``enclose`` of that point, with no Fraction."""
+        return cls((num << _DYADIC_BITS) // den, -((-num << _DYADIC_BITS) // den))
+
     def to_interval(self) -> Interval:
         return Interval(Fraction(self.lo, _DYADIC_ONE), Fraction(self.hi, _DYADIC_ONE))
 
@@ -646,8 +648,13 @@ class _Dyadic:
             return _Dyadic(self.lo // other, -(-self.hi // other))
         if other.lo <= 0 <= other.hi:
             raise ZeroDivisionError("division by a _Dyadic interval containing zero")
-        corners = [(a << _DYADIC_BITS, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        return _Dyadic(min(a // b for a, b in corners), max(-(-a // b) for a, b in corners))
+        if other.hi < 0:
+            return -self / -other
+        # By a positive divisor, each end is extreme at the divisor end its own sign picks.
+        return _Dyadic(
+            (self.lo << _DYADIC_BITS) // (other.hi if self.lo >= 0 else other.lo),
+            -((-self.hi << _DYADIC_BITS) // (other.lo if self.hi >= 0 else other.hi)),
+        )
 
     def sqrt(self) -> "_Dyadic":
         if self.lo < 0:

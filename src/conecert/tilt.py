@@ -467,29 +467,33 @@ def identity_campaigns(
 
     Normals are drawn uniformly on the sphere (normalised Gaussians) with a
     fixed seed, in chunks of ``_sampling.CHUNK_ROWS`` rows.  Each chunk is
-    drawn and reduced to its Gram entries once and then evaluated for every
-    configuration in turn, so the results, in the order of ``params_seq``,
-    are those of one draw per configuration; the configurations must share
-    the graph dimension.  The defects are sampled in the cleared form the
-    certificate proves, with no division by g^2, so near the zero locus of
-    g they are rounding as anywhere else; jfrak - g^2 is minus a sum of
-    squares, so it is <= 0 up to rounding.  The maxima fold with
-    ``np.maximum``, so a NaN residual reaches the result.
+    one draw in the widest normal dimension n + 1 of ``params_seq``; a
+    configuration of graph dimension n reads the normalised prefix of its
+    first n + 1 columns, which is uniform on its sphere, and each prefix is
+    reduced to its Gram entries once and evaluated for every configuration
+    of that dimension.  So the results, in the order of ``params_seq``, are
+    those of one draw per configuration on the prefix of the widest draw.
+    The defects are sampled in the cleared form the certificate proves,
+    with no division by g^2, so near the zero locus of g they are rounding
+    as anywhere else; jfrak - g^2 is minus a sum of squares, so it is <= 0
+    up to rounding.  The maxima fold with ``np.maximum``, so a NaN residual
+    reaches the result.
     """
     import numpy as np
 
     if not params_seq:
         raise ValueError("need at least one configuration")
-    dims = sorted({params.n for params in params_seq})
-    if len(dims) > 1:
-        raise ValueError(f"configurations on one draw must share the graph dimension, got n = {dims}")
     if samples < 1:
         raise ValueError("samples must be positive")
     folds = [_IdentityFold(params) for params in params_seq]
-    for nu in unit_gaussian_chunks(np.random.default_rng(seed), samples, dims[0] + 1):
+    by_width: dict[int, list[_IdentityFold]] = {}
+    for params, fold in zip(params_seq, folds):
+        by_width.setdefault(params.n + 1, []).append(fold)
+    for nu in unit_gaussian_chunks(np.random.default_rng(seed), samples, tuple(sorted(by_width))):
         gram = _tangent_projections(nu)
-        for fold in folds:
+        for fold in by_width[nu.shape[1]]:
             fold.add(nu, gram)
+        del nu, gram  # before the sampler makes the next prefix, so one is alive at a time
     return [fold.result(samples) for fold in folds]
 
 
@@ -582,7 +586,7 @@ def appendix_campaigns(
 
     streams = np.random.SeedSequence(seed).spawn(2)
     dirs_rng, radii_rng = (np.random.default_rng(stream) for stream in streams)
-    for dirs in unit_gaussian_chunks(dirs_rng, samples, n):
+    for dirs in unit_gaussian_chunks(dirs_rng, samples, (n,)):
         radii = BALL_RADIUS * radii_rng.random(dirs.shape[0]) ** (1.0 / n)
         offsets = radii[:, None] * dirs
         rest = offsets[:, 1:]

@@ -111,7 +111,7 @@ def test_criterion_05_two_value_enumeration_with_oracle():
         assert enum.value == surd
         assert isinstance(enum.f_squared, Fraction)
         assert enum.value.square() == enum.f_squared
-        oracle = cones.brute_force_sup(m, q, samples=100_000, seed=42)
+        (oracle,) = cones.brute_force_sup([(m, q)], samples=100_000, seed=42)
         assert abs(oracle.value - float(enum)) <= 1e-8
         assert oracle.value <= float(enum) + 1e-8
     elapsed = time.perf_counter() - start

@@ -305,7 +305,7 @@ def test_pnbound_reports_the_ascent_steps_taken(capsys):
     code, doc, _ = run_json(capsys, "pnbound", "--m", "5", "--q", "43/391", "--samples", "10000", "--seed", "42")
     assert code == EXIT_CERTIFIED
     steps = doc["reports"][0]["provenance"]["ascent_steps"]
-    assert steps == cones.brute_force_sup(5, Fraction(43, 391), samples=10_000, seed=42).steps
+    assert steps == cones.brute_force_sup([(5, Fraction(43, 391))], samples=10_000, seed=42)[0].steps
     assert 1 <= steps < cones.ORACLE_ASCENT_STEPS
 
 
@@ -570,19 +570,20 @@ def test_selftest_runs_certified_quick(capsys, selftest_digests):
 
 def test_selftest_reports_the_identity_claims_of_one_campaign_per_run(capsys, monkeypatch):
     # selftest's reports 7-11 are the identities reports, and each run draws
-    # its own campaigns, one per dimension, none shared with an earlier run.
+    # its own campaigns, all 16 configurations in one call, none shared with
+    # an earlier run.
     campaigns, calls = tilt.identity_campaigns, []
 
     def counted(params_seq, samples, seed):
-        calls.append(params_seq[0].n)
+        calls.append(sorted({params.n for params in params_seq}))
         return campaigns(params_seq, samples=samples, seed=seed)
 
     monkeypatch.setattr(tilt, "identity_campaigns", counted)
     options = ("--samples", "2000", "--seed", "7")
     _, identities, _ = run_json(capsys, "identities", *options)
-    assert calls == list(claims._IDENTITY_DIMS)
+    assert calls == [list(claims._IDENTITY_DIMS)]
     _, selftest, _ = run_json(capsys, "selftest", *options)
-    assert calls == 2 * list(claims._IDENTITY_DIMS)
+    assert calls == 2 * [list(claims._IDENTITY_DIMS)]
     assert identities["reports"] == selftest["reports"][6:11]
 
 
@@ -924,6 +925,27 @@ def test_selftest_digest_does_not_depend_on_the_cpu_kernels(host, selftest_diges
     assert proc.returncode == EXIT_CERTIFIED, proc.stderr
     digest = json.loads(proc.stdout)["reports"][-1]["payload"]["content_digest_sha256"]
     assert digest == selftest_digests[100_000, 42]
+
+
+# The sha256 of pnbound's JSON stdout, elapsed_ms set to 0, as it was before the
+# oracle took several (m, q) pairs on one draw: a single pair draws as before.
+_PNBOUND_STDOUT_SHA256 = {
+    ("--m", "5", "--q", "43/391", "--p2", "646328929/717317652", "--samples", "10000", "--seed", "42"):
+        "79a4d2b4c2ec98c5284627a3c7d8a85f3c58762c0834bdd07ef888671ef9fd5b",
+    ("--m", "9", "--q", "1/3"): "20797d01ef59acf5564dda192d04b7a38ab39cdaf5c5af6a228864a62ff8e04a",
+    ("--m", "3", "--q", "6/11"): "10bbc8fd46af65d7456fcd6b7fbd7bdc6780c930991934109c2f06b0d00dc916",
+    ("--m", "5", "--q", "43/391"): "33711b8080aa2a54458444b1c3cdc95dc325142cc58adf2c14ddc1a53e11a752",
+}
+
+
+@pytest.mark.parametrize("options", list(_PNBOUND_STDOUT_SHA256), ids=lambda o: " ".join(o))
+def test_pnbound_output_is_pinned(capsys, options):
+    import hashlib
+
+    code, out, _ = run(capsys, "pnbound", *options, "--format", "json")
+    assert code == (EXIT_FALSIFIED if "--p2" in options else EXIT_CERTIFIED)
+    masked = re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": 0', out)
+    assert hashlib.sha256(masked.encode()).hexdigest() == _PNBOUND_STDOUT_SHA256[options]
 
 
 def test_pnbound_output_does_not_depend_on_the_cpu_kernels():

@@ -180,7 +180,7 @@ def test_sup_enumeration_grid(m, q):
 @pytest.mark.parametrize("m,q", [(2, Fraction(1)), (3, Fraction(6, 11)), (4, Fraction(43, 391))])
 def test_sup_oracle_agreement(m, q):
     res = cones.sup_abs_f_two_value(m, q)
-    oracle = cones.brute_force_sup(m, q, samples=20_000, seed=42)
+    (oracle,) = cones.brute_force_sup([(m, q)], samples=20_000, seed=42)
     assert oracle.value <= float(res) + 1e-8
     assert abs(oracle.value - float(res)) <= 1e-6
 
@@ -194,7 +194,7 @@ def test_sup_abs_f_two_value_refuses_a_nonpositive_q():
 
 def test_brute_force_requires_enough_samples():
     with pytest.raises(ValueError):
-        cones.brute_force_sup(2, Fraction(1), samples=100)
+        cones.brute_force_sup([(2, Fraction(1))], samples=100)
 
 
 def test_brute_force_refuses_draws_beyond_the_work_cap():
@@ -205,7 +205,7 @@ def test_brute_force_refuses_draws_beyond_the_work_cap():
         with pytest.raises(ValueError, match=str(cones.ORACLE_MAX_DOUBLES)):
             cones.check_oracle_size(m, samples)
     with pytest.raises(ValueError, match="limit"):
-        cones.brute_force_sup(21201, Fraction(1))
+        cones.brute_force_sup([(21201, Fraction(1))])
 
 
 def test_brute_force_refuses_a_q_outside_the_doubles():
@@ -215,12 +215,12 @@ def test_brute_force_refuses_a_q_outside_the_doubles():
     for q, match in ((10 ** 154, "too large"), (10 ** 400, "too large"),
                      (Fraction(1, 2 ** 1076), "too small"), (Fraction(1, 10 ** 400), "too small")):
         with pytest.raises(ValueError, match=match):
-            cones.brute_force_sup(3, q, samples=10_000)
+            cones.brute_force_sup([(3, q)], samples=10_000)
 
 
 def test_brute_force_deterministic():
-    a = cones.brute_force_sup(3, Fraction(6, 11), samples=10_000, seed=5)
-    b = cones.brute_force_sup(3, Fraction(6, 11), samples=10_000, seed=5)
+    (a,) = cones.brute_force_sup([(3, Fraction(6, 11))], samples=10_000, seed=5)
+    (b,) = cones.brute_force_sup([(3, Fraction(6, 11))], samples=10_000, seed=5)
     assert a.value == b.value
     assert a.witness == b.witness
 

@@ -143,7 +143,7 @@ def test_interval_hull_intersect_clamp():
 
 def test_pi_enclosure_is_tight_and_correct():
     pi = pi_interval()
-    assert pi.strictly_positive()
+    assert pi.lo > 0
     assert float(pi.lo) <= math.pi <= float(pi.hi)
     # Machin's formula on the 2^-256 grid leaves an enclosure far finer than
     # any tolerance used downstream.
@@ -599,7 +599,7 @@ def test_window_edge_is_a_grid_cell_around_the_root(t, tol):
     else:
         # cos^2/sin^4 falls strictly on (0, 90), so the root lies strictly inside.
         assert hi - lo == tol
-        assert gap_lo.strictly_positive() and gap_hi.hi < 0
+        assert gap_lo.lo > 0 and gap_hi.hi < 0
 
 
 @given(

@@ -1,5 +1,6 @@
 """Tests for the slanted-graph Gauss map, its linearization, and the metric."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -68,7 +69,7 @@ def test_remainder_bound_is_decided_at_the_largest_remainder_ratio(monkeypatch):
     # least the largest |r| / |q|^2, computed here to 120 digits.
     theta, directions = Fraction(120), 4
     ratios = []
-    for d in _sampling.unit_gaussian_chunks(np.random.default_rng(42), directions, lin._NDIM):
+    for d in _sampling.unit_gaussian_chunks(np.random.default_rng(42), directions, (lin._NDIM,)):
         for row in d:
             qs = [Fraction(float(c)) * lin._SCALE for c in row]
             with mp.workdps(120):
@@ -78,6 +79,80 @@ def test_remainder_bound_is_decided_at_the_largest_remainder_ratio(monkeypatch):
     for factor, holds in ((1 - 1e-9, False), (1 + 1e-9, True)):
         monkeypatch.setattr(lin, "_BOUND_CONSTANT", Fraction(largest * factor))
         assert lin.remainder_ratio_certified(theta, directions, seed=42).bound_certified is holds, factor
+
+
+def _rational_ratio_report(theta, directions, seed):
+    """``remainder_ratio_certified`` as it decided in exact rationals before its integer
+    comparisons: Fraction gradients, Interval ratios, hull and checks.  Kept as the reference."""
+    cot_iv, cos_iv, sin_iv, sin_cubed = _exact_trig(theta)
+    trig = tuple(_Dyadic.enclose(iv) for iv in (cot_iv, -cos_iv, sin_iv, sin_cubed))
+    band_lo, band_hi = lin._BAND
+
+    def remainder(qs):
+        return lin._remainder_norm_interval(_kernel_q(qs), *trig).to_interval()
+
+    hull = None
+    all_in = True
+    bound_ok = True
+    for d in itertools.chain.from_iterable(
+        _sampling.unit_gaussian_chunks(np.random.default_rng(seed), directions, (lin._NDIM,))
+    ):
+        qs = [Fraction(float(c)) * lin._SCALE for c in d]
+        q_norm_sq = sum((c * c for c in qs), Fraction(0))
+        r_full = remainder(qs)
+        r_half = remainder([c / 2 for c in qs])
+        if not (r_full.hi * r_full.hi <= lin._BOUND_CONSTANT ** 2 * q_norm_sq ** 2):
+            bound_ok = False
+        if not r_half.lo > 0:
+            all_in = False
+            continue
+        ratio = r_full / r_half
+        hull = ratio if hull is None else Interval.hull([hull, ratio])
+        if not (band_lo <= ratio.lo and ratio.hi <= band_hi):
+            all_in = False
+    if hull is None:
+        hull = Interval.point(Fraction(0))
+    return lin.CertifiedRatioReport(float(hull.lo), float(hull.hi), all_in, bound_ok)
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("theta", ANGLES + [Fraction(90)])
+def test_integer_decisions_give_the_reports_of_the_rational_ones(theta, seed):
+    # selftest's four angles and its 64 directions; at 90 degrees the ratios sit near 8, out of the band.
+    assert lin.remainder_ratio_certified(theta, 64, seed=seed) == _rational_ratio_report(theta, 64, seed)
+
+
+@pytest.mark.parametrize(
+    "full,half,in_band",
+    [((18, 18), (5, 5), True), ((22, 22), (5, 5), True), ((18, 22), (5, 5), True),
+     ((17, 18), (5, 5), False), ((22, 23), (5, 5), False), ((36, 44), (9, 11), False), ((18, 18), (0, 5), False)],
+)
+def test_a_ratio_on_an_end_of_the_band_is_in_the_band(monkeypatch, full, half, in_band):
+    # The kernel returns F at each gradient and H at its half: F/H lies in [F.lo/H.hi, F.hi/H.lo].
+    def kernel():
+        values = itertools.cycle([_Dyadic(*full), _Dyadic(*half)])
+        return lambda q, *trig: next(values)
+
+    monkeypatch.setattr(lin, "_remainder_norm_interval", kernel())
+    rep = lin.remainder_ratio_certified(120, directions=4, seed=42)
+    assert rep.all_in_band is in_band
+    if half[0] > 0:
+        assert (rep.ratio_enclosure_lo, rep.ratio_enclosure_hi) == (full[0] / half[1], full[1] / half[0])
+    monkeypatch.setattr(lin, "_remainder_norm_interval", kernel())
+    assert rep == _rational_ratio_report(Fraction(120), 4, 42)
+
+
+def test_remainder_bound_holds_at_equality_and_fails_just_below(monkeypatch):
+    # With |r| = C |q|^2 exactly, the bound holds at C and fails at C (1 - 10^-30).
+    (d,) = next(_sampling.unit_gaussian_chunks(np.random.default_rng(42), 1, (lin._NDIM,)))
+    q_norm_sq = sum((Fraction(float(c)) * lin._SCALE) ** 2 for c in d)
+    full = _Dyadic(3 << 200, 3 << 200)
+    values = itertools.cycle([full, _Dyadic(1, 1)])
+    monkeypatch.setattr(lin, "_remainder_norm_interval", lambda q, *trig: next(values))
+    exact = Fraction(full.hi, 1 << _DYADIC_BITS) / q_norm_sq
+    for constant, holds in ((exact, True), (exact * (1 - Fraction(1, 10**30)), False)):
+        monkeypatch.setattr(lin, "_BOUND_CONSTANT", constant)
+        assert lin.remainder_ratio_certified(120, directions=1, seed=42).bound_certified is holds, holds
 
 
 @pytest.fixture
@@ -169,11 +244,38 @@ def test_dyadic_division_by_a_negative_interval():
     assert (x / y).to_interval() == Interval(Fraction(-5, 2), Fraction(3, 2))
 
 
+grid_ints = st.integers(-(1 << 300), 1 << 300)
+
+
+@given(grid_ints, grid_ints, grid_ints, grid_ints)
+@settings(max_examples=300, deadline=None)
+def test_dyadic_division_picks_the_corners_the_four_corner_rule_picks(a, b, c, d):
+    x, y = _Dyadic(min(a, b), max(a, b)), _Dyadic(min(c, d), max(c, d))
+    if y.lo <= 0 <= y.hi:
+        return
+    corners = [(n << _DYADIC_BITS, m) for n in (x.lo, x.hi) for m in (y.lo, y.hi)]
+    got = x / y
+    assert (got.lo, got.hi) == (min(n // m for n, m in corners), max(-(-n // m) for n, m in corners))
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+@settings(max_examples=200, deadline=None)
+def test_dyadic_enclose_ratio_is_enclose_of_the_point(num, den):
+    want = _Dyadic.enclose(Interval.point(Fraction(num, den)))
+    got = _Dyadic.enclose_ratio(num, den)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
 def _exact_trig(theta):
     """cot, cos, sin and sin^3 enclosures from the AngleDeg trig on the 2^-256 grid."""
     angle = AngleDeg.from_degrees(theta)
     cos_iv, sin_iv = angle.cos(), angle.sin()
     return cos_iv / sin_iv, cos_iv, sin_iv, sin_iv * sin_iv * sin_iv
+
+
+def _kernel_q(qs):
+    """Rational gradient components enclosed on the 2^-256 grid, as the kernel takes them."""
+    return [_Dyadic.enclose(Interval.point(c)) for c in qs]
 
 
 def _kernel_trig(theta, orientation):
@@ -210,7 +312,7 @@ small_q = st.lists(
 @given(small_q, st.sampled_from(KERNEL_ANGLES), st.sampled_from(["up", "down"]))
 @settings(max_examples=60, deadline=None)
 def test_dyadic_remainder_encloses_the_mpmath_value(qs, theta, orientation):
-    enclosure = lin._remainder_norm_interval(qs, *_kernel_trig(theta, orientation))
+    enclosure = lin._remainder_norm_interval(_kernel_q(qs), *_kernel_trig(theta, orientation)).to_interval()
     value = _mp_remainder_norm(qs, theta, orientation)
     with mp.workdps(120):
         lo = mp.mpf(enclosure.lo.numerator) / enclosure.lo.denominator
@@ -223,7 +325,7 @@ def test_dyadic_remainder_encloses_the_mpmath_value(qs, theta, orientation):
 def test_dyadic_remainder_encloses_zero_at_zero_gradient(theta, orientation):
     # At q = 0 the slanted graph is the reference plane, where G(0) = L(0).
     # |G - L|^2 is a few units of 2^-256 wide there, so its root is about 2^-128.
-    r = lin._remainder_norm_interval([Fraction(0)] * 3, *_kernel_trig(theta, orientation))
+    r = lin._remainder_norm_interval(_kernel_q([Fraction(0)] * 3), *_kernel_trig(theta, orientation)).to_interval()
     assert r.lo == 0
     assert r.hi < Fraction(1, 10**35)
 
@@ -237,7 +339,7 @@ def test_linearization_error_is_quadratically_small(vals, theta):
     # |G(q) - L(q)| <= 10 |q|^2 in the ball of radius 0.3 sqrt(3) (the certified
     # constant), up to the root of the grid's noise near q = 0 (see above).
     qs = [Fraction(v) * Fraction(3, 10) for v in vals]
-    r = lin._remainder_norm_interval(qs, *_kernel_trig(theta, "up"))
+    r = lin._remainder_norm_interval(_kernel_q(qs), *_kernel_trig(theta, "up")).to_interval()
     assert r.hi <= 10 * sum(c * c for c in qs) + Fraction(1, 10**35)
 
 
@@ -246,8 +348,8 @@ def test_linearization_error_is_quadratically_small(vals, theta):
 def test_dyadic_remainder_endpoints_stay_on_the_grid(theta, orientation):
     qs = [Fraction(3, 1000), Fraction(-1, 700), Fraction(1, 3000)]
     for r in (
-        lin._remainder_norm_interval(qs, *_kernel_trig(theta, orientation)),
-        lin._remainder_norm_interval([c / 2 for c in qs], *_kernel_trig(theta, orientation)),
+        lin._remainder_norm_interval(_kernel_q(qs), *_kernel_trig(theta, orientation)).to_interval(),
+        lin._remainder_norm_interval(_kernel_q([c / 2 for c in qs]), *_kernel_trig(theta, orientation)).to_interval(),
     ):
         assert (1 << 256) % r.lo.denominator == 0
         assert (1 << 256) % r.hi.denominator == 0
@@ -257,15 +359,15 @@ def test_dyadic_remainder_endpoints_stay_on_the_grid(theta, orientation):
 
 
 def _fraction_remainder_norm(qs, sign, cot_iv, cos_iv, sin_iv, sin_cubed):
-    """The exact-rational kernel the fixed-point one replaced, kept as a reference."""
-    p = [Interval.point(c) for c in qs]
+    """The exact-rational kernel the fixed-point one replaced, kept as a reference; ``qs`` are Intervals."""
+    p = list(qs)
     p[0] = p[0] - cot_iv * sign
     w_sq = Interval.point(Fraction(1))
     for comp in p:
         w_sq = w_sq + comp.square()
     w = w_sq.sqrt()
-    lin_map = [cos_iv * (-sign) + sin_cubed * Interval.point(qs[0])]
-    lin_map.extend(sin_iv * Interval.point(c) for c in qs[1:])
+    lin_map = [cos_iv * (-sign) + sin_cubed * qs[0]]
+    lin_map.extend(sin_iv * c for c in qs[1:])
     diff_sq = Interval.point(Fraction(0))
     for comp, l in zip(p, lin_map):
         diff_sq = diff_sq + (comp / w - l).square()
@@ -280,7 +382,9 @@ def test_dyadic_kernel_gives_the_reports_of_the_fraction_kernel(monkeypatch, the
     dyadic = reports()
     trig = _exact_trig(theta)
     monkeypatch.setattr(
-        lin, "_remainder_norm_interval", lambda qs, *_dyadic_trig: _fraction_remainder_norm(qs, 1, *trig)
+        lin,
+        "_remainder_norm_interval",
+        lambda q, *_dyadic_trig: _Dyadic.enclose(_fraction_remainder_norm([c.to_interval() for c in q], 1, *trig)),
     )
     assert dyadic == reports()
 

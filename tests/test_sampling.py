@@ -1,4 +1,9 @@
-"""Streamed draws: the chunked campaigns equal one-shot evaluations and run in bounded memory."""
+"""Streamed draws: the chunked campaigns equal one-shot evaluations and run in bounded memory.
+
+A campaign over several dimensions reads each one as a prefix of one draw
+in the widest; its references are evaluated on the same prefix of a one-shot
+draw.
+"""
 
 import tracemalloc
 from fractions import Fraction
@@ -30,10 +35,27 @@ def _identity_grid(n):
     ]
 
 
-def _one_shot_directions(rng, samples, dim):
-    x = rng.standard_normal((samples, dim))
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    return x
+def _selftest_identity_grid():
+    """The selftest's 16 identity configurations, theta-major as its payload lists them."""
+    return [
+        tilt.TiltParams(theta=AngleDeg.from_degrees(theta), k=k, n=n)
+        for theta, k in claims._IDENTITY_ANGLES_K
+        for n in claims._IDENTITY_DIMS
+    ]
+
+
+def _one_shot_directions(rng, samples, dim, widest=None):
+    """Uniform unit vectors in R^dim: the normalised first ``dim`` columns of one draw in R^widest."""
+    x = rng.standard_normal((samples, widest or dim))[:, :dim]
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _single_width_chunks(rng, samples, dim):
+    """The sampler as it was before it took several widths, kept as the single-width reference."""
+    for start in range(0, samples, CHUNK):
+        x = rng.standard_normal((min(CHUNK, samples - start), dim))
+        x /= np.sqrt(_sampling.row_sums(x * x))[:, None]
+        yield x
 
 
 # Rows this close to the zero locus of g are re-evaluated in rationals.
@@ -54,14 +76,14 @@ def _identity_row_rational(row, cos_t, k):
     return defect, sum_defect, wedge_defect, jfrak - t.g2
 
 
-def _identity_one_shot(params, samples, seed):
-    """The identity campaign's kernels on the whole draw at once.
+def _identity_one_shot(params, samples, seed, widest=None):
+    """The identity campaign's kernels on the whole draw at once, on its prefix of a draw in R^widest.
 
     At the rows nearest the zero locus of g, the rational re-evaluation
     gives defects of exactly 0 and jfrak - g^2 <= 0, and every cleared float
     is within rounding of its rational value.
     """
-    nu = _one_shot_directions(np.random.default_rng(seed), samples, params.n + 1)
+    nu = _one_shot_directions(np.random.default_rng(seed), samples, params.n + 1, widest)
     k, cos_t = params.k_float, params.cos_theta
     nu1, nup = nu[:, 0], nu[:, -1]
     t = tilt._tilt_terms(nu1, nup, cos_t, k)
@@ -111,10 +133,11 @@ def _appendix_one_shot(n, theta, orientation, samples, seed):
     )
 
 
-def _oracle_one_shot(m, q, samples, seed):
-    """The oracle on the whole draw at once, with f and its gradient re-evaluated every step."""
+def _oracle_one_shot(m, q, samples, seed, widest=None):
+    """The oracle on the whole draw at once, on its prefix of a draw in R^widest, with f and
+    its gradient re-evaluated every step."""
     q = float(q)
-    x = _one_shot_directions(np.random.default_rng(seed), samples, m)
+    x = _one_shot_directions(np.random.default_rng(seed), samples, m, widest)
     f, _ = cones._f_and_gradient(x, q)
     top = x[np.argsort(-np.abs(f))[:512]].copy()
     step = np.full(top.shape[0], 0.1)
@@ -141,10 +164,40 @@ def _oracle_one_shot(m, q, samples, seed):
 
 def test_chunks_replay_the_one_shot_draw():
     for samples in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
-        chunks = list(_sampling.unit_gaussian_chunks(np.random.default_rng(9), samples, 5))
+        chunks = list(_sampling.unit_gaussian_chunks(np.random.default_rng(9), samples, (5,)))
         assert all(len(chunk) <= CHUNK for chunk in chunks)
         one_shot = _one_shot_directions(np.random.default_rng(9), samples, 5)
         assert np.array_equal(np.concatenate(chunks), one_shot)
+
+
+# Widths reach 8 and more, where row_sums hands the rows to numpy's pairwise sum.
+widths_sets = st.lists(st.integers(2, 12), min_size=1, max_size=4, unique=True).map(lambda ws: tuple(sorted(ws)))
+sample_counts = st.sampled_from([1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), sample_counts, st.integers(0, 2 ** 32 - 1))
+@example(8, CHUNK + 1, 42)
+def test_a_single_width_draws_the_chunks_it_drew_before_widths_were_shared(dim, samples, seed):
+    chunks = list(_sampling.unit_gaussian_chunks(np.random.default_rng(seed), samples, (dim,)))
+    before = list(_single_width_chunks(np.random.default_rng(seed), samples, dim))
+    assert len(chunks) == len(before)
+    for got, want in zip(chunks, before):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(widths_sets, sample_counts, st.integers(0, 2 ** 32 - 1))
+@example((3, 4, 5, 7), CHUNK + 1, 42)
+@example((2, 8, 12), 2 * CHUNK + 3, 7)
+def test_each_width_reads_the_normalised_prefix_of_one_draw_in_the_widest(widths, samples, seed):
+    chunks = list(_sampling.unit_gaussian_chunks(np.random.default_rng(seed), samples, widths))
+    # Chunk by chunk, one prefix per width in ascending order.
+    assert [chunk.shape[1] for chunk in chunks] == list(widths) * -(-samples // CHUNK)
+    for d in widths:
+        streamed = np.concatenate([chunk for chunk in chunks if chunk.shape[1] == d])
+        one_shot = _one_shot_directions(np.random.default_rng(seed), samples, d, widths[-1])
+        assert np.array_equal(streamed, one_shot), d
 
 
 @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
@@ -161,10 +214,11 @@ def test_streamed_campaigns_equal_one_shot_evaluation(samples):
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_shared_draw_campaigns_equal_one_shot_evaluation(samples, seed):
-    for n in claims._IDENTITY_DIMS:
-        grid = _identity_grid(n)
-        shared = tilt.identity_campaigns(grid, samples=samples, seed=seed)
-        assert shared == [_identity_one_shot(params, samples, seed) for params in grid]
+    # The selftest's 16 configurations in one call, each on its prefix of the draw in R^7.
+    grid = _selftest_identity_grid()
+    widest = max(claims._IDENTITY_DIMS) + 1
+    shared = tilt.identity_campaigns(grid, samples=samples, seed=seed)
+    assert shared == [_identity_one_shot(params, samples, seed, widest) for params in grid]
     shared = tilt.appendix_campaigns(4, COMPARISON_CONFIGS, samples=samples, seed=seed)
     assert shared == [
         _appendix_one_shot(4, theta, orientation, samples, seed) for theta, orientation in COMPARISON_CONFIGS
@@ -288,17 +342,18 @@ def test_symbolic_certificate_fails_a_frame_kernel_missing_its_cross_term(monkey
         tilt._symbolic_certificates.cache_clear()
 
 
-def test_shared_draw_campaigns_refuse_an_empty_or_mixed_grid_before_drawing(monkeypatch):
+def test_shared_draw_campaigns_refuse_an_empty_grid_before_drawing(monkeypatch):
     def must_not_draw(*args, **kwargs):
         raise AssertionError("drew samples for an invalid grid")
 
     monkeypatch.setattr(tilt, "unit_gaussian_chunks", must_not_draw)
+    monkeypatch.setattr(cones, "unit_gaussian_chunks", must_not_draw)
     with pytest.raises(ValueError, match="at least one configuration"):
         tilt.identity_campaigns([], samples=10, seed=42)
-    with pytest.raises(ValueError, match="share the graph dimension"):
-        tilt.identity_campaigns(_identity_grid(3) + _identity_grid(4), samples=10, seed=42)
     with pytest.raises(ValueError, match="at least one configuration"):
         tilt.appendix_campaigns(4, [], samples=10, seed=42)
+    with pytest.raises(ValueError, match="at least one"):
+        cones.brute_force_sup([], samples=10_000, seed=42)
 
 
 def _same_oracle_result(stopped, full):
@@ -310,13 +365,13 @@ def _same_oracle_result(stopped, full):
 @pytest.mark.parametrize("samples", [3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 1, 3 * CHUNK + 5])
 def test_streamed_oracle_equals_one_shot_evaluation(samples):
     for m, q in ((4, Fraction(43, 391)), (9, Fraction(1, 3))):
-        streamed = cones.brute_force_sup(m, q, samples=samples, seed=42)
+        (streamed,) = cones.brute_force_sup([(m, q)], samples=samples, seed=42)
         assert _same_oracle_result(streamed, _oracle_one_shot(m, q, samples, 42))
 
 
-# selftest's three oracles and pnbound's m = 5 at seeds 42 and 7, and two
-# cases on which stopping at the first step with no improving start finds a
-# different value.
+# pnbound's one-pair oracle at selftest's three (m, q) and at m = 5, at seeds
+# 42 and 7, and two cases on which stopping at the first step with no
+# improving start finds a different value.
 @pytest.mark.parametrize(
     "m,q,samples,seed",
     [(m, q, samples, seed)
@@ -326,9 +381,27 @@ def test_streamed_oracle_equals_one_shot_evaluation(samples):
     + [(2, Fraction(6, 11), 10_000, 0), (3, Fraction(1000), 10_000, 0)],
 )
 def test_oracle_stops_early_with_the_result_of_every_step(m, q, samples, seed):
-    stopped = cones.brute_force_sup(m, q, samples=samples, seed=seed)
+    (stopped,) = cones.brute_force_sup([(m, q)], samples=samples, seed=seed)
     assert _same_oracle_result(stopped, _oracle_one_shot(m, q, samples, seed))
     assert 1 <= stopped.steps < cones.ORACLE_ASCENT_STEPS
+
+
+# selftest's three pairs as it passes them; then pairs out of order, two of
+# them sharing m, whose widest draw is pnbound's m = 5.
+@pytest.mark.parametrize(
+    "pairs,samples,seed",
+    [(list(zip(claims._EXPECTED_SURDS, (q for q, _, _ in claims._EXPECTED_SURDS.values()))), 100_000, seed)
+     for seed in (42, 7)]
+    + [([(4, Fraction(43, 391)), (2, Fraction(1)), (5, Fraction(43, 391)), (2, Fraction(6, 11))], 10_000, 0)],
+    ids=["selftest-42", "selftest-7", "mixed"],
+)
+def test_each_pair_of_a_shared_oracle_equals_its_one_shot_on_the_prefix(pairs, samples, seed):
+    widest = max(m for m, _ in pairs)
+    shared = cones.brute_force_sup(pairs, samples=samples, seed=seed)
+    assert len(shared) == len(pairs)
+    for (m, q), result in zip(pairs, shared):
+        assert len(result.witness) == m
+        assert _same_oracle_result(result, _oracle_one_shot(m, q, samples, seed, widest)), (m, q)
 
 
 _EDGE_DOUBLES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -422,9 +495,13 @@ def _peak_bytes(run) -> int:
         lambda chunks: tilt.identity_campaigns(_identity_grid(6), samples=chunks * CHUNK, seed=42),
         lambda chunks: tilt.appendix_campaigns(4, COMPARISON_CONFIGS, samples=chunks * CHUNK, seed=42),
         # At least 10^4 samples: 3 and 30 chunks.
-        lambda chunks: cones.brute_force_sup(4, Fraction(43, 391), samples=3 * chunks // 2 * CHUNK, seed=42),
+        lambda chunks: cones.brute_force_sup([(4, Fraction(43, 391))], samples=3 * chunks // 2 * CHUNK, seed=42),
+        lambda chunks: tilt.identity_campaigns(_selftest_identity_grid(), samples=chunks * CHUNK, seed=42),
+        lambda chunks: cones.brute_force_sup(
+            [(2, Fraction(1)), (3, Fraction(6, 11)), (4, Fraction(43, 391))], samples=3 * chunks // 2 * CHUNK, seed=42
+        ),
     ],
-    ids=["identity", "appendix", "identity-grid", "comparison-grid", "oracle"],
+    ids=["identity", "appendix", "identity-grid", "comparison-grid", "oracle", "identity-mixed-grid", "oracle-pairs"],
 )
 def test_campaign_memory_does_not_grow_with_samples(campaign):
     campaign(2)  # one-time allocations (caches, 50-digit constants) happen outside the measurement
