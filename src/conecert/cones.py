@@ -43,7 +43,7 @@ from .exact import (
     QuadraticSurd,
     RationalLike,
     _interior_angle,
-    _window_gap,
+    _window_edge,
     angle_range_from_threshold,
     compare,
     quadratic_real_roots,
@@ -632,22 +632,20 @@ class NThetaTable(Record):
 
     @staticmethod
     def classify(theta_deg: RationalLike) -> int:
-        """Critical dimension for a contact angle in (0, 180) degrees.
+        """Critical dimension for a contact angle in (0, 180) degrees: n + 1 for the first
+        n = 6, 5, 4 whose window edge theta* is below min(theta, 180 - theta), else 4.
 
-        The angle is inside the window of n = 6, 5 or 4 exactly when
-        cos^2 - T sin^4 < 0 for that n's threshold T, so n_theta is n + 1
-        for the first window that holds it, else 4; a breakpoint belongs to
-        the row it starts.  The sign is decided on enclosures, not on the
-        grid-rounded rows, so the answer does not depend on tol_deg, and it
-        is symmetric about 90 degrees.  An angle whose enclosure cannot be
-        separated from a breakpoint raises ValueError.
+        theta* is the enclosure the rows are cut from, not a grid-rounded row, so the answer
+        does not depend on tol_deg.  An angle that meets an enclosure raises ValueError.
         """
         theta = _interior_angle(theta_deg)
+        # min(theta, 180 - theta) over the angle's enclosure spans [near, far].
+        near, far = min(theta.value.lo, 180 - theta.value.hi), min(theta.value.hi, 180 - theta.value.lo, Fraction(90))
         for n in (6, 5, 4):
-            gap = _window_gap(theta, m_functional(CALIBRATED_PARAMS[n]))
-            if gap.hi < 0:
+            edge = _window_edge(m_functional(CALIBRATED_PARAMS[n])).to_interval()
+            if near > edge.hi:
                 return n + 1
-            if gap.lo < 0:
+            if far >= edge.lo:
                 raise ValueError(f"cannot separate {theta} from the n = {n} breakpoint")
         return 4
 
@@ -677,10 +675,10 @@ def n_theta_table(tol_deg: RationalLike = Fraction(1, 1000)) -> NThetaTable:
     """The critical-dimension table on [90, 180) degrees.
 
     The three certified thresholds T give breakpoints near 94.58, 106.664
-    and 128.346 degrees, where cos^2 - T sin^4 changes sign; each row
-    boundary is the lower end of the grid cell that holds that sign change
-    (the true breakpoint lies inside the attached enclosure of width at
-    most tol_deg).  n_theta = 7 on [90, b6), 6 on [b6, b5), 5 on [b5, b4),
+    and 128.346 degrees, where cos^2/sin^4 crosses T; each row boundary is
+    the lower end of the grid cell of ``angle_range_from_threshold`` that
+    holds it (the true breakpoint lies inside the attached enclosure of
+    width at most tol_deg).  n_theta = 7 on [90, b6), 6 on [b6, b5), 5 on [b5, b4),
     4 on [b4, 180).
     """
     tol_deg = to_fraction(tol_deg)

@@ -7,11 +7,11 @@ feeds a certification verdict is represented either as an exact
 that provably contains the true real value.  Everything irrational is
 rounded outward to one grid, 2^-256: a square root is exact at the square
 of a rational and otherwise the floor or ceiling of the root on the grid;
-pi, cos and sin are computed on ``_Dyadic``, the fixed-point interval type
-with integer ends on the grid, rounded outward at every step: pi by
-Machin's formula, cos and sin by Taylor series widened by the Lagrange
-remainder bound.  No step of the pipeline silently rounds toward the wrong
-side.
+pi, cos, sin and arctan are computed on ``_Dyadic``, the fixed-point
+interval type with integer ends on the grid, rounded outward at every step:
+pi and arctan by one alternating series, cos and sin by Taylor series
+widened by the Lagrange remainder bound.  No step of the pipeline silently
+rounds toward the wrong side.
 
 :class:`QuadraticSurd` is the one exact type for numbers in a quadratic
 field Q(sqrt d).  Its radicand is not made squarefree, which would take
@@ -33,9 +33,8 @@ special angles, those with rational cos^2 (0, 30, 45, 60, 90, 120, 135, 150
 and 180 degrees), cos and sin are square roots taken from one table of
 cos^2 and sin^2 is exact; other angles get a Taylor enclosure.  The window
 edge where cos^2/sin^4 meets a threshold T (:func:`angle_range_from_threshold`)
-is a grid cell decided by the sign of cos^2 - T sin^4, which is that of
-cos^2/sin^4 - T on (0, 180) degrees and needs neither a division nor a pole
-case; no inverse function is evaluated.
+is a grid cell read off one arctan enclosure of the edge in closed form,
+exact only at T = 4/9, 2 and 12, where the edge is a rational angle.
 """
 
 from __future__ import annotations
@@ -176,9 +175,6 @@ class Interval(Record):
     def __sub__(self, other) -> "Interval":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Interval":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "Interval":
         o = self._coerce(other)
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
@@ -192,9 +188,6 @@ class Interval(Record):
             raise ZeroDivisionError(f"division by interval containing zero: {o}")
         inv = Interval(Fraction(1) / o.hi, Fraction(1) / o.lo)
         return self * inv
-
-    def __rtruediv__(self, other) -> "Interval":
-        return self._coerce(other) / self
 
     def square(self) -> "Interval":
         """Tight enclosure of x^2 (handles intervals straddling zero)."""
@@ -663,17 +656,21 @@ class _Dyadic:
         return _Dyadic(_isqrt_rounded(lo, 1, False), _isqrt_rounded(hi, 1, True))
 
 
-def _arctan_of_inverse(m: int, factor: int) -> _Dyadic:
-    """factor * arctan(1/m) for an integer m > 1: the series sum_j (-1)^j factor /
-    ((2j+1) m^(2j+1)) alternates with falling terms, so its tail is within the first omitted one."""
-    power = _Dyadic(factor << _DYADIC_BITS, factor << _DYADIC_BITS) / m  # factor / m^(2j+1)
+def _arctan_series(power: _Dyadic, step) -> _Dyadic:
+    """c arctan(y) = sum_j (-1)^j p_j / (2j+1) with p_0 = ``power`` and p_(j+1) = step(p_j) enclosing c y^(2j+1),
+    c > 0, for each y of an interval in [0, 1): the terms alternate and fall, so the first omitted bounds the tail."""
     total, j = _Dyadic(0, 0), 0
     while power.hi > 1:
         term = power / (2 * j + 1)
         total = total - term if j % 2 else total + term
-        power, j = power / (m * m), j + 1
+        power, j = step(power), j + 1
     tail = (power / (2 * j + 1)).hi
     return total + _Dyadic(-tail, tail)
+
+
+def _arctan_of_inverse(m: int, factor: int) -> _Dyadic:
+    """factor * arctan(1/m) for an integer m > 1."""
+    return _arctan_series(_Dyadic(factor << _DYADIC_BITS, factor << _DYADIC_BITS) / m, lambda p: p / (m * m))
 
 
 def pi_interval() -> Interval:
@@ -683,6 +680,7 @@ def pi_interval() -> Interval:
 
 _PI = pi_interval()
 _DEG_TO_RAD = _PI / 180          # interval enclosing pi/180
+_RAD_TO_DEG = _Dyadic(180 << _DYADIC_BITS, 180 << _DYADIC_BITS) / _Dyadic.enclose(_PI)  # 180/pi
 
 
 def _taylor(x: _Dyadic, odd: bool) -> _Dyadic:
@@ -805,70 +803,70 @@ def _interior_angle(theta: Union[AngleDeg, RationalLike]) -> AngleDeg:
 # ---------------------------------------------------------------------------
 
 
-def _window_gap(theta: AngleDeg, threshold: Fraction) -> Interval:
-    """Certified enclosure of cos^2(theta) - T sin^4(theta) for T > 0.
+# cos^2/sin^4 at 30, 45 and 60 degrees (12, 2 and 4/9): the thresholds whose window edge is a rational angle.
+_RATIONAL_EDGES = {c / (1 - c) ** 2: deg for deg, c in _SPECIAL_COS_SQUARED.items() if 0 < deg < 90}
 
-    On (0, 180) degrees it has the sign of cos^2/sin^4 - T.  It is written
-    as 1 - s2 - T s2^2 on the one sin^2 enclosure s2, where both terms fall
-    as s2 grows, so the enclosure is tight: exact where cos^2 is rational
-    (0, 30, 45, 60, 90, 120, 135, 150 and 180 degrees), and 1 at 0 and 180.
+
+def _window_edge(threshold: Fraction) -> _Dyadic:
+    """Enclosure in degrees of the theta* in (0, 90) where cos^2/sin^4 = T > 0.
+
+    cot^2 theta* = c solves c (1 + c) = T, so c = 2T/(sqrt(4T + 1) + 1).  For T > 2, theta* =
+    arctan x with x = tan theta* < 1, else 90 - arctan x with x = cot theta* <= 1; x is a rounded
+    square root of T's integers with no cancellation.  Three steps arctan x = 2 arctan(x / (1 +
+    sqrt(1 + x^2))) bring x below tan(pi/32) < 1/10 for the series.
+
+    The enclosure is exact at T = 4/9, 2 and 12 (theta* = 60, 45 and 30); at any other T, theta* is
+    no rational angle, so no grid point and no rational input equals it.  Proof: if 2 theta* = 360
+    k/N degrees in lowest terms, w = cos 2 theta* = (c - 1)/(c + 1) in Q(sqrt(4T + 1)) has degree
+    phi(N)/2 (1 for N <= 2), so phi(N) <= 4.  A rational w is 1/2, 0 or -1/2 by Niven's theorem:
+    theta* = 30, 45 or 60.  Otherwise N is 5, 8, 10 or 12 and w^2 = p w + q, p and q rational;
+    T = 2 (1 + w)/(1 - w)^2 = 2 (1 + w)/((1 + q) + (p - 2) w) is rational only if p - 2 = 1 + q,
+    which none of w^2 = -w/2 + 1/4, 1/2, w/2 + 1/4 and 3/4 (N = 5, 8, 10, 12) meets.
     """
-    s2 = theta.sin_squared()
-    return 1 - s2 - threshold * s2.square()
+    if threshold in _RATIONAL_EDGES:
+        return _Dyadic(_RATIONAL_EDGES[threshold] << _DYADIC_BITS, _RATIONAL_EDGES[threshold] << _DYADIC_BITS)
+    p, q = threshold.numerator, threshold.denominator
+    # sqrt(4T + 1) + 1, then x, in grid units, each rounded down and up.
+    s_lo, s_hi = (_isqrt_rounded((4 * p + q) << 2 * _DYADIC_BITS, q, up) + _DYADIC_ONE for up in (False, True))
+    if threshold > 2:
+        x = _Dyadic(*(_isqrt_rounded(s * q << _DYADIC_BITS, 2 * p, up) for s, up in ((s_lo, False), (s_hi, True))))
+    else:
+        x = _Dyadic(*(_isqrt_rounded(2 * p << 3 * _DYADIC_BITS, q * s, up) for s, up in ((s_hi, False), (s_lo, True))))
+    one = _Dyadic(_DYADIC_ONE, _DYADIC_ONE)
+    for _ in range(3):
+        x = x / (one + (one + x.square()).sqrt())
+    x_sq = x.square()
+    arctan = _arctan_series(x, lambda power: power * x_sq)
+    degrees = _Dyadic(arctan.lo << 3, arctan.hi << 3) * _RAD_TO_DEG
+    return degrees if threshold > 2 else _Dyadic(90 << _DYADIC_BITS, 90 << _DYADIC_BITS) - degrees
 
 
 def angle_range_from_threshold(
-    threshold: RationalLike,
-    tol_deg: RationalLike = Fraction(1, 1000),
+    threshold: RationalLike, tol_deg: RationalLike = Fraction(1, 1000)
 ) -> tuple[AngleDeg, AngleDeg]:
-    """Certified enclosures of the angle window endpoints for a threshold T.
+    """Certified enclosures of the ends of the window (theta_min, 180 - theta_min) where cos^2/sin^4 < T.
 
-    The window is (theta_min, theta_max) with theta_max = 180 - theta_min
-    and cos^2(theta_min)/sin^4(theta_min) = T, theta_min in (0, 90), where
-    the left side falls strictly from +inf to 0.  So theta_min is found by
-    bisection over the grid points i * tol_deg, each probe decided by the
-    strict sign of the enclosure of cos^2 - T sin^4 there, which is the
-    sign of cos^2/sin^4 - T; the ends, 0 and 90 degrees, are never
-    evaluated.  theta_min is the grid cell where the sign changes, clipped
-    at 90, or the grid point where cos^2 = T sin^4 exactly, and theta_max
-    mirrors it; the inward-rounded window [theta_min.hi, theta_max.lo] is
-    contained in the true one.  A float estimate picks the first two
-    probes, so two enclosures usually decide the cell, but it decides no
-    sign.  A probe whose enclosure contains 0 without being exactly 0
-    raises ValueError.
+    theta_min is the grid cell [i tol_deg, (i + 1) tol_deg], clipped at 90, that holds both ends of
+    the enclosure of theta* (:func:`_window_edge`) clipped to [0, 90], or theta* itself at a tie on
+    the grid; an enclosure end on a grid point still decides the cell, since apart from the ties
+    theta* is no grid point.  So the window contains (theta_min.hi, 180 - theta_min.hi).  An
+    enclosure with a grid point strictly inside raises ValueError naming the first such point.
     """
-    T = to_fraction(threshold)
-    tol = to_fraction(tol_deg)
+    T, tol = to_fraction(threshold), to_fraction(tol_deg)
     if T <= 0:
         raise ValueError("threshold must be positive")
     if tol <= 0:
         raise ValueError("tol_deg must be positive")
 
-    # With u = cos^2, T (1 - u)^2 = u has the root below in (0, 1).  The
-    # estimate only orders the probes, so capping T short of float overflow
-    # can cost probes but never changes the cell.
-    t = float(min(T, Fraction(10) ** 300))
-    u = 2 * t / ((2 * t + 1) + math.sqrt(4 * t + 1))
-    guess = math.floor(Fraction(math.degrees(math.acos(math.sqrt(u)))) / tol)
-
-    lo, hi = 0, math.ceil(90 / tol)  # cos^2 - T sin^4 is + at 0 degrees and - at 90
-    probes = [guess, guess + 1]
-    while hi - lo > 1:
-        i = probes.pop(0) if probes else (lo + hi) // 2
-        if not lo < i < hi:
-            continue
-        gap = _window_gap(AngleDeg.from_degrees(i * tol), T)
-        if gap.lo > 0:
-            lo = i
-        elif gap.hi < 0:
-            hi = i
-        elif gap.lo == gap.hi:
-            theta_min = AngleDeg.from_degrees(i * tol)
-            return theta_min, theta_min.supplement()
-        else:
-            raise ValueError(
-                f"cannot separate cos^2/sin^4 from the threshold {T} at {float(i * tol)} degrees "
-                f"with enclosures on the 2^-{_DYADIC_BITS} grid; the angle grid step {tol} is too fine"
-            )
-    theta_min = AngleDeg(Interval(lo * tol, min(hi * tol, Fraction(90))))
+    edge = _window_edge(T)
+    # Grid point i is i * step / (tol.denominator * 2^_DYADIC_BITS) degrees.
+    step = tol.numerator << _DYADIC_BITS
+    first = max(edge.lo, 0) * tol.denominator // step
+    last = -(-min(edge.hi, 90 << _DYADIC_BITS) * tol.denominator // step)
+    if last - first > 1:
+        raise ValueError(
+            f"cannot separate cos^2/sin^4 from the threshold {T} at {float((first + 1) * tol)} degrees "
+            f"with enclosures on the 2^-{_DYADIC_BITS} grid; the angle grid step {tol} is too fine"
+        )
+    theta_min = AngleDeg(Interval(first * tol, min(last * tol, Fraction(90))))
     return theta_min, theta_min.supplement()

@@ -297,7 +297,9 @@ def _appendix_slacks(first: np.ndarray, rho: np.ndarray, k: Fraction, c: float, 
     first components Du_1 and rho = |Du'|^2, the squared norm of the rest.
 
     The four conditional bounds hold under the applicability threshold
-    g^2 <= c_small = min(k sin^2(theta)/64, sqrt(k/(k + 1 + 16/sin^2 theta))).
+    g^2 <= c_small = min(k s^2/64, sqrt(k/(k + 1 + 16/s^2))), s = sin theta, which is k s^2/64
+    here: squared, the first term is the smaller iff k s^4 (k + 1 + 16/s^2) < 4096, and for
+    k = ``default_k(n)`` in (0, 1] and s^2 in (0, 1] the left side is at most 2 + 16 = 18.
     Slacks are (bound rhs) - (bound lhs), so a valid bound has slack >= 0:
 
     * ``gradient_shift``: C(theta) |nu - nu_ref|^2 - |Du -/+ cot(theta) e1|^2
@@ -333,7 +335,7 @@ def _appendix_slacks(first: np.ndarray, rho: np.ndarray, k: Fraction, c: float, 
     gap_sq = (nu1 - c) ** 2 + rho / W ** 2 + (nu_last - sign * s) ** 2
     g_sq = _tilt_terms(nu1, nu_last, c, kf).g2
 
-    c_small = min(kf * s2 / 64.0, math.sqrt(kf / (kf + 1.0 + 16.0 / s2)))
+    c_small = kf * s2 / 64.0
     big_c_theta = (4.0 / s2) * (3.0 + 2.0 * (cot * cot))
     gap_coeff = 1.0 / kf + 1.0 + 16.0 / (kf * s2)
     # The reference gradient is -cot(theta) e1 for "up", +cot(theta) e1 for

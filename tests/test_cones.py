@@ -438,14 +438,14 @@ def test_classify_matches_a_60_digit_reference_at_every_tolerance(theta, tol):
 
 
 def test_classify_refuses_an_angle_it_cannot_separate_from_a_breakpoint():
-    # Within 1e-80 degrees of the n = 5 breakpoint every enclosure of the gap straddles 0.
+    # Within 1e-80 degrees of the n = 5 breakpoint the angle meets the breakpoint's enclosure.
     with pytest.raises(ValueError, match="cannot separate"):
         cones.n_theta_table(Fraction(1, 1000)).classify(_breakpoint(5))
 
 
 def test_a_grid_too_fine_to_decide_names_the_angle_it_cannot_separate():
-    # On a 1e-80 degree grid the n = 4 window probe lands within reach of the
-    # enclosures of its breakpoint, and the refusal names that probe's angle.
+    # On a 1e-80 degree grid the enclosure of the n = 4 window edge holds grid
+    # points, and the refusal names the first of them.
     with pytest.raises(ValueError, match="cannot separate") as refusal:
         cones.n_theta_table(Fraction(1, 10**80))
     angle = float(re.search(r" at (\S+) degrees ", str(refusal.value)).group(1))

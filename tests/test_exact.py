@@ -16,7 +16,6 @@ from conecert.exact import (
     Interval,
     Polynomial,
     QuadraticSurd,
-    _window_gap,
     angle_range_from_threshold,
     compare,
     pi_interval,
@@ -581,25 +580,64 @@ def test_quadratic_no_real_roots_and_degenerate():
 # ---------------------------------------------------------------------------
 
 
-@given(
-    st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=10**6),
-    st.sampled_from([Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**6)]),
-)
-@settings(max_examples=40, deadline=None)
-@example(t=Fraction(2), tol=Fraction(1, 10))  # a tie at the grid point 45
-@example(t=Fraction(2), tol=Fraction(7, 10))  # 45 is no grid point: strict signs around it
-def test_window_edge_is_a_grid_cell_around_the_root(t, tol):
-    theta_min, _ = angle_range_from_threshold(t, tol)
+_TIES = {Fraction(4, 9): 60, Fraction(2): 45, Fraction(12): 30}
+
+
+def _mp_edge(t):
+    """The window edge acos(sqrt(u)) degrees, T (1 - u)^2 = u, with u written as
+    2T/(2T + 1 + sqrt(4T + 1)), which has no cancellation; at the precision of :func:`_edge_digits`."""
+    T = _mpf(t)
+    u = 2 * T / (2 * T + 1 + mp.sqrt(4 * T + 1))
+    return mp.degrees(mp.acos(mp.sqrt(u)))
+
+
+def _edge_digits(t, tol):
+    """40 digits more than the grid, and the threshold's own digits."""
+    return 40 + len(str(tol.denominator)) + len(str(t.numerator)) + len(str(t.denominator))
+
+
+def _assert_cell_holds_the_root(t, tol, theta_min):
+    """theta_min is a grid cell [i tol, min((i + 1) tol, 90)] with the root strictly
+    inside, or the grid point the root sits on, which happens only at the three ties."""
     lo, hi = theta_min.value.lo, theta_min.value.hi
-    assert (lo / tol).denominator == (hi / tol).denominator == 1
-    gap_lo = _window_gap(AngleDeg.from_degrees(lo), t)
-    gap_hi = _window_gap(AngleDeg.from_degrees(hi), t)
-    if theta_min.is_point:  # cos^2 = t sin^4 exactly at a grid point
-        assert gap_lo.lo == gap_lo.hi == 0
-    else:
-        # cos^2/sin^4 falls strictly on (0, 90), so the root lies strictly inside.
-        assert hi - lo == tol
-        assert gap_lo.lo > 0 and gap_hi.hi < 0
+    assert (lo / tol).denominator == 1
+    if theta_min.is_point:
+        assert lo == _TIES[t]
+        return
+    assert hi == min(lo + tol, Fraction(90))
+    with mp.workdps(_edge_digits(t, tol)):
+        assert _mpf(lo) < _mp_edge(t) < _mpf(hi)
+
+
+_SWEEP_TOLS = [Fraction(7), Fraction(7, 10), Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**6),
+               Fraction(1, 10**40), Fraction(1, 10**70)]
+
+
+@given(
+    st.one_of(
+        st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=10**6),
+        st.sampled_from([Fraction(10**400), Fraction(1, 10**400), *_TIES]),
+    ),
+    st.sampled_from(_SWEEP_TOLS),
+)
+@settings(max_examples=80, deadline=None)
+@example(t=Fraction(2), tol=Fraction(1, 10))  # a tie at the grid point 45
+@example(t=Fraction(2), tol=Fraction(7, 10))  # 45 is no grid point: the cell around it
+@example(t=Fraction(10**400), tol=Fraction(1, 10**70))
+@example(t=Fraction(1, 10**400), tol=Fraction(1, 10**70))
+@example(t=Fraction(4, 9), tol=Fraction(1, 10**70))
+def test_window_edge_is_a_grid_cell_around_the_root(t, tol):
+    theta_min, theta_max = angle_range_from_threshold(t, tol)
+    _assert_cell_holds_the_root(t, tol, theta_min)
+    assert theta_max == theta_min.supplement()
+
+
+@pytest.mark.parametrize("tol", _SWEEP_TOLS)
+def test_extreme_thresholds_keep_the_edge_in_the_end_cells(tol):
+    # theta* is about 1e-198 degrees from 0 at T = 10^400 and from 90 at T = 10^-400.
+    assert angle_range_from_threshold(10**400, tol)[0].value == Interval(0, tol)
+    last = -(-90 // tol) - 1  # the last grid point below 90
+    assert angle_range_from_threshold(Fraction(1, 10**400), tol)[0].value == Interval(last * tol, 90)
 
 
 @given(
@@ -654,32 +692,5 @@ def test_angle_window_properties(t):
     assert theta_min.value.hi + theta_max.value.lo == 180
     assert theta_min.value.width <= tol
     assert 0 < theta_min.value.lo and theta_min.value.hi < 90
-    # The window edge satisfies the defining equation: the enclosure of
-    # cos^2 - t sin^4 over the edge interval must contain 0.
-    edge = AngleDeg(theta_min.value)
-    assert _window_gap(edge, t).contains(0)
-
-
-def test_window_gap_special_values():
-    # Exact at every rational angle with rational cos^2 (Niven's theorem):
-    # cos^2/sin^4 is 0, 4/9, 12 and 2 there, so the gap vanishes at that threshold.
-    for deg, cos2, value in (
-        (90, 0, 0), (60, Fraction(1, 4), Fraction(4, 9)), (30, Fraction(3, 4), 12), (45, Fraction(1, 2), 2),
-        (120, Fraction(1, 4), Fraction(4, 9)), (135, Fraction(1, 2), 2), (150, Fraction(3, 4), 12),
-    ):
-        angle = AngleDeg.from_degrees(deg)
-        assert _window_gap(angle, value) == Interval.point(0)
-        for t in (Fraction(1, 3), Fraction(7)):
-            assert _window_gap(angle, t) == Interval.point(cos2 - t * (1 - cos2) ** 2)
-    # No pole: at 0 and 180 degrees sin^2 = 0, so the gap is cos^2 = 1 at any threshold.
-    for deg in (0, 180):
-        for t in (Fraction(1, 3), Fraction(7)):
-            assert _window_gap(AngleDeg.from_degrees(deg), t) == Interval.point(1)
-
-
-@given(st.fractions(min_value=1, max_value=89, max_denominator=360))
-@settings(max_examples=30, deadline=None)
-def test_window_gap_supplement_symmetry(deg):
-    a = _window_gap(AngleDeg.from_degrees(deg), Fraction(2))
-    b = _window_gap(AngleDeg.from_degrees(180 - deg), Fraction(2))
-    assert a.overlaps(b)
+    # The window edge satisfies the defining equation: the mpmath root lies in the cell.
+    _assert_cell_holds_the_root(t, tol, theta_min)

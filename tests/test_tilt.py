@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import mpmath as mp
 from mpmath import iv
 
 from conecert import cones, linearization, tilt
@@ -492,6 +493,16 @@ def test_appendix_campaign_clean(theta_deg, orientation):
     assert res.violation_count == 0
     assert res.all_applicable
     assert res.min_signed_gap_slack >= -1e-12
+
+
+@pytest.mark.parametrize("theta_deg", [91, 120, 150])
+def test_c_small_is_k_sin_squared_over_64(theta_deg):
+    # The square-root term of the paper's min never binds for k = default_k(n) in (0, 1].
+    res = tilt.appendix_campaigns(4, [(AngleDeg.from_degrees(theta_deg), "up")], samples=1)[0]
+    k = tilt.default_k(4)
+    with mp.workdps(30):
+        expected = mp.mpf(k.numerator) / k.denominator * mp.sin(mp.radians(theta_deg)) ** 2 / 64
+    assert res.c_small == pytest.approx(float(expected), rel=1e-14)
 
 
 def test_appendix_campaign_vectorized_matches_pointwise():
