@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cones, tilt
-from .exact import AngleDeg, QuadraticSurd, angle_range_from_threshold, compare
+from .exact import AngleDeg, QuadraticSurd, _window_edge, angle_range_from_threshold, compare
 # Imported by name, so that importing this module executes linearization and
 # tilt before any claim runs: compiled after the oracle's draw, they would
 # raise selftest's peak memory.
@@ -248,11 +248,13 @@ _EXPECTED_THRESHOLDS = {
     5: Fraction(264924, 2713295),
     6: Fraction(12002306544, 1858195670875),
 }
+# theta_min and theta_max = 180 - theta_min, rounded inward (up and down) to a unit of _PUBLISHED_UNIT.
 _PUBLISHED_BREAKPOINTS = {
     4: (Fraction("51.654"), Fraction("128.346")),
     5: (Fraction("73.336"), Fraction("106.664")),
     6: (Fraction("85.420"), Fraction("94.580")),
 }
+_PUBLISHED_UNIT = Fraction(1, 1000)
 _EXPECTED_SURDS = {
     # m: (q, coefficient, radicand) with sup = coefficient * sqrt(radicand)
     2: (Fraction(1), Fraction(1, 6), 6),
@@ -268,18 +270,28 @@ def _decide_thresholds(run: _Run) -> tuple:
 
 
 def _decide_windows(run: _Run) -> tuple:
+    """The enclosure of theta_min lies in (pub - unit, pub] and that of theta_max in [pub, pub + unit).
+
+    The published values round inward, so this is decided on the enclosure of
+    theta* itself, not on the --tol-deg cell, and the verdict does not depend
+    on --tol-deg; the payload still shows the cells.
+    """
     payload = {}
     ok = True
     for n, threshold in run.thresholds().items():
         tmin, tmax = angle_range_from_threshold(threshold, run.tol_deg)
+        edge = _window_edge(threshold).to_interval()
         lo_pub, hi_pub = _PUBLISHED_BREAKPOINTS[n]
-        contains = tmin.value.contains(lo_pub) and tmax.value.contains(hi_pub)
+        rounds = (
+            lo_pub - _PUBLISHED_UNIT < edge.lo and edge.hi <= lo_pub
+            and hi_pub <= 180 - edge.hi and 180 - edge.lo < hi_pub + _PUBLISHED_UNIT
+        )
         narrow = tmin.value.width <= run.tol_deg and tmax.value.width <= run.tol_deg
-        ok = ok and contains and narrow
+        ok = ok and rounds and narrow
         payload[f"n={n}"] = {
             "theta_min": tmin.value,
             "theta_max": tmax.value,
-            "contains_published": contains,
+            "rounds_inward_to_published": rounds,
             "width_within_tol": narrow,
         }
     return "certified" if ok else "falsified", payload, {"tol_deg": run.tol_deg}
@@ -376,7 +388,9 @@ def _decide_digest(run: _Run) -> tuple:
 
 
 _THRESHOLDS = ("threshold functional equals the published exact rationals for n=4,5,6", "exact", _decide_thresholds)
-_WINDOWS = ("certified angle windows contain the published 3-decimal breakpoints", "interval", _decide_windows)
+_WINDOWS = (
+    "certified angle windows: theta* rounds inward to the published 3-decimal breakpoints", "interval", _decide_windows
+)
 _TABLE = ("critical-dimension table has the four published rows", "interval", _decide_table)
 _CONSTRAINTS = ("parameter constraints hold strictly; n=4 margin is tight but positive", "exact", _decide_constraints)
 _SUPS = ("two-value sup equals the published surds; sampling oracle agrees to 1e-8", "exact", _decide_sups)

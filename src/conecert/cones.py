@@ -39,10 +39,13 @@ if TYPE_CHECKING:  # numpy loads inside the float functions, so exact commands n
 from ._record import Record, _fill
 from ._sampling import row_sums, unit_gaussian_chunks
 from .exact import (
+    _DYADIC_BITS,
     Interval,
     QuadraticSurd,
     RationalLike,
+    _Dyadic,
     _interior_angle,
+    _isqrt_rounded,
     _window_edge,
     angle_range_from_threshold,
     compare,
@@ -154,8 +157,9 @@ class SupResult(Record):
     ``f_squared`` is the exact maximal f^2: a Fraction when it is rational,
     otherwise an irrational :class:`QuadraticSurd`.  ``value``
     is the sup of |f|: the exact :class:`QuadraticSurd` ``coeff*sqrt(d)``
-    when f^2 is rational, otherwise the square root of the enclosure
-    ``f_squared.to_interval()``.  ``witness`` is normalised: scaled so the
+    when f^2 is rational, otherwise an Interval: the square roots of the
+    exact rational ends of ``f_squared.to_interval()``, rounded outward to
+    the 2^-256 grid.  ``witness`` is normalised: scaled so the
     largest-magnitude coordinate is 1 and sorted descending.
     """
 
@@ -226,8 +230,12 @@ def sup_abs_f_two_value(m: int, q: RationalLike) -> SupResult:
     if isinstance(best_f2, Fraction):
         value: Union[QuadraticSurd, Interval] = QuadraticSurd.from_square(best_f2)
     else:
+        # Rounding the ends to the grid before the root would lose a small f^2; its root is rounded once.
         enclosure = best_f2.to_interval()
-        value = enclosure.clamp(Fraction(0), enclosure.hi).sqrt()
+        value = _Dyadic(*(
+            _isqrt_rounded(end.numerator << 2 * _DYADIC_BITS, end.denominator, up)
+            for end, up in ((max(enclosure.lo, Fraction(0)), False), (enclosure.hi, True))
+        )).to_interval()
     return SupResult(
         value=value,
         f_squared=best_f2,
@@ -458,8 +466,12 @@ class ConeParams(Record):
             raise ConeParamsError(f"p_squared must be positive, got {self.p_squared}")
         inv = self.invariant_value
         if inv <= 0:
+            try:
+                value = f" = {inv}"
+            except ValueError:  # more digits than str() prints; rendering the payload's exact value says so
+                value = ""
             raise ConeParamsError(
-                f"infeasible parameters: 2a - 1 + 2/(n-1) - a^2 (q+1) = {inv} <= 0",
+                f"infeasible parameters: 2a - 1 + 2/(n-1) - a^2 (q+1){value} <= 0",
                 payload={"invariant_value": inv},
             )
 
@@ -642,10 +654,11 @@ class NThetaTable(Record):
         # min(theta, 180 - theta) over the angle's enclosure spans [near, far].
         near, far = min(theta.value.lo, 180 - theta.value.hi), min(theta.value.hi, 180 - theta.value.lo, Fraction(90))
         for n in (6, 5, 4):
-            edge = _window_edge(m_functional(CALIBRATED_PARAMS[n])).to_interval()
-            if near > edge.hi:
+            edge = _window_edge(m_functional(CALIBRATED_PARAMS[n]))
+            # near > edge.hi / 2^256 and far >= edge.lo / 2^256, on integers.
+            if near.numerator << _DYADIC_BITS > edge.hi * near.denominator:
                 return n + 1
-            if far >= edge.lo:
+            if far.numerator << _DYADIC_BITS >= edge.lo * far.denominator:
                 raise ValueError(f"cannot separate {theta} from the n = {n} breakpoint")
         return 4
 

@@ -1,17 +1,18 @@
 """Exact rational arithmetic, quadratic surds and rigorous interval enclosures.
 
-This module is the numerical foundation of the package.  Every quantity that
-feeds a certification verdict is represented either as an exact
-:class:`fractions.Fraction`, as an exact :class:`QuadraticSurd`
-``a + b*sqrt(d)``, or as an :class:`Interval` with exact rational endpoints
-that provably contains the true real value.  Everything irrational is
-rounded outward to one grid, 2^-256: a square root is exact at the square
-of a rational and otherwise the floor or ceiling of the root on the grid;
-pi, cos, sin and arctan are computed on ``_Dyadic``, the fixed-point
-interval type with integer ends on the grid, rounded outward at every step:
-pi and arctan by one alternating series, cos and sin by Taylor series
-widened by the Lagrange remainder bound.  No step of the pipeline silently
-rounds toward the wrong side.
+This module is the numerical foundation of the package.  There is one
+exact type per kind of number: a rational is a :class:`fractions.Fraction`,
+a number in a quadratic field an exact :class:`QuadraticSurd` ``a +
+b*sqrt(d)``, and any other real an enclosure on ``_Dyadic``, the
+fixed-point interval type whose integer ends are on one grid, 2^-256, and
+are rounded outward at every step: floor for lower ends, ceiling for upper
+ones.  pi and arctan come from one alternating series on it, cos and sin
+from Taylor series widened by the Lagrange remainder bound, and a square
+root is the floor or ceiling of the root on the grid.  :class:`Interval`
+has no arithmetic: it is the record of two rational ends that an enclosure
+becomes (``_Dyadic.to_interval``, :meth:`QuadraticSurd.to_interval`) to be
+compared with rationals or printed in a report.  No step of the pipeline
+silently rounds toward the wrong side.
 
 :class:`QuadraticSurd` is the one exact type for numbers in a quadratic
 field Q(sqrt d).  Its radicand is not made squarefree, which would take
@@ -21,27 +22,29 @@ is, and ``==`` compares values.  :func:`compare` orders any two surds (and
 rationals) exactly, also when their fields differ, by isolating the radicals
 and squaring; no comparison falls back to intervals.  Roots of rational
 quadratics (:func:`quadratic_real_roots`) are returned as such surds, and
-enclosures come from :meth:`QuadraticSurd.to_interval`; ``float`` of a surd
-is correctly rounded.
+enclosures come from :meth:`QuadraticSurd.to_interval`, whose ends stay
+exact rationals; ``float`` of a surd is correctly rounded.
 
 :class:`Polynomial` is the one exact polynomial type: a sparse map from
 exponent tuples to rational coefficients.  Identities are proved by
 expanding both sides to the same polynomial.
 
-Angles are carried in degrees through :class:`AngleDeg`.  At the nine
-special angles, those with rational cos^2 (0, 30, 45, 60, 90, 120, 135, 150
-and 180 degrees), cos and sin are square roots taken from one table of
-cos^2 and sin^2 is exact; other angles get a Taylor enclosure.  The window
-edge where cos^2/sin^4 meets a threshold T (:func:`angle_range_from_threshold`)
-is a grid cell read off one arctan enclosure of the edge in closed form,
-exact only at T = 4/9, 2 and 12, where the edge is a rational angle.
+Angles are carried in degrees through :class:`AngleDeg`, whose cos, sin and
+sin^2 are ``_Dyadic`` enclosures.  At the nine special angles, those with
+rational cos^2 (0, 30, 45, 60, 90, 120, 135, 150 and 180 degrees), cos and
+sin are square roots taken from one table of cos^2, whose entries are all
+on the grid, and sin^2 is exact; other angles get a Taylor enclosure.  The
+window edge where cos^2/sin^4 meets a threshold T
+(:func:`angle_range_from_threshold`) is a grid cell read off one arctan
+enclosure of the edge in closed form, exact only at T = 4/9, 2 and 12,
+where the edge is a rational angle.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from ._record import Record, _set
 
@@ -53,8 +56,6 @@ __all__ = [
     "AngleDeg",
     "DegenerateQuadraticError",
     "to_fraction",
-    "pi_interval",
-    "cos_interval",
     "compare",
     "quadratic_real_roots",
     "Polynomial",
@@ -101,12 +102,12 @@ def _isqrt_rounded(num: int, den: int, up: bool) -> int:
 
 
 class Interval(Record):
-    """Closed interval with exact rational endpoints.
+    """Closed interval [lo, hi] with exact rational ends, as reports print an enclosure.
 
-    All arithmetic is exact (rational endpoints never need outward
-    rounding); only sqrt and the transcendental constructors round, and
-    they round outward.  The interval is a certificate: the represented real number is
-    guaranteed to lie inside ``[lo, hi]``.
+    It has no arithmetic: enclosures are computed on ``_Dyadic`` (or are
+    exact, as a :class:`QuadraticSurd` is) and converted to an Interval once,
+    to be compared with rationals or printed.  The represented real number
+    is guaranteed to lie inside ``[lo, hi]``.
     """
 
     __slots__ = ("lo", "hi")
@@ -119,21 +120,10 @@ class Interval(Record):
         _set(self, "lo", lo)
         _set(self, "hi", hi)
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
     def point(cls, x: RationalLike) -> "Interval":
         x = to_fraction(x)
         return cls(x, x)
-
-    @classmethod
-    def hull(cls, items: Iterable["Interval"]) -> "Interval":
-        items = list(items)
-        if not items:
-            raise ValueError("hull of no intervals")
-        return cls(min(i.lo for i in items), max(i.hi for i in items))
-
-    # -- basic queries -----------------------------------------------------
 
     @property
     def width(self) -> Fraction:
@@ -143,75 +133,11 @@ class Interval(Record):
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x: RationalLike) -> bool:
-        return self.lo <= to_fraction(x) <= self.hi
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __float__(self) -> float:
         return float(self.mid)
 
     def __str__(self) -> str:
         return f"[{float(self.lo):.12g}, {float(self.hi):.12g}]"
-
-    # -- exact arithmetic ---------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "Interval":
-        if isinstance(other, Interval):
-            return other
-        return Interval.point(to_fraction(other))
-
-    def __add__(self, other) -> "Interval":
-        o = self._coerce(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "Interval":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "Interval":
-        o = self._coerce(other)
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Interval":
-        o = self._coerce(other)
-        if o.lo <= 0 <= o.hi:
-            raise ZeroDivisionError(f"division by interval containing zero: {o}")
-        inv = Interval(Fraction(1) / o.hi, Fraction(1) / o.lo)
-        return self * inv
-
-    def square(self) -> "Interval":
-        """Tight enclosure of x^2 (handles intervals straddling zero)."""
-        if self.lo >= 0:
-            return Interval(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return Interval(self.hi * self.hi, self.lo * self.lo)
-        return Interval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
-
-    def sqrt(self) -> "Interval":
-        """Enclosure of sqrt: exact at ends that are rational squares, else rounded out to the grid."""
-        if self.lo < 0:
-            raise ValueError(f"sqrt of interval with negative part: {self}")
-        return Interval(self._sqrt_end(self.lo, False), self._sqrt_end(self.hi, True))
-
-    @staticmethod
-    def _sqrt_end(x: Fraction, up: bool) -> Fraction:
-        num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
-        if num * num == x.numerator and den * den == x.denominator:  # x is in lowest terms
-            return Fraction(num, den)
-        return Fraction(_isqrt_rounded(x.numerator << 2 * _DYADIC_BITS, x.denominator, up), _DYADIC_ONE)
-
-    def clamp(self, lo: Fraction, hi: Fraction) -> "Interval":
-        return Interval(min(max(self.lo, lo), hi), min(max(self.hi, lo), hi))
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +332,13 @@ class QuadraticSurd(Record):
     # -- enclosures and rendering ---------------------------------------------
 
     def to_interval(self) -> Interval:
-        """Certified enclosure with exact rational endpoints."""
-        return self.rational + Interval.point(self.radicand).sqrt() * self.coeff
+        """Certified enclosure rational + coeff * [r, r + 1] / 2^256, with r = floor(sqrt(radicand) 2^256).
+
+        Its ends are exact rationals, not rounded to the grid: only the
+        square root is.
+        """
+        root = math.isqrt(self.radicand << 2 * _DYADIC_BITS)
+        return Interval(*sorted(self.rational + self.coeff * Fraction(r, _DYADIC_ONE) for r in (root, root + 1)))
 
     def __float__(self) -> float:
         """The nearest double, correctly rounded.
@@ -603,20 +534,17 @@ class _Dyadic:
         self.hi = hi
 
     @classmethod
-    def enclose(cls, iv: Interval) -> "_Dyadic":
-        lo, hi = iv.lo, iv.hi
-        return cls(
-            (lo.numerator << _DYADIC_BITS) // lo.denominator,
-            -((-hi.numerator << _DYADIC_BITS) // hi.denominator),
-        )
-
-    @classmethod
     def enclose_ratio(cls, num: int, den: int) -> "_Dyadic":
-        """The grid units around num / den, for den > 0: ``enclose`` of that point, with no Fraction."""
+        """The grid units around num / den, for den > 0: the floor and ceiling of num / den * 2^_DYADIC_BITS."""
         return cls((num << _DYADIC_BITS) // den, -((-num << _DYADIC_BITS) // den))
 
     def to_interval(self) -> Interval:
+        """The ends as exact rationals, for comparisons with rationals and for reports."""
         return Interval(Fraction(self.lo, _DYADIC_ONE), Fraction(self.hi, _DYADIC_ONE))
+
+    def __float__(self) -> float:
+        """The double nearest the midpoint: an int-by-int true division, which rounds correctly."""
+        return (self.lo + self.hi) / (_DYADIC_ONE << 1)
 
     def __add__(self, other: "_Dyadic") -> "_Dyadic":
         return _Dyadic(self.lo + other.lo, self.hi + other.hi)
@@ -673,14 +601,8 @@ def _arctan_of_inverse(m: int, factor: int) -> _Dyadic:
     return _arctan_series(_Dyadic(factor << _DYADIC_BITS, factor << _DYADIC_BITS) / m, lambda p: p / (m * m))
 
 
-def pi_interval() -> Interval:
-    """Certified enclosure of pi by Machin's formula, 16 arctan(1/5) - 4 arctan(1/239)."""
-    return (_arctan_of_inverse(5, 16) - _arctan_of_inverse(239, 4)).to_interval()
-
-
-_PI = pi_interval()
-_DEG_TO_RAD = _PI / 180          # interval enclosing pi/180
-_RAD_TO_DEG = _Dyadic(180 << _DYADIC_BITS, 180 << _DYADIC_BITS) / _Dyadic.enclose(_PI)  # 180/pi
+_PI = _arctan_of_inverse(5, 16) - _arctan_of_inverse(239, 4)  # Machin's formula
+_RAD_TO_DEG = _Dyadic(180 << _DYADIC_BITS, 180 << _DYADIC_BITS) / _PI
 
 
 def _taylor(x: _Dyadic, odd: bool) -> _Dyadic:
@@ -696,43 +618,32 @@ def _taylor(x: _Dyadic, odd: bool) -> _Dyadic:
     return total + _Dyadic(-term.hi, term.hi)
 
 
-def _trig_hull(radians: Interval, odd: bool) -> Interval:
+def _trig_hull(radians: _Dyadic, odd: bool) -> _Dyadic:
     """Enclosure of sin (odd) or cos over radians in [0, pi_hi].
 
     There each is monotone on either side of one turn, sin's maximum 1 at
     pi/2 and cos's minimum -1 at pi; so the values at the ends of the
-    interval rounded out to the grid bound it, with the turn's value joined
-    when that rounded interval may reach the turn.
+    interval bound it, with the turn's value joined when the interval may
+    reach the turn: when k lo <= pi_hi and pi_lo <= k hi, with k = 2 for pi/2.
     """
-    if radians.lo < 0 or radians.hi > _PI.hi:
-        raise ValueError(f"radians {radians} outside [0, pi]")
-    grid = _Dyadic.enclose(radians)
-    ends = [_taylor(_Dyadic(x, x), odd) for x in (grid.lo, grid.hi)]
-    hull = _Dyadic(min(e.lo for e in ends), max(e.hi for e in ends)).to_interval()
-    if grid.to_interval().overlaps(_PI / 2 if odd else _PI):
-        hull = Interval.hull([hull, Interval.point(1 if odd else -1)])
-    return hull.clamp(Fraction(-1), Fraction(1))
-
-
-def cos_interval(radians: Interval) -> Interval:
-    """Certified enclosure of cos over an interval of radians in [0, pi]."""
-    return _trig_hull(radians, False)
-
-
-def sin_interval(radians: Interval) -> Interval:
-    """Certified enclosure of sin over an interval of radians in [0, pi]."""
-    return _trig_hull(radians, True)
+    ends = [_taylor(_Dyadic(x, x), odd) for x in (radians.lo, radians.hi)]
+    lo, hi = min(e.lo for e in ends), max(e.hi for e in ends)
+    k, turn = (2, _DYADIC_ONE) if odd else (1, -_DYADIC_ONE)
+    if k * radians.lo <= _PI.hi and _PI.lo <= k * radians.hi:
+        lo, hi = min(lo, turn), max(hi, turn)
+    return _Dyadic(*(min(max(end, -_DYADIC_ONE), _DYADIC_ONE) for end in (lo, hi)))
 
 
 class AngleDeg(Record):
     """An angle in degrees, carried as a certified enclosure.
 
     ``value`` is an :class:`Interval` of degrees inside [0, 180].  Exact
-    rational angles are point intervals.  ``cos`` and ``sin`` return
-    certified enclosures.  At the special angles, whose cos^2 is rational,
-    ``sin_squared`` is exact and ``cos`` and ``sin`` are exact where they
-    are rational (``cos`` at 0, 60, 90, 120 and 180, ``sin`` at 0, 30, 90,
-    150 and 180) and one 2^-256 grid unit wide elsewhere.
+    rational angles are point intervals.  ``cos``, ``sin`` and
+    ``sin_squared`` return certified enclosures on the 2^-256 grid
+    (``_Dyadic``).  At the special angles, whose cos^2 is rational and
+    dyadic, ``sin_squared`` is exact and ``cos`` and ``sin`` are exact
+    where they are rational (``cos`` at 0, 60, 90, 120 and 180, ``sin`` at
+    0, 30, 90, 150 and 180) and one grid unit wide elsewhere.
     """
 
     __slots__ = ("value",)
@@ -752,27 +663,31 @@ class AngleDeg(Record):
     def is_point(self) -> bool:
         return self.value.lo == self.value.hi
 
-    def radians(self) -> Interval:
-        return self.value * _DEG_TO_RAD
+    def radians(self) -> _Dyadic:
+        """The grid units around value * pi / 180: floor(lo pi_lo / 180) and ceil(hi pi_hi / 180), as value >= 0."""
+        (lo_num, lo_den), (hi_num, hi_den) = self.value.lo.as_integer_ratio(), self.value.hi.as_integer_ratio()
+        return _Dyadic(lo_num * _PI.lo // (180 * lo_den), -(-hi_num * _PI.hi // (180 * hi_den)))
 
     def _special_cos_squared(self) -> Fraction | None:
         return _SPECIAL_COS_SQUARED.get(self.value.lo) if self.is_point else None
 
-    def cos(self) -> Interval:
+    def cos(self) -> _Dyadic:
         if (cos_sq := self._special_cos_squared()) is None:
-            return cos_interval(self.radians())
-        return Interval.point(cos_sq).sqrt() * (1 if self.value.lo <= 90 else -1)
+            return _trig_hull(self.radians(), False)
+        root = _Dyadic.enclose_ratio(*cos_sq.as_integer_ratio()).sqrt()
+        return root if self.value.lo <= 90 else -root
 
-    def sin_squared(self) -> Interval:
+    def sin_squared(self) -> _Dyadic:
         """Enclosure of sin^2 via 1 - cos^2, exact at the special angles."""
         if (cos_sq := self._special_cos_squared()) is None:
-            return (Interval.point(1) - self.cos().square()).clamp(Fraction(0), Fraction(1))
-        return Interval.point(1 - cos_sq)
+            # cos is clamped to [-1, 1], so cos^2 and this lie in [0, 1].
+            return _Dyadic(_DYADIC_ONE, _DYADIC_ONE) - self.cos().square()
+        return _Dyadic.enclose_ratio(*(1 - cos_sq).as_integer_ratio())
 
-    def sin(self) -> Interval:
+    def sin(self) -> _Dyadic:
         if (cos_sq := self._special_cos_squared()) is None:
-            return sin_interval(self.radians())
-        return Interval.point(1 - cos_sq).sqrt()
+            return _trig_hull(self.radians(), True)
+        return _Dyadic.enclose_ratio(*(1 - cos_sq).as_integer_ratio()).sqrt()
 
     def supplement(self) -> "AngleDeg":
         return AngleDeg(Interval(180 - self.value.hi, 180 - self.value.lo))

@@ -15,11 +15,11 @@ order.  ``remainder_ratio_certified`` proves that the halving ratios
 r(t)/r(t/2) sit near 4 on seeded directions of length 1/1000 frozen as
 exact rationals.
 It evaluates |G - L| on outward-rounded fixed-point intervals with integer
-ends at the scale 2^-256 (``exact._Dyadic``), converted once per call from
-the sin and cos enclosures of ``AngleDeg``, and encloses each gradient on
-that grid from its doubles' integer ratios.  The ratio band and the bound
-are decided by cross-multiplying integers, so only the two ends of the
-ratio hull become rationals.
+ends at the scale 2^-256 (``exact._Dyadic``), on which ``AngleDeg`` gives
+sin and cos, and encloses each gradient on that grid from its doubles'
+integer ratios.  The ratio band and the bound are decided by
+cross-multiplying integers, so only the two ends of the ratio hull become
+rationals.
 
 The induced quadratic form sin^3(theta) x_1 y_1 + sin(theta) <x', y'> is
 sandwiched between sin^3(theta) |x|^2 and sin(theta) |x|^2; both slacks are
@@ -72,7 +72,7 @@ class CertifiedRatioReport(Record):
     """Interval-certified halving ratios on seeded rational directions.
 
     Each |G - L| is enclosed on outward-rounded fixed-point intervals at
-    the scale 2^-256, converted from the trig enclosures of ``AngleDeg``; the
+    the scale 2^-256, from the trig enclosures of ``AngleDeg`` on it; the
     band and bound checks compare their integer ends exactly, and the ratio
     enclosure's ends are the floats of the hull's two rational ends.
     """
@@ -94,9 +94,9 @@ def remainder_ratio_certified(theta: AngleLike, directions: int, seed: int = 42)
     exact rationals, so the certified statement quantifies over an explicit
     finite set of exact gradients; each is enclosed straight from its
     doubles' integer ratios on the 2^-256 grid of ``exact._Dyadic``, and
-    its half by halving the integer ends.  The cos, sin, cot and sin^3
-    enclosures of ``AngleDeg`` are rounded outward once to that grid, on
-    which every |G(q) - L(q)| is evaluated.  With F and H the enclosures
+    its half by halving the integer ends.  The cot and sin^3 enclosures
+    are computed on that grid from the cos and sin of ``AngleDeg``, and on
+    it every |G(q) - L(q)| is evaluated.  With F and H the enclosures
     at q and q/2, and H.lo > 0, the ratio F/H lies in [F.lo/H.hi,
     F.hi/H.lo]; the band, the bound F.hi^2 <= C^2 |q|^4 and the hull of
     the ratios are decided by cross-multiplying integers, and only the
@@ -111,14 +111,8 @@ def remainder_ratio_certified(theta: AngleLike, directions: int, seed: int = 42)
     bound_num, bound_den = (part * part for part in _BOUND_CONSTANT.as_integer_ratio())
     scale_num, scale_den = _SCALE.as_integer_ratio()
 
-    cos_iv = theta.cos()
-    sin_iv = theta.sin()
-    trig = (
-        _Dyadic.enclose(cos_iv / sin_iv),
-        _Dyadic.enclose(-cos_iv),
-        _Dyadic.enclose(sin_iv),
-        _Dyadic.enclose(sin_iv * sin_iv * sin_iv),
-    )
+    cos, sin = theta.cos(), theta.sin()
+    trig = (cos / sin, -cos, sin, sin * sin * sin)
 
     # The ends of the hull of the ratio enclosures, each as (numerator, denominator).
     hull_lo = hull_hi = None
@@ -186,16 +180,20 @@ def _remainder_norm_interval(
 
 
 def norm_equivalence_certified(theta: AngleLike) -> tuple[Interval, bool]:
-    """Certified enclosure of the slack factor sin(1-sin)(1+sin) >= 0.
+    """Certified enclosure of the slack factor sin (1 - sin^2) >= 0, and whether it is >= 0.
 
     Nonnegativity of this factor implies the norm sandwich for every
     vector, since both slacks are this factor times a sum of squares:
 
     upper slack = sin(theta) |x|^2 - |x|_theta^2 = (sin - sin^3) x_1^2,
     lower slack = |x|_theta^2 - sin^3(theta) |x|^2 = (sin - sin^3) |x'|^2.
+
+    The factor is computed on the 2^-256 grid from ``AngleDeg.sin`` and
+    ``sin_squared``, whose 1 - cos^2 makes 1 - sin^2 as narrow as cos^2
+    (1 - s^2 over sin's interval s is far wider near 90 degrees), and
+    returned as its two rational ends; it is exactly 0 at 90 degrees and
+    3/8 at 30 and 150, where sin is 1 and 1/2.
     """
     theta = _interior_angle(theta)
-    s = theta.sin()
-    one = Interval.point(Fraction(1))
-    factor = s * (one - s) * (one + s)
-    return factor, factor.lo >= 0
+    factor = theta.sin() * (_Dyadic(_DYADIC_ONE, _DYADIC_ONE) - theta.sin_squared())
+    return factor.to_interval(), factor.lo >= 0

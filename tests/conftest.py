@@ -80,6 +80,6 @@ def selftest_digests() -> dict[tuple[int, int], str]:
     deliberate one is re-pinned in this one place.
     """
     return {
-        (100_000, 42): "21368a61adb6dafdf519abe7fb618330de66235156bb49ec6af66d158688483e",
-        (2000, 42): "c49e60440bd20ed5a59ba8a60ea6f78fdce1d6f206ab6e79c7d988c748d1ab3f",
+        (100_000, 42): "8e7b72790e55abc688423c0def88bf084fceb593462d23641d0f2256befeed09",
+        (2000, 42): "dca742e0f94e0957c55900e159a145e2562c2064d15028a54f93f5fb52363f60",
     }

@@ -56,8 +56,8 @@ def test_criterion_02_certified_angle_ranges():
     for n, (lo_pub, hi_pub) in PUBLISHED_WINDOWS.items():
         tmin, tmax = angle_range_from_threshold(EXPECTED_M[n], tol)
         assert tmin.value.width <= tol and tmax.value.width <= tol
-        assert tmin.value.contains(lo_pub), f"n={n}: {tmin.value} misses {lo_pub}"
-        assert tmax.value.contains(hi_pub), f"n={n}: {tmax.value} misses {hi_pub}"
+        assert tmin.value.lo <= lo_pub <= tmin.value.hi, f"n={n}: {tmin.value} misses {lo_pub}"
+        assert tmax.value.lo <= hi_pub <= tmax.value.hi, f"n={n}: {tmax.value} misses {hi_pub}"
         # The full open interval between the enclosures is certified:
         # windows are symmetric and nested inside (0, 180).
         assert 0 < tmin.value.lo and tmax.value.hi < 180

@@ -415,6 +415,16 @@ def test_pnbound_refuses_a_report_too_long_to_print():
     assert "set_int_max_str_digits" not in proc.stderr
 
 
+def test_certify_refuses_an_infeasible_gap_too_long_to_print(capsys):
+    # alpha = 10^-2200 makes the infeasible gap a rational of about 4400 digits:
+    # the error names the digit limit and the options, not the interpreter's own advice.
+    code, out, err = run(capsys, "certify", "--n", "4", "--alpha", f"1/{10 ** 2200}")
+    assert code == EXIT_OPERATIONAL_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err and "fewer digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_oracle_draw_beyond_the_work_cap_is_refused_up_front(capsys, monkeypatch):
     # At --m 21201 the default 10^5 samples would draw 10^5 x 21201
     # coordinates, past the cap on the oracle's work: refused before the
@@ -604,6 +614,55 @@ def test_selftest_falsifies_an_ambiguity_comparison_that_changes(capsys, monkeyp
     symbol = {-1: "<", 0: "="}[sign]
     assert [c["comparison"] for c in ambiguity["payload"].values()][flipped] == f"sup^2 {symbol} p^2"
     assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("tol", ["7", "1/100", "1/1000", "1/10000", "1/1000000"])
+def test_windows_claim_checks_the_published_rounding_at_every_tol(monkeypatch, tol):
+    # The published breakpoints are theta_min rounded up and theta_max rounded
+    # down to 3 decimals; the claim reads theta*'s enclosure, not the --tol-deg
+    # cell, which falsified it at every tol finer than 1/1000.
+    def decide():
+        verdict, payload, _ = claims._decide_windows(claims._Run(2000, 42, Fraction(tol)))
+        return verdict, payload
+
+    verdict, payload = decide()
+    assert verdict == "certified"
+    assert all(w["rounds_inward_to_published"] and w["width_within_tol"] for w in payload.values())
+    published = dict(claims._PUBLISHED_BREAKPOINTS)
+    # Each value moved by one unit of the third decimal, down or up.
+    for n, moved in (
+        (5, ("73.335", "106.664")), (5, ("73.337", "106.664")), (4, ("51.654", "128.345")), (4, ("51.654", "128.347"))
+    ):
+        monkeypatch.setattr(claims, "_PUBLISHED_BREAKPOINTS", {**published, n: tuple(map(Fraction, moved))})
+        verdict, payload = decide()
+        assert verdict == "falsified" and not payload[f"n={n}"]["rounds_inward_to_published"], moved
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("selftest", "--samples", "2000"), ("identities", "--samples", "2000"), ("pnbound", "--m", "9", "--q", "1/3"),
+     ("pnbound", "--m", "3", "--q", "6/11"), ("pnbound", "--m", "5", "--q", "43/391")],
+    ids=["selftest", "identities", "pnbound-9", "pnbound-3", "pnbound-5"],
+)
+def test_payloads_hold_no_fixed_point_enclosure(capsys, argv):
+    # A _Dyadic reaching the report would be printed by str() as an object address;
+    # every enclosure goes into a payload as the Interval of its rational ends.
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_CERTIFIED
+
+    def strings(value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield key
+                yield from strings(item)
+        elif isinstance(value, list):
+            for item in value:
+                yield from strings(item)
+        elif isinstance(value, str):
+            yield value
+
+    found = [text for text in strings(json.loads(out)) if "_Dyadic" in text or " object at 0x" in text]
+    assert found == []
 
 
 def test_selftest_reports_are_a_pure_function_of_config(capsys):

@@ -379,7 +379,7 @@ def test_table_boundaries_are_certified_enclosure_grid_points():
         # Each interior boundary is the grid-rounded lower endpoint of a
         # certified enclosure of width <= tol.
         assert row.hi_enclosure.width <= Fraction(1, 1000)
-        assert row.hi == row.hi_enclosure.lo or row.hi_enclosure.contains(row.hi)
+        assert row.hi_enclosure.lo <= row.hi <= row.hi_enclosure.hi
 
 
 def test_table_respects_tolerance_parameter():

@@ -18,7 +18,6 @@ from conecert.exact import (
     QuadraticSurd,
     angle_range_from_threshold,
     compare,
-    pi_interval,
     quadratic_real_roots,
     to_fraction,
 )
@@ -57,48 +56,6 @@ def test_interval_rejects_inverted_endpoints():
         Interval(Fraction(1), Fraction(0))
 
 
-def test_interval_division_by_zero_containing_interval():
-    num = Interval.point(Fraction(1))
-    with pytest.raises(ZeroDivisionError):
-        num / Interval(Fraction(-1), Fraction(1))
-
-
-@given(rationals, rationals, rationals, rationals)
-def test_interval_arithmetic_contains_pointwise_results(a, b, c, d):
-    ia = Interval(min(a, b), max(a, b))
-    ic = Interval(min(c, d), max(c, d))
-    # Any representatives of the operand intervals must land inside the
-    # result interval; the endpoints themselves are the extreme choices.
-    for x in (ia.lo, ia.hi):
-        for y in (ic.lo, ic.hi):
-            assert (ia + ic).contains(x + y)
-            assert (ia - ic).contains(x - y)
-            assert (ia * ic).contains(x * y)
-            assert ia.square().contains(x * x)
-
-
-@given(rationals, rationals)
-def test_interval_square_is_nonnegative(a, b):
-    iv = Interval(min(a, b), max(a, b)).square()
-    assert iv.lo >= 0
-
-
-@given(nonneg_rationals)
-@example(Fraction(2))
-def test_interval_sqrt_of_a_point_is_sound(x):
-    root = Interval.point(x).sqrt()
-    assert 0 <= root.lo and root.lo * root.lo <= x <= root.hi * root.hi
-
-
-@given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**6))
-@example(Fraction(1, 3))  # 1/9: 3 divides no power of 2, so no grid point is 1/3
-@example(Fraction(3, 2))
-@example(Fraction(0))
-def test_interval_sqrt_is_exact_at_squares_of_rationals(r):
-    root = Interval.point(r * r).sqrt()
-    assert root.lo == root.hi == r
-
-
 @given(
     st.one_of(
         st.fractions(min_value=0, max_value=10**90, max_denominator=10**30),
@@ -109,39 +66,20 @@ def test_interval_sqrt_is_exact_at_squares_of_rationals(r):
 @example(Fraction(1, 3))
 @example(Fraction(3, 4))
 @settings(max_examples=300)
-def test_interval_sqrt_ends_are_adjacent_grid_points_elsewhere(x):
-    # In integers, with x = n/d and g = 2^_DYADIC_BITS: lo = L/g and hi = H/g, where
-    # L^2 d < n g^2 < (L+1)^2 d (the root is irrational) and H = L + 1.
-    # x is in lowest terms, so it is the square of a rational iff both parts are squares.
+def test_isqrt_rounded_brackets_an_irrational_root_by_adjacent_grid_points(x):
+    # The grid roots of a rational end, as SupResult takes them: with x = n/d and
+    # g = 2^_DYADIC_BITS, the roots are L/g and H/g with L^2 d < n g^2 < (L+1)^2 d
+    # (the root is irrational) and H = L + 1.  x is in lowest terms, so it is the
+    # square of a rational iff both parts are squares.
     assume(not all(math.isqrt(n) ** 2 == n for n in (x.numerator, x.denominator)))
-    grid = 1 << exact._DYADIC_BITS
-    root = Interval.point(x).sqrt()
-    assert (root.lo * grid).denominator == 1 and (root.hi * grid).denominator == 1
-    low, high = int(root.lo * grid), int(root.hi * grid)
-    n2, d = x.numerator * grid * grid, x.denominator
+    n2, d = x.numerator << 2 * exact._DYADIC_BITS, x.denominator
+    low, high = exact._isqrt_rounded(n2, d, False), exact._isqrt_rounded(n2, d, True)
     assert low * low * d < n2 < (low + 1) ** 2 * d
     assert high == low + 1
 
 
-@given(nonneg_rationals, nonneg_rationals)
-def test_interval_sqrt_soundness(a, b):
-    iv = Interval(min(a, b), max(a, b))
-    root = iv.sqrt()
-    assert root.lo * root.lo <= iv.lo
-    assert root.hi * root.hi >= iv.hi
-
-
-def test_interval_hull_intersect_clamp():
-    a = Interval(Fraction(0), Fraction(2))
-    b = Interval(Fraction(1), Fraction(3))
-    assert Interval.hull([a, b]) == Interval(Fraction(0), Fraction(3))
-    assert a.clamp(Fraction(1), Fraction(10)) == Interval(Fraction(1), Fraction(2))
-    assert a.overlaps(b)
-    assert not a.overlaps(Interval(Fraction(5), Fraction(6)))
-
-
 def test_pi_enclosure_is_tight_and_correct():
-    pi = pi_interval()
+    pi = exact._PI.to_interval()
     assert pi.lo > 0
     assert float(pi.lo) <= math.pi <= float(pi.hi)
     # Machin's formula on the 2^-256 grid leaves an enclosure far finer than
@@ -375,15 +313,15 @@ def test_polynomial_reduce_square():
 )
 def test_special_angles_are_exact(deg, cos_exact):
     theta = AngleDeg.from_degrees(deg)
-    c = theta.cos()
+    c = theta.cos().to_interval()
     assert c.lo == c.hi == cos_exact
-    s2 = theta.sin_squared()
+    s2 = theta.sin_squared().to_interval()
     assert s2.lo == s2.hi == 1 - cos_exact * cos_exact
 
 
 def test_generic_angle_enclosures_are_sound():
     theta = AngleDeg.from_degrees(Fraction(100))
-    c, s = theta.cos(), theta.sin()
+    c, s = theta.cos().to_interval(), theta.sin().to_interval()
     # The enclosures are far tighter than a float ulp, so compare midpoints
     # to the float library within float accuracy.
     assert abs(float(c) - math.cos(math.radians(100))) < 1e-15
@@ -399,9 +337,8 @@ def test_supplement_mirrors_cosine(deg):
     supp = theta.supplement()
     assert supp.value.lo == 180 - deg
     # cos(180 - x) = -cos(x): the enclosures must mirror within rounding.
-    mirrored = theta.cos() * Interval.point(Fraction(-1))
-    assert supp.cos().overlaps(mirrored)
-    assert supp.sin().overlaps(theta.sin())
+    for a, b in ((supp.cos(), -theta.cos()), (supp.sin(), theta.sin())):
+        assert a.lo <= b.hi and b.lo <= a.hi
 
 
 # The fixed-point trig kernel, against mpmath at 300 digits.  Its enclosures
@@ -428,7 +365,7 @@ def _assert_encloses(iv, value):
 @settings(max_examples=150, deadline=None)
 def test_point_angle_trig_contains_the_300_digit_values(deg):
     theta = AngleDeg.from_degrees(deg)
-    c, s = theta.cos(), theta.sin()
+    c, s = theta.cos().to_interval(), theta.sin().to_interval()
     with mp.workdps(300):
         rad = _mpf(deg) * mp.pi / 180
         _assert_encloses(c, mp.cos(rad))
@@ -454,7 +391,8 @@ def _check_special_angle(deg):
             (theta.sin_squared(), mp.sin(rad) ** 2, True),
         ]
         slack = mp.mpf(10) ** -55
-        for iv, value, rational in values:
+        for dyadic, value, rational in values:
+            iv = dyadic.to_interval()
             assert _mpf(iv.lo) - slack <= value <= _mpf(iv.hi) + slack
             assert iv.width == 0 if rational else 0 < iv.width <= unit
 
@@ -486,32 +424,19 @@ def test_box_trig_is_the_hull_of_its_end_values(lo, hi):
             (box.cos(), mp.cos(ends[1]), mp.cos(ends[0])),
             (box.sin(), min(sin_ends), 1 if lo <= 90 <= hi else max(sin_ends)),
         ]
-        for iv, low, high in ranges:
+        for dyadic, low, high in ranges:
+            iv = dyadic.to_interval()
             assert _mpf(iv.lo) <= low and high <= _mpf(iv.hi)
             assert low - _mpf(iv.lo) <= _mpf(TRIG_WIDTH) and _mpf(iv.hi) - high <= _mpf(TRIG_WIDTH)
 
 
-@pytest.mark.parametrize(
-    "radians",
-    [
-        Interval(Fraction(-1, 10**80), Fraction(1)),
-        Interval(Fraction(3), pi_interval().hi + Fraction(1, 1 << 300)),
-        Interval(Fraction(4), Fraction(5)),
-    ],
-    ids=["below-zero", "past-pi", "outside"],
-)
-def test_trig_refuses_radians_outside_zero_to_pi(radians):
-    with pytest.raises(ValueError, match="outside"):
-        exact.cos_interval(radians)
-    with pytest.raises(ValueError, match="outside"):
-        exact.sin_interval(radians)
-
-
 def test_trig_accepts_the_whole_range_angles_produce():
-    everything = AngleDeg(Interval(Fraction(0), Fraction(180))).radians()
-    assert everything == Interval(Fraction(0), pi_interval().hi)
-    assert exact.cos_interval(everything) == Interval(Fraction(-1), Fraction(1))
-    assert exact.sin_interval(everything).hi == 1
+    # [0, 180] degrees is [0, pi_hi] radians; cos falls from 1 to -1 and sin peaks at 1 on it.
+    everything = AngleDeg(Interval(Fraction(0), Fraction(180)))
+    radians = everything.radians()
+    assert (radians.lo, radians.hi) == (0, exact._PI.hi)
+    assert everything.cos().to_interval() == Interval(Fraction(-1), Fraction(1))
+    assert everything.sin().to_interval().hi == 1
 
 
 @given(
@@ -521,10 +446,12 @@ def test_trig_accepts_the_whole_range_angles_produce():
 )
 @settings(max_examples=150, deadline=None)
 def test_dyadic_division_by_a_positive_integer_rounds_outward_within_a_unit(lo, width, d):
-    x = exact._Dyadic.enclose(Interval(lo, lo + width))
-    got, want = (x / d).to_interval(), x.to_interval() / d
+    hi = lo + width
+    x = exact._Dyadic(exact._Dyadic.enclose_ratio(*lo.as_integer_ratio()).lo, exact._Dyadic.enclose_ratio(*hi.as_integer_ratio()).hi)
+    got = (x / d).to_interval()
     unit = Fraction(1, 1 << exact._DYADIC_BITS)
-    assert want.lo - unit < got.lo <= want.lo and want.hi <= got.hi < want.hi + unit
+    want_lo, want_hi = x.lo * unit / d, x.hi * unit / d
+    assert want_lo - unit < got.lo <= want_lo and want_hi <= got.hi < want_hi + unit
 
 
 # ---------------------------------------------------------------------------

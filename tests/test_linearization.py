@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath import iv
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,15 +85,14 @@ def test_remainder_bound_is_decided_at_the_largest_remainder_ratio(monkeypatch):
 
 def _rational_ratio_report(theta, directions, seed):
     """``remainder_ratio_certified`` as it decided in exact rationals before its integer
-    comparisons: Fraction gradients, Interval ratios, hull and checks.  Kept as the reference."""
-    cot_iv, cos_iv, sin_iv, sin_cubed = _exact_trig(theta)
-    trig = tuple(_Dyadic.enclose(iv) for iv in (cot_iv, -cos_iv, sin_iv, sin_cubed))
+    comparisons: Fraction gradients, and ratios, hull and checks on Fraction ends.  Kept as the reference."""
+    trig = _kernel_trig(theta, "up")
     band_lo, band_hi = lin._BAND
 
     def remainder(qs):
         return lin._remainder_norm_interval(_kernel_q(qs), *trig).to_interval()
 
-    hull = None
+    hull_lo = hull_hi = None
     all_in = True
     bound_ok = True
     for d in itertools.chain.from_iterable(
@@ -106,13 +107,15 @@ def _rational_ratio_report(theta, directions, seed):
         if not r_half.lo > 0:
             all_in = False
             continue
-        ratio = r_full / r_half
-        hull = ratio if hull is None else Interval.hull([hull, ratio])
-        if not (band_lo <= ratio.lo and ratio.hi <= band_hi):
+        # Both ends are >= 0, so the ratio's extremes pair each end of r_full with the other end of r_half.
+        ratio_lo, ratio_hi = r_full.lo / r_half.hi, r_full.hi / r_half.lo
+        hull_lo = ratio_lo if hull_lo is None else min(hull_lo, ratio_lo)
+        hull_hi = ratio_hi if hull_hi is None else max(hull_hi, ratio_hi)
+        if not (band_lo <= ratio_lo and ratio_hi <= band_hi):
             all_in = False
-    if hull is None:
-        hull = Interval.point(Fraction(0))
-    return lin.CertifiedRatioReport(float(hull.lo), float(hull.hi), all_in, bound_ok)
+    if hull_lo is None:
+        hull_lo = hull_hi = Fraction(0)
+    return lin.CertifiedRatioReport(float(hull_lo), float(hull_hi), all_in, bound_ok)
 
 
 @pytest.mark.parametrize("seed", [7, 42])
@@ -199,6 +202,17 @@ def fraction_intervals(draw):
     return Interval(min(a, b), max(a, b))
 
 
+def _grid(x):
+    """The grid units around a Fraction interval: each end rounded outward by ``enclose_ratio``."""
+    return _Dyadic(_Dyadic.enclose_ratio(*x.lo.as_integer_ratio()).lo, _Dyadic.enclose_ratio(*x.hi.as_integer_ratio()).hi)
+
+
+def _corners(op, x, y):
+    """The exact result of op over two Fraction intervals: the hull of op at their ends (y's ends nonzero for /)."""
+    values = [op(a, b) for a in (x.lo, x.hi) for b in (y.lo, y.hi)]
+    return Interval(min(values), max(values))
+
+
 def _assert_tight_enclosure(got, exact, ulps=2):
     assert got.lo <= exact.lo and exact.hi <= got.hi
     assert exact.lo - got.lo <= ulps * ULP and got.hi - exact.hi <= ulps * ULP
@@ -207,7 +221,7 @@ def _assert_tight_enclosure(got, exact, ulps=2):
 @given(fraction_intervals())
 @settings(max_examples=150, deadline=None)
 def test_dyadic_encloses_its_fraction_interval_within_one_unit(x):
-    _assert_tight_enclosure(_Dyadic.enclose(x).to_interval(), x, ulps=1)
+    _assert_tight_enclosure(_grid(x).to_interval(), x, ulps=1)
 
 
 @given(fraction_intervals(), fraction_intervals())
@@ -215,18 +229,19 @@ def test_dyadic_encloses_its_fraction_interval_within_one_unit(x):
 def test_dyadic_operations_enclose_the_exact_results(x, y):
     # The operands are rounded to the grid first; each operation then rounds
     # outward by less than one unit of 2^-256 beyond the exact result.
-    dx, dy = _Dyadic.enclose(x), _Dyadic.enclose(y)
+    dx, dy = _grid(x), _grid(y)
     ex, ey = dx.to_interval(), dy.to_interval()
-    _assert_tight_enclosure((dx + dy).to_interval(), ex + ey)
-    _assert_tight_enclosure((dx - dy).to_interval(), ex - ey)
-    _assert_tight_enclosure((-dx).to_interval(), -ex)
-    _assert_tight_enclosure((dx * dy).to_interval(), ex * ey)
-    _assert_tight_enclosure(dx.square().to_interval(), ex.square())
+    _assert_tight_enclosure((dx + dy).to_interval(), _corners(operator.add, ex, ey))
+    _assert_tight_enclosure((dx - dy).to_interval(), _corners(operator.sub, ex, ey))
+    _assert_tight_enclosure((-dx).to_interval(), Interval(-ex.hi, -ex.lo))
+    _assert_tight_enclosure((dx * dy).to_interval(), _corners(operator.mul, ex, ey))
+    low = 0 if ex.lo <= 0 <= ex.hi else min(ex.lo ** 2, ex.hi ** 2)
+    _assert_tight_enclosure(dx.square().to_interval(), Interval(low, max(ex.lo ** 2, ex.hi ** 2)))
     if ey.lo <= 0 <= ey.hi:
         with pytest.raises(ZeroDivisionError):
             dx / dy
     else:
-        _assert_tight_enclosure((dx / dy).to_interval(), ex / ey)
+        _assert_tight_enclosure((dx / dy).to_interval(), _corners(operator.truediv, ex, ey))
     if ex.lo < 0:
         with pytest.raises(ValueError):
             dx.sqrt()
@@ -239,8 +254,8 @@ def test_dyadic_operations_enclose_the_exact_results(x, y):
 
 
 def test_dyadic_division_by_a_negative_interval():
-    x = _Dyadic.enclose(Interval(Fraction(-3), Fraction(5)))
-    y = _Dyadic.enclose(Interval(Fraction(-4), Fraction(-2)))
+    x = _grid(Interval(Fraction(-3), Fraction(5)))
+    y = _grid(Interval(Fraction(-4), Fraction(-2)))
     assert (x / y).to_interval() == Interval(Fraction(-5, 2), Fraction(3, 2))
 
 
@@ -261,28 +276,24 @@ def test_dyadic_division_picks_the_corners_the_four_corner_rule_picks(a, b, c, d
 @given(st.integers(-(10**40), 10**40), st.integers(1, 10**40))
 @settings(max_examples=200, deadline=None)
 def test_dyadic_enclose_ratio_is_enclose_of_the_point(num, den):
-    want = _Dyadic.enclose(Interval.point(Fraction(num, den)))
+    # The floor and ceiling of the point on the grid, from exact Fraction arithmetic.
+    point = Fraction(num, den) * (1 << _DYADIC_BITS)
     got = _Dyadic.enclose_ratio(num, den)
-    assert (got.lo, got.hi) == (want.lo, want.hi)
-
-
-def _exact_trig(theta):
-    """cot, cos, sin and sin^3 enclosures from the AngleDeg trig on the 2^-256 grid."""
-    angle = AngleDeg.from_degrees(theta)
-    cos_iv, sin_iv = angle.cos(), angle.sin()
-    return cos_iv / sin_iv, cos_iv, sin_iv, sin_iv * sin_iv * sin_iv
+    assert (got.lo, got.hi) == (math.floor(point), math.ceil(point))
 
 
 def _kernel_q(qs):
     """Rational gradient components enclosed on the 2^-256 grid, as the kernel takes them."""
-    return [_Dyadic.enclose(Interval.point(c)) for c in qs]
+    return [_Dyadic.enclose_ratio(*c.as_integer_ratio()) for c in qs]
 
 
 def _kernel_trig(theta, orientation):
     """slant, lead, sin and sin^3 for the kernel, "up" as remainder_ratio_certified hands them."""
-    sign = 1 if orientation == "up" else -1
-    cot_iv, cos_iv, sin_iv, sin_cubed = _exact_trig(theta)
-    return tuple(_Dyadic.enclose(iv) for iv in (cot_iv * sign, cos_iv * (-sign), sin_iv, sin_cubed))
+    angle = AngleDeg.from_degrees(theta)
+    cos, sin = angle.cos(), angle.sin()
+    if orientation == "down":
+        cos = -cos
+    return cos / sin, -cos, sin, sin * sin * sin
 
 
 def _mp_remainder_norm(qs, theta, orientation):
@@ -358,35 +369,53 @@ def test_dyadic_remainder_endpoints_stay_on_the_grid(theta, orientation):
     assert not hasattr(conecert, "_Dyadic")
 
 
-def _fraction_remainder_norm(qs, sign, cot_iv, cos_iv, sin_iv, sin_cubed):
-    """The exact-rational kernel the fixed-point one replaced, kept as a reference; ``qs`` are Intervals."""
-    p = list(qs)
-    p[0] = p[0] - cot_iv * sign
-    w_sq = Interval.point(Fraction(1))
-    for comp in p:
-        w_sq = w_sq + comp.square()
-    w = w_sq.sqrt()
-    lin_map = [cos_iv * (-sign) + sin_cubed * qs[0]]
-    lin_map.extend(sin_iv * c for c in qs[1:])
-    diff_sq = Interval.point(Fraction(0))
-    for comp, l in zip(p, lin_map):
-        diff_sq = diff_sq + (comp / w - l).square()
-    return diff_sq.sqrt()
+_REFERENCE_BITS = 640
+
+
+def _reference_remainder_norm(q, slant, lead, sin_d, sin_cubed):
+    """|G(q) - L(q)| from the kernel's grid inputs on mpmath intervals at 640 bits, rounded out to the grid once.
+
+    The reference for the fixed-point kernel, which rounds out at every step; it
+    takes the place of the exact-rational kernel the fixed-point one replaced.
+    """
+    def grid_end(end, up):
+        with mp.workprec(_REFERENCE_BITS):
+            man, exp = mp.mpf(end).man_exp
+        shift = exp + _DYADIC_BITS
+        return man << shift if shift >= 0 else -(-man >> -shift) if up else man >> -shift
+
+    prec, iv.prec = iv.prec, _REFERENCE_BITS
+    try:
+        q, (slant, lead, sin_d, sin_cubed) = (
+            [iv.mpf([d.lo, d.hi]) / (1 << _DYADIC_BITS) for d in group] for group in (q, (slant, lead, sin_d, sin_cubed))
+        )
+        p = [q[0] - slant, *q[1:]]
+        w = iv.sqrt(1 + sum(c ** 2 for c in p))
+        lin_map = [lead + sin_cubed * q[0], *(sin_d * c for c in q[1:])]
+        norm = iv.sqrt(sum((c / w - l) ** 2 for c, l in zip(p, lin_map)))
+        return _Dyadic(grid_end(norm.a, False), grid_end(norm.b, True))
+    finally:
+        iv.prec = prec
 
 
 @pytest.mark.parametrize("theta", ANGLES)
 def test_dyadic_kernel_gives_the_reports_of_the_fraction_kernel(monkeypatch, theta):
+    # The reference kernel was exact Fraction arithmetic; it is now mpmath's intervals at 640 bits.
     def reports():
         return [lin.remainder_ratio_certified(theta, directions=16, seed=seed) for seed in (7, 42)]
 
     dyadic = reports()
-    trig = _exact_trig(theta)
-    monkeypatch.setattr(
-        lin,
-        "_remainder_norm_interval",
-        lambda q, *_dyadic_trig: _Dyadic.enclose(_fraction_remainder_norm([c.to_interval() for c in q], 1, *trig)),
-    )
+    monkeypatch.setattr(lin, "_remainder_norm_interval", _reference_remainder_norm)
     assert dyadic == reports()
+
+
+@pytest.mark.parametrize("theta", ANGLES)
+def test_reference_kernel_lies_inside_the_dyadic_one(theta):
+    # Both enclose the same |G - L|; the reference rounds once, so it is the narrower one.
+    qs = _kernel_q([Fraction(3, 1000), Fraction(-1, 700), Fraction(1, 3000)])
+    trig = _kernel_trig(theta, "up")
+    ref, got = _reference_remainder_norm(qs, *trig), lin._remainder_norm_interval(qs, *trig)
+    assert got.lo <= ref.lo < ref.hi <= got.hi
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +437,10 @@ def test_norm_equivalence_sandwich(x, theta):
     assert theta_norm_sq - s**3 * (head_sq + tail_sq) == pytest.approx(float(factor.mid) * tail_sq, abs=1e-12)
 
 
+# Grid units of width the factor had as the exact product s (1 - s)(1 + s) of sin's enclosure s, rounded up.
+_PRODUCT_FACTOR_WIDTH = {91: 68, 120: Fraction(199, 100), 150: 0, 179: Fraction(12416, 100), 90: 0}
+
+
 @pytest.mark.parametrize("theta", ANGLES + [Fraction(90)])
 def test_norm_equivalence_certified_factor(theta):
     factor, ok = lin.norm_equivalence_certified(theta)
@@ -415,3 +448,14 @@ def test_norm_equivalence_certified_factor(theta):
     assert factor.lo >= 0
     if theta == 90:
         assert factor.lo == factor.hi == 0  # sin = 1: sandwich is equality
+    if theta == 150:
+        assert factor.lo == factor.hi == Fraction(3, 8)  # sin = 1/2
+    # sin (1 - sin^2) = sin cos^2, enclosed (the enclosure is about 10^-75 wide, so the
+    # reference takes 120 digits), and no wider than the exact product was.
+    with mp.workdps(120):
+        rad = mp.mpf(theta.numerator) / theta.denominator * mp.pi / 180
+        value = mp.sin(rad) * mp.cos(rad) ** 2
+        slack = mp.mpf(10) ** -110
+        assert mp.mpf(factor.lo.numerator) / factor.lo.denominator - slack <= value
+        assert value <= mp.mpf(factor.hi.numerator) / factor.hi.denominator + slack
+    assert factor.width * (1 << _DYADIC_BITS) <= _PRODUCT_FACTOR_WIDTH[theta]

@@ -61,6 +61,13 @@ def test_records_with_equal_fields_are_equal_with_equal_hashes(cls):
     assert len({first, second}) == 1
 
 
+def test_interval_has_no_arithmetic():
+    # One interval type: enclosure arithmetic runs on exact._Dyadic, and an
+    # Interval only carries the two rational ends that reports print.
+    arithmetic = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "square", "sqrt", "clamp", "hull")
+    assert [name for name in arithmetic if hasattr(Interval, name)] == []
+
+
 def test_record_equality_is_field_wise_and_class_strict():
     assert Interval(0, 1) != Interval(0, 2)
     assert hash(Interval(0, 1)) == hash((F(0), F(1)))

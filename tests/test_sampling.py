@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conecert import _sampling, claims, cones, tilt
-from conecert.exact import AngleDeg, Interval
+from conecert.exact import AngleDeg, _Dyadic
 
 CHUNK = _sampling.CHUNK_ROWS
 IDENTITY_PARAMS = [
@@ -68,7 +68,8 @@ def _identity_row_rational(row, cos_t, k):
     """The three cleared defects and jfrak - g^2 at one sample, re-evaluated in rationals on
     the normal scaled by the lower end of its norm's enclosure on the 2^-256 grid."""
     comp = [Fraction(float(c)) for c in row]
-    norm = Interval.point(sum(c * c for c in comp)).sqrt().lo
+    root = _Dyadic.enclose_ratio(*sum(c * c for c in comp).as_integer_ratio()).sqrt()
+    norm = root.to_interval().lo
     nu1, nup = comp[0] / norm, comp[-1] / norm
     t = tilt._tilt_terms(nu1, nup, cos_t, k)
     jfrak, defect = tilt._gradient_defect(nu1, nup, k, t)
